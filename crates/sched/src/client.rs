@@ -95,6 +95,9 @@ const TIMER_REPORT: u64 = 1;
 const TIMER_TICK: u64 = 2;
 const TIMER_RETRY: u64 = 3;
 
+/// Spacing of the expiry / deferred-resend sweep grid (`Started + k·2 s`).
+const SWEEP_PERIOD: SimDuration = SimDuration::from_secs(2);
+
 enum Req {
     GetWork,
     Report,
@@ -114,7 +117,7 @@ struct ReqCtx {
 }
 
 /// A resend the adaptive layer scheduled for after a backoff; flushed by
-/// the periodic tick.
+/// the first sweep at or after `due`.
 struct Deferred {
     due: SimTime,
     peer: u64,
@@ -131,6 +134,12 @@ struct ClientTele {
     switches: CounterId,
     abandons: CounterId,
     failovers: CounterId,
+    /// Sweeps fired.
+    sweeps: CounterId,
+    /// Sweeps that expired nothing and flushed nothing. Every request arms
+    /// one, so some are expected; a count near `run length / 2 s` per client
+    /// means something re-arms unconditionally again.
+    sweeps_idle: CounterId,
     store_timeouts: CounterId,
     resumes: CounterId,
     stores_accepted: CounterId,
@@ -163,6 +172,8 @@ impl ClientTele {
             switches: ctx.counter("client.switches"),
             abandons: ctx.counter("client.abandons"),
             failovers: ctx.counter("client.failovers"),
+            sweeps: ctx.counter("client.sweeps"),
+            sweeps_idle: ctx.counter("client.sweeps_idle"),
             store_timeouts: ctx.counter("client.store_timeouts"),
             resumes: ctx.counter("client.resumes"),
             stores_accepted: ctx.counter("client.stores_accepted"),
@@ -203,6 +214,10 @@ pub struct ComputeClient {
     /// The unified retry/breaker layer; `None` on the static-baseline arm.
     adaptive: Option<AdaptiveRetry>,
     deferred: Vec<Deferred>,
+    /// Origin of the sweep grid: when this process started.
+    started_at: SimTime,
+    /// A `TIMER_TICK` is pending (at the next grid point).
+    sweep_armed: bool,
     compute_gen: u64,
     waiting_for_work: bool,
     chunks_since_checkpoint: u64,
@@ -237,6 +252,8 @@ impl ComputeClient {
             policy,
             adaptive: None,
             deferred: Vec::new(),
+            started_at: SimTime::ZERO,
+            sweep_armed: false,
             compute_gen: 0,
             waiting_for_work: false,
             chunks_since_checkpoint: 0,
@@ -382,6 +399,24 @@ impl ComputeClient {
             ProcessId(to as u32),
             &Packet::request(mtype, corr, body),
         );
+        self.arm_sweep(ctx);
+    }
+
+    /// Arm the expiry / deferred-resend sweep while there is something for
+    /// it to find, and leave it off otherwise: a client computing a long
+    /// unit with nothing in flight costs the kernel no events. The sweep
+    /// always lands on the grid `started_at + k·SWEEP_PERIOD`, strictly
+    /// after `now` — the instants an always-on 2 s poll would fire at — so
+    /// arming on demand moves no expiry, retry, failover or resend in
+    /// simulated time (a deadline-exact timer would move them earlier).
+    fn arm_sweep(&mut self, ctx: &mut Ctx<'_>) {
+        if self.sweep_armed || (self.rpc.in_flight() == 0 && self.deferred.is_empty()) {
+            return;
+        }
+        let period = SWEEP_PERIOD.as_micros();
+        let into_period = ctx.now().since(self.started_at).as_micros() % period;
+        ctx.set_timer(SimDuration::from_micros(period - into_period), TIMER_TICK);
+        self.sweep_armed = true;
     }
 
     fn request_work(&mut self, ctx: &mut Ctx<'_>) {
@@ -511,11 +546,14 @@ impl ComputeClient {
         }
     }
 
-    fn tick(&mut self, ctx: &mut Ctx<'_>) {
+    fn sweep(&mut self, ctx: &mut Ctx<'_>) {
+        self.sweep_armed = false;
         let tele = self.tele.expect("started");
+        ctx.inc(tele.sweeps);
         let expired = self
             .rpc
             .expire_traced(ctx, tele.timeout_span, self.policy.as_mut());
+        let mut idle = expired.is_empty();
         for pending in expired {
             if self.adaptive.is_some() {
                 self.on_expiry_adaptive(ctx, tele, pending);
@@ -523,8 +561,11 @@ impl ComputeClient {
                 self.on_expiry_static(ctx, tele, pending);
             }
         }
-        self.flush_deferred(ctx);
-        ctx.set_timer(SimDuration::from_secs(2), TIMER_TICK);
+        idle &= !self.flush_deferred(ctx);
+        if idle {
+            ctx.inc(tele.sweeps_idle);
+        }
+        self.arm_sweep(ctx);
     }
 
     /// Adaptive arm: the breaker hears every time-out; within the retry
@@ -652,17 +693,20 @@ impl ComputeClient {
         }
     }
 
-    fn flush_deferred(&mut self, ctx: &mut Ctx<'_>) {
+    /// Send every deferred resend that has come due; `true` if any went out.
+    fn flush_deferred(&mut self, ctx: &mut Ctx<'_>) -> bool {
         if self.deferred.is_empty() {
-            return;
+            return false;
         }
         let now = ctx.now();
         let (due, later): (Vec<Deferred>, Vec<Deferred>) =
             self.deferred.drain(..).partition(|d| d.due <= now);
         self.deferred = later;
+        let flushed = !due.is_empty();
         for d in due {
             self.send_request(ctx, d.peer, d.mtype, d.body, d.req, d.attempts);
         }
+        flushed
     }
 }
 
@@ -670,6 +714,7 @@ impl Process for ComputeClient {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match &ev {
             Event::Started => {
+                self.started_at = ctx.now();
                 self.tele = Some(ClientTele::intern(ctx, &self.cfg.infra));
                 if self.cfg.static_timeouts.is_none() {
                     // Jitter stream seeded from the process rng so whole
@@ -684,14 +729,13 @@ impl Process for ComputeClient {
                     self.request_work(ctx);
                 }
                 ctx.set_timer(self.cfg.report_interval, TIMER_REPORT);
-                ctx.set_timer(SimDuration::from_secs(2), TIMER_TICK);
             }
             Event::Timer { tag } => match *tag {
                 TIMER_REPORT => {
                     self.send_report(ctx);
                     ctx.set_timer(self.cfg.report_interval, TIMER_REPORT);
                 }
-                TIMER_TICK => self.tick(ctx),
+                TIMER_TICK => self.sweep(ctx),
                 TIMER_RETRY => self.request_work(ctx),
                 _ => {}
             },
@@ -1043,5 +1087,109 @@ mod tests {
             "the suddenly-30x-slower client's unit must be migrated"
         );
         assert!(sim.metrics().counter("client.abandons") >= 1.0);
+    }
+
+    #[test]
+    fn client_computing_with_nothing_in_flight_gets_no_sweeps() {
+        let (mut sim, hids) = world(2, 1e8);
+        let s = sim.spawn(
+            "sched",
+            hids[0],
+            Box::new(SchedulerServer::new(SchedulerConfig {
+                step_budget: 10_000_000, // ~2.8 sim-hours at 1e8 ops/s
+                ..sched_cfg()
+            })),
+        );
+        let c = sim.spawn(
+            "client",
+            hids[1],
+            Box::new(ComputeClient::new(ClientConfig {
+                report_interval: SimDuration::from_secs(3600),
+                ..client_cfg(s.0 as u64)
+            })),
+        );
+        // The work request arms one sweep; its reply lands long before the
+        // sweep fires, so that one finds nothing.
+        sim.run_until(SimTime::from_secs(60));
+        assert_eq!(sim.metrics().counter("client.sweeps"), 1.0);
+        assert_eq!(sim.metrics().counter("client.sweeps_idle"), 1.0);
+        let ops_before = sim
+            .with_process::<ComputeClient, _>(c, |c| c.total_ops)
+            .unwrap();
+        let ten_minutes = sim.run_until(SimTime::from_secs(660));
+        let ops_after = sim
+            .with_process::<ComputeClient, _>(c, |c| c.total_ops)
+            .unwrap();
+        assert!(ops_after > ops_before + 5e10 as u64, "still computing");
+        assert_eq!(
+            sim.metrics().counter("client.sweeps"),
+            1.0,
+            "no TIMER_TICK in 10 sim-minutes with nothing in flight"
+        );
+        // Every event of those ten minutes is a compute chunk finishing.
+        let chunks = (ops_after - ops_before) / 10_000_000;
+        assert_eq!(ten_minutes.events, chunks);
+    }
+
+    #[test]
+    fn expiry_and_failover_land_on_the_started_grid() {
+        let mut net = NetModel::new(0.05);
+        let mut hosts = HostTable::new();
+        let site = net.add_site(SiteSpec::simple(
+            "s",
+            SimDuration::from_millis(20),
+            1.25e6,
+            0.0,
+        ));
+        let h_dead = {
+            let mut h = HostSpec::dedicated("dead", site, 1e8);
+            h.availability = AvailabilitySchedule {
+                transitions: vec![(SimTime::from_millis(500), false)],
+            };
+            hosts.add(h)
+        };
+        let h_sched2 = hosts.add(HostSpec::dedicated("sched2", site, 1e8));
+        let h_client = hosts.add(HostSpec::dedicated("client", site, 1e8));
+        let mut sim = Sim::new(net, hosts, 9);
+        let s1 = sim.spawn("s1", h_dead, Box::new(SchedulerServer::new(sched_cfg())));
+        let s2 = sim.spawn("s2", h_sched2, Box::new(SchedulerServer::new(sched_cfg())));
+        // Start the client off the whole-second lattice, after s1's host died.
+        let started = SimTime::from_micros(700_123);
+        sim.run_until(started);
+        let c = sim.spawn(
+            "client",
+            h_client,
+            Box::new(ComputeClient::new(ClientConfig {
+                schedulers: vec![s1.0 as u64, s2.0 as u64],
+                ..client_cfg(s1.0 as u64)
+            })),
+        );
+        // Step grid point by grid point, stopping 1 us short of each: the
+        // sweep count and the failover count may only move in that last
+        // microsecond, i.e. at an instant = Started (mod 2 s).
+        let watch = |sim: &Sim| {
+            (
+                sim.metrics().counter("client.sweeps"),
+                sim.metrics().counter("client.failovers"),
+                sim.metrics().counter("rpc.retries"),
+            )
+        };
+        let mut at_grid = watch(&sim);
+        for k in 1..=150u64 {
+            let grid = started + SWEEP_PERIOD * k;
+            sim.run_until(SimTime::from_micros(grid.as_micros() - 1));
+            assert_eq!(watch(&sim), at_grid, "moved between grid points (k={k})");
+            sim.run_until(grid);
+            at_grid = watch(&sim);
+        }
+        assert!(at_grid.1 >= 1.0, "the dead scheduler is abandoned");
+        assert!(at_grid.2 >= 1.0, "resends were deferred and flushed first");
+        let units = sim
+            .with_process::<ComputeClient, _>(c, |c| c.units_completed)
+            .unwrap();
+        assert!(
+            units > 50,
+            "work continues on the backup scheduler: {units}"
+        );
     }
 }

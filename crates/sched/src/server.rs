@@ -74,6 +74,8 @@ impl Default for SchedulerConfig {
 struct SchedTele {
     grants: CounterId,
     reports: CounterId,
+    /// Reports dropped because their rate was non-finite or negative.
+    reports_bad_rate: CounterId,
     results: CounterId,
     /// Per-report control decision (continue / switch / abandon-migrate);
     /// tagged with the unit id so migration latencies are traceable.
@@ -85,6 +87,7 @@ impl SchedTele {
         SchedTele {
             grants: ctx.counter("sched.grants"),
             reports: ctx.counter("sched.reports"),
+            reports_bad_rate: ctx.counter("sched.reports_bad_rate"),
             results: ctx.counter("sched.results"),
             decide_span: ctx.span("sched.decide"),
         }
@@ -102,6 +105,54 @@ struct Outstanding {
     unit: WorkUnit,
 }
 
+/// Per-client rate estimates plus the same multiset kept ascending by
+/// `f64::total_cmp` (the `SortedWindow` idiom of `ew_forecast::methods`), so
+/// the pool median every report and grant asks for is one indexed read
+/// instead of a collect-and-sort of the whole table. `set` and `remove` cost
+/// a binary search each plus an O(clients) memmove.
+#[derive(Default)]
+struct RateTable {
+    by_client: HashMap<u64, f64>,
+    sorted: Vec<f64>,
+}
+
+impl RateTable {
+    fn get(&self, client: u64) -> Option<f64> {
+        self.by_client.get(&client).copied()
+    }
+
+    fn set(&mut self, client: u64, rate: f64) {
+        if let Some(old) = self.by_client.insert(client, rate) {
+            self.unsort(old);
+        }
+        let i = self.sorted.partition_point(|x| x.total_cmp(&rate).is_lt());
+        self.sorted.insert(i, rate);
+    }
+
+    fn remove(&mut self, client: u64) {
+        if let Some(old) = self.by_client.remove(&client) {
+            self.unsort(old);
+        }
+    }
+
+    fn unsort(&mut self, old: f64) {
+        let i = self.sorted.partition_point(|x| x.total_cmp(&old).is_lt());
+        self.sorted.remove(i);
+    }
+
+    /// The upper median, `sorted[len / 2]`.
+    fn median(&self) -> Option<f64> {
+        self.sorted.get(self.sorted.len() / 2).copied()
+    }
+}
+
+/// `ProgressReport::rate` comes off the wire. A NaN, infinite or negative
+/// rate would poison the forecast battery, the baselines and the pool
+/// median, so such a report is answered `Continue` and feeds no table.
+fn rate_is_sane(rate: f64) -> bool {
+    rate.is_finite() && rate.is_sign_positive()
+}
+
 /// The scheduling server process.
 pub struct SchedulerServer {
     cfg: SchedulerConfig,
@@ -111,11 +162,10 @@ pub struct SchedulerServer {
     /// Units abandoned by slow clients, awaiting reassignment.
     migration_queue: Vec<WorkUnit>,
     rates: DynamicBenchmark<u64>,
-    last_rate: HashMap<u64, f64>,
     /// Cached per-client rate estimate, refreshed on each report (forecast
     /// or last value, per config). Cached so the per-report migration
-    /// decision is O(active clients), not O(clients × battery).
-    estimates: HashMap<u64, f64>,
+    /// decision reads one entry and one median, not clients × battery.
+    estimates: RateTable,
     /// Slowly-decaying per-client demonstrated rate (the baseline that
     /// defines "anomalously slow").
     baselines: HashMap<u64, f64>,
@@ -155,8 +205,7 @@ impl SchedulerServer {
             outstanding: HashMap::new(),
             migration_queue: Vec::new(),
             rates: DynamicBenchmark::new(),
-            last_rate: HashMap::new(),
-            estimates: HashMap::new(),
+            estimates: RateTable::default(),
             baselines: HashMap::new(),
             last_seen: HashMap::new(),
             reports_since_purge: 0,
@@ -272,25 +321,11 @@ impl SchedulerServer {
 
     /// The rate estimate used for migration decisions (reads the cache).
     fn rate_estimate(&self, client: u64) -> Option<f64> {
-        if self.cfg.use_forecasts {
-            self.estimates.get(&client).copied()
-        } else {
-            self.last_rate.get(&client).copied()
-        }
+        self.estimates.get(client)
     }
 
     fn pool_median_rate(&self) -> Option<f64> {
-        let source: Vec<f64> = if self.cfg.use_forecasts {
-            self.estimates.values().copied().collect()
-        } else {
-            self.last_rate.values().copied().collect()
-        };
-        if source.is_empty() {
-            return None;
-        }
-        let mut rates = source;
-        rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Some(rates[rates.len() / 2])
+        self.estimates.median()
     }
 
     /// Forget clients that have not reported recently: churned hosts never
@@ -307,23 +342,22 @@ impl SchedulerServer {
             .collect();
         for c in stale {
             self.last_seen.remove(&c);
-            self.last_rate.remove(&c);
-            self.estimates.remove(&c);
+            self.estimates.remove(c);
             self.baselines.remove(&c);
             self.rates.forget(&c);
         }
     }
 
+    /// `report.rate` must already have passed [`rate_is_sane`].
     fn handle_report(&mut self, now: SimTime, report: ProgressReport) -> Directive {
         self.rates.observe(report.client, report.rate);
-        self.last_rate.insert(report.client, report.rate);
         self.last_seen.insert(report.client, now);
         let baseline = self.baselines.entry(report.client).or_insert(report.rate);
         *baseline = (*baseline * 0.995).max(report.rate);
-        if self.cfg.use_forecasts {
-            if let Some(f) = self.rates.forecast(&report.client) {
-                self.estimates.insert(report.client, f.value);
-            }
+        if !self.cfg.use_forecasts {
+            self.estimates.set(report.client, report.rate);
+        } else if let Some(f) = self.rates.forecast(&report.client) {
+            self.estimates.set(report.client, f.value);
         }
         self.reports_since_purge += 1;
         if self.reports_since_purge >= 256 {
@@ -353,7 +387,7 @@ impl SchedulerServer {
             (Some(est), Some(base), Some(median)) => {
                 est < self.cfg.migration_factor * base
                     && median > 2.0 * est
-                    && self.last_rate.len() >= 3
+                    && self.last_seen.len() >= 3
             }
             _ => false,
         };
@@ -471,6 +505,19 @@ impl Process for SchedulerServer {
             scm::REPORT => {
                 if let Ok(report) = pkt.body::<ProgressReport>() {
                     ctx.inc(tele.reports);
+                    if !rate_is_sane(report.rate) {
+                        ctx.inc(tele.reports_bad_rate);
+                        let keep_going = Directive {
+                            kind: DirectiveKind::Continue.wire_id(),
+                            variant: 0,
+                        };
+                        send_packet(
+                            ctx,
+                            from,
+                            &Packet::response_to(&pkt, keep_going.to_wire_payload()),
+                        );
+                        return;
+                    }
                     if let Some(log) = self.log_server {
                         let rec = LogRecord {
                             source: report.client,
@@ -511,6 +558,7 @@ impl Process for SchedulerServer {
 mod tests {
     use super::*;
     use ew_workload::{DagConfig, FaasConfig};
+    use proptest::prelude::*;
 
     fn report(client: u64, unit_id: u64, best: u64, rate: f64) -> ProgressReport {
         ProgressReport {
@@ -775,5 +823,168 @@ mod tests {
         let v = s.grant_work(t(1800), 1).unwrap();
         assert_eq!(v.arg1, 0, "second grant is warm");
         assert!(v.step_budget < u.step_budget);
+    }
+
+    /// What `pool_median_rate` did before the table was kept sorted:
+    /// collect every estimate, sort, take `[len / 2]`.
+    fn collect_and_sort_median(values: impl Iterator<Item = f64>) -> Option<f64> {
+        let mut rates: Vec<f64> = values.collect();
+        if rates.is_empty() {
+            return None;
+        }
+        rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        Some(rates[rates.len() / 2])
+    }
+
+    proptest! {
+        /// Random report / purge sequences over a small client set (so
+        /// updates and duplicate rates are common): the incrementally
+        /// sorted table yields the collect-and-sort median bit for bit, in
+        /// both estimate arms, through inserts, updates and purges,
+        /// including the empty and `len < 3` tables.
+        #[test]
+        fn pool_median_equals_collect_and_sort_oracle(
+            use_forecasts: bool,
+            ops in collection::vec(
+                (
+                    0u64..10,
+                    prop_oneof![Just(0.0), Just(1e6), Just(2.5e6), 0.0f64..1e9],
+                    0u64..400,
+                    0u8..8,
+                ),
+                1..200,
+            ),
+        ) {
+            let mut s = SchedulerServer::new(SchedulerConfig {
+                use_forecasts,
+                ..SchedulerConfig::default()
+            });
+            // Independent model of the last-value arm: client -> (rate, seen).
+            let mut model: HashMap<u64, (f64, SimTime)> = HashMap::new();
+            let mut now = SimTime::ZERO;
+            prop_assert_eq!(s.pool_median_rate(), None);
+            for (client, rate, dt, kind) in ops {
+                now += SimDuration::from_secs(dt);
+                if kind == 0 {
+                    s.purge_stale_clients(now);
+                    model.retain(|_, (_, seen)| now.since(*seen) <= SimDuration::from_secs(600));
+                } else {
+                    s.handle_report(now, report(client, 999, 5, rate));
+                    model.insert(client, (rate, now));
+                }
+                let got = s.pool_median_rate().map(f64::to_bits);
+                let oracle = collect_and_sort_median(s.estimates.by_client.values().copied());
+                prop_assert_eq!(got, oracle.map(f64::to_bits));
+                prop_assert_eq!(s.estimates.sorted.len(), s.estimates.by_client.len());
+                prop_assert_eq!(s.last_seen.len(), model.len());
+                if !use_forecasts {
+                    let modelled = collect_and_sort_median(model.values().map(|&(r, _)| r));
+                    prop_assert_eq!(got, modelled.map(f64::to_bits));
+                }
+            }
+        }
+    }
+
+    /// Sends crafted `REPORT` requests and keeps the directives it gets back.
+    struct HostileReporter {
+        sched: ProcessId,
+        rates: Vec<f64>,
+        replies: Vec<Directive>,
+    }
+
+    impl Process for HostileReporter {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            match &ev {
+                Event::Started => {
+                    for (i, &rate) in self.rates.iter().enumerate() {
+                        let body = report(ctx.me().0 as u64, 999, 5, rate).to_wire();
+                        send_packet(
+                            ctx,
+                            self.sched,
+                            &Packet::request(scm::REPORT, i as u64, body),
+                        );
+                    }
+                }
+                Event::Message { .. } => {
+                    if let Some(Ok((_, pkt))) = packet_from_event(&ev) {
+                        self.replies
+                            .push(pkt.body::<Directive>().expect("a directive"));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn reports_with_hostile_rates_are_answered_and_feed_no_table() {
+        use ew_sim::{HostSpec, HostTable, NetModel, Sim, SiteSpec};
+        let mut net = NetModel::new(0.0);
+        let mut hosts = HostTable::new();
+        let site = net.add_site(SiteSpec::simple(
+            "s",
+            SimDuration::from_millis(5),
+            1.25e6,
+            0.0,
+        ));
+        let h = hosts.add(HostSpec::dedicated("h", site, 1e8));
+        let mut sim = Sim::new(net, hosts, 1);
+        let sched = sim.spawn(
+            "sched",
+            h,
+            Box::new(SchedulerServer::new(SchedulerConfig::default())),
+        );
+        let bad = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0];
+        let hostile = sim.spawn(
+            "hostile",
+            h,
+            Box::new(HostileReporter {
+                sched,
+                rates: bad.clone(),
+                replies: Vec::new(),
+            }),
+        );
+        sim.run_until(t(10));
+        let replies = sim
+            .with_process::<HostileReporter, _>(hostile, |p| p.replies.clone())
+            .unwrap();
+        assert_eq!(replies.len(), bad.len(), "every request is answered");
+        for d in replies {
+            assert_eq!(DirectiveKind::from_wire_id(d.kind), DirectiveKind::Continue);
+        }
+        assert_eq!(sim.metrics().counter("sched.reports"), bad.len() as f64);
+        assert_eq!(
+            sim.metrics().counter("sched.reports_bad_rate"),
+            bad.len() as f64
+        );
+        sim.with_process::<SchedulerServer, _>(sched, |s| {
+            assert_eq!(s.pool_median_rate(), None);
+            assert!(s.estimates.by_client.is_empty() && s.estimates.sorted.is_empty());
+            assert!(s.last_seen.is_empty() && s.baselines.is_empty());
+            assert_eq!(s.rates.forecast(&(hostile.0 as u64)).map(|f| f.value), None);
+            assert_eq!(s.issued_unknown, 0, "rejected before the unit lookup");
+        })
+        .unwrap();
+
+        // A sane rate from the same sender is taken as usual.
+        let ok = sim.spawn(
+            "ok",
+            h,
+            Box::new(HostileReporter {
+                sched,
+                rates: vec![1e6],
+                replies: Vec::new(),
+            }),
+        );
+        sim.run_until(t(20));
+        assert_eq!(
+            sim.metrics().counter("sched.reports_bad_rate"),
+            bad.len() as f64
+        );
+        sim.with_process::<SchedulerServer, _>(sched, |s| {
+            assert_eq!(s.pool_median_rate(), Some(1e6));
+            assert_eq!(s.rate_estimate(ok.0 as u64), Some(1e6));
+        })
+        .unwrap();
     }
 }

@@ -147,11 +147,11 @@ impl EventBatch<'_> {
 enum Target {
     Proc(ProcessId),
     HostTransition(HostId, bool),
-    /// A flow-mode transfer's drain deadline (flow id + the generation it
-    /// was scheduled under; stale generations are swallowed at dispatch).
-    /// Never appears in packet-mode runs, so packet golden hashes are
-    /// untouched by construction.
-    FlowComplete(u32, u32),
+    /// The earliest drain deadline among the in-flight flow-mode transfers
+    /// when it was armed (see [`Shared::arm_flow_wake`]); a wake that finds
+    /// no flow due is swallowed at dispatch. Never appears in packet-mode
+    /// runs, so packet golden hashes are untouched by construction.
+    FlowWake,
 }
 
 struct ProcMeta {
@@ -386,9 +386,7 @@ fn fold_entry(h: u64, t_us: u64, seq: u64, target: &Target, ev: &Option<Event>) 
         match target {
             Target::Proc(pid) => (pid.0 as u64) << 3 | 0b001,
             Target::HostTransition(hid, up) => (hid.0 as u64) << 3 | (*up as u64) << 1 | 0b100,
-            Target::FlowComplete(flow, generation) => {
-                ((*flow as u64) << 32 | *generation as u64) << 3 | 0b010
-            }
+            Target::FlowWake => 0b010,
         },
     );
     order_hash_fold(h, ev.as_ref().map_or(u64::MAX, event_tag))
@@ -427,8 +425,16 @@ struct Shared {
     /// In-flight flow-mode transfers (empty forever in packet mode).
     flows: FlowTable,
     /// Reusable scratch for deadlines coming out of a fair-share
-    /// recompute, flushed into the queue by [`Shared::flush_flow_resched`].
+    /// recompute, filed by [`Shared::flush_flow_resched`].
     flow_resched: Vec<FlowDeadline>,
+    /// Current drain deadline of each in-flight flow, by flow id:
+    /// `(generation, deadline µs)`, `u64::MAX` for a free id. A recompute
+    /// overwrites the entry in place, so a superseded deadline costs no
+    /// queue entry.
+    flow_due: Vec<(u32, u64)>,
+    /// Time of the pending `FlowWake` entry that covers `flow_due` (it is
+    /// at or before every deadline there); `u64::MAX` when none is pending.
+    flow_wake: u64,
     /// Whether `run_until` drains same-timestamp runs wholesale (the
     /// default) or pops one entry at a time. Both modes dispatch the
     /// identical `(time, seq)` order; see [`Sim::set_batched_dispatch`].
@@ -510,19 +516,52 @@ impl Shared {
         self.metrics.reg.set_gauge(active, n);
     }
 
-    /// Schedule every deadline produced by a fair-share recompute as a
-    /// `FlowComplete` entry and clear the scratch. Each migration
-    /// supersedes the flow's previous deadline via its bumped generation.
+    /// File every deadline produced by a fair-share recompute in
+    /// `flow_due`, clear the scratch, and make sure a wake is pending for
+    /// the earliest one. A bulk world reschedules every flow of a
+    /// bottleneck on every membership change and all but the earliest of
+    /// those deadlines are superseded before they fire, so only that one
+    /// gets a queue entry.
     fn flush_flow_resched(&mut self) {
         let n = self.flow_resched.len();
-        for i in 0..n {
-            let (flow, generation, at) = self.flow_resched[i];
-            self.push(at, Target::FlowComplete(flow, generation), None);
+        for &(flow, generation, at) in &self.flow_resched {
+            let i = flow as usize;
+            if i >= self.flow_due.len() {
+                self.flow_due.resize(i + 1, (0, u64::MAX));
+            }
+            self.flow_due[i] = (generation, at.as_micros());
         }
         self.flow_resched.clear();
         if n > 0 {
             let id = self.tele.flows_rescheduled;
             self.metrics.reg.add(id, n as f64);
+        }
+        self.arm_flow_wake();
+    }
+
+    /// The in-flight flow that finishes first, as `(flow, generation,
+    /// deadline µs)`; the lowest flow id wins a tie. A scan over the flow
+    /// ids in use, the same order of work as the recompute that precedes
+    /// every call.
+    fn next_flow_due(&self) -> Option<(u32, u32, u64)> {
+        let mut best: Option<(u32, u32, u64)> = None;
+        for (flow, &(generation, at)) in self.flow_due.iter().enumerate() {
+            if at < best.map_or(u64::MAX, |b| b.2) {
+                best = Some((flow as u32, generation, at));
+            }
+        }
+        best
+    }
+
+    /// Keep one `FlowWake` entry pending at or before the earliest flow
+    /// deadline. When a recompute moves that deadline earlier a new wake
+    /// is pushed and the old one is left to fire and find nothing due.
+    fn arm_flow_wake(&mut self) {
+        if let Some((_, _, at)) = self.next_flow_due() {
+            if at < self.flow_wake {
+                self.flow_wake = at;
+                self.push(SimTime::from_micros(at), Target::FlowWake, None);
+            }
         }
     }
 
@@ -951,6 +990,8 @@ impl Sim {
                 cancelled: FxHashMap::default(),
                 flows,
                 flow_resched: Vec::new(),
+                flow_due: Vec::new(),
+                flow_wake: u64::MAX,
                 batched: DEFAULT_BATCHED.load(std::sync::atomic::Ordering::SeqCst),
                 dispatch_buf: Vec::new(),
                 batch_buf: Vec::new(),
@@ -1258,15 +1299,18 @@ impl Sim {
             Target::HostTransition(h, up) => {
                 self.apply_host_transition(h, up);
             }
-            Target::FlowComplete(flow, generation) => {
-                match self.shared.flows.complete(flow, generation) {
-                    None => {
-                        // Superseded by a fair-share recompute after
-                        // this deadline was scheduled (or already done).
-                        let id = self.shared.tele.flows_stale;
-                        self.shared.metrics.reg.inc(id);
-                    }
-                    Some(cf) => {
+            Target::FlowWake => {
+                if t_us == self.shared.flow_wake {
+                    self.shared.flow_wake = u64::MAX;
+                }
+                match self.shared.next_flow_due() {
+                    Some((flow, generation, at)) if at <= t_us => {
+                        self.shared.flow_due[flow as usize].1 = u64::MAX;
+                        let cf = self
+                            .shared
+                            .flows
+                            .complete(flow, generation)
+                            .expect("flow_due holds live generations");
                         let done = self.shared.tele.flows_completed;
                         self.shared.metrics.reg.inc(done);
                         let active = self.shared.tele.flows_active;
@@ -1298,6 +1342,18 @@ impl Sim {
                             },
                         );
                     }
+                    _ => {
+                        // The deadline this wake was armed for moved (a
+                        // recompute superseded it) or a duplicate wake
+                        // already served it.
+                        let id = self.shared.tele.flows_stale;
+                        self.shared.metrics.reg.inc(id);
+                    }
+                }
+                // A completion dirties its links and the flush below
+                // re-arms; a wake that found nothing due re-arms here.
+                if !self.shared.flows.has_dirty() {
+                    self.shared.arm_flow_wake();
                 }
             }
             Target::Proc(pid) => {

@@ -30,9 +30,9 @@ pub struct SiteId(pub u16);
 /// * [`Flow`](NetworkModel::Flow) — the scale mode: every message becomes
 ///   a *flow* draining through the site LAN/WAN links under max-min
 ///   fair-share bandwidth allocation. Starting or finishing a flow
-///   recomputes rates only for flows sharing a bottleneck link; deadline
-///   migration reuses the timing wheel's lazy-cancellation idiom (stale
-///   generations are swallowed at dispatch). Heavy traffic costs
+///   recomputes rates only for flows sharing a bottleneck link; a
+///   migrated deadline overwrites the flow's previous one and the kernel
+///   keeps a single queue entry for the earliest. Heavy traffic costs
 ///   O(flows · sharing-set) instead of O(packets).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum NetworkModel {
@@ -390,8 +390,8 @@ struct Flow {
 }
 
 /// A deadline the kernel must (re)schedule: `(flow, generation, at)`.
-/// Superseded deadlines for the same flow carry older generations and are
-/// swallowed at dispatch — the timing wheel's lazy-cancellation idiom.
+/// It supersedes the flow's previous deadline, which carried an older
+/// generation that [`FlowTable::complete`] refuses.
 pub type FlowDeadline = (u32, u32, SimTime);
 
 /// A completed flow, handed back to the kernel for delivery.
@@ -557,8 +557,7 @@ impl FlowTable {
     }
 
     /// Finish a flow if `generation` is current. `None` means the deadline
-    /// was superseded by a recompute after it was scheduled — the caller
-    /// swallows the event, exactly like a lazily-cancelled timer.
+    /// was superseded by a recompute after it was scheduled.
     pub fn complete(&mut self, id: u32, generation: u32) -> Option<CompletedFlow> {
         let (slot_gen, slot) = &mut self.slots[id as usize];
         if *slot_gen != generation || slot.is_none() {
@@ -588,8 +587,8 @@ impl FlowTable {
     /// bytes under its old rate, then progressively fill — repeatedly
     /// saturate the tightest link, fixing its flows at the bottleneck
     /// share. Flows whose rate actually changed get a fresh generation and
-    /// a new deadline appended to `out` (the kernel schedules them; stale
-    /// deadlines die at dispatch). Cost is O(flows · sharing-set) per
+    /// a new deadline appended to `out` (the kernel files them and wakes
+    /// for the earliest). Cost is O(flows · sharing-set) per
     /// membership change, independent of transfer size.
     pub fn recompute(
         &mut self,

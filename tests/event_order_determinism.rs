@@ -29,8 +29,13 @@ use ew_sim::{
 /// dispatch *order* it pins was captured on the binary-heap event queue
 /// (and re-verified bit-for-bit across the timing-wheel swap); the
 /// constant itself was re-captured when the kernel's fold function moved
-/// from byte-at-a-time FNV-1a to a word-at-a-time multiplicative mix.
-const SC98_ORDER_HASH: u64 = 0x5079_d23c_3939_62cb;
+/// from byte-at-a-time FNV-1a to a word-at-a-time multiplicative mix, and
+/// again (from `0x5079_d23c_3939_62cb`) in PR 12, an intentional model
+/// change: `ComputeClient` arms its 2 s expiry sweep only while a request
+/// or deferred resend is outstanding, so the no-op `TIMER_TICK` entries
+/// left the dispatch stream (fewer entries, different seqs). The figure
+/// bytes below did not move with it.
+const SC98_ORDER_HASH: u64 = 0x837f_4555_641c_26a5;
 /// Golden FNV-1a hash of the serialized SC98 figure series, captured on
 /// the binary-heap event queue.
 const SC98_FIGURES_HASH: u64 = 0x6747_3862_19c9_a681;

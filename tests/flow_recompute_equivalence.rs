@@ -93,6 +93,7 @@ struct RunOut {
     flows_completed: f64,
     dirty_links: f64,
     reschedules: f64,
+    stale_wakes: f64,
 }
 
 fn run(dirty: bool, batched: bool) -> RunOut {
@@ -132,6 +133,7 @@ fn run(dirty: bool, batched: bool) -> RunOut {
         flows_completed: m.counter("net.flows_completed"),
         dirty_links: m.counter("net.flow_dirty_links"),
         reschedules: m.counter("net.flows_reschedules"),
+        stale_wakes: m.counter("net.flows_stale_deadlines"),
     }
 }
 
@@ -162,6 +164,35 @@ fn dirty_link_recompute_is_bit_identical_to_full_recompute() {
         dirty.reschedules,
         naive.reschedules
     );
+}
+
+/// FNV-1a over every sink's `(from, mtype, arrival µs)` in arrival order,
+/// captured with one wheel entry per rescheduled deadline (the parent of
+/// PR 12). The kernel now keeps one wake for the earliest deadline; that
+/// must move no completion instant and no per-sink arrival order.
+const ARRIVALS_HASH: u64 = 0x8b4f_3a32_b2c3_77df;
+
+#[test]
+fn arrival_schedule_matches_the_per_flow_deadline_entries() {
+    for dirty in [false, true] {
+        let r = run(dirty, true);
+        assert_eq!(r.arrivals.len(), 640);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(from, mtype, at) in &r.arrivals {
+            for w in [from as u64, mtype as u64, at.as_micros()] {
+                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, ARRIVALS_HASH, "dirty={dirty}: arrival schedule moved");
+        // One queue entry per reschedule would swallow
+        // `reschedules - completed` of them (3 200 here with dirty links).
+        assert!(
+            r.stale_wakes <= r.flows_completed,
+            "dirty={dirty}: {} wakes found nothing due for {} transfers",
+            r.stale_wakes,
+            r.flows_completed
+        );
+    }
 }
 
 #[test]

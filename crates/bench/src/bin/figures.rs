@@ -1854,9 +1854,40 @@ fn bench_flow(opts: &Options) {
     }
 }
 
-/// `bench-gate` (PR 8, extended PR 9): the CI perf-regression floor. A
-/// fixed-op-count kernel-throughput probe set — the burst32 wheel drain,
-/// the near-horizon insert probe, and the `mega --short` campaign —
+const FORECAST_PROBE_ROUNDS: u64 = 25;
+
+/// The `bench-gate` forecast probe: 25 fresh standard batteries over
+/// `series`, `update` + `predict` per sample — the per-RPC shape of §2.2.
+/// Returns a checksum of every forecast's bits and the elapsed seconds.
+fn forecast_probe(series: &[f64]) -> (u64, f64) {
+    let t0 = std::time::Instant::now();
+    let mut sum = 0u64;
+    for _ in 0..FORECAST_PROBE_ROUNDS {
+        let mut set = ew_forecast::ForecasterSet::standard();
+        for &x in series {
+            set.update(x);
+            let f = set.predict().expect("one sample absorbed");
+            sum = sum.wrapping_mul(31).wrapping_add(f.value.to_bits());
+        }
+    }
+    (sum, t0.elapsed().as_secs_f64())
+}
+
+/// The 2 000-sample seeded load trace `benchmark/`'s `forecast.*` probes run.
+fn forecast_probe_series() -> Vec<f64> {
+    use ew_sim::{LoadTrace, RandomWalkLoad, SimTime, Xoshiro256};
+    let (n, step) = (2_000u64, SimDuration::from_secs(30));
+    let mut rng = Xoshiro256::seed_from_u64(7);
+    let walk = RandomWalkLoad::new(&mut rng, step * n, step, 0.35, 0.05, 0.95);
+    (0..n)
+        .map(|i| walk.load(SimTime::ZERO + step * i))
+        .collect()
+}
+
+/// `bench-gate` (PR 8, extended PR 9 and PR 14): the CI perf-regression
+/// floor. A fixed-op-count throughput probe set — the burst32 wheel drain,
+/// the near-horizon insert probe, the `mega --short` campaign, and the
+/// forecaster battery's update + predict cycle —
 /// reports events/sec and allocation counts and exits nonzero if any
 /// throughput falls below the floor recorded in
 /// `results/bench_floor.json`. To re-baseline after an intentional perf
@@ -1892,18 +1923,20 @@ fn bench_gate(opts: &Options) {
             std::process::exit(2);
         }
     };
-    let (wheel_floor, insert_floor, kernel_floor) = match (
+    let (wheel_floor, insert_floor, kernel_floor, forecast_floor) = match (
         floor_value(&floor, "wheel_burst32_events_per_sec_floor"),
         floor_value(&floor, "wheel_near_insert_events_per_sec_floor"),
         floor_value(&floor, "mega_short_events_per_sec_floor"),
+        floor_value(&floor, "forecast_update_predict_per_sec_floor"),
     ) {
-        (Some(w), Some(i), Some(k)) => (w, i, k),
+        (Some(w), Some(i), Some(k), Some(f)) => (w, i, k, f),
         _ => {
             eprintln!(
                 "bench-gate: {floor_path} is missing \
                  wheel_burst32_events_per_sec_floor, \
-                 wheel_near_insert_events_per_sec_floor, or \
-                 mega_short_events_per_sec_floor"
+                 wheel_near_insert_events_per_sec_floor, \
+                 mega_short_events_per_sec_floor, or \
+                 forecast_update_predict_per_sec_floor"
             );
             std::process::exit(2);
         }
@@ -1941,7 +1974,23 @@ fn bench_gate(opts: &Options) {
     let events = out.total(|s| s.events);
     let kernel_eps = events as f64 / (out.stats.wall_ms / 1e3);
 
-    println!("## bench-gate (PR 9)\n");
+    let series = forecast_probe_series();
+    let forecast_ops = FORECAST_PROBE_ROUNDS * series.len() as u64;
+    let (forecast_s, forecast_allocs) = {
+        let (want, _) = forecast_probe(&series);
+        let mut best = f64::INFINITY;
+        let mut allocs = 0u64;
+        for _ in 0..8 {
+            let ((sum, s), a) = count_allocs(|| forecast_probe(&series));
+            assert_eq!(sum, want, "forecast bits must repeat run to run");
+            best = best.min(s);
+            allocs = a; // building the 25 batteries; none per sample
+        }
+        (best, allocs)
+    };
+    let forecast_eps = forecast_ops as f64 / forecast_s;
+
+    println!("## bench-gate (PR 14)\n");
     println!("| probe | ops | events/sec | allocations | floor |");
     println!("|---|---|---|---|---|");
     println!(
@@ -1949,6 +1998,9 @@ fn bench_gate(opts: &Options) {
     );
     println!("| wheel near insert | {n} | {insert_eps:.3e} | - | {insert_floor:.3e} |");
     println!("| mega --short | {events} | {kernel_eps:.3e} | {mega_allocs} | {kernel_floor:.3e} |");
+    println!(
+        "| forecast update+predict | {forecast_ops} | {forecast_eps:.3e} | {forecast_allocs} | {forecast_floor:.3e} |"
+    );
     let mut failed = false;
     if wheel_eps < wheel_floor {
         eprintln!(
@@ -1968,6 +2020,13 @@ fn bench_gate(opts: &Options) {
         eprintln!(
             "bench-gate: ERROR — mega --short {kernel_eps:.3e} ev/s is below \
              the {kernel_floor:.3e} floor"
+        );
+        failed = true;
+    }
+    if forecast_eps < forecast_floor {
+        eprintln!(
+            "bench-gate: ERROR — forecast update+predict {forecast_eps:.3e} /s is \
+             below the {forecast_floor:.3e} floor"
         );
         failed = true;
     }

@@ -11,6 +11,7 @@
 //! events. `begin`/`end` bracket one timed occurrence; the measured
 //! duration feeds the key's [`ForecasterSet`].
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -69,7 +70,11 @@ impl<K: Hash + Eq + Clone> DynamicBenchmark<K> {
     }
 
     /// Forecast the next value for `key`.
-    pub fn forecast(&self, key: &K) -> Option<Forecast> {
+    pub fn forecast<Q>(&self, key: &Q) -> Option<Forecast<'_>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.streams.get(key)?.predict()
     }
 

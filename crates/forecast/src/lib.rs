@@ -5,8 +5,10 @@
 //! (§2). This crate reimplements the Network Weather Service forecasting
 //! subsystem as EveryWare adapted it:
 //!
-//! * [`methods`] — the battery of lightweight one-step-ahead predictors;
-//! * [`selector`] — MAE/MSE-ranked dynamic selection across the battery;
+//! * [`methods`] — the battery of lightweight one-step-ahead predictors over
+//!   one shared per-stream history;
+//! * [`selector`] — MAE/MSE-ranked dynamic selection across the battery,
+//!   computed once per measurement;
 //! * [`dynbench`] — *dynamic benchmarking*: tagging and timing arbitrary
 //!   repetitive program events and feeding the timings to forecasters;
 //! * [`timeout`] — dynamic time-out discovery for the lingua franca, the
@@ -21,10 +23,7 @@ pub mod sensor;
 pub mod timeout;
 
 pub use dynbench::DynamicBenchmark;
-pub use methods::{
-    standard_battery, AdaptiveMean, ExpSmoothing, Forecaster, LastValue, RunningMean, SlidingMean,
-    SlidingMedian, TrimmedMean,
-};
+pub use methods::{standard_battery, Method};
 pub use selector::{ErrorMetric, Forecast, ForecasterSet};
 pub use sensor::{nm, NwsForecastReply, NwsQuery, NwsReport, NwsSensor, NwsServer, SensorConfig};
 pub use timeout::ForecastTimeout;

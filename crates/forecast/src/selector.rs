@@ -8,7 +8,7 @@
 //! wins through smooth drift — which is what made one mechanism serviceable
 //! for CPU, network, and (in EveryWare) arbitrary program events.
 
-use crate::methods::{standard_battery, Forecaster};
+use crate::methods::{standard_battery, History, Method, State};
 
 /// Error metric used to rank methods.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,20 +20,37 @@ pub enum ErrorMetric {
 }
 
 struct Entry {
-    method: Box<dyn Forecaster>,
+    method: Method,
+    name: String,
+    state: State,
+    /// The method's outstanding prediction, scored when the next
+    /// measurement arrives; `None` only before the first one.
+    pred: Option<f64>,
     /// Sum of absolute / squared errors and the count scored.
     abs_err: f64,
     sq_err: f64,
     scored: u64,
 }
 
+impl Entry {
+    fn score(&self, metric: ErrorMetric) -> f64 {
+        if self.scored == 0 {
+            return f64::INFINITY;
+        }
+        match metric {
+            ErrorMetric::Mae => self.abs_err / self.scored as f64,
+            ErrorMetric::Mse => self.sq_err / self.scored as f64,
+        }
+    }
+}
+
 /// A forecast and its provenance.
-#[derive(Clone, Debug)]
-pub struct Forecast {
+#[derive(Clone, Copy, Debug)]
+pub struct Forecast<'a> {
     /// Predicted next value.
     pub value: f64,
     /// Name of the winning method.
-    pub method: String,
+    pub method: &'a str,
     /// The winner's mean absolute error so far (`None` until scored once).
     pub mae: Option<f64>,
     /// The winner's root-mean-squared error so far.
@@ -41,10 +58,16 @@ pub struct Forecast {
 }
 
 /// A battery of forecasters with error-ranked selection for one stream.
+///
+/// All forecasting happens in [`ForecasterSet::update`]: each measurement
+/// is stored once, every method predicts once, and the winner is chosen
+/// there; [`ForecasterSet::predict`] only reads.
 pub struct ForecasterSet {
     entries: Vec<Entry>,
+    history: History,
     metric: ErrorMetric,
-    n: u64,
+    /// Index of the entry that makes the next forecast.
+    best: usize,
 }
 
 impl Default for ForecasterSet {
@@ -59,89 +82,87 @@ impl ForecasterSet {
         Self::new(standard_battery(), ErrorMetric::Mae)
     }
 
-    /// A custom battery.
-    pub fn new(methods: Vec<Box<dyn Forecaster>>, metric: ErrorMetric) -> Self {
+    /// A custom battery. Panics if it is empty or a method's parameters are
+    /// out of range.
+    pub fn new(methods: Vec<Method>, metric: ErrorMetric) -> Self {
         assert!(!methods.is_empty());
         ForecasterSet {
+            history: History::new(methods.iter().map(Method::need)),
             entries: methods
                 .into_iter()
-                .map(|m| Entry {
-                    method: m,
+                .map(|method| Entry {
+                    method,
+                    name: method.name(),
+                    state: State::default(),
+                    pred: None,
                     abs_err: 0.0,
                     sq_err: 0.0,
                     scored: 0,
                 })
                 .collect(),
             metric,
-            n: 0,
+            best: 0,
         }
     }
 
     /// Feed one measurement: score every method's outstanding prediction
-    /// against it, then let every method absorb it.
+    /// against it, let every method absorb it and predict the next one, and
+    /// pick the best-scoring method. A non-finite `value` is refused —
+    /// nothing is absorbed — because one NaN would make every error sum NaN
+    /// and end selection on this stream for good.
     pub fn update(&mut self, value: f64) {
-        for e in &mut self.entries {
-            if let Some(pred) = e.method.predict() {
+        if !value.is_finite() {
+            return;
+        }
+        self.history.push(value);
+        let mut best_score = f64::NAN;
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            if let Some(pred) = e.pred {
                 let err = pred - value;
                 e.abs_err += err.abs();
                 e.sq_err += err * err;
                 e.scored += 1;
             }
-            e.method.update(value);
+            e.pred = Some(e.method.step(&mut e.state, e.pred, value, &self.history));
+            // Strict `<`: ties break toward the earlier battery entry.
+            let s = e.score(self.metric);
+            if i == 0 || s < best_score {
+                (self.best, best_score) = (i, s);
+            }
         }
-        self.n += 1;
     }
 
     /// Number of measurements absorbed.
     pub fn samples(&self) -> u64 {
-        self.n
-    }
-
-    fn score(&self, e: &Entry) -> f64 {
-        if e.scored == 0 {
-            return f64::INFINITY;
-        }
-        match self.metric {
-            ErrorMetric::Mae => e.abs_err / e.scored as f64,
-            ErrorMetric::Mse => e.sq_err / e.scored as f64,
-        }
+        self.history.seen as u64
     }
 
     /// Forecast the next value using the best-scoring method. `None` until
     /// at least one measurement has been absorbed.
-    pub fn predict(&self) -> Option<Forecast> {
-        let mut best: Option<(f64, &Entry, f64)> = None;
-        for e in &self.entries {
-            let Some(pred) = e.method.predict() else {
-                continue;
-            };
-            let s = self.score(e);
-            // Ties break toward the earlier battery entry (deterministic).
-            let better = match &best {
-                None => true,
-                Some((_, _, bs)) => s < *bs,
-            };
-            if better {
-                best = Some((pred, e, s));
-            }
-        }
-        best.map(|(value, e, _)| Forecast {
-            value,
-            method: e.method.name().to_string(),
+    pub fn predict(&self) -> Option<Forecast<'_>> {
+        let e = &self.entries[self.best];
+        Some(Forecast {
+            value: e.pred?,
+            method: &e.name,
             mae: (e.scored > 0).then(|| e.abs_err / e.scored as f64),
             rmse: (e.scored > 0).then(|| (e.sq_err / e.scored as f64).sqrt()),
         })
     }
 
-    /// The battery-wide MAE leaderboard: `(method, mae)` sorted best-first.
+    /// Every method's outstanding prediction, in battery order.
+    pub fn predictions(&self) -> impl Iterator<Item = (&str, Option<f64>)> {
+        self.entries.iter().map(|e| (e.name.as_str(), e.pred))
+    }
+
+    /// The battery-wide leaderboard: `(method, score)` sorted best-first.
     /// Methods never scored report `f64::INFINITY`.
     pub fn leaderboard(&self) -> Vec<(String, f64)> {
         let mut rows: Vec<(String, f64)> = self
             .entries
             .iter()
-            .map(|e| (e.method.name().to_string(), self.score(e)))
+            .map(|e| (e.name.clone(), e.score(self.metric)))
             .collect();
-        rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        rows.sort_by(|a, b| a.1.total_cmp(&b.1));
         rows
     }
 }
@@ -149,7 +170,6 @@ impl ForecasterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{ExpSmoothing, LastValue, SlidingMedian};
     use ew_sim::Xoshiro256;
 
     #[test]
@@ -175,8 +195,7 @@ mod tests {
         // Noisy level series: median/mean methods should beat last-value.
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut s = ForecasterSet::standard();
-        let mut last_only =
-            ForecasterSet::new(vec![Box::new(LastValue::default())], ErrorMetric::Mae);
+        let mut last_only = ForecasterSet::new(vec![Method::Last], ErrorMetric::Mae);
         let mut sel_err = 0.0;
         let mut last_err = 0.0;
         let mut count = 0;
@@ -202,11 +221,7 @@ mod tests {
     #[test]
     fn selector_switches_method_when_series_character_changes() {
         let mut s = ForecasterSet::new(
-            vec![
-                Box::new(ExpSmoothing::new(0.05)),
-                Box::new(SlidingMedian::new(5)),
-                Box::new(LastValue::default()),
-            ],
+            vec![Method::Exp(0.05), Method::Median(5), Method::Last],
             ErrorMetric::Mae,
         );
         // Smooth constant phase: everything is tied near zero error, but
@@ -224,15 +239,7 @@ mod tests {
     #[test]
     fn mse_metric_punishes_busts_harder() {
         // One huge bust for method A, many small errors for method B.
-        let mk = |metric| {
-            ForecasterSet::new(
-                vec![
-                    Box::new(LastValue::default()) as Box<dyn Forecaster>,
-                    Box::new(SlidingMedian::new(51)),
-                ],
-                metric,
-            )
-        };
+        let mk = |metric| ForecasterSet::new(vec![Method::Last, Method::Median(51)], metric);
         let series: Vec<f64> = {
             let mut v = vec![10.0; 60];
             v.push(500.0); // one spike: last-value busts once on the spike
@@ -263,6 +270,40 @@ mod tests {
             assert!(pair[0].1 <= pair[1].1);
         }
         assert_eq!(rows.len(), 17);
+    }
+
+    #[test]
+    fn leaderboard_is_totally_ordered_when_errors_overflow() {
+        // Finite measurements whose sums and errors overflow to ±∞.
+        let mut s = ForecasterSet::standard();
+        for i in 0..120 {
+            s.update(if i % 3 == 0 { -1.7e308 } else { 1.7e308 });
+        }
+        let rows = s.leaderboard();
+        assert_eq!(rows.len(), 17);
+        assert!(rows.iter().any(|(_, score)| score.is_infinite()));
+        for pair in rows.windows(2) {
+            assert!(pair[0].1.total_cmp(&pair[1].1).is_le(), "{rows:?}");
+        }
+        assert!(s.predict().is_some());
+    }
+
+    #[test]
+    fn non_finite_measurements_are_refused() {
+        let mut s = ForecasterSet::standard();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            s.update(x);
+        }
+        assert_eq!(s.samples(), 0);
+        assert!(s.predict().is_none());
+        for i in 0..30 {
+            s.update(4.0 + (i % 3) as f64);
+            s.update(f64::NAN);
+        }
+        assert_eq!(s.samples(), 30);
+        let f = s.predict().unwrap();
+        assert!(f.value.is_finite() && f.mae.unwrap().is_finite());
+        assert!(s.leaderboard().iter().all(|(_, score)| score.is_finite()));
     }
 
     #[test]

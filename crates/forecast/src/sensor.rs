@@ -271,6 +271,8 @@ pub struct NwsServer {
     reports_id: Option<CounterId>,
     /// Reports absorbed.
     pub reports: u64,
+    /// Reports refused: the wire value was NaN or infinite.
+    pub reports_bad: u64,
     /// Queries answered.
     pub queries: u64,
 }
@@ -288,13 +290,14 @@ impl NwsServer {
             streams: DynamicBenchmark::new(),
             reports_id: None,
             reports: 0,
+            reports_bad: 0,
             queries: 0,
         }
     }
 
     /// Driver-side forecast access (components use [`nm::QUERY`]).
-    pub fn forecast(&self, resource: &str) -> Option<crate::selector::Forecast> {
-        self.streams.forecast(&resource.to_string())
+    pub fn forecast(&self, resource: &str) -> Option<crate::selector::Forecast<'_>> {
+        self.streams.forecast(resource)
     }
 
     /// Number of distinct resources tracked.
@@ -311,6 +314,17 @@ impl Process for NwsServer {
         match (pkt.mtype, pkt.is_request()) {
             (nm::REPORT, false) => {
                 if let Ok(rep) = pkt.body::<NwsReport>() {
+                    // The value is straight off the wire, and one NaN
+                    // absorbed would end method selection for that resource
+                    // for good. The counter is interned here, not up front,
+                    // so a clean run's counter list (`results/health.json`)
+                    // carries no row for it.
+                    if !rep.value.is_finite() {
+                        self.reports_bad += 1;
+                        let id = ctx.counter("nws.reports_bad");
+                        ctx.inc(id);
+                        return;
+                    }
                     self.streams.observe(rep.resource, rep.value);
                     self.reports += 1;
                     // The server gets no Started event before the first
@@ -329,11 +343,11 @@ impl Process for NwsServer {
             (nm::QUERY, true) => {
                 if let Ok(q) = pkt.body::<NwsQuery>() {
                     self.queries += 1;
-                    let reply = match self.streams.forecast(&q.resource) {
+                    let reply = match self.streams.forecast(q.resource.as_str()) {
                         Some(f) => NwsForecastReply {
                             found: true,
                             value: f.value,
-                            method: f.method,
+                            method: f.method.to_string(),
                         },
                         None => NwsForecastReply {
                             found: false,
@@ -407,6 +421,12 @@ mod tests {
         (sim, vec![sa, sb], server)
     }
 
+    /// The server's current forecast value for `resource`.
+    fn forecast_value(sim: &Sim, server: ProcessId, resource: &str) -> Option<f64> {
+        sim.with_process::<NwsServer, _>(server, |s| s.forecast(resource).map(|f| f.value))
+            .unwrap()
+    }
+
     #[test]
     fn sensors_measure_and_server_forecasts_rtt() {
         let (mut sim, sensors, server) = world();
@@ -417,15 +437,11 @@ mod tests {
         assert!(ok > 10, "probes flowed: {ok}");
         assert_eq!(lost, 0, "calm network loses nothing");
         let resource = format!("rtt.{}.{}", sensors[0].0, sensors[1].0);
-        let f = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
-            .unwrap()
-            .expect("rtt stream exists");
+        let rtt = forecast_value(&sim, server, &resource).expect("rtt stream exists");
         // Baseline one-way 10ms + 40ms plus bandwidth/jitter: RTT ≈ 0.1 s.
         assert!(
-            (0.08..0.2).contains(&f.value),
-            "forecast RTT {} out of range",
-            f.value
+            (0.08..0.2).contains(&rtt),
+            "forecast RTT {rtt} out of range"
         );
     }
 
@@ -434,14 +450,10 @@ mod tests {
         let (mut sim, sensors, server) = world();
         sim.run_until(SimTime::from_secs(500));
         let resource = format!("cpu.{}", sensors[0].0);
-        let f = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
-            .unwrap()
-            .expect("cpu stream exists");
+        let rate = forecast_value(&sim, server, &resource).expect("cpu stream exists");
         assert!(
-            (0.5e8..1.1e8).contains(&f.value),
-            "cpu forecast {:.3e} should approximate the 1e8 host",
-            f.value
+            (0.5e8..1.1e8).contains(&rate),
+            "cpu forecast {rate:.3e} should approximate the 1e8 host"
         );
     }
 
@@ -450,29 +462,17 @@ mod tests {
         let (mut sim, sensors, server) = world();
         let resource = format!("rtt.{}.{}", sensors[0].0, sensors[1].0);
         sim.run_until(SimTime::from_secs(550));
-        let calm = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
-            .unwrap()
-            .expect("stream exists")
-            .value;
+        let calm = forecast_value(&sim, server, &resource).expect("stream exists");
         // Mid-spike: site b's 0.8 load multiplies its latency 5x.
         sim.run_until(SimTime::from_secs(1150));
-        let loaded = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
-            .unwrap()
-            .unwrap()
-            .value;
+        let loaded = forecast_value(&sim, server, &resource).unwrap();
         assert!(
             loaded > 2.0 * calm,
             "forecast must track the spike: {calm:.3} -> {loaded:.3}"
         );
         // After the spike the forecast comes back down.
         sim.run_until(SimTime::from_secs(1800));
-        let recovered = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
-            .unwrap()
-            .unwrap()
-            .value;
+        let recovered = forecast_value(&sim, server, &resource).unwrap();
         assert!(
             recovered < loaded / 2.0,
             "forecast must recover: {loaded:.3} -> {recovered:.3}"
@@ -549,5 +549,48 @@ mod tests {
             .unwrap()
             .expect("query answered");
         assert!(!reply2.found);
+    }
+
+    #[test]
+    fn non_finite_reports_are_refused_at_the_wire() {
+        struct Hostile {
+            server: ProcessId,
+        }
+        impl Process for Hostile {
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                if let Event::Started = ev {
+                    for value in [f64::NAN, 0.25, f64::INFINITY, f64::NEG_INFINITY, 0.75] {
+                        let body = NwsReport {
+                            resource: "rtt.evil".into(),
+                            value,
+                        };
+                        send_packet(
+                            ctx,
+                            self.server,
+                            &Packet::oneway(nm::REPORT, body.to_wire()),
+                        );
+                    }
+                }
+            }
+        }
+        let (mut sim, _, server) = world();
+        let host = sim.hosts().iter().next().unwrap().0;
+        sim.spawn("hostile", host, Box::new(Hostile { server }));
+        sim.run_until(SimTime::from_secs(500));
+        assert_eq!(sim.metrics().counter("nws.reports_bad"), 3.0);
+        let (bad, samples) = sim
+            .with_process::<NwsServer, _>(server, |s| {
+                (s.reports_bad, s.streams.samples(&"rtt.evil".to_string()))
+            })
+            .unwrap();
+        assert_eq!(
+            (bad, samples),
+            (3, 2),
+            "only the finite values are absorbed"
+        );
+        let v = forecast_value(&sim, server, "rtt.evil").expect("two samples");
+        assert!((0.25..=0.75).contains(&v), "selection still alive: {v}");
+        // The honest sensors' streams are untouched by the refusals.
+        assert!(sim.metrics().counter("nws.reports") > 10.0);
     }
 }

@@ -11,12 +11,18 @@
 //! an expiry and deflated after successes (so a transiently unreachable
 //! server is probed again rather than written off).
 
-use std::collections::HashMap;
-
 use ew_proto::{EventTag, TimeoutPolicy};
+use ew_sim::hashers::FxHashMap;
 use ew_sim::SimDuration;
 
-use crate::selector::ForecasterSet;
+use crate::selector::{Forecast, ForecasterSet};
+
+/// One `(peer, message type)` class: its RTT forecast stream and its
+/// expiry back-off (1.0 = healthy).
+struct Class {
+    rtts: ForecasterSet,
+    inflation: f64,
+}
 
 /// Forecast-driven adaptive time-outs (the §2.2 mechanism).
 pub struct ForecastTimeout {
@@ -30,8 +36,9 @@ pub struct ForecastTimeout {
     pub max: SimDuration,
     /// Multiplier applied to a class's inflation after each expiry.
     pub backoff: f64,
-    streams: HashMap<EventTag, ForecasterSet>,
-    inflation: HashMap<EventTag, f64>,
+    /// Accessed by key only, never iterated, so the hasher cannot reach
+    /// event order.
+    classes: FxHashMap<EventTag, Class>,
 }
 
 impl ForecastTimeout {
@@ -44,26 +51,39 @@ impl ForecastTimeout {
             min: SimDuration::from_millis(250),
             max: SimDuration::from_secs(120),
             backoff: 2.0,
-            streams: HashMap::new(),
-            inflation: HashMap::new(),
+            classes: FxHashMap::default(),
         }
     }
 
     /// Current inflation factor for a class (1.0 = healthy).
     pub fn inflation(&self, tag: EventTag) -> f64 {
-        self.inflation.get(&tag).copied().unwrap_or(1.0)
+        self.classes.get(&tag).map_or(1.0, |c| c.inflation)
     }
 
     /// Number of RTT samples absorbed for a class.
     pub fn samples(&self, tag: EventTag) -> u64 {
-        self.streams.get(&tag).map_or(0, |s| s.samples())
+        self.classes.get(&tag).map_or(0, |c| c.rtts.samples())
+    }
+
+    /// The RTT forecast the next time-out for `tag` is armed from — winning
+    /// method and its MAE/RMSE — to read beside [`Self::inflation`]. `None`
+    /// while the class has no history and arms [`Self::initial`].
+    pub fn forecast(&self, tag: EventTag) -> Option<Forecast<'_>> {
+        self.classes.get(&tag)?.rtts.predict()
+    }
+
+    fn class(&mut self, tag: EventTag) -> &mut Class {
+        self.classes.entry(tag).or_insert_with(|| Class {
+            rtts: ForecasterSet::standard(),
+            inflation: 1.0,
+        })
     }
 }
 
 impl TimeoutPolicy for ForecastTimeout {
     fn timeout_for(&mut self, tag: EventTag) -> SimDuration {
-        let inflate = self.inflation(tag);
-        let base = match self.streams.get(&tag).and_then(|s| s.predict()) {
+        let class = self.classes.get(&tag);
+        let base = match class.and_then(|c| c.rtts.predict()) {
             Some(f) => {
                 // Forecast plus a dispersion allowance: the safety factor
                 // covers forecast error, the RMSE term covers variance.
@@ -72,25 +92,23 @@ impl TimeoutPolicy for ForecastTimeout {
             }
             None => self.initial,
         };
-        let inflated = base.saturating_mul_f64(inflate);
+        let inflated = base.saturating_mul_f64(class.map_or(1.0, |c| c.inflation));
         inflated.clamp(self.min, self.max)
     }
 
     fn observe_rtt(&mut self, tag: EventTag, rtt: SimDuration) {
-        self.streams
-            .entry(tag)
-            .or_insert_with(ForecasterSet::standard)
-            .update(rtt.as_secs_f64());
+        let class = self.class(tag);
+        class.rtts.update(rtt.as_secs_f64());
         // Healthy response: decay inflation toward 1.
-        let inf = self.inflation.entry(tag).or_insert(1.0);
-        *inf = (*inf * 0.5).max(1.0);
+        class.inflation = (class.inflation * 0.5).max(1.0);
     }
 
     fn observe_timeout(&mut self, tag: EventTag) {
-        let inf = self.inflation.entry(tag).or_insert(1.0);
+        let backoff = self.backoff;
+        let class = self.class(tag);
         // Cap so one dead server cannot push the armed value past `max`
         // forever once it recovers.
-        *inf = (*inf * self.backoff).min(64.0);
+        class.inflation = (class.inflation * backoff).min(64.0);
     }
 }
 
@@ -164,6 +182,25 @@ mod tests {
         let recovered = ft.timeout_for(tag(1));
         assert!(recovered <= healthy * 2);
         assert_eq!(ft.inflation(tag(1)), 1.0);
+    }
+
+    #[test]
+    fn forecast_explains_the_armed_timeout() {
+        let mut ft = ForecastTimeout::wan_default();
+        assert!(ft.forecast(tag(1)).is_none());
+        ft.observe_timeout(tag(1));
+        assert!(ft.forecast(tag(1)).is_none(), "expiries are not history");
+        for _ in 0..20 {
+            ft.observe_rtt(tag(1), SimDuration::from_secs(2));
+        }
+        ft.observe_timeout(tag(1));
+        let f = ft.forecast(tag(1)).expect("20 samples absorbed");
+        assert_eq!((f.value, f.mae, f.rmse), (2.0, Some(0.0), Some(0.0)));
+        assert!(!f.method.is_empty());
+        // value × safety + 2·rmse, then the inflation: the armed value.
+        let armed = SimDuration::from_secs_f64(f.value * ft.safety).saturating_mul_f64(2.0);
+        assert_eq!(ft.inflation(tag(1)), 2.0);
+        assert_eq!(ft.timeout_for(tag(1)), armed);
     }
 
     #[test]

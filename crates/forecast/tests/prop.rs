@@ -15,12 +15,13 @@ fn finite_series() -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #[test]
     fn every_method_survives_arbitrary_finite_input(xs in finite_series()) {
-        for mut m in standard_battery() {
-            for &x in &xs {
-                m.update(x);
-            }
-            let p = m.predict().expect("non-empty history predicts");
-            prop_assert!(p.is_finite(), "{} produced {p}", m.name());
+        let mut set = ForecasterSet::standard();
+        for &x in &xs {
+            set.update(x);
+        }
+        for (name, p) in set.predictions() {
+            let p = p.expect("non-empty history predicts");
+            prop_assert!(p.is_finite(), "{name} produced {p}");
         }
     }
 

@@ -106,7 +106,7 @@ struct Outstanding {
 }
 
 /// Per-client rate estimates plus the same multiset kept ascending by
-/// `f64::total_cmp` (the `SortedWindow` idiom of `ew_forecast::methods`), so
+/// `f64::total_cmp` (the sorted-window idiom of `ew_forecast::methods`), so
 /// the pool median every report and grant asks for is one indexed read
 /// instead of a collect-and-sort of the whole table. `set` and `remove` cost
 /// a binary search each plus an O(clients) memmove.

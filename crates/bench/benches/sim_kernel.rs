@@ -173,7 +173,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
 /// Arms a burst of timers at pseudo-random offsets, then lets them all
 /// fire: the queue starts ~100k deep and drains over the run, which is
-/// where per-event queue cost (heap log-factor vs wheel O(1)) dominates.
+/// where per-event queue cost (the heap's log factor) dominates.
 struct TimerStorm {
     timers: u32,
     horizon_us: u64,

@@ -8,7 +8,7 @@
 //!
 //! Subcommands: `fig2`, `fig3a`, `fig3b`, `fig3c`, `java`, `timeout`,
 //! `condor`, `scaling`, `criteria`, `health`, `chaos`, `workload-scaling`,
-//! `bench-farm`, `bench-kernel`, `bench-dispatch`, `bench-insert`,
+//! `bench-farm`, `bench-kernel`, `bench-dispatch`,
 //! `bench-flow`, `bench-gate`, `mega`, `all`. `--short` runs a 2-hour window instead of the full 12 hours
 //! (for smoke tests); for `chaos` it cuts the campaign to one seed over
 //! 15 minutes. `chaos` sweeps the named fault plans of `ew-chaos` (see
@@ -31,13 +31,11 @@
 //! writing `results/mega_campaign.json` (deterministic, CI-diffed) and
 //! `results/BENCH_PR7.json` (events/sec, wall-clock, peak RSS).
 //! `bench-dispatch` A/Bs the batched same-timestamp dispatch loop and the
-//! payload pool against the per-event path (wheel probes, send-path
+//! payload pool against the per-event path (queue probes, send-path
 //! allocation counts, `mega --short` both ways with bit-identical shard
-//! outcomes enforced), writing `results/BENCH_PR8.json`; `bench-insert`
-//! separates near-horizon (level-0 fast path) from far-horizon wheel
-//! insert cost, writing `results/BENCH_INSERT.json`; `bench-flow` A/Bs
-//! the mega campaign across network modes, the dirty-link recompute
-//! against eager recomputes, and the insert fast path, writing
+//! outcomes enforced), writing `results/BENCH_PR8.json`; `bench-flow` A/Bs
+//! the mega campaign across network modes and the dirty-link recompute
+//! against eager recomputes, writing
 //! `results/BENCH_PR9.json`; `bench-gate` is
 //! the CI perf-regression floor — a fixed-op-count throughput probe that
 //! exits nonzero below the floors in `results/bench_floor.json`.
@@ -1133,11 +1131,11 @@ fn mega(opts: &Options) {
     }
 }
 
-/// Horizon for the dispatch wheel probes, matching `benches/event_queue.rs`.
+/// Horizon for the dispatch queue probes.
 const DISPATCH_HORIZON_US: u64 = 100_000_000;
 
 /// Deterministic xorshift64* batch of `(time, seq)` entries; every 8th
-/// entry reuses the previous time (the event_queue bench's uniform mix).
+/// entry reuses the previous time.
 fn dispatch_uniform_batch(n: u64) -> Vec<(u64, u64)> {
     let mut s = 0x9e37_79b9_7f4a_7c15u64;
     let mut out = Vec::with_capacity(n as usize);
@@ -1179,7 +1177,7 @@ fn dispatch_burst_batch(n: u64, burst: u64) -> Vec<(u64, u64)> {
 /// path. Returns an order checksum and the insert/drain phase times.
 fn dispatch_drain_per_event(entries: &[(u64, u64)]) -> (u64, f64, f64) {
     let t0 = std::time::Instant::now();
-    let mut w = ew_sim::TimingWheel::new();
+    let mut w = ew_sim::EventQueue::new();
     for &(t, seq) in entries {
         w.insert(t, seq, ());
     }
@@ -1195,7 +1193,7 @@ fn dispatch_drain_per_event(entries: &[(u64, u64)]) -> (u64, f64, f64) {
 /// Same workload through `pop_run_upto` — the PR 8 batched dispatch loop.
 fn dispatch_drain_runs(entries: &[(u64, u64)], buf: &mut Vec<(u64, u64, ())>) -> (u64, f64, f64) {
     let t0 = std::time::Instant::now();
-    let mut w = ew_sim::TimingWheel::new();
+    let mut w = ew_sim::EventQueue::new();
     for &(t, seq) in entries {
         w.insert(t, seq, ());
     }
@@ -1232,8 +1230,8 @@ fn best_of(rounds: u32, mut f: impl FnMut() -> (u64, f64, f64)) -> (f64, f64) {
 /// and payload pooling against the unchanged per-event path, written to
 /// `results/BENCH_PR8.json`. Three layers:
 ///
-/// * wheel probes — insert+drain 100k entries per-event vs per-run on the
-///   event_queue bench's uniform and bursty mixes;
+/// * queue probes — insert+drain 100k entries per-event vs per-run on
+///   uniform and bursty mixes;
 /// * send-path probe — pooled (`to_wire_payload`/`to_sim_payload`) vs
 ///   allocating (`to_wire`/`to_stream_bytes`) encodes, with measured
 ///   allocation counts from the counting global allocator;
@@ -1241,8 +1239,9 @@ fn best_of(rounds: u32, mut f: impl FnMut() -> (u64, f64, f64)) -> (f64, f64) {
 ///   then on via the process default; shard outcomes (incl. per-shard
 ///   event-order hashes) must be bit-identical between modes.
 ///
-/// Exits nonzero if the tie-heavy wheel case falls below the 2x
-/// acceptance bar or any arm pair diverges.
+/// Exits nonzero if the pooled send path falls below its 2x acceptance
+/// bar, a run drain regresses against per-event pops, or any arm pair
+/// diverges.
 fn bench_dispatch(opts: &Options) {
     use ew_bench::mega::{run_mega, MegaConfig};
     use ew_proto::{mtype, Packet, WireEncode};
@@ -1256,10 +1255,10 @@ fn bench_dispatch(opts: &Options) {
         ("burst64", dispatch_burst_batch(n, 64)),
     ];
     eprintln!(
-        "bench-dispatch: {} wheel probes x {rounds} rounds...",
+        "bench-dispatch: {} queue probes x {rounds} rounds...",
         probes.len()
     );
-    let mut wheel_rows: Vec<serde_json::Value> = Vec::new();
+    let mut queue_rows: Vec<serde_json::Value> = Vec::new();
     let mut buf: Vec<(u64, u64, ())> = Vec::new();
     let mut worst_drain_speedup = f64::INFINITY;
     for (name, entries) in &probes {
@@ -1274,7 +1273,7 @@ fn bench_dispatch(opts: &Options) {
         let runs_eps = n as f64 / (rn_ins + rn_drain);
         let drain_speedup = pe_drain / rn_drain;
         worst_drain_speedup = worst_drain_speedup.min(drain_speedup);
-        wheel_rows.push(serde_json::json!({
+        queue_rows.push(serde_json::json!({
             "probe": *name,
             "entries": n,
             "per_event_events_per_sec": per_event_eps,
@@ -1340,7 +1339,7 @@ fn bench_dispatch(opts: &Options) {
             "short": opts.short,
             "seed": opts.seed,
             "threads": opts.threads,
-            "wheel_probes": wheel_rows,
+            "wheel_probes": queue_rows,
             "send_path": {
                 "sends": sends,
                 "pooled_sends_per_sec": sends as f64 / pooled_s,
@@ -1378,7 +1377,11 @@ fn bench_dispatch(opts: &Options) {
                      ~1.05x end-to-end on mega --short. The >=2x factor in this \
                      PR comes from the payload pool on the send path (gated \
                      below); both dispatch modes stay bit-identical.",
-            "note": "wall-clock numbers are host time and vary run to run; the \
+            "note": "pre_pr_baseline and honest_finding record PR 8's measurement \
+                     against the timing wheel, which PR 16 replaced with a binary \
+                     heap; the probes now A/B the heap's pop_upto against its \
+                     pop_run_upto. \
+                     Wall-clock numbers are host time and vary run to run; the \
                      deterministic halves are the order checksums (asserted here) \
                      and the batched-vs-per-event shard equality, also pinned by \
                      tests/batch_dispatch_equivalence.rs.",
@@ -1387,9 +1390,9 @@ fn bench_dispatch(opts: &Options) {
     println!("## bench-dispatch (PR 8)\n");
     println!("| probe | per-event ev/s | batched ev/s | total | drain-phase |");
     println!("|---|---|---|---|---|");
-    for row in &wheel_rows {
+    for row in &queue_rows {
         println!(
-            "| wheel {} | {:.3e} | {:.3e} | {:.2}x | {:.2}x |",
+            "| queue {} | {:.3e} | {:.3e} | {:.2}x | {:.2}x |",
             row["probe"].as_str().unwrap_or("?"),
             row["per_event_events_per_sec"].as_f64().unwrap_or(0.0),
             row["batch_events_per_sec"].as_f64().unwrap_or(0.0),
@@ -1432,173 +1435,6 @@ fn bench_dispatch(opts: &Options) {
         eprintln!(
             "bench-dispatch: ERROR — batch drain regressed to \
              {worst_drain_speedup:.2}x of the per-event path"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Burst length for the insert probes: one timed burst per drain, small
-/// enough that slot vectors reach steady-state capacity after the first
-/// few bursts (so the probe measures path cost, not `Vec` growth).
-const INSERT_BURST: usize = 64;
-
-/// Deterministic batch of `(time, seq)` insert entries in bursts of
-/// [`INSERT_BURST`], each burst drained before the next. Near-horizon
-/// times stay inside the level-0 span of the cursor (the insert
-/// fast-path window); far-horizon times land 4 ms to 100 s out, paying
-/// full level selection going in and cascade bookkeeping coming back
-/// down.
-fn insert_batch(n: u64, near: bool) -> Vec<(u64, u64)> {
-    let step = if near {
-        INSERT_BURST as u64
-    } else {
-        DISPATCH_HORIZON_US
-    };
-    let mut s = 0xd1b5_4a32_d192_ed03u64;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut base = 0u64;
-    for seq in 0..n {
-        if seq > 0 && seq % INSERT_BURST as u64 == 0 {
-            base += step;
-        }
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let r = s.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        let t = base
-            + if near {
-                r % INSERT_BURST as u64
-            } else {
-                4096 + r % (DISPATCH_HORIZON_US - 4096)
-            };
-        out.push((t, seq));
-    }
-    out
-}
-
-/// Steady-state insert probe: each burst is inserted under the timer,
-/// then drained untimed up to the next burst's base (which parks the
-/// cursor frame-aligned at that base and recycles slot capacity, so
-/// only the insert path is measured). `step` is the per-burst base
-/// advance [`insert_batch`] used. A far-future sentinel keeps the wheel
-/// populated the way a real kernel's long-horizon timers do — a fully
-/// drained wheel drops back to tiny mode with a stale cursor, which
-/// would disable the fast path between bursts. Returns an order
-/// checksum, the summed insert-phase seconds, and how many inserts took
-/// the level-0 fast path — and asserts the fast path preserved exact
-/// `(time, seq)` order.
-fn insert_probe(entries: &[(u64, u64)], step: u64) -> (u64, f64, u64) {
-    let mut w = ew_sim::TimingWheel::new();
-    w.insert(1 << 62, u64::MAX, ());
-    let mut insert_s = 0.0f64;
-    let mut sum = 0u64;
-    let mut prev = (0u64, 0u64);
-    for (i, burst) in entries.chunks(INSERT_BURST).enumerate() {
-        let t0 = std::time::Instant::now();
-        for &(t, seq) in burst {
-            w.insert(t, seq, ());
-        }
-        insert_s += t0.elapsed().as_secs_f64();
-        let limit = (i as u64 + 1) * step;
-        while let Some((t, seq, ())) = w.pop_upto(limit) {
-            assert!((t, seq) >= prev, "fast path broke (time, seq) order");
-            prev = (t, seq);
-            sum = sum.wrapping_add(t.wrapping_mul(31) ^ seq);
-        }
-    }
-    (sum, insert_s, w.fast_inserts())
-}
-
-/// `bench-insert` (PR 9): near- vs far-horizon insert cost, separated.
-/// The PR 8 writeup lumped both under one `insert_events_per_sec`
-/// number, hiding that near-horizon inserts — which dominate kernel
-/// traffic once batched drains keep the cursor hot — can skip level
-/// selection entirely via the level-0 fast path. Reports both rates,
-/// the measured fast-path fraction per probe, and the near/far cost
-/// ratio, written to `results/BENCH_INSERT.json`. The near-horizon rate
-/// is also a committed `bench-gate` floor.
-fn bench_insert(opts: &Options) {
-    let rounds: u32 = if opts.short { 4 } else { 12 };
-    let n: u64 = 100_000;
-    eprintln!("bench-insert: 2 probes x {rounds} rounds...");
-    let mut rows: Vec<serde_json::Value> = Vec::new();
-    let mut ns_per = [0.0f64; 2];
-    for (i, (name, near)) in [("near_horizon", true), ("far_horizon", false)]
-        .into_iter()
-        .enumerate()
-    {
-        let entries = insert_batch(n, near);
-        let step = if near {
-            INSERT_BURST as u64
-        } else {
-            DISPATCH_HORIZON_US
-        };
-        let mut best = f64::INFINITY;
-        let mut fast = 0u64;
-        for _ in 0..rounds {
-            let (sum, insert_s, f) = insert_probe(&entries, step);
-            std::hint::black_box(sum);
-            best = best.min(insert_s);
-            fast = f;
-        }
-        ns_per[i] = best * 1e9 / n as f64;
-        rows.push(serde_json::json!({
-            "probe": name,
-            "inserts": n,
-            "inserts_per_sec": n as f64 / best,
-            "ns_per_insert": ns_per[i],
-            "fast_path_inserts": fast,
-            "fast_path_fraction": fast as f64 / n as f64,
-        }));
-    }
-    let near_fraction = rows[0]["fast_path_fraction"].as_f64().unwrap_or(0.0);
-    let far_fraction = rows[1]["fast_path_fraction"].as_f64().unwrap_or(1.0);
-    write_json(
-        "BENCH_INSERT",
-        &serde_json::json!({
-            "bench": "near- vs far-horizon wheel insert (PR 9)",
-            "short": opts.short,
-            "probes": rows,
-            "near_vs_far_cost_ratio": ns_per[1] / ns_per[0],
-            "note": "near-horizon inserts land within the level-0 span of the \
-                     cursor and take the direct slot-deposit fast path (no \
-                     level selection, no cascade on the way out); far-horizon \
-                     inserts spread over 4 ms-100 s and pay the full path. \
-                     Times are host wall-clock, best of N rounds; the \
-                     deterministic half is the order checksum asserted inside \
-                     every probe round.",
-        }),
-    );
-    println!("## bench-insert (PR 9)\n");
-    println!("| probe | inserts | ns/insert | inserts/sec | fast-path |");
-    println!("|---|---|---|---|---|");
-    for row in &rows {
-        println!(
-            "| {} | {} | {:.1} | {:.3e} | {:.1}% |",
-            row["probe"].as_str().unwrap_or("?"),
-            n,
-            row["ns_per_insert"].as_f64().unwrap_or(0.0),
-            row["inserts_per_sec"].as_f64().unwrap_or(0.0),
-            row["fast_path_fraction"].as_f64().unwrap_or(0.0) * 100.0
-        );
-    }
-    println!(
-        "\nfar-horizon inserts cost {:.2}x near-horizon",
-        ns_per[1] / ns_per[0]
-    );
-    if near_fraction < 0.9 {
-        eprintln!(
-            "bench-insert: ERROR — near-horizon probe took the fast path on \
-             only {:.1}% of inserts (expected ~98%)",
-            near_fraction * 100.0
-        );
-        std::process::exit(1);
-    }
-    if far_fraction > 0.0 {
-        eprintln!(
-            "bench-insert: ERROR — far-horizon probe must never take the \
-             level-0 fast path (got {:.1}%)",
-            far_fraction * 100.0
         );
         std::process::exit(1);
     }
@@ -1697,8 +1533,7 @@ mod flow_churn {
 ///   (PR 7's honest gap was 2x; exits nonzero above 1.2x);
 /// * dirty-vs-naive recompute — the bulk-transfer churn world with the
 ///   dirty-link worklist off, then on; completions must match while the
-///   coalesced pass issues fewer fair-share recomputes;
-/// * insert fast path — the near/far-horizon split from `bench-insert`.
+///   coalesced pass issues fewer fair-share recomputes.
 fn bench_flow(opts: &Options) {
     use ew_bench::mega::{run_mega, MegaConfig};
     use ew_sim::{set_default_dirty_flow_recompute, NetworkModel, SimTime};
@@ -1755,25 +1590,6 @@ fn bench_flow(opts: &Options) {
     assert_eq!(dirty_links[0], 0.0, "naive arm must not touch the worklist");
     assert!(dirty_links[1] > 0.0, "dirty arm must use the worklist");
 
-    // Insert fast path, same probes as `bench-insert`.
-    let n: u64 = 100_000;
-    let mut ins_eps = [0.0f64; 2];
-    for (i, near) in [true, false].into_iter().enumerate() {
-        let entries = insert_batch(n, near);
-        let step = if near {
-            INSERT_BURST as u64
-        } else {
-            DISPATCH_HORIZON_US
-        };
-        let mut best = f64::INFINITY;
-        for _ in 0..8 {
-            let (sum, s, _) = insert_probe(&entries, step);
-            std::hint::black_box(sum);
-            best = best.min(s);
-        }
-        ins_eps[i] = n as f64 / best;
-    }
-
     write_json(
         "BENCH_PR9",
         &serde_json::json!({
@@ -1809,14 +1625,6 @@ fn bench_flow(opts: &Options) {
                          dirty arm coalesces all membership changes of one \
                          dispatched event into a single fair-share pass.",
             },
-            "insert_fast_path": {
-                "near_horizon_inserts_per_sec": ins_eps[0],
-                "far_horizon_inserts_per_sec": ins_eps[1],
-                "near_over_far_speedup": ins_eps[0] / ins_eps[1],
-                "note": "steady-state probes from bench-insert; BENCH_PR8's \
-                         lumped bulk-insert rates (8.6e7-1.2e8/s) sat between \
-                         the two because they mixed both routes.",
-            },
             "note": "wall-clock halves are host time; the deterministic halves \
                      (shard equality, completion counts) are asserted here and \
                      in the equivalence tests.",
@@ -1834,12 +1642,6 @@ fn bench_flow(opts: &Options) {
         wall[0],
         wall[1],
         wall[0] / wall[1]
-    );
-    println!(
-        "| insert: far vs near horizon (ins/s) | {:.3e} | {:.3e} | {:.2}x |",
-        ins_eps[1],
-        ins_eps[0],
-        ins_eps[0] / ins_eps[1]
     );
     println!(
         "\nfair-share reschedules: naive {} vs dirty {} over {} completed flows",
@@ -1885,9 +1687,9 @@ fn forecast_probe_series() -> Vec<f64> {
 }
 
 /// `bench-gate` (PR 8, extended PR 9 and PR 14): the CI perf-regression
-/// floor. A fixed-op-count throughput probe set — the burst32 wheel drain,
-/// the near-horizon insert probe, the `mega --short` campaign, and the
-/// forecaster battery's update + predict cycle —
+/// floor. A fixed-op-count throughput probe set — the burst32 queue drain,
+/// the `mega --short` campaign, and the forecaster battery's update +
+/// predict cycle —
 /// reports events/sec and allocation counts and exits nonzero if any
 /// throughput falls below the floor recorded in
 /// `results/bench_floor.json`. To re-baseline after an intentional perf
@@ -1923,18 +1725,16 @@ fn bench_gate(opts: &Options) {
             std::process::exit(2);
         }
     };
-    let (wheel_floor, insert_floor, kernel_floor, forecast_floor) = match (
-        floor_value(&floor, "wheel_burst32_events_per_sec_floor"),
-        floor_value(&floor, "wheel_near_insert_events_per_sec_floor"),
+    let (queue_floor, kernel_floor, forecast_floor) = match (
+        floor_value(&floor, "queue_burst32_events_per_sec_floor"),
         floor_value(&floor, "mega_short_events_per_sec_floor"),
         floor_value(&floor, "forecast_update_predict_per_sec_floor"),
     ) {
-        (Some(w), Some(i), Some(k), Some(f)) => (w, i, k, f),
+        (Some(q), Some(k), Some(f)) => (q, k, f),
         _ => {
             eprintln!(
                 "bench-gate: {floor_path} is missing \
-                 wheel_burst32_events_per_sec_floor, \
-                 wheel_near_insert_events_per_sec_floor, \
+                 queue_burst32_events_per_sec_floor, \
                  mega_short_events_per_sec_floor, or \
                  forecast_update_predict_per_sec_floor"
             );
@@ -1944,30 +1744,18 @@ fn bench_gate(opts: &Options) {
 
     let n: u64 = 100_000;
     let entries = dispatch_burst_batch(n, 32);
-    let (wheel_s, wheel_allocs) = {
+    let (queue_s, queue_allocs) = {
         let mut best = f64::INFINITY;
         let mut allocs = 0u64;
         let mut buf: Vec<(u64, u64, ())> = Vec::new();
         for _ in 0..8 {
             let ((_, ins_s, drain_s), a) = count_allocs(|| dispatch_drain_runs(&entries, &mut buf));
             best = best.min(ins_s + drain_s);
-            allocs = a; // steady-state rounds reuse the wheel's spare slots
+            allocs = a; // each round grows a fresh heap
         }
         (best, allocs)
     };
-    let wheel_eps = n as f64 / wheel_s;
-
-    let near = insert_batch(n, true);
-    let insert_s = {
-        let mut best = f64::INFINITY;
-        for _ in 0..8 {
-            let (sum, s, _) = insert_probe(&near, INSERT_BURST as u64);
-            std::hint::black_box(sum);
-            best = best.min(s);
-        }
-        best
-    };
-    let insert_eps = n as f64 / insert_s;
+    let queue_eps = n as f64 / queue_s;
 
     let cfg = MegaConfig::short(opts.seed, NetworkModel::Flow);
     let (out, mega_allocs) = count_allocs(|| run_mega(&cfg, opts.threads));
@@ -1994,25 +1782,17 @@ fn bench_gate(opts: &Options) {
     println!("| probe | ops | events/sec | allocations | floor |");
     println!("|---|---|---|---|---|");
     println!(
-        "| wheel burst32 drain | {n} | {wheel_eps:.3e} | {wheel_allocs} | {wheel_floor:.3e} |"
+        "| queue burst32 drain | {n} | {queue_eps:.3e} | {queue_allocs} | {queue_floor:.3e} |"
     );
-    println!("| wheel near insert | {n} | {insert_eps:.3e} | - | {insert_floor:.3e} |");
     println!("| mega --short | {events} | {kernel_eps:.3e} | {mega_allocs} | {kernel_floor:.3e} |");
     println!(
         "| forecast update+predict | {forecast_ops} | {forecast_eps:.3e} | {forecast_allocs} | {forecast_floor:.3e} |"
     );
     let mut failed = false;
-    if wheel_eps < wheel_floor {
+    if queue_eps < queue_floor {
         eprintln!(
-            "bench-gate: ERROR — wheel burst32 {wheel_eps:.3e} ev/s is below \
-             the {wheel_floor:.3e} floor"
-        );
-        failed = true;
-    }
-    if insert_eps < insert_floor {
-        eprintln!(
-            "bench-gate: ERROR — wheel near insert {insert_eps:.3e} ev/s is \
-             below the {insert_floor:.3e} floor"
+            "bench-gate: ERROR — queue burst32 {queue_eps:.3e} ev/s is below \
+             the {queue_floor:.3e} floor"
         );
         failed = true;
     }
@@ -2048,7 +1828,7 @@ fn write_trace(opts: &Options, rep: &Sc98Report) {
     }
 }
 
-const COMMANDS: [&str; 23] = [
+const COMMANDS: [&str; 22] = [
     "fig2",
     "fig3a",
     "fig3b",
@@ -2067,7 +1847,6 @@ const COMMANDS: [&str; 23] = [
     "bench-farm",
     "bench-kernel",
     "bench-dispatch",
-    "bench-insert",
     "bench-flow",
     "bench-gate",
     "mega",
@@ -2222,7 +2001,6 @@ fn main() {
         "bench-farm" => bench_farm(&opts),
         "bench-kernel" => bench_kernel(&opts),
         "bench-dispatch" => bench_dispatch(&opts),
-        "bench-insert" => bench_insert(&opts),
         "bench-flow" => bench_flow(&opts),
         "bench-gate" => bench_gate(&opts),
         "mega" => mega(&opts),

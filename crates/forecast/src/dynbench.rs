@@ -70,7 +70,7 @@ impl<K: Hash + Eq + Clone> DynamicBenchmark<K> {
     }
 
     /// Forecast the next value for `key`.
-    pub fn forecast<Q>(&self, key: &Q) -> Option<Forecast<'_>>
+    pub fn forecast<Q>(&self, key: &Q) -> Option<Forecast>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,

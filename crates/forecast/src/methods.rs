@@ -69,20 +69,24 @@ pub(crate) struct State {
     cur_w: usize,
 }
 
-impl Method {
-    /// Human-readable method name (appears in diagnostics and benches).
-    pub fn name(&self) -> String {
+/// Human-readable method name (appears in diagnostics, NWS replies and
+/// benches), e.g. `median_21`. Formatted where text is needed; a battery
+/// holds the `Copy` method itself.
+impl std::fmt::Display for Method {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
-            Method::Last => "last".into(),
-            Method::RunningMean => "running_mean".into(),
-            Method::Mean(w) => format!("mean_{w}"),
-            Method::Median(w) => format!("median_{w}"),
-            Method::Trimmed(w, trim) => format!("trimmed_{w}_{:02}", (trim * 100.0) as u32),
-            Method::Exp(gain) => format!("exp_{:02}", (gain * 100.0) as u32),
-            Method::Adaptive { min_w, max_w, .. } => format!("adaptive_{min_w}_{max_w}"),
+            Method::Last => f.write_str("last"),
+            Method::RunningMean => f.write_str("running_mean"),
+            Method::Mean(w) => write!(f, "mean_{w}"),
+            Method::Median(w) => write!(f, "median_{w}"),
+            Method::Trimmed(w, trim) => write!(f, "trimmed_{w}_{:02}", (trim * 100.0) as u32),
+            Method::Exp(gain) => write!(f, "exp_{:02}", (gain * 100.0) as u32),
+            Method::Adaptive { min_w, max_w, .. } => write!(f, "adaptive_{min_w}_{max_w}"),
         }
     }
+}
 
+impl Method {
     /// What [`Method::step`] reads. Panics on out-of-range parameters.
     pub(crate) fn need(&self) -> Need {
         match *self {
@@ -309,8 +313,7 @@ mod tests {
             let p = feed(m, &[5.0; 60]);
             assert!(
                 (p - 5.0).abs() < 1e-9,
-                "{} should predict the constant, got {p}",
-                m.name()
+                "{m} should predict the constant, got {p}"
             );
         }
     }
@@ -400,7 +403,7 @@ mod tests {
 
     #[test]
     fn battery_names_are_unique() {
-        let mut names: Vec<String> = standard_battery().iter().map(Method::name).collect();
+        let mut names: Vec<String> = standard_battery().iter().map(Method::to_string).collect();
         names.sort();
         let before = names.len();
         names.dedup();

@@ -21,7 +21,6 @@ pub enum ErrorMetric {
 
 struct Entry {
     method: Method,
-    name: String,
     state: State,
     /// The method's outstanding prediction, scored when the next
     /// measurement arrives; `None` only before the first one.
@@ -46,11 +45,11 @@ impl Entry {
 
 /// A forecast and its provenance.
 #[derive(Clone, Copy, Debug)]
-pub struct Forecast<'a> {
+pub struct Forecast {
     /// Predicted next value.
     pub value: f64,
-    /// Name of the winning method.
-    pub method: &'a str,
+    /// The winning method (`Display` gives its name).
+    pub method: Method,
     /// The winner's mean absolute error so far (`None` until scored once).
     pub mae: Option<f64>,
     /// The winner's root-mean-squared error so far.
@@ -92,7 +91,6 @@ impl ForecasterSet {
                 .into_iter()
                 .map(|method| Entry {
                     method,
-                    name: method.name(),
                     state: State::default(),
                     pred: None,
                     abs_err: 0.0,
@@ -139,28 +137,28 @@ impl ForecasterSet {
 
     /// Forecast the next value using the best-scoring method. `None` until
     /// at least one measurement has been absorbed.
-    pub fn predict(&self) -> Option<Forecast<'_>> {
+    pub fn predict(&self) -> Option<Forecast> {
         let e = &self.entries[self.best];
         Some(Forecast {
             value: e.pred?,
-            method: &e.name,
+            method: e.method,
             mae: (e.scored > 0).then(|| e.abs_err / e.scored as f64),
             rmse: (e.scored > 0).then(|| (e.sq_err / e.scored as f64).sqrt()),
         })
     }
 
     /// Every method's outstanding prediction, in battery order.
-    pub fn predictions(&self) -> impl Iterator<Item = (&str, Option<f64>)> {
-        self.entries.iter().map(|e| (e.name.as_str(), e.pred))
+    pub fn predictions(&self) -> impl Iterator<Item = (Method, Option<f64>)> + '_ {
+        self.entries.iter().map(|e| (e.method, e.pred))
     }
 
     /// The battery-wide leaderboard: `(method, score)` sorted best-first.
     /// Methods never scored report `f64::INFINITY`.
-    pub fn leaderboard(&self) -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> = self
+    pub fn leaderboard(&self) -> Vec<(Method, f64)> {
+        let mut rows: Vec<(Method, f64)> = self
             .entries
             .iter()
-            .map(|e| (e.name.clone(), e.score(self.metric)))
+            .map(|e| (e.method, e.score(self.metric)))
             .collect();
         rows.sort_by(|a, b| a.1.total_cmp(&b.1));
         rows
@@ -231,7 +229,8 @@ mod tests {
         }
         let lead = s.leaderboard();
         assert_eq!(
-            lead[0].0, "last",
+            lead[0].0,
+            Method::Last,
             "on a steep ramp last-value has the least lag; got {lead:?}"
         );
     }
@@ -255,7 +254,7 @@ mod tests {
         // Under MAE the two big busts of last-value are amortized; under
         // MSE they dominate. Median ranks strictly better under MSE.
         let mse_lead = mse_set.leaderboard();
-        assert_eq!(mse_lead[0].0, "median_51");
+        assert_eq!(mse_lead[0].0, Method::Median(51));
     }
 
     #[test]
@@ -313,7 +312,8 @@ mod tests {
             s.update(3.0);
         }
         let f = s.predict().unwrap();
-        assert!(!f.method.is_empty());
+        // Every method is exact on a constant: the tie goes to the first.
+        assert_eq!(f.method, Method::Last);
         assert!(f.rmse.is_some());
     }
 }

@@ -296,7 +296,7 @@ impl NwsServer {
     }
 
     /// Driver-side forecast access (components use [`nm::QUERY`]).
-    pub fn forecast(&self, resource: &str) -> Option<crate::selector::Forecast<'_>> {
+    pub fn forecast(&self, resource: &str) -> Option<crate::selector::Forecast> {
         self.streams.forecast(resource)
     }
 

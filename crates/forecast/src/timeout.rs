@@ -68,7 +68,7 @@ impl ForecastTimeout {
     /// The RTT forecast the next time-out for `tag` is armed from — winning
     /// method and its MAE/RMSE — to read beside [`Self::inflation`]. `None`
     /// while the class has no history and arms [`Self::initial`].
-    pub fn forecast(&self, tag: EventTag) -> Option<Forecast<'_>> {
+    pub fn forecast(&self, tag: EventTag) -> Option<Forecast> {
         self.classes.get(&tag)?.rtts.predict()
     }
 
@@ -196,7 +196,11 @@ mod tests {
         ft.observe_timeout(tag(1));
         let f = ft.forecast(tag(1)).expect("20 samples absorbed");
         assert_eq!((f.value, f.mae, f.rmse), (2.0, Some(0.0), Some(0.0)));
-        assert!(!f.method.is_empty());
+        assert_eq!(
+            f.method,
+            crate::Method::Last,
+            "a tie goes to the first method"
+        );
         // value × safety + 2·rmse, then the inflation: the armed value.
         let armed = SimDuration::from_secs_f64(f.value * ft.safety).saturating_mul_f64(2.0);
         assert_eq!(ft.inflation(tag(1)), 2.0);

@@ -22,11 +22,13 @@ thread_local! {
     // touching it from inside the allocator neither allocates nor registers
     // a TLS destructor.
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn bill(bytes: usize) {
     // `try_with`: the allocator can run while the thread's TLS is torn down.
     let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes as u64));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -49,6 +51,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Bytes requested so far by the calling thread.
 fn allocated() -> u64 {
     ALLOCATED.with(Cell::get)
+}
+
+/// Allocator calls made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A wandering RTT in milliseconds: the sorted windows keep reshuffling.
@@ -89,4 +96,19 @@ fn update_and_predict_are_allocation_free_after_warmup() {
     }
     assert_eq!(allocated() - before, 0, "battery update/predict allocated");
     assert_eq!(set.samples(), 1060);
+}
+
+/// One battery is built per `(peer, mtype)` tag in every client and per
+/// client at the scheduler, so construction is the entry table, the shared
+/// history's windows and nothing per method: in particular no method name
+/// is formatted (17 `String`s made it 25 allocations).
+#[test]
+fn building_the_standard_battery_formats_nothing() {
+    let before = allocations();
+    black_box(ForecasterSet::standard());
+    let made = allocations() - before;
+    assert!(
+        made <= 8,
+        "ForecasterSet::standard() made {made} allocations"
+    );
 }

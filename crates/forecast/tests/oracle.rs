@@ -288,7 +288,7 @@ fn assert_lockstep(
     mut oracle: OracleSet,
     xs: &[f64],
 ) -> Result<(), TestCaseError> {
-    let names: Vec<String> = set.predictions().map(|(name, _)| name.into()).collect();
+    let methods: Vec<Method> = set.predictions().map(|(method, _)| method).collect();
     for (step, &x) in xs.iter().enumerate() {
         set.update(x);
         oracle.update(x);
@@ -306,7 +306,7 @@ fn assert_lockstep(
         }
         let got = set.predict().expect("one sample absorbed");
         let (value, winner, mae, rmse) = oracle.predict().expect("one sample absorbed");
-        prop_assert_eq!(got.method, names[winner], "step {}: winner", step);
+        prop_assert_eq!(got.method, methods[winner], "step {}: winner", step);
         prop_assert_eq!(got.value.to_bits(), value.to_bits(), "step {}: value", step);
         prop_assert_eq!(bits(got.mae), bits(mae), "step {}: mae", step);
         prop_assert_eq!(bits(got.rmse), bits(rmse), "step {}: rmse", step);

@@ -97,9 +97,22 @@ pub trait WireEncode {
     /// Append this value's wire form to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// Append the wire form of each element of `items`, with no length
+    /// prefix: what a `Vec<Self>` carries after its length. Always the
+    /// same bytes as encoding element by element; `u8` overrides it so
+    /// byte fields move as one copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
     /// Convenience: encode into a fresh buffer.
     fn to_wire(&self) -> Vec<u8> {
-        let mut v = Vec::new();
+        let mut v = Vec::with_capacity(64);
         self.encode(&mut v);
         v
     }
@@ -117,6 +130,18 @@ pub trait WireEncode {
 pub trait WireDecode: Sized {
     /// Read one value from the cursor.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Read `len` consecutive values: what a `Vec<Self>` carries after its
+    /// length. Always the same result as decoding element by element; `u8`
+    /// overrides it with one copy. `len` comes off the wire, so the
+    /// up-front allocation is bounded by the bytes that actually remain.
+    fn decode_vec(r: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut v = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            v.push(Self::decode(r)?);
+        }
+        Ok(v)
+    }
 
     /// Convenience: decode a complete buffer, rejecting trailing bytes.
     fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
@@ -144,7 +169,27 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+wire_int!(u16, u32, u64, i8, i16, i32, i64);
+
+impl WireEncode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+
+impl WireDecode for u8 {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(1)?[0])
+    }
+
+    fn decode_vec(r: &mut WireReader<'_>, len: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl WireEncode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -202,9 +247,7 @@ impl WireDecode for String {
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
 }
 
@@ -221,11 +264,7 @@ impl<T: WireDecode> WireDecode for Vec<T> {
                 available: r.remaining(),
             });
         }
-        let mut v = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        T::decode_vec(r, len as usize)
     }
 }
 

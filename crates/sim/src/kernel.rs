@@ -20,9 +20,9 @@ use crate::hashers::FxHashMap;
 use crate::host::{HostId, HostTable};
 use crate::net::{FlowDeadline, FlowTable, NetModel, NetworkModel, SiteId, FLOW_MTU_BYTES};
 use crate::payload::Payload;
+use crate::queue::EventQueue;
 use crate::rng::{StreamSeeder, Xoshiro256};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// Identifies a process for the lifetime of a simulation. Ids are never
 /// reused; a dead process's id stays dead.
@@ -257,8 +257,6 @@ struct KernelTele {
     exited: CounterId,
     dropped_dead_dest: CounterId,
     timers_cancelled: CounterId,
-    wheel_cascades: CounterId,
-    insert_fast_path: CounterId,
     batch_dispatches: CounterId,
     batch_ties: CounterId,
     batch_delivered: CounterId,
@@ -293,8 +291,6 @@ impl KernelTele {
             exited: reg.counter("procs.exited"),
             dropped_dead_dest: reg.counter("events.dropped_dead_dest"),
             timers_cancelled: reg.counter("kernel.timers_cancelled"),
-            wheel_cascades: reg.counter("kernel.wheel_cascades"),
-            insert_fast_path: reg.counter("kernel.insert_fast_path"),
             batch_dispatches: reg.counter("kernel.batch_dispatches"),
             batch_ties: reg.counter("kernel.batch_ties"),
             batch_delivered: reg.counter("kernel.batch_delivered"),
@@ -395,14 +391,9 @@ fn fold_entry(h: u64, t_us: u64, seq: u64, target: &Target, ev: &Option<Event>) 
 struct Shared {
     now: SimTime,
     seq: u64,
-    /// Pending events, totally ordered by `(time, seq)`. The hierarchical
-    /// timing wheel gives O(1) schedule and amortised-O(1) pop; the golden
-    /// event-order-hash tests pin its order to the former binary heap's.
-    queue: TimingWheel<(Target, Option<Event>)>,
-    /// Wheel cascades already flushed into the telemetry counter.
-    cascades_seen: u64,
-    /// Wheel fast-path inserts already flushed into the telemetry counter.
-    fast_inserts_seen: u64,
+    /// Pending events, totally ordered by `(time, seq)`; the golden
+    /// event-order-hash tests pin the order.
+    queue: EventQueue<(Target, Option<Event>)>,
     net: NetModel,
     hosts: HostTable,
     host_up: Vec<bool>,
@@ -440,7 +431,7 @@ struct Shared {
     /// identical `(time, seq)` order; see [`Sim::set_batched_dispatch`].
     batched: bool,
     /// Reusable batch-dispatch scratch: one same-tick run at a time,
-    /// emptied before being handed back to the wheel.
+    /// emptied before being handed back to the queue.
     dispatch_buf: Vec<(u64, u64, (Target, Option<Event>))>,
     /// Reusable scratch holding one same-process group of a run while it
     /// is delivered through [`Process::on_batch`].
@@ -971,9 +962,7 @@ impl Sim {
             shared: Shared {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue: TimingWheel::new(),
-                cascades_seen: 0,
-                fast_inserts_seen: 0,
+                queue: EventQueue::new(),
                 net,
                 hosts,
                 host_up,
@@ -1383,8 +1372,7 @@ impl Sim {
         let mut batch_runs = 0u64;
         let mut batch_ties = 0u64;
         if self.shared.batched {
-            // Batch mode: drain each same-timestamp run in one pass. The
-            // wheel settles once per run (not once per event), and the
+            // Batch mode: drain each same-timestamp run in one pass; the
             // order hash is folded with one load/store of `order_hash`
             // per run. Events scheduled *during* the run at the same tick
             // carry higher seqs and come out as the next run, which is
@@ -1463,20 +1451,6 @@ impl Sim {
         let depth = self.shared.tele.queue_depth;
         let len = self.shared.queue.len() as f64;
         self.shared.metrics.reg.set_gauge(depth, len);
-        let cascades = self.shared.queue.cascades();
-        let new_cascades = cascades - self.shared.cascades_seen;
-        if new_cascades > 0 {
-            self.shared.cascades_seen = cascades;
-            let c = self.shared.tele.wheel_cascades;
-            self.shared.metrics.reg.add(c, new_cascades as f64);
-        }
-        let fast = self.shared.queue.fast_inserts();
-        let new_fast = fast - self.shared.fast_inserts_seen;
-        if new_fast > 0 {
-            self.shared.fast_inserts_seen = fast;
-            let c = self.shared.tele.insert_fast_path;
-            self.shared.metrics.reg.add(c, new_fast as f64);
-        }
         if batch_runs > 0 {
             let d = self.shared.tele.batch_dispatches;
             self.shared.metrics.reg.add(d, batch_runs as f64);

@@ -31,10 +31,10 @@ pub mod host;
 pub mod kernel;
 pub mod net;
 pub mod payload;
+pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use ew_telemetry::{
     CounterId, GaugeId, Histogram, HistogramId, HistogramSummary, Registry, SeriesId, Snapshot,
@@ -52,10 +52,13 @@ pub use net::{
     FLOW_MTU_BYTES,
 };
 pub use payload::{pool_reset, pool_stats, Payload, PoolStats};
+pub use queue::EventQueue;
 pub use rng::{StreamSeeder, Xoshiro256};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     AvailabilitySchedule, CompositeLoad, ConstantLoad, DiurnalLoad, LoadTrace, RandomWalkLoad,
     SpikeLoad,
 };
-pub use wheel::TimingWheel;
+/// The queue's former name: `benchmark/` (frozen while a PR claims a gain)
+/// still imports it.
+pub type TimingWheel<T> = EventQueue<T>;

@@ -3,8 +3,8 @@
 //! The simulator promises a total dispatch order by `(time, sequence
 //! number)`. These tests pin that order against **golden constants**
 //! captured from the original binary-heap event queue, so any queue
-//! implementation change (the hierarchical timing wheel, future
-//! refinements) must reproduce the heap's order bit-for-bit:
+//! implementation change must reproduce that order bit-for-bit (the
+//! queue's own contract is `crates/sim/tests/queue.rs`):
 //!
 //! * the kernel's event-order hash (folds every popped `(time, seq,
 //!   target, event)` tuple) over a full SC98 run and over a dense
@@ -27,7 +27,7 @@ use ew_sim::{
 
 /// Golden kernel event-order hash for the 30-minute SC98 run below. The
 /// dispatch *order* it pins was captured on the binary-heap event queue
-/// (and re-verified bit-for-bit across the timing-wheel swap); the
+/// (and re-verified bit-for-bit across both queue swaps since); the
 /// constant itself was re-captured when the kernel's fold function moved
 /// from byte-at-a-time FNV-1a to a word-at-a-time multiplicative mix, and
 /// again (from `0x5079_d23c_3939_62cb`) in PR 12, an intentional model
@@ -214,101 +214,4 @@ fn kernel_scenario_hash_matches_heap_golden() {
         kernel_scenario_hash(),
         "scenario itself is deterministic"
     );
-}
-
-// ---------------------------------------------------------------------
-// SoA wheel vs the entry-layout reference model. The wheel's slots now
-// store keys and items in parallel arrays with a level-0 insert fast
-// path; the property below drives arbitrary interleavings of inserts
-// (near-horizon fast-path deposits, mid-level cascades, overflow-list
-// spills) and drains (per-event pops and same-tick run pops) against a
-// sorted-list model of the old layout's semantics, demanding identical
-// `(time, seq, item)` sequences.
-// ---------------------------------------------------------------------
-
-use proptest::collection::vec as prop_vec;
-use proptest::prelude::*;
-
-/// Drain everything at or before `limit`, via single pops or run pops.
-fn drain_wheel(
-    wheel: &mut ew_sim::TimingWheel<u64>,
-    limit: u64,
-    runs: bool,
-    out: &mut Vec<(u64, u64, u64)>,
-) {
-    if runs {
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            if wheel.pop_run_upto(limit, &mut buf) == 0 {
-                break;
-            }
-            out.extend(buf.iter().copied());
-        }
-    } else {
-        while let Some(e) = wheel.pop_upto(limit) {
-            out.push(e);
-        }
-    }
-}
-
-/// Reference model of the old entry layout: one flat list, drained in
-/// `(time, seq)` order.
-fn drain_model(model: &mut Vec<(u64, u64, u64)>, limit: u64, out: &mut Vec<(u64, u64, u64)>) {
-    let mut due: Vec<(u64, u64, u64)> = model.iter().copied().filter(|e| e.0 <= limit).collect();
-    due.sort_unstable_by_key(|e| (e.0, e.1));
-    model.retain(|e| e.0 > limit);
-    out.extend(due);
-}
-
-proptest! {
-    #[test]
-    fn soa_wheel_matches_entry_layout_reference(
-        words in prop_vec(any::<u64>(), 1..120),
-    ) {
-        let mut wheel = ew_sim::TimingWheel::new();
-        let mut model: Vec<(u64, u64, u64)> = Vec::new();
-        let mut got: Vec<(u64, u64, u64)> = Vec::new();
-        let mut want: Vec<(u64, u64, u64)> = Vec::new();
-        let mut seq = 0u64;
-        let mut low = 0u64; // the wheel's cursor never exceeds this
-        let mut inserted = 0usize;
-        for w in words {
-            match w % 8 {
-                // Inserts, biased 5:3 over drains so the wheel fills.
-                0..=4 => {
-                    let arg = w >> 3;
-                    // Span class: level-0 fast path, cascade levels,
-                    // deep levels, and the overflow list.
-                    let off = match arg % 4 {
-                        0 => arg % 64,
-                        1 => 64 + (arg % 4032),
-                        2 => 4096 + (arg % (1 << 24)),
-                        _ => (1 << 40) + (arg % (1 << 41)),
-                    };
-                    let t = low + off;
-                    wheel.insert(t, seq, seq);
-                    model.push((t, seq, seq));
-                    seq += 1;
-                    inserted += 1;
-                }
-                // Drains: advance the horizon and pop everything due,
-                // via single pops (5, 6) or same-tick runs (7).
-                kind => {
-                    let step = (w >> 3) % 6000;
-                    low += step;
-                    drain_wheel(&mut wheel, low, kind == 7, &mut got);
-                    drain_model(&mut model, low, &mut want);
-                    prop_assert_eq!(&got, &want, "divergence at horizon {}", low);
-                }
-            }
-        }
-        // Final full drain: everything still pending must come out in
-        // exact (time, seq) order, whichever levels it sat on.
-        drain_wheel(&mut wheel, u64::MAX, true, &mut got);
-        drain_model(&mut model, u64::MAX, &mut want);
-        prop_assert_eq!(got.len(), inserted, "no entry may be lost");
-        prop_assert_eq!(got, want);
-        prop_assert!(wheel.is_empty());
-    }
 }

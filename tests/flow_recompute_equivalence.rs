@@ -167,7 +167,7 @@ fn dirty_link_recompute_is_bit_identical_to_full_recompute() {
 }
 
 /// FNV-1a over every sink's `(from, mtype, arrival µs)` in arrival order,
-/// captured with one wheel entry per rescheduled deadline (the parent of
+/// captured with one queue entry per rescheduled deadline (the parent of
 /// PR 12). The kernel now keeps one wake for the earliest deadline; that
 /// must move no completion instant and no per-sink arrival order.
 const ARRIVALS_HASH: u64 = 0x8b4f_3a32_b2c3_77df;

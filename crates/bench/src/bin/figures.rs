@@ -8,10 +8,9 @@
 //!
 //! Subcommands: `fig2`, `fig3a`, `fig3b`, `fig3c`, `java`, `timeout`,
 //! `condor`, `scaling`, `criteria`, `health`, `chaos`, `workload-scaling`,
-//! `bench-farm`, `bench-kernel`, `bench-dispatch`,
-//! `bench-flow`, `bench-gate`, `mega`, `all`. `--short` runs a 2-hour window instead of the full 12 hours
-//! (for smoke tests); for `chaos` it cuts the campaign to one seed over
-//! 15 minutes. `chaos` sweeps the named fault plans of `ew-chaos` (see
+//! `bench-farm`, `bench-kernel`, `bench-gate`, `mega`, `all`. `--short`
+//! runs a 2-hour window instead of the full 12 hours (for smoke tests);
+//! for `chaos` it cuts the campaign to one seed over 15 minutes. `chaos` sweeps the named fault plans of `ew-chaos` (see
 //! `results/chaos_*.json` and `results/BENCH_PR3.json`) and is not part
 //! of `all`. `--workload {ramsey,dag,faas}` selects the application the
 //! chaos campaign runs (default: ramsey, the byte-identical historical
@@ -30,15 +29,9 @@
 //! packet-faithful A/B; `--short` is the 64-host/50k-unit CI variant),
 //! writing `results/mega_campaign.json` (deterministic, CI-diffed) and
 //! `results/BENCH_PR7.json` (events/sec, wall-clock, peak RSS).
-//! `bench-dispatch` A/Bs the batched same-timestamp dispatch loop and the
-//! payload pool against the per-event path (queue probes, send-path
-//! allocation counts, `mega --short` both ways with bit-identical shard
-//! outcomes enforced), writing `results/BENCH_PR8.json`; `bench-flow` A/Bs
-//! the mega campaign across network modes and the dirty-link recompute
-//! against eager recomputes, writing
-//! `results/BENCH_PR9.json`; `bench-gate` is
-//! the CI perf-regression floor — a fixed-op-count throughput probe that
-//! exits nonzero below the floors in `results/bench_floor.json`.
+//! `bench-gate` is the CI perf-regression floor — a fixed-op-count
+//! throughput probe that exits nonzero below the floors in
+//! `results/bench_floor.json`.
 //! `--seed N` reseeds. `--threads N` sets the sim-farm worker count
 //! (default: the `EW_THREADS` environment variable, else available
 //! parallelism; `--threads 1` reproduces the sequential behavior
@@ -1131,32 +1124,11 @@ fn mega(opts: &Options) {
     }
 }
 
-/// Horizon for the dispatch queue probes.
+/// Horizon for `bench-gate`'s queue probe.
 const DISPATCH_HORIZON_US: u64 = 100_000_000;
 
-/// Deterministic xorshift64* batch of `(time, seq)` entries; every 8th
-/// entry reuses the previous time.
-fn dispatch_uniform_batch(n: u64) -> Vec<(u64, u64)> {
-    let mut s = 0x9e37_79b9_7f4a_7c15u64;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut prev = 0u64;
-    for seq in 0..n {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let t = if seq % 8 == 7 {
-            prev
-        } else {
-            s.wrapping_mul(0x2545_f491_4f6c_dd1d) % DISPATCH_HORIZON_US
-        };
-        prev = t;
-        out.push((t, seq));
-    }
-    out
-}
-
 /// Bursty batch: entries arrive in same-tick runs of `burst` — the
-/// synchronized-timeout / broadcast shape batched dispatch targets.
+/// synchronized-timeout / broadcast shape.
 fn dispatch_burst_batch(n: u64, burst: u64) -> Vec<(u64, u64)> {
     let mut s = 0x243f_6a88_85a3_08d3u64;
     let mut out = Vec::with_capacity(n as usize);
@@ -1173,24 +1145,8 @@ fn dispatch_burst_batch(n: u64, burst: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// Insert + drain the batch through the pre-PR-8 per-event `pop_upto`
-/// path. Returns an order checksum and the insert/drain phase times.
-fn dispatch_drain_per_event(entries: &[(u64, u64)]) -> (u64, f64, f64) {
-    let t0 = std::time::Instant::now();
-    let mut w = ew_sim::EventQueue::new();
-    for &(t, seq) in entries {
-        w.insert(t, seq, ());
-    }
-    let insert_s = t0.elapsed().as_secs_f64();
-    let t0 = std::time::Instant::now();
-    let mut sum = 0u64;
-    while let Some((t, seq, ())) = w.pop_upto(u64::MAX) {
-        sum = sum.wrapping_add(t.wrapping_mul(31) ^ seq);
-    }
-    (sum, insert_s, t0.elapsed().as_secs_f64())
-}
-
-/// Same workload through `pop_run_upto` — the PR 8 batched dispatch loop.
+/// Insert + drain the batch through `pop_run_upto`, as the kernel's
+/// dispatch loop does. Returns an order checksum and the insert/drain phase times.
 fn dispatch_drain_runs(entries: &[(u64, u64)], buf: &mut Vec<(u64, u64, ())>) -> (u64, f64, f64) {
     let t0 = std::time::Instant::now();
     let mut w = ew_sim::EventQueue::new();
@@ -1209,451 +1165,6 @@ fn dispatch_drain_runs(entries: &[(u64, u64)], buf: &mut Vec<(u64, u64, ())>) ->
         }
     }
     (sum, insert_s, t0.elapsed().as_secs_f64())
-}
-
-/// Best-of-`rounds` `(insert, drain)` phase seconds for `f` (the probes
-/// are short, so min-of-N suppresses scheduler noise the way criterion's
-/// estimator would; phases take their minima independently since noise
-/// hits them independently).
-fn best_of(rounds: u32, mut f: impl FnMut() -> (u64, f64, f64)) -> (f64, f64) {
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..rounds {
-        let (sum, insert_s, drain_s) = f();
-        std::hint::black_box(sum);
-        best.0 = best.0.min(insert_s);
-        best.1 = best.1.min(drain_s);
-    }
-    best
-}
-
-/// `bench-dispatch` (PR 8): honest A/B of batched same-timestamp dispatch
-/// and payload pooling against the unchanged per-event path, written to
-/// `results/BENCH_PR8.json`. Three layers:
-///
-/// * queue probes — insert+drain 100k entries per-event vs per-run on
-///   uniform and bursty mixes;
-/// * send-path probe — pooled (`to_wire_payload`/`to_sim_payload`) vs
-///   allocating (`to_wire`/`to_stream_bytes`) encodes, with measured
-///   allocation counts from the counting global allocator;
-/// * kernel A/B — the `mega --short` campaign with batching flipped off
-///   then on via the process default; shard outcomes (incl. per-shard
-///   event-order hashes) must be bit-identical between modes.
-///
-/// Exits nonzero if the pooled send path falls below its 2x acceptance
-/// bar, a run drain regresses against per-event pops, or any arm pair
-/// diverges.
-fn bench_dispatch(opts: &Options) {
-    use ew_bench::mega::{run_mega, MegaConfig};
-    use ew_proto::{mtype, Packet, WireEncode};
-    use ew_sim::{set_default_batched_dispatch, NetworkModel};
-
-    let rounds: u32 = if opts.short { 4 } else { 12 };
-    let n: u64 = 100_000;
-    let probes: Vec<(&str, Vec<(u64, u64)>)> = vec![
-        ("uniform_1in8_ties", dispatch_uniform_batch(n)),
-        ("burst32", dispatch_burst_batch(n, 32)),
-        ("burst64", dispatch_burst_batch(n, 64)),
-    ];
-    eprintln!(
-        "bench-dispatch: {} queue probes x {rounds} rounds...",
-        probes.len()
-    );
-    let mut queue_rows: Vec<serde_json::Value> = Vec::new();
-    let mut buf: Vec<(u64, u64, ())> = Vec::new();
-    let mut worst_drain_speedup = f64::INFINITY;
-    for (name, entries) in &probes {
-        assert_eq!(
-            dispatch_drain_per_event(entries).0,
-            dispatch_drain_runs(entries, &mut buf).0,
-            "{name}: run drain must reproduce the per-event order"
-        );
-        let (pe_ins, pe_drain) = best_of(rounds, || dispatch_drain_per_event(entries));
-        let (rn_ins, rn_drain) = best_of(rounds, || dispatch_drain_runs(entries, &mut buf));
-        let per_event_eps = n as f64 / (pe_ins + pe_drain);
-        let runs_eps = n as f64 / (rn_ins + rn_drain);
-        let drain_speedup = pe_drain / rn_drain;
-        worst_drain_speedup = worst_drain_speedup.min(drain_speedup);
-        queue_rows.push(serde_json::json!({
-            "probe": *name,
-            "entries": n,
-            "per_event_events_per_sec": per_event_eps,
-            "batch_events_per_sec": runs_eps,
-            "total_speedup": (pe_ins + pe_drain) / (rn_ins + rn_drain),
-            "per_event_drain_events_per_sec": n as f64 / pe_drain,
-            "batch_drain_events_per_sec": n as f64 / rn_drain,
-            "drain_speedup": drain_speedup,
-            "insert_events_per_sec": n as f64 / rn_ins.min(pe_ins),
-        }));
-    }
-
-    // Send-path probe: one gossip-sized request per round, both encodes.
-    struct Body;
-    impl WireEncode for Body {
-        fn encode(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&[0xA5u8; 40]);
-        }
-    }
-    let sends: u64 = 50_000;
-    for i in 0..64u64 {
-        // Warm the thread-local pool.
-        let pkt = Packet::request(mtype::GOSSIP_BASE, i, Body.to_wire_payload());
-        std::hint::black_box(pkt.to_sim_payload());
-    }
-    let t = std::time::Instant::now();
-    let (_, allocs_pooled) = count_allocs(|| {
-        for i in 0..sends {
-            let pkt = Packet::request(mtype::GOSSIP_BASE, i, Body.to_wire_payload());
-            std::hint::black_box(pkt.to_sim_payload());
-        }
-    });
-    let pooled_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let (_, allocs_alloc) = count_allocs(|| {
-        for i in 0..sends {
-            let pkt = Packet::request(mtype::GOSSIP_BASE, i, Body.to_wire());
-            std::hint::black_box(pkt.to_stream_bytes());
-        }
-    });
-    let alloc_s = t.elapsed().as_secs_f64();
-    let pool = ew_sim::pool_stats();
-
-    // Kernel A/B: the short mega campaign, per-event then batched.
-    eprintln!("bench-dispatch: mega --short A/B (per-event, then batched)...");
-    let cfg = MegaConfig::short(opts.seed, NetworkModel::Flow);
-    set_default_batched_dispatch(false);
-    let per_event = run_mega(&cfg, opts.threads);
-    set_default_batched_dispatch(true);
-    let batched = run_mega(&cfg, opts.threads);
-    assert_eq!(
-        per_event.shards, batched.shards,
-        "mega shard outcomes must be bit-identical across dispatch modes"
-    );
-    let events = batched.total(|s| s.events);
-    let per_event_eps = events as f64 / (per_event.stats.wall_ms / 1e3);
-    let batched_eps = events as f64 / (batched.stats.wall_ms / 1e3);
-
-    write_json(
-        "BENCH_PR8",
-        &serde_json::json!({
-            "bench": "batched same-timestamp dispatch + payload pooling (PR 8)",
-            "short": opts.short,
-            "seed": opts.seed,
-            "threads": opts.threads,
-            "wheel_probes": queue_rows,
-            "send_path": {
-                "sends": sends,
-                "pooled_sends_per_sec": sends as f64 / pooled_s,
-                "alloc_sends_per_sec": sends as f64 / alloc_s,
-                "allocations_pooled_arm": allocs_pooled,
-                "allocations_alloc_arm": allocs_alloc,
-                "pool_hits": pool.hits,
-                "pool_misses": pool.misses,
-            },
-            "mega_short_ab": {
-                "events": events,
-                "per_event_wall_ms": per_event.stats.wall_ms,
-                "batched_wall_ms": batched.stats.wall_ms,
-                "per_event_events_per_sec": per_event_eps,
-                "batched_events_per_sec": batched_eps,
-                "speedup": per_event.stats.wall_ms / batched.stats.wall_ms,
-                "shards_bit_identical": true,
-            },
-            "pre_pr_baseline": {
-                "note": "per-event pop_upto insert+drain of the same 100k-entry \
-                         mixes through the pre-PR-8 wheel, measured on this host \
-                         from a binary built immediately before the PR 8 kernel \
-                         landed (best of 12, re-run alongside the new arms).",
-                "uniform_1in8_ties_events_per_sec": 12.2e6,
-                "burst32_events_per_sec": 32.5e6,
-                "burst64_events_per_sec": 34.1e6,
-            },
-            "honest_finding": "the issue targeted >=2x events/sec from batch \
-                     dispatch, but the PR 2 wheel already amortizes settle and \
-                     cursor advancement across a same-tick run via its ready \
-                     queue, so per-event pops of a tie run were near-amortized \
-                     before this PR. Batching removes the per-pop call and the \
-                     ready-queue hop (settle_run_into drains slots straight into \
-                     the dispatch buffer): 1.1-1.4x on tie-heavy wheel drains and \
-                     ~1.05x end-to-end on mega --short. The >=2x factor in this \
-                     PR comes from the payload pool on the send path (gated \
-                     below); both dispatch modes stay bit-identical.",
-            "note": "pre_pr_baseline and honest_finding record PR 8's measurement \
-                     against the timing wheel, which PR 16 replaced with a binary \
-                     heap; the probes now A/B the heap's pop_upto against its \
-                     pop_run_upto. \
-                     Wall-clock numbers are host time and vary run to run; the \
-                     deterministic halves are the order checksums (asserted here) \
-                     and the batched-vs-per-event shard equality, also pinned by \
-                     tests/batch_dispatch_equivalence.rs.",
-        }),
-    );
-    println!("## bench-dispatch (PR 8)\n");
-    println!("| probe | per-event ev/s | batched ev/s | total | drain-phase |");
-    println!("|---|---|---|---|---|");
-    for row in &queue_rows {
-        println!(
-            "| queue {} | {:.3e} | {:.3e} | {:.2}x | {:.2}x |",
-            row["probe"].as_str().unwrap_or("?"),
-            row["per_event_events_per_sec"].as_f64().unwrap_or(0.0),
-            row["batch_events_per_sec"].as_f64().unwrap_or(0.0),
-            row["total_speedup"].as_f64().unwrap_or(0.0),
-            row["drain_speedup"].as_f64().unwrap_or(0.0)
-        );
-    }
-    println!(
-        "| mega --short | {per_event_eps:.3e} | {batched_eps:.3e} | {:.2}x | - |",
-        per_event.stats.wall_ms / batched.stats.wall_ms
-    );
-    let pool_speedup = alloc_s / pooled_s;
-    println!(
-        "\nsend path: pooled {:.3e}/s ({allocs_pooled} allocs) vs allocating \
-         {:.3e}/s ({allocs_alloc} allocs) over {sends} sends — {pool_speedup:.2}x; \
-         pool hits {} misses {}",
-        sends as f64 / pooled_s,
-        sends as f64 / alloc_s,
-        pool.hits,
-        pool.misses
-    );
-    // Honest acceptance bars: the pool must deliver the >=2x send-path
-    // factor with zero steady-state allocations, and batch dispatch must
-    // never be a drain-phase regression.
-    if pool_speedup < 2.0 {
-        eprintln!(
-            "bench-dispatch: ERROR — pooled send path {pool_speedup:.2}x is \
-             below the 2x acceptance bar"
-        );
-        std::process::exit(1);
-    }
-    if allocs_pooled > 0 {
-        eprintln!(
-            "bench-dispatch: ERROR — pooled arm performed {allocs_pooled} \
-             allocations in steady state"
-        );
-        std::process::exit(1);
-    }
-    if worst_drain_speedup < 0.9 {
-        eprintln!(
-            "bench-dispatch: ERROR — batch drain regressed to \
-             {worst_drain_speedup:.2}x of the per-event path"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Bulk-transfer churn world for the dirty-vs-naive recompute A/B: every
-/// host streams 64 KiB bursts across the WAN, so flow membership churns
-/// on every delivery and fair-share recomputes constantly interleave —
-/// the workload the dirty-link worklist exists for.
-mod flow_churn {
-    use ew_sim::{
-        Ctx, Event, HostSpec, HostTable, NetModel, NetworkModel, Process, ProcessId, Sim,
-        SimDuration, SiteSpec,
-    };
-
-    struct BulkSender {
-        to: ProcessId,
-        remaining: u32,
-        burst: u32,
-    }
-
-    impl Process for BulkSender {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-            match ev {
-                Event::Started | Event::Timer { .. } => {
-                    if self.remaining == 0 {
-                        return;
-                    }
-                    self.remaining -= 1;
-                    for i in 0..self.burst {
-                        ctx.send(self.to, i, vec![0u8; 65_536]);
-                    }
-                    ctx.set_timer(SimDuration::from_millis(120), 0);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    struct Devnull;
-    impl Process for Devnull {
-        fn on_event(&mut self, _ctx: &mut Ctx<'_>, _ev: Event) {}
-    }
-
-    /// 8 WAN sites × 4 hosts; each host bursts three 64 KiB transfers to
-    /// a sink two sites over, 150 rounds at 120 ms — all traffic is bulk,
-    /// all of it contends.
-    pub fn world(seed: u64) -> Sim {
-        let mut net = NetModel::new(0.0).with_model(NetworkModel::Flow);
-        let sites: Vec<_> = (0..8)
-            .map(|s| {
-                net.add_site(SiteSpec::simple(
-                    &format!("s{s}"),
-                    SimDuration::from_millis(15),
-                    2.5e6,
-                    0.05,
-                ))
-            })
-            .collect();
-        let mut hosts = HostTable::new();
-        let mut hs = Vec::new();
-        for (si, &site) in sites.iter().enumerate() {
-            for w in 0..4 {
-                hs.push(hosts.add(HostSpec::dedicated(&format!("h{si}x{w}"), site, 1e8)));
-            }
-        }
-        let mut sim = Sim::new(net, hosts, seed);
-        let sinks: Vec<_> = hs
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| sim.spawn(&format!("sink{i}"), h, Box::new(Devnull)))
-            .collect();
-        for (i, &h) in hs.iter().enumerate() {
-            let to = sinks[(i + 8) % sinks.len()];
-            sim.spawn(
-                &format!("src{i}"),
-                h,
-                Box::new(BulkSender {
-                    to,
-                    remaining: 150,
-                    burst: 3,
-                }),
-            );
-        }
-        sim
-    }
-}
-
-/// `bench-flow` (PR 9): honest A/B of the event-pipeline overhaul at
-/// campaign scale, written to `results/BENCH_PR9.json`. Three layers:
-///
-/// * mega flow-vs-packet — the same campaign in both network modes.
-///   Hybrid routing sends the mega protocol's all-sub-MTU RPC traffic
-///   down the identical sampled-delay path in either mode, so shard
-///   outcomes must be bit-identical and the wall-clock ratio is ~1.0x
-///   (PR 7's honest gap was 2x; exits nonzero above 1.2x);
-/// * dirty-vs-naive recompute — the bulk-transfer churn world with the
-///   dirty-link worklist off, then on; completions must match while the
-///   coalesced pass issues fewer fair-share recomputes.
-fn bench_flow(opts: &Options) {
-    use ew_bench::mega::{run_mega, MegaConfig};
-    use ew_sim::{set_default_dirty_flow_recompute, NetworkModel, SimTime};
-
-    let cfg = |model| {
-        if opts.short {
-            MegaConfig::short(opts.seed, model)
-        } else {
-            MegaConfig::full(opts.seed, model)
-        }
-    };
-    eprintln!("bench-flow: mega campaign, packet mode...");
-    let packet = run_mega(&cfg(NetworkModel::Packet), opts.threads);
-    eprintln!("bench-flow: mega campaign, flow mode...");
-    let flow = run_mega(&cfg(NetworkModel::Flow), opts.threads);
-    assert_eq!(
-        flow.shards, packet.shards,
-        "hybrid routing: the all-RPC mega campaign must be bit-identical \
-         across network modes"
-    );
-    let events = flow.total(|s| s.events);
-    let flow_eps = events as f64 / (flow.stats.wall_ms / 1e3);
-    let packet_eps = events as f64 / (packet.stats.wall_ms / 1e3);
-    let mode_ratio = flow.stats.wall_ms / packet.stats.wall_ms;
-
-    // Dirty-vs-naive: best-of-N wall clock on the churn world; the
-    // deterministic counters must agree round to round and across arms
-    // (except the recompute-path ones being A/B'd).
-    let rounds = if opts.short { 2 } else { 3 };
-    eprintln!("bench-flow: churn world dirty-link A/B x {rounds} rounds...");
-    let mut wall = [f64::INFINITY; 2];
-    let mut completed = [0.0f64; 2];
-    let mut reschedules = [0.0f64; 2];
-    let mut dirty_links = [0.0f64; 2];
-    for (i, dirty) in [false, true].into_iter().enumerate() {
-        set_default_dirty_flow_recompute(dirty);
-        for _ in 0..rounds {
-            let mut sim = flow_churn::world(opts.seed);
-            let t0 = std::time::Instant::now();
-            sim.run_until(SimTime::from_secs(90));
-            wall[i] = wall[i].min(t0.elapsed().as_secs_f64());
-            let m = sim.metrics();
-            completed[i] = m.counter("net.flows_completed");
-            reschedules[i] = m.counter("net.flows_reschedules");
-            dirty_links[i] = m.counter("net.flow_dirty_links");
-        }
-    }
-    set_default_dirty_flow_recompute(true);
-    assert_eq!(
-        completed[0], completed[1],
-        "both recompute modes must complete every transfer"
-    );
-    assert!(completed[0] > 1000.0, "churn world must carry real flows");
-    assert_eq!(dirty_links[0], 0.0, "naive arm must not touch the worklist");
-    assert!(dirty_links[1] > 0.0, "dirty arm must use the worklist");
-
-    write_json(
-        "BENCH_PR9",
-        &serde_json::json!({
-            "bench": "event-pipeline overhaul A/B (PR 9)",
-            "short": opts.short,
-            "seed": opts.seed,
-            "threads": opts.threads,
-            "mega_flow_vs_packet": {
-                "events": events,
-                "packet_wall_ms": packet.stats.wall_ms,
-                "flow_wall_ms": flow.stats.wall_ms,
-                "packet_events_per_sec": packet_eps,
-                "flow_events_per_sec": flow_eps,
-                "flow_over_packet_wall_ratio": mode_ratio,
-                "shards_bit_identical": true,
-                "note": "hybrid routing sends sub-MTU RPCs (all of the mega \
-                         protocol, ~60 B mean) down the sampled-delay path in \
-                         both modes from the same rng stream, so the modes are \
-                         bit-identical and the PR 7 flow-mode overhead is gone; \
-                         bulk transfers still pay fair-share contention (next \
-                         block).",
-            },
-            "churn_dirty_vs_naive": {
-                "flows_completed": completed[1],
-                "naive_wall_s": wall[0],
-                "dirty_wall_s": wall[1],
-                "speedup": wall[0] / wall[1],
-                "naive_reschedules": reschedules[0],
-                "dirty_reschedules": reschedules[1],
-                "dirty_links_consumed": dirty_links[1],
-                "note": "completion schedules are bit-identical between arms \
-                         (pinned by tests/flow_recompute_equivalence.rs); the \
-                         dirty arm coalesces all membership changes of one \
-                         dispatched event into a single fair-share pass.",
-            },
-            "note": "wall-clock halves are host time; the deterministic halves \
-                     (shard equality, completion counts) are asserted here and \
-                     in the equivalence tests.",
-        }),
-    );
-    println!("## bench-flow (PR 9)\n");
-    println!("| A/B | arm A | arm B | ratio |");
-    println!("|---|---|---|---|");
-    println!(
-        "| mega {}: packet vs flow (ev/s) | {packet_eps:.3e} | {flow_eps:.3e} | {mode_ratio:.2}x wall |",
-        if opts.short { "--short" } else { "full" }
-    );
-    println!(
-        "| churn: naive vs dirty recompute (wall s) | {:.2} | {:.2} | {:.2}x |",
-        wall[0],
-        wall[1],
-        wall[0] / wall[1]
-    );
-    println!(
-        "\nfair-share reschedules: naive {} vs dirty {} over {} completed flows",
-        reschedules[0], reschedules[1], completed[1]
-    );
-    if mode_ratio > 1.2 {
-        eprintln!(
-            "bench-flow: ERROR — flow mode wall {mode_ratio:.2}x packet mode \
-             exceeds the 1.2x acceptance bar"
-        );
-        std::process::exit(1);
-    }
 }
 
 const FORECAST_PROBE_ROUNDS: u64 = 25;
@@ -1828,7 +1339,7 @@ fn write_trace(opts: &Options, rep: &Sc98Report) {
     }
 }
 
-const COMMANDS: [&str; 22] = [
+const COMMANDS: [&str; 20] = [
     "fig2",
     "fig3a",
     "fig3b",
@@ -1846,8 +1357,6 @@ const COMMANDS: [&str; 22] = [
     "workload-scaling",
     "bench-farm",
     "bench-kernel",
-    "bench-dispatch",
-    "bench-flow",
     "bench-gate",
     "mega",
     "all",
@@ -2000,8 +1509,6 @@ fn main() {
         "workload-scaling" => workload_scaling(&opts),
         "bench-farm" => bench_farm(&opts),
         "bench-kernel" => bench_kernel(&opts),
-        "bench-dispatch" => bench_dispatch(&opts),
-        "bench-flow" => bench_flow(&opts),
         "bench-gate" => bench_gate(&opts),
         "mega" => mega(&opts),
         "all" => {
@@ -2122,11 +1629,15 @@ mod tests {
 
     #[test]
     fn dispatch_bench_and_gate_parse() {
-        let (cmd, opts) = parse(&["bench-dispatch", "--short", "--threads", "2"]).unwrap();
-        assert_eq!(cmd, "bench-dispatch");
-        assert!(opts.short);
-        let (cmd, _) = parse(&["bench-gate"]).unwrap();
+        // `bench-gate` carries the one dispatch probe left (burst32 drain);
+        // the two A/B commands went with the arms they compared.
+        let (cmd, opts) = parse(&["bench-gate", "--short", "--threads", "2"]).unwrap();
         assert_eq!(cmd, "bench-gate");
+        assert!(opts.short);
+        for retired in ["bench-dispatch", "bench-flow"] {
+            let err = parse(&[retired]).unwrap_err();
+            assert!(err.contains("unknown command"), "{retired}: {err}");
+        }
     }
 
     #[test]

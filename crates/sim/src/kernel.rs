@@ -71,76 +71,6 @@ pub enum Event {
 pub trait Process: Any {
     /// React to one event. Never blocks.
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event);
-
-    /// React to a same-timestamp run of events addressed to this process.
-    ///
-    /// The kernel calls this instead of N separate virtual `on_event`
-    /// dispatches when a batched drain finds consecutive entries for one
-    /// process, amortizing the `Box<dyn Process>` indirection across the
-    /// run. The default implementation simply loops `on_event`, and
-    /// [`EventBatch::next`] performs the exact per-event kernel checks
-    /// (lazy timer cancellation, post-exit drops, dispatch accounting)
-    /// that per-event delivery would — so overriding this method can
-    /// change *speed*, never semantics or event order. If an override
-    /// returns early, the kernel finishes the batch itself.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, batch: &mut EventBatch<'_>) {
-        while let Some(ev) = batch.next(ctx) {
-            self.on_event(ctx, ev);
-        }
-    }
-}
-
-/// A same-timestamp run of events for one process, handed to
-/// [`Process::on_batch`]. Calling [`EventBatch::next`] yields the events in
-/// `(time, seq)` order, applying the identical kernel-side gates the
-/// per-event dispatch path applies.
-pub struct EventBatch<'b> {
-    pid: ProcessId,
-    entries: &'b mut Vec<(u64, Event)>,
-    cursor: usize,
-}
-
-impl EventBatch<'_> {
-    /// Events not yet yielded (before kernel-side gates are applied).
-    pub fn remaining(&self) -> usize {
-        self.entries.len() - self.cursor
-    }
-
-    /// Yield the next deliverable event of the run, or `None` when the run
-    /// is exhausted. Lazily-cancelled timers are swallowed (counted by
-    /// `kernel.timers_cancelled`) and events behind a self-exit are dropped
-    /// (counted by `events.dropped_dead_dest`), exactly as the per-event
-    /// dispatch path would. Flow deadlines dirtied by the previous event's
-    /// sends are flushed before the next event, preserving the per-event
-    /// recompute discipline bit-for-bit.
-    pub fn next(&mut self, ctx: &mut Ctx<'_>) -> Option<Event> {
-        if ctx.shared.flows.has_dirty() {
-            ctx.shared.flush_dirty_flows();
-        }
-        while self.cursor < self.entries.len() {
-            let (seq, ev) = std::mem::replace(&mut self.entries[self.cursor], (0, Event::Started));
-            self.cursor += 1;
-            if let Event::Timer { tag } = &ev {
-                if let Some(&watermark) = ctx.shared.cancelled.get(&(self.pid.0, *tag)) {
-                    if seq < watermark {
-                        let c = ctx.shared.tele.timers_cancelled;
-                        ctx.shared.metrics.reg.inc(c);
-                        continue;
-                    }
-                }
-            }
-            if ctx.shared.pending_exits.contains(&self.pid) {
-                // The process exited earlier in this run; per-event
-                // delivery would find it dead after integrate_pending.
-                let dropped = ctx.shared.tele.dropped_dead_dest;
-                ctx.shared.metrics.reg.inc(dropped);
-                continue;
-            }
-            ctx.shared.events_dispatched += 1;
-            return Some(ev);
-        }
-        None
-    }
 }
 
 #[derive(Debug)]
@@ -259,7 +189,6 @@ struct KernelTele {
     timers_cancelled: CounterId,
     batch_dispatches: CounterId,
     batch_ties: CounterId,
-    batch_delivered: CounterId,
     payload_pool_hits: CounterId,
     payload_pool_misses: CounterId,
     payload_pool_recycled: CounterId,
@@ -293,7 +222,6 @@ impl KernelTele {
             timers_cancelled: reg.counter("kernel.timers_cancelled"),
             batch_dispatches: reg.counter("kernel.batch_dispatches"),
             batch_ties: reg.counter("kernel.batch_ties"),
-            batch_delivered: reg.counter("kernel.batch_delivered"),
             payload_pool_hits: reg.counter("net.payload_pool_hits"),
             payload_pool_misses: reg.counter("net.payload_pool_misses"),
             payload_pool_recycled: reg.counter("net.payload_pool_recycled"),
@@ -322,38 +250,6 @@ fn event_tag(ev: &Event) -> u64 {
     }
 }
 
-/// Process-wide default for [`Sim::set_batched_dispatch`], read once at
-/// [`Sim::new`]. Exists so whole multi-`Sim` campaigns (chaos, mega) can
-/// be A/B'd between dispatch modes without threading a flag through every
-/// cell builder — see [`set_default_batched_dispatch`].
-static DEFAULT_BATCHED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Set the dispatch mode newly built [`Sim`]s start in (batched is the
-/// default). Affects only `Sim`s constructed *after* the call, including
-/// those built on sim-farm worker threads; existing `Sim`s keep their
-/// mode. Both modes dispatch the identical `(time, seq)` order — this
-/// knob exists for A/B benchmarking and the batch-equivalence golden-hash
-/// test, never for behavior.
-pub fn set_default_batched_dispatch(batched: bool) {
-    DEFAULT_BATCHED.store(batched, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Process-wide default for [`Sim::set_dirty_flow_recompute`], read once at
-/// [`Sim::new`] — the same A/B affordance as [`set_default_batched_dispatch`]
-/// but for the flow model's dirty-link fair-share recompute.
-static DEFAULT_DIRTY_FLOWS: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Set whether newly built [`Sim`]s coalesce fair-share recomputes over a
-/// dirty-link worklist (the default) or recompute eagerly inside every
-/// `start_flow`/completion (the naive PR 7 path). Both modes produce
-/// bit-identical flow completion times — an equivalence test pins this —
-/// so this knob exists for A/B benchmarking and that test, never for
-/// behavior.
-pub fn set_default_dirty_flow_recompute(dirty: bool) {
-    DEFAULT_DIRTY_FLOWS.store(dirty, std::sync::atomic::Ordering::SeqCst);
-}
-
 /// Arbitrary non-zero seed (the FNV-1a offset basis); the event-order
 /// hash starts here.
 const ORDER_HASH_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -371,8 +267,7 @@ fn order_hash_fold(h: u64, word: u64) -> u64 {
 }
 
 /// Fold one dispatched entry — `(time, seq, target, event-variant)` — into
-/// the running order hash. Shared verbatim by the per-event and batch
-/// dispatch paths so both produce bit-identical golden hashes.
+/// the running order hash.
 #[inline]
 fn fold_entry(h: u64, t_us: u64, seq: u64, target: &Target, ev: &Option<Event>) -> u64 {
     let mut h = order_hash_fold(h, t_us);
@@ -426,20 +321,9 @@ struct Shared {
     /// Time of the pending `FlowWake` entry that covers `flow_due` (it is
     /// at or before every deadline there); `u64::MAX` when none is pending.
     flow_wake: u64,
-    /// Whether `run_until` drains same-timestamp runs wholesale (the
-    /// default) or pops one entry at a time. Both modes dispatch the
-    /// identical `(time, seq)` order; see [`Sim::set_batched_dispatch`].
-    batched: bool,
-    /// Reusable batch-dispatch scratch: one same-tick run at a time,
-    /// emptied before being handed back to the queue.
+    /// Reusable dispatch scratch: one same-tick run at a time, emptied
+    /// before being handed back to the queue.
     dispatch_buf: Vec<(u64, u64, (Target, Option<Event>))>,
-    /// Reusable scratch holding one same-process group of a run while it
-    /// is delivered through [`Process::on_batch`].
-    batch_buf: Vec<(u64, Event)>,
-    /// Whether fair-share recomputes are coalesced over the dirty-link
-    /// worklist (the default) or run eagerly per membership change; see
-    /// [`Sim::set_dirty_flow_recompute`].
-    dirty_flows: bool,
     /// Largest same-tick run dispatched so far (gauge `kernel.batch_len_max`).
     batch_len_max: u64,
     /// Whether the payload pool has been reset for this simulation (done
@@ -458,9 +342,12 @@ impl Shared {
         self.queue.insert(time.as_micros(), seq, (target, ev));
     }
 
-    /// Begin one flow-mode transfer: register it, rerun the fair-share
-    /// computation over the links it touches (which may shrink the rates
-    /// of every flow sharing them), and schedule the resulting deadlines.
+    /// Begin one flow-mode transfer: register it and mark the links it
+    /// touches dirty. The flush after the dispatched entry reruns the
+    /// fair-share computation over them (which may shrink the rates of
+    /// every flow sharing them) and schedules the resulting deadlines, so
+    /// every membership change one entry makes costs one recompute and
+    /// deadlines exist before time can advance.
     #[allow(clippy::too_many_arguments)]
     fn start_flow(
         &mut self,
@@ -478,25 +365,7 @@ impl Shared {
             from_site, to_site, bytes, latency, now, from.0, to.0, mtype, payload,
         );
         let (links, nlinks) = self.flows.links_of(id);
-        if self.dirty_flows {
-            // Defer the fair-share pass: mark the links and let the
-            // end-of-event flush coalesce every membership change this
-            // event made into one recompute. Deadlines exist before time
-            // can advance, and the advance/fill arithmetic is identical
-            // to the eager path (same `now`, same final membership).
-            self.flows.mark_dirty(&links[..nlinks]);
-        } else {
-            {
-                let Shared {
-                    flows,
-                    net,
-                    flow_resched,
-                    ..
-                } = self;
-                flows.recompute(&links[..nlinks], now, net, flow_resched);
-            }
-            self.flush_flow_resched();
-        }
+        self.flows.mark_dirty(&links[..nlinks]);
         let started = self.tele.flows_started;
         self.metrics.reg.inc(started);
         let avoided = self.tele.flows_packets_avoided;
@@ -558,8 +427,9 @@ impl Shared {
 
     /// Run one fair-share recompute seeded with every link whose flow
     /// membership changed since the last flush, and schedule the resulting
-    /// deadlines. Called at the end of every dispatched event that dirtied
-    /// a link, so deadlines always exist before simulated time advances.
+    /// deadlines. Called by [`Sim::dispatch_entry`] after every entry that
+    /// dirtied a link — the one recompute site — so deadlines always exist
+    /// before simulated time advances.
     fn flush_dirty_flows(&mut self) {
         let now = self.now;
         let n = {
@@ -981,10 +851,7 @@ impl Sim {
                 flow_resched: Vec::new(),
                 flow_due: Vec::new(),
                 flow_wake: u64::MAX,
-                batched: DEFAULT_BATCHED.load(std::sync::atomic::Ordering::SeqCst),
                 dispatch_buf: Vec::new(),
-                batch_buf: Vec::new(),
-                dirty_flows: DEFAULT_DIRTY_FLOWS.load(std::sync::atomic::Ordering::SeqCst),
                 batch_len_max: 0,
                 pool_primed: false,
                 pool_seen: crate::payload::PoolStats::default(),
@@ -1204,71 +1071,12 @@ impl Sim {
         }
     }
 
-    /// Deliver a same-timestamp group of events addressed to one process in
-    /// a single [`Process::on_batch`] virtual call. The alive/host-up gate
-    /// is checked once — nothing can revoke it mid-group except a self-exit,
-    /// which [`EventBatch::next`] handles per event — and spawns/exits
-    /// integrate once at group end, where per-event dispatch would next
-    /// observe them anyway (spawned processes' `Started` events carry
-    /// higher seqs and surface in a later run). Skipped when span tracing
-    /// is on so per-event dispatch span records stay byte-identical.
-    fn deliver_batch(&mut self, pid: ProcessId, t_us: u64, group: &mut Vec<(u64, Event)>) {
-        let time = SimTime::from_micros(t_us);
-        debug_assert!(time >= self.shared.now, "time went backwards");
-        self.shared.now = time;
-        let idx = pid.0 as usize;
-        let deliverable = self.shared.meta[idx].alive
-            && self.shared.host_up[self.shared.meta[idx].host.0 as usize];
-        if deliverable {
-            if let Some(mut p) = self.procs[idx].take() {
-                let delivered = self.shared.tele.batch_delivered;
-                self.shared.metrics.reg.add(delivered, group.len() as f64);
-                let mut batch = EventBatch {
-                    pid,
-                    entries: group,
-                    cursor: 0,
-                };
-                let mut ctx = Ctx {
-                    shared: &mut self.shared,
-                    me: pid,
-                };
-                p.on_batch(&mut ctx, &mut batch);
-                // An overridden on_batch may return early; finish the run
-                // with the identical per-event accounting.
-                while let Some(ev) = batch.next(&mut ctx) {
-                    p.on_event(&mut ctx, ev);
-                }
-                if self.procs[idx].is_none() {
-                    self.procs[idx] = Some(p);
-                }
-            }
-        } else {
-            // Per-event dispatch swallows lazily-cancelled timers before
-            // the deliverable gate; replicate that ordering per event.
-            for (seq, ev) in group.iter() {
-                if let Event::Timer { tag } = ev {
-                    if let Some(&watermark) = self.shared.cancelled.get(&(pid.0, *tag)) {
-                        if *seq < watermark {
-                            let c = self.shared.tele.timers_cancelled;
-                            self.shared.metrics.reg.inc(c);
-                            continue;
-                        }
-                    }
-                }
-                let dropped = self.shared.tele.dropped_dead_dest;
-                self.shared.metrics.reg.inc(dropped);
-            }
-        }
-        group.clear();
-        if self.shared.flows.has_dirty() {
-            self.shared.flush_dirty_flows();
-        }
-        self.integrate_pending();
-    }
-
     /// Dispatch one already-popped, already-hashed queue entry: advance
-    /// `now`, swallow lazily-cancelled timers, route by target, integrate
-    /// spawns/exits. Shared verbatim by the per-event and batch loops.
+    /// `now`, swallow lazily-cancelled timers (before the alive/host-up
+    /// gate in [`Sim::deliver`], so a cancelled timer for a dead process
+    /// counts as cancelled, not dropped), route by target, flush dirty
+    /// flow links, integrate spawns/exits. The golden order hashes pin
+    /// this per-entry order.
     fn dispatch_entry(&mut self, t_us: u64, seq: u64, target: Target, ev: Option<Event>) {
         let time = SimTime::from_micros(t_us);
         debug_assert!(time >= self.shared.now, "time went backwards");
@@ -1305,23 +1113,9 @@ impl Sim {
                         let active = self.shared.tele.flows_active;
                         let n = self.shared.flows.active() as f64;
                         self.shared.metrics.reg.set_gauge(active, n);
-                        // Capacity freed up: re-share it among the
-                        // survivors on this flow's links.
-                        if self.shared.dirty_flows {
-                            self.shared.flows.mark_dirty(&cf.links[..cf.nlinks]);
-                        } else {
-                            let now = self.shared.now;
-                            {
-                                let Shared {
-                                    flows,
-                                    net,
-                                    flow_resched,
-                                    ..
-                                } = &mut self.shared;
-                                flows.recompute(&cf.links[..cf.nlinks], now, net, flow_resched);
-                            }
-                            self.shared.flush_flow_resched();
-                        }
+                        // Capacity freed up: the flush below re-shares it
+                        // among the survivors on this flow's links.
+                        self.shared.flows.mark_dirty(&cf.links[..cf.nlinks]);
                         self.deliver(
                             ProcessId(cf.to),
                             Event::Message {
@@ -1371,82 +1165,31 @@ impl Sim {
         let limit = t_end.as_micros();
         let mut batch_runs = 0u64;
         let mut batch_ties = 0u64;
-        if self.shared.batched {
-            // Batch mode: drain each same-timestamp run in one pass; the
-            // order hash is folded with one load/store of `order_hash`
-            // per run. Events scheduled *during* the run at the same tick
-            // carry higher seqs and come out as the next run, which is
-            // exactly the order per-event popping produces — the golden
-            // hashes pin this equivalence bit-for-bit.
-            let mut buf = std::mem::take(&mut self.shared.dispatch_buf);
-            let mut group = std::mem::take(&mut self.shared.batch_buf);
-            // Grouped delivery skips the per-event dispatch span records,
-            // so fall back to per-event dispatch while tracing collects.
-            let tracing = self.shared.metrics.reg.tracing_enabled();
-            loop {
-                debug_assert!(buf.is_empty());
-                let n = self.shared.queue.pop_run_upto(limit, &mut buf);
-                if n == 0 {
-                    break;
-                }
-                batch_runs += 1;
-                batch_ties += (n - 1) as u64;
-                if n as u64 > self.shared.batch_len_max {
-                    self.shared.batch_len_max = n as u64;
-                }
-                let mut h = self.shared.order_hash;
-                for (t_us, seq, (target, ev)) in &buf {
-                    h = fold_entry(h, *t_us, *seq, target, ev);
-                }
-                self.shared.order_hash = h;
-                if tracing || n < 2 {
-                    for (t_us, seq, (target, ev)) in buf.drain(..) {
-                        self.dispatch_entry(t_us, seq, target, ev);
-                    }
-                    continue;
-                }
-                // Hand maximal spans of consecutive entries addressed to
-                // one process to a single on_batch call; everything else
-                // (singles, host transitions, flow completions) takes the
-                // per-event path unchanged.
-                let mut it = buf.drain(..).peekable();
-                while let Some((t_us, seq, (target, ev))) = it.next() {
-                    let pid = match target {
-                        Target::Proc(pid) => pid,
-                        other => {
-                            self.dispatch_entry(t_us, seq, other, ev);
-                            continue;
-                        }
-                    };
-                    let grouped =
-                        matches!(it.peek(), Some((_, _, (Target::Proc(p2), _))) if *p2 == pid);
-                    if !grouped {
-                        self.dispatch_entry(t_us, seq, Target::Proc(pid), ev);
-                        continue;
-                    }
-                    debug_assert!(group.is_empty());
-                    group.push((seq, ev.expect("process events carry payloads")));
-                    while let Some((_, _, (Target::Proc(p2), _))) = it.peek() {
-                        if *p2 != pid {
-                            break;
-                        }
-                        let (_, s2, (_, e2)) = it.next().expect("peeked entry exists");
-                        group.push((s2, e2.expect("process events carry payloads")));
-                    }
-                    self.deliver_batch(pid, t_us, &mut group);
-                }
+        // Drain each same-timestamp run in one pass and fold the order hash
+        // over it with one load/store of `order_hash` per run. Entries
+        // scheduled *during* the run at the same tick carry higher seqs and
+        // come out as the next run, so dispatch stays in strict
+        // `(time, seq)` order.
+        let mut buf = std::mem::take(&mut self.shared.dispatch_buf);
+        loop {
+            debug_assert!(buf.is_empty());
+            let n = self.shared.queue.pop_run_upto(limit, &mut buf);
+            if n == 0 {
+                break;
             }
-            self.shared.dispatch_buf = buf;
-            self.shared.batch_buf = group;
-        } else {
-            // Per-event mode: the pre-batching loop, kept for A/B
-            // measurement and the batch-equivalence golden-hash test.
-            while let Some((t_us, seq, (target, ev))) = self.shared.queue.pop_upto(limit) {
-                self.shared.order_hash =
-                    fold_entry(self.shared.order_hash, t_us, seq, &target, &ev);
+            batch_runs += 1;
+            batch_ties += (n - 1) as u64;
+            self.shared.batch_len_max = self.shared.batch_len_max.max(n as u64);
+            let mut h = self.shared.order_hash;
+            for (t_us, seq, (target, ev)) in &buf {
+                h = fold_entry(h, *t_us, *seq, target, ev);
+            }
+            self.shared.order_hash = h;
+            for (t_us, seq, (target, ev)) in buf.drain(..) {
                 self.dispatch_entry(t_us, seq, target, ev);
             }
         }
+        self.shared.dispatch_buf = buf;
         self.shared.now = t_end;
         let depth = self.shared.tele.queue_depth;
         let len = self.shared.queue.len() as f64;
@@ -1492,24 +1235,6 @@ impl Sim {
             events: self.shared.events_dispatched - start_events,
             now: self.shared.now,
         }
-    }
-
-    /// Switch between batched same-timestamp dispatch (the default) and
-    /// the per-event pop loop. The two modes dispatch the identical
-    /// `(time, seq)` order and produce the same [`Sim::event_order_hash`]
-    /// — a golden-hash test pins this — so this knob exists for honest A/B
-    /// benchmarking and for that test, never for behavior.
-    pub fn set_batched_dispatch(&mut self, batched: bool) {
-        self.shared.batched = batched;
-    }
-
-    /// Switch between dirty-link coalesced fair-share recomputes (the
-    /// default) and the eager per-membership-change passes of the original
-    /// flow model. Both paths produce bit-identical flow completion times
-    /// — an equivalence test pins this — so this knob exists for honest
-    /// A/B benchmarking and for that test, never for behavior.
-    pub fn set_dirty_flow_recompute(&mut self, dirty: bool) {
-        self.shared.dirty_flows = dirty;
     }
 
     /// Drain every remaining event regardless of time. Intended for tests;

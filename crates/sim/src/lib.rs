@@ -43,10 +43,7 @@ pub use ew_telemetry::{
 pub use farm::{available_threads, merge_cell_registries, resolve_threads, run_farm, FarmStats};
 pub use hashers::{FxHashMap, FxHasher};
 pub use host::{HostId, HostSpec, HostTable};
-pub use kernel::{
-    set_default_batched_dispatch, set_default_dirty_flow_recompute, Ctx, Event, EventBatch,
-    Metrics, Process, ProcessId, RunStats, Sim,
-};
+pub use kernel::{Ctx, Event, Metrics, Process, ProcessId, RunStats, Sim};
 pub use net::{
     CompletedFlow, FlowTable, Impairment, NetModel, NetworkModel, Partition, SiteId, SiteSpec,
     FLOW_MTU_BYTES,

@@ -11,7 +11,11 @@
 //!   kernel-level scenario with timers, cancellations, messages, and host
 //!   churn;
 //! * the figures output: a byte-level hash of every series the SC98
-//!   report feeds into the paper's figures.
+//!   report feeds into the paper's figures;
+//! * what the kernel's retired per-event dispatch loop and eager flow
+//!   recompute produced on three small campaign worlds (tiny mega shards
+//!   in both network modes, one chaos plan), so the single dispatch loop
+//!   stays pinned to them.
 //!
 //! If an intentional *model* change (new processes, different timing)
 //! shifts these values, re-capture the constants in the same commit and
@@ -20,10 +24,15 @@
 use std::fmt::Write as _;
 
 use everyware::{run_sc98, Sc98Config};
+use ew_bench::mega::{run_mega, MegaConfig};
+use ew_chaos::{campaign_json, run_campaign, standard_plans, CampaignConfig};
+use ew_infra::MegaSpec;
+use ew_ramsey::RamseyProblem;
 use ew_sim::{
-    AvailabilitySchedule, Ctx, Event, HostSpec, HostTable, NetModel, Process, ProcessId, Sim,
-    SimDuration, SimTime, SiteSpec,
+    AvailabilitySchedule, Ctx, Event, HostSpec, HostTable, NetModel, NetworkModel, Process,
+    ProcessId, Sim, SimDuration, SimTime, SiteSpec,
 };
+use ew_workload::WorkloadSpec;
 
 /// Golden kernel event-order hash for the 30-minute SC98 run below. The
 /// dispatch *order* it pins was captured on the binary-heap event queue
@@ -42,6 +51,19 @@ const SC98_FIGURES_HASH: u64 = 0x6747_3862_19c9_a681;
 /// Golden kernel event-order hash for the dense kernel scenario below;
 /// same provenance as [`SC98_ORDER_HASH`].
 const KERNEL_SCENARIO_ORDER_HASH: u64 = 0xdf1a_056d_e862_931b;
+/// Per-shard event-order hashes of the tiny mega campaign below, captured
+/// at the parent of PR 17 with per-event dispatch and eager flow recompute
+/// forced. The protocol is all sub-MTU RPCs, so flow and packet mode share
+/// them.
+const MEGA_TINY_ORDER_HASHES: [u64; 3] = [
+    0x5660_1335_32dd_b4f6,
+    0x43c2_95fa_9427_67da,
+    0xad30_38e5_52a6_77e8,
+];
+/// FNV-1a of the `flaky-network` chaos campaign JSON below (artifact name,
+/// newline, pretty-printed body, newline), captured at the parent of PR 17
+/// with per-event dispatch and eager flow recompute forced.
+const CHAOS_FLAKY_JSON_HASH: u64 = 0xc147_880a_d1d2_55d6;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -213,5 +235,61 @@ fn kernel_scenario_hash_matches_heap_golden() {
         h,
         kernel_scenario_hash(),
         "scenario itself is deterministic"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Campaign worlds whose Sims are built inside the mega and chaos drivers:
+// many short cells, the farm's merge, faults and retries.
+// ---------------------------------------------------------------------
+
+#[test]
+fn tiny_mega_shards_match_per_event_golden_in_both_net_modes() {
+    for model in [NetworkModel::Flow, NetworkModel::Packet] {
+        let cfg = MegaConfig {
+            seed: 0x5EED,
+            shards: 3,
+            spec: MegaSpec {
+                sites: 2,
+                workers_per_site: 2,
+                worker_ops: 1e8,
+                load: 0.05,
+                model,
+            },
+            horizon: SimDuration::from_secs(20),
+        };
+        let out = run_mega(&cfg, 2);
+        let hashes: Vec<u64> = out.shards.iter().map(|s| s.order_hash).collect();
+        assert_eq!(
+            hashes, MEGA_TINY_ORDER_HASHES,
+            "{model:?}: mega shard dispatch order diverged (got {hashes:#018x?})"
+        );
+        assert!(out.shards.iter().all(|s| s.units == 2188), "shards work");
+    }
+}
+
+#[test]
+fn chaos_flaky_network_json_matches_per_event_golden() {
+    let cfg = CampaignConfig {
+        seeds: vec![1998],
+        horizon: SimDuration::from_secs(900),
+        plans: standard_plans()
+            .into_iter()
+            .filter(|p| p.name == "flaky-network")
+            .collect(),
+        workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
+    };
+    let reports = run_campaign(&cfg);
+    let files = campaign_json(&cfg, &reports);
+    assert_eq!(files.len(), 1);
+    let mut text = String::new();
+    for (name, v) in files {
+        writeln!(text, "{name}").unwrap();
+        writeln!(text, "{}", serde_json::to_string_pretty(&v).unwrap()).unwrap();
+    }
+    let hash = fnv1a(text.as_bytes());
+    assert_eq!(
+        hash, CHAOS_FLAKY_JSON_HASH,
+        "chaos campaign JSON diverged (got {hash:#018x})"
     );
 }

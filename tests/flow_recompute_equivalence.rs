@@ -1,28 +1,212 @@
-//! Dirty-link recompute equivalence (PR 9).
+//! The flow model's fair-share recompute discipline, pinned from both sides.
 //!
-//! The flow model's coalesced dirty-link fair-share recompute must be a
-//! pure performance change: across a churn-heavy mesh topology (the same
-//! shape as the `flow_churn` benchmark), every bulk transfer completes at
-//! the bit-identical instant whether rates are recomputed eagerly on
-//! every membership change (the naive PR 7 path) or once per dispatched
-//! event over the dirty-link worklist — and whether events are delivered
-//! one at a time or in batched same-timestamp runs.
+//! The kernel marks a link dirty on every flow start and completion and
+//! runs one fair-share pass over the dirty links after each dispatched
+//! entry. Two things hold that in place:
 //!
-//! Deadline *generations* may differ between the recompute modes (the
-//! coalesced pass supersedes fewer intermediate deadlines), so the
-//! equivalence is pinned on arrival schedules and completion counters,
-//! while the event-order hash is pinned across *dispatch* modes within
-//! each recompute mode.
+//! * an **eager oracle written in this file** — a recompute inside every
+//!   `start` and `complete`, the discipline the kernel shipped before —
+//!   driven through `FlowTable` next to the coalesced discipline over random
+//!   burst scripts: every transfer must complete at the bit-identical
+//!   instant, and coalescing must never schedule more deadlines;
+//! * **golden hashes** of a churn-heavy mesh world run through the kernel:
+//!   the per-sink arrival schedule and the event order.
+
+use std::collections::BTreeMap;
 
 use ew_sim::{
-    set_default_batched_dispatch, set_default_dirty_flow_recompute, Ctx, Event, HostId, HostSpec,
-    HostTable, NetModel, NetworkModel, Process, ProcessId, Sim, SimDuration, SimTime, SiteSpec,
+    Ctx, Event, FlowTable, HostId, HostSpec, HostTable, NetModel, NetworkModel, Payload, Process,
+    ProcessId, Sim, SimDuration, SimTime, SiteId, SiteSpec,
 };
+use proptest::prelude::*;
+
+// ---------------------------------------------------------------------
+// Eager oracle vs coalesced worklist, at the `FlowTable` level.
+// ---------------------------------------------------------------------
+
+/// One burst: `gap_ms` after the previous one, site `src` starts a transfer
+/// of `bytes` to each `(dst, bytes)` at the same instant. Site indices are
+/// drawn from `0..8` and taken modulo the script's site count.
+type Burst = (u64, usize, Vec<(usize, usize)>);
+
+fn script() -> impl Strategy<Value = (usize, Vec<Burst>)> {
+    let flow = (0usize..8, 2_000usize..200_001);
+    let burst = (0u64..200, 0usize..8, collection::vec(flow, 1..5));
+    (2usize..9, collection::vec(burst, 1..40))
+}
+
+fn mesh(sites: usize) -> NetModel {
+    let mut net = NetModel::new(0.0).with_model(NetworkModel::Flow);
+    for i in 0..sites {
+        // Unequal uplinks so bottlenecks move between source and sink side.
+        let bw = [1.25e6, 2.5e6, 5.0e6][i % 3];
+        net.add_site(SiteSpec::simple(
+            &format!("site{i}"),
+            SimDuration::from_millis(15),
+            bw,
+            0.05,
+        ));
+    }
+    net
+}
+
+/// Which discipline [`Driver`] replays.
+#[derive(Clone, Copy, PartialEq)]
+enum Discipline {
+    /// `start` → `recompute(links)`, `complete` → `recompute(links)`: the
+    /// arm the kernel carried until PR 17, transcribed.
+    Eager,
+    /// `start`×k → `mark_dirty`×k → one `recompute_dirty`: what the kernel
+    /// does after every dispatched entry.
+    Coalesced,
+}
+
+/// The kernel's side of the flow model without the kernel: the latest
+/// deadline per flow id, completions taken earliest-deadline-first (lowest
+/// flow id on ties), as `Shared::next_flow_due` does.
+struct Driver {
+    discipline: Discipline,
+    net: NetModel,
+    table: FlowTable,
+    due: BTreeMap<u32, (u32, SimTime)>,
+    out: Vec<(u32, u32, SimTime)>,
+    reschedules: usize,
+    /// Completion instant per transfer, keyed by its position in the script.
+    done: BTreeMap<u32, SimTime>,
+}
+
+impl Driver {
+    fn new(sites: usize, discipline: Discipline) -> Self {
+        Driver {
+            discipline,
+            net: mesh(sites),
+            table: FlowTable::new(sites),
+            due: BTreeMap::new(),
+            out: Vec::new(),
+            reschedules: 0,
+            done: BTreeMap::new(),
+        }
+    }
+
+    fn file_deadlines(&mut self) {
+        self.reschedules += self.out.len();
+        for (flow, generation, at) in self.out.drain(..) {
+            self.due.insert(flow, (generation, at));
+        }
+    }
+
+    /// One fair-share pass over `links` now, or a mark for the next flush.
+    fn membership_changed(&mut self, links: &[u32], now: SimTime) {
+        match self.discipline {
+            Discipline::Eager => {
+                self.table.recompute(links, now, &self.net, &mut self.out);
+                self.file_deadlines();
+            }
+            Discipline::Coalesced => self.table.mark_dirty(links),
+        }
+    }
+
+    /// End of one dispatched entry.
+    fn flush(&mut self, now: SimTime) -> Result<(), TestCaseError> {
+        if self.discipline == Discipline::Coalesced {
+            self.table.recompute_dirty(now, &self.net, &mut self.out);
+            self.file_deadlines();
+        }
+        prop_assert!(!self.table.has_dirty(), "dirty links survive a flush");
+        Ok(())
+    }
+
+    fn burst(
+        &mut self,
+        now: SimTime,
+        src: usize,
+        flows: &[(usize, usize)],
+        next_tag: &mut u32,
+    ) -> Result<(), TestCaseError> {
+        let sites = self.net.site_count();
+        for &(dst, bytes) in flows {
+            let (from, to) = (SiteId((src % sites) as u16), SiteId((dst % sites) as u16));
+            let latency = self
+                .net
+                .flow_latency(from, to, now)
+                .expect("no partitions in this world");
+            let payload = Payload::from(vec![0u8; 4]);
+            let id = self
+                .table
+                .start(from, to, bytes, latency, now, 0, 0, *next_tag, payload);
+            *next_tag += 1;
+            let (links, n) = self.table.links_of(id);
+            self.membership_changed(&links[..n], now);
+        }
+        self.flush(now)
+    }
+
+    /// Complete every transfer due at or before `until`.
+    fn drain(&mut self, until: SimTime) -> Result<(), TestCaseError> {
+        loop {
+            let next = self
+                .due
+                .iter()
+                .map(|(&flow, &(generation, at))| (at, flow, generation))
+                .min();
+            let Some((at, flow, generation)) = next else {
+                return Ok(());
+            };
+            if at > until {
+                return Ok(());
+            }
+            self.due.remove(&flow);
+            let cf = self
+                .table
+                .complete(flow, generation)
+                .expect("the filed generation is the live one");
+            prop_assert!(self.done.insert(cf.mtype, at).is_none());
+            self.membership_changed(&cf.links[..cf.nlinks], at);
+            self.flush(at)?;
+        }
+    }
+
+    fn replay(mut self, bursts: &[Burst]) -> Result<Self, TestCaseError> {
+        let mut now = SimTime::ZERO;
+        let mut tag = 0u32;
+        for (gap_ms, src, flows) in bursts {
+            now += SimDuration::from_millis(*gap_ms);
+            self.drain(now)?;
+            self.burst(now, *src, flows, &mut tag)?;
+        }
+        self.drain(SimTime::from_micros(u64::MAX))?;
+        prop_assert_eq!(self.table.active(), 0);
+        prop_assert_eq!(self.done.len(), tag as usize);
+        Ok(self)
+    }
+}
+
+proptest! {
+    #[test]
+    fn dirty_link_recompute_is_bit_identical_to_full_recompute((sites, bursts) in script()) {
+        let eager = Driver::new(sites, Discipline::Eager).replay(&bursts)?;
+        let coalesced = Driver::new(sites, Discipline::Coalesced).replay(&bursts)?;
+        prop_assert_eq!(
+            &eager.done, &coalesced.done,
+            "every transfer must complete at the bit-identical instant"
+        );
+        prop_assert!(
+            coalesced.reschedules <= eager.reschedules,
+            "coalescing scheduled more deadlines ({} vs eager {})",
+            coalesced.reschedules,
+            eager.reschedules
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The churn world, through the kernel.
+// ---------------------------------------------------------------------
 
 const SITES: usize = 8;
 
-/// Mesh of WAN-connected sites, mirroring the flow_churn bench topology:
-/// 15 ms WAN latency, 2.5 MB/s WAN uplinks, light constant load.
+/// Mesh of WAN-connected sites: 15 ms WAN latency, 2.5 MB/s WAN uplinks,
+/// light constant load.
 fn mesh_world() -> (NetModel, HostTable, Vec<HostId>) {
     let mut net = NetModel::new(0.0).with_model(NetworkModel::Flow);
     let mut hosts = HostTable::new();
@@ -86,21 +270,24 @@ impl Process for Sink {
     }
 }
 
-struct RunOut {
-    arrivals: Vec<(u32, u32, SimTime)>,
-    order_hash: u64,
-    flows_started: f64,
-    flows_completed: f64,
-    dirty_links: f64,
-    reschedules: f64,
-    stale_wakes: f64,
-}
+/// FNV-1a over every sink's `(from, mtype, arrival µs)` in arrival order,
+/// captured with one queue entry per rescheduled deadline (the parent of
+/// PR 12). The kernel now keeps one wake for the earliest deadline; that
+/// must move no completion instant and no per-sink arrival order. The eager
+/// recompute arm produced the same value until it was deleted in PR 17.
+const ARRIVALS_HASH: u64 = 0x8b4f_3a32_b2c3_77df;
 
-fn run(dirty: bool, batched: bool) -> RunOut {
+/// Event-order hash of the churn world, captured at the parent of PR 17
+/// with per-event dispatch forced. (With eager recompute forced as well the
+/// parent read `0xf046_4063_86b2_ed31`: the same arrivals, but extra
+/// superseded wakes take sequence numbers. That arm survives as
+/// [`ARRIVALS_HASH`] and the oracle above.)
+const CHURN_ORDER_HASH: u64 = 0x160a_b7ae_b2dc_4c9a;
+
+#[test]
+fn arrival_schedule_matches_the_per_flow_deadline_entries() {
     let (net, hosts, per_site) = mesh_world();
     let mut sim = Sim::new(net, hosts, 0x9e37);
-    sim.set_dirty_flow_recompute(dirty);
-    sim.set_batched_dispatch(batched);
     let sinks: Vec<ProcessId> = per_site
         .iter()
         .enumerate()
@@ -118,131 +305,39 @@ fn run(dirty: bool, batched: bool) -> RunOut {
         );
     }
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-    let mut arrivals = Vec::new();
+
+    let mut arrivals = 0;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &s in &sinks {
-        let mut a = sim
+        let got = sim
             .with_process::<Sink, _>(s, |x| x.arrivals.clone())
             .expect("sink alive");
-        arrivals.append(&mut a);
-    }
-    let m = sim.metrics();
-    RunOut {
-        arrivals,
-        order_hash: sim.event_order_hash(),
-        flows_started: m.counter("net.flows_started"),
-        flows_completed: m.counter("net.flows_completed"),
-        dirty_links: m.counter("net.flow_dirty_links"),
-        reschedules: m.counter("net.flows_reschedules"),
-        stale_wakes: m.counter("net.flows_stale_deadlines"),
-    }
-}
-
-#[test]
-fn dirty_link_recompute_is_bit_identical_to_full_recompute() {
-    let naive = run(false, true);
-    let dirty = run(true, true);
-    assert!(
-        naive.flows_started > 100.0,
-        "churn must start real flows (got {})",
-        naive.flows_started
-    );
-    assert_eq!(
-        naive.arrivals, dirty.arrivals,
-        "every transfer must complete at the bit-identical instant"
-    );
-    assert_eq!(naive.flows_started, dirty.flows_started);
-    assert_eq!(naive.flows_completed, dirty.flows_completed);
-    assert_eq!(naive.dirty_links, 0.0, "naive mode never marks links");
-    assert!(
-        dirty.dirty_links > 0.0,
-        "dirty mode must consume its worklist"
-    );
-    assert!(
-        dirty.reschedules <= naive.reschedules,
-        "coalescing must not schedule more deadlines than eager recomputes \
-         (dirty {} vs naive {})",
-        dirty.reschedules,
-        naive.reschedules
-    );
-}
-
-/// FNV-1a over every sink's `(from, mtype, arrival µs)` in arrival order,
-/// captured with one queue entry per rescheduled deadline (the parent of
-/// PR 12). The kernel now keeps one wake for the earliest deadline; that
-/// must move no completion instant and no per-sink arrival order.
-const ARRIVALS_HASH: u64 = 0x8b4f_3a32_b2c3_77df;
-
-#[test]
-fn arrival_schedule_matches_the_per_flow_deadline_entries() {
-    for dirty in [false, true] {
-        let r = run(dirty, true);
-        assert_eq!(r.arrivals.len(), 640);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &(from, mtype, at) in &r.arrivals {
+        arrivals += got.len();
+        for (from, mtype, at) in got {
             for w in [from as u64, mtype as u64, at.as_micros()] {
                 h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        assert_eq!(h, ARRIVALS_HASH, "dirty={dirty}: arrival schedule moved");
-        // One queue entry per reschedule would swallow
-        // `reschedules - completed` of them (3 200 here with dirty links).
-        assert!(
-            r.stale_wakes <= r.flows_completed,
-            "dirty={dirty}: {} wakes found nothing due for {} transfers",
-            r.stale_wakes,
-            r.flows_completed
-        );
     }
-}
-
-#[test]
-fn dispatch_mode_is_invisible_in_both_recompute_modes() {
-    for dirty in [false, true] {
-        let per_event = run(dirty, false);
-        let batched = run(dirty, true);
-        assert_eq!(
-            per_event.order_hash, batched.order_hash,
-            "dirty={dirty}: dispatch mode must not change the event order"
-        );
-        assert_eq!(per_event.arrivals, batched.arrivals);
-        assert_eq!(per_event.flows_completed, batched.flows_completed);
-        assert_eq!(per_event.reschedules, batched.reschedules);
-    }
-}
-
-#[test]
-fn process_wide_default_applies_to_new_sims() {
-    // The global default mirrors the per-sim knob (the mega A/B flips it
-    // without threading a flag through every cell builder). Every other
-    // test in this file sets the per-sim knobs explicitly, so flipping
-    // the default here cannot race with them.
-    let one_bulk_send = || {
-        let (net, hosts, per_site) = mesh_world();
-        let mut sim = Sim::new(net, hosts, 11);
-        let sink = sim.spawn("sink", per_site[1], Box::<Sink>::default());
-        sim.spawn(
-            "src",
-            per_site[0],
-            Box::new(Churner {
-                idx: 0,
-                peers: vec![sink],
-                sent: 59, // one burst, then stop
-            }),
-        );
-        sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-        sim.metrics().counter("net.flow_dirty_links")
-    };
-    set_default_dirty_flow_recompute(false);
-    let naive_dirty_links = one_bulk_send();
-    set_default_dirty_flow_recompute(true);
-    let dirty_dirty_links = one_bulk_send();
+    assert_eq!(arrivals, 640);
+    assert_eq!(h, ARRIVALS_HASH, "arrival schedule moved");
     assert_eq!(
-        naive_dirty_links, 0.0,
-        "default=false must recompute eagerly"
+        sim.event_order_hash(),
+        CHURN_ORDER_HASH,
+        "churn world dispatch order moved (got {:#018x})",
+        sim.event_order_hash()
     );
+
+    let m = sim.metrics();
+    assert_eq!(m.counter("net.flows_started"), 480.0);
+    assert_eq!(m.counter("net.flows_completed"), 480.0);
+    assert!(m.counter("net.flow_dirty_links") > 0.0);
+    // One queue entry per reschedule would swallow
+    // `reschedules - completed` of them (3 200 here).
     assert!(
-        dirty_dirty_links > 0.0,
-        "default=true must route through the worklist"
+        m.counter("net.flows_stale_deadlines") <= m.counter("net.flows_completed"),
+        "{} wakes found nothing due for {} transfers",
+        m.counter("net.flows_stale_deadlines"),
+        m.counter("net.flows_completed")
     );
-    let _ = set_default_batched_dispatch;
 }

@@ -3,10 +3,13 @@
 //! 1. **Tracing is deterministic**: two SC98 runs from the same seed emit
 //!    byte-identical JSONL span traces.
 //! 2. **Tracing is zero-cost to the model**: a run with tracing enabled
-//!    produces exactly the figure series and counters of a run with
-//!    tracing disabled — the SC98 figures are bit-identical either way.
+//!    produces exactly the figure series, the event order and every
+//!    counter and gauge of a run with tracing disabled — the traced run is
+//!    the same run.
 
-use everyware::{run_sc98, Sc98Config};
+use std::collections::BTreeMap;
+
+use everyware::{run_sc98, Sc98Config, Sc98Report};
 use ew_sim::SimDuration;
 
 fn short_cfg(trace_capacity: Option<usize>) -> Sc98Config {
@@ -45,6 +48,20 @@ fn same_seed_runs_emit_byte_identical_traces() {
     }
 }
 
+/// Every counter and gauge of the run's registry, by name.
+fn scalars(rep: &Sc98Report) -> BTreeMap<String, f64> {
+    let mut out = BTreeMap::new();
+    for h in &rep.health {
+        for (name, v) in &h.counters {
+            out.insert(format!("counter {name}"), *v);
+        }
+        for (name, v) in &h.gauges {
+            out.insert(format!("gauge {name}"), *v);
+        }
+    }
+    out
+}
+
 #[test]
 fn tracing_does_not_perturb_the_figures() {
     let plain = run_sc98(&short_cfg(None));
@@ -70,4 +87,15 @@ fn tracing_does_not_perturb_the_figures() {
             assert_eq!(p.value, t.value, "{name} series diverged");
         }
     }
+
+    // The whole registry, metric by metric: observing the run may not
+    // change what it counts.
+    assert_eq!(plain.event_order_hash, traced.event_order_hash);
+    let (p, t) = (scalars(&plain), scalars(&traced));
+    assert!(p.len() > 50, "the registry carries every subsystem");
+    for (name, v) in &p {
+        assert_eq!(Some(v), t.get(name), "{name} differs with tracing on");
+    }
+    assert_eq!(p.len(), t.len(), "tracing added a metric");
+    assert_eq!(plain.health, traced.health, "histograms included");
 }

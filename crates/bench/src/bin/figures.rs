@@ -8,30 +8,23 @@
 //!
 //! Subcommands: `fig2`, `fig3a`, `fig3b`, `fig3c`, `java`, `timeout`,
 //! `condor`, `scaling`, `criteria`, `health`, `chaos`, `workload-scaling`,
-//! `bench-farm`, `bench-kernel`, `bench-gate`, `mega`, `all`. `--short`
-//! runs a 2-hour window instead of the full 12 hours (for smoke tests);
-//! for `chaos` it cuts the campaign to one seed over 15 minutes. `chaos` sweeps the named fault plans of `ew-chaos` (see
-//! `results/chaos_*.json` and `results/BENCH_PR3.json`) and is not part
-//! of `all`. `--workload {ramsey,dag,faas}` selects the application the
-//! chaos campaign runs (default: ramsey, the byte-identical historical
-//! artifacts; other workloads write `chaos_<name>_*.json` and
-//! `BENCH_PR6_<name>.json`). `workload-scaling` sweeps the campaign world
-//! over pool sizes for the DAG and faas applications (or just the one
-//! named with `--workload`), writing `results/fig_<name>_scaling.json`. `bench-farm` measures the sim farm's sequential-vs-parallel
-//! wall-clock and writes `results/BENCH_PR4.json`. `bench-kernel` A/Bs
-//! the naive flip-delta kernel against the incremental delta table and
-//! allocation-free workspace kernels, writing honest wall-clock numbers
-//! to `results/BENCH_PR5.json` and thread-invariant trajectory
-//! fingerprints to `results/kernel_trajectories.json` (both arms must
-//! retrace the same moves, enforced with a nonzero exit). `mega` runs
-//! the full stack on a generated 1k+ host fleet through 1M+ work units
-//! (flow-level network model by default; `--net packet` for the
-//! packet-faithful A/B; `--short` is the 64-host/50k-unit CI variant),
-//! writing `results/mega_campaign.json` (deterministic, CI-diffed) and
-//! `results/BENCH_PR7.json` (events/sec, wall-clock, peak RSS).
-//! `bench-gate` is the CI perf-regression floor — a fixed-op-count
-//! throughput probe that exits nonzero below the floors in
-//! `results/bench_floor.json`.
+//! `mega`, `all`. `--short` runs a 2-hour window instead of the full 12
+//! hours (for smoke tests); for `chaos` it cuts the campaign to one seed
+//! over 15 minutes. `chaos` sweeps the named fault plans of `ew-chaos`
+//! (see `results/chaos_*.json` and `results/chaos_summary.json`) and is
+//! not part of `all`. `--workload {ramsey,dag,faas}` selects the
+//! application the chaos campaign runs (default: ramsey, the
+//! byte-identical historical artifacts; other workloads write
+//! `chaos_<name>_*.json` and `chaos_<name>_summary.json`).
+//! `workload-scaling` sweeps the campaign world over pool sizes for the
+//! DAG and faas applications (or just the one named with `--workload`),
+//! writing `results/fig_<name>_scaling.json`. `mega` runs the full stack
+//! on a generated 1k+ host fleet through 1M+ work units on the flow-level
+//! network model (`--short` is the 64-host/50k-unit CI variant), writing
+//! `results/mega_campaign.json` (deterministic, CI-diffed). This binary
+//! writes no host-time number (wall, events/sec, RSS) to `results/`:
+//! speed is measured by `benchmark/run.sh` and gated by
+//! `tests/perf_gate.sh`.
 //! `--seed N` reseeds. `--threads N` sets the sim-farm worker count
 //! (default: the `EW_THREADS` environment variable, else available
 //! parallelism; `--threads 1` reproduces the sequential behavior
@@ -41,9 +34,7 @@
 //! tracing on or off). Markdown goes to stdout; JSON artifacts go to
 //! `results/`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use everyware::{mean, run_sc98, Sc98Config, Sc98Report, JUDGING_END_S, JUDGING_START_S};
 use ew_bench::experiments::{
@@ -62,8 +53,6 @@ struct Options {
     threads: usize,
     /// Validated `--workload` name (`WorkloadSpec::by_name` accepted it).
     workload: Option<String>,
-    /// Validated `--net` mode for `mega` (`packet` or `flow`; default flow).
-    net: Option<String>,
 }
 
 /// Span-trace ring size for `--trace`: large enough to hold every record
@@ -463,8 +452,8 @@ fn chaos(opts: &Options) {
         write_json(&name, &value);
     }
     write_json(
-        &ew_chaos::bench_summary_stem(&cfg),
-        &ew_chaos::bench_summary_json(&cfg, reports),
+        &ew_chaos::summary_stem(&cfg),
+        &ew_chaos::summary_json(&cfg, reports),
     );
 }
 
@@ -586,400 +575,26 @@ fn render_all(opts: &Options, outs: Vec<BatteryOut>) {
     scaling_render(&scaling.expect("scaling battery ran"));
 }
 
-/// Measure the sim farm: the full chaos campaign and the `all` experiment
-/// batteries, once sequentially (`--threads 1`) and once at the requested
-/// worker count, writing `results/BENCH_PR4.json`. Wall-clock is host
-/// time; the JSON it lands in is a bench report, not a deterministic
-/// artifact. The campaign rendering of both runs is compared so the
-/// report also certifies thread-count invariance.
-fn bench_farm(opts: &Options) {
-    let cpus = ew_sim::available_threads();
-    let par = opts.threads.max(2);
-    let cfg = ew_chaos::CampaignConfig::standard(opts.seed, opts.short);
-
-    eprintln!("bench-farm: chaos campaign at 1 thread...");
-    let seq = ew_chaos::run_campaign_threads(&cfg, 1);
-    eprintln!("bench-farm: chaos campaign at {par} threads...");
-    let parallel = ew_chaos::run_campaign_threads(&cfg, par);
-    let render = |reports: &[ew_chaos::PlanReport]| -> String {
-        ew_chaos::campaign_json(&cfg, reports)
-            .into_iter()
-            .map(|(n, v)| format!("{n}:{}", serde_json::to_string_pretty(&v).unwrap()))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let identical = render(&seq.reports) == render(&parallel.reports);
-
-    eprintln!("bench-farm: figures batteries at 1 thread...");
-    let t0 = std::time::Instant::now();
-    let seq_out = {
-        let seq_opts = Options {
-            seed: opts.seed,
-            short: opts.short,
-            trace: None,
-            threads: 1,
-            workload: None,
-            net: None,
-        };
-        run_all_batteries(&seq_opts)
-    };
-    let figures_seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!("bench-farm: figures batteries at {par} threads...");
-    let t1 = std::time::Instant::now();
-    let par_out = {
-        let par_opts = Options {
-            seed: opts.seed,
-            short: opts.short,
-            trace: None,
-            threads: par,
-            workload: None,
-            net: None,
-        };
-        run_all_batteries(&par_opts)
-    };
-    let figures_par_ms = t1.elapsed().as_secs_f64() * 1e3;
-    drop(seq_out);
-    drop(par_out);
-
-    let speedup = |seq_ms: f64, par_ms: f64| {
-        if par_ms > 0.0 {
-            seq_ms / par_ms
-        } else {
-            0.0
-        }
-    };
-    write_json(
-        "BENCH_PR4",
-        &serde_json::json!({
-            "bench": "sim-farm sequential vs parallel wall-clock (PR 4)",
-            "host_cpus": cpus,
-            "short": opts.short,
-            "seed": opts.seed,
-            "campaign": {
-                "cells": seq.stats.cells,
-                "threads_parallel": par,
-                "wall_ms_threads_1": seq.stats.wall_ms,
-                "wall_ms_parallel": parallel.stats.wall_ms,
-                "speedup": speedup(seq.stats.wall_ms, parallel.stats.wall_ms),
-                "artifacts_byte_identical": identical,
-            },
-            "figures_all": {
-                "batteries": 5,
-                "threads_parallel": par,
-                "wall_ms_threads_1": figures_seq_ms,
-                "wall_ms_parallel": figures_par_ms,
-                "speedup": speedup(figures_seq_ms, figures_par_ms),
-            },
-            "note": "wall-clock is host time and varies run to run; every deterministic \
-                     artifact in results/ is byte-identical across thread counts. Speedup \
-                     tracks min(threads, host_cpus): a single-CPU host shows ~1.0x.",
-        }),
-    );
-    if !identical {
-        eprintln!("bench-farm: ERROR — parallel campaign diverged from sequential!");
-        std::process::exit(1);
-    }
-}
-
-/// Counting allocator so `bench-kernel` can report *measured* steady-state
-/// allocation counts rather than asserting them by construction. The
-/// count is global to the process; each probe reads it before and after a
-/// timed loop on this thread with no other work running.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
-
-/// FNV-1a over a byte stream — the trajectory fingerprint primitive.
-fn fnv64(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Run `steps` heuristic steps and fold every step outcome and objective
-/// value into an FNV fingerprint. Returns (move-sequence fingerprint,
-/// final-graph fingerprint, final objective, wall seconds).
-fn kernel_trajectory(
-    incremental: bool,
-    kind: u8,
-    seed: u64,
-    n: usize,
-    k: usize,
-    steps: u64,
-) -> (u64, u64, u64, f64) {
-    use ew_ramsey::{heuristic_by_kind, ColoredGraph, SearchState};
-    let mut rng = ew_sim::Xoshiro256::seed_from_u64(seed);
-    let g = ColoredGraph::random(n, &mut rng);
-    let mut st = if incremental {
-        SearchState::new_incremental(g, k)
-    } else {
-        SearchState::new(g, k)
-    };
-    let mut h = heuristic_by_kind(kind);
-    let mut moves_fp = 0u64;
-    let t = std::time::Instant::now();
-    for _ in 0..steps {
-        let outcome = h.step(&mut st, &mut rng);
-        moves_fp = fnv64(moves_fp, format!("{outcome:?}:{}", st.count()).as_bytes());
-    }
-    let secs = t.elapsed().as_secs_f64();
-    let graph_fp = fnv64(0, &st.graph().to_bytes());
-    (moves_fp, graph_fp, st.count(), secs)
-}
-
-/// Allocations observed across `f` on this thread (process-global counter,
-/// so the probe is only meaningful while nothing else runs).
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let r = f();
-    (r, ALLOC_CALLS.load(Ordering::Relaxed) - before)
-}
-
-fn bench_kernel(opts: &Options) {
-    use ew_ramsey::{flip_delta, flip_delta_ws, ColoredGraph, DeltaTable, OpsCounter, Workspace};
-
-    // --- Deterministic half: trajectory fingerprints over the sim farm.
-    // Every cell runs both kernel arms and both must retrace the same
-    // moves; the JSON is byte-identical for any --threads value.
-    let seeds: &[u64] = if opts.short {
-        &[101, 202]
-    } else {
-        &[101, 202, 303, 404]
-    };
-    let steps: u64 = if opts.short { 150 } else { 400 };
-    let (tn, tk) = (21usize, 4usize);
-    let mut cells: Vec<(u8, &str, u64)> = Vec::new();
-    for &(kind, name) in &[(0u8, "greedy"), (1, "tabu"), (2, "anneal")] {
-        for &seed in seeds {
-            cells.push((kind, name, seed.wrapping_add(opts.seed)));
-        }
-    }
-    eprintln!(
-        "bench-kernel: {} trajectory cells on {} thread(s)...",
-        cells.len(),
-        opts.threads
-    );
-    let (rows, farm_stats) = ew_sim::run_farm(opts.threads, &cells, |_, &(kind, name, seed)| {
-        let (naive_fp, naive_g, naive_c, _) = kernel_trajectory(false, kind, seed, tn, tk, steps);
-        let (tab_fp, tab_g, tab_c, _) = kernel_trajectory(true, kind, seed, tn, tk, steps);
-        let equal = naive_fp == tab_fp && naive_g == tab_g && naive_c == tab_c;
-        let row = serde_json::json!({
-            "heuristic": name,
-            "seed": seed,
-            "n": tn,
-            "k": tk,
-            "steps": steps,
-            "moves_fnv": format!("{naive_fp:016x}"),
-            "final_graph_fnv": format!("{naive_g:016x}"),
-            "final_count": naive_c,
-            "arms_identical": equal,
-        });
-        (row, equal)
-    });
-    let all_equal = rows.iter().all(|&(_, eq)| eq);
-    let rows: Vec<serde_json::Value> = rows.into_iter().map(|(row, _)| row).collect();
-    write_json(
-        "kernel_trajectories",
-        &serde_json::json!({
-            "bench": "naive vs incremental-table trajectory equivalence (PR 5)",
-            "short": opts.short,
-            "seed": opts.seed,
-            "cells": farm_stats.cells,
-            "trajectories": rows,
-        }),
-    );
-
-    // --- Wall-clock half: the honest A/B on the R(5)-class workload.
-    let n = 43usize;
-    let k = 5usize;
-    let ab_steps: u64 = if opts.short { 300 } else { 1500 };
-    let mut rng = ew_sim::Xoshiro256::seed_from_u64(opts.seed);
-    let g43 = ColoredGraph::random(n, &mut rng);
-
-    // Table construction cost (amortized over a whole unit's steps).
-    let t = std::time::Instant::now();
-    let mut ops = OpsCounter::new();
-    let mut ws = Workspace::new();
-    let table = DeltaTable::new(&g43, k, &mut ops, &mut ws);
-    let build_ms = t.elapsed().as_secs_f64() * 1e3;
-    drop(table);
-
-    // Single flip-delta evaluation: allocating wrapper vs reused arena.
-    let probe_calls = 20_000u64;
-    let t = std::time::Instant::now();
-    let mut acc = 0i64;
-    let (_, allocs_alloc) = count_allocs(|| {
-        for i in 0..probe_calls {
-            let (u, v) = ((i as usize * 7) % n, (i as usize * 13 + 1) % n);
-            if u != v {
-                acc += flip_delta(&g43, k, u.min(v), u.max(v), &mut ops);
-            }
-        }
-    });
-    let alloc_arm_s = t.elapsed().as_secs_f64();
-    flip_delta_ws(&g43, k, 0, 1, &mut ops, &mut ws); // warm the arena
-    let t = std::time::Instant::now();
-    let (_, allocs_ws) = count_allocs(|| {
-        for i in 0..probe_calls {
-            let (u, v) = ((i as usize * 7) % n, (i as usize * 13 + 1) % n);
-            if u != v {
-                acc += flip_delta_ws(&g43, k, u.min(v), u.max(v), &mut ops, &mut ws);
-            }
-        }
-    });
-    let ws_arm_s = t.elapsed().as_secs_f64();
-    std::hint::black_box(acc);
-
-    // Heuristic throughput, naive vs incremental, identical trajectories.
-    let mut heur: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut tabu_speedup = 0.0;
-    for &(kind, name) in &[(0u8, "greedy"), (1, "tabu")] {
-        let (fp_n, g_n, _, naive_s) = kernel_trajectory(false, kind, opts.seed, n, k, ab_steps);
-        let (fp_t, g_t, _, table_s) = kernel_trajectory(true, kind, opts.seed, n, k, ab_steps);
-        assert_eq!(
-            (fp_n, g_n),
-            (fp_t, g_t),
-            "{name} arms must retrace the same moves"
-        );
-        let speedup = if table_s > 0.0 {
-            naive_s / table_s
-        } else {
-            0.0
-        };
-        if kind == 1 {
-            tabu_speedup = speedup;
-        }
-        heur.insert(
-            name.to_string(),
-            serde_json::json!({
-                "steps": ab_steps,
-                "naive_steps_per_sec": ab_steps as f64 / naive_s,
-                "table_steps_per_sec": ab_steps as f64 / table_s,
-                "speedup": speedup,
-                "trajectories_identical": true,
-            }),
-        );
-    }
-
-    // Steady-state allocation audit of the incremental arm (greedy: its
-    // step loop owns no growing side structures, so any allocation would
-    // be the kernel's).
-    let mut rng = ew_sim::Xoshiro256::seed_from_u64(opts.seed ^ 0xA11C);
-    let mut st = ew_ramsey::SearchState::new_incremental(ColoredGraph::random(n, &mut rng), k);
-    let mut greedy = ew_ramsey::heuristic_by_kind(0);
-    for _ in 0..10 {
-        greedy.step(&mut st, &mut rng); // warm
-    }
-    let (_, allocs_steady) = count_allocs(|| {
-        for _ in 0..200 {
-            greedy.step(&mut st, &mut rng);
-        }
-    });
-
-    write_json(
-        "BENCH_PR5",
-        &serde_json::json!({
-            "bench": "incremental delta table + allocation-free kernels (PR 5)",
-            "short": opts.short,
-            "seed": opts.seed,
-            "workload": {"n": n, "k": k},
-            "table_build_ms": build_ms,
-            "flip_delta": {
-                "calls": probe_calls,
-                "alloc_per_call_per_sec": probe_calls as f64 / alloc_arm_s,
-                "workspace_per_sec": probe_calls as f64 / ws_arm_s,
-                "allocations_alloc_arm": allocs_alloc,
-                "allocations_workspace_arm": allocs_ws,
-            },
-            "heuristic_steps": heur,
-            "steady_state_allocations_greedy_200_steps": allocs_steady,
-            "note": "wall-clock is host time and varies run to run; trajectory \
-                     equivalence (results/kernel_trajectories.json) is the \
-                     deterministic, thread-invariant artifact. The table arm \
-                     replays the exact naive move sequence, so speedup is \
-                     like-for-like.",
-        }),
-    );
-    println!("## bench-kernel (PR 5)\n");
-    println!("| probe | naive | incremental | speedup |");
-    println!("|---|---|---|---|");
-    println!(
-        "| flip_delta calls/s | {:.0} | {:.0} (workspace) | {:.2}x |",
-        probe_calls as f64 / alloc_arm_s,
-        probe_calls as f64 / ws_arm_s,
-        alloc_arm_s / ws_arm_s
-    );
-    for (name, v) in &heur {
-        println!(
-            "| {name} steps/s | {:.1} | {:.1} | {:.2}x |",
-            v["naive_steps_per_sec"].as_f64().unwrap_or(0.0),
-            v["table_steps_per_sec"].as_f64().unwrap_or(0.0),
-            v["speedup"].as_f64().unwrap_or(0.0)
-        );
-    }
-    println!(
-        "\ntable build: {build_ms:.2} ms; steady-state allocations over 200 \
-         greedy steps: {allocs_steady}; trajectory cells identical: {all_equal}"
-    );
-    if !all_equal {
-        eprintln!("bench-kernel: ERROR — table arm diverged from the naive kernel!");
-        std::process::exit(1);
-    }
-    if tabu_speedup < 3.0 {
-        eprintln!(
-            "bench-kernel: ERROR — tabu speedup {tabu_speedup:.2}x below the 3x acceptance bar"
-        );
-        std::process::exit(1);
-    }
-}
-
 /// The `mega` campaign (PR 7): the full stack at 1k+ hosts / 1M+ work
-/// units, farmed shard-per-cell, defaulting to the flow-level network
-/// model. Writes the deterministic per-shard table to
-/// `results/mega_campaign.json` (CI diffs it across thread counts) and
-/// the host-dependent throughput numbers to `results/BENCH_PR7.json`.
-/// `--net packet` runs the identical worlds on the packet-faithful mode
-/// and suffixes both artifact names with `_packet`.
+/// units, farmed shard-per-cell, on the flow-level network model. Writes
+/// the deterministic per-shard table to `results/mega_campaign.json` (CI
+/// diffs it across thread counts); the host-dependent throughput numbers
+/// go to stdout only (`benchmark/`'s `mega_rpc` workload is their ledger).
 fn mega(opts: &Options) {
     use ew_bench::mega::{peak_rss_bytes, run_mega, MegaConfig};
     use ew_sim::NetworkModel;
 
-    let model = match opts.net.as_deref() {
-        Some("packet") => NetworkModel::Packet,
-        _ => NetworkModel::Flow,
-    };
     let cfg = if opts.short {
-        MegaConfig::short(opts.seed, model)
+        MegaConfig::short(opts.seed, NetworkModel::Flow)
     } else {
-        MegaConfig::full(opts.seed, model)
+        MegaConfig::full(opts.seed, NetworkModel::Flow)
     };
     eprintln!(
-        "mega: {} shards x {} hosts ({} total), {:.0} s horizon, {:?} mode, {} thread(s)...",
+        "mega: {} shards x {} hosts ({} total), {:.0} s horizon, Flow mode, {} thread(s)...",
         cfg.shards,
         cfg.spec.hosts_per_shard(),
         cfg.total_hosts(),
         cfg.horizon.as_secs_f64(),
-        model,
         opts.threads,
     );
     let out = run_mega(&cfg, opts.threads);
@@ -999,12 +614,6 @@ fn mega(opts: &Options) {
     } else {
         0.0
     };
-    // Flow-mode network events: one FlowComplete dispatch per scheduled
-    // deadline (completions + stale swallows). A per-MTU packet simulator
-    // would instead have scheduled `packets_avoided` events for the same
-    // traffic; our own Packet mode sits in between (one sampled-delay
-    // event per message — contention-blind, see DESIGN.md §12).
-    let flow_events = flows_completed + flows_stale;
 
     let rows: Vec<serde_json::Value> = out
         .shards
@@ -1027,16 +636,11 @@ fn mega(opts: &Options) {
             })
         })
         .collect();
-    let suffix = if model == NetworkModel::Packet {
-        "_packet"
-    } else {
-        ""
-    };
     write_json(
-        &format!("mega_campaign{suffix}"),
+        "mega_campaign",
         &serde_json::json!({
             "campaign": "mega: full stack at generated scale (PR 7)",
-            "net_model": if model == NetworkModel::Packet { "packet" } else { "flow" },
+            "net_model": "flow",
             "short": opts.short,
             "seed": opts.seed,
             "shards": cfg.shards,
@@ -1055,41 +659,6 @@ fn mega(opts: &Options) {
             "per_shard": rows,
         }),
     );
-    write_json(
-        &format!("BENCH_PR7{suffix}"),
-        &serde_json::json!({
-            "bench": "mega campaign throughput (PR 7)",
-            "net_model": if model == NetworkModel::Packet { "packet" } else { "flow" },
-            "short": opts.short,
-            "seed": opts.seed,
-            "threads": opts.threads,
-            "hosts": hosts,
-            "units": units,
-            "events": events,
-            "wall_ms": out.stats.wall_ms,
-            "events_per_sec": events_per_sec,
-            "peak_rss_bytes": peak_rss_bytes(),
-            "network_event_comparison": {
-                "flow_deadline_events": flow_events,
-                "messages": messages,
-                "per_mtu_packet_events_hypothetical": packets_avoided,
-                "note": "flow mode dispatches one deadline event per scheduled \
-                         completion (plus stale swallows from fair-share \
-                         migrations); a per-MTU packet-level simulator would \
-                         schedule `per_mtu_packet_events_hypothetical` events for \
-                         the same bytes. This repo's own Packet mode is already \
-                         per-message (one sampled-delay event each), so the \
-                         honest contrast with it is contention fidelity — \
-                         bandwidth sharing between concurrent flows — at a \
-                         comparable event count, not a raw event saving.",
-            },
-            "note": "wall_ms, events_per_sec, and peak_rss_bytes are host time and \
-                     vary run to run; results/mega_campaign.json holds the \
-                     deterministic per-shard counters (byte-identical at any \
-                     --threads value).",
-        }),
-    );
-
     println!("## mega campaign (PR 7)\n");
     println!("| quantity | value |");
     println!("|---|---|");
@@ -1124,209 +693,6 @@ fn mega(opts: &Options) {
     }
 }
 
-/// Horizon for `bench-gate`'s queue probe.
-const DISPATCH_HORIZON_US: u64 = 100_000_000;
-
-/// Bursty batch: entries arrive in same-tick runs of `burst` — the
-/// synchronized-timeout / broadcast shape.
-fn dispatch_burst_batch(n: u64, burst: u64) -> Vec<(u64, u64)> {
-    let mut s = 0x243f_6a88_85a3_08d3u64;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut t = 0u64;
-    for seq in 0..n {
-        if seq % burst == 0 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            t = s.wrapping_mul(0x2545_f491_4f6c_dd1d) % DISPATCH_HORIZON_US;
-        }
-        out.push((t, seq));
-    }
-    out
-}
-
-/// Insert + drain the batch through `pop_run_upto`, as the kernel's
-/// dispatch loop does. Returns an order checksum and the insert/drain phase times.
-fn dispatch_drain_runs(entries: &[(u64, u64)], buf: &mut Vec<(u64, u64, ())>) -> (u64, f64, f64) {
-    let t0 = std::time::Instant::now();
-    let mut w = ew_sim::EventQueue::new();
-    for &(t, seq) in entries {
-        w.insert(t, seq, ());
-    }
-    let insert_s = t0.elapsed().as_secs_f64();
-    let t0 = std::time::Instant::now();
-    let mut sum = 0u64;
-    loop {
-        if w.pop_run_upto(u64::MAX, buf) == 0 {
-            break;
-        }
-        for (t, seq, ()) in buf.drain(..) {
-            sum = sum.wrapping_add(t.wrapping_mul(31) ^ seq);
-        }
-    }
-    (sum, insert_s, t0.elapsed().as_secs_f64())
-}
-
-const FORECAST_PROBE_ROUNDS: u64 = 25;
-
-/// The `bench-gate` forecast probe: 25 fresh standard batteries over
-/// `series`, `update` + `predict` per sample — the per-RPC shape of §2.2.
-/// Returns a checksum of every forecast's bits and the elapsed seconds.
-fn forecast_probe(series: &[f64]) -> (u64, f64) {
-    let t0 = std::time::Instant::now();
-    let mut sum = 0u64;
-    for _ in 0..FORECAST_PROBE_ROUNDS {
-        let mut set = ew_forecast::ForecasterSet::standard();
-        for &x in series {
-            set.update(x);
-            let f = set.predict().expect("one sample absorbed");
-            sum = sum.wrapping_mul(31).wrapping_add(f.value.to_bits());
-        }
-    }
-    (sum, t0.elapsed().as_secs_f64())
-}
-
-/// The 2 000-sample seeded load trace `benchmark/`'s `forecast.*` probes run.
-fn forecast_probe_series() -> Vec<f64> {
-    use ew_sim::{LoadTrace, RandomWalkLoad, SimTime, Xoshiro256};
-    let (n, step) = (2_000u64, SimDuration::from_secs(30));
-    let mut rng = Xoshiro256::seed_from_u64(7);
-    let walk = RandomWalkLoad::new(&mut rng, step * n, step, 0.35, 0.05, 0.95);
-    (0..n)
-        .map(|i| walk.load(SimTime::ZERO + step * i))
-        .collect()
-}
-
-/// `bench-gate` (PR 8, extended PR 9 and PR 14): the CI perf-regression
-/// floor. A fixed-op-count throughput probe set — the burst32 queue drain,
-/// the `mega --short` campaign, and the forecaster battery's update +
-/// predict cycle —
-/// reports events/sec and allocation counts and exits nonzero if any
-/// throughput falls below the floor recorded in
-/// `results/bench_floor.json`. To re-baseline after an intentional perf
-/// change: run `figures -- bench-gate` on the reference host, multiply
-/// the printed events/sec by 0.6, and commit the new floor file (see
-/// EXPERIMENTS.md).
-fn bench_gate(opts: &Options) {
-    use ew_bench::mega::{run_mega, MegaConfig};
-    use ew_sim::NetworkModel;
-
-    // The floor file is a flat `"key": number` object; extract the two
-    // floors with a key scan (the in-tree serde_json shim writes JSON but
-    // does not parse it).
-    fn floor_value(s: &str, key: &str) -> Option<f64> {
-        let at = s.find(&format!("\"{key}\""))?;
-        let rest = &s[at..];
-        let colon = rest.find(':')?;
-        let num = rest[colon + 1..]
-            .trim_start()
-            .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-            .next()?;
-        num.parse().ok()
-    }
-    let floor_path = "results/bench_floor.json";
-    let floor = match std::fs::read_to_string(floor_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!(
-                "bench-gate: cannot read {floor_path}: {e}\n\
-                 (re-baseline: run `figures -- bench-gate`, take 0.6x of the \
-                 printed events/sec, and commit the floor file)"
-            );
-            std::process::exit(2);
-        }
-    };
-    let (queue_floor, kernel_floor, forecast_floor) = match (
-        floor_value(&floor, "queue_burst32_events_per_sec_floor"),
-        floor_value(&floor, "mega_short_events_per_sec_floor"),
-        floor_value(&floor, "forecast_update_predict_per_sec_floor"),
-    ) {
-        (Some(q), Some(k), Some(f)) => (q, k, f),
-        _ => {
-            eprintln!(
-                "bench-gate: {floor_path} is missing \
-                 queue_burst32_events_per_sec_floor, \
-                 mega_short_events_per_sec_floor, or \
-                 forecast_update_predict_per_sec_floor"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    let n: u64 = 100_000;
-    let entries = dispatch_burst_batch(n, 32);
-    let (queue_s, queue_allocs) = {
-        let mut best = f64::INFINITY;
-        let mut allocs = 0u64;
-        let mut buf: Vec<(u64, u64, ())> = Vec::new();
-        for _ in 0..8 {
-            let ((_, ins_s, drain_s), a) = count_allocs(|| dispatch_drain_runs(&entries, &mut buf));
-            best = best.min(ins_s + drain_s);
-            allocs = a; // each round grows a fresh heap
-        }
-        (best, allocs)
-    };
-    let queue_eps = n as f64 / queue_s;
-
-    let cfg = MegaConfig::short(opts.seed, NetworkModel::Flow);
-    let (out, mega_allocs) = count_allocs(|| run_mega(&cfg, opts.threads));
-    let events = out.total(|s| s.events);
-    let kernel_eps = events as f64 / (out.stats.wall_ms / 1e3);
-
-    let series = forecast_probe_series();
-    let forecast_ops = FORECAST_PROBE_ROUNDS * series.len() as u64;
-    let (forecast_s, forecast_allocs) = {
-        let (want, _) = forecast_probe(&series);
-        let mut best = f64::INFINITY;
-        let mut allocs = 0u64;
-        for _ in 0..8 {
-            let ((sum, s), a) = count_allocs(|| forecast_probe(&series));
-            assert_eq!(sum, want, "forecast bits must repeat run to run");
-            best = best.min(s);
-            allocs = a; // building the 25 batteries; none per sample
-        }
-        (best, allocs)
-    };
-    let forecast_eps = forecast_ops as f64 / forecast_s;
-
-    println!("## bench-gate (PR 14)\n");
-    println!("| probe | ops | events/sec | allocations | floor |");
-    println!("|---|---|---|---|---|");
-    println!(
-        "| queue burst32 drain | {n} | {queue_eps:.3e} | {queue_allocs} | {queue_floor:.3e} |"
-    );
-    println!("| mega --short | {events} | {kernel_eps:.3e} | {mega_allocs} | {kernel_floor:.3e} |");
-    println!(
-        "| forecast update+predict | {forecast_ops} | {forecast_eps:.3e} | {forecast_allocs} | {forecast_floor:.3e} |"
-    );
-    let mut failed = false;
-    if queue_eps < queue_floor {
-        eprintln!(
-            "bench-gate: ERROR — queue burst32 {queue_eps:.3e} ev/s is below \
-             the {queue_floor:.3e} floor"
-        );
-        failed = true;
-    }
-    if kernel_eps < kernel_floor {
-        eprintln!(
-            "bench-gate: ERROR — mega --short {kernel_eps:.3e} ev/s is below \
-             the {kernel_floor:.3e} floor"
-        );
-        failed = true;
-    }
-    if forecast_eps < forecast_floor {
-        eprintln!(
-            "bench-gate: ERROR — forecast update+predict {forecast_eps:.3e} /s is \
-             below the {forecast_floor:.3e} floor"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("bench-gate: all probes clear the committed floor");
-}
-
 fn write_trace(opts: &Options, rep: &Sc98Report) {
     if let Some(path) = &opts.trace {
         match rep.trace_jsonl.as_ref() {
@@ -1339,7 +705,7 @@ fn write_trace(opts: &Options, rep: &Sc98Report) {
     }
 }
 
-const COMMANDS: [&str; 20] = [
+const COMMANDS: [&str; 17] = [
     "fig2",
     "fig3a",
     "fig3b",
@@ -1355,22 +721,16 @@ const COMMANDS: [&str; 20] = [
     "health",
     "chaos",
     "workload-scaling",
-    "bench-farm",
-    "bench-kernel",
-    "bench-gate",
     "mega",
     "all",
 ];
-
-/// Valid `--net` values for `mega`.
-const NET_MODES: [&str; 2] = ["packet", "flow"];
 
 /// Valid `--workload` values (everything `WorkloadSpec::by_name` accepts).
 const WORKLOADS: [&str; 3] = ["ramsey", "dag", "faas"];
 
 fn usage() -> String {
     format!(
-        "usage: figures -- <command> [--short] [--seed N] [--threads N] [--workload W] [--net M] [--trace PATH]\n\
+        "usage: figures -- <command> [--short] [--seed N] [--threads N] [--workload W] [--trace PATH]\n\
          commands: {}\n\
          \x20 --short       smoke-test sizes (2 h SC98 window; 1-seed 15-min chaos campaign;\n\
          \x20               64-host/50k-unit mega)\n\
@@ -1381,11 +741,9 @@ fn usage() -> String {
          \x20 --workload W  application for chaos / workload-scaling: one of\n\
          \x20               {} (default: ramsey for chaos; dag and faas\n\
          \x20               for workload-scaling)\n\
-         \x20 --net M       network model for mega: one of {} (default: flow)\n\
          \x20 --trace PATH  write SC98 span-trace JSONL to PATH",
         COMMANDS.join(" "),
-        WORKLOADS.join(", "),
-        NET_MODES.join(", ")
+        WORKLOADS.join(", ")
     )
 }
 
@@ -1397,7 +755,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
         trace: None,
         threads: 0,
         workload: None,
-        net: None,
     };
     let mut threads_flag: Option<usize> = None;
     let mut it = args.iter();
@@ -1425,16 +782,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                     ));
                 }
                 None => return Err("--workload needs a name".into()),
-            },
-            "--net" => match it.next() {
-                Some(m) if NET_MODES.contains(&m.as_str()) => opts.net = Some(m.clone()),
-                Some(m) => {
-                    return Err(format!(
-                        "unknown net mode {m:?} (expected one of: {})",
-                        NET_MODES.join(", ")
-                    ));
-                }
-                None => return Err("--net needs a mode".into()),
             },
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with('-') => {
@@ -1507,9 +854,6 @@ fn main() {
         "health" => health(rep.as_ref().unwrap()),
         "chaos" => chaos(&opts),
         "workload-scaling" => workload_scaling(&opts),
-        "bench-farm" => bench_farm(&opts),
-        "bench-kernel" => bench_kernel(&opts),
-        "bench-gate" => bench_gate(&opts),
         "mega" => mega(&opts),
         "all" => {
             eprintln!(
@@ -1624,17 +968,18 @@ mod tests {
         assert!(u.contains("workload-scaling"));
         assert!(u.contains("ramsey, dag, faas"));
         assert!(u.contains("mega"));
-        assert!(u.contains("packet, flow"));
     }
 
     #[test]
-    fn dispatch_bench_and_gate_parse() {
-        // `bench-gate` carries the one dispatch probe left (burst32 drain);
-        // the two A/B commands went with the arms they compared.
-        let (cmd, opts) = parse(&["bench-gate", "--short", "--threads", "2"]).unwrap();
-        assert_eq!(cmd, "bench-gate");
-        assert!(opts.short);
-        for retired in ["bench-dispatch", "bench-flow"] {
+    fn retired_bench_commands_are_unknown() {
+        // Host-time measurement lives in `benchmark/` only.
+        for retired in [
+            "bench-dispatch",
+            "bench-flow",
+            "bench-farm",
+            "bench-kernel",
+            "bench-gate",
+        ] {
             let err = parse(&[retired]).unwrap_err();
             assert!(err.contains("unknown command"), "{retired}: {err}");
         }
@@ -1642,31 +987,16 @@ mod tests {
 
     #[test]
     fn mega_parses_with_its_flags() {
-        let (cmd, opts) = parse(&["mega", "--short", "--net", "packet", "--threads", "2"]).unwrap();
+        let (cmd, opts) = parse(&["mega", "--short", "--threads", "2"]).unwrap();
         assert_eq!(cmd, "mega");
         assert!(opts.short);
-        assert_eq!(opts.net.as_deref(), Some("packet"));
         assert_eq!(opts.threads, 2);
     }
 
     #[test]
-    fn every_valid_net_mode_is_accepted() {
-        for m in NET_MODES {
-            let (_, opts) = parse(&["mega", "--net", m]).unwrap();
-            assert_eq!(opts.net.as_deref(), Some(m));
-        }
-    }
-
-    #[test]
-    fn unknown_net_mode_is_rejected_with_the_valid_set() {
-        let err = parse(&["mega", "--net", "carrier-pigeon"]).unwrap_err();
-        assert!(err.contains("unknown net mode"), "{err}");
-        assert!(err.contains("packet, flow"), "{err}");
-    }
-
-    #[test]
-    fn net_flag_without_a_value_is_rejected() {
-        let err = parse(&["mega", "--net"]).unwrap_err();
-        assert!(err.contains("--net needs a mode"), "{err}");
+    fn net_flag_is_unknown() {
+        // `mega` has one network model and no flag to pick another.
+        let err = parse(&["mega", "--net", "flow"]).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 }

@@ -6,14 +6,14 @@
 //! state, log host, and an [`InfraSupervisor`]-managed worker fleet —
 //! the same deployment the chaos campaigns exercise — but sized so the
 //! fleet as a whole crosses 1k hosts and completes over a million Ramsey
-//! work units. Shards default to the flow-level network model
-//! ([`NetworkModel::Flow`]); `--net packet` runs the same worlds on the
-//! packet-faithful mode for an apples-to-apples event-count comparison.
+//! work units. `figures -- mega` runs the shards on the flow-level
+//! network model ([`NetworkModel::Flow`]); [`NetworkModel::Packet`] gives
+//! bit-identical shards on this all-RPC traffic (pinned by the tests
+//! below and `tests/event_order_determinism.rs`).
 //!
-//! Two artifacts split the deterministic from the host-dependent:
 //! `results/mega_campaign.json` holds only seed-deterministic per-shard
-//! counters (byte-identical at any `--threads`, diffed in CI), while
-//! `results/BENCH_PR7.json` adds wall-clock, events/sec, and peak RSS.
+//! counters (byte-identical at any `--threads`, diffed in CI); wall-clock,
+//! events/sec and peak RSS are `benchmark/`'s `mega_rpc` workload.
 
 use ew_infra::{build_mega_shard, InfraSpec, InfraSupervisor, MegaSpec};
 use ew_ramsey::RamseyProblem;

@@ -581,24 +581,21 @@ pub fn campaign_json(
                 "recovery_fraction": RECOVERY_FRACTION,
                 "runs": serde_json::Value::Array(runs),
             });
-            let stem = if wname == "ramsey" {
-                format!("chaos_{}", plan.name)
-            } else {
+            if wname != "ramsey" {
                 if let serde_json::Value::Object(map) = &mut value {
                     map.insert("workload".into(), serde_json::json!(wname));
                 }
-                format!("chaos_{}_{}", wname, plan.name)
-            };
-            (stem, value)
+            }
+            (artifact_stem(wname, &plan.name), value)
         })
         .collect()
 }
 
-/// The campaign summary artifact (`results/BENCH_PR3.json` for the
-/// historical Ramsey campaign, `results/BENCH_PR6_<workload>.json`
-/// otherwise — see [`bench_summary_stem`]): per-plan mean work-loss for
+/// The campaign summary artifact (`results/chaos_summary.json` for the
+/// historical Ramsey campaign, `results/chaos_<workload>_summary.json`
+/// otherwise — see [`summary_stem`]): per-plan mean work-loss for
 /// both arms plus median adaptive recovery, averaged over seeds.
-pub fn bench_summary_json(cfg: &CampaignConfig, reports: &[PlanReport]) -> serde_json::Value {
+pub fn summary_json(cfg: &CampaignConfig, reports: &[PlanReport]) -> serde_json::Value {
     let mut plans = std::collections::BTreeMap::new();
     for plan in &cfg.plans {
         let cells: Vec<&PlanReport> = reports.iter().filter(|r| r.plan == plan.name).collect();
@@ -649,15 +646,20 @@ pub fn bench_summary_json(cfg: &CampaignConfig, reports: &[PlanReport]) -> serde
     value
 }
 
-/// File stem of the campaign summary: the historical `BENCH_PR3` for the
-/// Ramsey campaign, `BENCH_PR6_<workload>` for the new applications.
-pub fn bench_summary_stem(cfg: &CampaignConfig) -> String {
-    let wname = cfg.workload.name();
+/// The one naming rule for campaign artifacts: `chaos_<tail>` for the
+/// historical Ramsey campaign, `chaos_<workload>_<tail>` otherwise.
+fn artifact_stem(wname: &str, tail: &str) -> String {
     if wname == "ramsey" {
-        "BENCH_PR3".into()
+        format!("chaos_{tail}")
     } else {
-        format!("BENCH_PR6_{wname}")
+        format!("chaos_{wname}_{tail}")
     }
+}
+
+/// File stem of the campaign summary: `chaos_summary` for the Ramsey
+/// campaign, `chaos_<workload>_summary` for the other applications.
+pub fn summary_stem(cfg: &CampaignConfig) -> String {
+    artifact_stem(cfg.workload.name(), "summary")
 }
 
 /// Pool sizes swept by the workload scaling figure.

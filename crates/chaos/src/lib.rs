@@ -31,8 +31,8 @@ pub mod campaign;
 pub mod plan;
 
 pub use campaign::{
-    bench_summary_json, bench_summary_stem, campaign_json, run_campaign, run_campaign_threads,
-    scaling_json, ArmReport, CampaignConfig, CampaignRun, PlanReport, N_COMPUTE, SCALING_POOLS,
+    campaign_json, run_campaign, run_campaign_threads, scaling_json, summary_json, summary_stem,
+    ArmReport, CampaignConfig, CampaignRun, PlanReport, N_COMPUTE, SCALING_POOLS,
 };
 pub use plan::{
     standard_plans, CompiledFaults, CompiledImpairment, CompiledPartition, CompiledSpike, FaultOp,

@@ -6,16 +6,15 @@
 
 use ew_bench::experiments::timeout_ablation;
 use ew_chaos::{
-    bench_summary_json, bench_summary_stem, campaign_json, run_campaign_threads, scaling_json,
-    CampaignConfig,
+    campaign_json, run_campaign_threads, scaling_json, summary_json, summary_stem, CampaignConfig,
 };
 use ew_sim::SimDuration;
 use ew_workload::WorkloadSpec;
 
 /// Render the full set of campaign artifacts exactly as `figures -- chaos`
-/// writes them: every `chaos_*.json` payload plus the bench summary
-/// (`BENCH_PR3.json` for ramsey, `BENCH_PR6_<name>.json` otherwise), as
-/// one pretty-printed string.
+/// writes them: every `chaos_*.json` payload plus the campaign summary
+/// (`chaos_summary.json` for ramsey, `chaos_<name>_summary.json`
+/// otherwise), as one pretty-printed string.
 fn campaign_artifacts(cfg: &CampaignConfig, reports: &[ew_chaos::PlanReport]) -> String {
     let mut out = String::new();
     for (name, value) in campaign_json(cfg, reports) {
@@ -24,9 +23,9 @@ fn campaign_artifacts(cfg: &CampaignConfig, reports: &[ew_chaos::PlanReport]) ->
         out.push_str(&serde_json::to_string_pretty(&value).unwrap());
         out.push('\n');
     }
-    out.push_str(&bench_summary_stem(cfg));
+    out.push_str(&summary_stem(cfg));
     out.push('\n');
-    out.push_str(&serde_json::to_string_pretty(&bench_summary_json(cfg, reports)).unwrap());
+    out.push_str(&serde_json::to_string_pretty(&summary_json(cfg, reports)).unwrap());
     out
 }
 
@@ -61,7 +60,7 @@ fn chaos_campaign_is_byte_identical_across_thread_counts() {
 #[test]
 fn dag_campaign_is_byte_identical_across_thread_counts() {
     // The exact configuration `figures -- chaos --short --workload dag`
-    // runs: every chaos_dag_*.json payload plus BENCH_PR6_dag.json must
+    // runs: every chaos_dag_*.json payload plus chaos_dag_summary.json must
     // not depend on the worker count.
     let cfg =
         CampaignConfig::standard(1998, true).with_workload(WorkloadSpec::by_name("dag").unwrap());
@@ -72,7 +71,7 @@ fn dag_campaign_is_byte_identical_across_thread_counts() {
         reference.contains("\"workload\": \"dag\""),
         "dag artifacts are tagged with their workload"
     );
-    assert!(reference.contains("BENCH_PR6_dag"));
+    assert!(reference.contains("chaos_dag_summary"));
     let run = run_campaign_threads(&cfg, 4);
     assert_eq!(
         campaign_artifacts(&cfg, &run.reports),

@@ -21,7 +21,4 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo clippy -p ew-workload (warnings are errors)"
 cargo clippy -p ew-workload --all-targets --offline -- -D warnings
 
-echo "== cargo bench --no-run (benches must keep compiling)"
-cargo bench --workspace --no-run --offline
-
 echo "lint gate: OK"

@@ -12,24 +12,24 @@
 //! duration feeds the key's [`ForecasterSet`].
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::Hash;
 
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime};
 
 use crate::selector::{Forecast, ForecasterSet};
 
 /// Registry of timed-event forecast streams keyed by `K`.
 pub struct DynamicBenchmark<K: Hash + Eq + Clone> {
-    streams: HashMap<K, ForecasterSet>,
-    open: HashMap<(K, u64), SimTime>,
+    streams: FxHashMap<K, ForecasterSet>,
+    open: FxHashMap<(K, u64), SimTime>,
 }
 
 impl<K: Hash + Eq + Clone> Default for DynamicBenchmark<K> {
     fn default() -> Self {
         DynamicBenchmark {
-            streams: HashMap::new(),
-            open: HashMap::new(),
+            streams: FxHashMap::default(),
+            open: FxHashMap::default(),
         }
     }
 }

@@ -25,8 +25,7 @@
 //! seeded by the owning process, so a whole chaos campaign replays
 //! bit-identically from one seed.
 
-use std::collections::HashMap;
-
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{CounterId, Ctx, SimDuration, SimTime, Xoshiro256};
 
 /// Tunables for [`RetryPolicy`].
@@ -135,7 +134,7 @@ struct PeerCircuit {
 /// half-open probe after a cool-down.
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
-    peers: HashMap<u64, PeerCircuit>,
+    peers: FxHashMap<u64, PeerCircuit>,
 }
 
 impl CircuitBreaker {
@@ -143,7 +142,7 @@ impl CircuitBreaker {
     pub fn new(cfg: BreakerConfig) -> Self {
         CircuitBreaker {
             cfg,
-            peers: HashMap::new(),
+            peers: FxHashMap::default(),
         }
     }
 

@@ -10,8 +10,7 @@
 //! [`TimeoutPolicy`]; `ew-forecast` supplies the forecast-driven
 //! implementation and a static one exists here for the §2.2 ablation.
 
-use std::collections::HashMap;
-
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime};
 
 /// A `(peer, message-type)` event class — the paper's dynamic-benchmark tag.
@@ -69,14 +68,14 @@ pub struct Pending<M> {
 /// Tracks outstanding requests for one component.
 pub struct RpcTracker<M> {
     next_corr: u64,
-    outstanding: HashMap<u64, Pending<M>>,
+    outstanding: FxHashMap<u64, Pending<M>>,
 }
 
 impl<M> Default for RpcTracker<M> {
     fn default() -> Self {
         RpcTracker {
             next_corr: 1,
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
         }
     }
 }
@@ -177,6 +176,11 @@ impl<M> RpcTracker<M> {
     /// differently depending on the caller's timer style. One distinct
     /// tag per batch restores "one outage, one signal" for both camps.
     pub fn expire(&mut self, now: SimTime, policy: &mut dyn TimeoutPolicy) -> Vec<Pending<M>> {
+        // Determinism note: this is the map's only iteration that could
+        // show its order, and the ids it collects are sorted before use
+        // (`next_deadline` takes a `min`), so the hasher cannot reach the
+        // order of expiries — the same argument `ew_sim::hashers` makes
+        // for the kernel maps.
         let mut expired_ids: Vec<u64> = self
             .outstanding
             .iter()

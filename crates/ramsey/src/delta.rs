@@ -71,8 +71,9 @@ pub struct DeltaTable {
     stats: TableStats,
 }
 
+/// Position of edge `(u, v)`, `u < v`, in the triangular layout.
 #[inline]
-fn edge_index(n: usize, u: usize, v: usize) -> usize {
+pub(crate) fn edge_index(n: usize, u: usize, v: usize) -> usize {
     debug_assert!(u < v && v < n);
     u * (2 * n - u - 1) / 2 + (v - u - 1)
 }
@@ -109,24 +110,9 @@ impl DeltaTable {
         table
     }
 
-    /// The clique size this table tracks.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Life-so-far counters.
     pub fn stats(&self) -> TableStats {
         self.stats
-    }
-
-    /// The table entry `count_through_edge(color, k, u, v)`.
-    pub fn through(&self, color: Color, u: usize, v: usize) -> u64 {
-        let (u, v) = (u.min(v), u.max(v));
-        let e = edge_index(self.n, u, v);
-        match color {
-            Color::Red => self.red[e],
-            Color::Blue => self.blue[e],
-        }
     }
 
     /// The objective change if `(u, v)` were flipped: one lookup per

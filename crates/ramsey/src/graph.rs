@@ -39,6 +39,10 @@ pub struct ColoredGraph {
 }
 
 impl ColoredGraph {
+    /// Largest vertex count accepted from outside input (a shipped graph's
+    /// header, a work unit's `n`): bounds every allocation sized from it.
+    pub const MAX_VERTICES: usize = 4096;
+
     /// Complete graph with every edge the given color.
     pub fn monochromatic(n: usize, color: Color) -> Self {
         assert!(n >= 1, "graph needs at least one vertex");
@@ -201,7 +205,7 @@ impl ColoredGraph {
             return None;
         }
         let n = u32::from_be_bytes(bytes[..4].try_into().ok()?) as usize;
-        if n == 0 || n > 4096 {
+        if n == 0 || n > Self::MAX_VERTICES {
             return None;
         }
         let edges = n * (n - 1) / 2;

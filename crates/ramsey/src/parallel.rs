@@ -18,17 +18,18 @@
 use rayon::prelude::*;
 
 use crate::cliques::{flip_delta, OpsCounter};
-use crate::search::{Heuristic, SearchState, StepOutcome};
+use crate::search::{Heuristic, SearchState, StepOutcome, TenureTable};
 use ew_sim::Xoshiro256;
 
 /// Steepest-descent with exhaustive parallel candidate evaluation and a
-/// tabu tenure for plateau escape.
+/// tabu tenure for plateau escape. The tenures are the dense table
+/// `TabuSearch` keeps — `until[edge]`, triangular, `8 · n(n-1)/2` bytes;
+/// entry ≤ `step_no` ⇔ not tabu, 0 = never flipped — which the workers
+/// share read-only.
 pub struct ParallelSteepest {
     /// Steps an edge stays tabu after being flipped.
     pub tenure: u64,
-    step_no: u64,
-    /// Edge → expiry step.
-    tabu: std::collections::HashMap<(usize, usize), u64>,
+    tabu: TenureTable,
     best_seen: u64,
 }
 
@@ -37,8 +38,7 @@ impl ParallelSteepest {
     pub fn new(tenure: u64) -> Self {
         ParallelSteepest {
             tenure,
-            step_no: 0,
-            tabu: std::collections::HashMap::new(),
+            tabu: TenureTable::default(),
             best_seen: u64::MAX,
         }
     }
@@ -121,29 +121,21 @@ impl Heuristic for ParallelSteepest {
         if state.is_counter_example() {
             return StepOutcome::Solved;
         }
-        self.step_no += 1;
         self.best_seen = self.best_seen.min(state.count());
-        let step_no = self.step_no;
+        let n = state.graph().n();
+        self.tabu.begin_step(n);
         let tabu = &self.tabu;
         let count = state.count() as i64;
         let best_seen = self.best_seen as i64;
-        let (best, ops) = best_flip_parallel(
-            state,
-            |u, v| tabu.get(&(u, v)).is_some_and(|&until| until > step_no),
-            |d| count + d < best_seen,
-        );
+        let (best, ops) =
+            best_flip_parallel(state, |u, v| tabu.is_tabu(u, v), |d| count + d < best_seen);
         state.add_external_ops(ops);
-        let n = state.graph().n();
         state.note_table_lookups((n * (n - 1) / 2) as u64);
         let Some((u, v, d)) = best else {
             return StepOutcome::Stuck;
         };
         state.apply_flip_with_delta(u, v, d);
-        self.tabu.insert((u, v), self.step_no + self.tenure);
-        if self.tabu.len() > 4096 {
-            let now = self.step_no;
-            self.tabu.retain(|_, &mut until| until > now);
-        }
+        self.tabu.forbid(u, v, self.tenure);
         StepOutcome::Moved { delta: d }
     }
 }

@@ -9,14 +9,10 @@
 //! multiple heuristics whose "execution profile ... depends largely on the
 //! point in the search space where it is searching" (§4).
 
-use std::collections::HashMap;
-
 use ew_sim::Xoshiro256;
 
-#[cfg(test)]
-use crate::cliques::count_total;
 use crate::cliques::{count_total_ws, flip_delta_ws, OpsCounter, Workspace};
-use crate::delta::DeltaTable;
+use crate::delta::{edge_index, DeltaTable};
 use crate::graph::ColoredGraph;
 
 /// Kernel-level counters a search run accumulates — the source of the
@@ -86,18 +82,9 @@ impl SearchState {
     /// across flips. Construction pays one full per-edge counting pass.
     pub fn new_incremental(graph: ColoredGraph, k: usize) -> Self {
         let mut state = Self::new(graph, k);
-        state.enable_table();
+        let table = DeltaTable::new(&state.graph, k, &mut state.ops, &mut state.ws);
+        state.table = Some(table);
         state
-    }
-
-    /// Build (or rebuild) the incremental delta table for this coloring.
-    pub fn enable_table(&mut self) {
-        self.table = Some(DeltaTable::new(
-            &self.graph,
-            self.k,
-            &mut self.ops,
-            &mut self.ws,
-        ));
     }
 
     /// The incremental table, when enabled.
@@ -331,15 +318,52 @@ impl Heuristic for GreedyLocal {
     }
 }
 
+/// The tabu tenures and their step clock, shared by [`TabuSearch`] (which
+/// documents layout and invariant) and `ParallelSteepest`.
+#[derive(Default)]
+pub(crate) struct TenureTable {
+    n: usize,
+    step_no: u64,
+    until: Vec<u64>,
+}
+
+impl TenureTable {
+    /// Open the next step, on an `n`-vertex graph. The table is allocated
+    /// on the first step; a later change of `n` starts it over, nothing tabu.
+    pub(crate) fn begin_step(&mut self, n: usize) {
+        self.step_no += 1;
+        if self.n != n {
+            self.n = n;
+            self.until = vec![0; n * (n - 1) / 2];
+        }
+    }
+
+    /// Whether `(u, v)`, `u < v`, is tabu in the current step.
+    #[inline]
+    pub(crate) fn is_tabu(&self, u: usize, v: usize) -> bool {
+        self.until[edge_index(self.n, u, v)] > self.step_no
+    }
+
+    /// Forbid `(u, v)`, `u < v`, for the next `tenure` steps.
+    #[inline]
+    pub(crate) fn forbid(&mut self, u: usize, v: usize, tenure: u64) {
+        self.until[edge_index(self.n, u, v)] = self.step_no + tenure;
+    }
+}
+
 /// Tabu search: recently flipped edges are forbidden for `tenure` steps
 /// unless flipping one would beat the best objective seen (aspiration).
+///
+/// The tenures are a dense table, `until[edge]`: one `u64` per edge in
+/// [`DeltaTable`]'s triangular order, `8 · n(n-1)/2` bytes (1 088 at
+/// `n = 17`, 7 224 at `n = 43`), allocated on the first step. Invariant:
+/// entry ≤ `step_no` ⇔ not tabu; 0 = never flipped (steps count from 1).
 pub struct TabuSearch {
     /// Candidate flips evaluated per step.
     pub sample: usize,
     /// Steps an edge stays tabu after being flipped.
     pub tenure: u64,
-    step_no: u64,
-    tabu: HashMap<(usize, usize), u64>,
+    tabu: TenureTable,
     best_seen: u64,
 }
 
@@ -349,8 +373,7 @@ impl TabuSearch {
         TabuSearch {
             sample,
             tenure,
-            step_no: 0,
-            tabu: HashMap::new(),
+            tabu: TenureTable::default(),
             best_seen: u64::MAX,
         }
     }
@@ -371,17 +394,14 @@ impl Heuristic for TabuSearch {
         if state.is_counter_example() {
             return StepOutcome::Solved;
         }
-        self.step_no += 1;
         self.best_seen = self.best_seen.min(state.count());
         let n = state.graph().n();
+        self.tabu.begin_step(n);
         let mut best: Option<((usize, usize), i64)> = None;
         for _ in 0..self.sample {
             let (u, v) = random_edge(n, rng);
             let d = state.delta(u, v);
-            let is_tabu = self
-                .tabu
-                .get(&(u, v))
-                .is_some_and(|&until| until > self.step_no);
+            let is_tabu = self.tabu.is_tabu(u, v);
             // Aspiration: a move that reaches a new global best is always
             // allowed.
             let aspires = (state.count() as i64 + d) < self.best_seen as i64;
@@ -396,12 +416,7 @@ impl Heuristic for TabuSearch {
             return StepOutcome::Stuck;
         };
         state.apply_flip(u, v);
-        self.tabu.insert((u, v), self.step_no + self.tenure);
-        // Bound the map: drop expired entries occasionally.
-        if self.tabu.len() > 4 * self.sample.max(16) {
-            let now = self.step_no;
-            self.tabu.retain(|_, &mut until| until > now);
-        }
+        self.tabu.forbid(u, v, self.tenure);
         StepOutcome::Moved { delta: d }
     }
 }
@@ -498,6 +513,7 @@ pub fn run_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cliques::count_total;
     use crate::graph::Color;
 
     #[test]

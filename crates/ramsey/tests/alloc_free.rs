@@ -49,7 +49,7 @@ fn allocs() -> u64 {
 
 use ew_ramsey::{
     count_total_ws, flip_delta_ws, ColoredGraph, DeltaTable, GreedyLocal, Heuristic, OpsCounter,
-    SearchState, Workspace,
+    SearchState, TabuSearch, Workspace,
 };
 use ew_sim::Xoshiro256;
 
@@ -141,5 +141,22 @@ fn greedy_steps_on_table_state_are_allocation_free_after_warmup() {
         allocs() - before,
         0,
         "greedy steady-state steps allocated with the table enabled"
+    );
+}
+
+#[test]
+fn tabu_step_is_allocation_free_after_the_first_step() {
+    let mut rng = Xoshiro256::seed_from_u64(11);
+    let mut state = SearchState::new_incremental(ColoredGraph::random(40, &mut rng), 5);
+    let mut tabu = TabuSearch::default();
+    tabu.step(&mut state, &mut rng); // allocates the tenure table
+    let before = allocs();
+    for _ in 0..500 {
+        tabu.step(&mut state, &mut rng);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "tabu steady-state steps allocated: the tenure table is sized once"
     );
 }

@@ -15,12 +15,11 @@
 //! variant rotation for stalled clients, migration remakes, and result
 //! bookkeeping. The Ramsey search is just the default plugin.
 
-use std::collections::HashMap;
-
 use ew_forecast::DynamicBenchmark;
 use ew_gossip::{Comparator, GossipClient, VersionedBlob};
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::{Packet, WireEncode};
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{CounterId, Ctx, Event, Process, ProcessId, SimDuration, SimTime, SpanId};
 use ew_state::{sm, LogRecord};
 use ew_workload::{WorkResult, WorkUnit, Workload, WorkloadSpec};
@@ -112,7 +111,7 @@ struct Outstanding {
 /// a binary search each plus an O(clients) memmove.
 #[derive(Default)]
 struct RateTable {
-    by_client: HashMap<u64, f64>,
+    by_client: FxHashMap<u64, f64>,
     sorted: Vec<f64>,
 }
 
@@ -158,7 +157,7 @@ pub struct SchedulerServer {
     cfg: SchedulerConfig,
     workload: Box<dyn Workload>,
     next_unit: u64,
-    outstanding: HashMap<u64, Outstanding>,
+    outstanding: FxHashMap<u64, Outstanding>,
     /// Units abandoned by slow clients, awaiting reassignment.
     migration_queue: Vec<WorkUnit>,
     rates: DynamicBenchmark<u64>,
@@ -168,8 +167,8 @@ pub struct SchedulerServer {
     estimates: RateTable,
     /// Slowly-decaying per-client demonstrated rate (the baseline that
     /// defines "anomalously slow").
-    baselines: HashMap<u64, f64>,
-    last_seen: HashMap<u64, SimTime>,
+    baselines: FxHashMap<u64, f64>,
+    last_seen: FxHashMap<u64, SimTime>,
     reports_since_purge: u32,
     /// Completed results received.
     pub results: Vec<WorkResult>,
@@ -202,12 +201,12 @@ impl SchedulerServer {
             cfg,
             workload,
             next_unit: 1,
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
             migration_queue: Vec::new(),
             rates: DynamicBenchmark::new(),
             estimates: RateTable::default(),
-            baselines: HashMap::new(),
-            last_seen: HashMap::new(),
+            baselines: FxHashMap::default(),
+            last_seen: FxHashMap::default(),
             reports_since_purge: 0,
             results: Vec::new(),
             artifacts: Vec::new(),
@@ -860,7 +859,7 @@ mod tests {
                 ..SchedulerConfig::default()
             });
             // Independent model of the last-value arm: client -> (rate, seen).
-            let mut model: HashMap<u64, (f64, SimTime)> = HashMap::new();
+            let mut model: FxHashMap<u64, (f64, SimTime)> = FxHashMap::default();
             let mut now = SimTime::ZERO;
             prop_assert_eq!(s.pool_median_rate(), None);
             for (client, rate, dt, kind) in ops {

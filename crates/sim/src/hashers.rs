@@ -12,6 +12,17 @@
 //! `cancelled`) are only ever accessed by key — never iterated — so the
 //! hasher cannot influence event order even in principle. The golden
 //! event-order hashes in `tests/event_order_determinism.rs` pin that.
+//!
+//! The same alias backs the maps the toolkit touches on every simulated
+//! RPC — `RpcTracker::outstanding`, `CircuitBreaker::peers`, the
+//! scheduler's per-client tables, `DynamicBenchmark`'s streams — all keyed
+//! by ids this program generated (correlation ids, process ids). Where one
+//! of them is iterated, the result is a `min`, a sorted list or a set of
+//! independent removals, never an order. Keys that arrive from outside
+//! (`proto::tcp`'s socket addresses) stay on SipHash, and a table indexed
+//! by a small dense key (the Ramsey tenure table) should not be a map at
+//! all; `tests/lint.sh` rejects a bare `collections::HashMap` in the
+//! simulator-side crates.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1076,7 +1076,7 @@ mod tests {
         ));
         let mut rng = Xoshiro256::seed_from_u64(3);
         let base = 0.02 + 100.0 / 1.25e6;
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for _ in 0..32 {
             let d = net.delay(a, b, 100, SimTime::ZERO, &mut rng).unwrap();
             assert!(d.as_secs_f64() >= base - 1e-9);

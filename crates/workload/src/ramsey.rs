@@ -124,15 +124,34 @@ fn exec_stats(stats: &KernelStats) -> ExecStats {
 /// the exact move sequence and results of the naive kernel (proptested),
 /// only faster — and reports the kernel counters for `ramsey.*`
 /// telemetry.
+///
+/// The unit comes off the wire (a scheduler's `WorkGrant`), so it is
+/// checked here, once: `k >= 2` and `1 <= n <=`
+/// [`ColoredGraph::MAX_VERTICES`], else the answer is a zero-step, zero-op
+/// result with empty `artifact` and `carry` and the worst `progress`. A
+/// shipped graph that does not decode, or whose header names a vertex
+/// count other than `n`, is a corrupt payload: the search starts from the
+/// seeded random coloring instead (and the foreign graph is never built).
 pub fn execute_unit(unit: &WorkUnit) -> (WorkResult, KernelStats) {
+    let (k, n) = (unit.arg0 as usize, unit.arg1 as usize);
+    if k < 2 || !(1..=ColoredGraph::MAX_VERTICES).contains(&n) {
+        let refused = WorkResult {
+            unit_id: unit.id,
+            // Lower is better: a refusal must never read as the best state.
+            progress: u64::MAX,
+            ..WorkResult::default()
+        };
+        return (refused, KernelStats::default());
+    }
     let mut rng = Xoshiro256::seed_from_u64(unit.seed);
-    let start = if unit.payload.is_empty() {
-        ColoredGraph::random(unit.arg1 as usize, &mut rng)
-    } else {
-        ColoredGraph::from_bytes(&unit.payload)
-            .unwrap_or_else(|| ColoredGraph::random(unit.arg1 as usize, &mut rng))
-    };
-    let mut state = SearchState::new_incremental(start, unit.arg0 as usize);
+    let header_names_n = unit.payload.get(..4) == Some(&unit.arg1.to_be_bytes()[..]);
+    let start = header_names_n
+        .then(|| ColoredGraph::from_bytes(&unit.payload))
+        .flatten()
+        .unwrap_or_else(|| ColoredGraph::random(n, &mut rng));
+    // No clique is larger than the graph: every `k > n` is the same
+    // (already solved) problem as `k = n + 1`, whose workspace is bounded.
+    let mut state = SearchState::new_incremental(start, k.min(n + 1));
     let mut heuristic = heuristic_by_kind(unit.variant);
     let report = run_search(&mut state, heuristic.as_mut(), &mut rng, unit.step_budget);
     let result = WorkResult {

@@ -21,4 +21,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo clippy -p ew-workload (warnings are errors)"
 cargo clippy -p ew-workload --all-targets --offline -- -D warnings
 
+# A SipHash map on a simulator-side hot path is a perf bug no compiler
+# warning reports (the Ramsey tabu map was 41 % of real_search for 19 PRs).
+echo "== no SipHash collections in the simulator-side crates"
+if grep -rnE 'collections::(\{[^}]*)?Hash(Map|Set)' \
+    crates/{sim,proto,forecast,sched,ramsey}/src \
+    | grep -vE '^crates/(sim/src/hashers\.rs|proto/src/tcp\.rs):'; then
+    # Allowlist: hashers.rs defines the alias; tcp.rs keys by real socket
+    # addresses (outside input keeps SipHash's collision resistance).
+    echo "error: use ew_sim::hashers::FxHashMap, or a dense index when the" >&2
+    echo "       key is a small integer (see ew-ramsey's tenure table)" >&2
+    exit 1
+fi
+
 echo "lint gate: OK"

@@ -40,6 +40,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Bytes the calling thread has asked the allocator for so far.
+pub fn allocated() -> u64 {
+    ALLOCATED.with(Cell::get)
+}
+
 /// Arbitrary bytes, as a peer that speaks another protocol would send.
 pub fn garbage() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..96)
@@ -95,9 +100,9 @@ fn decode_bounded<T>(input: &[u8]) -> Result<(), TestCaseError>
 where
     T: WireEncode + WireDecode + PartialEq + Debug,
 {
-    let before = ALLOCATED.with(Cell::get);
+    let before = allocated();
     let got = T::from_wire(input);
-    let spent = ALLOCATED.with(Cell::get) - before;
+    let spent = allocated() - before;
     let budget = 4096 + 64 * input.len() as u64;
     prop_assert!(
         spent <= budget,

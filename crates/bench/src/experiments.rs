@@ -157,7 +157,7 @@ fn condor_arm(seed: u64, duration: SimDuration, inside: bool) -> CondorArm {
     });
     let condor_ops: f64 = rep.per_infra["condor"]
         .iter()
-        .map(|p| p.value * rep.cfg.bin.as_secs_f64())
+        .map(|p| p.value * everyware::sc98::BIN.as_secs_f64())
         .sum();
     CondorArm {
         failovers: rep.counters["client.failovers"],

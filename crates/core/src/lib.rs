@@ -10,7 +10,6 @@
 //! simulator (`ew-sim` + `ew-infra`) or live over real TCP.
 //!
 //! * [`toolkit`] — service-stack deployment (Figure 1's layout);
-//! * [`framework`] — the §6 application-service template;
 //! * [`sc98`] — the SC98 challenge experiment behind Figures 2–4;
 //! * [`series`] — 5-minute-average binning and the §7 consistency metric;
 //! * [`live`] — the toolkit on real sockets and threads, searching for
@@ -18,14 +17,12 @@
 
 #![warn(missing_docs)]
 
-pub mod framework;
 pub mod live;
 pub mod sc98;
 pub mod series;
 pub mod toolkit;
 
 pub use ew_sim::NetworkModel;
-pub use framework::{ServiceHost, ServiceModule, ServiceReply};
 pub use live::{run_live, LiveConfig, LiveOutcome};
 pub use sc98::{run_sc98, Sc98Config, Sc98Report, JUDGING_END_S, JUDGING_START_S, WINDOW_S};
 pub use series::{bin_mean, bin_rate, coefficient_of_variation, mean, pst_label, BinnedPoint};

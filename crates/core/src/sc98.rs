@@ -29,6 +29,10 @@ pub const JUDGING_END_S: u64 = 41_584;
 /// Full window: 23:36:56 → 11:36:56 PST.
 pub const WINDOW_S: u64 = 12 * 3600;
 
+/// Averaging window of every rate and host-count series: the paper's
+/// "5-minute averages" (Figures 2–4).
+pub const BIN: SimDuration = SimDuration::from_secs(300);
+
 /// Experiment configuration.
 #[derive(Clone, Debug)]
 pub struct Sc98Config {
@@ -38,8 +42,6 @@ pub struct Sc98Config {
     pub duration: SimDuration,
     /// Inject the 11:00 judging contention spike.
     pub judging: bool,
-    /// Averaging window (default: the paper's 5 minutes).
-    pub bin: SimDuration,
     /// Steps per scheduler-issued work unit.
     pub step_budget: u64,
     /// `Some(t)`: replace dynamic time-out discovery with static `t`
@@ -62,7 +64,6 @@ impl Default for Sc98Config {
             seed: 1998,
             duration: SimDuration::from_secs(WINDOW_S),
             judging: true,
-            bin: SimDuration::from_secs(300),
             step_budget: 6_000,
             static_timeouts: None,
             use_forecast_migration: true,
@@ -132,7 +133,6 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
             use_forecasts: cfg.use_forecast_migration,
             ..SchedulerConfig::default()
         },
-        ..DeployConfig::default()
     };
     let dep = Deployment::builder(deploy_cfg)
         .service_hosts(&services)
@@ -167,7 +167,6 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
                 Box::new(NwsSensor::new(SensorConfig {
                     peers,
                     server: nws_server.0 as u64,
-                    ..SensorConfig::default()
                 })),
             );
             debug_assert_eq!(pid.0 as u64, sensor_pids[i]);
@@ -190,7 +189,6 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
                 step_budget: cfg.step_budget,
                 use_forecasts: cfg.use_forecast_migration,
                 seed_salt: 99,
-                ..SchedulerConfig::default()
             })),
         )
     });
@@ -260,21 +258,21 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     for name in &infra_names {
         let samples = sim.metrics().series(&format!("ops_series.{name}"));
         total_ops += samples.iter().map(|&(_, v)| v).sum::<f64>();
-        per_infra.insert(name.clone(), bin_rate(&samples, start, end, cfg.bin));
+        per_infra.insert(name.clone(), bin_rate(&samples, start, end, BIN));
         host_counts.insert(
             name.clone(),
             bin_mean(
                 &sim.metrics().series(&format!("hosts.{name}")),
                 start,
                 end,
-                cfg.bin,
+                BIN,
             ),
         );
     }
     let n_bins = per_infra.values().next().map(|v| v.len()).unwrap_or(0);
     let total: Vec<BinnedPoint> = (0..n_bins)
         .map(|i| BinnedPoint {
-            t: start + cfg.bin * i as u64,
+            t: start + BIN * i as u64,
             value: per_infra.values().map(|s| s[i].value).sum(),
         })
         .collect();
@@ -339,7 +337,7 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
                 s.issued_abandon,
                 s.issued_unknown,
                 s.issued_switch,
-                s.results.len(),
+                s.results_received,
             )
         }) {
             abandons += a as f64;

@@ -59,27 +59,18 @@ impl Deployment {
     }
 }
 
+/// Persistent-state capacity in bytes.
+const STATE_CAPACITY: usize = 16 << 20;
+/// Logging ring capacity in records.
+const LOG_CAPACITY: usize = 100_000;
+
 /// Options for [`Deployment::builder`].
+#[derive(Default)]
 pub struct DeployConfig {
     /// Gossip server configuration (shared by the pool).
     pub gossip: GossipConfig,
     /// Scheduler configuration (each server gets a distinct seed salt).
     pub sched: SchedulerConfig,
-    /// Persistent-state capacity in bytes.
-    pub state_capacity: usize,
-    /// Logging ring capacity in records.
-    pub log_capacity: usize,
-}
-
-impl Default for DeployConfig {
-    fn default() -> Self {
-        DeployConfig {
-            gossip: GossipConfig::default(),
-            sched: SchedulerConfig::default(),
-            state_capacity: 16 << 20,
-            log_capacity: 100_000,
-        }
-    }
 }
 
 /// Fluent description of a service stack, built by [`Deployment::builder`].
@@ -161,12 +152,12 @@ impl DeploymentBuilder {
             ));
         }
 
-        let mut pss = PersistentStateServer::new("sdsc-trusted", cfg.state_capacity);
+        let mut pss = PersistentStateServer::new("sdsc-trusted", STATE_CAPACITY);
         if let Some((class, validator)) = cfg.sched.workload.validator() {
             pss.register_validator(class, validator);
         }
         let state = sim.spawn("state", state_host, Box::new(pss));
-        let log = sim.spawn("log", log_host, Box::new(LogServer::new(cfg.log_capacity)));
+        let log = sim.spawn("log", log_host, Box::new(LogServer::new(LOG_CAPACITY)));
 
         let mut schedulers = Vec::new();
         for (i, &h) in self.scheduler_hosts.iter().enumerate() {

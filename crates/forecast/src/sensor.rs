@@ -69,32 +69,21 @@ wire_struct!(NwsForecastReply {
 });
 
 /// Sensor configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SensorConfig {
     /// Peer sensors to probe (round-trip measurements).
     pub peers: Vec<u64>,
     /// The NWS server to report to.
     pub server: u64,
-    /// Probe period.
-    pub interval: SimDuration,
-    /// Probe payload size (bytes) — measures latency + a slice of
-    /// bandwidth, like the NWS's small-message probes.
-    pub probe_bytes: usize,
-    /// Operations per CPU probe (timed compute chunk).
-    pub cpu_probe_ops: u64,
 }
 
-impl Default for SensorConfig {
-    fn default() -> Self {
-        SensorConfig {
-            peers: Vec::new(),
-            server: 0,
-            interval: SimDuration::from_secs(30),
-            probe_bytes: 256,
-            cpu_probe_ops: 1_000_000,
-        }
-    }
-}
+/// Probe period.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// Probe payload size (bytes) — measures latency + a slice of bandwidth,
+/// like the NWS's small-message probes.
+const PROBE_BYTES: usize = 256;
+/// Operations per CPU probe (timed compute chunk).
+const CPU_PROBE_OPS: u64 = 1_000_000;
 
 const TIMER_PROBE: u64 = 1;
 /// Deadline-exact expiry wake-up (see [`DeadlineTimer`]); historically a
@@ -183,16 +172,16 @@ impl NwsSensor {
             send_packet(
                 ctx,
                 ProcessId(peer as u32),
-                &Packet::request(nm::PROBE, corr, vec![0u8; self.cfg.probe_bytes]),
+                &Packet::request(nm::PROBE, corr, vec![0u8; PROBE_BYTES]),
             );
         }
         // CPU probe: a timed compute chunk measures the host's effective
         // guest-visible rate under current ambient load.
         if self.cpu_probe_started.is_none() {
             self.cpu_probe_started = Some(ctx.now());
-            ctx.compute(self.cfg.cpu_probe_ops, CPU_PROBE_TAG);
+            ctx.compute(CPU_PROBE_OPS, CPU_PROBE_TAG);
         }
-        ctx.set_timer(self.cfg.interval, TIMER_PROBE);
+        ctx.set_timer(PROBE_INTERVAL, TIMER_PROBE);
         self.expiry.update(ctx, self.rpc.next_deadline());
     }
 }
@@ -405,7 +394,6 @@ mod tests {
             Box::new(NwsSensor::new(SensorConfig {
                 peers: vec![sb_pid.0 as u64],
                 server: server.0 as u64,
-                ..SensorConfig::default()
             })),
         );
         let sb = sim.spawn(
@@ -414,7 +402,6 @@ mod tests {
             Box::new(NwsSensor::new(SensorConfig {
                 peers: vec![sa_pid.0 as u64],
                 server: server.0 as u64,
-                ..SensorConfig::default()
             })),
         );
         assert_eq!((sa, sb), (sa_pid, sb_pid));

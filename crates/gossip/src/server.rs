@@ -16,13 +16,8 @@
 
 use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{broadcast_packet, packet_from_event, send_packet};
-use ew_proto::{
-    AdaptiveRetry, BreakerConfig, EventTag, Packet, RetryConfig, RetryDecision, RetryTele,
-    RpcTracker, StaticTimeout, TimeoutPolicy,
-};
-use ew_sim::{
-    CounterId, Ctx, Event, HistogramId, Process, ProcessId, SimDuration, SimTime, SpanId,
-};
+use ew_proto::{BreakerConfig, EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout};
+use ew_sim::{CounterId, Ctx, Event, HistogramId, Process, ProcessId, SimDuration, SpanId};
 
 use crate::clique::{CliqueConfig, CliqueState};
 use crate::messages::{
@@ -32,14 +27,8 @@ use crate::store::{responsible_gossip, GossipStore};
 use ew_proto::WireEncode;
 
 /// Tunables for a Gossip server.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GossipConfig {
-    /// How often responsible components are polled for fresh state.
-    pub poll_interval: SimDuration,
-    /// How often the state table is synced to pool peers.
-    pub sync_interval: SimDuration,
-    /// Bookkeeping granularity (RPC expiry, election deadlines, probing).
-    pub tick_interval: SimDuration,
     /// Clique protocol tunables.
     pub clique: CliqueConfig,
     /// `Some(t)` replaces dynamic time-out discovery with a fixed time-out
@@ -47,39 +36,18 @@ pub struct GossipConfig {
     pub static_timeouts: Option<SimDuration>,
 }
 
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            poll_interval: SimDuration::from_secs(10),
-            sync_interval: SimDuration::from_secs(15),
-            tick_interval: SimDuration::from_secs(1),
-            clique: CliqueConfig::default(),
-            static_timeouts: None,
-        }
-    }
-}
+/// How often responsible components are polled for fresh state
+/// ("periodically receives a request from a Gossip process", §2.3).
+const POLL_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// How often the state table is synced to pool peers.
+const SYNC_INTERVAL: SimDuration = SimDuration::from_secs(15);
+/// Bookkeeping granularity (RPC expiry, election deadlines, probing).
+const TICK_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 const TIMER_POLL: u64 = 1;
 const TIMER_SYNC: u64 = 2;
 const TIMER_TICK: u64 = 3;
 const TIMER_TOKEN_HOLD: u64 = 4;
-
-/// What an outstanding RPC was for.
-enum RpcKind {
-    Poll {
-        addr: u64,
-        stype: u16,
-        attempts: u32,
-    },
-}
-
-/// A re-poll the adaptive layer scheduled for after a backoff.
-struct DeferredPoll {
-    due: SimTime,
-    addr: u64,
-    stype: u16,
-    attempts: u32,
-}
 
 /// Telemetry handles, interned once on `Event::Started`.
 #[derive(Clone, Copy)]
@@ -129,12 +97,10 @@ pub struct GossipServer {
     well_known: Vec<u64>,
     store: GossipStore,
     clique: Option<CliqueState>,
-    rpc: RpcTracker<RpcKind>,
-    policy: Box<dyn TimeoutPolicy + Send>,
-    /// The unified retry/breaker layer; `None` on the static-baseline arm
-    /// (which keeps the pre-adaptive count-and-move-on behaviour).
-    adaptive: Option<AdaptiveRetry>,
-    deferred: Vec<DeferredPoll>,
+    /// Outstanding polls; the context is the polled state type (the polled
+    /// component is the tag's peer). The static-baseline arm keeps the
+    /// pre-adaptive count-and-move-on behaviour.
+    rpc: RpcClient<u16>,
     hold_pending: bool,
     tele: Option<GossipTele>,
     /// Successful poll round-trips (exposed for tests/experiments).
@@ -149,19 +115,31 @@ impl GossipServer {
     /// Build a server that will announce itself to `well_known` peer
     /// addresses (other Gossips' process ids).
     pub fn new(cfg: GossipConfig, well_known: Vec<u64>) -> Self {
-        let policy: Box<dyn TimeoutPolicy + Send> = match cfg.static_timeouts {
-            Some(t) => Box::new(StaticTimeout(t)),
-            None => Box::new(ForecastTimeout::wan_default()),
+        let rpc = match cfg.static_timeouts {
+            Some(t) => RpcClient::new(StaticTimeout(t), None, None),
+            None => {
+                // One backoff retry per poll before the periodic round takes
+                // over again; the breaker suppresses polls to components
+                // that keep timing out.
+                let retry = RetryConfig {
+                    base: SimDuration::from_secs(2),
+                    cap: POLL_INTERVAL,
+                    budget: 2,
+                    jitter: 0.3,
+                };
+                RpcClient::new(
+                    ForecastTimeout::wan_default(),
+                    Some((retry, BreakerConfig::default())),
+                    None,
+                )
+            }
         };
         GossipServer {
             cfg,
             well_known,
             store: GossipStore::new(),
             clique: None,
-            rpc: RpcTracker::new(),
-            policy,
-            adaptive: None,
-            deferred: Vec::new(),
+            rpc,
             hold_pending: false,
             tele: None,
             polls_ok: 0,
@@ -223,43 +201,26 @@ impl GossipServer {
         // Stagger periodic timers by a deterministic per-process offset so
         // co-located servers do not fire in lockstep.
         let jitter = SimDuration::from_millis(ctx.rng().next_below(1000));
-        ctx.set_timer(self.cfg.poll_interval + jitter, TIMER_POLL);
-        ctx.set_timer(self.cfg.sync_interval + jitter, TIMER_SYNC);
-        ctx.set_timer(self.cfg.tick_interval, TIMER_TICK);
+        ctx.set_timer(POLL_INTERVAL + jitter, TIMER_POLL);
+        ctx.set_timer(SYNC_INTERVAL + jitter, TIMER_SYNC);
+        ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
         if self.cfg.static_timeouts.is_none() {
-            // One backoff retry per poll before the periodic round takes
-            // over again; the breaker suppresses polls to components that
-            // keep timing out.
             let seed = ctx.rng().next_u64();
-            self.adaptive = Some(AdaptiveRetry::new(
-                RetryConfig {
-                    base: SimDuration::from_secs(2),
-                    cap: self.cfg.poll_interval,
-                    budget: 2,
-                    jitter: 0.3,
-                },
-                BreakerConfig::default(),
-                seed,
-            ));
+            self.rpc.seed_jitter(seed);
         }
     }
 
-    fn send_poll(&mut self, ctx: &mut Ctx<'_>, comp: u64, stype: u16, attempts: u32) {
-        let tele = self.tele.expect("started");
+    fn send_poll(&mut self, ctx: &mut Ctx<'_>, comp: u64, stype: u16) {
         let tag = EventTag {
             peer: comp,
             mtype: gm::POLL,
         };
-        let corr = self.rpc.begin(
-            tag,
-            ctx.now(),
-            self.policy.as_mut(),
-            RpcKind::Poll {
-                addr: comp,
-                stype,
-                attempts,
-            },
-        );
+        let corr = self.rpc.begin(tag, ctx.now(), stype);
+        self.transmit_poll(ctx, comp, stype, corr);
+    }
+
+    fn transmit_poll(&mut self, ctx: &mut Ctx<'_>, comp: u64, stype: u16, corr: u64) {
+        let tele = self.tele.expect("started");
         let body = Poll { stype };
         send_packet(
             ctx,
@@ -280,17 +241,15 @@ impl GossipServer {
             // Components that keep timing out have an open circuit: skip
             // them until the cool-down's half-open probe (which
             // `try_acquire` itself admits).
-            if let Some(a) = self.adaptive.as_mut() {
-                if !a.try_acquire(comp, ctx.now()) {
-                    ctx.inc(tele.polls_suppressed);
-                    continue;
-                }
+            if !self.rpc.try_acquire(comp, ctx.now()) {
+                ctx.inc(tele.polls_suppressed);
+                continue;
             }
             for stype in self.store.types_of(comp) {
-                self.send_poll(ctx, comp, stype, 1);
+                self.send_poll(ctx, comp, stype);
             }
         }
-        ctx.set_timer(self.cfg.poll_interval, TIMER_POLL);
+        ctx.set_timer(POLL_INTERVAL, TIMER_POLL);
     }
 
     fn sync_round(&mut self, ctx: &mut Ctx<'_>) {
@@ -314,7 +273,7 @@ impl GossipServer {
             targets,
             &Packet::oneway(gm::SYNC, body.to_wire_payload()),
         );
-        ctx.set_timer(self.cfg.sync_interval, TIMER_SYNC);
+        ctx.set_timer(SYNC_INTERVAL, TIMER_SYNC);
     }
 
     fn push_stale(&mut self, ctx: &mut Ctx<'_>, stype: u16) {
@@ -345,48 +304,19 @@ impl GossipServer {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let tele = self.tele.expect("started");
         let now = ctx.now();
-        // RPC expiry: the §2.2 "misjudged the availability" counter.
-        for pending in self
-            .rpc
-            .expire_traced(ctx, tele.timeout_span, self.policy.as_mut())
-        {
-            match pending.context {
-                RpcKind::Poll {
-                    addr,
-                    stype,
-                    attempts,
-                } => {
-                    self.polls_timed_out += 1;
-                    ctx.inc(tele.poll_timeouts);
-                    if let Some(a) = self.adaptive.as_mut() {
-                        let (decision, opened) = a.on_timeout(addr, attempts, now);
-                        if opened {
-                            ctx.inc(tele.retry.breaker_open);
-                        }
-                        if let RetryDecision::Resend { after } = decision {
-                            // One backed-off re-poll; past the budget the
-                            // next periodic round (or the breaker's
-                            // half-open probe) takes over.
-                            ctx.inc(tele.retry.retries);
-                            self.deferred.push(DeferredPoll {
-                                due: now + after,
-                                addr,
-                                stype,
-                                attempts: attempts + 1,
-                            });
-                        }
-                    }
-                }
-            }
+        // RPC expiry: the §2.2 "misjudged the availability" counter. Within
+        // the budget an expired poll is re-sent once after a backoff; past
+        // it the next periodic round (or the breaker's half-open probe)
+        // takes over, so a `GaveUp` verdict needs no handling here.
+        for expired in self.rpc.take_expired(ctx, tele.timeout_span) {
+            self.polls_timed_out += 1;
+            ctx.inc(tele.poll_timeouts);
+            self.rpc.verdict(ctx, tele.retry, expired, true);
         }
-        let due: Vec<DeferredPoll> = {
-            let (due, later): (Vec<DeferredPoll>, Vec<DeferredPoll>) =
-                self.deferred.drain(..).partition(|d| d.due <= now);
-            self.deferred = later;
-            due
-        };
-        for d in due {
-            self.send_poll(ctx, d.addr, d.stype, d.attempts);
+        for resend in self.rpc.take_due(now) {
+            let (comp, stype) = (resend.tag.peer, resend.context);
+            let corr = self.rpc.resend(now, resend);
+            self.transmit_poll(ctx, comp, stype, corr);
         }
         // Clique bookkeeping.
         let clique = self.clique.as_mut().expect("started");
@@ -420,7 +350,7 @@ impl GossipServer {
             );
             ctx.inc(tele.probes);
         }
-        ctx.set_timer(self.cfg.tick_interval, TIMER_TICK);
+        ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
     }
 
     fn handle_packet(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, pkt: Packet) {
@@ -434,13 +364,8 @@ impl GossipServer {
                 }
             }
             (gm::POLL, true) => {
-                if let Some((pending, rtt)) =
-                    self.rpc.complete(pkt.corr_id, now, self.policy.as_mut())
-                {
-                    let RpcKind::Poll { addr, stype, .. } = pending.context;
-                    if let Some(a) = self.adaptive.as_mut() {
-                        a.on_success(addr);
-                    }
+                if let Some((tag, stype, rtt)) = self.rpc.complete(pkt.corr_id, now) {
+                    let addr = tag.peer;
                     if let Ok(carrier) = pkt.body::<StateCarrier>() {
                         self.polls_ok += 1;
                         ctx.inc(tele.polls_ok);

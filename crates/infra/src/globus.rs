@@ -659,7 +659,7 @@ mod tests {
         // And the launched jobs delivered real ops to the scheduler.
         assert!(sim.metrics().counter("ops.globus") > 0.0);
         assert!(
-            sim.with_process::<SchedulerServer, _>(sched, |s| s.results.len())
+            sim.with_process::<SchedulerServer, _>(sched, |s| s.results_received)
                 .unwrap()
                 > 0
         );

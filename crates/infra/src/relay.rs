@@ -157,7 +157,7 @@ mod tests {
         // The scheduler saw the work as coming from the relay's address —
         // the single monitoring point of §5.3.
         let results = sim
-            .with_process::<SchedulerServer, _>(s, |s| s.results.len())
+            .with_process::<SchedulerServer, _>(s, |s| s.results_received)
             .unwrap();
         assert!(results > 0);
     }

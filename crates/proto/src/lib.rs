@@ -10,10 +10,10 @@
 //!   and correlation ids, plus the stream framer;
 //! * [`rpc`] — outstanding-request tracking with pluggable
 //!   [`rpc::TimeoutPolicy`] (static here; forecast-driven in
-//!   `ew-forecast`);
-//! * [`retry`] — the unified adaptive retry layer: exponential backoff
-//!   with seeded jitter and a per-peer circuit breaker, composed with the
-//!   time-out policy by every service's RPC path;
+//!   `ew-forecast`), and [`RpcClient`], the one client-side stack every
+//!   service's RPC path embeds;
+//! * [`retry`] — the adaptive retry layer inside it: exponential backoff
+//!   with seeded jitter and a per-peer circuit breaker;
 //! * [`sim_net`] — packets over the `ew-sim` kernel;
 //! * [`tcp`] — packets over real `std::net` TCP for live deployment.
 
@@ -32,5 +32,8 @@ pub use retry::{
     AdaptiveRetry, BreakerConfig, CircuitBreaker, RetryConfig, RetryDecision, RetryPolicy,
     RetryTele,
 };
-pub use rpc::{DeadlineTimer, EventTag, Pending, RpcTracker, StaticTimeout, TimeoutPolicy};
+pub use rpc::{
+    DeadlineTimer, EventTag, Expired, Pending, Resend, RpcClient, RpcTracker, StaticTimeout,
+    TimeoutPolicy, Verdict,
+};
 pub use wire::{WireDecode, WireEncode, WireError, WireReader};

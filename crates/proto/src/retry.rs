@@ -33,7 +33,10 @@ use ew_sim::{CounterId, Ctx, SimDuration, SimTime, Xoshiro256};
 pub struct RetryConfig {
     /// Backoff before the first resend.
     pub base: SimDuration,
-    /// Upper bound on any single backoff.
+    /// Upper bound on any single backoff — also the bound the compute
+    /// client puts on adaptive time-outs (the `cap` of
+    /// [`RpcClient::new`](crate::RpcClient::new)) so failure detection never
+    /// lags a healed fault by more than one cap.
     pub cap: SimDuration,
     /// Total attempts allowed per request (first send included) before the
     /// caller must give up / fail over.
@@ -70,11 +73,9 @@ impl RetryPolicy {
         }
     }
 
-    /// The backoff ceiling — also the bound callers put on adaptive
-    /// time-outs (via `RpcTracker::begin_capped`) so failure detection
-    /// never lags a healed fault by more than one cap.
-    pub fn cap(&self) -> SimDuration {
-        self.cfg.cap
+    /// Restart the jitter stream from `seed`.
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        self.rng = Xoshiro256::seed_from_u64(seed);
     }
 
     /// Whether a request that has already been sent `attempts` times may
@@ -230,7 +231,9 @@ pub enum RetryDecision {
     GiveUp,
 }
 
-/// The composed adaptive layer services embed: retry policy + breaker.
+/// Retry policy + breaker, composed. Services do not embed this directly:
+/// [`RpcClient`](crate::RpcClient) owns it together with the tracker, the
+/// time-out policy, the attempt counts and the deferred resends.
 pub struct AdaptiveRetry {
     /// Backoff/budget half.
     pub retry: RetryPolicy,
@@ -278,8 +281,8 @@ impl AdaptiveRetry {
     }
 }
 
-/// Interned handles for the layer's two telemetry counters, shared by
-/// every service that embeds [`AdaptiveRetry`].
+/// Interned handles for the layer's two telemetry counters, bumped by
+/// [`RpcClient::verdict`](crate::RpcClient::verdict).
 #[derive(Clone, Copy)]
 pub struct RetryTele {
     /// `rpc.retries`: resends scheduled by the policy.

@@ -13,6 +13,8 @@
 use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime};
 
+use crate::retry::{AdaptiveRetry, BreakerConfig, RetryConfig, RetryDecision, RetryTele};
+
 /// A `(peer, message-type)` event class — the paper's dynamic-benchmark tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventTag {
@@ -95,42 +97,14 @@ impl<M> RpcTracker<M> {
         policy: &mut dyn TimeoutPolicy,
         context: M,
     ) -> u64 {
-        let corr_id = self.next_corr;
-        self.next_corr += 1;
         let timeout = policy.timeout_for(tag);
-        self.outstanding.insert(
-            corr_id,
-            Pending {
-                corr_id,
-                tag,
-                sent_at: now,
-                deadline: now + timeout,
-                context,
-            },
-        );
-        corr_id
+        self.arm(tag, now, timeout, context)
     }
 
-    /// [`begin`](Self::begin), but with the policy's time-out clamped to
-    /// `cap`. Adaptive time-outs inflate on every expiry so that slow
-    /// links stop producing needless retries — but during a *partition*
-    /// the same inflation delays failure detection arbitrarily (a request
-    /// in flight when the cut heals can sit a full inflated time-out
-    /// before its retry goes out). Callers that pair the tracker with a
-    /// retry/breaker layer cap detection latency at the retry policy's
-    /// backoff ceiling: time-outs stay adaptive below the cap, and the
-    /// worst-case post-heal stall is bounded.
-    pub fn begin_capped(
-        &mut self,
-        tag: EventTag,
-        now: SimTime,
-        policy: &mut dyn TimeoutPolicy,
-        cap: SimDuration,
-        context: M,
-    ) -> u64 {
+    /// Register a request whose time-out the caller has already decided.
+    fn arm(&mut self, tag: EventTag, now: SimTime, timeout: SimDuration, context: M) -> u64 {
         let corr_id = self.next_corr;
         self.next_corr += 1;
-        let timeout = policy.timeout_for(tag).min(cap);
         self.outstanding.insert(
             corr_id,
             Pending {
@@ -281,6 +255,252 @@ impl DeadlineTimer {
     }
 }
 
+/// What became of an expired request, as decided by [`RpcClient::verdict`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Verdict<C> {
+    /// A resend to the same peer is queued inside the client; it comes out
+    /// of [`RpcClient::take_due`] at the first sweep at or after its backoff.
+    Deferred,
+    /// Retry budget exhausted, circuit open, request not resendable, or the
+    /// static baseline: the context is the caller's again, to fail over,
+    /// drop, or surface.
+    GaveUp(C),
+}
+
+/// An expired request handed out by [`RpcClient::take_expired`], awaiting
+/// its [`RpcClient::verdict`].
+pub struct Expired<C> {
+    /// Correlation id the request carried.
+    pub corr_id: u64,
+    /// Event class of the exchange.
+    pub tag: EventTag,
+    /// Caller context given to [`RpcClient::begin`].
+    pub context: C,
+    attempts: u32,
+}
+
+impl<C> Expired<C> {
+    /// How many times the request had been sent (first send = 1).
+    pub fn attempts(&self) -> u32 {
+        self.attempts
+    }
+}
+
+/// A deferred resend whose backoff has elapsed, handed out by
+/// [`RpcClient::take_due`]; the caller rebuilds the packet body from the
+/// context and passes the whole thing back to [`RpcClient::resend`].
+pub struct Resend<C> {
+    /// Event class to resend in (same peer, same message type).
+    pub tag: EventTag,
+    /// Caller context given to [`RpcClient::begin`].
+    pub context: C,
+    due: SimTime,
+    attempts: u32,
+}
+
+impl<C> Resend<C> {
+    /// Which send this will be (the first resend is attempt 2).
+    pub fn attempts(&self) -> u32 {
+        self.attempts
+    }
+}
+
+/// The client side of a service's RPC path, in one place: correlation and
+/// expiry ([`RpcTracker`]), time-out discovery ([`TimeoutPolicy`]), the
+/// adaptive retry layer ([`AdaptiveRetry`]: budget, backoff, per-peer
+/// breaker), each request's attempt count, and the queue of resends
+/// waiting out a backoff. The compute client and the Gossip server each
+/// embed one; what they keep for themselves is *when* to sweep (their
+/// timer discipline) and what a [`Verdict::GaveUp`] means for each kind of
+/// request.
+///
+/// A sweep is three calls, in this order: [`take_expired`], then one
+/// [`verdict`] per expiry with the caller's give-up handling run *between*
+/// verdicts, then [`take_due`] + [`resend`]. Verdicts are lazy because a
+/// give-up handler reads breaker state ([`is_open`]) that the next verdict
+/// mutates, and begins new requests.
+///
+/// [`take_expired`]: Self::take_expired
+/// [`verdict`]: Self::verdict
+/// [`take_due`]: Self::take_due
+/// [`resend`]: Self::resend
+/// [`is_open`]: Self::is_open
+pub struct RpcClient<C> {
+    tracker: RpcTracker<(C, u32)>,
+    policy: Box<dyn TimeoutPolicy + Send>,
+    /// `None`: the §2.2 static baseline — every expiry is `GaveUp`.
+    adaptive: Option<AdaptiveRetry>,
+    cap: Option<SimDuration>,
+    deferred: Vec<Resend<C>>,
+}
+
+impl<C> RpcClient<C> {
+    /// A client arming time-outs from `policy`. `retry` composes the
+    /// adaptive layer on top (`None` = the static baseline: no backoff, no
+    /// breaker). `cap` bounds every armed time-out: adaptive time-outs
+    /// inflate on every expiry so that slow links stop producing needless
+    /// retries, but during a *partition* the same inflation delays failure
+    /// detection arbitrarily (a request in flight when the cut heals can
+    /// sit a full inflated time-out before its retry goes out). A caller
+    /// that must never be blind for longer than one backoff passes the
+    /// retry layer's ceiling here; time-outs stay adaptive below it.
+    pub fn new(
+        policy: impl TimeoutPolicy + Send + 'static,
+        retry: Option<(RetryConfig, BreakerConfig)>,
+        cap: Option<SimDuration>,
+    ) -> Self {
+        RpcClient {
+            tracker: RpcTracker::new(),
+            policy: Box::new(policy),
+            adaptive: retry.map(|(retry, breaker)| AdaptiveRetry::new(retry, breaker, 0)),
+            cap,
+            deferred: Vec::new(),
+        }
+    }
+
+    /// Seed the backoff jitter stream (owners draw `seed` from their
+    /// process rng at `Started`, so whole campaigns replay bit-identically).
+    /// The static baseline has no jitter; its owners draw nothing.
+    pub fn seed_jitter(&mut self, seed: u64) {
+        if let Some(a) = self.adaptive.as_mut() {
+            a.retry.reseed(seed);
+        }
+    }
+
+    /// Register a first send; returns the correlation id to stamp on the
+    /// packet.
+    pub fn begin(&mut self, tag: EventTag, now: SimTime, context: C) -> u64 {
+        self.arm(tag, now, context, 1)
+    }
+
+    /// Register the resend of a request that came out of
+    /// [`take_due`](Self::take_due); its attempt count carries over.
+    pub fn resend(&mut self, now: SimTime, due: Resend<C>) -> u64 {
+        self.arm(due.tag, now, due.context, due.attempts)
+    }
+
+    fn arm(&mut self, tag: EventTag, now: SimTime, context: C, attempts: u32) -> u64 {
+        let timeout = self.policy.timeout_for(tag);
+        let timeout = self.cap.map_or(timeout, |cap| timeout.min(cap));
+        self.tracker.arm(tag, now, timeout, (context, attempts))
+    }
+
+    /// Record the arrival of a response: the RTT feeds the policy and the
+    /// peer's circuit closes. `None` for unknown or already-expired ids.
+    pub fn complete(&mut self, corr_id: u64, now: SimTime) -> Option<(EventTag, C, SimDuration)> {
+        let (p, rtt) = self.tracker.complete(corr_id, now, self.policy.as_mut())?;
+        if let Some(a) = self.adaptive.as_mut() {
+            a.on_success(p.tag.peer);
+        }
+        Some((p.tag, p.context.0, rtt))
+    }
+
+    /// [`RpcTracker::expire_traced`] at `ctx.now()`: every request past its
+    /// deadline, in correlation-id order, the policy hearing each distinct
+    /// tag once.
+    pub fn take_expired(
+        &mut self,
+        ctx: &mut ew_sim::Ctx<'_>,
+        span: ew_sim::SpanId,
+    ) -> Vec<Expired<C>> {
+        self.tracker
+            .expire_traced(ctx, span, self.policy.as_mut())
+            .into_iter()
+            .map(|p| Expired {
+                corr_id: p.corr_id,
+                tag: p.tag,
+                context: p.context.0,
+                attempts: p.context.1,
+            })
+            .collect()
+    }
+
+    /// Decide one expiry. With the adaptive layer the peer's breaker hears
+    /// the time-out (`rpc.breaker_open` counts a circuit it opened); within
+    /// the retry budget and while the circuit stays closed the request is
+    /// queued for a resend after an exponential backoff (`rpc.retries`).
+    ///
+    /// `resendable = false` is for periodic requests whose payload is stale
+    /// by the time they expire: the breaker still hears the time-out and
+    /// the backoff jitter is still drawn (so the stream does not depend on
+    /// which kinds of request expired), but nothing is queued or counted.
+    pub fn verdict(
+        &mut self,
+        ctx: &mut ew_sim::Ctx<'_>,
+        tele: RetryTele,
+        expired: Expired<C>,
+        resendable: bool,
+    ) -> Verdict<C> {
+        let Some(adaptive) = self.adaptive.as_mut() else {
+            return Verdict::GaveUp(expired.context);
+        };
+        let now = ctx.now();
+        let (decision, opened) = adaptive.on_timeout(expired.tag.peer, expired.attempts, now);
+        if opened {
+            ctx.inc(tele.breaker_open);
+        }
+        match decision {
+            RetryDecision::Resend { after } if resendable => {
+                ctx.inc(tele.retries);
+                self.deferred.push(Resend {
+                    tag: expired.tag,
+                    context: expired.context,
+                    due: now + after,
+                    attempts: expired.attempts + 1,
+                });
+                Verdict::Deferred
+            }
+            _ => Verdict::GaveUp(expired.context),
+        }
+    }
+
+    /// Remove and return the deferred resends whose backoff has elapsed,
+    /// oldest first.
+    pub fn take_due(&mut self, now: SimTime) -> Vec<Resend<C>> {
+        let (due, later) = std::mem::take(&mut self.deferred)
+            .into_iter()
+            .partition(|d| d.due <= now);
+        self.deferred = later;
+        due
+    }
+
+    /// See [`CircuitBreaker::is_open`](crate::CircuitBreaker::is_open);
+    /// never open on the static baseline.
+    pub fn is_open(&self, peer: u64, now: SimTime) -> bool {
+        self.adaptive
+            .as_ref()
+            .is_some_and(|a| a.breaker.is_open(peer, now))
+    }
+
+    /// See [`CircuitBreaker::try_acquire`](crate::CircuitBreaker::try_acquire);
+    /// always granted on the static baseline.
+    pub fn try_acquire(&mut self, peer: u64, now: SimTime) -> bool {
+        self.adaptive
+            .as_mut()
+            .is_none_or(|a| a.try_acquire(peer, now))
+    }
+
+    /// The armed deadline of an in-flight request.
+    pub fn deadline(&self, corr_id: u64) -> Option<SimTime> {
+        self.tracker.outstanding.get(&corr_id).map(|p| p.deadline)
+    }
+
+    /// Requests in flight.
+    pub fn in_flight(&self) -> usize {
+        self.tracker.in_flight()
+    }
+
+    /// Resends waiting out a backoff.
+    pub fn deferred(&self) -> usize {
+        self.deferred.len()
+    }
+
+    /// Nothing in flight and nothing deferred: a sweep would find nothing.
+    pub fn idle(&self) -> bool {
+        self.in_flight() == 0 && self.deferred.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,16 +536,18 @@ mod tests {
     }
 
     #[test]
-    fn begin_capped_bounds_the_policy_timeout() {
-        let mut rt: RpcTracker<()> = RpcTracker::new();
-        let mut pol = StaticTimeout(SimDuration::from_secs(100));
-        rt.begin_capped(tag(1), t(0), &mut pol, SimDuration::from_secs(30), ());
+    fn capped_client_bounds_the_policy_timeout() {
+        let cap = Some(SimDuration::from_secs(30));
+        let slow = StaticTimeout(SimDuration::from_secs(100));
+        let mut rc: RpcClient<()> = RpcClient::new(slow, None, cap);
+        let id = rc.begin(tag(1), t(0), ());
         // The inflated 100 s policy value is clamped to the 30 s cap…
-        assert_eq!(rt.next_deadline(), Some(t(30)));
-        let mut fast = StaticTimeout(SimDuration::from_secs(5));
-        rt.begin_capped(tag(1), t(0), &mut fast, SimDuration::from_secs(30), ());
+        assert_eq!(rc.deadline(id), Some(t(30)));
+        let fast = StaticTimeout(SimDuration::from_secs(5));
+        let mut rc: RpcClient<()> = RpcClient::new(fast, None, cap);
+        let id = rc.begin(tag(1), t(0), ());
         // …while values below the cap pass through untouched.
-        assert_eq!(rt.next_deadline(), Some(t(5)));
+        assert_eq!(rc.deadline(id), Some(t(5)));
     }
 
     #[test]

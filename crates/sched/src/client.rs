@@ -13,8 +13,8 @@
 use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::{
-    AdaptiveRetry, EventTag, Packet, Pending, RetryDecision, RetryTele, RpcTracker, StaticTimeout,
-    TimeoutPolicy, WireDecode, WireEncode,
+    BreakerConfig, EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout, Verdict,
+    WireDecode, WireEncode,
 };
 use ew_sim::{
     CounterId, Ctx, Event, GaugeId, Process, ProcessId, SeriesId, SimDuration, SimTime, SpanId,
@@ -98,33 +98,39 @@ const TIMER_RETRY: u64 = 3;
 /// Spacing of the expiry / deferred-resend sweep grid (`Started + k·2 s`).
 const SWEEP_PERIOD: SimDuration = SimDuration::from_secs(2);
 
+/// What an outstanding request was for — the [`RpcClient`] context.
 enum Req {
     GetWork,
     Report,
     Result(WorkResult),
-    // Store/Checkpoint carry their wire bodies so the retry layer can
-    // resend them verbatim after a backoff.
+    // Store/Checkpoint carry their wire bodies so a resend after a backoff
+    // goes out verbatim.
     Store(Vec<u8>),
     Checkpoint(Vec<u8>),
     RestoreFetch,
 }
 
-/// Tracker context: the request kind plus how many times it has been sent
-/// (first send = 1), so the retry budget survives across expiries.
-struct ReqCtx {
-    req: Req,
-    attempts: u32,
-}
+impl Req {
+    /// Reports are periodic and their rates are already stale by the time
+    /// one expires: never resent. (The time-out still feeds the breaker, so
+    /// a dead scheduler's circuit opens even mid-unit.)
+    fn resendable(&self) -> bool {
+        !matches!(self, Req::Report)
+    }
 
-/// A resend the adaptive layer scheduled for after a backoff; flushed by
-/// the first sweep at or after `due`.
-struct Deferred {
-    due: SimTime,
-    peer: u64,
-    mtype: u16,
-    body: Vec<u8>,
-    req: Req,
-    attempts: u32,
+    /// The wire body a resend of this request carries.
+    fn resend_body(&self, ctx: &Ctx<'_>) -> Vec<u8> {
+        match self {
+            Req::GetWork => Vec::new(),
+            Req::Result(r) => r.to_wire(),
+            Req::Store(b) | Req::Checkpoint(b) => b.clone(),
+            Req::RestoreFetch => FetchRequest {
+                key: ComputeClient::checkpoint_key(ctx),
+            }
+            .to_wire(),
+            Req::Report => unreachable!("not resendable"),
+        }
+    }
 }
 
 /// Interned metric handles, resolved once at `Started`.
@@ -209,11 +215,7 @@ pub struct ComputeClient {
     workload: Box<dyn Workload>,
     sched_idx: usize,
     unit: Option<UnitProgress>,
-    rpc: RpcTracker<ReqCtx>,
-    policy: Box<dyn TimeoutPolicy + Send>,
-    /// The unified retry/breaker layer; `None` on the static-baseline arm.
-    adaptive: Option<AdaptiveRetry>,
-    deferred: Vec<Deferred>,
+    rpc: RpcClient<Req>,
     /// Origin of the sweep grid: when this process started.
     started_at: SimTime,
     /// A `TIMER_TICK` is pending (at the next grid point).
@@ -238,9 +240,20 @@ impl ComputeClient {
     /// A client with the given configuration.
     pub fn new(cfg: ClientConfig) -> Self {
         assert!(!cfg.schedulers.is_empty(), "client needs a scheduler");
-        let policy: Box<dyn TimeoutPolicy + Send> = match cfg.static_timeouts {
-            Some(d) => Box::new(StaticTimeout(d)),
-            None => Box::new(ForecastTimeout::wan_default()),
+        let rpc = match cfg.static_timeouts {
+            Some(d) => RpcClient::new(StaticTimeout(d), None, None),
+            None => {
+                // Failure detection is bounded by the retry layer's backoff
+                // cap: the forecast time-out may inflate without limit
+                // during an outage, but a healed fault must never leave the
+                // client blind for longer than one cap.
+                let retry = RetryConfig::default();
+                RpcClient::new(
+                    ForecastTimeout::wan_default(),
+                    Some((retry, BreakerConfig::default())),
+                    Some(retry.cap),
+                )
+            }
         };
         let workload = cfg.workload.build(0);
         ComputeClient {
@@ -248,10 +261,7 @@ impl ComputeClient {
             workload,
             sched_idx: 0,
             unit: None,
-            rpc: RpcTracker::new(),
-            policy,
-            adaptive: None,
-            deferred: Vec::new(),
+            rpc,
             started_at: SimTime::ZERO,
             sweep_armed: false,
             compute_gen: 0,
@@ -279,10 +289,8 @@ impl ComputeClient {
         // While the state server's circuit is open there is no point
         // cutting a checkpoint only to watch it time out; the next
         // checkpoint interval after the circuit closes will catch up.
-        if let Some(a) = self.adaptive.as_ref() {
-            if a.breaker.is_open(state, ctx.now()) {
-                return;
-            }
+        if self.rpc.is_open(state, ctx.now()) {
+            return;
         }
         let ck = Checkpoint {
             unit: up.unit.clone(),
@@ -295,14 +303,7 @@ impl ComputeClient {
             value: ck.to_wire(),
         };
         let body = req.to_wire();
-        self.send_request(
-            ctx,
-            state,
-            sm::STORE,
-            body.clone(),
-            Req::Checkpoint(body),
-            1,
-        );
+        self.send_request(ctx, state, sm::STORE, body.clone(), Req::Checkpoint(body));
         let tele = self.tele.expect("started");
         ctx.inc(tele.checkpoints);
     }
@@ -322,14 +323,7 @@ impl ComputeClient {
             value: Vec::new(),
         };
         let body = req.to_wire();
-        self.send_request(
-            ctx,
-            state,
-            sm::STORE,
-            body.clone(),
-            Req::Checkpoint(body),
-            1,
-        );
+        self.send_request(ctx, state, sm::STORE, body.clone(), Req::Checkpoint(body));
     }
 
     fn try_restore(&mut self, ctx: &mut Ctx<'_>) -> bool {
@@ -340,7 +334,7 @@ impl ComputeClient {
         let req = FetchRequest {
             key: Self::checkpoint_key(ctx),
         };
-        self.send_request(ctx, state, sm::FETCH, req.to_wire(), Req::RestoreFetch, 1);
+        self.send_request(ctx, state, sm::FETCH, req.to_wire(), Req::RestoreFetch);
         true
     }
 
@@ -349,51 +343,30 @@ impl ComputeClient {
     }
 
     /// The scheduler to address next: the failover rotation's current
-    /// choice, skipping peers whose circuit is open. Falls back to the
-    /// rotation's choice when every circuit is open (keep probing rather
-    /// than going silent).
+    /// choice, skipping peers whose circuit is open (none ever is on the
+    /// static arm). Falls back to the rotation's choice when every circuit
+    /// is open (keep probing rather than going silent).
     fn pick_scheduler(&self, now: SimTime) -> u64 {
-        if let Some(a) = self.adaptive.as_ref() {
-            let n = self.cfg.schedulers.len();
-            for i in 0..n {
-                let peer = self.cfg.schedulers[(self.sched_idx + i) % n];
-                if !a.breaker.is_open(peer, now) {
-                    return peer;
-                }
-            }
-        }
-        self.scheduler()
+        let n = self.cfg.schedulers.len();
+        (0..n)
+            .map(|i| self.cfg.schedulers[(self.sched_idx + i) % n])
+            .find(|&peer| !self.rpc.is_open(peer, now))
+            .unwrap_or_else(|| self.scheduler())
     }
 
-    fn send_request(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        to: u64,
-        mtype: u16,
-        body: Vec<u8>,
-        req: Req,
-        attempts: u32,
-    ) {
-        let tag = EventTag { peer: to, mtype };
-        // With the adaptive stack, failure detection is bounded by the
-        // retry layer's backoff cap: the forecast time-out may inflate
-        // without limit during an outage, but a healed fault must never
-        // leave the client blind for longer than one cap.
-        let corr = match self.adaptive.as_ref() {
-            Some(a) => self.rpc.begin_capped(
-                tag,
-                ctx.now(),
-                self.policy.as_mut(),
-                a.retry.cap(),
-                ReqCtx { req, attempts },
-            ),
-            None => self.rpc.begin(
-                tag,
-                ctx.now(),
-                self.policy.as_mut(),
-                ReqCtx { req, attempts },
-            ),
-        };
+    /// Rotate to the next scheduler.
+    fn fail_over(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele) {
+        self.sched_idx += 1;
+        self.failovers += 1;
+        ctx.inc(tele.failovers);
+    }
+
+    fn send_request(&mut self, ctx: &mut Ctx<'_>, to: u64, mtype: u16, body: Vec<u8>, req: Req) {
+        let corr = self.rpc.begin(EventTag { peer: to, mtype }, ctx.now(), req);
+        self.transmit(ctx, to, mtype, corr, body);
+    }
+
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, to: u64, mtype: u16, corr: u64, body: Vec<u8>) {
         send_packet(
             ctx,
             ProcessId(to as u32),
@@ -410,7 +383,7 @@ impl ComputeClient {
     /// arming on demand moves no expiry, retry, failover or resend in
     /// simulated time (a deadline-exact timer would move them earlier).
     fn arm_sweep(&mut self, ctx: &mut Ctx<'_>) {
-        if self.sweep_armed || (self.rpc.in_flight() == 0 && self.deferred.is_empty()) {
+        if self.sweep_armed || self.rpc.idle() {
             return;
         }
         let period = SWEEP_PERIOD.as_micros();
@@ -425,7 +398,7 @@ impl ComputeClient {
         }
         self.waiting_for_work = true;
         let sched = self.pick_scheduler(ctx.now());
-        self.send_request(ctx, sched, scm::GET_WORK, Vec::new(), Req::GetWork, 1);
+        self.send_request(ctx, sched, scm::GET_WORK, Vec::new(), Req::GetWork);
     }
 
     fn start_chunk(&mut self, ctx: &mut Ctx<'_>) {
@@ -461,9 +434,14 @@ impl ComputeClient {
                     value: result.artifact.clone(),
                 };
                 let body = store.to_wire();
-                self.send_request(ctx, state, sm::STORE, body.clone(), Req::Store(body), 1);
+                self.send_request(ctx, state, sm::STORE, body.clone(), Req::Store(body));
             }
         }
+        self.send_result(ctx, result);
+        self.request_work(ctx);
+    }
+
+    fn send_result(&mut self, ctx: &mut Ctx<'_>, result: WorkResult) {
         let sched = self.pick_scheduler(ctx.now());
         self.send_request(
             ctx,
@@ -471,9 +449,7 @@ impl ComputeClient {
             scm::RESULT,
             result.to_wire(),
             Req::Result(result),
-            1,
         );
-        self.request_work(ctx);
     }
 
     fn send_report(&mut self, ctx: &mut Ctx<'_>) {
@@ -501,7 +477,7 @@ impl ComputeClient {
             }
         };
         let sched = self.pick_scheduler(now);
-        self.send_request(ctx, sched, scm::REPORT, report.to_wire(), Req::Report, 1);
+        self.send_request(ctx, sched, scm::REPORT, report.to_wire(), Req::Report);
     }
 
     fn on_grant(&mut self, ctx: &mut Ctx<'_>, grant: WorkGrant) {
@@ -550,138 +526,56 @@ impl ComputeClient {
         self.sweep_armed = false;
         let tele = self.tele.expect("started");
         ctx.inc(tele.sweeps);
-        let expired = self
-            .rpc
-            .expire_traced(ctx, tele.timeout_span, self.policy.as_mut());
+        let expired = self.rpc.take_expired(ctx, tele.timeout_span);
         let mut idle = expired.is_empty();
-        for pending in expired {
-            if self.adaptive.is_some() {
-                self.on_expiry_adaptive(ctx, tele, pending);
-            } else {
-                self.on_expiry_static(ctx, tele, pending);
+        for e in expired {
+            // One verdict at a time: `on_gave_up` reads breaker state the
+            // next verdict mutates, and begins new requests.
+            let resendable = e.context.resendable();
+            if let Verdict::GaveUp(req) = self.rpc.verdict(ctx, tele.retry, e, resendable) {
+                self.on_gave_up(ctx, tele, req);
             }
         }
-        idle &= !self.flush_deferred(ctx);
+        let now = ctx.now();
+        let due = self.rpc.take_due(now);
+        idle &= due.is_empty();
+        for resend in due {
+            let (to, mtype) = (resend.tag.peer, resend.tag.mtype);
+            let body = resend.context.resend_body(ctx);
+            let corr = self.rpc.resend(now, resend);
+            self.transmit(ctx, to, mtype, corr, body);
+        }
         if idle {
             ctx.inc(tele.sweeps_idle);
         }
         self.arm_sweep(ctx);
     }
 
-    /// Adaptive arm: the breaker hears every time-out; within the retry
-    /// budget (and while the peer's circuit is closed) the request is
-    /// resent to the same peer after an exponential backoff; beyond it the
-    /// old per-kind recovery runs (failover, give up, start fresh).
-    fn on_expiry_adaptive(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        tele: ClientTele,
-        pending: Pending<ReqCtx>,
-    ) {
-        let now = ctx.now();
-        let peer = pending.tag.peer;
-        let attempts = pending.context.attempts;
-        let adaptive = self.adaptive.as_mut().expect("adaptive arm");
-        let (decision, opened) = adaptive.on_timeout(peer, attempts, now);
-        if opened {
-            ctx.inc(tele.retry.breaker_open);
-        }
-        match (pending.context.req, decision) {
-            (Req::Report, _) => {
-                // Reports are periodic and their rates are already stale:
-                // never resend. The time-out still fed the breaker above,
-                // so a dead scheduler's circuit opens even mid-unit.
-            }
-            (req, RetryDecision::Resend { after }) => {
-                let (mtype, body) = match &req {
-                    Req::GetWork => (scm::GET_WORK, Vec::new()),
-                    Req::Result(r) => (scm::RESULT, r.to_wire()),
-                    Req::Store(b) | Req::Checkpoint(b) => (sm::STORE, b.clone()),
-                    Req::RestoreFetch => {
-                        let fetch = FetchRequest {
-                            key: Self::checkpoint_key(ctx),
-                        };
-                        (sm::FETCH, fetch.to_wire())
-                    }
-                    Req::Report => unreachable!("handled above"),
-                };
-                ctx.inc(tele.retry.retries);
-                self.deferred.push(Deferred {
-                    due: now + after,
-                    peer,
-                    mtype,
-                    body,
-                    req,
-                    attempts: attempts + 1,
-                });
-            }
-            (Req::GetWork, RetryDecision::GiveUp) => {
-                // Scheduler unreachable past the budget: fail over.
-                self.sched_idx += 1;
-                self.failovers += 1;
-                ctx.inc(tele.failovers);
-                self.waiting_for_work = false;
-                self.request_work(ctx);
-            }
-            (Req::Result(result), RetryDecision::GiveUp) => {
-                // Results matter: fail over and resend with a fresh budget.
-                self.sched_idx += 1;
-                self.failovers += 1;
-                ctx.inc(tele.failovers);
-                let sched = self.pick_scheduler(now);
-                self.send_request(
-                    ctx,
-                    sched,
-                    scm::RESULT,
-                    result.to_wire(),
-                    Req::Result(result),
-                    1,
-                );
-            }
-            (Req::Store(_) | Req::Checkpoint(_), RetryDecision::GiveUp) => {
-                ctx.inc(tele.store_timeouts);
-            }
-            (Req::RestoreFetch, RetryDecision::GiveUp) => {
-                // State service unreachable: start fresh.
-                self.request_work(ctx);
-            }
-        }
-    }
-
-    /// Static-baseline arm (`static_timeouts = Some`): the pre-adaptive
-    /// behaviour — immediate failover on every expiry, no backoff, no
-    /// breaker.
-    fn on_expiry_static(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele, pending: Pending<ReqCtx>) {
-        match pending.context.req {
+    /// Per-kind recovery for a request the retry layer will not resend:
+    /// past the budget or behind an open circuit on the adaptive arm, every
+    /// expiry on the static arm (`static_timeouts = Some`: no backoff, no
+    /// breaker, immediate failover).
+    fn on_gave_up(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele, req: Req) {
+        match req {
             Req::GetWork => {
                 // Scheduler unreachable: fail over and re-request.
-                self.sched_idx += 1;
-                self.failovers += 1;
-                ctx.inc(tele.failovers);
+                self.fail_over(ctx, tele);
                 self.waiting_for_work = false;
                 self.request_work(ctx);
             }
             Req::Report => {
-                // Reports are periodic; the next one will try the next
-                // scheduler if this one is gone.
-                self.sched_idx += 1;
-                self.failovers += 1;
-                ctx.inc(tele.failovers);
+                // The one place the arms differ. Static: the next report
+                // tries the next scheduler if this one is gone. Adaptive:
+                // the rotation stays; the breaker heard the time-out, and
+                // `pick_scheduler` skips a scheduler whose circuit it opens.
+                if self.cfg.static_timeouts.is_some() {
+                    self.fail_over(ctx, tele);
+                }
             }
             Req::Result(result) => {
-                // Results matter: retry against the next scheduler.
-                self.sched_idx += 1;
-                self.failovers += 1;
-                ctx.inc(tele.failovers);
-                let sched = self.scheduler();
-                self.send_request(
-                    ctx,
-                    sched,
-                    scm::RESULT,
-                    result.to_wire(),
-                    Req::Result(result),
-                    1,
-                );
+                // Results matter: fail over and resend with a fresh budget.
+                self.fail_over(ctx, tele);
+                self.send_result(ctx, result);
             }
             Req::Store(_) | Req::Checkpoint(_) => {
                 ctx.inc(tele.store_timeouts);
@@ -691,22 +585,6 @@ impl ComputeClient {
                 self.request_work(ctx);
             }
         }
-    }
-
-    /// Send every deferred resend that has come due; `true` if any went out.
-    fn flush_deferred(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        if self.deferred.is_empty() {
-            return false;
-        }
-        let now = ctx.now();
-        let (due, later): (Vec<Deferred>, Vec<Deferred>) =
-            self.deferred.drain(..).partition(|d| d.due <= now);
-        self.deferred = later;
-        let flushed = !due.is_empty();
-        for d in due {
-            self.send_request(ctx, d.peer, d.mtype, d.body, d.req, d.attempts);
-        }
-        flushed
     }
 }
 
@@ -720,7 +598,7 @@ impl Process for ComputeClient {
                     // Jitter stream seeded from the process rng so whole
                     // campaigns replay bit-identically.
                     let seed = ctx.rng().next_u64();
-                    self.adaptive = Some(AdaptiveRetry::with_defaults(seed));
+                    self.rpc.seed_jitter(seed);
                 }
                 // Restart path first: a checkpoint from a predecessor on
                 // this host resumes its unit instead of asking for new
@@ -773,16 +651,10 @@ impl Process for ComputeClient {
                     if !pkt.is_response() {
                         return;
                     }
-                    let Some((pending, _rtt)) =
-                        self.rpc
-                            .complete(pkt.corr_id, ctx.now(), self.policy.as_mut())
-                    else {
+                    let Some((_tag, req, _rtt)) = self.rpc.complete(pkt.corr_id, ctx.now()) else {
                         return;
                     };
-                    if let Some(a) = self.adaptive.as_mut() {
-                        a.on_success(pending.tag.peer);
-                    }
-                    match pending.context.req {
+                    match req {
                         Req::GetWork => {
                             if let Ok(grant) = pkt.body::<WorkGrant>() {
                                 self.on_grant(ctx, grant);
@@ -903,9 +775,9 @@ mod tests {
         // One unit = 1000 steps = 10 chunks = ~1s compute; many complete.
         assert!(units > 100, "got {units}");
         let results = sim
-            .with_process::<SchedulerServer, _>(s, |s| s.results.len())
+            .with_process::<SchedulerServer, _>(s, |s| s.results_received)
             .unwrap();
-        assert!(results as u64 >= units - 1);
+        assert!(results >= units - 1);
         assert!(sim.metrics().counter("ops.total") as u64 == ops);
         assert!(sim.metrics().counter("ops.unix") as u64 == ops);
     }
@@ -950,7 +822,7 @@ mod tests {
             "work continues on the backup scheduler: {units}"
         );
         let s2_results = sim
-            .with_process::<SchedulerServer, _>(s2, |s| s.results.len())
+            .with_process::<SchedulerServer, _>(s2, |s| s.results_received)
             .unwrap();
         assert!(s2_results > 0, "backup scheduler received results");
     }

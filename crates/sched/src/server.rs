@@ -15,7 +15,7 @@
 //! variant rotation for stalled clients, migration remakes, and result
 //! bookkeeping. The Ramsey search is just the default plugin.
 
-use ew_forecast::DynamicBenchmark;
+use ew_forecast::ForecasterSet;
 use ew_gossip::{Comparator, GossipClient, VersionedBlob};
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::{Packet, WireEncode};
@@ -40,14 +40,6 @@ pub struct SchedulerConfig {
     /// Default steps per issued work unit (rate-scaled for workloads that
     /// opt in; cost-model workloads size their own units).
     pub step_budget: u64,
-    /// Reports with no objective improvement before a switch directive.
-    pub stall_reports: u32,
-    /// A client whose (forecast) rate falls below `migration_factor` ×
-    /// its *own demonstrated* rate is anomalously slow (contention, not
-    /// heterogeneity — a browser applet is never "slow" by its own
-    /// standard) and is told to abandon so its unit migrates to a machine
-    /// the scheduler predicts will be faster (§3.1.1).
-    pub migration_factor: f64,
     /// Forecast rates with the NWS battery (`true`, the paper's design) or
     /// use the last report only (`false`, the ablation baseline).
     pub use_forecasts: bool,
@@ -60,13 +52,21 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             workload: WorkloadSpec::default(),
             step_budget: 2_000,
-            stall_reports: 3,
-            migration_factor: 0.45,
             use_forecasts: true,
             seed_salt: 0,
         }
     }
 }
+
+/// Reports with no objective improvement before a switch directive.
+const STALL_REPORTS: u32 = 3;
+
+/// A client whose (forecast) rate falls below `MIGRATION_FACTOR` × its *own
+/// demonstrated* rate is anomalously slow (contention, not heterogeneity —
+/// a browser applet is never "slow" by its own standard) and is told to
+/// abandon so its unit migrates to a machine the scheduler predicts will be
+/// faster (§3.1.1).
+const MIGRATION_FACTOR: f64 = 0.45;
 
 /// Interned metric handles, resolved once at `Started`.
 #[derive(Clone, Copy)]
@@ -104,37 +104,37 @@ struct Outstanding {
     unit: WorkUnit,
 }
 
-/// Per-client rate estimates plus the same multiset kept ascending by
+/// Everything the scheduler knows about one reporting client.
+struct ClientRecord {
+    /// The client's reported rates, as a forecast stream.
+    rates: ForecasterSet,
+    /// Rate estimate refreshed on each report (forecast or last value, per
+    /// config), cached so the per-report migration decision reads one entry
+    /// and one median, not clients × battery. Mirrored in [`RateTable`].
+    estimate: Option<f64>,
+    /// Slowly-decaying demonstrated rate (the baseline that defines
+    /// "anomalously slow").
+    baseline: f64,
+    last_seen: SimTime,
+}
+
+/// The multiset of every client's rate estimate, kept ascending by
 /// `f64::total_cmp` (the sorted-window idiom of `ew_forecast::methods`), so
 /// the pool median every report and grant asks for is one indexed read
-/// instead of a collect-and-sort of the whole table. `set` and `remove` cost
-/// a binary search each plus an O(clients) memmove.
+/// instead of a collect-and-sort of the whole table. `insert` and `remove`
+/// cost a binary search plus an O(clients) memmove.
 #[derive(Default)]
 struct RateTable {
-    by_client: FxHashMap<u64, f64>,
     sorted: Vec<f64>,
 }
 
 impl RateTable {
-    fn get(&self, client: u64) -> Option<f64> {
-        self.by_client.get(&client).copied()
-    }
-
-    fn set(&mut self, client: u64, rate: f64) {
-        if let Some(old) = self.by_client.insert(client, rate) {
-            self.unsort(old);
-        }
+    fn insert(&mut self, rate: f64) {
         let i = self.sorted.partition_point(|x| x.total_cmp(&rate).is_lt());
         self.sorted.insert(i, rate);
     }
 
-    fn remove(&mut self, client: u64) {
-        if let Some(old) = self.by_client.remove(&client) {
-            self.unsort(old);
-        }
-    }
-
-    fn unsort(&mut self, old: f64) {
+    fn remove(&mut self, old: f64) {
         let i = self.sorted.partition_point(|x| x.total_cmp(&old).is_lt());
         self.sorted.remove(i);
     }
@@ -160,20 +160,15 @@ pub struct SchedulerServer {
     outstanding: FxHashMap<u64, Outstanding>,
     /// Units abandoned by slow clients, awaiting reassignment.
     migration_queue: Vec<WorkUnit>,
-    rates: DynamicBenchmark<u64>,
-    /// Cached per-client rate estimate, refreshed on each report (forecast
-    /// or last value, per config). Cached so the per-report migration
-    /// decision reads one entry and one median, not clients × battery.
+    /// Accessed by key and by `retain` only, so the hasher cannot reach
+    /// event order.
+    clients: FxHashMap<u64, ClientRecord>,
     estimates: RateTable,
-    /// Slowly-decaying per-client demonstrated rate (the baseline that
-    /// defines "anomalously slow").
-    baselines: FxHashMap<u64, f64>,
-    last_seen: FxHashMap<u64, SimTime>,
     reports_since_purge: u32,
     /// Completed results received.
-    pub results: Vec<WorkResult>,
-    /// Serialized artifacts received (Ramsey: counter-examples).
-    pub artifacts: Vec<Vec<u8>>,
+    pub results_received: u64,
+    /// Non-empty artifacts received (Ramsey: counter-examples).
+    pub artifacts_received: u64,
     /// Directives issued, by kind, for inspection.
     pub issued_continue: u64,
     /// Switch directives issued.
@@ -203,13 +198,11 @@ impl SchedulerServer {
             next_unit: 1,
             outstanding: FxHashMap::default(),
             migration_queue: Vec::new(),
-            rates: DynamicBenchmark::new(),
+            clients: FxHashMap::default(),
             estimates: RateTable::default(),
-            baselines: FxHashMap::default(),
-            last_seen: FxHashMap::default(),
             reports_since_purge: 0,
-            results: Vec::new(),
-            artifacts: Vec::new(),
+            results_received: 0,
+            artifacts_received: 0,
             issued_continue: 0,
             issued_switch: 0,
             issued_abandon: 0,
@@ -320,7 +313,7 @@ impl SchedulerServer {
 
     /// The rate estimate used for migration decisions (reads the cache).
     fn rate_estimate(&self, client: u64) -> Option<f64> {
-        self.estimates.get(client)
+        self.clients.get(&client)?.estimate
     }
 
     fn pool_median_rate(&self) -> Option<f64> {
@@ -333,38 +326,48 @@ impl SchedulerServer {
     /// has to scan.
     fn purge_stale_clients(&mut self, now: SimTime) {
         const STALE: SimDuration = SimDuration::from_secs(600);
-        let stale: Vec<u64> = self
-            .last_seen
-            .iter()
-            .filter(|(_, &seen)| now.since(seen) > STALE)
-            .map(|(&c, _)| c)
-            .collect();
-        for c in stale {
-            self.last_seen.remove(&c);
-            self.estimates.remove(c);
-            self.baselines.remove(&c);
-            self.rates.forget(&c);
-        }
+        let estimates = &mut self.estimates;
+        self.clients.retain(|_, rec| {
+            let keep = now.since(rec.last_seen) <= STALE;
+            if let (false, Some(est)) = (keep, rec.estimate) {
+                estimates.remove(est);
+            }
+            keep
+        });
     }
 
     /// `report.rate` must already have passed [`rate_is_sane`].
     fn handle_report(&mut self, now: SimTime, report: ProgressReport) -> Directive {
-        self.rates.observe(report.client, report.rate);
-        self.last_seen.insert(report.client, now);
-        let baseline = self.baselines.entry(report.client).or_insert(report.rate);
-        *baseline = (*baseline * 0.995).max(report.rate);
-        if !self.cfg.use_forecasts {
-            self.estimates.set(report.client, report.rate);
-        } else if let Some(f) = self.rates.forecast(&report.client) {
-            self.estimates.set(report.client, f.value);
+        let rec = self
+            .clients
+            .entry(report.client)
+            .or_insert_with(|| ClientRecord {
+                rates: ForecasterSet::standard(),
+                estimate: None,
+                baseline: report.rate,
+                last_seen: now,
+            });
+        rec.rates.update(report.rate);
+        rec.last_seen = now;
+        rec.baseline = (rec.baseline * 0.995).max(report.rate);
+        let estimate = if self.cfg.use_forecasts {
+            rec.rates.predict().map(|f| f.value)
+        } else {
+            Some(report.rate)
+        };
+        if let Some(new) = estimate {
+            if let Some(old) = rec.estimate.replace(new) {
+                self.estimates.remove(old);
+            }
+            self.estimates.insert(new);
         }
+        let (est, baseline) = (rec.estimate, rec.baseline);
         self.reports_since_purge += 1;
         if self.reports_since_purge >= 256 {
             self.reports_since_purge = 0;
             self.purge_stale_clients(now);
         }
         let median = self.pool_median_rate();
-        let est = self.rate_estimate(report.client);
 
         if !self.outstanding.contains_key(&report.unit_id) {
             // Unknown unit (scheduler restarted, a stale checkpoint
@@ -381,12 +384,9 @@ impl SchedulerServer {
         // rate — an anomaly (ambient contention), not the pool's permanent
         // heterogeneity — and the pool has visibly faster capacity to move
         // the unit to.
-        let baseline = self.baselines.get(&report.client).copied();
-        let migrate = match (est, baseline, median) {
-            (Some(est), Some(base), Some(median)) => {
-                est < self.cfg.migration_factor * base
-                    && median > 2.0 * est
-                    && self.last_seen.len() >= 3
+        let migrate = match (est, median) {
+            (Some(est), Some(median)) => {
+                est < MIGRATION_FACTOR * baseline && median > 2.0 * est && self.clients.len() >= 3
             }
             _ => false,
         };
@@ -413,7 +413,7 @@ impl SchedulerServer {
             out.stall_count = 0;
         } else {
             out.stall_count += 1;
-            if out.stall_count >= self.cfg.stall_reports {
+            if out.stall_count >= STALL_REPORTS {
                 out.stall_count = 0;
                 if let Some(next) = self.workload.next_variant(out.variant) {
                     out.variant = next;
@@ -435,11 +435,11 @@ impl SchedulerServer {
     fn handle_result(&mut self, result: WorkResult) {
         self.outstanding.remove(&result.unit_id);
         if !result.artifact.is_empty() {
-            self.artifacts.push(result.artifact.clone());
+            self.artifacts_received += 1;
         }
         self.note_best(result.progress, result.carry.clone());
         self.workload.on_result(&result);
-        self.results.push(result);
+        self.results_received += 1;
     }
 }
 
@@ -756,8 +756,8 @@ mod tests {
             artifact: vec![1, 2],
             carry: vec![1, 2],
         });
-        assert_eq!(s.results.len(), 1);
-        assert_eq!(s.artifacts, vec![vec![1, 2]]);
+        assert_eq!(s.results_received, 1);
+        assert_eq!(s.artifacts_received, 1);
         assert_eq!(s.outstanding_count(), 0);
     }
 
@@ -872,10 +872,13 @@ mod tests {
                     model.insert(client, (rate, now));
                 }
                 let got = s.pool_median_rate().map(f64::to_bits);
-                let oracle = collect_and_sort_median(s.estimates.by_client.values().copied());
+                let oracle = collect_and_sort_median(s.clients.values().filter_map(|r| r.estimate));
                 prop_assert_eq!(got, oracle.map(f64::to_bits));
-                prop_assert_eq!(s.estimates.sorted.len(), s.estimates.by_client.len());
-                prop_assert_eq!(s.last_seen.len(), model.len());
+                prop_assert_eq!(
+                    s.estimates.sorted.len(),
+                    s.clients.values().filter(|r| r.estimate.is_some()).count()
+                );
+                prop_assert_eq!(s.clients.len(), model.len());
                 if !use_forecasts {
                     let modelled = collect_and_sort_median(model.values().map(|&(r, _)| r));
                     prop_assert_eq!(got, modelled.map(f64::to_bits));
@@ -958,9 +961,7 @@ mod tests {
         );
         sim.with_process::<SchedulerServer, _>(sched, |s| {
             assert_eq!(s.pool_median_rate(), None);
-            assert!(s.estimates.by_client.is_empty() && s.estimates.sorted.is_empty());
-            assert!(s.last_seen.is_empty() && s.baselines.is_empty());
-            assert_eq!(s.rates.forecast(&(hostile.0 as u64)).map(|f| f.value), None);
+            assert!(s.clients.is_empty() && s.estimates.sorted.is_empty());
             assert_eq!(s.issued_unknown, 0, "rejected before the unit lookup");
         })
         .unwrap();

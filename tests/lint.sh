@@ -34,4 +34,19 @@ if grep -rnE 'collections::(\{[^}]*)?Hash(Map|Set)' \
     exit 1
 fi
 
+# One client-side RPC stack: services embed ew_proto::RpcClient, never its
+# parts (two private copies of tracker + policy + retry layer + deferred
+# queue lived beside the "unified" layer from PR 3 to PR 20).
+echo "== the retry layer is embedded only through RpcClient"
+if grep -rnE 'AdaptiveRetry|begin_capped' crates/*/src | grep -v '^crates/proto/src/'; then
+    echo "error: use ew_proto::RpcClient; it owns time-out, retry budget," >&2
+    echo "       breaker and deferred resends" >&2
+    exit 1
+fi
+if [ -e crates/core/src/framework.rs ]; then
+    echo "error: crates/core/src/framework.rs had no caller for twenty PRs and" >&2
+    echo "       was deleted; the shared part of a service is RpcClient" >&2
+    exit 1
+fi
+
 echo "lint gate: OK"

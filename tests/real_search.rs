@@ -105,11 +105,11 @@ fn distributed_real_search_stores_verified_witness() {
         "at least the receiving scheduler knows a perfect coloring: {bests:?}"
     );
     // Scheduler counter-example collection saw it too.
-    let ces: usize = dep
+    let ces: u64 = dep
         .schedulers
         .iter()
         .map(|&s| {
-            sim.with_process::<SchedulerServer, _>(s, |s| s.artifacts.len())
+            sim.with_process::<SchedulerServer, _>(s, |s| s.artifacts_received)
                 .unwrap()
         })
         .sum();

@@ -26,9 +26,9 @@
 //! speed is measured by `benchmark/run.sh` and gated by
 //! `tests/perf_gate.sh`.
 //! `--seed N` reseeds. `--threads N` sets the sim-farm worker count
-//! (default: the `EW_THREADS` environment variable, else available
-//! parallelism; `--threads 1` reproduces the sequential behavior
-//! exactly). Every artifact is byte-identical for any thread count.
+//! (default: available parallelism; `--threads 1` reproduces the
+//! sequential behavior exactly). Every artifact is byte-identical for any
+//! thread count.
 //! `--trace PATH` turns on span tracing for the SC98 run and writes the
 //! records to PATH as JSONL (the simulation itself is bit-identical with
 //! tracing on or off). Markdown goes to stdout; JSON artifacts go to
@@ -735,9 +735,8 @@ fn usage() -> String {
          \x20 --short       smoke-test sizes (2 h SC98 window; 1-seed 15-min chaos campaign;\n\
          \x20               64-host/50k-unit mega)\n\
          \x20 --seed N      master seed (default 1998)\n\
-         \x20 --threads N   sim-farm workers (default: EW_THREADS env, else available\n\
-         \x20               parallelism; 1 = sequential; artifacts are byte-identical\n\
-         \x20               for any value)\n\
+         \x20 --threads N   sim-farm workers (default: available parallelism;\n\
+         \x20               1 = sequential; artifacts are byte-identical for any value)\n\
          \x20 --workload W  application for chaos / workload-scaling: one of\n\
          \x20               {} (default: ramsey for chaos; dag and faas\n\
          \x20               for workload-scaling)\n\

@@ -524,9 +524,8 @@ pub fn run_campaign_threads(cfg: &CampaignConfig, threads: usize) -> CampaignRun
 
 /// Run the whole campaign: for each seed, two no-fault reference runs,
 /// then every plan × {adaptive, static}. Deterministic in `cfg`; the
-/// worker count comes from [`ew_sim::resolve_threads`] (the `EW_THREADS`
-/// environment variable, else available parallelism) and cannot change
-/// the result bytes.
+/// worker count comes from [`ew_sim::resolve_threads`] (available
+/// parallelism) and cannot change the result bytes.
 pub fn run_campaign(cfg: &CampaignConfig) -> Vec<PlanReport> {
     run_campaign_threads(cfg, ew_sim::resolve_threads(None)).reports
 }

@@ -32,9 +32,6 @@ pub mod plan;
 
 pub use campaign::{
     campaign_json, run_campaign, run_campaign_threads, scaling_json, summary_json, summary_stem,
-    ArmReport, CampaignConfig, CampaignRun, PlanReport, N_COMPUTE, SCALING_POOLS,
+    CampaignConfig, CampaignRun, PlanReport, N_COMPUTE, SCALING_POOLS,
 };
-pub use plan::{
-    standard_plans, CompiledFaults, CompiledImpairment, CompiledPartition, CompiledSpike, FaultOp,
-    FaultPlan, HostRole, SiteRole,
-};
+pub use plan::{standard_plans, FaultPlan, SiteRole};

@@ -22,8 +22,7 @@ pub mod sc98;
 pub mod series;
 pub mod toolkit;
 
-pub use ew_sim::NetworkModel;
-pub use live::{run_live, LiveConfig, LiveOutcome};
+pub use live::{run_live, LiveConfig};
 pub use sc98::{run_sc98, Sc98Config, Sc98Report, JUDGING_END_S, JUDGING_START_S, WINDOW_S};
-pub use series::{bin_mean, bin_rate, coefficient_of_variation, mean, pst_label, BinnedPoint};
-pub use toolkit::{ramsey_validator, DeployConfig, Deployment, DeploymentBuilder};
+pub use series::{mean, pst_label, BinnedPoint};
+pub use toolkit::{ramsey_validator, DeployConfig, Deployment};

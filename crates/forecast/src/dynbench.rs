@@ -56,11 +56,6 @@ impl<K: Hash + Eq + Clone> DynamicBenchmark<K> {
         Some(elapsed)
     }
 
-    /// Discard an open occurrence without recording (known-failed event).
-    pub fn abandon(&mut self, key: K, instance: u64) {
-        self.open.remove(&(key, instance));
-    }
-
     /// Feed a directly measured value (seconds, rates, anything scalar).
     pub fn observe(&mut self, key: K, value: f64) {
         self.streams
@@ -86,17 +81,6 @@ impl<K: Hash + Eq + Clone> DynamicBenchmark<K> {
     /// Number of distinct event streams.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
-    }
-
-    /// Drop a stream (e.g. a client that died; Grid components churn, and
-    /// keeping every address ever seen would grow without bound).
-    pub fn forget(&mut self, key: &K) {
-        self.streams.remove(key);
-    }
-
-    /// Number of currently open (started, unfinished) occurrences.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
     }
 }
 
@@ -134,16 +118,6 @@ mod tests {
         assert_eq!(d2, SimDuration::from_millis(100));
         assert_eq!(d1, SimDuration::from_millis(300));
         assert_eq!(db.samples(&"rpc"), 2);
-        assert_eq!(db.open_count(), 0);
-    }
-
-    #[test]
-    fn abandon_discards_without_recording() {
-        let mut db: DynamicBenchmark<&str> = DynamicBenchmark::new();
-        db.begin("rpc", 1, t(0));
-        db.abandon("rpc", 1);
-        assert!(db.end("rpc", 1, t(100)).is_none());
-        assert_eq!(db.samples(&"rpc"), 0);
     }
 
     #[test]

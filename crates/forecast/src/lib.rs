@@ -24,6 +24,6 @@ pub mod timeout;
 
 pub use dynbench::DynamicBenchmark;
 pub use methods::{standard_battery, Method};
-pub use selector::{ErrorMetric, Forecast, ForecasterSet};
-pub use sensor::{nm, NwsForecastReply, NwsQuery, NwsReport, NwsSensor, NwsServer, SensorConfig};
+pub use selector::{ErrorMetric, ForecasterSet};
+pub use sensor::{NwsSensor, NwsServer, SensorConfig};
 pub use timeout::ForecastTimeout;

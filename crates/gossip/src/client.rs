@@ -18,7 +18,6 @@ use crate::messages::{gm, Poll, Register, StateCarrier, TypeRegistration};
 pub struct GossipClient {
     types: Vec<(u16, Comparator)>,
     states: std::collections::BTreeMap<u16, VersionedBlob>,
-    registered: bool,
     /// Fresher states received from the pool, for the application's
     /// state-update methods to drain ([`GossipClient::drain_updates`]).
     updates: Vec<(u16, VersionedBlob)>,
@@ -34,7 +33,6 @@ impl GossipClient {
         GossipClient {
             types,
             states,
-            registered: false,
             updates: Vec::new(),
         }
     }
@@ -57,11 +55,6 @@ impl GossipClient {
             gossip,
             &Packet::request(gm::REGISTER, 0, body.to_wire_payload()),
         );
-    }
-
-    /// Whether the registration ack has arrived.
-    pub fn is_registered(&self) -> bool {
-        self.registered
     }
 
     /// Write the local copy of a state (e.g. after completing work). The
@@ -92,10 +85,7 @@ impl GossipClient {
     /// gossip-service packet and has been handled.
     pub fn handle_packet(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, pkt: &Packet) -> bool {
         match (pkt.mtype, pkt.is_response()) {
-            (gm::REGISTER, true) => {
-                self.registered = true;
-                true
-            }
+            (gm::REGISTER, true) => true,
             (gm::POLL, false) => {
                 if let Ok(poll) = pkt.body::<Poll>() {
                     let blob = self
@@ -246,13 +236,6 @@ mod tests {
         let mut sorted = versions.clone();
         sorted.sort_unstable();
         assert_eq!(versions, sorted);
-        // And both components completed registration.
-        for pid in [writer, reader] {
-            let ok = sim
-                .with_process::<Component, _>(pid, |c| c.client.is_registered())
-                .unwrap();
-            assert!(ok);
-        }
     }
 
     #[test]

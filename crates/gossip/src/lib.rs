@@ -26,6 +26,5 @@ pub mod store;
 pub use client::GossipClient;
 pub use clique::{CliqueConfig, CliqueState};
 pub use freshness::{Comparator, VersionedBlob};
-pub use messages::gm;
 pub use server::{GossipConfig, GossipServer};
-pub use store::{responsible_gossip, GossipStore};
+pub use store::GossipStore;

@@ -161,17 +161,16 @@ impl GossipServer {
             .unwrap_or_default()
     }
 
-    /// Current clique generation.
-    pub fn clique_generation(&self) -> u64 {
-        self.clique.as_ref().map(|c| c.generation()).unwrap_or(0)
-    }
-
     fn me_addr(ctx: &Ctx<'_>) -> u64 {
         ctx.me().0 as u64
     }
 
+    /// The process behind a wire address. One that does not fit `u32` names
+    /// no process, so it maps to a pid nobody holds: the kernel drops the
+    /// send and counts it as `net.send_to_unknown` instead of letting
+    /// `(1 << 32) | v` alias process `v`.
     fn pid(addr: u64) -> ProcessId {
-        ProcessId(addr as u32)
+        ProcessId(u32::try_from(addr).unwrap_or(u32::MAX))
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -419,7 +418,7 @@ impl GossipServer {
                         };
                         let targets: Vec<ProcessId> = peers
                             .into_iter()
-                            .filter(|&peer| peer != ann.addr && ProcessId(peer as u32) != from)
+                            .filter(|&peer| peer != ann.addr && Self::pid(peer) != from)
                             .map(Self::pid)
                             .collect();
                         broadcast_packet(

@@ -46,12 +46,6 @@ impl GossipStore {
         }
     }
 
-    /// Drop a component (its last-seen views go with it).
-    pub fn unregister(&mut self, addr: u64) {
-        self.registrations.remove(&addr);
-        self.component_views.retain(|&(a, _), _| a != addr);
-    }
-
     /// Registered component addresses, sorted.
     pub fn components(&self) -> Vec<u64> {
         self.registrations.keys().copied().collect()
@@ -234,11 +228,6 @@ impl GossipStore {
     pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
-
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.registrations.len()
-    }
 }
 
 /// Rendezvous (highest-random-weight) hash: which Gossip in `pool` is
@@ -277,9 +266,6 @@ mod tests {
         assert_eq!(s.components(), vec![10, 20]);
         assert_eq!(s.types_of(10), vec![1, 2]);
         assert_eq!(s.types_of(20), vec![1]);
-        assert_eq!(s.component_count(), 2);
-        s.unregister(10);
-        assert_eq!(s.components(), vec![20]);
     }
 
     #[test]

@@ -9,14 +9,12 @@
 
 #![warn(missing_docs)]
 
-pub mod globus;
 pub mod mega;
 pub mod pool;
 pub mod relay;
 pub mod supervisor;
 
-pub use globus::{gb, GassServer, Gatekeeper, LightSwitch, MdsDirectory};
-pub use mega::{build_mega_shard, MegaShard, MegaSpec};
-pub use pool::{build_sc98, java, InfraBuild, JudgingSpike, Sc98Pool, ServiceHosts};
+pub use mega::{build_mega_shard, MegaSpec};
+pub use pool::{build_sc98, java, JudgingSpike, ServiceHosts};
 pub use relay::Relay;
 pub use supervisor::{InfraSpec, InfraSupervisor};

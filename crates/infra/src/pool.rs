@@ -296,7 +296,7 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
     infra.push(InfraBuild {
         name: "globus".into(),
         hosts: globus_hosts,
-        // Gatekeeper authentication + GASS binary fetch (§5.2).
+        // GRAM authentication + binary fetch (§5.2).
         invocation_delay: SimDuration::from_secs(45),
         stagger: SimDuration::from_secs(5),
         chunk_ops: 160_000_000,

@@ -49,7 +49,8 @@ impl Relay {
     }
 
     /// Requests currently awaiting an upstream response.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    fn pending_count(&self) -> usize {
         self.pending.len()
     }
 }

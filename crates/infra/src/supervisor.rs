@@ -70,11 +70,6 @@ impl InfraSupervisor {
         }
     }
 
-    /// Live clients right now (valid during/after a run).
-    pub fn live_clients(&self, ctx_alive: impl Fn(ProcessId) -> bool) -> usize {
-        self.clients.values().filter(|&&p| ctx_alive(p)).count()
-    }
-
     fn schedule_spawn(&self, ctx: &mut Ctx<'_>, host_idx: usize, extra: SimDuration) {
         ctx.set_timer(
             self.spec.invocation_delay + extra,

@@ -27,11 +27,8 @@ pub mod tcp;
 pub mod wire;
 
 pub use ew_sim::Payload;
-pub use packet::{flags, mtype, FrameReader, Packet, PacketError};
-pub use retry::{
-    AdaptiveRetry, BreakerConfig, CircuitBreaker, RetryConfig, RetryDecision, RetryPolicy,
-    RetryTele,
-};
+pub use packet::{mtype, FrameReader, Packet};
+pub use retry::{AdaptiveRetry, BreakerConfig, RetryConfig, RetryDecision, RetryTele};
 pub use rpc::{
     DeadlineTimer, EventTag, Expired, Pending, Resend, RpcClient, RpcTracker, StaticTimeout,
     TimeoutPolicy, Verdict,

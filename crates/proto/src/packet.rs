@@ -26,8 +26,6 @@ pub mod flags {
     pub const REQUEST: u8 = 0b0000_0001;
     /// Packet answers an earlier `REQUEST`.
     pub const RESPONSE: u8 = 0b0000_0010;
-    /// Receiver-side error indication (payload is a diagnostic string).
-    pub const ERROR: u8 = 0b0000_0100;
 }
 
 /// Message type namespaces, one block per EveryWare service. Application
@@ -170,16 +168,6 @@ impl Packet {
         }
     }
 
-    /// An error response to `req` with a diagnostic message.
-    pub fn error_to(req: &Packet, diagnostic: &str) -> Self {
-        Packet {
-            mtype: req.mtype,
-            flags: flags::RESPONSE | flags::ERROR,
-            corr_id: req.corr_id,
-            payload: diagnostic.to_wire().into(),
-        }
-    }
-
     /// Whether the REQUEST flag is set.
     pub fn is_request(&self) -> bool {
         self.flags & flags::REQUEST != 0
@@ -188,11 +176,6 @@ impl Packet {
     /// Whether the RESPONSE flag is set.
     pub fn is_response(&self) -> bool {
         self.flags & flags::RESPONSE != 0
-    }
-
-    /// Whether the ERROR flag is set.
-    pub fn is_error(&self) -> bool {
-        self.flags & flags::ERROR != 0
     }
 
     /// Decode the payload as a typed body.
@@ -269,7 +252,8 @@ impl FrameReader {
     }
 
     /// Bytes buffered but not yet framed.
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.buf.len()
     }
 
@@ -451,14 +435,11 @@ mod tests {
     #[test]
     fn request_response_flags() {
         let req = Packet::request(7, 42, vec![]);
-        assert!(req.is_request() && !req.is_response() && !req.is_error());
+        assert!(req.is_request() && !req.is_response());
         let resp = Packet::response_to(&req, b"ok".to_vec());
         assert!(resp.is_response() && !resp.is_request());
         assert_eq!(resp.corr_id, 42);
         assert_eq!(resp.mtype, 7);
-        let err = Packet::error_to(&req, "not a counter-example");
-        assert!(err.is_response() && err.is_error());
-        assert_eq!(err.body::<String>().unwrap(), "not a counter-example");
     }
 
     #[test]

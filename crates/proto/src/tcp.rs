@@ -176,11 +176,6 @@ impl TcpNode {
         }
     }
 
-    /// Drop the cached connection to `to` (used after repeated timeouts).
-    pub fn forget(&mut self, to: SocketAddr) {
-        self.outgoing.remove(&to);
-    }
-
     /// Timed receive — the `select()`-with-timeout of §5.1. Returns `None`
     /// on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Incoming> {

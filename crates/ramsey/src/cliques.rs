@@ -225,7 +225,8 @@ pub fn count_total_ws(g: &ColoredGraph, k: usize, ops: &mut OpsCounter, ws: &mut
 
 /// Count the monochromatic `k`-cliques of one color (allocating
 /// convenience wrapper over [`count_mono_ws`]).
-pub fn count_mono(g: &ColoredGraph, color: Color, k: usize, ops: &mut OpsCounter) -> u64 {
+#[cfg(test)]
+fn count_mono(g: &ColoredGraph, color: Color, k: usize, ops: &mut OpsCounter) -> u64 {
     count_mono_ws(g, color, k, ops, &mut Workspace::new())
 }
 
@@ -266,7 +267,8 @@ pub fn count_through_edge_ws(
 
 /// Count the `k`-cliques of one color through edge `(u, v)` (allocating
 /// wrapper over [`count_through_edge_ws`]).
-pub fn count_through_edge(
+#[cfg(test)]
+fn count_through_edge(
     g: &ColoredGraph,
     color: Color,
     k: usize,

@@ -167,7 +167,8 @@ impl ColoredGraph {
     }
 
     /// Degree of `v` in the given color.
-    pub fn degree(&self, color: Color, v: usize) -> u32 {
+    #[cfg(test)]
+    fn degree(&self, color: Color, v: usize) -> u32 {
         self.row(color, v).iter().map(|w| w.count_ones()).sum()
     }
 
@@ -228,8 +229,9 @@ impl ColoredGraph {
     }
 
     /// Internal consistency: red and blue rows are complementary and
-    /// symmetric, diagonals clear. Debug/test aid.
-    pub fn check_invariants(&self) -> bool {
+    /// symmetric, diagonals clear.
+    #[cfg(test)]
+    fn check_invariants(&self) -> bool {
         for u in 0..self.n {
             for v in 0..self.n {
                 let r = self.red[u * self.w + v / 64] >> (v % 64) & 1;
@@ -269,7 +271,8 @@ fn is_prime(q: usize) -> bool {
 }
 
 /// Iterate the set bits (vertex indices) of a bitset row.
-pub fn iter_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+#[cfg(test)]
+fn iter_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
     row.iter().enumerate().flat_map(|(wi, &word)| {
         let mut w = word;
         std::iter::from_fn(move || {

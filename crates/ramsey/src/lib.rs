@@ -19,16 +19,13 @@ pub mod parallel;
 pub mod search;
 pub mod work;
 
-pub use bounds::{exact, lower_bound, verify_counter_example, Verification};
-pub use cliques::{
-    count_mono, count_mono_ws, count_through_edge, count_through_edge_ws, count_total,
-    count_total_ws, flip_delta, flip_delta_ws, OpsCounter, Workspace,
-};
-pub use delta::{DeltaTable, TableStats};
-pub use graph::{iter_bits, Color, ColoredGraph};
+pub use bounds::{exact, verify_counter_example, Verification};
+pub use cliques::{count_total_ws, flip_delta, flip_delta_ws, OpsCounter, Workspace};
+pub use delta::DeltaTable;
+pub use graph::{Color, ColoredGraph};
 pub use parallel::{best_flip_parallel, ParallelSteepest};
 pub use search::{
-    heuristic_by_kind, run_search, Annealing, GreedyLocal, Heuristic, KernelStats, RunReport,
-    SearchState, StepOutcome, TabuSearch,
+    heuristic_by_kind, run_search, GreedyLocal, Heuristic, KernelStats, SearchState, StepOutcome,
+    TabuSearch,
 };
 pub use work::RamseyProblem;

@@ -13,5 +13,5 @@ pub mod messages;
 pub mod server;
 
 pub use client::{ClientConfig, ComputeClient};
-pub use messages::{scm, Directive, DirectiveKind, ProgressReport, WorkGrant};
+pub use messages::{scm, Directive, ProgressReport, WorkGrant};
 pub use server::{SchedulerConfig, SchedulerServer};

@@ -94,12 +94,9 @@ impl SchedTele {
 }
 
 struct Outstanding {
-    client: u64,
     variant: u8,
     last_best: u64,
     stall_count: u32,
-    last_carry: Vec<u8>,
-    assigned_at: SimTime,
     /// The issued unit, kept so migration can remake it faithfully.
     unit: WorkUnit,
 }
@@ -250,23 +247,21 @@ impl SchedulerServer {
     }
 
     /// Units currently assigned.
-    pub fn outstanding_count(&self) -> usize {
+    #[cfg(test)]
+    fn outstanding_count(&self) -> usize {
         self.outstanding.len()
     }
 
     /// Units waiting for migration pickup.
-    pub fn migration_queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn migration_queue_len(&self) -> usize {
         self.migration_queue.len()
-    }
-
-    /// The client a unit is currently assigned to.
-    pub fn client_of(&self, unit_id: u64) -> Option<u64> {
-        self.outstanding.get(&unit_id).map(|o| o.client)
     }
 
     /// Fraction of a finite workload completed, if the application
     /// defines one (DAG tasks done, faas invocations served).
-    pub fn workload_progress(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn workload_progress(&self) -> Option<f64> {
         self.workload.progress()
     }
 
@@ -299,12 +294,9 @@ impl SchedulerServer {
         self.outstanding.insert(
             unit.id,
             Outstanding {
-                client,
                 variant: unit.variant,
                 last_best: u64::MAX,
                 stall_count: 0,
-                last_carry: unit.payload.clone(),
-                assigned_at: now,
                 unit: unit.clone(),
             },
         );
@@ -404,8 +396,6 @@ impl SchedulerServer {
         }
 
         let out = self.outstanding.get_mut(&report.unit_id).expect("present");
-        out.last_carry = report.carry.clone();
-        out.assigned_at = now;
 
         // Stall detection: no objective improvement across reports.
         if report.progress < out.last_best {

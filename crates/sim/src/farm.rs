@@ -36,20 +36,9 @@ pub fn available_threads() -> usize {
 }
 
 /// Resolve the farm worker count: an explicit request (CLI `--threads`)
-/// wins, else the `EW_THREADS` environment variable, else the host's
-/// available parallelism. Always at least 1.
+/// wins, else the host's available parallelism. Always at least 1.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    if let Ok(s) = std::env::var("EW_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    available_threads()
+    explicit.map_or_else(available_threads, |n| n.max(1))
 }
 
 /// What one farm run cost. Wall-clock is host time, not simulated time —
@@ -118,19 +107,6 @@ where
     (results, stats)
 }
 
-/// Fold per-cell registries into one, in input-index order, and stamp the
-/// farm stats on the result. This is the canonical merge the campaign
-/// runners use: deterministic because both the cell order and
-/// [`Registry::merge`]'s name order are fixed.
-pub fn merge_cell_registries(cells: &[Registry], stats: &FarmStats) -> Registry {
-    let mut merged = Registry::new();
-    for cell in cells {
-        merged.merge(cell);
-    }
-    stats.record(&mut merged);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,12 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_prefers_explicit_then_env() {
+    fn resolve_threads_prefers_explicit_then_host() {
         assert_eq!(resolve_threads(Some(3)), 3);
         assert_eq!(resolve_threads(Some(0)), 1);
-        // Env and default paths depend on the process environment; just
-        // pin the floor.
-        assert!(resolve_threads(None) >= 1);
+        assert_eq!(resolve_threads(None), available_threads());
     }
 
     #[test]
@@ -187,7 +161,11 @@ mod tests {
             threads: 2,
             wall_ms: 1.5,
         };
-        let merged = merge_cell_registries(&cells, &stats);
+        let mut merged = Registry::new();
+        for cell in &cells {
+            merged.merge(cell);
+        }
+        stats.record(&mut merged);
         let u = merged.counter_lookup("client.units_completed").unwrap();
         assert_eq!(merged.counter_value(u), 7.0);
         let fc = merged.counter_lookup("farm.cells").unwrap();

@@ -94,34 +94,15 @@ struct ProcMeta {
 /// Metrics collected during a run; the raw material for every figure in
 /// EXPERIMENTS.md.
 ///
-/// A thin facade over [`ew_telemetry::Registry`]: the string-keyed methods
-/// intern the name on every call and exist for drivers and tests that
-/// touch a metric a handful of times. Hot-path recording goes through the
-/// interned handles handed out by [`Ctx`] (and by [`Metrics::registry_mut`]).
+/// A read-only, string-keyed view of [`ew_telemetry::Registry`] for drivers
+/// and tests. Recording goes through the interned handles handed out by
+/// [`Ctx`].
 #[derive(Default)]
 pub struct Metrics {
     reg: Registry,
 }
 
 impl Metrics {
-    /// Add `v` to the named counter (creating it at zero).
-    ///
-    /// Interns the name each call; prefer [`Ctx::counter`] + [`Ctx::add`]
-    /// from process code.
-    pub fn add(&mut self, name: &str, v: f64) {
-        let id = self.reg.counter(name);
-        self.reg.add(id, v);
-    }
-
-    /// Append a `(t, v)` point to the named series.
-    ///
-    /// Interns the name each call; prefer [`Ctx::series`] + [`Ctx::record`]
-    /// from process code.
-    pub fn record(&mut self, name: &str, t: SimTime, v: f64) {
-        let id = self.reg.series(name);
-        self.reg.record(id, t.as_micros(), v);
-    }
-
     /// Current counter value (zero if never touched).
     pub fn counter(&self, name: &str) -> f64 {
         self.reg
@@ -142,16 +123,6 @@ impl Metrics {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    /// All counter names, sorted.
-    pub fn counter_names(&self) -> Vec<&str> {
-        self.reg.counters().into_iter().map(|(n, _)| n).collect()
-    }
-
-    /// All series names, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.reg.series_names()
     }
 
     /// The backing registry (histograms, gauges, health reports, tracing).
@@ -704,17 +675,6 @@ impl<'a> Ctx<'a> {
         self.shared.host_up[host.0 as usize]
     }
 
-    /// The host a process runs on.
-    pub fn host_of(&self, pid: ProcessId) -> Option<HostId> {
-        self.shared.meta.get(pid.0 as usize).map(|m| m.host)
-    }
-
-    /// Peak speed (ops/s) of a host — directory metadata, as published by
-    /// e.g. the Globus MDS (§5.2).
-    pub fn host_speed(&self, host: HostId) -> f64 {
-        self.shared.hosts.get(host).speed_ops
-    }
-
     // ---- telemetry: interned handles ----
     //
     // Intern once (normally on `Event::Started`), store the copyable ids in
@@ -902,12 +862,6 @@ impl Sim {
         self.shared.metrics.registry()
     }
 
-    /// Mutable access to the telemetry registry, e.g. for drivers that
-    /// intern handles before a run.
-    pub fn telemetry_mut(&mut self) -> &mut Registry {
-        self.shared.metrics.registry_mut()
-    }
-
     /// Start collecting span trace records into a ring of `capacity`
     /// entries. Tracing is purely observational: a run is bit-identical
     /// with tracing on or off.
@@ -928,14 +882,6 @@ impl Sim {
             .get(pid.0 as usize)
             .map(|m| m.alive)
             .unwrap_or(false)
-    }
-
-    /// Name a process was spawned with.
-    pub fn process_name(&self, pid: ProcessId) -> Option<&str> {
-        self.shared
-            .meta
-            .get(pid.0 as usize)
-            .map(|m| m.name.as_str())
     }
 
     /// Host table (read-only).
@@ -1230,24 +1176,6 @@ impl Sim {
         if dr > 0 {
             let id = self.shared.tele.payload_pool_recycled;
             self.shared.metrics.reg.add(id, dr as f64);
-        }
-        RunStats {
-            events: self.shared.events_dispatched - start_events,
-            now: self.shared.now,
-        }
-    }
-
-    /// Drain every remaining event regardless of time. Intended for tests;
-    /// most components re-arm timers forever, so prefer [`Sim::run_until`].
-    pub fn run_to_exhaustion(&mut self, max_events: u64) -> RunStats {
-        self.schedule_host_transitions();
-        let start_events = self.shared.events_dispatched;
-        while self.shared.events_dispatched - start_events < max_events {
-            let next = match self.shared.queue.next_time() {
-                Some(t) => SimTime::from_micros(t),
-                None => break,
-            };
-            self.run_until(next);
         }
         RunStats {
             events: self.shared.events_dispatched - start_events,
@@ -1697,15 +1625,31 @@ mod tests {
 
     #[test]
     fn metrics_api() {
-        let mut m = Metrics::default();
-        m.add("x", 1.0);
-        m.add("x", 2.0);
-        m.record("s", SimTime::from_secs(1), 10.0);
+        struct Recorder;
+        impl Process for Recorder {
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                match ev {
+                    Event::Started => {
+                        let x = ctx.counter("x");
+                        ctx.add(x, 1.0);
+                        ctx.add(x, 2.0);
+                        ctx.set_timer(SimDuration::from_secs(1), 0);
+                    }
+                    Event::Timer { .. } => {
+                        let s = ctx.series("s");
+                        ctx.record(s, 10.0);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (mut sim, h0, _) = small_world();
+        sim.spawn("r", h0, Box::new(Recorder));
+        sim.run_until(SimTime::from_secs(2));
+        let m = sim.metrics();
         assert_eq!(m.counter("x"), 3.0);
         assert_eq!(m.counter("missing"), 0.0);
         assert_eq!(m.series("s"), &[(SimTime::from_secs(1), 10.0)]);
         assert!(m.series("missing").is_empty());
-        assert_eq!(m.counter_names(), vec!["x"]);
-        assert_eq!(m.series_names(), vec!["s"]);
     }
 }

@@ -37,24 +37,19 @@ pub mod time;
 pub mod trace;
 
 pub use ew_telemetry::{
-    CounterId, GaugeId, Histogram, HistogramId, HistogramSummary, Registry, SeriesId, Snapshot,
-    SpanId, SubsystemHealth,
+    CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId, SubsystemHealth,
 };
-pub use farm::{available_threads, merge_cell_registries, resolve_threads, run_farm, FarmStats};
-pub use hashers::{FxHashMap, FxHasher};
+pub use farm::{resolve_threads, run_farm, FarmStats};
+pub use hashers::FxHashMap;
 pub use host::{HostId, HostSpec, HostTable};
-pub use kernel::{Ctx, Event, Metrics, Process, ProcessId, RunStats, Sim};
-pub use net::{
-    CompletedFlow, FlowTable, Impairment, NetModel, NetworkModel, Partition, SiteId, SiteSpec,
-    FLOW_MTU_BYTES,
-};
-pub use payload::{pool_reset, pool_stats, Payload, PoolStats};
+pub use kernel::{Ctx, Event, Process, ProcessId, Sim};
+pub use net::{FlowTable, Impairment, NetModel, NetworkModel, Partition, SiteId, SiteSpec};
+pub use payload::{pool_reset, pool_stats, Payload};
 pub use queue::EventQueue;
 pub use rng::{StreamSeeder, Xoshiro256};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    AvailabilitySchedule, CompositeLoad, ConstantLoad, DiurnalLoad, LoadTrace, RandomWalkLoad,
-    SpikeLoad,
+    AvailabilitySchedule, CompositeLoad, ConstantLoad, LoadTrace, RandomWalkLoad, SpikeLoad,
 };
 /// The queue's former name: `benchmark/` (frozen while a PR claims a gain)
 /// still imports it.

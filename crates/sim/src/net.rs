@@ -157,11 +157,6 @@ impl NetModel {
         self
     }
 
-    /// Select the delivery model in place.
-    pub fn set_model(&mut self, model: NetworkModel) {
-        self.model = model;
-    }
-
     /// The active delivery model.
     pub fn model(&self) -> NetworkModel {
         self.model
@@ -283,11 +278,6 @@ impl NetModel {
     // plus a drain through shared links: the site LAN for intra-site
     // traffic, both sites' WAN access links for inter-site traffic. Links
     // are indexed `2*site` (LAN) and `2*site + 1` (WAN).
-
-    /// Number of shared links (two per site).
-    pub fn link_count(&self) -> usize {
-        self.sites.len() * 2
-    }
 
     /// The LAN link of a site.
     pub fn lan_link(site: SiteId) -> u32 {

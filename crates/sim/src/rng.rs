@@ -136,15 +136,6 @@ impl Xoshiro256 {
             xs.swap(i, j);
         }
     }
-
-    /// Pick a uniformly random element, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.next_below(xs.len() as u64) as usize])
-        }
-    }
 }
 
 /// Derives independent child streams from a master seed by hashing the
@@ -279,13 +270,5 @@ mod tests {
         let mut n1 = s.stream_named("condor-pool");
         let mut n2 = s.stream_named("condor-pool");
         assert_eq!(n1.next_u64(), n2.next_u64());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut g = Xoshiro256::seed_from_u64(23);
-        let empty: &[u8] = &[];
-        assert!(g.choose(empty).is_none());
-        assert_eq!(g.choose(&[42u8]), Some(&42));
     }
 }

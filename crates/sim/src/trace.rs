@@ -31,42 +31,6 @@ impl LoadTrace for ConstantLoad {
     }
 }
 
-/// Sinusoidal diurnal load: `base + amp * sin` with a period (default 24 h)
-/// and phase offset. Models campus workstations that are busy by day and
-/// idle at night.
-#[derive(Clone, Debug)]
-pub struct DiurnalLoad {
-    /// Mean load level.
-    pub base: f64,
-    /// Peak deviation from the mean.
-    pub amplitude: f64,
-    /// Cycle length.
-    pub period: SimDuration,
-    /// Offset of the first peak into the cycle.
-    pub phase: SimDuration,
-}
-
-impl DiurnalLoad {
-    /// Standard 24-hour cycle.
-    pub fn daily(base: f64, amplitude: f64, phase: SimDuration) -> Self {
-        DiurnalLoad {
-            base,
-            amplitude,
-            period: SimDuration::from_secs(24 * 3600),
-            phase,
-        }
-    }
-}
-
-impl LoadTrace for DiurnalLoad {
-    fn load(&self, t: SimTime) -> f64 {
-        let frac = ((t.as_micros() + self.phase.as_micros()) % self.period.as_micros().max(1))
-            as f64
-            / self.period.as_micros().max(1) as f64;
-        (self.base + self.amplitude * (std::f64::consts::TAU * frac).sin()).clamp(0.0, 0.999)
-    }
-}
-
 /// A step spike: load jumps to `level` during `[start, end)`.
 ///
 /// This is the model of the SC98 judging window (§4.1): at 11:00 the other
@@ -163,17 +127,6 @@ impl AvailabilitySchedule {
         }
     }
 
-    /// A host that joins at `t` and stays up.
-    pub fn up_from(t: SimTime) -> Self {
-        if t == SimTime::ZERO {
-            Self::always_up()
-        } else {
-            AvailabilitySchedule {
-                transitions: vec![(SimTime::ZERO, false), (t, true)],
-            }
-        }
-    }
-
     /// Alternating up/down periods with exponentially distributed lengths —
     /// the Condor model: a workstation is idle (available to guests) for a
     /// mean `mean_up`, then reclaimed by its owner for a mean `mean_down`
@@ -255,20 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_load_oscillates_and_clamps() {
-        let l = DiurnalLoad::daily(0.5, 0.9, SimDuration::ZERO);
-        let mut lo = f64::MAX;
-        let mut hi = f64::MIN;
-        for h in 0..48 {
-            let v = l.load(t(h * 1800));
-            assert!((0.0..=0.999).contains(&v));
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        assert!(hi > 0.9 && lo < 0.1, "should swing widely: [{lo}, {hi}]");
-    }
-
-    #[test]
     fn spike_only_inside_window() {
         let l = SpikeLoad {
             start: t(100),
@@ -332,7 +271,9 @@ mod tests {
 
     #[test]
     fn availability_up_from_delays_start() {
-        let a = AvailabilitySchedule::up_from(t(50));
+        let a = AvailabilitySchedule {
+            transitions: vec![(t(0), false), (t(50), true)],
+        };
         assert!(!a.is_up_at(t(0)));
         assert!(!a.is_up_at(t(49)));
         assert!(a.is_up_at(t(50)));

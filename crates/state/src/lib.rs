@@ -11,6 +11,6 @@ pub mod logging;
 pub mod messages;
 pub mod persist;
 
-pub use logging::{CategoryStats, LogServer, StampedRecord};
+pub use logging::LogServer;
 pub use messages::{sm, FetchReply, FetchRequest, LogRecord, StoreReply, StoreRequest};
 pub use persist::{PersistentStateServer, Validator};

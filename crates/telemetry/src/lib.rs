@@ -10,7 +10,7 @@
 //! - A span tracer: [`SpanId`]s name phases of work (kernel dispatch,
 //!   gossip reconciliation, clique token passing, scheduler migration,
 //!   request/response timeouts); enter/exit records land in a bounded
-//!   ring ([`TraceBuffer`]) and export as deterministic JSONL.
+//!   ring (`TraceBuffer`) and export as deterministic JSONL.
 //!
 //! Tracing is **off by default** and free when off: `span_enter`/
 //! `span_exit` reduce to one branch on an `Option` discriminant, and the
@@ -25,8 +25,5 @@ mod histogram;
 mod registry;
 mod trace;
 
-pub use histogram::{Histogram, HistogramSummary, NUM_BUCKETS};
-pub use registry::{
-    CounterId, GaugeId, HistogramId, Registry, SeriesId, Snapshot, SpanId, SubsystemHealth,
-};
-pub use trace::{SpanPhase, TraceBuffer, TraceRecord};
+pub use histogram::{Histogram, HistogramSummary};
+pub use registry::{CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId, SubsystemHealth};

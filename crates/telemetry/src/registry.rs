@@ -165,11 +165,6 @@ impl Registry {
         self.gauges[id.0 as usize] = v;
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
-    }
-
     /// `(name, value)` pairs in ascending name order.
     pub fn gauges(&self) -> Vec<(&str, f64)> {
         self.gauge_names
@@ -237,11 +232,6 @@ impl Registry {
         &self.histograms[id.0 as usize]
     }
 
-    /// Handle for an already-interned histogram name.
-    pub fn histogram_lookup(&self, name: &str) -> Option<HistogramId> {
-        self.histogram_names.lookup(name).map(HistogramId)
-    }
-
     /// `(name, histogram)` pairs in ascending name order.
     pub fn histograms(&self) -> Vec<(&str, &Histogram)> {
         self.histogram_names
@@ -271,11 +261,6 @@ impl Registry {
     /// Turn tracing on with a ring of `capacity` records.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// Turn tracing off and drop any held records.
-    pub fn disable_tracing(&mut self) {
-        self.trace = None;
     }
 
     /// Whether span records are being collected.
@@ -365,27 +350,6 @@ impl Registry {
 
     // ---- reports ----
 
-    /// A deterministic point-in-time copy of every metric.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters()
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            gauges: self
-                .gauges()
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            histograms: self
-                .histograms()
-                .into_iter()
-                .map(|(n, h)| (n.to_string(), h.summary()))
-                .collect(),
-        }
-    }
-
     /// Metrics grouped by subsystem (the name's prefix before the first
     /// `.`), each group sorted, groups in ascending subsystem order.
     pub fn health(&self) -> Vec<SubsystemHealth> {
@@ -422,17 +386,6 @@ impl Registry {
         }
         groups.into_values().collect()
     }
-}
-
-/// Point-in-time copy of all metrics, names sorted.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Snapshot {
-    /// `(name, value)` for every counter.
-    pub counters: Vec<(String, f64)>,
-    /// `(name, value)` for every gauge.
-    pub gauges: Vec<(String, f64)>,
-    /// `(name, summary)` for every histogram.
-    pub histograms: Vec<(String, HistogramSummary)>,
 }
 
 /// One subsystem's metrics (grouped by name prefix) for health reports.
@@ -486,7 +439,7 @@ mod tests {
 
         let g = r.gauge("sched.queue_depth");
         r.set_gauge(g, 12.0);
-        assert_eq!(r.gauge_value(g), 12.0);
+        assert_eq!(r.gauges(), vec![("sched.queue_depth", 12.0)]);
     }
 
     #[test]
@@ -528,25 +481,25 @@ mod tests {
             for c in cells {
                 merged.merge(c);
             }
-            merged.snapshot()
+            merged
         };
 
         let cells = vec![cell(0.0), cell(1.0), cell(2.0)];
-        let a = fold(&cells);
-        let b = fold(&cells);
-        assert_eq!(a, b, "same cells in the same order must merge identically");
+        let merged = fold(&cells);
+        assert_eq!(
+            merged.health(),
+            fold(&cells).health(),
+            "same cells in the same order must merge identically"
+        );
 
-        assert_eq!(a.counters, vec![("client.units".to_string(), 33.0)]);
+        assert_eq!(merged.counters(), vec![("client.units", 33.0)]);
         // Gauges are last-writer-wins in merge order.
-        assert_eq!(a.gauges, vec![("kernel.queue_depth".to_string(), 2.0)]);
-        assert_eq!(a.histograms.len(), 1);
-        assert_eq!(a.histograms[0].1.count, 3);
+        assert_eq!(merged.gauges(), vec![("kernel.queue_depth", 2.0)]);
+        let histograms = merged.histograms();
+        assert_eq!(histograms.len(), 1);
+        assert_eq!(histograms[0].1.summary().count, 3);
 
         // Series points append in merge order.
-        let mut merged = Registry::new();
-        for c in &cells {
-            merged.merge(c);
-        }
         let sid = merged.series_lookup("ops_series.pool").unwrap();
         assert_eq!(merged.series_points(sid), &[(0, 0.0), (1, 1.0), (2, 2.0)]);
     }

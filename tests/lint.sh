@@ -43,10 +43,11 @@ if grep -rnE 'AdaptiveRetry|begin_capped' crates/*/src | grep -v '^crates/proto/
     echo "       breaker and deferred resends" >&2
     exit 1
 fi
-if [ -e crates/core/src/framework.rs ]; then
-    echo "error: crates/core/src/framework.rs had no caller for twenty PRs and" >&2
-    echo "       was deleted; the shared part of a service is RpcClient" >&2
-    exit 1
-fi
+
+# Nothing ships without a caller: a pub item or a source file whose only
+# reader is its own unit tests fails (framework.rs sat unused for twenty
+# PRs, the Globus service model for twenty-one). Also part of `cargo test`.
+echo "== every pub item and source file under crates/*/src has a caller"
+cargo test -q --offline -p ew-bench --test public_surface
 
 echo "lint gate: OK"

@@ -2,17 +2,19 @@
 //!
 //! The heuristics spend essentially all of their cycles asking "what would
 //! flipping edge `(u, v)` do to the monochromatic `k`-clique count?" The
-//! naive answer re-runs two full `count_through_edge` passes per query.
-//! [`DeltaTable`] instead maintains `count_through_edge(color, k, u, v)`
-//! for *every* edge and *both* colors, so a query is a table lookup and a
-//! subtraction, and after each applied flip only the entries whose value
-//! can have changed are adjusted — found through the same bitset rows the
-//! counting kernels use, and adjusted incrementally rather than recounted.
+//! naive answer re-runs two full `count_through_edge` passes per query and
+//! subtracts. [`DeltaTable`] instead keeps that answer for *every* edge:
+//! one signed entry, `E(other, u, v) − E(current, u, v)` (`E` defined
+//! below; `current` is the edge's color, `other` the opposite one), so a
+//! query is one load — no color read, no branch — and after each applied
+//! flip only the entries whose value can have changed are adjusted — found
+//! through the same bitset rows the counting kernels use, and adjusted
+//! incrementally rather than recounted.
 //!
 //! # Which entries can a flip touch?
 //!
 //! Write `E(c, u, v)` for the number of `(k-2)`-cliques of color `c`
-//! inside `N_c(u) ∩ N_c(v)` (the table entry). Flip edge `(a, b)` from
+//! inside `N_c(u) ∩ N_c(v)` (a through-count). Flip edge `(a, b)` from
 //! color `old` to `new`. Because a vertex is never its own neighbor, the
 //! set `N_c(a) ∩ N_c(b)` and every intersection below exclude `a` and `b`
 //! automatically, which makes them identical before and after the flip —
@@ -36,14 +38,28 @@
 //!   `N_c(u) ∩ N_c(v) ∩ N_c(a) ∩ N_c(b)` — for `k = 4` that is exactly 1,
 //!   for `k = 5` a single AND-popcount.
 //!
+//! # One signed entry instead of two through-counts
+//!
+//! The entry of `(p, q)` is `E(other) − E(current)`, so a change of `±c`
+//! to `E(color, p, q)` moves it by `∓c` when `(p, q)` itself has `color`
+//! (the count is the subtrahend) and by `±c` otherwise. That color is in
+//! hand wherever an adjustment is made — `x ∈ N_c(a)` for `(a, x)`,
+//! `x ∈ N_c(b)` for `(b, x)`, `v ∈ N_c(u)` for a detached pair, all bits
+//! of rows the scan already holds — so maintenance never looks an edge up.
+//! The flipped edge's own entry negates: both of its through-counts are
+//! unchanged (first case above), but which is `current` and which is
+//! `other` has swapped.
+//!
 //! Every adjustment is word-wide integer arithmetic on the existing rows,
-//! charged to the [`OpsCounter`] under the paper's counting discipline,
-//! and the result is bit-identical to recomputing the entry from scratch
-//! (debug-asserted in [`crate::search::SearchState`], proptested in
-//! `tests/delta_table.rs`).
+//! charged to the [`OpsCounter`] under the paper's counting discipline
+//! (one `add` per loop where the trip count is known up front, the same
+//! total as one per item), and the result is bit-identical to recomputing
+//! the entry from scratch (debug-asserted in
+//! [`crate::search::SearchState`], proptested in `tests/delta_table.rs`,
+//! held to the two-array table it replaced in `tests/delta_oracle.rs`).
 
-use crate::cliques::{count_in_set, count_through_edge_ws, OpsCounter, Workspace};
-use crate::graph::{Color, ColoredGraph};
+use crate::cliques::{count_in_set, flip_delta_ws, OpsCounter, Workspace};
+use crate::graph::ColoredGraph;
 
 /// Counters describing the table's life so far (the `ramsey.*` telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,16 +74,14 @@ pub struct TableStats {
     pub entries_built: u64,
 }
 
-/// All `n(n-1)/2` per-edge through-counts for both colors, kept exact
-/// across flips.
+/// One signed gain per edge — `n(n-1)/2` entries, each the objective
+/// change its edge's flip would cause — kept exact across flips.
 #[derive(Clone, Debug)]
 pub struct DeltaTable {
     n: usize,
     k: usize,
-    /// `count_through_edge(Red, k, u, v)` for `u < v`, triangular layout.
-    red: Vec<u64>,
-    /// Same for blue.
-    blue: Vec<u64>,
+    /// `E(other, u, v) − E(current, u, v)` for `u < v`, triangular layout.
+    gain: Vec<i64>,
     stats: TableStats,
 }
 
@@ -83,8 +97,14 @@ fn bit(row: &[u64], x: usize) -> bool {
     row[x / 64] >> (x % 64) & 1 == 1
 }
 
+/// Vertex `x`'s bit if it lies in word `j` of a row, else nothing.
+#[inline]
+fn bit_in_word(j: usize, x: usize) -> u64 {
+    ((x / 64 == j) as u64) << (x % 64)
+}
+
 impl DeltaTable {
-    /// Build the full table for `g` with a fresh pass over every edge.
+    /// Build the full table for `g`: one naive flip delta per edge.
     /// Cost is `n(n-1)` through-counts, charged to `ops`; afterwards every
     /// query is O(1) and every flip touches only the provably affected
     /// entries.
@@ -95,15 +115,12 @@ impl DeltaTable {
         let mut table = DeltaTable {
             n,
             k,
-            red: vec![0; edges],
-            blue: vec![0; edges],
+            gain: vec![0; edges],
             stats: TableStats::default(),
         };
         for u in 0..n {
             for v in (u + 1)..n {
-                let e = edge_index(n, u, v);
-                table.red[e] = count_through_edge_ws(g, Color::Red, k, u, v, ops, ws);
-                table.blue[e] = count_through_edge_ws(g, Color::Blue, k, u, v, ops, ws);
+                table.gain[edge_index(n, u, v)] = flip_delta_ws(g, k, u, v, ops, ws);
             }
         }
         table.stats.entries_built = 2 * edges as u64;
@@ -115,17 +132,12 @@ impl DeltaTable {
         self.stats
     }
 
-    /// The objective change if `(u, v)` were flipped: one lookup per
-    /// color and a subtraction. Pure read — safe to call from parallel
-    /// scans (stats are bumped by the owning [`crate::SearchState`]).
+    /// The objective change if `(u, v)` were flipped: one load. Pure read
+    /// — safe to call from parallel scans (stats are bumped by the owning
+    /// [`crate::SearchState`]).
     #[inline]
-    pub fn delta(&self, g: &ColoredGraph, u: usize, v: usize) -> i64 {
-        let (u, v) = (u.min(v), u.max(v));
-        let e = edge_index(self.n, u, v);
-        match g.edge(u, v) {
-            Color::Red => self.blue[e] as i64 - self.red[e] as i64,
-            Color::Blue => self.red[e] as i64 - self.blue[e] as i64,
-        }
+    pub fn delta(&self, u: usize, v: usize) -> i64 {
+        self.gain[edge_index(self.n, u.min(v), u.max(v))]
     }
 
     /// Note `count` table lookups (for hit-rate telemetry).
@@ -148,7 +160,7 @@ impl DeltaTable {
         let (a, b) = (a.min(b), a.max(b));
         self.stats.flips += 1;
         if self.k == 2 {
-            // Through-counts for k = 2 are the constant 1.
+            // Through-counts for k = 2 are the constant 1: every gain is 0.
             return;
         }
         let n = self.n;
@@ -164,54 +176,54 @@ impl DeltaTable {
             verts,
             ..
         } = ws;
+        let gain = &mut self.gain[..];
+        // Both through-counts of (a, b) are unchanged; their roles swap.
+        let ab = edge_index(n, a, b);
+        gain[ab] = -gain[ab];
         let mut refreshed = 0u64;
         for (color, sign) in [(old, -1i64), (new, 1i64)] {
-            let entries: &mut [u64] = match color {
-                Color::Red => &mut self.red,
-                Color::Blue => &mut self.blue,
-            };
+            // `E(color, p, q)` moves by `sign * c`; the entry moves the
+            // same way unless `(p, q)` has `color` itself (sign rule).
+            let signed = |has: bool, c: u64| (if has { -sign } else { sign }) * c as i64;
             let ra = g.row(color, a);
             let rb = g.row(color, b);
             // S_c = N_c(a) ∩ N_c(b); identical pre/post flip (see module
             // docs), so the post-flip rows are correct for both colors.
             for j in 0..w {
                 common[j] = ra[j] & rb[j];
-                ops.add(1);
             }
+            // One AND per word, one membership test per other vertex.
+            ops.add(w as u64 + n as u64 - 2);
             // Incident entries: every x adjacent to a or b in this color.
-            for x in 0..n {
-                if x == a || x == b {
-                    continue;
-                }
-                let in_a = bit(ra, x);
-                let in_b = bit(rb, x);
-                ops.add(1);
-                if !in_a && !in_b {
-                    continue;
-                }
-                // (k-3)-cliques of `color` in N_c(a) ∩ N_c(b) ∩ N_c(x).
-                let c3 = if k == 3 {
-                    1
-                } else {
-                    let rx = g.row(color, x);
-                    for j in 0..w {
-                        inter[j] = common[j] & rx[j];
-                        ops.add(1);
+            for j in 0..w {
+                let mut m = (ra[j] | rb[j]) & !(bit_in_word(j, a) | bit_in_word(j, b));
+                while m != 0 {
+                    let x = j * 64 + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let in_a = bit(ra, x);
+                    let in_b = bit(rb, x);
+                    // (k-3)-cliques of `color` in N_c(a) ∩ N_c(b) ∩ N_c(x).
+                    let c3 = if k == 3 {
+                        1
+                    } else {
+                        let rx = g.row(color, x);
+                        for i in 0..w {
+                            inter[i] = common[i] & rx[i];
+                        }
+                        ops.add(w as u64);
+                        count_in_set(g, color, &inter[..w], k - 3, ops, scratch)
+                    };
+                    if c3 != 0 {
+                        if in_b {
+                            gain[edge_index(n, a.min(x), a.max(x))] += signed(in_a, c3);
+                            refreshed += 1;
+                        }
+                        if in_a {
+                            gain[edge_index(n, b.min(x), b.max(x))] += signed(in_b, c3);
+                            refreshed += 1;
+                        }
+                        ops.add(2);
                     }
-                    count_in_set(g, color, &inter[..w], k - 3, ops, scratch)
-                };
-                if c3 != 0 {
-                    if in_b {
-                        let e = edge_index(n, a.min(x), a.max(x));
-                        entries[e] = (entries[e] as i64 + sign * c3 as i64) as u64;
-                        refreshed += 1;
-                    }
-                    if in_a {
-                        let e = edge_index(n, b.min(x), b.max(x));
-                        entries[e] = (entries[e] as i64 + sign * c3 as i64) as u64;
-                        refreshed += 1;
-                    }
-                    ops.add(2);
                 }
             }
             // Detached entries: pairs inside S_c, only reachable when the
@@ -237,13 +249,12 @@ impl DeltaTable {
                             let rv = g.row(color, v);
                             for j in 0..w {
                                 inter[j] = common[j] & ru[j] & rv[j];
-                                ops.add(2);
                             }
+                            ops.add(2 * w as u64);
                             count_in_set(g, color, &inter[..w], k - 4, ops, scratch)
                         };
                         if c4 != 0 {
-                            let e = edge_index(n, u, v);
-                            entries[e] = (entries[e] as i64 + sign * c4 as i64) as u64;
+                            gain[edge_index(n, u, v)] += signed(bit(ru, v), c4);
                             refreshed += 1;
                             ops.add(1);
                         }
@@ -260,22 +271,17 @@ impl DeltaTable {
     pub fn verify_against(&self, g: &ColoredGraph) -> bool {
         let mut ops = OpsCounter::new();
         let mut ws = Workspace::new();
-        for u in 0..self.n {
-            for v in (u + 1)..self.n {
-                let e = edge_index(self.n, u, v);
-                let red = count_through_edge_ws(g, Color::Red, self.k, u, v, &mut ops, &mut ws);
-                let blue = count_through_edge_ws(g, Color::Blue, self.k, u, v, &mut ops, &mut ws);
-                if self.red[e] != red || self.blue[e] != blue {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..self.n).all(|u| {
+            ((u + 1)..self.n).all(|v| {
+                self.gain[edge_index(self.n, u, v)]
+                    == flip_delta_ws(g, self.k, u, v, &mut ops, &mut ws)
+            })
+        })
     }
 
-    /// Bytes held by the two entry arrays.
+    /// Bytes held by the entry array.
     pub fn bytes(&self) -> usize {
-        (self.red.capacity() + self.blue.capacity()) * 8
+        self.gain.capacity() * 8
     }
 }
 
@@ -317,7 +323,7 @@ mod tests {
             for u in 0..16 {
                 for v in (u + 1)..16 {
                     assert_eq!(
-                        t.delta(&g, u, v),
+                        t.delta(u, v),
                         flip_delta(&g, k, u, v, &mut ops),
                         "k={k} edge ({u},{v})"
                     );
@@ -382,7 +388,7 @@ mod tests {
         let mut ops = OpsCounter::new();
         g.flip(0, 1);
         t.apply_flip(&g, 0, 1, &mut ops, &mut ws);
-        assert_eq!(t.delta(&g, 0, 1), 0, "k=2 deltas are always zero");
+        assert_eq!(t.delta(0, 1), 0, "k=2 deltas are always zero");
         assert!(t.verify_against(&g));
     }
 }

@@ -79,9 +79,9 @@ pub fn best_flip_parallel(
             let mut ops = OpsCounter::new();
             let d = match table {
                 Some(t) => {
-                    // One charged op: the lookup's subtraction.
+                    // One charged op: the subtraction the entry stores.
                     ops.add(1);
-                    t.delta(g, u, v)
+                    t.delta(u, v)
                 }
                 None => flip_delta(g, k, u, v, &mut ops),
             };

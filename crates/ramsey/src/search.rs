@@ -129,9 +129,9 @@ impl SearchState {
         match &mut self.table {
             Some(t) => {
                 t.note_lookups(1);
-                // The lookup's subtraction is the one integer op charged.
+                // One charged op: the subtraction the entry stores.
                 self.ops.add(1);
-                t.delta(&self.graph, u, v)
+                t.delta(u, v)
             }
             None => {
                 self.naive_evals += 1;

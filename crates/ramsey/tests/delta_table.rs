@@ -39,7 +39,7 @@ proptest! {
         for u in 0..n {
             for v in (u + 1)..n {
                 prop_assert_eq!(
-                    table.delta(&g, u, v),
+                    table.delta(u, v),
                     flip_delta(&g, k, u, v, &mut naive_ops),
                     "delta ({}, {}) diverged", u, v
                 );

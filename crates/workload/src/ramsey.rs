@@ -178,6 +178,10 @@ pub fn ramsey_validator() -> Validator {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("key {key:?} does not end in a clique size"))?;
+        // The key comes off the wire; the counting kernels assert `k >= 2`.
+        if k < 2 {
+            return Err(format!("key {key:?} names a clique size below 2"));
+        }
         let g = ColoredGraph::from_bytes(bytes).ok_or("value is not a colored graph")?;
         let mut ops = OpsCounter::new();
         match verify_counter_example(&g, k, &mut ops) {

@@ -11,7 +11,7 @@
 mod hostile_wire;
 
 use ew_ramsey::ColoredGraph;
-use ew_workload::{execute_unit, WorkResult, WorkUnit};
+use ew_workload::{execute_unit, ramsey_validator, WorkResult, WorkUnit};
 use hostile_wire::{allocated, batter, blob, garbage};
 use proptest::prelude::*;
 
@@ -46,6 +46,19 @@ fn clique_size_zero_is_refused() {
 #[test]
 fn clique_size_one_is_refused() {
     assert_refused(1, 17);
+}
+
+/// The state server hands the validator a key off the wire: a clique size
+/// the counting kernels would assert on is an `Err`, not a dead server.
+#[test]
+fn validator_refuses_clique_sizes_below_two() {
+    let validate = ramsey_validator();
+    let graph = ColoredGraph::paley(5).to_bytes();
+    for key in ["ramsey/best/0", "ramsey/best/1"] {
+        let refusal = validate(key, &graph).expect_err(key);
+        assert!(refusal.contains("clique size below 2"), "{refusal}");
+    }
+    assert_eq!(validate("ramsey/best/3", &graph), Ok(()));
 }
 
 #[test]

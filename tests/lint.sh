@@ -50,4 +50,7 @@ fi
 echo "== every pub item and source file under crates/*/src has a caller"
 cargo test -q --offline -p ew-bench --test public_surface
 
+echo "== bash -n tests/profile.sh"
+bash -n tests/profile.sh
+
 echo "lint gate: OK"

@@ -9,12 +9,15 @@
 //! several gains, and an adaptive-window mean. Selection across the battery
 //! lives in [`crate::selector`].
 //!
-//! A [`Method`] is only its parameters. The measurements of a stream are
-//! stored once, in a [`History`] every method of the battery reads, and what
-//! a method carries from one measurement to the next is a [`State`] of two
-//! scalars. Summation order is part of the contract (DESIGN §7.4):
-//! forecasts reach the wire through `SimDuration::from_secs_f64`, so low
-//! bits matter, and no method keeps a running window sum.
+//! A [`Method`] is only its parameters. What every stream of a battery has
+//! in common is a [`Plan`], built once and shared; a stream's own state is
+//! one block of `f64`s, whose tail ([`Windows`]) stores the measurements once
+//! for every method to read, and what a method carries from one measurement
+//! to the next is one scalar. Summation order is part of the contract (DESIGN
+//! §7.4): forecasts reach the wire through `SimDuration::from_secs_f64`, so
+//! low bits matter, and no method keeps a running window sum.
+
+use crate::selector::ErrorMetric;
 
 /// One forecasting method of a battery.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -49,26 +52,6 @@ pub enum Method {
     },
 }
 
-/// What a method reads from the stream's shared [`History`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Need {
-    /// Nothing: its [`State`] is enough.
-    Nothing,
-    /// The last `w` measurements in arrival order.
-    Recent(usize),
-    /// The last `w` measurements in ascending order.
-    Sorted(usize),
-}
-
-/// What a method carries from one measurement to the next.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct State {
-    /// Sum of all history (`RunningMean`) or smoothed estimate (`Exp`).
-    acc: f64,
-    /// Current window (`Adaptive`).
-    cur_w: usize,
-}
-
 /// Human-readable method name (appears in diagnostics, NWS replies and
 /// benches), e.g. `median_21`. Formatted where text is needed; a battery
 /// holds the `Copy` method itself.
@@ -87,49 +70,45 @@ impl std::fmt::Display for Method {
 }
 
 impl Method {
-    /// What [`Method::step`] reads. Panics on out-of-range parameters.
-    pub(crate) fn need(&self) -> Need {
-        match *self {
-            Method::Last | Method::RunningMean => Need::Nothing,
-            Method::Mean(w) => Need::Recent(w),
-            Method::Median(w) => Need::Sorted(w),
-            Method::Trimmed(w, trim) => {
-                assert!((0.0..0.5).contains(&trim));
-                Need::Sorted(w)
-            }
-            Method::Exp(gain) => {
-                assert!(gain > 0.0 && gain <= 1.0);
-                Need::Nothing
-            }
-            Method::Adaptive { min_w, max_w, .. } => {
-                assert!(min_w >= 1 && max_w >= min_w);
-                Need::Recent(max_w)
-            }
-        }
+    /// How far back [`Method::step`] reads (1 for a method that reads no
+    /// window). Panics on out-of-range parameters.
+    fn width(&self) -> usize {
+        let (w, in_range) = match *self {
+            Method::Last | Method::RunningMean => (1, true),
+            Method::Mean(w) | Method::Median(w) => (w, true),
+            Method::Trimmed(w, trim) => (w, (0.0..0.5).contains(&trim)),
+            Method::Exp(gain) => (1, gain > 0.0 && gain <= 1.0),
+            Method::Adaptive { min_w, max_w, .. } => (max_w, min_w >= 1 && max_w >= min_w),
+        };
+        assert!(in_range && w >= 1, "{self:?} is out of range");
+        w
     }
 
-    /// Predict the measurement after `value`, which `history` has already
+    /// Predict the measurement after `value`, which `past` has already
     /// absorbed. `prev` is this method's prediction *of* `value` (`None` on
-    /// the first measurement of the stream).
+    /// the first measurement of the stream), `acc` the scalar it carries: the
+    /// sum of all history (`RunningMean`), the smoothed estimate (`Exp`) or
+    /// the current window (`Adaptive`: a small integer, exact in an `f64`).
     pub(crate) fn step(
         &self,
-        st: &mut State,
+        sorted_at: usize,
+        acc: &mut f64,
         prev: Option<f64>,
         value: f64,
-        history: &History,
+        past: &Windows<'_>,
     ) -> f64 {
         match *self {
             Method::Last => value,
             Method::RunningMean => {
-                st.acc += value;
-                st.acc / history.seen as f64
+                *acc += value;
+                *acc / past.seen as f64
             }
             Method::Mean(w) => {
-                let v = history.recent(w);
+                let v = past.recent(w);
                 v.iter().sum::<f64>() / v.len() as f64
             }
             Method::Median(w) => {
-                let v = history.sorted(w);
+                let v = past.sorted(sorted_at, w);
                 let n = v.len();
                 if n % 2 == 1 {
                     v[n / 2]
@@ -138,7 +117,7 @@ impl Method {
                 }
             }
             Method::Trimmed(w, trim) => {
-                let v = history.sorted(w);
+                let v = past.sorted(sorted_at, w);
                 let k = (v.len() as f64 * trim).floor() as usize;
                 let kept = &v[k..v.len() - k];
                 if kept.is_empty() {
@@ -147,118 +126,131 @@ impl Method {
                 kept.iter().sum::<f64>() / kept.len() as f64
             }
             Method::Exp(gain) => {
-                st.acc = match prev {
+                *acc = match prev {
                     None => value,
-                    Some(_) => (1.0 - gain) * st.acc + gain * value,
+                    Some(_) => (1.0 - gain) * *acc + gain * value,
                 };
-                st.acc
+                *acc
             }
             Method::Adaptive { min_w, max_w, bust } => {
                 match prev {
-                    None => st.cur_w = min_w,
+                    None => *acc = min_w as f64,
                     Some(pred) => {
                         let scale = value.abs().max(1e-12);
                         if (pred - value).abs() / scale > bust {
-                            st.cur_w = min_w;
-                        } else if st.cur_w < max_w {
-                            st.cur_w += 1;
+                            *acc = min_w as f64;
+                        } else if *acc < max_w as f64 {
+                            *acc += 1.0;
                         }
                     }
                 }
-                let v = history.recent(st.cur_w);
+                let v = past.recent(*acc as usize);
                 v.iter().rev().sum::<f64>() / v.len() as f64
             }
         }
     }
 }
 
-/// The recent measurements of one stream, stored once for the whole battery:
-/// a ring of the last max-width values, plus one incrementally sorted
-/// multiset per distinct width some method takes order statistics over.
-#[derive(Clone, Debug)]
-pub(crate) struct History {
+/// What every stream of one battery shares: the methods and the layout of a
+/// stream's block, `[pred n | abs_err n | sq_err n | acc n | ring 2·cap |
+/// sorted windows]`. Offsets count from the start of the ring.
+pub(crate) struct Plan {
+    /// Each method with the offset of the sorted window it reads (0 if none).
+    pub(crate) ops: Vec<(Method, usize)>,
+    pub(crate) metric: ErrorMetric,
+    /// The widest window any method reads.
     cap: usize,
-    /// Every value is written at `pos` and `pos + cap`, so the last `k`
-    /// values are always one contiguous slice ending at `pos + cap`.
-    ring: Vec<f64>,
-    pos: usize,
-    /// Measurements absorbed so far.
-    pub(crate) seen: usize,
-    /// `(w, the last min(w, seen) values ascending by f64::total_cmp)` — a
-    /// total order, so the outgoing element is always found by binary search.
-    sorted: Vec<(usize, Vec<f64>)>,
+    /// `(w, offset)` per distinct width some method takes order statistics
+    /// over; methods of one width share one window.
+    sorted: Vec<(usize, usize)>,
+    /// `f64`s in one stream's block.
+    pub(crate) block_len: usize,
 }
 
-impl History {
-    /// A history deep enough for every need in `needs`.
-    pub(crate) fn new(needs: impl IntoIterator<Item = Need>) -> Self {
-        let mut cap = 1;
-        let mut sorted: Vec<(usize, Vec<f64>)> = Vec::new();
-        for need in needs {
-            let w = match need {
-                Need::Nothing => continue,
-                Need::Recent(w) => w,
-                Need::Sorted(w) => {
-                    if sorted.iter().all(|&(sw, _)| sw != w) {
-                        sorted.push((w, Vec::with_capacity(w)));
-                    }
-                    w
-                }
+impl Plan {
+    /// Lay out a battery. Panics if it is empty or a method's parameters
+    /// are out of range.
+    pub(crate) fn new(methods: Vec<Method>, metric: ErrorMetric) -> Self {
+        let cap = methods.iter().map(Method::width).max();
+        let cap = cap.expect("a battery has at least one method");
+        let (mut sorted, mut end) = (Vec::<(usize, usize)>::new(), 2 * cap);
+        let place = |m| {
+            let (Method::Median(w) | Method::Trimmed(w, _)) = m else {
+                return (m, 0);
             };
-            assert!(w >= 1);
-            cap = cap.max(w);
-        }
-        History {
+            if let Some(&(_, at)) = sorted.iter().find(|&&(sw, _)| sw == w) {
+                return (m, at);
+            }
+            sorted.push((w, end));
+            end += w;
+            (m, end - w)
+        };
+        let ops: Vec<(Method, usize)> = methods.into_iter().map(place).collect();
+        Plan {
+            block_len: 4 * ops.len() + end,
+            ops,
+            metric,
             cap,
-            ring: vec![0.0; 2 * cap],
-            pos: 0,
-            seen: 0,
             sorted,
         }
     }
+}
 
+/// The recent measurements of one stream, stored once for the whole battery
+/// in the tail of its block.
+pub(crate) struct Windows<'a> {
+    pub(crate) plan: &'a Plan,
+    /// `[ring 2·cap | sorted windows]`. Every value is written to the ring
+    /// at `seen % cap` and `cap` above it, so the last `k` values are always
+    /// one contiguous slice; a sorted window of width `w` holds the last
+    /// `min(w, seen)` values ascending by `f64::total_cmp` — a total order,
+    /// so the outgoing element is always found by binary search.
+    pub(crate) tail: &'a mut [f64],
+    /// Measurements absorbed so far.
+    pub(crate) seen: usize,
+}
+
+impl Windows<'_> {
     /// Absorb one measurement.
     pub(crate) fn push(&mut self, v: f64) {
-        for (w, s) in &mut self.sorted {
-            let at = s.partition_point(|x| x.total_cmp(&v).is_lt());
-            if self.seen < *w {
-                s.insert(at, v);
-                continue;
-            }
-            // Full window: the value `w` back leaves. Close its gap and open
-            // one for `v` in a single shift of the elements between the two.
-            let old = self.ring[self.pos + self.cap - *w];
-            let gap = s.partition_point(|x| x.total_cmp(&old).is_lt());
-            if at > gap {
-                s.copy_within(gap + 1..at, gap);
-                s[at - 1] = v;
+        let (cap, pos) = (self.plan.cap, self.seen % self.plan.cap);
+        for &(w, at) in &self.plan.sorted {
+            let len = w.min(self.seen);
+            let s = &self.tail[at..at + w];
+            let to = s[..len].partition_point(|x| x.total_cmp(&v).is_lt());
+            // Filling: the gap is the free slot past the end. Full: the
+            // value `w` back leaves. Close the gap and open one for `v` in
+            // a single shift of the elements between the two.
+            let gap = if len < w {
+                len
             } else {
-                s.copy_within(at..gap, at + 1);
-                s[at] = v;
+                let old = self.tail[pos + cap - w];
+                s.partition_point(|x| x.total_cmp(&old).is_lt())
+            };
+            let s = &mut self.tail[at..at + w];
+            if to > gap {
+                s.copy_within(gap + 1..to, gap);
+                s[to - 1] = v;
+            } else {
+                s.copy_within(to..gap, to + 1);
+                s[to] = v;
             }
         }
-        self.ring[self.pos] = v;
-        self.ring[self.pos + self.cap] = v;
-        self.pos = (self.pos + 1) % self.cap;
+        self.tail[pos] = v;
+        self.tail[pos + cap] = v;
         self.seen += 1;
     }
 
-    /// The last `min(w, seen)` measurements, oldest first; `w` at most the
-    /// widest need this history was built for.
+    /// The last `min(w, seen)` measurements, oldest first; `w` ≤ `cap`.
     pub(crate) fn recent(&self, w: usize) -> &[f64] {
-        let end = self.pos + self.cap;
-        &self.ring[end - w.min(self.seen)..end]
+        let end = self.seen % self.plan.cap + self.plan.cap;
+        &self.tail[end - w.min(self.seen)..end]
     }
 
-    /// The last `min(w, seen)` measurements ascending; `w` one of the
-    /// [`Need::Sorted`] widths this history was built for.
-    pub(crate) fn sorted(&self, w: usize) -> &[f64] {
-        let (_, s) = self
-            .sorted
-            .iter()
-            .find(|&&(sw, _)| sw == w)
-            .expect("declared width");
-        s
+    /// The last `min(w, seen)` measurements ascending: the window of width
+    /// `w` the plan put at `at`.
+    pub(crate) fn sorted(&self, at: usize, w: usize) -> &[f64] {
+        &self.tail[at..at + w.min(self.seen)]
     }
 }
 
@@ -297,13 +289,9 @@ mod tests {
 
     /// Run `m` alone over `xs`; its prediction after the last one.
     fn feed(m: Method, xs: &[f64]) -> f64 {
-        let mut h = History::new([m.need()]);
-        let mut st = State::default();
-        let mut pred = None;
-        for &x in xs {
-            h.push(x);
-            pred = Some(m.step(&mut st, pred, x, &h));
-        }
+        let mut set = crate::ForecasterSet::new(vec![m], ErrorMetric::Mae);
+        xs.iter().for_each(|&x| set.update(x));
+        let (_, pred) = set.predictions().next().expect("one method");
         pred.expect("non-empty series")
     }
 
@@ -384,15 +372,23 @@ mod tests {
     #[test]
     fn history_windows_cross_the_ring_seam() {
         // One ring of 7 serves a width-3 and a width-7 reader; the sorted
-        // width-4 multiset drops the value four back, not the oldest held.
-        let mut h = History::new([Need::Recent(3), Need::Recent(7), Need::Sorted(4)]);
-        assert!(h.recent(7).is_empty() && h.sorted(4).is_empty());
+        // width-4 window drops the value four back, not the oldest held.
+        let methods = vec![Method::Mean(3), Method::Mean(7), Method::Median(4)];
+        let plan = Plan::new(methods, ErrorMetric::Mae);
+        let sorted_at = plan.ops[2].1;
+        let mut tail = vec![0.0; plan.block_len - 4 * plan.ops.len()];
+        let mut h = Windows {
+            plan: &plan,
+            tail: &mut tail,
+            seen: 0,
+        };
+        assert!(h.recent(7).is_empty() && h.sorted(sorted_at, 4).is_empty());
         for i in 1..=17 {
             h.push(i as f64 * if i % 2 == 0 { 1.0 } else { -1.0 });
         }
         assert_eq!(h.recent(3), [-15.0, 16.0, -17.0]);
         assert_eq!(h.recent(7), [-11.0, 12.0, -13.0, 14.0, -15.0, 16.0, -17.0]);
-        assert_eq!(h.sorted(4), [-17.0, -15.0, 14.0, 16.0]);
+        assert_eq!(h.sorted(sorted_at, 4), [-17.0, -15.0, 14.0, 16.0]);
     }
 
     #[test]

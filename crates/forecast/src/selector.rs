@@ -8,7 +8,9 @@
 //! wins through smooth drift — which is what made one mechanism serviceable
 //! for CPU, network, and (in EveryWare) arbitrary program events.
 
-use crate::methods::{standard_battery, History, Method, State};
+use std::sync::{Arc, LazyLock};
+
+use crate::methods::{standard_battery, Method, Plan, Windows};
 
 /// Error metric used to rank methods.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,30 +19,6 @@ pub enum ErrorMetric {
     Mae,
     /// Mean squared error — punishes large busts harder.
     Mse,
-}
-
-struct Entry {
-    method: Method,
-    state: State,
-    /// The method's outstanding prediction, scored when the next
-    /// measurement arrives; `None` only before the first one.
-    pred: Option<f64>,
-    /// Sum of absolute / squared errors and the count scored.
-    abs_err: f64,
-    sq_err: f64,
-    scored: u64,
-}
-
-impl Entry {
-    fn score(&self, metric: ErrorMetric) -> f64 {
-        if self.scored == 0 {
-            return f64::INFINITY;
-        }
-        match metric {
-            ErrorMetric::Mae => self.abs_err / self.scored as f64,
-            ErrorMetric::Mse => self.sq_err / self.scored as f64,
-        }
-    }
 }
 
 /// A forecast and its provenance.
@@ -62,10 +40,16 @@ pub struct Forecast {
 /// is stored once, every method predicts once, and the winner is chosen
 /// there; [`ForecasterSet::predict`] only reads.
 pub struct ForecasterSet {
-    entries: Vec<Entry>,
-    history: History,
-    metric: ErrorMetric,
-    /// Index of the entry that makes the next forecast.
+    /// The battery's methods and block layout, shared by all its streams.
+    plan: Arc<Plan>,
+    /// Everything that is this stream's own, in one allocation sized at
+    /// construction: each method's outstanding prediction, error sums and
+    /// carried scalar, then the measurements ([`Windows`]). Every method
+    /// predicts on every measurement, so each was scored `seen − 1` times.
+    block: Vec<f64>,
+    /// Measurements absorbed.
+    seen: usize,
+    /// Index of the method that makes the next forecast.
     best: usize,
 }
 
@@ -76,29 +60,25 @@ impl Default for ForecasterSet {
 }
 
 impl ForecasterSet {
-    /// The standard 17-method battery ranked by MAE.
+    /// The standard 17-method battery ranked by MAE; every such stream
+    /// shares one plan.
     pub fn standard() -> Self {
-        Self::new(standard_battery(), ErrorMetric::Mae)
+        static PLAN: LazyLock<Arc<Plan>> =
+            LazyLock::new(|| Arc::new(Plan::new(standard_battery(), ErrorMetric::Mae)));
+        Self::over(Arc::clone(&PLAN))
     }
 
     /// A custom battery. Panics if it is empty or a method's parameters are
     /// out of range.
     pub fn new(methods: Vec<Method>, metric: ErrorMetric) -> Self {
-        assert!(!methods.is_empty());
+        Self::over(Arc::new(Plan::new(methods, metric)))
+    }
+
+    fn over(plan: Arc<Plan>) -> Self {
         ForecasterSet {
-            history: History::new(methods.iter().map(Method::need)),
-            entries: methods
-                .into_iter()
-                .map(|method| Entry {
-                    method,
-                    state: State::default(),
-                    pred: None,
-                    abs_err: 0.0,
-                    sq_err: 0.0,
-                    scored: 0,
-                })
-                .collect(),
-            metric,
+            block: vec![0.0; plan.block_len],
+            plan,
+            seen: 0,
             best: 0,
         }
     }
@@ -112,54 +92,82 @@ impl ForecasterSet {
         if !value.is_finite() {
             return;
         }
-        self.history.push(value);
-        let mut best_score = f64::NAN;
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            if let Some(pred) = e.pred {
+        let plan = &*self.plan;
+        let n = plan.ops.len();
+        let (scores, tail) = self.block.split_at_mut(4 * n);
+        let (pred, scores) = scores.split_at_mut(n);
+        let (abs_err, scores) = scores.split_at_mut(n);
+        let (sq_err, acc) = scores.split_at_mut(n);
+        let seen = self.seen;
+        if seen > 0 {
+            for ((pred, abs_err), sq_err) in pred.iter().zip(abs_err).zip(sq_err) {
                 let err = pred - value;
-                e.abs_err += err.abs();
-                e.sq_err += err * err;
-                e.scored += 1;
+                *abs_err += err.abs();
+                *sq_err += err * err;
             }
-            e.pred = Some(e.method.step(&mut e.state, e.pred, value, &self.history));
-            // Strict `<`: ties break toward the earlier battery entry.
-            let s = e.score(self.metric);
-            if i == 0 || s < best_score {
+        }
+        let mut past = Windows { plan, tail, seen };
+        past.push(value);
+        for ((&(method, sorted_at), pred), acc) in plan.ops.iter().zip(pred).zip(acc) {
+            let prev = (seen > 0).then_some(*pred);
+            *pred = method.step(sorted_at, acc, prev, value, &past);
+        }
+        self.seen += 1;
+        // Strict `<` on the scores, not on the raw sums (two sums can round
+        // to one score): ties break toward the earlier battery entry.
+        let mut best_score = self.score(0);
+        self.best = 0;
+        for i in 1..n {
+            let s = self.score(i);
+            if s < best_score {
                 (self.best, best_score) = (i, s);
             }
         }
     }
 
+    /// Method `i`'s mean error under the battery's metric; `f64::INFINITY`
+    /// until it has been scored once.
+    fn score(&self, i: usize) -> f64 {
+        if self.seen < 2 {
+            return f64::INFINITY;
+        }
+        let sums = match self.plan.metric {
+            ErrorMetric::Mae => 1,
+            ErrorMetric::Mse => 2,
+        };
+        self.block[sums * self.plan.ops.len() + i] / (self.seen - 1) as f64
+    }
+
     /// Number of measurements absorbed.
     pub fn samples(&self) -> u64 {
-        self.history.seen as u64
+        self.seen as u64
     }
 
     /// Forecast the next value using the best-scoring method. `None` until
     /// at least one measurement has been absorbed.
+    #[inline] // a caller in another crate that reads only `value` skips the error terms
     pub fn predict(&self) -> Option<Forecast> {
-        let e = &self.entries[self.best];
-        Some(Forecast {
-            value: e.pred?,
-            method: e.method,
-            mae: (e.scored > 0).then(|| e.abs_err / e.scored as f64),
-            rmse: (e.scored > 0).then(|| (e.sq_err / e.scored as f64).sqrt()),
+        let (n, i) = (self.plan.ops.len(), self.best);
+        let scored = (self.seen > 1).then(|| (self.seen - 1) as f64);
+        (self.seen > 0).then(|| Forecast {
+            value: self.block[i],
+            method: self.plan.ops[i].0,
+            mae: scored.map(|k| self.block[n + i] / k),
+            rmse: scored.map(|k| (self.block[2 * n + i] / k).sqrt()),
         })
     }
 
     /// Every method's outstanding prediction, in battery order.
     pub fn predictions(&self) -> impl Iterator<Item = (Method, Option<f64>)> + '_ {
-        self.entries.iter().map(|e| (e.method, e.pred))
+        let preds = self.plan.ops.iter().zip(&self.block);
+        preds.map(|(&(method, _), &pred)| (method, (self.seen > 0).then_some(pred)))
     }
 
     /// The battery-wide leaderboard: `(method, score)` sorted best-first.
     /// Methods never scored report `f64::INFINITY`.
     pub fn leaderboard(&self) -> Vec<(Method, f64)> {
-        let mut rows: Vec<(Method, f64)> = self
-            .entries
-            .iter()
-            .map(|e| (e.method, e.score(self.metric)))
-            .collect();
+        let scores = self.plan.ops.iter().enumerate();
+        let mut rows: Vec<(Method, f64)> = scores.map(|(i, op)| (op.0, self.score(i))).collect();
         rows.sort_by(|a, b| a.1.total_cmp(&b.1));
         rows
     }

@@ -85,6 +85,14 @@ const PROBE_BYTES: usize = 256;
 /// Operations per CPU probe (timed compute chunk).
 const CPU_PROBE_OPS: u64 = 1_000_000;
 
+/// Most resources one [`NwsServer`] tracks. Names come straight off the
+/// wire and each opens a ~2 KB battery, so without a bound a hostile or
+/// looping sensor grows the server one made-up name at a time. SC98, the
+/// largest shipped world, tracks 36 (six sensors: 30 RTT pairs + 6 CPUs).
+const MAX_RESOURCES: usize = 4096;
+/// Longest resource name accepted (`rtt.<u64>.<u64>` is at most 45 bytes).
+const MAX_RESOURCE_NAME: usize = 64;
+
 const TIMER_PROBE: u64 = 1;
 /// Deadline-exact expiry wake-up (see [`DeadlineTimer`]); historically a
 /// fixed 2 s poll tick.
@@ -260,7 +268,9 @@ pub struct NwsServer {
     reports_id: Option<CounterId>,
     /// Reports absorbed.
     pub reports: u64,
-    /// Reports refused: the wire value was NaN or infinite.
+    /// Reports refused: the wire value was NaN or infinite, the name was
+    /// longer than `MAX_RESOURCE_NAME`, or it would have opened a stream
+    /// beyond `MAX_RESOURCES`.
     pub reports_bad: u64,
     /// Queries answered.
     pub queries: u64,
@@ -303,12 +313,19 @@ impl Process for NwsServer {
         match (pkt.mtype, pkt.is_request()) {
             (nm::REPORT, false) => {
                 if let Ok(rep) = pkt.body::<NwsReport>() {
-                    // The value is straight off the wire, and one NaN
-                    // absorbed would end method selection for that resource
-                    // for good. The counter is interned here, not up front,
-                    // so a clean run's counter list (`results/health.json`)
-                    // carries no row for it.
-                    if !rep.value.is_finite() {
+                    // The report is straight off the wire: one NaN absorbed
+                    // would end method selection for that resource for good,
+                    // and every new name opens a battery. (First come, first
+                    // served: a flood that fills the table before an honest
+                    // sensor's first report locks that sensor out; its streams
+                    // already open keep absorbing.) The counter is interned
+                    // here, not up front, so a clean run's counter list
+                    // (`results/health.json`) carries no row for it.
+                    let opens = self.streams.samples(&rep.resource) == 0;
+                    if !rep.value.is_finite()
+                        || rep.resource.len() > MAX_RESOURCE_NAME
+                        || (opens && self.streams.stream_count() >= MAX_RESOURCES)
+                    {
                         self.reports_bad += 1;
                         let id = ctx.counter("nws.reports_bad");
                         ctx.inc(id);
@@ -579,5 +596,63 @@ mod tests {
         assert!((0.25..=0.75).contains(&v), "selection still alive: {v}");
         // The honest sensors' streams are untouched by the refusals.
         assert!(sim.metrics().counter("nws.reports") > 10.0);
+    }
+
+    #[test]
+    fn made_up_resource_names_cannot_grow_the_server_without_bound() {
+        const EXTRA: usize = 500;
+        /// At 300 s, floods the server with distinct names, an over-long
+        /// one first.
+        struct Flood {
+            server: ProcessId,
+        }
+        impl Process for Flood {
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                match ev {
+                    Event::Started => ctx.set_timer(SimDuration::from_secs(300), 1),
+                    Event::Timer { .. } => {
+                        let long = "x".repeat(MAX_RESOURCE_NAME + 1);
+                        let made_up = (0..MAX_RESOURCES + EXTRA).map(|i| format!("rtt.fake.{i}"));
+                        for resource in std::iter::once(long).chain(made_up) {
+                            let body = NwsReport {
+                                resource,
+                                value: 0.5,
+                            };
+                            send_packet(
+                                ctx,
+                                self.server,
+                                &Packet::oneway(nm::REPORT, body.to_wire()),
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (mut sim, sensors, server) = world();
+        let host = sim.hosts().iter().next().unwrap().0;
+        sim.spawn("flood", host, Box::new(Flood { server }));
+        let honest = format!("rtt.{}.{}", sensors[0].0, sensors[1].0);
+        let state = |sim: &Sim| {
+            sim.with_process::<NwsServer, _>(server, |s| {
+                (
+                    s.resource_count(),
+                    s.reports_bad,
+                    s.streams.samples(&honest),
+                )
+            })
+            .unwrap()
+        };
+        sim.run_until(SimTime::from_secs(290));
+        let (before, bad, honest_before) = state(&sim);
+        assert_eq!((before, bad), (4, 0), "two RTT pairs and two CPUs");
+        sim.run_until(SimTime::from_secs(900));
+        let (after, bad, honest_after) = state(&sim);
+        assert_eq!(after, MAX_RESOURCES, "the table stops at its cap");
+        assert_eq!(bad as usize, 1 + before + EXTRA, "every refusal counted");
+        assert_eq!(sim.metrics().counter("nws.reports_bad"), bad as f64);
+        // The honest sensors' streams are open, so they keep absorbing.
+        assert!(honest_after > honest_before + 10);
+        assert!(forecast_value(&sim, server, &honest).is_some());
     }
 }

@@ -283,6 +283,40 @@ fn bits(x: Option<f64>) -> Option<u64> {
     x.map(f64::to_bits)
 }
 
+/// One step of [`assert_lockstep`] for sets that take turns: feed `x`
+/// (measurement number `step` of its stream) to both and compare every
+/// method's prediction and the selection.
+fn assert_step(
+    set: &mut ForecasterSet,
+    oracle: &mut OracleSet,
+    step: usize,
+    x: f64,
+) -> Result<(), TestCaseError> {
+    set.update(x);
+    oracle.update(x);
+    for ((name, got), (want, ..)) in set.predictions().zip(&oracle.entries) {
+        prop_assert_eq!(
+            bits(got),
+            bits(want.predict()),
+            "step {} value {:e}: {} predicts {:?}, oracle {:?}",
+            step,
+            x,
+            name,
+            got,
+            want.predict()
+        );
+    }
+    let got = set.predict().expect("one sample absorbed");
+    let (value, winner, mae, rmse) = oracle.predict().expect("one sample absorbed");
+    let (method, _) = set.predictions().nth(winner).expect("winner in battery");
+    prop_assert_eq!(got.method, method, "step {}: winner", step);
+    prop_assert_eq!(got.value.to_bits(), value.to_bits(), "step {}: value", step);
+    prop_assert_eq!(bits(got.mae), bits(mae), "step {}: mae", step);
+    prop_assert_eq!(bits(got.rmse), bits(rmse), "step {}: rmse", step);
+    prop_assert_eq!(set.samples(), step as u64 + 1);
+    Ok(())
+}
+
 fn assert_lockstep(
     mut set: ForecasterSet,
     mut oracle: OracleSet,
@@ -313,6 +347,59 @@ fn assert_lockstep(
     }
     prop_assert_eq!(set.samples(), xs.len() as u64);
     Ok(())
+}
+
+/// The reference for any one method.
+fn oracle_of(method: Method) -> Oracle {
+    match method {
+        Method::Last => Oracle::Last(None),
+        Method::RunningMean => Oracle::Running { sum: 0.0, n: 0 },
+        Method::Mean(w) => mean(w),
+        Method::Median(w) => median(w),
+        Method::Trimmed(w, trim) => trimmed(w, trim),
+        Method::Exp(gain) => exp(gain),
+        Method::Adaptive { min_w, max_w, bust } => adaptive(min_w, max_w, bust),
+    }
+}
+
+/// Batteries at the edges of the layout a plan computes: one method; every
+/// window of width 1; methods listed twice (two entries, one shared sorted
+/// window); 40 methods over twelve widths; an adaptive window deeper than
+/// every other reader, so it alone sizes the ring.
+fn degenerate_batteries() -> Vec<Vec<Method>> {
+    let adaptive = |min_w, max_w| Method::Adaptive {
+        min_w,
+        max_w,
+        bust: 0.5,
+    };
+    let mut forty = vec![
+        Method::Last,
+        Method::RunningMean,
+        Method::Exp(1.0),
+        adaptive(1, 12),
+    ];
+    for w in 1..=12 {
+        forty.extend([Method::Mean(w), Method::Median(w), Method::Trimmed(w, 0.2)]);
+    }
+    assert_eq!(forty.len(), 40);
+    vec![
+        vec![Method::Median(9)],
+        vec![
+            Method::Mean(1),
+            Method::Median(1),
+            Method::Trimmed(1, 0.4),
+            adaptive(1, 1),
+        ],
+        vec![
+            Method::Median(5),
+            Method::Exp(0.3),
+            Method::Median(5),
+            Method::Exp(0.3),
+            Method::Trimmed(5, 0.25),
+        ],
+        forty,
+        vec![Method::Mean(4), Method::Median(6), adaptive(2, 30)],
+    ]
 }
 
 /// Finite series of length 1..300 in −1e9..1e9, so every window crosses
@@ -364,5 +451,34 @@ proptest! {
             OracleSet::new(oracle, ErrorMetric::Mse),
             &xs,
         )?;
+    }
+
+    /// Two standard sets share one plan. Fed different series in interleaved
+    /// order, each must still match an oracle that knows nothing of the
+    /// other: per-stream state leaking into the plan would show here only.
+    #[test]
+    fn two_standard_sets_alive_at_once_do_not_share_state(xs in series(), ys in series()) {
+        let mut a = (ForecasterSet::standard(), OracleSet::new(standard_oracle(), ErrorMetric::Mae));
+        let mut b = (ForecasterSet::standard(), OracleSet::new(standard_oracle(), ErrorMetric::Mae));
+        let (mut fed_a, mut fed_b) = (0, 0);
+        while fed_a < xs.len() || fed_b < ys.len() {
+            // Uneven turns: a, b, b, a, a, ... until one series runs out.
+            let a_turn = fed_b == ys.len() || (fed_a < xs.len() && (fed_a + 2 * fed_b) % 3 != 1);
+            if a_turn {
+                assert_step(&mut a.0, &mut a.1, fed_a, xs[fed_a])?;
+                fed_a += 1;
+            } else {
+                assert_step(&mut b.0, &mut b.1, fed_b, ys[fed_b])?;
+                fed_b += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_batteries_match_the_oracle(xs in series()) {
+        for (methods, metric) in degenerate_batteries().into_iter().zip([ErrorMetric::Mae, ErrorMetric::Mse].into_iter().cycle()) {
+            let oracle = methods.iter().copied().map(oracle_of).collect();
+            assert_lockstep(ForecasterSet::new(methods, metric), OracleSet::new(oracle, metric), &xs)?;
+        }
     }
 }

@@ -50,7 +50,22 @@ fi
 echo "== every pub item and source file under crates/*/src has a caller"
 cargo test -q --offline -p ew-bench --test public_surface
 
-echo "== bash -n tests/profile.sh"
+# The profiler is run, not only parsed: `bash -n` passed a script that
+# exited 141 (pipefail + `sort | head`) twice in a dozen runs. ~2 min, most
+# of it the debug-info build of `benchmark/`; without `cc` or `addr2line`
+# the script says so and exits 0, and so does this step.
+echo "== tests/profile.sh bulk_flow --seconds 1 exits 0 and prints both tables"
 bash -n tests/profile.sh
+profile="$(tests/profile.sh bulk_flow --seconds 1)" || {
+    echo "error: tests/profile.sh exited $?" >&2
+    exit 1
+}
+if grep -q '^profile: no .* on this box' <<<"$profile"; then
+    echo "$profile"
+elif ! grep -q '^== top inclusive' <<<"$profile" || ! grep -q '^== top self' <<<"$profile"; then
+    echo "error: tests/profile.sh printed no inclusive or no self table:" >&2
+    echo "$profile" >&2
+    exit 1
+fi
 
 echo "lint gate: OK"

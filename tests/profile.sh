@@ -2,15 +2,17 @@
 # Sampling profile of one workload of the unchanged `benchmark/`: the
 # instrument behind "profile before sizing" (ROADMAP working rules, DESIGN
 # §7.4). Needs `cc` and `addr2line`; with either missing it says so and
-# exits 0. No CI job runs it.
+# exits 0. `tests/lint.sh` runs it on `bulk_flow` for one second and checks
+# the exit status and both tables.
 #
 #   ./tests/profile.sh <workload> [--seed N] [--seconds S]
 #
 # Builds tests/support/sigprof.c (SIGPROF every 1 ms of CPU time,
 # backtrace() per sample) and `benchmark/` with debug info into a scratch
 # directory (set TMPDIR to choose where), runs one `--trace 0` run under the
-# shim, and prints the sample count and the top functions by inclusive and
-# by self share, inlined frames resolved.
+# shim, and prints the sample count and the top 40 functions by inclusive
+# share (below the workload's entry point) and by self share, inlined frames
+# resolved.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,12 +50,16 @@ awk '
   NF {
     samples++
     split("", counted)
-    for (f = 1; f <= NF; f++) {
+    # Inclusive shares are taken below the workload entry point: the frames
+    # from `benchmark::workloads::*` outward (`_start`, `lang_start`,
+    # `catch_unwind`, ...) hold ~100 % each and say nothing.
+    below = NF
+    for (f = NF; f >= 1; f--) if (names[$f] ~ /(^|\n)benchmark::workloads::/) { below = f - 1; break }
+    if (split(names[$1], name, "\n") > 1) self[name[1]]++
+    for (f = 1; f <= below; f++) {
       inlined = split(names[$f], name, "\n") - 1
-      for (j = 1; j <= inlined; j++) {
-        if (f == 1 && j == 1) self[name[j]]++
+      for (j = 1; j <= inlined; j++)
         if (name[j] != "??" && !(name[j] in counted)) { counted[name[j]]; incl[name[j]]++ }
-      }
     }
   }
   END {
@@ -62,7 +68,9 @@ awk '
   }
 ' pass=1 "$work/addrs" pass=2 "$work/symbols" pass=3 "$work/stacks" >"$work/shares"
 echo "$(grep -c . "$work/stacks") samples, $workload seed $seed (?? = outside the executable)"
+# `awk 'NR <= 40'` reads its whole input; `head -n 40` closes the pipe early
+# and, under pipefail, a `sort` still writing dies of SIGPIPE (exit 141).
 for kind in inclusive self; do
   echo "== top $kind shares: samples, share, function"
-  grep "^$kind" "$work/shares" | sort -t "$(printf '\t')" -k2,2nr | head -n 40 | cut -f2-
+  grep "^$kind" "$work/shares" | sort -t "$(printf '\t')" -k2,2nr | awk 'NR <= 40' | cut -f2-
 done

@@ -18,6 +18,7 @@
 //! work. Every run is seed-deterministic, so campaign JSON is byte-stable
 //! run to run.
 
+use everyware::series::whole_bins;
 use everyware::{DeployConfig, Deployment};
 use ew_infra::{InfraSpec, InfraSupervisor};
 use ew_ramsey::RamseyProblem;
@@ -275,7 +276,10 @@ fn run_world(
         })
         .collect();
 
+    let bin = SimDuration::from_secs(BIN_SECS);
+    let n_bins = whole_bins(horizon, bin);
     let mut sim = Sim::new(net, hosts, seed);
+    sim.declare_series("ops_series.pool", bin);
     let dep = Deployment::builder(DeployConfig {
         sched: SchedulerConfig {
             workload: workload.clone(),
@@ -325,17 +329,14 @@ fn run_world(
     sim.run_until(SimTime::ZERO + horizon);
 
     let m = sim.metrics();
-    let n_bins = (horizon.as_micros() / (BIN_SECS * 1_000_000)) as usize;
-    let mut bins = vec![0.0; n_bins];
-    for (t, ops) in m.series("ops_series.pool") {
-        let i = (t.as_micros() / (BIN_SECS * 1_000_000)) as usize;
-        if i < n_bins {
-            bins[i] += ops;
-        }
-    }
+    let ops = m
+        .series("ops_series.pool")
+        .expect("declared before the run");
     let outcome = RunOutcome {
         units: m.counter("client.units_completed") as u64,
-        bins,
+        bins: (0..n_bins)
+            .map(|i| ops.bins().get(i).map_or(0.0, |b| b.sum))
+            .collect(),
         retries: m.counter("rpc.retries") as u64,
         breaker_opens: m.counter("rpc.breaker_open") as u64,
         faults_injected: m.counter("chaos.faults_injected") as u64,

@@ -18,7 +18,7 @@ use ew_sched::{ClientConfig, SchedulerConfig, SchedulerServer};
 use ew_sim::{Sim, SimDuration, SimTime, SubsystemHealth};
 use ew_workload::WorkloadSpec;
 
-use crate::series::{bin_mean, bin_rate, coefficient_of_variation, BinnedPoint};
+use crate::series::{bin_mean, bin_rate, coefficient_of_variation, whole_bins, BinnedPoint};
 use crate::toolkit::{DeployConfig, Deployment};
 
 /// Seconds from the window origin (23:36:56 PST) to the 11:00:00 judging
@@ -194,6 +194,11 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     });
 
     let infra_names: Vec<String> = infra_builds.iter().map(|b| b.name.clone()).collect();
+    let n_bins = whole_bins(cfg.duration, BIN);
+    for name in &infra_names {
+        sim.declare_series(&format!("ops_series.{name}"), BIN);
+        sim.declare_series(&format!("hosts.{name}"), BIN);
+    }
     for build in infra_builds {
         // Legion and NetSolve traffic goes through their relay.
         let client_scheds: Vec<u64> = match (&build.relay, build.relay_host) {
@@ -251,28 +256,26 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     sim.run_until(end);
 
     // ---- Post-processing -------------------------------------------------
-    let start = SimTime::ZERO;
+    let m = sim.metrics();
     let mut per_infra = BTreeMap::new();
     let mut host_counts = BTreeMap::new();
     let mut total_ops = 0.0;
     for name in &infra_names {
-        let samples = sim.metrics().series(&format!("ops_series.{name}"));
-        total_ops += samples.iter().map(|&(_, v)| v).sum::<f64>();
-        per_infra.insert(name.clone(), bin_rate(&samples, start, end, BIN));
+        // `ops.<infra>` gets the same adds in the same order as the series.
+        total_ops += m.counter(&format!("ops.{name}"));
+        let declared = |series: &str| m.series(series).expect("declared before the run");
+        per_infra.insert(
+            name.clone(),
+            bin_rate(declared(&format!("ops_series.{name}")), n_bins),
+        );
         host_counts.insert(
             name.clone(),
-            bin_mean(
-                &sim.metrics().series(&format!("hosts.{name}")),
-                start,
-                end,
-                BIN,
-            ),
+            bin_mean(declared(&format!("hosts.{name}")), n_bins),
         );
     }
-    let n_bins = per_infra.values().next().map(|v| v.len()).unwrap_or(0);
     let total: Vec<BinnedPoint> = (0..n_bins)
         .map(|i| BinnedPoint {
-            t: start + BIN * i as u64,
+            t: SimTime::ZERO + BIN * i as u64,
             value: per_infra.values().map(|s| s[i].value).sum(),
         })
         .collect();

@@ -1,12 +1,14 @@
 //! Time-series post-processing for experiment reports.
 //!
-//! The paper's figures are all "5 Minute Averages": raw per-event samples
-//! binned into fixed windows, expressed as rates. This module turns the
-//! simulator's metric series into exactly those, plus the coefficient-of-
-//! variation statistic used to quantify the *consistent* criterion of §7
-//! (uniform delivered power despite per-infrastructure variability).
+//! The paper's figures are all "5 Minute Averages": per-event samples
+//! binned into fixed windows, expressed as rates. The simulator bins each
+//! series as it is recorded, at the width its reader declared; this module
+//! only normalises those bins into rates and held means, and adds the
+//! coefficient-of-variation statistic used to quantify the *consistent*
+//! criterion of §7 (uniform delivered power despite per-infrastructure
+//! variability).
 
-use ew_sim::{SimDuration, SimTime};
+use ew_sim::{BinnedSeries, SimDuration, SimTime};
 
 /// One binned point: window start time and the value for that window.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -17,71 +19,48 @@ pub struct BinnedPoint {
     pub value: f64,
 }
 
-/// Sum event values into fixed windows and divide by window length:
-/// turns per-event op counts into ops/second averages — Figure 2's y-axis.
-pub fn bin_rate(
-    samples: &[(SimTime, f64)],
-    start: SimTime,
-    end: SimTime,
-    width: SimDuration,
-) -> Vec<BinnedPoint> {
-    let w_us = width.as_micros().max(1);
-    let n_bins = ((end - start).as_micros().div_ceil(w_us)) as usize;
-    let mut sums = vec![0.0; n_bins];
-    for &(t, v) in samples {
-        if t < start || t >= end {
-            continue;
-        }
-        let idx = ((t - start).as_micros() / w_us) as usize;
-        if idx < n_bins {
-            sums[idx] += v;
-        }
-    }
+/// How many `width` bins make up `window`, for a reader about to declare a
+/// series at `width`. Panics unless that is a whole number: the readers
+/// below stop at the window's end, and a partial last bin would take in
+/// samples recorded past it.
+pub fn whole_bins(window: SimDuration, width: SimDuration) -> usize {
+    let (w, b) = (window.as_micros(), width.as_micros());
+    assert!(
+        b > 0 && w % b == 0,
+        "a {window:?} window is not a whole number of {width:?} bins"
+    );
+    (w / b) as usize
+}
+
+/// Each of the first `n` bins' sum over the bin width: per-event op counts
+/// become ops/second averages — Figure 2's y-axis.
+pub fn bin_rate(series: &BinnedSeries, n: usize) -> Vec<BinnedPoint> {
+    let width = SimDuration::from_micros(series.width_us());
     let secs = width.as_secs_f64();
-    sums.into_iter()
-        .enumerate()
-        .map(|(i, s)| BinnedPoint {
-            t: start + width * i as u64,
-            value: s / secs,
+    (0..n)
+        .map(|i| BinnedPoint {
+            t: SimTime::ZERO + width * i as u64,
+            value: series.bins().get(i).map_or(0.0, |b| b.sum) / secs,
         })
         .collect()
 }
 
-/// Average sampled values within fixed windows (host counts, Figure 3b).
-/// Empty windows carry the previous window's value (a sampled gauge holds
-/// between samples).
-pub fn bin_mean(
-    samples: &[(SimTime, f64)],
-    start: SimTime,
-    end: SimTime,
-    width: SimDuration,
-) -> Vec<BinnedPoint> {
-    let w_us = width.as_micros().max(1);
-    let n_bins = ((end - start).as_micros().div_ceil(w_us)) as usize;
-    let mut sums = vec![0.0; n_bins];
-    let mut counts = vec![0u32; n_bins];
-    for &(t, v) in samples {
-        if t < start || t >= end {
-            continue;
-        }
-        let idx = ((t - start).as_micros() / w_us) as usize;
-        if idx < n_bins {
-            sums[idx] += v;
-            counts[idx] += 1;
-        }
-    }
-    let mut out = Vec::with_capacity(n_bins);
+/// Each of the first `n` bins' mean (host counts, Figure 3b). Empty bins
+/// carry the previous bin's value (a sampled gauge holds between samples).
+pub fn bin_mean(series: &BinnedSeries, n: usize) -> Vec<BinnedPoint> {
+    let width = SimDuration::from_micros(series.width_us());
     let mut last = 0.0;
-    for i in 0..n_bins {
-        if counts[i] > 0 {
-            last = sums[i] / counts[i] as f64;
-        }
-        out.push(BinnedPoint {
-            t: start + width * i as u64,
-            value: last,
-        });
-    }
-    out
+    (0..n)
+        .map(|i| {
+            if let Some(b) = series.bins().get(i).filter(|b| b.count > 0) {
+                last = b.sum / b.count as f64;
+            }
+            BinnedPoint {
+                t: SimTime::ZERO + width * i as u64,
+                value: last,
+            }
+        })
+        .collect()
 }
 
 /// Mean of a binned series.
@@ -125,15 +104,24 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A series binned at 60 s holding `samples` (seconds, value).
+    fn binned(samples: &[(u64, f64)]) -> ew_sim::Registry {
+        let mut r = ew_sim::Registry::new();
+        let id = r.declare_series("s", 60_000_000);
+        for &(secs, v) in samples {
+            r.record(id, secs * 1_000_000, v);
+        }
+        r
+    }
+
+    fn series_of(r: &ew_sim::Registry) -> &BinnedSeries {
+        r.series_get(r.series_lookup("s").unwrap())
+    }
+
     #[test]
     fn bin_rate_sums_and_normalizes() {
-        let samples = vec![
-            (t(10), 100.0),
-            (t(20), 200.0),
-            (t(70), 600.0),
-            (t(130), 50.0),
-        ];
-        let bins = bin_rate(&samples, t(0), t(180), SimDuration::from_secs(60));
+        let r = binned(&[(10, 100.0), (20, 200.0), (70, 600.0), (130, 50.0)]);
+        let bins = bin_rate(series_of(&r), 3);
         assert_eq!(bins.len(), 3);
         assert_eq!(bins[0].value, 5.0); // 300 over 60 s
         assert_eq!(bins[1].value, 10.0); // 600 over 60 s
@@ -143,19 +131,28 @@ mod tests {
 
     #[test]
     fn bin_rate_ignores_out_of_window_samples() {
-        let samples = vec![(t(300), 1.0), (t(5), 60.0)];
-        let bins = bin_rate(&samples, t(0), t(60), SimDuration::from_secs(60));
+        let r = binned(&[(300, 1.0), (5, 60.0), (60, 7.0)]);
+        let bins = bin_rate(series_of(&r), 1);
         assert_eq!(bins.len(), 1);
         assert_eq!(bins[0].value, 1.0);
     }
 
     #[test]
     fn bin_mean_averages_and_holds() {
-        let samples = vec![(t(10), 4.0), (t(20), 6.0), (t(130), 8.0)];
-        let bins = bin_mean(&samples, t(0), t(180), SimDuration::from_secs(60));
+        let r = binned(&[(10, 4.0), (20, 6.0), (130, 8.0)]);
+        let bins = bin_mean(series_of(&r), 4);
         assert_eq!(bins[0].value, 5.0);
         assert_eq!(bins[1].value, 5.0, "empty window holds previous gauge");
         assert_eq!(bins[2].value, 8.0);
+        assert_eq!(bins[3].value, 8.0, "so does a window past the last sample");
+    }
+
+    #[test]
+    fn whole_bins_refuses_a_partial_last_bin() {
+        let min = SimDuration::from_secs(60);
+        assert_eq!(whole_bins(SimDuration::from_secs(1800), min), 30);
+        let partial = std::panic::catch_unwind(|| whole_bins(SimDuration::from_secs(90), min));
+        assert!(partial.is_err(), "90 s is not a whole number of 60 s bins");
     }
 
     #[test]

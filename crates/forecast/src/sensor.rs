@@ -15,7 +15,7 @@
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::wire_struct;
 use ew_proto::{mtype, DeadlineTimer, EventTag, Packet, RpcTracker, WireEncode};
-use ew_sim::{CounterId, Ctx, Event, Process, ProcessId, SeriesId, SimDuration, SimTime, SpanId};
+use ew_sim::{CounterId, Ctx, Event, Process, ProcessId, SimDuration, SimTime, SpanId};
 
 use crate::dynbench::DynamicBenchmark;
 use crate::timeout::ForecastTimeout;
@@ -99,36 +99,20 @@ const TIMER_PROBE: u64 = 1;
 const TIMER_EXPIRE: u64 = 2;
 const CPU_PROBE_TAG: u64 = 0xC0;
 
-/// Telemetry handles interned by a sensor on `Event::Started`. The
-/// per-peer RTT series are known up front (the peer list is fixed at
-/// configuration time), so even the dynamically-named `nws.rtt.<me>.<peer>`
-/// series record through indices.
+/// Telemetry handles interned by a sensor on `Event::Started`.
 struct SensorTele {
     probes_lost: CounterId,
     probes_ok: CounterId,
     timeout_span: SpanId,
-    rtt_series: Vec<(u64, SeriesId)>,
 }
 
 impl SensorTele {
-    fn intern(ctx: &mut Ctx<'_>, peers: &[u64]) -> Self {
-        let me = ctx.me().0;
+    fn intern(ctx: &mut Ctx<'_>) -> Self {
         SensorTele {
             probes_lost: ctx.counter("nws.probes_lost"),
             probes_ok: ctx.counter("nws.probes_ok"),
             timeout_span: ctx.span("proto.timeout"),
-            rtt_series: peers
-                .iter()
-                .map(|&peer| (peer, ctx.series(&format!("nws.rtt.{me}.{peer}"))))
-                .collect(),
         }
-    }
-
-    fn rtt_series_for(&self, peer: u64) -> Option<SeriesId> {
-        self.rtt_series
-            .iter()
-            .find(|&&(p, _)| p == peer)
-            .map(|&(_, id)| id)
     }
 }
 
@@ -198,7 +182,7 @@ impl Process for NwsSensor {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match &ev {
             Event::Started => {
-                self.tele = Some(SensorTele::intern(ctx, &self.cfg.peers));
+                self.tele = Some(SensorTele::intern(ctx));
                 // Spread sensors out within the first interval. The expiry
                 // timer is armed on demand by probe_round.
                 let jitter = SimDuration::from_millis(ctx.rng().next_below(5_000));
@@ -246,9 +230,6 @@ impl Process for NwsSensor {
                             let peer = pending.context;
                             let secs = rtt.as_secs_f64();
                             ctx.inc(tele.probes_ok);
-                            if let Some(series) = tele.rtt_series_for(peer) {
-                                ctx.record(series, secs);
-                            }
                             self.report(ctx, format!("rtt.{me}.{peer}"), secs);
                             // The completed request may have carried the
                             // earliest deadline; re-arm (or disarm) exactly.

@@ -198,6 +198,7 @@ mod tests {
             .map(|i| hosts.add(HostSpec::dedicated(&format!("w{i}"), site, 1e8)))
             .collect();
         let mut sim = Sim::new(net, hosts, 1);
+        sim.declare_series("hosts.unix", SimDuration::from_secs(60));
         let s = sim.spawn(
             "sched",
             h_sched,
@@ -221,10 +222,11 @@ mod tests {
             .unwrap();
         assert_eq!(spawned, 5);
         assert!(sim.metrics().counter("ops.unix") > 0.0);
-        // Host-count series sampled at 60s intervals, eventually 5.
-        let series = sim.metrics().series("hosts.unix");
-        assert!(!series.is_empty());
-        assert_eq!(series.last().unwrap().1, 5.0);
+        // Host-count series sampled at 60s intervals, one sample per bin,
+        // eventually 5.
+        let series = sim.metrics().series("hosts.unix").expect("declared");
+        let last = series.bins().last().expect("sampled");
+        assert_eq!((last.sum, last.count), (5.0, 1));
     }
 
     #[test]
@@ -246,6 +248,7 @@ mod tests {
             })
             .collect();
         let mut sim = Sim::new(net, hosts, 5);
+        sim.declare_series("hosts.condor", SimDuration::from_secs(300));
         let s = sim.spawn(
             "sched",
             h_sched,
@@ -274,12 +277,15 @@ mod tests {
         assert!(sim.metrics().counter("infra.condor.reclaims") > 0.0);
         assert!(sim.metrics().counter("procs.killed_by_host_down") > 0.0);
         assert!(sim.metrics().counter("ops.condor") > 0.0);
-        // Host-count series fluctuates: not all samples equal.
+        // Host-count series fluctuates: not all bin means equal.
         let series: Vec<f64> = sim
             .metrics()
             .series("hosts.condor")
+            .expect("declared")
+            .bins()
             .iter()
-            .map(|&(_, v)| v)
+            .filter(|b| b.count > 0)
+            .map(|b| b.sum / b.count as f64)
             .collect();
         let distinct: std::collections::BTreeSet<u64> = series.iter().map(|&v| v as u64).collect();
         assert!(

@@ -14,7 +14,7 @@
 
 use std::any::Any;
 
-use ew_telemetry::{CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId};
+use ew_telemetry::{BinnedSeries, CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId};
 
 use crate::hashers::FxHashMap;
 use crate::host::{HostId, HostTable};
@@ -111,18 +111,12 @@ impl Metrics {
             .unwrap_or(0.0)
     }
 
-    /// The recorded series (empty if never touched).
-    pub fn series(&self, name: &str) -> Vec<(SimTime, f64)> {
+    /// A series' bins (`None` if the name was never interned). Only a
+    /// series declared with [`Sim::declare_series`] holds any.
+    pub fn series(&self, name: &str) -> Option<&BinnedSeries> {
         self.reg
             .series_lookup(name)
-            .map(|id| {
-                self.reg
-                    .series_points(id)
-                    .iter()
-                    .map(|&(t_us, v)| (SimTime::from_micros(t_us), v))
-                    .collect()
-            })
-            .unwrap_or_default()
+            .map(|id| self.reg.series_get(id))
     }
 
     /// The backing registry (histograms, gauges, health reports, tracing).
@@ -697,12 +691,14 @@ impl<'a> Ctx<'a> {
         self.shared.metrics.reg.inc(id);
     }
 
-    /// Intern a time-series name, returning a copyable handle.
+    /// Intern a time-series name, returning a copyable handle. What is
+    /// recorded on it is kept only if a reader declared the series
+    /// ([`Sim::declare_series`]).
     pub fn series(&mut self, name: &str) -> SeriesId {
         self.shared.metrics.reg.series(name)
     }
 
-    /// Record `v` at the current simulated time on an interned series.
+    /// Add `v` to the current simulated time's bin of an interned series.
     #[inline]
     pub fn record(&mut self, id: SeriesId, v: f64) {
         let t_us = self.shared.now.as_micros();
@@ -860,6 +856,17 @@ impl Sim {
     /// health reports, span tracing).
     pub fn telemetry(&self) -> &Registry {
         self.shared.metrics.registry()
+    }
+
+    /// Keep the series `name`, binned at `width`: from now on each sample
+    /// recorded on it is added to bin `t / width`. Samples on a series that
+    /// no reader declared are discarded. Panics if `name` was already
+    /// declared at another width.
+    pub fn declare_series(&mut self, name: &str, width: SimDuration) {
+        self.shared
+            .metrics
+            .reg
+            .declare_series(name, width.as_micros());
     }
 
     /// Start collecting span trace records into a ring of `capacity`
@@ -1644,12 +1651,16 @@ mod tests {
             }
         }
         let (mut sim, h0, _) = small_world();
+        sim.declare_series("s", SimDuration::from_secs(1));
         sim.spawn("r", h0, Box::new(Recorder));
         sim.run_until(SimTime::from_secs(2));
         let m = sim.metrics();
         assert_eq!(m.counter("x"), 3.0);
         assert_eq!(m.counter("missing"), 0.0);
-        assert_eq!(m.series("s"), &[(SimTime::from_secs(1), 10.0)]);
-        assert!(m.series("missing").is_empty());
+        let s = m.series("s").expect("declared");
+        assert_eq!(s.width_us(), 1_000_000);
+        let bins: Vec<(f64, u64)> = s.bins().iter().map(|b| (b.sum, b.count)).collect();
+        assert_eq!(bins, [(0.0, 0), (10.0, 1)], "the sample at 1 s is bin 1's");
+        assert!(m.series("missing").is_none());
     }
 }

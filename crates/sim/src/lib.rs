@@ -37,7 +37,7 @@ pub mod time;
 pub mod trace;
 
 pub use ew_telemetry::{
-    CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId, SubsystemHealth,
+    BinnedSeries, CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId, SubsystemHealth,
 };
 pub use farm::{resolve_threads, run_farm, FarmStats};
 pub use hashers::FxHashMap;

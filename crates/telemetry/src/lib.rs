@@ -6,7 +6,10 @@
 //!   time in the simulator) and hands back copyable integer handles —
 //!   [`CounterId`], [`GaugeId`], [`SeriesId`], [`HistogramId`]. The hot
 //!   path (`add`, `record`, `observe`) is then a bounds-checked `Vec`
-//!   index, not a string hash + map probe.
+//!   index, not a string hash + map probe. A time series holds fixed-width
+//!   [`Bin`]s whose width its reader declares before the run, not the
+//!   samples themselves: its memory grows with the run's length in bins,
+//!   not with how often it is recorded.
 //! - A span tracer: [`SpanId`]s name phases of work (kernel dispatch,
 //!   gossip reconciliation, clique token passing, scheduler migration,
 //!   request/response timeouts); enter/exit records land in a bounded
@@ -23,7 +26,9 @@
 
 mod histogram;
 mod registry;
+mod series;
 mod trace;
 
 pub use histogram::{Histogram, HistogramSummary};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId, SubsystemHealth};
+pub use series::{Bin, BinnedSeries};

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use crate::histogram::{Histogram, HistogramSummary};
+use crate::series::BinnedSeries;
 use crate::trace::{SpanPhase, TraceBuffer, TraceRecord};
 
 macro_rules! define_id {
@@ -29,7 +30,7 @@ define_id!(
     GaugeId
 );
 define_id!(
-    /// Handle to an interned time series.
+    /// Handle to an interned binned time series.
     SeriesId
 );
 define_id!(
@@ -81,6 +82,11 @@ impl Interner {
 /// `&mut self` and a string; it is meant to run once per metric per
 /// process, at spawn. Recording (`add`, `set_gauge`, `record`,
 /// `observe`) takes a copyable id and is a plain vector index.
+///
+/// A series keeps only what its reader declared it wants
+/// ([`Registry::declare_series`]): bins of a fixed width, each sample added
+/// to its bin as it is recorded. Samples on an undeclared series are
+/// discarded.
 #[derive(Debug, Default)]
 pub struct Registry {
     counter_names: Interner,
@@ -88,7 +94,7 @@ pub struct Registry {
     gauge_names: Interner,
     gauges: Vec<f64>,
     series_names: Interner,
-    series: Vec<Vec<(u64, f64)>>,
+    series: Vec<BinnedSeries>,
     histogram_names: Interner,
     histograms: Vec<Histogram>,
     span_names: Interner,
@@ -176,23 +182,33 @@ impl Registry {
 
     // ---- series ----
 
-    /// Intern `name` as a time series and return its handle.
+    /// Intern `name` as a time series and return its handle. Samples
+    /// recorded on it are kept only once a reader declares its bin width.
     pub fn series(&mut self, name: &str) -> SeriesId {
         let i = self.series_names.intern(name);
         if i as usize >= self.series.len() {
-            self.series.push(Vec::new());
+            self.series.push(BinnedSeries::default());
         }
         SeriesId(i)
     }
 
-    /// Append a `(t_us, value)` point to a series.
-    #[inline]
-    pub fn record(&mut self, id: SeriesId, t_us: u64, v: f64) {
-        self.series[id.0 as usize].push((t_us, v));
+    /// Intern `name` and bin it at `width_us` microseconds. Panics on a
+    /// zero width or if the series was already declared at another width.
+    pub fn declare_series(&mut self, name: &str, width_us: u64) -> SeriesId {
+        let id = self.series(name);
+        self.series[id.0 as usize].declare(width_us);
+        id
     }
 
-    /// Points recorded so far, in record order.
-    pub fn series_points(&self, id: SeriesId) -> &[(u64, f64)] {
+    /// Add `v` to the bin of a declared series that covers `t_us`; a no-op
+    /// on an undeclared one.
+    #[inline]
+    pub fn record(&mut self, id: SeriesId, t_us: u64, v: f64) {
+        self.series[id.0 as usize].record(t_us, v);
+    }
+
+    /// The series behind a handle.
+    pub fn series_get(&self, id: SeriesId) -> &BinnedSeries {
         &self.series[id.0 as usize]
     }
 
@@ -202,7 +218,7 @@ impl Registry {
     }
 
     /// Series names in ascending order.
-    pub fn series_names(&self) -> Vec<&str> {
+    fn series_names(&self) -> Vec<&str> {
         self.series_names
             .sorted_indices()
             .into_iter()
@@ -315,8 +331,9 @@ impl Registry {
     // ---- merging ----
 
     /// Fold another registry's metrics into this one: counters add,
-    /// gauges take `other`'s value, series points append, histograms
-    /// merge bucket-wise. `other`'s metrics are visited in ascending name
+    /// gauges take `other`'s value, series bins add element-wise (a series
+    /// declared on both sides must have one width, or this panics),
+    /// histograms merge bucket-wise. `other`'s metrics are visited in ascending name
     /// order, so merging the same set of registries in the same sequence
     /// always produces an identical registry — the deterministic
     /// ordered-collect path the sim farm uses to fold per-cell registries
@@ -338,9 +355,7 @@ impl Registry {
         for name in other.series_names() {
             let theirs = other.series_lookup(name).expect("name from other");
             let id = self.series(name);
-            for &(t_us, v) in other.series_points(theirs) {
-                self.record(id, t_us, v);
-            }
+            self.series[id.index()].merge(other.series_get(theirs));
         }
         for (name, h) in other.histograms() {
             let id = self.histogram(name);
@@ -404,6 +419,7 @@ pub struct SubsystemHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::Bin;
 
     #[test]
     fn interning_is_idempotent() {
@@ -432,9 +448,14 @@ mod tests {
     fn series_and_gauges_round_trip() {
         let mut r = Registry::new();
         let s = r.series("ops_series.condor");
+        assert_eq!(r.declare_series("ops_series.condor", 1_000), s);
         r.record(s, 1_000, 2.0);
-        r.record(s, 2_000, 3.0);
-        assert_eq!(r.series_points(s), &[(1_000, 2.0), (2_000, 3.0)]);
+        r.record(s, 1_999, 0.5);
+        r.record(s, 3_000, 3.0);
+        let bins = r.series_get(s).bins();
+        let bin = |sum, count| Bin { sum, count };
+        assert_eq!(bins, &[bin(0.0, 0), bin(2.5, 2), bin(0.0, 0), bin(3.0, 1)]);
+        assert_eq!(r.series_get(s).width_us(), 1_000);
         assert_eq!(r.series_names(), vec!["ops_series.condor"]);
 
         let g = r.gauge("sched.queue_depth");
@@ -469,7 +490,7 @@ mod tests {
             r.add(c, 10.0 + salt);
             let g = r.gauge("kernel.queue_depth");
             r.set_gauge(g, salt);
-            let s = r.series("ops_series.pool");
+            let s = r.declare_series("ops_series.pool", 2);
             r.record(s, salt as u64, salt);
             let h = r.histogram("net.latency_us");
             r.observe(h, 100.0 * (salt + 1.0));
@@ -499,9 +520,12 @@ mod tests {
         assert_eq!(histograms.len(), 1);
         assert_eq!(histograms[0].1.summary().count, 3);
 
-        // Series points append in merge order.
+        // Series bins add element-wise: t = 0 and 1 share bin 0.
         let sid = merged.series_lookup("ops_series.pool").unwrap();
-        assert_eq!(merged.series_points(sid), &[(0, 0.0), (1, 1.0), (2, 2.0)]);
+        assert_eq!(
+            merged.series_get(sid).bins(),
+            &[Bin { sum: 1.0, count: 2 }, Bin { sum: 2.0, count: 1 }]
+        );
     }
 
     #[test]

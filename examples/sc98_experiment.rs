@@ -9,6 +9,8 @@
 //! cargo run --release --example sc98_experiment            # full 12 h
 //! cargo run --release --example sc98_experiment -- 7200    # 2-h smoke run
 //! ```
+//!
+//! The window must be a whole number of 5-minute bins (a multiple of 300).
 
 use everyware::{pst_label, run_sc98, Sc98Config, JUDGING_START_S, WINDOW_S};
 use ew_sim::{SimDuration, SimTime};

@@ -247,6 +247,8 @@ fn mass_reclamation_and_respawn() {
         })
         .collect();
     let mut sim = Sim::new(w.net, w.hosts, 37);
+    // 20 s bins: 320, 600 and 700 s are bin edges (bins 16, 30 and 35).
+    sim.declare_series("ops_series.pool", SimDuration::from_secs(20));
     let dep = Deployment::builder(DeployConfig {
         sched: sched_cfg(),
         ..DeployConfig::default()
@@ -277,20 +279,20 @@ fn mass_reclamation_and_respawn() {
     assert_eq!(spawned, 12, "6 initial + 6 respawns");
     assert_eq!(sim.metrics().counter("procs.killed_by_host_down"), 6.0);
     // Ops flowed in the final stretch (after respawn).
-    let series = sim.metrics().series("ops_series.pool");
-    let late_ops: f64 = series
-        .iter()
-        .filter(|(t, _)| *t > SimTime::from_secs(700))
-        .map(|(_, v)| v)
-        .sum();
+    let bins = sim
+        .metrics()
+        .series("ops_series.pool")
+        .expect("declared")
+        .bins();
+    let late_ops: f64 = bins.iter().skip(35).map(|b| b.sum).sum();
     assert!(late_ops > 0.0, "throughput resumed after mass respawn");
-    // And the dead window really was dead.
-    let dead_ops: f64 = series
-        .iter()
-        .filter(|(t, _)| *t > SimTime::from_secs(320) && *t < SimTime::from_secs(600))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(dead_ops, 0.0, "no ops while every host was reclaimed");
+    // And the dead window [320 s, 600 s) really was dead.
+    let dead: Vec<_> = bins[16..30].iter().map(|b| (b.sum, b.count)).collect();
+    assert_eq!(
+        dead,
+        [(0.0, 0); 14],
+        "no ops while every host was reclaimed"
+    );
 }
 
 #[test]

@@ -68,4 +68,20 @@ elif ! grep -q '^== top inclusive' <<<"$profile" || ! grep -q '^== top self' <<<
     exit 1
 fi
 
+# The heap profiler likewise: ~2 min more for its own debug-info build.
+echo "== tests/heap_profile.sh bulk_flow --seconds 1 exits 0 and prints both tables"
+bash -n tests/heap_profile.sh
+heap="$(tests/heap_profile.sh bulk_flow --seconds 1)" || {
+    echo "error: tests/heap_profile.sh exited $?" >&2
+    exit 1
+}
+if grep -q '^heap_profile: no .* on this box' <<<"$heap"; then
+    echo "$heap"
+elif ! grep -q '^== live bytes by block size' <<<"$heap" \
+    || ! grep -q '^== allocation sites of 1 MiB or more' <<<"$heap"; then
+    echo "error: tests/heap_profile.sh printed no size table or no site table:" >&2
+    echo "$heap" >&2
+    exit 1
+fi
+
 echo "lint gate: OK"

@@ -61,8 +61,6 @@ impl Deployment {
 
 /// Persistent-state capacity in bytes.
 const STATE_CAPACITY: usize = 16 << 20;
-/// Logging ring capacity in records.
-const LOG_CAPACITY: usize = 100_000;
 
 /// Options for [`Deployment::builder`].
 #[derive(Default)]
@@ -157,7 +155,7 @@ impl DeploymentBuilder {
             pss.register_validator(class, validator);
         }
         let state = sim.spawn("state", state_host, Box::new(pss));
-        let log = sim.spawn("log", log_host, Box::new(LogServer::new(LOG_CAPACITY)));
+        let log = sim.spawn("log", log_host, Box::<LogServer>::default());
 
         let mut schedulers = Vec::new();
         for (i, &h) in self.scheduler_hosts.iter().enumerate() {

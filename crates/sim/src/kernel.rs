@@ -914,19 +914,22 @@ impl Sim {
             return;
         }
         self.transitions_scheduled = true;
-        let mut scheduled = Vec::new();
-        for (hid, spec) in self.shared.hosts.iter() {
+        // Known before the first event, so filed in the queue's lane, not
+        // its heap; each transition still draws its own seq, in host order.
+        let shared = &mut self.shared;
+        let mut batch = Vec::new();
+        for (hid, spec) in shared.hosts.iter() {
             for &(t, up) in &spec.availability.transitions {
-                scheduled.push((t, hid, up));
+                if t == SimTime::ZERO && !up {
+                    shared.host_up[hid.0 as usize] = false;
+                } else {
+                    let target = Target::HostTransition(hid, up);
+                    batch.push((t.as_micros(), shared.seq, (target, None)));
+                    shared.seq += 1;
+                }
             }
         }
-        for (t, hid, up) in scheduled {
-            if t == SimTime::ZERO && !up {
-                self.shared.host_up[hid.0 as usize] = false;
-            } else {
-                self.shared.push(t, Target::HostTransition(hid, up), None);
-            }
-        }
+        shared.queue.preload(batch);
     }
 
     fn apply_host_transition(&mut self, host: HostId, up: bool) {

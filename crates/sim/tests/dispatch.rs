@@ -270,3 +270,25 @@ fn cancelled_timer_for_a_process_on_a_down_host_is_cancelled_not_dropped() {
     assert_eq!(out.counter("kernel.timers_cancelled"), 1.0);
     assert_eq!(out.counter("events.dropped_dead_dest"), 1.0);
 }
+
+#[test]
+fn a_host_going_down_at_a_tick_kills_before_a_timer_armed_for_it() {
+    // The availability calendar is filed when the run starts, before `p`
+    // arms its timer, so the transition holds the lower seq on the tick.
+    let at = SimTime::from_secs(5);
+    let out = run_case(Some(at), |sim, h, log| {
+        sim.spawn(
+            "p",
+            h,
+            scripted(log, move |ctx, ev| {
+                if let Event::Started = ev {
+                    ctx.set_timer(at - ctx.now(), 9);
+                }
+            }),
+        );
+    });
+    assert_eq!(out.log, ["p started @0"]);
+    assert_eq!(out.counter("kernel.batch_ties"), 1.0, "one run at the tick");
+    assert_eq!(out.counter("procs.killed_by_host_down"), 1.0);
+    assert_eq!(out.counter("events.dropped_dead_dest"), 1.0);
+}

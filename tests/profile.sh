@@ -10,7 +10,8 @@
 # Builds tests/support/sigprof.c (SIGPROF every 1 ms of CPU time,
 # backtrace() per sample) and `benchmark/` with debug info into a scratch
 # directory (set TMPDIR to choose where), runs one `--trace 0` run under the
-# shim, and prints the sample count and the top 40 functions by inclusive
+# shim, and prints the sample and repetition counts and the top 40
+# functions (samples, samples per repetition, share) by inclusive
 # share (below the workload's entry point) and by self share, inlined frames
 # resolved.
 
@@ -36,14 +37,18 @@ cc -O2 -shared -fPIC -o "$work/sigprof.so" tests/support/sigprof.c
 CARGO_PROFILE_RELEASE_DEBUG=true CARGO_TARGET_DIR="$work/target" cargo build --release \
   --offline --quiet --manifest-path benchmark/Cargo.toml
 bin="$work/target/release/benchmark"
-SIGPROF_OUT="$work/stacks" LD_PRELOAD="$work/sigprof.so" \
-  "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | grep '^# info'
+info="$(SIGPROF_OUT="$work/stacks" LD_PRELOAD="$work/sigprof.so" \
+  "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | grep '^# info')"
+echo "$info"
+# The run repeats the workload `reps` times; per-repetition counts compare
+# runs of different lengths.
+reps="$(sed -E 's/.*"reps":([0-9]+).*/\1/' <<<"$info")"
 
 # addr2line -a prints each address, then (function, file:line) pairs:
 # innermost inlined frame first, the enclosing function last.
 tr ' ' '\n' <"$work/stacks" | grep . | sort -u >"$work/addrs"
 addr2line -a -i -f -C -e "$bin" <"$work/addrs" >"$work/symbols"
-awk '
+awk -v reps="$reps" '
   pass == 1 { addr[++known] = $0; next }
   pass == 2 && /^0x[0-9a-f]+$/ { at = addr[++seen_addrs]; odd = 0; next }
   pass == 2 { if (odd = !odd) { sub(/::h[0-9a-f]+$/, ""); names[at] = names[at] $0 "\n" } next }
@@ -63,14 +68,15 @@ awk '
     }
   }
   END {
-    for (n in incl) printf "inclusive\t%d\t%.1f %%\t%s\n", incl[n], 100 * incl[n] / samples, n
-    for (n in self) printf "self\t%d\t%.1f %%\t%s\n", self[n], 100 * self[n] / samples, n
+    for (n in incl) printf "inclusive\t%d\t%.1f\t%.1f %%\t%s\n", incl[n], incl[n] / reps, 100 * incl[n] / samples, n
+    for (n in self) printf "self\t%d\t%.1f\t%.1f %%\t%s\n", self[n], self[n] / reps, 100 * self[n] / samples, n
   }
 ' pass=1 "$work/addrs" pass=2 "$work/symbols" pass=3 "$work/stacks" >"$work/shares"
-echo "$(grep -c . "$work/stacks") samples, $workload seed $seed (?? = outside the executable)"
+samples="$(grep -c . "$work/stacks")"
+echo "$samples samples over $reps repetitions ($((samples / reps)) per repetition), $workload seed $seed (?? = outside the executable)"
 # `awk 'NR <= 40'` reads its whole input; `head -n 40` closes the pipe early
 # and, under pipefail, a `sort` still writing dies of SIGPIPE (exit 141).
 for kind in inclusive self; do
-  echo "== top $kind shares: samples, share, function"
+  echo "== top $kind shares: samples, per repetition, share, function"
   grep "^$kind" "$work/shares" | sort -t "$(printf '\t')" -k2,2nr | awk 'NR <= 40' | cut -f2-
 done

@@ -47,8 +47,6 @@ pub struct Sc98Config {
     /// `Some(t)`: replace dynamic time-out discovery with static `t`
     /// (§2.2 ablation).
     pub static_timeouts: Option<SimDuration>,
-    /// Forecast-driven migration (§3.1.1); `false` = last-value baseline.
-    pub use_forecast_migration: bool,
     /// Place a scheduler inside the Condor pool (§5.4 ablation: the
     /// configuration the paper found prohibitive).
     pub condor_scheduler_inside: bool,
@@ -66,7 +64,6 @@ impl Default for Sc98Config {
             judging: true,
             step_budget: 6_000,
             static_timeouts: None,
-            use_forecast_migration: true,
             condor_scheduler_inside: false,
             trace_capacity: None,
         }
@@ -130,7 +127,6 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
         sched: SchedulerConfig {
             workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
             step_budget: cfg.step_budget,
-            use_forecasts: cfg.use_forecast_migration,
             ..SchedulerConfig::default()
         },
     };
@@ -187,7 +183,6 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
             Box::new(SchedulerServer::new(SchedulerConfig {
                 workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
                 step_budget: cfg.step_budget,
-                use_forecasts: cfg.use_forecast_migration,
                 seed_salt: 99,
             })),
         )

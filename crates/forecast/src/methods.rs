@@ -165,6 +165,8 @@ pub(crate) struct Plan {
     sorted: Vec<(usize, usize)>,
     /// `f64`s in one stream's block.
     pub(crate) block_len: usize,
+    /// Starts with `Last`: a constant stream needs no block (DESIGN §7.4).
+    pub(crate) lazy: bool,
 }
 
 impl Plan {
@@ -188,6 +190,7 @@ impl Plan {
         let ops: Vec<(Method, usize)> = methods.into_iter().map(place).collect();
         Plan {
             block_len: 4 * ops.len() + end,
+            lazy: ops[0].0 == Method::Last,
             ops,
             metric,
             cap,

@@ -8,6 +8,7 @@
 //! wins through smooth drift — which is what made one mechanism serviceable
 //! for CPU, network, and (in EveryWare) arbitrary program events.
 
+use std::borrow::Cow;
 use std::sync::{Arc, LazyLock};
 
 use crate::methods::{standard_battery, Method, Plan, Windows};
@@ -38,15 +39,19 @@ pub struct Forecast {
 ///
 /// All forecasting happens in [`ForecasterSet::update`]: each measurement
 /// is stored once, every method predicts once, and the winner is chosen
-/// there; [`ForecasterSet::predict`] only reads.
+/// there; [`ForecasterSet::predict`] only reads. A stream whose measurements
+/// share one bit pattern needs no block to forecast (DESIGN §7.4).
+#[derive(Clone)]
 pub struct ForecasterSet {
     /// The battery's methods and block layout, shared by all its streams.
     plan: Arc<Plan>,
-    /// Everything that is this stream's own, in one allocation sized at
-    /// construction: each method's outstanding prediction, error sums and
+    /// Everything that is this stream's own, in one allocation made when
+    /// first needed: each method's outstanding prediction, error sums and
     /// carried scalar, then the measurements ([`Windows`]). Every method
     /// predicts on every measurement, so each was scored `seen − 1` times.
     block: Vec<f64>,
+    /// Every measurement so far while `block` is empty; NaN before the first.
+    level: f64,
     /// Measurements absorbed.
     seen: usize,
     /// Index of the method that makes the next forecast.
@@ -76,8 +81,9 @@ impl ForecasterSet {
 
     fn over(plan: Arc<Plan>) -> Self {
         ForecasterSet {
-            block: vec![0.0; plan.block_len],
             plan,
+            block: Vec::new(),
+            level: f64::NAN,
             seen: 0,
             best: 0,
         }
@@ -92,6 +98,32 @@ impl ForecasterSet {
         if !value.is_finite() {
             return;
         }
+        if self.block.is_empty() {
+            // Bits, not `==`: `-0.0` after `+0.0` ends the constant phase.
+            if value.to_bits() == self.level.to_bits() || (self.seen == 0 && self.plan.lazy) {
+                (self.level, self.seen) = (value, self.seen + 1);
+                return;
+            }
+            *self = self.with_block().into_owned();
+        }
+        self.absorb(value);
+    }
+
+    /// This stream with its block, replaying a constant run into a new one.
+    fn with_block(&self) -> Cow<'_, Self> {
+        let mut set = Cow::Borrowed(self);
+        if self.block.is_empty() {
+            let set = set.to_mut();
+            set.block = vec![0.0; self.plan.block_len];
+            for _ in 0..std::mem::take(&mut set.seen) {
+                set.absorb(self.level);
+            }
+        }
+        set
+    }
+
+    /// [`Self::update`] on the block.
+    fn absorb(&mut self, value: f64) {
         let plan = &*self.plan;
         let n = plan.ops.len();
         let (scores, tail) = self.block.split_at_mut(4 * n);
@@ -148,26 +180,31 @@ impl ForecasterSet {
     #[inline] // a caller in another crate that reads only `value` skips the error terms
     pub fn predict(&self) -> Option<Forecast> {
         let (n, i) = (self.plan.ops.len(), self.best);
+        // Without a block `best` is 0, `Last`: it predicts the level, exactly.
+        let read = |at: usize, constant: f64| self.block.get(at).copied().unwrap_or(constant);
         let scored = (self.seen > 1).then(|| (self.seen - 1) as f64);
         (self.seen > 0).then(|| Forecast {
-            value: self.block[i],
+            value: read(i, self.level),
             method: self.plan.ops[i].0,
-            mae: scored.map(|k| self.block[n + i] / k),
-            rmse: scored.map(|k| (self.block[2 * n + i] / k).sqrt()),
+            mae: scored.map(|k| read(n + i, 0.0) / k),
+            rmse: scored.map(|k| (read(2 * n + i, 0.0) / k).sqrt()),
         })
     }
 
     /// Every method's outstanding prediction, in battery order.
     pub fn predictions(&self) -> impl Iterator<Item = (Method, Option<f64>)> + '_ {
-        let preds = self.plan.ops.iter().zip(&self.block);
-        preds.map(|(&(method, _), &pred)| (method, (self.seen > 0).then_some(pred)))
+        let set = self.with_block();
+        let preds = set.plan.ops.iter().zip(&set.block);
+        let preds = preds.map(|(&(method, _), &pred)| (method, (set.seen > 0).then_some(pred)));
+        preds.collect::<Vec<_>>().into_iter()
     }
 
     /// The battery-wide leaderboard: `(method, score)` sorted best-first.
     /// Methods never scored report `f64::INFINITY`.
     pub fn leaderboard(&self) -> Vec<(Method, f64)> {
-        let scores = self.plan.ops.iter().enumerate();
-        let mut rows: Vec<(Method, f64)> = scores.map(|(i, op)| (op.0, self.score(i))).collect();
+        let set = self.with_block();
+        let scores = set.plan.ops.iter().enumerate();
+        let mut rows: Vec<(Method, f64)> = scores.map(|(i, op)| (op.0, set.score(i))).collect();
         rows.sort_by(|a, b| a.1.total_cmp(&b.1));
         rows
     }

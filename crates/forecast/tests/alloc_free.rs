@@ -1,11 +1,13 @@
 //! Steady-state allocation audit for the per-RPC forecasting path.
 //!
 //! §2.2's mechanism — time every message, feed the battery, arm the next
-//! time-out from the winner — runs on every RPC, so once the class's battery
-//! is built neither half of it may touch the heap: a stream is one block
-//! sized at construction, and most streams never fill their windows (64 % of
-//! SC98's absorb fewer than 20 samples), so "after warm-up" starts at the
-//! first sample. A counting global allocator wraps the system allocator.
+//! time-out from the winner — runs on every RPC, so neither half of it may
+//! touch the heap beyond a stream's one block: construction allocates
+//! nothing, a stream whose measurements never vary never allocates, and the
+//! first differing measurement allocates the block once. Most streams never
+//! fill their windows (64 % of SC98's absorb fewer than 20 samples), so
+//! "after warm-up" starts there. A counting global allocator wraps the
+//! system allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,32 +86,71 @@ fn observe_rtt_and_timeout_for_are_allocation_free_after_warmup() {
     assert_eq!(policy.samples(tag), 1060);
 }
 
+/// Feed `set` one measurement and read its forecast, as an RPC does.
+fn update_and_predict(set: &mut ForecasterSet, x: f64) {
+    set.update(black_box(x));
+    let f = black_box(&*set).predict().expect("one sample absorbed");
+    black_box((f.value, f.method, f.mae, f.rmse));
+}
+
 #[test]
 fn update_and_predict_are_allocation_free_after_warmup() {
     let mut set = ForecasterSet::standard();
     let before = allocated();
-    for i in 0..1060 {
-        set.update(black_box(rtt_ms(i) as f64));
-        let f = black_box(&set).predict().expect("warm battery");
-        black_box((f.value, f.method, f.mae, f.rmse));
+    for _ in 0..1000 {
+        update_and_predict(&mut set, 80.0);
+    }
+    assert_eq!(allocated() - before, 0, "a constant stream allocated");
+    // `rtt_ms(0)` is 80, so the wandering series first differs at its
+    // second sample: that one builds the block.
+    let (before, bytes_before) = (allocations(), allocated());
+    for i in 0..2 {
+        update_and_predict(&mut set, rtt_ms(i) as f64);
+    }
+    let (made, bytes) = (allocations() - before, allocated() - bytes_before);
+    assert!(
+        made == 1 && bytes <= 2_100,
+        "the first differing sample made {made} allocations, {bytes} bytes"
+    );
+    let before = allocated();
+    for i in 2..1002 {
+        update_and_predict(&mut set, rtt_ms(i) as f64);
     }
     assert_eq!(allocated() - before, 0, "battery update/predict allocated");
-    assert_eq!(set.samples(), 1060);
+    assert_eq!(set.samples(), 2002);
+}
+
+#[test]
+fn a_constant_rtt_allocates_only_its_class_slot() {
+    let tag = EventTag {
+        peer: 9,
+        mtype: 0x101,
+    };
+    let mut policy = ForecastTimeout::wan_default();
+    black_box(ForecasterSet::standard()); // the plan every class shares exists
+    let (before, bytes_before) = (allocations(), allocated());
+    for _ in 0..1000 {
+        policy.observe_rtt(black_box(tag), SimDuration::from_millis(80));
+        black_box(policy.timeout_for(black_box(tag)));
+    }
+    let (made, bytes) = (allocations() - before, allocated() - bytes_before);
+    assert_eq!(
+        made, 1,
+        "the class's map slot and nothing else ({bytes} bytes)"
+    );
+    assert_eq!(policy.samples(tag), 1000);
 }
 
 /// One battery is built per `(peer, mtype)` tag in every client and per
 /// client at the scheduler, so once the plan every standard battery shares
-/// exists, construction is the stream's one block and nothing per method: in
-/// particular no method name is formatted (17 `String`s made it 25
-/// allocations) and no `Vec<Method>` is built.
+/// exists, construction allocates nothing: no method name is formatted (17
+/// `String`s made it 25 allocations), no `Vec<Method>` is built, and the
+/// block waits for the first measurement that differs.
 #[test]
 fn building_the_standard_battery_formats_nothing() {
     black_box(ForecasterSet::standard());
     let (before, bytes_before) = (allocations(), allocated());
     black_box(ForecasterSet::standard());
     let (made, bytes) = (allocations() - before, allocated() - bytes_before);
-    assert!(
-        made <= 1 && bytes <= 2_100,
-        "ForecasterSet::standard() made {made} allocations, {bytes} bytes"
-    );
+    assert_eq!((made, bytes), (0, 0), "ForecasterSet::standard() allocated");
 }

@@ -165,16 +165,31 @@ impl OracleSet {
         }
     }
 
+    /// Entry `i`'s mean error under the metric; `f64::INFINITY` until scored.
+    fn score(&self, i: usize) -> f64 {
+        let (_, abs_err, sq_err, scored) = &self.entries[i];
+        match (*scored, self.metric) {
+            (0, _) => f64::INFINITY,
+            (n, ErrorMetric::Mae) => abs_err / n as f64,
+            (n, ErrorMetric::Mse) => sq_err / n as f64,
+        }
+    }
+
+    /// `(entry index, score)`, best first; equal scores keep battery order.
+    fn leaderboard(&self) -> Vec<(usize, f64)> {
+        let mut rows: Vec<(usize, f64)> = (0..self.entries.len())
+            .map(|i| (i, self.score(i)))
+            .collect();
+        rows.sort_by(|a, b| a.1.total_cmp(&b.1));
+        rows
+    }
+
     /// `(value, winner index, mae, rmse)`.
     fn predict(&self) -> Option<(f64, usize, Option<f64>, Option<f64>)> {
         let mut best: Option<(f64, usize, f64)> = None;
-        for (i, (m, abs_err, sq_err, scored)) in self.entries.iter().enumerate() {
+        for (i, (m, ..)) in self.entries.iter().enumerate() {
             let Some(pred) = m.predict() else { continue };
-            let s = match (*scored, self.metric) {
-                (0, _) => f64::INFINITY,
-                (n, ErrorMetric::Mae) => abs_err / n as f64,
-                (n, ErrorMetric::Mse) => sq_err / n as f64,
-            };
+            let s = self.score(i);
             if best.is_none_or(|(_, _, bs)| s < bs) {
                 best = Some((pred, i, s));
             }
@@ -283,9 +298,8 @@ fn bits(x: Option<f64>) -> Option<u64> {
     x.map(f64::to_bits)
 }
 
-/// One step of [`assert_lockstep`] for sets that take turns: feed `x`
-/// (measurement number `step` of its stream) to both and compare every
-/// method's prediction and the selection.
+/// Feed `x` (measurement number `step` of its stream) to both and compare
+/// every method's prediction, the selection and the leaderboard.
 fn assert_step(
     set: &mut ForecasterSet,
     oracle: &mut OracleSet,
@@ -294,6 +308,7 @@ fn assert_step(
 ) -> Result<(), TestCaseError> {
     set.update(x);
     oracle.update(x);
+    let methods: Vec<Method> = set.predictions().map(|(method, _)| method).collect();
     for ((name, got), (want, ..)) in set.predictions().zip(&oracle.entries) {
         prop_assert_eq!(
             bits(got),
@@ -308,11 +323,21 @@ fn assert_step(
     }
     let got = set.predict().expect("one sample absorbed");
     let (value, winner, mae, rmse) = oracle.predict().expect("one sample absorbed");
-    let (method, _) = set.predictions().nth(winner).expect("winner in battery");
-    prop_assert_eq!(got.method, method, "step {}: winner", step);
+    prop_assert_eq!(got.method, methods[winner], "step {}: winner", step);
     prop_assert_eq!(got.value.to_bits(), value.to_bits(), "step {}: value", step);
     prop_assert_eq!(bits(got.mae), bits(mae), "step {}: mae", step);
     prop_assert_eq!(bits(got.rmse), bits(rmse), "step {}: rmse", step);
+    let got: Vec<(Method, u64)> = set
+        .leaderboard()
+        .into_iter()
+        .map(|(m, s)| (m, s.to_bits()))
+        .collect();
+    let want: Vec<(Method, u64)> = oracle
+        .leaderboard()
+        .into_iter()
+        .map(|(i, s)| (methods[i], s.to_bits()))
+        .collect();
+    prop_assert_eq!(got, want, "step {}: leaderboard", step);
     prop_assert_eq!(set.samples(), step as u64 + 1);
     Ok(())
 }
@@ -322,30 +347,9 @@ fn assert_lockstep(
     mut oracle: OracleSet,
     xs: &[f64],
 ) -> Result<(), TestCaseError> {
-    let methods: Vec<Method> = set.predictions().map(|(method, _)| method).collect();
     for (step, &x) in xs.iter().enumerate() {
-        set.update(x);
-        oracle.update(x);
-        for ((name, got), (want, ..)) in set.predictions().zip(&oracle.entries) {
-            prop_assert_eq!(
-                bits(got),
-                bits(want.predict()),
-                "step {} value {:e}: {} predicts {:?}, oracle {:?}",
-                step,
-                x,
-                name,
-                got,
-                want.predict()
-            );
-        }
-        let got = set.predict().expect("one sample absorbed");
-        let (value, winner, mae, rmse) = oracle.predict().expect("one sample absorbed");
-        prop_assert_eq!(got.method, methods[winner], "step {}: winner", step);
-        prop_assert_eq!(got.value.to_bits(), value.to_bits(), "step {}: value", step);
-        prop_assert_eq!(bits(got.mae), bits(mae), "step {}: mae", step);
-        prop_assert_eq!(bits(got.rmse), bits(rmse), "step {}: rmse", step);
+        assert_step(&mut set, &mut oracle, step, x)?;
     }
-    prop_assert_eq!(set.samples(), xs.len() as u64);
     Ok(())
 }
 
@@ -402,32 +406,42 @@ fn degenerate_batteries() -> Vec<Vec<Method>> {
     ]
 }
 
-/// Finite series of length 1..300 in −1e9..1e9, so every window crosses
-/// `n < w`, `n == w` and `n > w`: runs at one level (jitter 0 gives exact
-/// duplicates in the sorted multisets, and lets the adaptive window grow),
-/// both signed zeros (`total_cmp` tells them apart), level shifts between
-/// runs (adaptive busts) and stray wide outliers.
+/// Finite series of length 1..300, so every window crosses `n < w`,
+/// `n == w` and `n > w`. They open with 0–120 repeats of one value (a
+/// stream's constant phase, which ends at the first value with other bits),
+/// then runs: at one level in −1e9..1e9 (jitter 0 gives exact duplicates in
+/// the sorted multisets, and lets the adaptive window grow), level shifts
+/// between runs (adaptive busts) and stray wide outliers; both signed zeros
+/// in random order (`total_cmp` and `to_bits` tell them apart); values
+/// within a factor of 2 of `±f64::MAX`, whose sums and errors overflow.
 fn series() -> impl Strategy<Value = Vec<f64>> {
-    const LEVELS: [f64; 8] = [0.0, -0.0, 0.04, 1.0, 40.0, -7e5, 3.5e8, -9.9e8];
+    const HUGE: f64 = 0.75 * f64::MAX;
+    const LEVELS: [f64; 10] = [0.0, -0.0, 0.04, 1.0, 40.0, -7e5, 3.5e8, -9.9e8, HUGE, -HUGE];
     const JITTER: [f64; 4] = [0.0, 0.0, 1e-3, 0.3];
+    const ZEROS: usize = LEVELS.len();
+    const EXTREMES: usize = LEVELS.len() + 1;
     let run = (
-        0usize..LEVELS.len(),
+        0usize..LEVELS.len() + 2,
         0usize..JITTER.len(),
         proptest::collection::vec((-1.0f64..1.0, 0u8..16), 1..60),
     )
-        .prop_map(|(level, jitter, noise)| {
-            let (level, jitter) = (LEVELS[level], JITTER[jitter]);
+        .prop_map(|(shape, jitter, noise)| {
+            let jitter = JITTER[jitter];
             noise
                 .into_iter()
-                .map(|(d, kind)| match kind {
-                    0 => d * 1e9,
-                    _ if jitter == 0.0 => level,
-                    _ => level + d * jitter * level.abs().max(1.0),
+                .map(|(d, kind)| match (shape, kind) {
+                    (ZEROS, _) => 0.0f64.copysign(d),
+                    (EXTREMES, _) => f64::MAX.copysign(d) * (0.5 + 0.5 * d.abs()),
+                    (_, 0) => d * 1e9,
+                    _ if jitter == 0.0 || LEVELS[shape].abs() > 1e9 => LEVELS[shape],
+                    _ => LEVELS[shape] + d * jitter * LEVELS[shape].abs().max(1.0),
                 })
                 .collect::<Vec<f64>>()
         });
-    proptest::collection::vec(run, 1..12).prop_map(|runs| {
-        let mut xs = runs.concat();
+    let prefix = (0usize..LEVELS.len(), 0usize..121);
+    (prefix, proptest::collection::vec(run, 1..12)).prop_map(|((level, repeats), runs)| {
+        let mut xs = vec![LEVELS[level]; repeats];
+        xs.extend(runs.concat());
         xs.truncate(299);
         xs
     })
@@ -472,6 +486,19 @@ proptest! {
                 fed_b += 1;
             }
         }
+    }
+
+    /// No constant phase: a battery not led by `Last` builds its block at
+    /// the first measurement.
+    #[test]
+    fn battery_not_led_by_last_matches_the_oracle(xs in series()) {
+        let methods = vec![Method::Exp(0.05), Method::Median(5), Method::Last];
+        let oracle = methods.iter().copied().map(oracle_of).collect();
+        assert_lockstep(
+            ForecasterSet::new(methods, ErrorMetric::Mae),
+            OracleSet::new(oracle, ErrorMetric::Mae),
+            &xs,
+        )?;
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! client runs, its progress, and its computational rate. Work migration is
 //! forecast-driven: "Rather than basing that prediction solely on the last
 //! performance measurement for each client, the scheduler uses the NWS
-//! lightweight forecasting facilities" — set
-//! [`SchedulerConfig::use_forecasts`] to `false` for the last-measurement
-//! baseline (ablation).
+//! lightweight forecasting facilities".
 //!
 //! The server is application-agnostic: everything it knows about the work
 //! it hands out comes through the [`Workload`] trait — unit generation,
@@ -40,9 +38,6 @@ pub struct SchedulerConfig {
     /// Default steps per issued work unit (rate-scaled for workloads that
     /// opt in; cost-model workloads size their own units).
     pub step_budget: u64,
-    /// Forecast rates with the NWS battery (`true`, the paper's design) or
-    /// use the last report only (`false`, the ablation baseline).
-    pub use_forecasts: bool,
     /// Base RNG salt for unit seeds (keeps schedulers independent).
     pub seed_salt: u64,
 }
@@ -52,7 +47,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             workload: WorkloadSpec::default(),
             step_budget: 2_000,
-            use_forecasts: true,
             seed_salt: 0,
         }
     }
@@ -105,8 +99,7 @@ struct Outstanding {
 struct ClientRecord {
     /// The client's reported rates, as a forecast stream.
     rates: ForecasterSet,
-    /// Rate estimate refreshed on each report (forecast or last value, per
-    /// config), cached so the per-report migration decision reads one entry
+    /// Rate forecast refreshed on each report, cached so the per-report migration decision reads one entry
     /// and one median, not clients × battery. Mirrored in [`RateTable`].
     estimate: Option<f64>,
     /// Slowly-decaying demonstrated rate (the baseline that defines
@@ -342,12 +335,7 @@ impl SchedulerServer {
         rec.rates.update(report.rate);
         rec.last_seen = now;
         rec.baseline = (rec.baseline * 0.995).max(report.rate);
-        let estimate = if self.cfg.use_forecasts {
-            rec.rates.predict().map(|f| f.value)
-        } else {
-            Some(report.rate)
-        };
-        if let Some(new) = estimate {
+        if let Some(new) = rec.rates.predict().map(|f| f.value) {
             if let Some(old) = rec.estimate.replace(new) {
                 self.estimates.remove(old);
             }
@@ -701,22 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn last_value_baseline_skips_forecasting() {
-        let cfg = SchedulerConfig {
-            use_forecasts: false,
-            ..SchedulerConfig::default()
-        };
-        let mut s = SchedulerServer::new(cfg);
-        let u = s.grant_work(t(0), 1).unwrap();
-        s.handle_report(t(1), report(1, u.id, 100, 5e6));
-        assert_eq!(s.rate_estimate(1), Some(5e6), "exactly the last report");
-        // One wild sample fully determines the estimate (the weakness the
-        // paper's forecast-driven design avoids).
-        s.handle_report(t(2), report(1, u.id, 90, 1.0));
-        assert_eq!(s.rate_estimate(1), Some(1.0));
-    }
-
-    #[test]
     fn forecast_estimate_resists_one_wild_sample() {
         let mut s = SchedulerServer::new(SchedulerConfig::default());
         let u = s.grant_work(t(0), 1).unwrap();
@@ -828,12 +800,11 @@ mod tests {
     proptest! {
         /// Random report / purge sequences over a small client set (so
         /// updates and duplicate rates are common): the incrementally
-        /// sorted table yields the collect-and-sort median bit for bit, in
-        /// both estimate arms, through inserts, updates and purges,
-        /// including the empty and `len < 3` tables.
+        /// sorted table yields the collect-and-sort median bit for bit,
+        /// through inserts, updates and purges, including the empty and
+        /// `len < 3` tables.
         #[test]
         fn pool_median_equals_collect_and_sort_oracle(
-            use_forecasts: bool,
             ops in collection::vec(
                 (
                     0u64..10,
@@ -844,22 +815,19 @@ mod tests {
                 1..200,
             ),
         ) {
-            let mut s = SchedulerServer::new(SchedulerConfig {
-                use_forecasts,
-                ..SchedulerConfig::default()
-            });
-            // Independent model of the last-value arm: client -> (rate, seen).
-            let mut model: FxHashMap<u64, (f64, SimTime)> = FxHashMap::default();
+            let mut s = SchedulerServer::new(SchedulerConfig::default());
+            // Independent model of the client table: client -> last seen.
+            let mut model: FxHashMap<u64, SimTime> = FxHashMap::default();
             let mut now = SimTime::ZERO;
             prop_assert_eq!(s.pool_median_rate(), None);
             for (client, rate, dt, kind) in ops {
                 now += SimDuration::from_secs(dt);
                 if kind == 0 {
                     s.purge_stale_clients(now);
-                    model.retain(|_, (_, seen)| now.since(*seen) <= SimDuration::from_secs(600));
+                    model.retain(|_, seen| now.since(*seen) <= SimDuration::from_secs(600));
                 } else {
                     s.handle_report(now, report(client, 999, 5, rate));
-                    model.insert(client, (rate, now));
+                    model.insert(client, now);
                 }
                 let got = s.pool_median_rate().map(f64::to_bits);
                 let oracle = collect_and_sort_median(s.clients.values().filter_map(|r| r.estimate));
@@ -869,10 +837,6 @@ mod tests {
                     s.clients.values().filter(|r| r.estimate.is_some()).count()
                 );
                 prop_assert_eq!(s.clients.len(), model.len());
-                if !use_forecasts {
-                    let modelled = collect_and_sort_median(model.values().map(|&(r, _)| r));
-                    prop_assert_eq!(got, modelled.map(f64::to_bits));
-                }
             }
         }
     }

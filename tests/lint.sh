@@ -84,4 +84,8 @@ elif ! grep -q '^== live bytes by block size' <<<"$heap" \
     exit 1
 fi
 
+# The A/B script builds two trees (minutes), so it is parsed, not run.
+echo "== tests/ab.sh parses"
+bash -n tests/ab.sh
+
 echo "lint gate: OK"

@@ -12,9 +12,12 @@ use std::time::{Duration, Instant};
 
 use ew_proto::tcp::TcpNode;
 use ew_proto::{Packet, WireEncode};
-use ew_ramsey::{verify_counter_example, ColoredGraph, OpsCounter, RamseyProblem, Verification};
+use ew_ramsey::{ColoredGraph, RamseyProblem};
 use ew_sched::{scm, WorkGrant};
-use ew_workload::{execute_unit, WorkResult, WorkUnit};
+use ew_sim::SimTime;
+use ew_workload::{
+    execute_unit, ramsey_validator, RamseyConfig, RamseyWorkload, WorkResult, Workload,
+};
 
 /// Live-run configuration.
 #[derive(Clone, Debug)]
@@ -113,7 +116,18 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
         })
         .collect();
 
-    // Scheduler loop: issue units, collect results, verify witnesses.
+    // Scheduler loop: issue units, collect results, verify witnesses —
+    // with the simulated scheduler's unit generator and the persistent
+    // state server's validator.
+    let mut workload = RamseyWorkload::new(
+        RamseyConfig {
+            problem: cfg.problem,
+            heuristic_mix: cfg.heuristic_mix.clone(),
+        },
+        0,
+    );
+    let validate = ramsey_validator();
+    let witness_key = format!("ramsey/best/{}", cfg.problem.k);
     let mut next_unit = 0u64;
     let mut results: Vec<WorkResult> = Vec::new();
     let mut witnesses = Vec::new();
@@ -131,16 +145,9 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
             scm::GET_WORK => {
                 let granted =
                     next_unit < cfg.units && (!cfg.stop_on_witness || witnesses.is_empty());
-                let unit = WorkUnit {
-                    id: next_unit,
-                    arg0: cfg.problem.k,
-                    arg1: cfg.problem.n,
-                    variant: cfg.heuristic_mix
-                        [(next_unit as usize) % cfg.heuristic_mix.len().max(1)],
-                    seed: 0xEF_00 + next_unit,
-                    step_budget: cfg.step_budget,
-                    payload: vec![],
-                };
+                let unit = workload
+                    .generate(next_unit, SimTime::ZERO, 0, cfg.step_budget)
+                    .expect("the Ramsey supply is infinite");
                 if granted {
                     next_unit += 1;
                 }
@@ -150,16 +157,8 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
             scm::RESULT => {
                 if let Ok(result) = inc.packet.body::<WorkResult>() {
                     workers_heard.insert(inc.peer);
-                    if !result.artifact.is_empty() {
-                        if let Some(g) = ColoredGraph::from_bytes(&result.artifact) {
-                            let mut ops = OpsCounter::new();
-                            if matches!(
-                                verify_counter_example(&g, cfg.problem.k as usize, &mut ops),
-                                Verification::Valid { .. }
-                            ) {
-                                witnesses.push(g);
-                            }
-                        }
+                    if validate(&witness_key, &result.artifact).is_ok() {
+                        witnesses.extend(ColoredGraph::from_bytes(&result.artifact));
                     }
                     results.push(result);
                     let _ = inc.reply(&Packet::response_to(&inc.packet, vec![]));

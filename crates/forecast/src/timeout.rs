@@ -24,33 +24,30 @@ struct Class {
     inflation: f64,
 }
 
-/// Forecast-driven adaptive time-outs (the §2.2 mechanism).
+/// Forecast-driven adaptive time-outs (the §2.2 mechanism), tuned for a
+/// wide-area 1998-grade network.
 pub struct ForecastTimeout {
-    /// Time-out used before any history exists for a class.
-    pub initial: SimDuration,
-    /// Multiplier applied to the forecast RTT.
-    pub safety: f64,
-    /// Lower clamp on the armed time-out.
-    pub min: SimDuration,
-    /// Upper clamp on the armed time-out.
-    pub max: SimDuration,
-    /// Multiplier applied to a class's inflation after each expiry.
-    pub backoff: f64,
     /// Accessed by key only, never iterated, so the hasher cannot reach
     /// event order.
     classes: FxHashMap<EventTag, Class>,
 }
 
 impl ForecastTimeout {
-    /// Sensible defaults for a wide-area 1998-grade network: 10 s initial,
-    /// 4× safety factor, clamps at [250 ms, 2 min], 2× back-off.
+    /// Time-out used before any history exists for a class.
+    pub const INITIAL: SimDuration = SimDuration::from_secs(10);
+    /// Multiplier applied to the forecast RTT.
+    pub const SAFETY: f64 = 4.0;
+    /// Lower clamp on the armed time-out.
+    pub const MIN: SimDuration = SimDuration::from_millis(250);
+    /// Upper clamp on the armed time-out.
+    pub const MAX: SimDuration = SimDuration::from_secs(120);
+    /// Multiplier applied to a class's inflation after each expiry.
+    pub const BACKOFF: f64 = 2.0;
+
+    /// A policy with no history: 10 s initial, 4× safety factor, clamps
+    /// at [250 ms, 2 min], 2× back-off.
     pub fn wan_default() -> Self {
         ForecastTimeout {
-            initial: SimDuration::from_secs(10),
-            safety: 4.0,
-            min: SimDuration::from_millis(250),
-            max: SimDuration::from_secs(120),
-            backoff: 2.0,
             classes: FxHashMap::default(),
         }
     }
@@ -67,7 +64,7 @@ impl ForecastTimeout {
 
     /// The RTT forecast the next time-out for `tag` is armed from — winning
     /// method and its MAE/RMSE — to read beside [`Self::inflation`]. `None`
-    /// while the class has no history and arms [`Self::initial`].
+    /// while the class has no history and arms [`Self::INITIAL`].
     pub fn forecast(&self, tag: EventTag) -> Option<Forecast> {
         self.classes.get(&tag)?.rtts.predict()
     }
@@ -88,12 +85,12 @@ impl TimeoutPolicy for ForecastTimeout {
                 // Forecast plus a dispersion allowance: the safety factor
                 // covers forecast error, the RMSE term covers variance.
                 let spread = f.rmse.unwrap_or(0.0);
-                SimDuration::from_secs_f64(f.value * self.safety + spread * 2.0)
+                SimDuration::from_secs_f64(f.value * Self::SAFETY + spread * 2.0)
             }
-            None => self.initial,
+            None => Self::INITIAL,
         };
         let inflated = base.saturating_mul_f64(class.map_or(1.0, |c| c.inflation));
-        inflated.clamp(self.min, self.max)
+        inflated.clamp(Self::MIN, Self::MAX)
     }
 
     fn observe_rtt(&mut self, tag: EventTag, rtt: SimDuration) {
@@ -104,11 +101,10 @@ impl TimeoutPolicy for ForecastTimeout {
     }
 
     fn observe_timeout(&mut self, tag: EventTag) {
-        let backoff = self.backoff;
         let class = self.class(tag);
-        // Cap so one dead server cannot push the armed value past `max`
+        // Cap so one dead server cannot push the armed value past `MAX`
         // forever once it recovers.
-        class.inflation = (class.inflation * backoff).min(64.0);
+        class.inflation = (class.inflation * Self::BACKOFF).min(64.0);
     }
 }
 
@@ -202,7 +198,8 @@ mod tests {
             "a tie goes to the first method"
         );
         // value × safety + 2·rmse, then the inflation: the armed value.
-        let armed = SimDuration::from_secs_f64(f.value * ft.safety).saturating_mul_f64(2.0);
+        let armed =
+            SimDuration::from_secs_f64(f.value * ForecastTimeout::SAFETY).saturating_mul_f64(2.0);
         assert_eq!(ft.inflation(tag(1)), 2.0);
         assert_eq!(ft.timeout_for(tag(1)), armed);
     }
@@ -224,11 +221,11 @@ mod tests {
         for _ in 0..20 {
             ft.observe_rtt(tag(1), SimDuration::from_micros(10));
         }
-        assert!(ft.timeout_for(tag(1)) >= ft.min);
+        assert!(ft.timeout_for(tag(1)) >= ForecastTimeout::MIN);
         for _ in 0..20 {
             ft.observe_rtt(tag(2), SimDuration::from_secs(500));
         }
-        assert!(ft.timeout_for(tag(2)) <= ft.max);
+        assert!(ft.timeout_for(tag(2)) <= ForecastTimeout::MAX);
     }
 
     #[test]

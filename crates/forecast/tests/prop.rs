@@ -87,7 +87,7 @@ proptest! {
             ft.observe_timeout(tag);
         }
         let t = ft.timeout_for(tag);
-        prop_assert!(t >= ft.min, "{t:?} below clamp");
-        prop_assert!(t <= ft.max, "{t:?} above clamp");
+        prop_assert!(t >= ForecastTimeout::MIN, "{t:?} below clamp");
+        prop_assert!(t <= ForecastTimeout::MAX, "{t:?} above clamp");
     }
 }

@@ -409,12 +409,11 @@ impl NewGlue {
             assert!(timeout <= cap, "armed {timeout:?} past the {cap:?} cap");
         }
         if self.arm.forecast {
-            let bounds = ForecastTimeout::wan_default();
-            let floor = self.arm.cap.map_or(bounds.min, |cap| bounds.min.min(cap));
+            let (min, max) = (ForecastTimeout::MIN, ForecastTimeout::MAX);
+            let floor = self.arm.cap.map_or(min, |cap| min.min(cap));
             assert!(
-                floor <= timeout && timeout <= bounds.max,
-                "forecast time-out {timeout:?} outside [{floor:?}, {:?}]",
-                bounds.max
+                floor <= timeout && timeout <= max,
+                "forecast time-out {timeout:?} outside [{floor:?}, {max:?}]"
             );
         }
         assert!(

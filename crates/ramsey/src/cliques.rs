@@ -296,12 +296,6 @@ pub fn flip_delta_ws(
     added as i64 - removed as i64
 }
 
-/// The change in total monochromatic `k`-clique count if edge `(u, v)`
-/// were flipped (allocating wrapper over [`flip_delta_ws`]).
-pub fn flip_delta(g: &ColoredGraph, k: usize, u: usize, v: usize, ops: &mut OpsCounter) -> i64 {
-    flip_delta_ws(g, k, u, v, ops, &mut Workspace::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,7 +454,7 @@ mod tests {
             if u == v {
                 continue;
             }
-            let delta = flip_delta(&g, k, u, v, &mut ops());
+            let delta = flip_delta_ws(&g, k, u, v, &mut ops(), &mut Workspace::new());
             g.flip(u, v);
             let after = count_total(&g, k, &mut ops()) as i64;
             assert_eq!(after - before, delta, "edge ({u},{v})");

@@ -140,7 +140,7 @@ impl DeltaTable {
         self.gain[edge_index(self.n, u.min(v), u.max(v))]
     }
 
-    /// Note `count` table lookups (for hit-rate telemetry).
+    /// Note `count` table lookups (the `ramsey.table_lookups` counter).
     pub fn note_lookups(&mut self, count: u64) {
         self.stats.lookups += count;
     }
@@ -288,7 +288,6 @@ impl DeltaTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cliques::flip_delta;
     use ew_sim::Xoshiro256;
 
     fn fresh(n: usize, k: usize, seed: u64) -> (ColoredGraph, DeltaTable, Workspace) {
@@ -318,13 +317,13 @@ mod tests {
     #[test]
     fn fresh_table_matches_naive_deltas() {
         for k in [3, 4, 5] {
-            let (g, t, _) = fresh(16, k, 7);
+            let (g, t, mut ws) = fresh(16, k, 7);
             let mut ops = OpsCounter::new();
             for u in 0..16 {
                 for v in (u + 1)..16 {
                     assert_eq!(
                         t.delta(u, v),
-                        flip_delta(&g, k, u, v, &mut ops),
+                        flip_delta_ws(&g, k, u, v, &mut ops, &mut ws),
                         "k={k} edge ({u},{v})"
                     );
                 }

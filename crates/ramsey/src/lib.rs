@@ -20,7 +20,7 @@ pub mod search;
 pub mod work;
 
 pub use bounds::{exact, verify_counter_example, Verification};
-pub use cliques::{count_total_ws, flip_delta, flip_delta_ws, OpsCounter, Workspace};
+pub use cliques::{count_total_ws, flip_delta_ws, OpsCounter, Workspace};
 pub use delta::DeltaTable;
 pub use graph::{Color, ColoredGraph};
 pub use parallel::{best_flip_parallel, ParallelSteepest};

@@ -9,15 +9,15 @@
 //! [`ParallelSteepest`] is that parallelization for the flip-delta
 //! heuristics: each step evaluates the objective change of *every* edge of
 //! the coloring concurrently (rayon data-parallelism over the `n(n-1)/2`
-//! candidates — each evaluation only reads the shared graph), then applies
-//! the single best move. Selection is deterministic regardless of thread
-//! count or schedule: ties break toward the lexicographically smallest
-//! edge. Per-thread operation counts are accumulated and deposited into
-//! the state's counter, keeping the paper's accounting discipline.
+//! candidates — each evaluation only reads the shared delta table), then
+//! applies the single best move. Selection is deterministic regardless of
+//! thread count or schedule: ties break toward the lexicographically
+//! smallest edge. Each evaluation is charged one op and the total is
+//! deposited into the state's counter, keeping the paper's accounting
+//! discipline.
 
 use rayon::prelude::*;
 
-use crate::cliques::{flip_delta, OpsCounter};
 use crate::search::{Heuristic, SearchState, StepOutcome, TenureTable};
 use ew_sim::Xoshiro256;
 
@@ -54,10 +54,8 @@ impl Default for ParallelSteepest {
 /// non-excluded `(u, v, delta)` (ties toward the smallest edge) and the
 /// total operations spent.
 ///
-/// When the state's incremental [`DeltaTable`](crate::DeltaTable) is
-/// enabled, each evaluation is a pure table read (the workers share the
-/// table immutably); otherwise each worker runs the naive two-pass
-/// kernel. Either way the selected move is identical.
+/// Each evaluation is a read of the state's
+/// [`DeltaTable`](crate::DeltaTable), which the workers share immutably.
 ///
 /// `excluded` decides which edges are skipped (tabu); edges that would
 /// reach a new global best are exempted by the caller via `aspiration`.
@@ -66,50 +64,33 @@ pub fn best_flip_parallel(
     excluded: impl Fn(usize, usize) -> bool + Sync,
     aspiration: impl Fn(i64) -> bool + Sync,
 ) -> (Option<(usize, usize, i64)>, u64) {
-    let g = state.graph();
-    let n = g.n();
-    let k = state.k();
+    let n = state.graph().n();
     let table = state.table();
     let edges: Vec<(usize, usize)> = (0..n)
         .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
         .collect();
-    let (best, ops_total) = edges
+    let best = edges
         .par_iter()
         .map(|&(u, v)| {
-            let mut ops = OpsCounter::new();
-            let d = match table {
-                Some(t) => {
-                    // One charged op: the subtraction the entry stores.
-                    ops.add(1);
-                    t.delta(u, v)
-                }
-                None => flip_delta(g, k, u, v, &mut ops),
-            };
-            let candidate = if !excluded(u, v) || aspiration(d) {
-                Some((u, v, d))
-            } else {
-                None
-            };
-            (candidate, ops.total())
+            let d = table.delta(u, v);
+            (!excluded(u, v) || aspiration(d)).then_some((u, v, d))
         })
         .reduce(
-            || (None, 0u64),
-            |(a, ops_a), (b, ops_b)| {
-                let best = match (a, b) {
-                    (None, x) | (x, None) => x,
-                    (Some(x), Some(y)) => {
-                        // Deterministic total order: delta, then edge.
-                        if (y.2, y.0, y.1) < (x.2, x.0, x.1) {
-                            Some(y)
-                        } else {
-                            Some(x)
-                        }
+            || None,
+            |a, b| match (a, b) {
+                (None, x) | (x, None) => x,
+                (Some(x), Some(y)) => {
+                    // Deterministic total order: delta, then edge.
+                    if (y.2, y.0, y.1) < (x.2, x.0, x.1) {
+                        Some(y)
+                    } else {
+                        Some(x)
                     }
-                };
-                (best, ops_a + ops_b)
+                }
             },
         );
-    (best, ops_total)
+    // One charged op per candidate: the subtraction each entry stores.
+    (best, edges.len() as u64)
 }
 
 impl Heuristic for ParallelSteepest {
@@ -143,6 +124,7 @@ impl Heuristic for ParallelSteepest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cliques::OpsCounter;
     use crate::graph::ColoredGraph;
     use crate::search::run_search;
 
@@ -205,7 +187,7 @@ mod tests {
     #[test]
     fn tabu_exclusion_is_respected_and_aspiration_overrides() {
         let g = ColoredGraph::paley(5);
-        let mut state = SearchState::new(g, 3);
+        let mut state = SearchState::new_incremental(g, 3);
         state.apply_flip(0, 1); // break the pentagon: count > 0
         assert!(state.count() > 0);
         // Exclude everything, no aspiration: stuck.

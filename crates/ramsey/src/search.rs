@@ -19,35 +19,21 @@ use crate::graph::ColoredGraph;
 /// `ramsey.*` telemetry published by the computational clients.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Flip deltas served by the incremental table.
+    /// Flip deltas served by the table.
     pub table_lookups: u64,
-    /// Flip deltas evaluated by the naive two-pass kernel.
-    pub naive_evals: u64,
     /// Applied flips maintained through the table.
     pub table_flips: u64,
     /// Table entries incrementally adjusted across all flips.
     pub entries_refreshed: u64,
     /// Bytes held by the reusable kernel workspace.
     pub workspace_bytes: u64,
-    /// Bytes held by the delta table (0 when running naive).
+    /// Bytes held by the delta table.
     pub table_bytes: u64,
 }
 
-impl KernelStats {
-    /// Fraction of delta queries served by the table (1.0 for a pure
-    /// incremental run, 0.0 for a pure naive run).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.table_lookups + self.naive_evals;
-        if total == 0 {
-            0.0
-        } else {
-            self.table_lookups as f64 / total as f64
-        }
-    }
-}
-
-/// A coloring under optimization, with its cached objective value and the
-/// operation count spent on it.
+/// A coloring under optimization, with its cached objective value, the
+/// operation count spent on it, and the [`DeltaTable`] that answers every
+/// flip delta.
 #[derive(Clone, Debug)]
 pub struct SearchState {
     graph: ColoredGraph,
@@ -55,51 +41,37 @@ pub struct SearchState {
     mono_count: u64,
     ops: OpsCounter,
     ws: Workspace,
-    table: Option<DeltaTable>,
-    naive_evals: u64,
+    table: DeltaTable,
 }
 
 impl SearchState {
-    /// Wrap a starting coloring for the `R(k, k)` problem, evaluating
-    /// candidate flips with the naive two-pass kernel.
-    pub fn new(graph: ColoredGraph, k: usize) -> Self {
+    /// Wrap a starting coloring for the `R(k, k)` problem: one full count
+    /// for the objective and one per-edge counting pass for the table,
+    /// after which every `delta` is an O(1) lookup, maintained exactly
+    /// across flips.
+    pub fn new_incremental(graph: ColoredGraph, k: usize) -> Self {
         let mut ops = OpsCounter::new();
         let mut ws = Workspace::new();
         let mono_count = count_total_ws(&graph, k, &mut ops, &mut ws);
+        let table = DeltaTable::new(&graph, k, &mut ops, &mut ws);
         SearchState {
             graph,
             k,
             mono_count,
             ops,
             ws,
-            table: None,
-            naive_evals: 0,
+            table,
         }
     }
 
-    /// Wrap a starting coloring with the incremental [`DeltaTable`]
-    /// enabled: every `delta` is an O(1) lookup, maintained exactly
-    /// across flips. Construction pays one full per-edge counting pass.
-    pub fn new_incremental(graph: ColoredGraph, k: usize) -> Self {
-        let mut state = Self::new(graph, k);
-        let table = DeltaTable::new(&state.graph, k, &mut state.ops, &mut state.ws);
-        state.table = Some(table);
-        state
+    /// The delta table.
+    pub fn table(&self) -> &DeltaTable {
+        &self.table
     }
 
-    /// The incremental table, when enabled.
-    pub fn table(&self) -> Option<&DeltaTable> {
-        self.table.as_ref()
-    }
-
-    /// A random starting state (naive evaluation).
+    /// A random starting state.
     pub fn random(n: usize, k: usize, rng: &mut Xoshiro256) -> Self {
-        Self::new(ColoredGraph::random(n, rng), k)
-    }
-
-    /// The clique size being avoided.
-    pub fn k(&self) -> usize {
-        self.k
+        Self::new_incremental(ColoredGraph::random(n, rng), k)
     }
 
     /// Current number of monochromatic `k`-cliques (the objective).
@@ -122,22 +94,12 @@ impl SearchState {
         self.ops.total()
     }
 
-    /// Objective change if `(u, v)` were flipped: an O(1) table lookup
-    /// when the incremental table is enabled, a naive (allocation-free)
-    /// two-pass evaluation otherwise.
+    /// Objective change if `(u, v)` were flipped: an O(1) table lookup.
     pub fn delta(&mut self, u: usize, v: usize) -> i64 {
-        match &mut self.table {
-            Some(t) => {
-                t.note_lookups(1);
-                // One charged op: the subtraction the entry stores.
-                self.ops.add(1);
-                t.delta(u, v)
-            }
-            None => {
-                self.naive_evals += 1;
-                flip_delta_ws(&self.graph, self.k, u, v, &mut self.ops, &mut self.ws)
-            }
-        }
+        self.table.note_lookups(1);
+        // One charged op: the subtraction the entry stores.
+        self.ops.add(1);
+        self.table.delta(u, v)
     }
 
     /// Flip `(u, v)`, updating the cached objective incrementally.
@@ -155,8 +117,8 @@ impl SearchState {
 
     /// Apply a flip whose delta is `d`: mutate the graph, maintain the
     /// table, update the cached objective. Debug builds verify `d`
-    /// against a fresh naive evaluation — the table must be bit-identical
-    /// to the naive path at every step.
+    /// against a fresh naive evaluation — the table must equal the naive
+    /// kernel at every step.
     fn commit_flip(&mut self, u: usize, v: usize, d: i64) {
         debug_assert_eq!(
             d,
@@ -171,14 +133,13 @@ impl SearchState {
             "delta for ({u},{v}) must match the naive kernel"
         );
         self.graph.flip(u, v);
-        if let Some(t) = &mut self.table {
-            t.apply_flip(&self.graph, u, v, &mut self.ops, &mut self.ws);
-        }
+        self.table
+            .apply_flip(&self.graph, u, v, &mut self.ops, &mut self.ws);
         self.mono_count = (self.mono_count as i64 + d) as u64;
     }
 
-    /// Credit operations performed outside this state's own counter
-    /// (parallel workers keep thread-local counters and deposit here).
+    /// Credit operations performed outside this state's own counter (the
+    /// parallel evaluator reads the table directly and deposits here).
     pub fn add_external_ops(&mut self, ops: u64) {
         self.ops.add(ops);
     }
@@ -186,29 +147,18 @@ impl SearchState {
     /// Note `count` delta queries served from the table by an external
     /// scan (the parallel evaluator reads the table directly).
     pub(crate) fn note_table_lookups(&mut self, count: u64) {
-        if let Some(t) = &mut self.table {
-            t.note_lookups(count);
-        } else {
-            self.naive_evals += count;
-        }
+        self.table.note_lookups(count);
     }
 
     /// Kernel counters for telemetry.
     pub fn kernel_stats(&self) -> KernelStats {
-        let (table_lookups, table_flips, entries_refreshed, table_bytes) = match &self.table {
-            Some(t) => {
-                let s = t.stats();
-                (s.lookups, s.flips, s.entries_refreshed, t.bytes() as u64)
-            }
-            None => (0, 0, 0, 0),
-        };
+        let s = self.table.stats();
         KernelStats {
-            table_lookups,
-            naive_evals: self.naive_evals,
-            table_flips,
-            entries_refreshed,
+            table_lookups: s.lookups,
+            table_flips: s.flips,
+            entries_refreshed: s.entries_refreshed,
             workspace_bytes: self.ws.bytes() as u64,
-            table_bytes,
+            table_bytes: self.table.bytes() as u64,
         }
     }
 
@@ -530,7 +480,7 @@ mod tests {
 
     #[test]
     fn solved_state_reports_solved() {
-        let st = SearchState::new(ColoredGraph::paley(5), 3);
+        let st = SearchState::new_incremental(ColoredGraph::paley(5), 3);
         assert!(st.is_counter_example());
         let mut g = GreedyLocal::default();
         let mut st = st;
@@ -657,7 +607,7 @@ mod tests {
 
     #[test]
     fn paley_17_is_global_optimum_for_k4() {
-        let st = SearchState::new(ColoredGraph::paley(17), 4);
+        let st = SearchState::new_incremental(ColoredGraph::paley(17), 4);
         assert_eq!(st.count(), 0);
         assert!(st.is_counter_example());
         // And a single flip breaks it.

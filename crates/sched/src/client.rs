@@ -163,8 +163,6 @@ struct ClientTele {
     ramsey_refreshed: CounterId,
     /// Flips pushed through table maintenance (real execution only).
     ramsey_flips: CounterId,
-    /// Fraction of deltas served from the table on the last unit.
-    ramsey_hit_rate: GaugeId,
     /// Kernel scratch-arena footprint after the last unit, in bytes.
     ramsey_ws_bytes: GaugeId,
     /// Delta-table footprint after the last unit, in bytes.
@@ -194,7 +192,6 @@ impl ClientTele {
             ramsey_lookups: ctx.counter("ramsey.table_lookups"),
             ramsey_refreshed: ctx.counter("ramsey.table_entries_refreshed"),
             ramsey_flips: ctx.counter("ramsey.table_flips"),
-            ramsey_hit_rate: ctx.gauge("ramsey.table_hit_rate"),
             ramsey_ws_bytes: ctx.gauge("ramsey.workspace_bytes"),
             ramsey_table_bytes: ctx.gauge("ramsey.table_bytes"),
         }
@@ -416,7 +413,6 @@ impl ComputeClient {
             ctx.add(tele.ramsey_lookups, stats.cache_lookups as f64);
             ctx.add(tele.ramsey_refreshed, stats.cache_refreshed as f64);
             ctx.add(tele.ramsey_flips, stats.cache_mutations as f64);
-            ctx.set_gauge(tele.ramsey_hit_rate, stats.hit_rate());
             ctx.set_gauge(tele.ramsey_ws_bytes, stats.workspace_bytes as f64);
             ctx.set_gauge(tele.ramsey_table_bytes, stats.cache_bytes as f64);
             result
@@ -899,7 +895,6 @@ mod tests {
                 .map(|&(_, v)| v)
                 .unwrap_or(0.0)
         };
-        assert_eq!(gauge("ramsey.table_hit_rate"), 1.0);
         assert!(gauge("ramsey.workspace_bytes") > 0.0);
         assert!(gauge("ramsey.table_bytes") > 0.0);
     }

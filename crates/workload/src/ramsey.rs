@@ -110,7 +110,6 @@ impl Workload for RamseyWorkload {
 fn exec_stats(stats: &KernelStats) -> ExecStats {
     ExecStats {
         cache_lookups: stats.table_lookups,
-        cache_misses: stats.naive_evals,
         cache_mutations: stats.table_flips,
         cache_refreshed: stats.entries_refreshed,
         workspace_bytes: stats.workspace_bytes,
@@ -120,10 +119,9 @@ fn exec_stats(stats: &KernelStats) -> ExecStats {
 
 /// Execute a Ramsey work unit to completion on the calling thread. This
 /// is the real computation the simulated clients model and the live
-/// examples run. Runs with the incremental delta table — which produces
-/// the exact move sequence and results of the naive kernel (proptested),
-/// only faster — and reports the kernel counters for `ramsey.*`
-/// telemetry.
+/// examples run. Every flip delta is a read of the search state's
+/// incremental delta table, and the kernel counters are reported for
+/// `ramsey.*` telemetry.
 ///
 /// The unit comes off the wire (a scheduler's `WorkGrant`), so it is
 /// checked here, once: `k >= 2` and `1 <= n <=`
@@ -183,6 +181,14 @@ pub fn ramsey_validator() -> Validator {
             return Err(format!("key {key:?} names a clique size below 2"));
         }
         let g = ColoredGraph::from_bytes(bytes).ok_or("value is not a colored graph")?;
+        // A graph with fewer than `k` vertices holds no `k`-clique at all:
+        // accepting it would let a trivial graph replace a real witness.
+        if g.n() < k {
+            return Err(format!(
+                "graph has {} vertices, fewer than the clique size {k}",
+                g.n()
+            ));
+        }
         let mut ops = OpsCounter::new();
         match verify_counter_example(&g, k, &mut ops) {
             Verification::Valid { .. } => Ok(()),

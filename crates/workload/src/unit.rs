@@ -89,8 +89,6 @@ wire_struct!(WorkResult {
 pub struct ExecStats {
     /// Incremental-cache lookups served.
     pub cache_lookups: u64,
-    /// Objective evaluations that bypassed the cache.
-    pub cache_misses: u64,
     /// Incremental cache mutations applied.
     pub cache_mutations: u64,
     /// Cache entries rebuilt from scratch.
@@ -99,18 +97,6 @@ pub struct ExecStats {
     pub workspace_bytes: u64,
     /// Cache bytes held at the end of the run.
     pub cache_bytes: u64,
-}
-
-impl ExecStats {
-    /// Fraction of objective evaluations served by the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_lookups + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_lookups as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,17 +223,6 @@ mod tests {
         assert_eq!(legacy.to_wire(), generic.to_wire());
         assert_eq!(WorkResult::from_wire(&legacy.to_wire()).unwrap(), generic);
         assert_eq!(LegacyResult::from_wire(&generic.to_wire()).unwrap(), legacy);
-    }
-
-    #[test]
-    fn exec_stats_hit_rate() {
-        assert_eq!(ExecStats::default().hit_rate(), 0.0);
-        let s = ExecStats {
-            cache_lookups: 3,
-            cache_misses: 1,
-            ..ExecStats::default()
-        };
-        assert_eq!(s.hit_rate(), 0.75);
     }
 
     mod prop {

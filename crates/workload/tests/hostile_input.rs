@@ -10,7 +10,8 @@
 #[path = "../../../tests/support/hostile_wire.rs"]
 mod hostile_wire;
 
-use ew_ramsey::ColoredGraph;
+use ew_ramsey::{Color, ColoredGraph};
+use ew_sim::Xoshiro256;
 use ew_workload::{execute_unit, ramsey_validator, WorkResult, WorkUnit};
 use hostile_wire::{allocated, batter, blob, garbage};
 use proptest::prelude::*;
@@ -59,6 +60,31 @@ fn validator_refuses_clique_sizes_below_two() {
         assert!(refusal.contains("clique size below 2"), "{refusal}");
     }
     assert_eq!(validate("ramsey/best/3", &graph), Ok(()));
+}
+
+/// A graph with fewer than `k` vertices has no `k`-clique to count, so the
+/// recount alone would accept it — and the state server would let it
+/// overwrite a verified witness under the same key.
+#[test]
+fn validator_refuses_graphs_smaller_than_the_clique_size() {
+    let validate = ramsey_validator();
+    let mut rng = Xoshiro256::seed_from_u64(5);
+    for n in [1, 4] {
+        let graph = ColoredGraph::random(n, &mut rng).to_bytes();
+        let refusal = validate("ramsey/best/5", &graph).expect_err("too small");
+        assert!(
+            refusal.contains(&format!("{n} vertices")) && refusal.contains("clique size 5"),
+            "{refusal}"
+        );
+    }
+    // From `n = k` on, the recount decides: the pentagon has no
+    // monochromatic 5-clique, a one-color K5 has one.
+    assert_eq!(
+        validate("ramsey/best/5", &ColoredGraph::paley(5).to_bytes()),
+        Ok(())
+    );
+    let red = ColoredGraph::monochromatic(5, Color::Red).to_bytes();
+    assert!(validate("ramsey/best/5", &red).is_err());
 }
 
 #[test]

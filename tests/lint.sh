@@ -44,6 +44,16 @@ if grep -rnE 'AdaptiveRetry|begin_capped' crates/*/src | grep -v '^crates/proto/
     exit 1
 fi
 
+# One Ramsey evaluation path: SearchState owns its DeltaTable (a naive arm
+# with its own constructor, `None` branches and a hit-rate ledger once sat
+# beside the table, long after only tests selected it).
+echo "== the Ramsey search evaluates flips only through its DeltaTable"
+if grep -rnE 'Option<DeltaTable>|naive_evals' crates/*/src; then
+    echo "error: SearchState always owns its DeltaTable; the naive kernel" >&2
+    echo "       (flip_delta_ws) only builds and checks the table" >&2
+    exit 1
+fi
+
 # Nothing ships without a caller: a pub item or a source file whose only
 # reader is its own unit tests fails (framework.rs sat unused for twenty
 # PRs, the Globus service model for twenty-one). Also part of `cargo test`.

@@ -105,11 +105,11 @@ fn timeout_arm(seed: u64, static_to: Option<SimDuration>, duration: SimDuration)
     let g = sim.spawn("gossip", hg, Box::new(GossipServer::new(cfg, vec![])));
     sim.spawn("component", hc, Box::new(WriterComponent::new(g)));
     sim.run_until(SimTime::ZERO + duration);
-    sim.with_process::<GossipServer, _>(g, |s| TimeoutArm {
-        polls_ok: s.polls_ok,
-        polls_timed_out: s.polls_timed_out,
-    })
-    .expect("gossip alive")
+    // The world's one Gossip server is the only process that counts polls.
+    TimeoutArm {
+        polls_ok: sim.metrics().counter("gossip.polls_ok") as u64,
+        polls_timed_out: sim.metrics().counter("gossip.poll_timeouts") as u64,
+    }
 }
 
 /// Run both arms of the §2.2 ablation on `threads` workers.

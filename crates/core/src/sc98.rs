@@ -14,7 +14,7 @@ use ew_forecast::{NwsSensor, NwsServer, SensorConfig};
 use ew_gossip::{GossipConfig, GossipServer};
 use ew_infra::{build_sc98, InfraSpec, InfraSupervisor, JudgingSpike, Relay};
 use ew_ramsey::RamseyProblem;
-use ew_sched::{ClientConfig, SchedulerConfig, SchedulerServer};
+use ew_sched::{ClientConfig, SchedulerConfig, SchedulerServer, UnitCounts};
 use ew_sim::{Sim, SimDuration, SimTime, SubsystemHealth};
 use ew_workload::WorkloadSpec;
 
@@ -324,30 +324,20 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     ] {
         counters.insert(name.to_string(), sim.metrics().counter(name));
     }
-    // Scheduler aggregates.
-    let mut abandons = 0.0;
-    let mut unknowns = 0.0;
-    let mut switches = 0.0;
-    let mut results = 0.0;
-    for &s in &dep.schedulers {
-        if let Some((a, u, sw, r)) = sim.with_process::<SchedulerServer, _>(s, |s| {
-            (
-                s.issued_abandon,
-                s.issued_unknown,
-                s.issued_switch,
-                s.results_received,
-            )
-        }) {
-            abandons += a as f64;
-            unknowns += u as f64;
-            switches += sw as f64;
-            results += r as f64;
-        }
-    }
-    counters.insert("sched.migrations".into(), abandons);
-    counters.insert("sched.unknown_unit_abandons".into(), unknowns);
-    counters.insert("sched.heuristic_switches".into(), switches);
-    counters.insert("sched.completed_units".into(), results);
+    // Scheduler aggregates: one `UnitCounts` per scheduler, summed.
+    let units: Vec<UnitCounts> = dep
+        .schedulers
+        .iter()
+        .filter_map(|&s| sim.with_process::<SchedulerServer, _>(s, |s| s.units()))
+        .collect();
+    let sum = |count: fn(&UnitCounts) -> u64| units.iter().map(count).sum::<u64>() as f64;
+    counters.insert("sched.migrations".into(), sum(|u| u.migrations));
+    counters.insert(
+        "sched.unknown_unit_abandons".into(),
+        sum(|u| u.unknown_reports),
+    );
+    counters.insert("sched.heuristic_switches".into(), sum(|u| u.switches));
+    counters.insert("sched.completed_units".into(), sum(|u| u.results));
     // Gossip pool health.
     if let Some(members) =
         sim.with_process::<GossipServer, _>(dep.gossips[0], |g| g.clique_members().len() as f64)

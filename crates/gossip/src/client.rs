@@ -404,21 +404,24 @@ mod tests {
                 Box::new(Component::new(g, Some(SimDuration::from_secs(30)))),
             );
             sim.run_until(SimTime::from_secs(600));
-            sim.with_process::<GossipServer, _>(g, |s| (s.polls_ok, s.polls_timed_out))
-                .unwrap()
+            let m = sim.metrics();
+            (
+                m.counter("gossip.polls_ok"),
+                m.counter("gossip.poll_timeouts"),
+            )
         };
         let (static_ok, static_to) = run(Some(SimDuration::from_secs(2)));
         let (dyn_ok, dyn_to) = run(None);
         assert!(
-            static_to > 10 && static_ok == 0,
+            static_to > 10.0 && static_ok == 0.0,
             "2s static timeout must misjudge the 8s server: ok={static_ok} to={static_to}"
         );
         assert!(
-            dyn_ok > 10,
+            dyn_ok > 10.0,
             "dynamic timeouts must adapt and succeed: ok={dyn_ok} to={dyn_to}"
         );
         assert!(
-            dyn_to <= 2,
+            dyn_to <= 2.0,
             "at most the first pre-history polls may expire"
         );
     }

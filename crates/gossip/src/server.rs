@@ -103,12 +103,6 @@ pub struct GossipServer {
     rpc: RpcClient<u16>,
     hold_pending: bool,
     tele: Option<GossipTele>,
-    /// Successful poll round-trips (exposed for tests/experiments).
-    pub polls_ok: u64,
-    /// Poll time-outs (the "misjudged availability" count of §2.2).
-    pub polls_timed_out: u64,
-    /// State pushes sent.
-    pub pushes: u64,
 }
 
 impl GossipServer {
@@ -142,9 +136,6 @@ impl GossipServer {
             rpc,
             hold_pending: false,
             tele: None,
-            polls_ok: 0,
-            polls_timed_out: 0,
-            pushes: 0,
         }
     }
 
@@ -295,7 +286,6 @@ impl GossipServer {
                 &Packet::oneway(gm::PUSH, carrier.to_wire_payload()),
             );
             self.store.note_pushed(addr, stype, blob);
-            self.pushes += 1;
             ctx.inc(tele.pushes);
         }
     }
@@ -308,7 +298,6 @@ impl GossipServer {
         // it the next periodic round (or the breaker's half-open probe)
         // takes over, so a `GaveUp` verdict needs no handling here.
         for expired in self.rpc.take_expired(ctx, tele.timeout_span) {
-            self.polls_timed_out += 1;
             ctx.inc(tele.poll_timeouts);
             self.rpc.verdict(ctx, tele.retry, expired, true);
         }
@@ -366,7 +355,6 @@ impl GossipServer {
                 if let Some((tag, stype, rtt)) = self.rpc.complete(pkt.corr_id, now) {
                     let addr = tag.peer;
                     if let Ok(carrier) = pkt.body::<StateCarrier>() {
-                        self.polls_ok += 1;
                         ctx.inc(tele.polls_ok);
                         ctx.observe(tele.poll_rtt_us, rtt.as_micros() as f64);
                         self.store.record_component_state(addr, stype, carrier.blob);

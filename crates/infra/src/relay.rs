@@ -11,9 +11,8 @@
 //! responses back, re-correlating ids. [`Relay`] implements that shape; the
 //! pool builders instantiate it once per Legion/NetSolve site.
 
-use std::collections::HashMap;
-
 use ew_proto::sim_net::{packet_from_event, send_packet};
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{CounterId, Ctx, Event, Process, ProcessId};
 
 /// A request-forwarding relay.
@@ -24,7 +23,7 @@ pub struct Relay {
     next_upstream: usize,
     next_corr: u64,
     /// my_corr → (original requester, their corr id).
-    pending: HashMap<u64, (ProcessId, u64)>,
+    pending: FxHashMap<u64, (ProcessId, u64)>,
     /// Requests forwarded.
     pub forwarded: u64,
     /// Responses routed back.
@@ -41,7 +40,7 @@ impl Relay {
             upstreams,
             next_upstream: 0,
             next_corr: 1,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             forwarded: 0,
             returned: 0,
             forwarded_id: None,
@@ -158,7 +157,7 @@ mod tests {
         // The scheduler saw the work as coming from the relay's address —
         // the single monitoring point of §5.3.
         let results = sim
-            .with_process::<SchedulerServer, _>(s, |s| s.results_received)
+            .with_process::<SchedulerServer, _>(s, |s| s.units().results)
             .unwrap();
         assert!(results > 0);
     }

@@ -10,9 +10,8 @@
 //! the infrastructure's characteristic start-up delay, and samples the
 //! live-host count — the series behind Figure 3(b).
 
-use std::collections::HashMap;
-
 use ew_sched::{ClientConfig, ComputeClient};
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{CounterId, Ctx, Event, HostId, Process, ProcessId, SeriesId, SimDuration};
 
 /// Description of one infrastructure's client-delivery behaviour.
@@ -53,7 +52,7 @@ struct InfraTele {
 /// The supervisor process for one infrastructure.
 pub struct InfraSupervisor {
     spec: InfraSpec,
-    clients: HashMap<HostId, ProcessId>,
+    clients: FxHashMap<HostId, ProcessId>,
     tele: Option<InfraTele>,
     /// Total clients ever spawned (restarts included).
     pub spawned: u64,
@@ -64,7 +63,7 @@ impl InfraSupervisor {
     pub fn new(spec: InfraSpec) -> Self {
         InfraSupervisor {
             spec,
-            clients: HashMap::new(),
+            clients: FxHashMap::default(),
             tele: None,
             spawned: 0,
         }

@@ -221,16 +221,10 @@ pub struct ComputeClient {
     waiting_for_work: bool,
     chunks_since_checkpoint: u64,
     tele: Option<ClientTele>,
-    /// Total useful ops delivered by this client.
-    pub total_ops: u64,
     /// Units completed (budget exhausted or solved).
     pub units_completed: u64,
     /// Scheduler failovers performed.
     pub failovers: u64,
-    /// Counter-examples accepted by persistent state.
-    pub stores_accepted: u64,
-    /// Units resumed from a checkpoint after a restart.
-    pub resumes: u64,
 }
 
 impl ComputeClient {
@@ -265,11 +259,8 @@ impl ComputeClient {
             waiting_for_work: false,
             chunks_since_checkpoint: 0,
             tele: None,
-            total_ops: 0,
             units_completed: 0,
             failovers: 0,
-            stores_accepted: 0,
-            resumes: 0,
         }
     }
 
@@ -294,15 +285,20 @@ impl ComputeClient {
             steps_done: up.steps_done,
             ops_done: up.ops_done,
         };
+        self.store_checkpoint(ctx, state, ck.to_wire());
+        let tele = self.tele.expect("started");
+        ctx.inc(tele.checkpoints);
+    }
+
+    /// Store `value` as this host's checkpoint; empty clears it.
+    fn store_checkpoint(&mut self, ctx: &mut Ctx<'_>, state: u64, value: Vec<u8>) {
         let req = StoreRequest {
             key: Self::checkpoint_key(ctx),
             class: 0,
-            value: ck.to_wire(),
+            value,
         };
         let body = req.to_wire();
         self.send_request(ctx, state, sm::STORE, body.clone(), Req::Checkpoint(body));
-        let tele = self.tele.expect("started");
-        ctx.inc(tele.checkpoints);
     }
 
     /// Invalidate the host's checkpoint (unit finished or migrated away);
@@ -314,13 +310,7 @@ impl ComputeClient {
         if self.cfg.checkpoint_every_chunks.is_none() {
             return;
         }
-        let req = StoreRequest {
-            key: Self::checkpoint_key(ctx),
-            class: 0,
-            value: Vec::new(),
-        };
-        let body = req.to_wire();
-        self.send_request(ctx, state, sm::STORE, body.clone(), Req::Checkpoint(body));
+        self.store_checkpoint(ctx, state, Vec::new());
     }
 
     fn try_restore(&mut self, ctx: &mut Ctx<'_>) -> bool {
@@ -618,7 +608,6 @@ impl Process for ComputeClient {
                     return; // stale chunk from an abandoned unit
                 }
                 let tele = self.tele.expect("started");
-                self.total_ops += ops;
                 ctx.add(tele.ops_total, *ops as f64);
                 ctx.add(tele.ops_infra, *ops as f64);
                 ctx.record(tele.ops_series, *ops as f64);
@@ -668,7 +657,6 @@ impl Process for ComputeClient {
                                 Ok(reply) if reply.found && !reply.value.is_empty() => {
                                     match Checkpoint::from_wire(&reply.value) {
                                         Ok(ck) if ck.steps_done < ck.unit.step_budget => {
-                                            self.resumes += 1;
                                             let tele = self.tele.expect("started");
                                             ctx.inc(tele.resumes);
                                             self.unit = Some(UnitProgress {
@@ -694,7 +682,6 @@ impl Process for ComputeClient {
                             if let Ok(reply) = pkt.body::<ew_state::StoreReply>() {
                                 let tele = self.tele.expect("started");
                                 if reply.accepted {
-                                    self.stores_accepted += 1;
                                     ctx.inc(tele.stores_accepted);
                                 } else {
                                     ctx.inc(tele.stores_rejected);
@@ -763,18 +750,18 @@ mod tests {
             Box::new(ComputeClient::new(client_cfg(s.0 as u64))),
         );
         sim.run_until(SimTime::from_secs(600));
-        let (ops, units) = sim
-            .with_process::<ComputeClient, _>(c, |c| (c.total_ops, c.units_completed))
+        let units = sim
+            .with_process::<ComputeClient, _>(c, |c| c.units_completed)
             .unwrap();
+        let ops = sim.metrics().counter("ops.total") as u64;
         // 1e8 ops/s for 600s ≈ 6e10 ops (minus protocol gaps).
         assert!(ops > 3e10 as u64, "got {ops}");
         // One unit = 1000 steps = 10 chunks = ~1s compute; many complete.
         assert!(units > 100, "got {units}");
         let results = sim
-            .with_process::<SchedulerServer, _>(s, |s| s.results_received)
+            .with_process::<SchedulerServer, _>(s, |s| s.units().results)
             .unwrap();
         assert!(results >= units - 1);
-        assert!(sim.metrics().counter("ops.total") as u64 == ops);
         assert!(sim.metrics().counter("ops.unix") as u64 == ops);
     }
 
@@ -818,7 +805,7 @@ mod tests {
             "work continues on the backup scheduler: {units}"
         );
         let s2_results = sim
-            .with_process::<SchedulerServer, _>(s2, |s| s.results_received)
+            .with_process::<SchedulerServer, _>(s2, |s| s.units().results)
             .unwrap();
         assert!(s2_results > 0, "backup scheduler received results");
     }
@@ -857,7 +844,7 @@ mod tests {
             }),
         );
         let p = sim.spawn("state", hids[1], Box::new(pss));
-        let c = sim.spawn(
+        sim.spawn(
             "client",
             hids[2],
             Box::new(ComputeClient::new(ClientConfig {
@@ -869,10 +856,8 @@ mod tests {
             })),
         );
         sim.run_until(SimTime::from_secs(120));
-        let accepted = sim
-            .with_process::<ComputeClient, _>(c, |c| c.stores_accepted)
-            .unwrap();
-        assert!(accepted >= 1, "a real R(3)>5 witness must be stored");
+        let accepted = sim.metrics().counter("client.stores_accepted");
+        assert!(accepted >= 1.0, "a real R(3)>5 witness must be stored");
         let stored = sim
             .with_process::<PersistentStateServer, _>(p, |s| s.get("ramsey/best/3").cloned())
             .unwrap()
@@ -947,7 +932,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(1200));
         let abandons = sim
-            .with_process::<SchedulerServer, _>(s, |s| s.issued_abandon)
+            .with_process::<SchedulerServer, _>(s, |s| s.units().migrations)
             .unwrap();
         assert!(
             abandons >= 1,
@@ -967,7 +952,7 @@ mod tests {
                 ..sched_cfg()
             })),
         );
-        let c = sim.spawn(
+        sim.spawn(
             "client",
             hids[1],
             Box::new(ComputeClient::new(ClientConfig {
@@ -980,13 +965,9 @@ mod tests {
         sim.run_until(SimTime::from_secs(60));
         assert_eq!(sim.metrics().counter("client.sweeps"), 1.0);
         assert_eq!(sim.metrics().counter("client.sweeps_idle"), 1.0);
-        let ops_before = sim
-            .with_process::<ComputeClient, _>(c, |c| c.total_ops)
-            .unwrap();
+        let ops_before = sim.metrics().counter("ops.total") as u64;
         let ten_minutes = sim.run_until(SimTime::from_secs(660));
-        let ops_after = sim
-            .with_process::<ComputeClient, _>(c, |c| c.total_ops)
-            .unwrap();
+        let ops_after = sim.metrics().counter("ops.total") as u64;
         assert!(ops_after > ops_before + 5e10 as u64, "still computing");
         assert_eq!(
             sim.metrics().counter("client.sweeps"),

@@ -9,9 +9,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod lifecycle;
 pub mod messages;
 pub mod server;
 
 pub use client::{ClientConfig, ComputeClient};
+pub use lifecycle::UnitCounts;
 pub use messages::{scm, Directive, ProgressReport, WorkGrant};
 pub use server::{SchedulerConfig, SchedulerServer};

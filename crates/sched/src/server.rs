@@ -28,6 +28,7 @@ use ew_workload::{WorkResult, WorkUnit, Workload, WorkloadSpec};
 /// objectives ("volatile-but-replicated state", §3.1.2).
 pub const STYPE_BEST_FOUND: u16 = 0x1100;
 
+use crate::lifecycle::{UnitCounts, UnitTable};
 use crate::messages::{scm, Directive, DirectiveKind, ProgressReport, WorkGrant};
 
 /// Scheduler tunables.
@@ -51,9 +52,6 @@ impl Default for SchedulerConfig {
         }
     }
 }
-
-/// Reports with no objective improvement before a switch directive.
-const STALL_REPORTS: u32 = 3;
 
 /// A client whose (forecast) rate falls below `MIGRATION_FACTOR` × its *own
 /// demonstrated* rate is anomalously slow (contention, not heterogeneity —
@@ -85,14 +83,6 @@ impl SchedTele {
             decide_span: ctx.span("sched.decide"),
         }
     }
-}
-
-struct Outstanding {
-    variant: u8,
-    last_best: u64,
-    stall_count: u32,
-    /// The issued unit, kept so migration can remake it faithfully.
-    unit: WorkUnit,
 }
 
 /// Everything the scheduler knows about one reporting client.
@@ -146,28 +136,12 @@ fn rate_is_sane(rate: f64) -> bool {
 pub struct SchedulerServer {
     cfg: SchedulerConfig,
     workload: Box<dyn Workload>,
-    next_unit: u64,
-    outstanding: FxHashMap<u64, Outstanding>,
-    /// Units abandoned by slow clients, awaiting reassignment.
-    migration_queue: Vec<WorkUnit>,
+    units: UnitTable,
     /// Accessed by key and by `retain` only, so the hasher cannot reach
     /// event order.
     clients: FxHashMap<u64, ClientRecord>,
     estimates: RateTable,
     reports_since_purge: u32,
-    /// Completed results received.
-    pub results_received: u64,
-    /// Non-empty artifacts received (Ramsey: counter-examples).
-    pub artifacts_received: u64,
-    /// Directives issued, by kind, for inspection.
-    pub issued_continue: u64,
-    /// Switch directives issued.
-    pub issued_switch: u64,
-    /// Abandon (migration) directives issued for anomaly migrations.
-    pub issued_abandon: u64,
-    /// Abandon directives issued for unknown units (stale resumes,
-    /// already-migrated work, restarted schedulers).
-    pub issued_unknown: u64,
     tele: Option<SchedTele>,
     gossip: Option<(u64, GossipClient)>,
     /// Logging server to forward per-report performance records to
@@ -185,18 +159,10 @@ impl SchedulerServer {
         SchedulerServer {
             cfg,
             workload,
-            next_unit: 1,
-            outstanding: FxHashMap::default(),
-            migration_queue: Vec::new(),
+            units: UnitTable::default(),
             clients: FxHashMap::default(),
             estimates: RateTable::default(),
             reports_since_purge: 0,
-            results_received: 0,
-            artifacts_received: 0,
-            issued_continue: 0,
-            issued_switch: 0,
-            issued_abandon: 0,
-            issued_unknown: 0,
             tele: None,
             gossip: None,
             log_server: None,
@@ -239,16 +205,9 @@ impl SchedulerServer {
         }
     }
 
-    /// Units currently assigned.
-    #[cfg(test)]
-    fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Units waiting for migration pickup.
-    #[cfg(test)]
-    fn migration_queue_len(&self) -> usize {
-        self.migration_queue.len()
+    /// This scheduler's unit tallies.
+    pub fn units(&self) -> UnitCounts {
+        self.units.counts()
     }
 
     /// Fraction of a finite workload completed, if the application
@@ -271,28 +230,17 @@ impl SchedulerServer {
             _ => 1.0,
         };
         let budget = ((self.cfg.step_budget as f64 * scale) as u64).max(100);
-        let mut unit = if let Some(u) = self.migration_queue.pop() {
+        let mut unit = if let Some(u) = self.units.queued() {
             // Migrated unit keeps its id and resume state.
-            u
+            u.clone()
         } else {
-            let u = self
-                .workload
-                .generate(self.next_unit, now, client, self.cfg.step_budget)?;
-            self.next_unit += 1;
-            u
+            self.workload
+                .generate(self.units.next_id(), now, client, self.cfg.step_budget)?
         };
         if self.workload.rate_scaled_budgets() {
             unit.step_budget = budget;
         }
-        self.outstanding.insert(
-            unit.id,
-            Outstanding {
-                variant: unit.variant,
-                last_best: u64::MAX,
-                stall_count: 0,
-                unit: unit.clone(),
-            },
-        );
+        self.units.grant(unit.clone());
         Some(unit)
     }
 
@@ -349,16 +297,15 @@ impl SchedulerServer {
         }
         let median = self.pool_median_rate();
 
-        if !self.outstanding.contains_key(&report.unit_id) {
+        let Some(unit) = self.units.report(report.unit_id) else {
             // Unknown unit (scheduler restarted, a stale checkpoint
             // resumed, or the unit was already migrated): put the client
             // back to work.
-            self.issued_unknown += 1;
             return Directive {
                 kind: DirectiveKind::Abandon.wire_id(),
                 variant: 0,
             };
-        }
+        };
 
         // Migration: the client is running far below its own demonstrated
         // rate — an anomaly (ambient contention), not the pool's permanent
@@ -371,53 +318,38 @@ impl SchedulerServer {
             _ => false,
         };
         if migrate {
-            let out = self.outstanding.remove(&report.unit_id).expect("present");
             let remade =
                 self.workload
-                    .remake(&out.unit, out.variant, report.carry, self.cfg.step_budget);
-            self.migration_queue.push(remade);
-            self.issued_abandon += 1;
+                    .remake(unit, unit.variant, report.carry, self.cfg.step_budget);
+            self.units.migrate(remade);
             return Directive {
                 kind: DirectiveKind::Abandon.wire_id(),
                 variant: 0,
             };
         }
 
-        let out = self.outstanding.get_mut(&report.unit_id).expect("present");
-
         // Stall detection: no objective improvement across reports.
-        if report.progress < out.last_best {
-            out.last_best = report.progress;
-            out.stall_count = 0;
+        let (variant, switched) =
+            self.units
+                .stall(report.unit_id, report.progress, &*self.workload);
+        let kind = if switched {
+            DirectiveKind::SwitchHeuristic
         } else {
-            out.stall_count += 1;
-            if out.stall_count >= STALL_REPORTS {
-                out.stall_count = 0;
-                if let Some(next) = self.workload.next_variant(out.variant) {
-                    out.variant = next;
-                    self.issued_switch += 1;
-                    return Directive {
-                        kind: DirectiveKind::SwitchHeuristic.wire_id(),
-                        variant: next,
-                    };
-                }
-            }
-        }
-        self.issued_continue += 1;
+            DirectiveKind::Continue
+        };
         Directive {
-            kind: DirectiveKind::Continue.wire_id(),
-            variant: out.variant,
+            kind: kind.wire_id(),
+            variant,
         }
     }
 
-    fn handle_result(&mut self, result: WorkResult) {
-        self.outstanding.remove(&result.unit_id);
-        if !result.artifact.is_empty() {
-            self.artifacts_received += 1;
-        }
+    /// Credits `result` and says whether it completed an executing unit.
+    /// An unmatched result is credited all the same (DESIGN §11.4).
+    fn handle_result(&mut self, result: WorkResult) -> bool {
+        let matched = self.units.result(&result);
         self.note_best(result.progress, result.carry.clone());
         self.workload.on_result(&result);
-        self.results_received += 1;
+        matched
     }
 }
 
@@ -522,7 +454,10 @@ impl Process for SchedulerServer {
             scm::RESULT => {
                 if let Ok(result) = pkt.body::<WorkResult>() {
                     ctx.inc(tele.results);
-                    self.handle_result(result);
+                    if !self.handle_result(result) {
+                        let illegal = ctx.counter("sched.lifecycle_illegal");
+                        ctx.inc(illegal);
+                    }
                     send_packet(ctx, from, &Packet::response_to(&pkt, Vec::new()));
                 }
             }
@@ -564,7 +499,7 @@ mod tests {
         assert_eq!(a.variant, 1); // mix[1 % 3]
         assert_eq!(b.variant, 2);
         assert_eq!(c.variant, 0);
-        assert_eq!(s.outstanding_count(), 3);
+        assert_eq!(s.units.executing(), 3);
         assert_ne!(a.seed, b.seed);
     }
 
@@ -576,7 +511,6 @@ mod tests {
             let d = s.handle_report(t(1), report(1, u.id, best, 1e6));
             assert_eq!(DirectiveKind::from_wire_id(d.kind), DirectiveKind::Continue);
         }
-        assert_eq!(s.issued_continue, 4);
     }
 
     #[test]
@@ -599,11 +533,10 @@ mod tests {
                 DirectiveKind::SwitchHeuristic
             ]
         );
-        assert_eq!(s.issued_switch, 1);
+        assert_eq!(s.units().switches, 1);
         // The switched variant differs from the original.
         let d = s.handle_report(t(3), report(1, u.id, 50, 1e6));
-        let _ = d;
-        assert_ne!(s.outstanding.get(&u.id).map(|o| o.variant), Some(start_v));
+        assert_ne!(d.variant, start_v);
     }
 
     #[test]
@@ -637,12 +570,12 @@ mod tests {
             DirectiveKind::from_wire_id(last.kind),
             DirectiveKind::Abandon
         );
-        assert_eq!(s.migration_queue_len(), 1);
+        assert_eq!(s.units.migrating(), 1);
         // Next requester inherits the unit, resume state and all.
         let migrated = s.grant_work(t(3), 4).unwrap();
         assert_eq!(migrated.id, u3.id);
         assert_eq!(migrated.payload, slow_carry);
-        assert_eq!(s.migration_queue_len(), 0);
+        assert_eq!(s.units.migrating(), 0);
     }
 
     #[test]
@@ -665,7 +598,7 @@ mod tests {
                 "steady slow client keeps its unit"
             );
         }
-        assert_eq!(s.issued_abandon, 0);
+        assert_eq!(s.units().migrations, 0);
     }
 
     #[test]
@@ -718,9 +651,9 @@ mod tests {
             artifact: vec![1, 2],
             carry: vec![1, 2],
         });
-        assert_eq!(s.results_received, 1);
-        assert_eq!(s.artifacts_received, 1);
-        assert_eq!(s.outstanding_count(), 0);
+        assert_eq!(s.units().results, 1);
+        assert_eq!(s.units().artifacts, 1);
+        assert_eq!(s.units.executing(), 0);
     }
 
     #[test]
@@ -916,7 +849,7 @@ mod tests {
         sim.with_process::<SchedulerServer, _>(sched, |s| {
             assert_eq!(s.pool_median_rate(), None);
             assert!(s.clients.is_empty() && s.estimates.sorted.is_empty());
-            assert_eq!(s.issued_unknown, 0, "rejected before the unit lookup");
+            assert_eq!(s.units().unknown_reports, 0, "rejected before the lookup");
         })
         .unwrap();
 

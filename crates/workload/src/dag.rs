@@ -15,8 +15,8 @@
 //! `generate` scans plain `Vec`s (never a hash map) so unit issue order
 //! is a pure function of the call sequence.
 
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime, Xoshiro256};
-use std::collections::HashMap;
 
 use crate::unit::{WorkResult, WorkUnit};
 use crate::Workload;
@@ -76,7 +76,7 @@ pub struct DagWorkload {
     salt: u64,
     tasks: Vec<Task>,
     /// Unit id → task index, for completing tasks on result arrival.
-    issued_units: HashMap<u64, usize>,
+    issued_units: FxHashMap<u64, usize>,
     done: usize,
 }
 
@@ -136,7 +136,7 @@ impl DagWorkload {
             cfg,
             salt,
             tasks,
-            issued_units: HashMap::new(),
+            issued_units: FxHashMap::default(),
             done: 0,
         }
     }

@@ -16,8 +16,8 @@
 //! the idle container). The unit's `arg1` records whether it was cold, so
 //! results can be attributed in figures.
 
+use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime, Xoshiro256};
-use std::collections::HashMap;
 
 use crate::unit::{WorkResult, WorkUnit};
 use crate::Workload;
@@ -65,7 +65,7 @@ pub struct FaasWorkload {
     next: usize,
     /// Per-client last grant time — the warm-container table. Lookups
     /// only; never iterated, so determinism is safe.
-    warm: HashMap<u64, SimTime>,
+    warm: FxHashMap<u64, SimTime>,
     cold_grants: u64,
     completed: u64,
 }
@@ -103,7 +103,7 @@ impl FaasWorkload {
             salt,
             arrivals,
             next: 0,
-            warm: HashMap::new(),
+            warm: FxHashMap::default(),
             cold_grants: 0,
             completed: 0,
         }

@@ -113,7 +113,7 @@ fn work_survives_scheduler_host_death() {
         assert!(units > 20, "client kept working: {units}");
     }
     let s1_results = sim
-        .with_process::<SchedulerServer, _>(s1, |s| s.results_received)
+        .with_process::<SchedulerServer, _>(s1, |s| s.units().results)
         .unwrap();
     assert!(s1_results > 80, "s1 absorbed the load: {s1_results}");
 }

@@ -109,7 +109,7 @@ fn distributed_real_search_stores_verified_witness() {
         .schedulers
         .iter()
         .map(|&s| {
-            sim.with_process::<SchedulerServer, _>(s, |s| s.artifacts_received)
+            sim.with_process::<SchedulerServer, _>(s, |s| s.units().artifacts)
                 .unwrap()
         })
         .sum();

@@ -18,10 +18,9 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::packet::{FrameReader, Packet};
 
@@ -118,7 +117,7 @@ impl TcpNode {
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<TcpNode> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let stop = Arc::new(AtomicBool::new(false));
         {
             let tx = tx.clone();
@@ -179,11 +178,7 @@ impl TcpNode {
     /// Timed receive — the `select()`-with-timeout of §5.1. Returns `None`
     /// on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Incoming> {
-        match self.incoming.recv_timeout(timeout) {
-            Ok(x) => Some(x),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.incoming.recv_timeout(timeout).ok()
     }
 
     /// Non-blocking receive.

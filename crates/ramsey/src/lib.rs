@@ -15,7 +15,6 @@ pub mod bounds;
 pub mod cliques;
 pub mod delta;
 pub mod graph;
-pub mod parallel;
 pub mod search;
 pub mod work;
 
@@ -23,9 +22,8 @@ pub use bounds::{exact, verify_counter_example, Verification};
 pub use cliques::{count_total_ws, flip_delta_ws, OpsCounter, Workspace};
 pub use delta::DeltaTable;
 pub use graph::{Color, ColoredGraph};
-pub use parallel::{best_flip_parallel, ParallelSteepest};
 pub use search::{
-    heuristic_by_kind, run_search, GreedyLocal, Heuristic, KernelStats, SearchState, StepOutcome,
-    TabuSearch,
+    heuristic_by_kind, run_search, GreedyLocal, Heuristic, KernelStats, SearchState, Steepest,
+    StepOutcome, TabuSearch,
 };
 pub use work::RamseyProblem;

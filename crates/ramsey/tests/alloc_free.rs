@@ -49,7 +49,7 @@ fn allocs() -> u64 {
 
 use ew_ramsey::{
     count_total_ws, flip_delta_ws, ColoredGraph, DeltaTable, GreedyLocal, Heuristic, OpsCounter,
-    SearchState, TabuSearch, Workspace,
+    SearchState, Steepest, TabuSearch, Workspace,
 };
 use ew_sim::Xoshiro256;
 
@@ -158,5 +158,22 @@ fn tabu_step_is_allocation_free_after_the_first_step() {
         allocs() - before,
         0,
         "tabu steady-state steps allocated: the tenure table is sized once"
+    );
+}
+
+#[test]
+fn steepest_step_is_allocation_free_after_the_first_step() {
+    let mut rng = Xoshiro256::seed_from_u64(12);
+    let mut state = SearchState::new_incremental(ColoredGraph::random(40, &mut rng), 5);
+    let mut steepest = Steepest::default();
+    steepest.step(&mut state, &mut rng); // allocates the tenure table
+    let before = allocs();
+    for _ in 0..100 {
+        steepest.step(&mut state, &mut rng);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "steepest steady-state steps allocated: the scan reads the table in place"
     );
 }

@@ -4,8 +4,8 @@
 //! state's table stays exact after every step.
 
 use ew_ramsey::{
-    flip_delta_ws, heuristic_by_kind, ColoredGraph, DeltaTable, Heuristic, OpsCounter,
-    ParallelSteepest, SearchState, StepOutcome, Workspace,
+    flip_delta_ws, heuristic_by_kind, ColoredGraph, DeltaTable, Heuristic, OpsCounter, SearchState,
+    Steepest, StepOutcome, Workspace,
 };
 use ew_sim::Xoshiro256;
 use proptest::prelude::*;
@@ -120,6 +120,6 @@ fn tabu_r5_class_keeps_the_table_exact_every_step() {
 }
 
 #[test]
-fn parallel_steepest_keeps_the_table_exact_every_step() {
-    assert_table_exact_every_step(&mut ParallelSteepest::default(), 18, 4, 31, 40);
+fn steepest_keeps_the_table_exact_every_step() {
+    assert_table_exact_every_step(&mut Steepest::default(), 18, 4, 31, 40);
 }

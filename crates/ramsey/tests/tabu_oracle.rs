@@ -1,6 +1,6 @@
 //! Oracle test for the dense tenure table: the `HashMap` + occasional
 //! `retain` tabu bookkeeping this crate shipped before is kept here as the
-//! reference, and the production `TabuSearch` / `ParallelSteepest` must
+//! reference, and the production `TabuSearch` / `Steepest` must
 //! agree with it move for move — same `StepOutcome`s, same final graph,
 //! same `ops()`, same RNG position. "Close" is not good enough: the move
 //! sequence feeds `WorkResult`s, and those feed every simulated
@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use ew_ramsey::{
-    best_flip_parallel, run_search, ColoredGraph, Heuristic, ParallelSteepest, SearchState,
-    StepOutcome, TabuSearch,
+    run_search, ColoredGraph, Heuristic, SearchState, Steepest, StepOutcome, TabuSearch,
 };
 use ew_sim::Xoshiro256;
 
@@ -89,7 +88,37 @@ impl Heuristic for MapTabu {
     }
 }
 
-/// The parent's `ParallelSteepest`.
+/// A candidate flip `(u, v, delta)`, or `None` for an inadmissible edge.
+type Pick = Option<(usize, usize, i64)>;
+
+/// The reduce step of the thread fan-out `Steepest` replaced: the smaller
+/// `(delta, u, v)` wins, the left operand on a tie.
+fn combine(a: Pick, b: Pick) -> Pick {
+    match (a, b) {
+        (None, x) | (x, None) => x,
+        (Some(x), Some(y)) => {
+            if (y.2, y.0, y.1) < (x.2, x.0, x.1) {
+                Some(y)
+            } else {
+                Some(x)
+            }
+        }
+    }
+}
+
+/// That fan-out's selection on `w` workers: the candidates split into
+/// contiguous chunks of `⌈E/w⌉`, each folded with [`combine`], then the
+/// chunk results folded in order.
+fn chunked_pick(candidates: &[Pick], w: usize) -> Pick {
+    let chunk = candidates.len().div_ceil(w).max(1);
+    candidates
+        .chunks(chunk)
+        .map(|c| c.iter().copied().fold(None, combine))
+        .fold(None, combine)
+}
+
+/// `Steepest` as it was before its scan went sequential: a map of tenures
+/// and a chunked reduce over every edge.
 struct MapSteepest {
     tenure: u64,
     step_no: u64,
@@ -110,7 +139,7 @@ impl MapSteepest {
 
 impl Heuristic for MapSteepest {
     fn name(&self) -> &str {
-        "parallel-steepest-oracle"
+        "steepest-oracle"
     }
 
     fn step(&mut self, state: &mut SearchState, _rng: &mut Xoshiro256) -> StepOutcome {
@@ -120,15 +149,26 @@ impl Heuristic for MapSteepest {
         self.step_no += 1;
         self.best_seen = self.best_seen.min(state.count());
         let step_no = self.step_no;
-        let tabu = &self.tabu;
         let count = state.count() as i64;
         let best_seen = self.best_seen as i64;
-        let (best, ops) = best_flip_parallel(
-            state,
-            |u, v| tabu.get(&(u, v)).is_some_and(|&until| until > step_no),
-            |d| count + d < best_seen,
+        let n = state.graph().n();
+        let table = state.table();
+        let candidates: Vec<Pick> = (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .map(|(u, v)| {
+                let d = table.delta(u, v);
+                let tabu = self.tabu.get(&(u, v)).is_some_and(|&until| until > step_no);
+                (!tabu || count + d < best_seen).then_some((u, v, d))
+            })
+            .collect();
+        let picks = [1, 2, 3, 8].map(|w| chunked_pick(&candidates, w));
+        assert!(
+            picks.iter().all(|p| *p == picks[0]),
+            "the chunked reduce depends on its worker count: {picks:?}"
         );
-        state.add_external_ops(ops);
+        let best = picks[0];
+        // One charged op per candidate.
+        state.add_external_ops(candidates.len() as u64);
         // The production step also notes n(n-1)/2 look-ups for the
         // `ramsey.table_lookups` counter; that hook is crate-private and
         // touches neither `ops()` nor the move, so the oracle omits it.
@@ -191,14 +231,14 @@ proptest! {
     }
 
     #[test]
-    fn parallel_steepest_matches_the_map_oracle(
+    fn steepest_matches_the_map_oracle(
         shape in (5usize..15, 3usize..5, 0u64..65),
         steps in 1usize..121,
         seed in any::<u64>(),
     ) {
         let (n, k, tenure) = shape;
         assert_lockstep(
-            &mut ParallelSteepest::new(tenure),
+            &mut Steepest::new(tenure),
             &mut MapSteepest::new(tenure),
             start(n, k, seed),
             seed,
@@ -216,7 +256,7 @@ proptest! {
 fn reusing_a_heuristic_across_sizes_resizes_the_table() {
     let mut tabu = TabuSearch::new(32, 40);
     let mut map_tabu = MapTabu::new(32, 40);
-    let mut steepest = ParallelSteepest::new(40);
+    let mut steepest = Steepest::new(40);
     let mut map_steepest = MapSteepest::new(40);
     for (i, n) in [20usize, 9, 24, 9].into_iter().enumerate() {
         map_tabu.tabu.clear();

@@ -8,12 +8,13 @@
 //! harness: every campaign cell, figure experiment, and ablation arm is an
 //! isolated deterministic simulation (its own [`Sim`](crate::Sim) kernel,
 //! its own telemetry [`Registry`], rng streams derived from the cell key),
-//! so cells can execute concurrently on a work-stealing runner and still
+//! so cells can execute concurrently on scoped worker threads and still
 //! produce artifacts that are **byte-identical regardless of thread count
 //! or scheduling**:
 //!
-//! * cell results are collected in canonical **input-index order**
-//!   (`rayon`'s `collect_into_vec` contract), never completion order;
+//! * workers claim cells from one shared cursor, so uneven cells balance,
+//!   and every result is placed by its **input index**, never by
+//!   completion order;
 //! * per-cell registries are folded back with the deterministic
 //!   [`Registry::merge`] path, again in input-index order;
 //! * nothing a cell computes may read wall-clock time or shared mutable
@@ -22,11 +23,12 @@
 //!   deterministic artifacts and only surface in bench reports.
 //!
 //! `threads == 1` short-circuits to a plain sequential loop on the calling
-//! thread — exactly the pre-farm behavior, no pool, no worker spawn.
+//! thread — exactly the pre-farm behavior, no worker spawn. A cell that
+//! panics ends the run with its own panic payload, at any thread count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ew_telemetry::Registry;
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 /// Worker count of the host (`available_parallelism`, floor 1).
 pub fn available_threads() -> usize {
@@ -85,19 +87,30 @@ where
     let results = if threads <= 1 {
         items.iter().enumerate().map(|(i, it)| f(i, it)).collect()
     } else {
-        let indexed: Vec<(usize, &I)> = items.iter().enumerate().collect();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("farm thread pool");
-        let mut out = Vec::with_capacity(items.len());
-        pool.install(|| {
-            indexed
-                .par_iter()
-                .map(|&(i, it)| f(i, it))
-                .collect_into_vec(&mut out)
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(it) = items.get(i) else {
+                    return done;
+                };
+                done.push((i, f(i, it)));
+            }
+        };
+        let mut done = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+            // Joined one by one, so a cell's panic re-raises with its own
+            // payload rather than as a join error.
+            let mut done = Vec::with_capacity(items.len());
+            for w in workers {
+                done.extend(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            done
         });
-        out
+        // Every index was claimed exactly once: order the results by it.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     };
     let stats = FarmStats {
         cells: items.len(),
@@ -138,6 +151,27 @@ mod tests {
         let (out, stats) = run_farm(4, &items, |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(stats.cells, 0);
+    }
+
+    #[test]
+    fn a_panicking_cell_surfaces_its_own_message() {
+        let items: Vec<u32> = (0..16).collect();
+        for threads in [1, 2, 8] {
+            let run = std::panic::catch_unwind(|| {
+                run_farm(threads, &items, |_, &x| {
+                    if x == 11 {
+                        panic!("cell {x} failed");
+                    }
+                    x
+                })
+            });
+            let panic = run.expect_err("no partial Vec comes back");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("cell 11 failed"),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

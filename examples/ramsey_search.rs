@@ -63,19 +63,20 @@ fn prove(k: u32, n: u32, step_budget: u64, units: u64) {
     }
 }
 
-fn parallel_r5_taste() {
+fn steepest_r5_taste() {
     // §6: "to search for R6, we will need to parallelize some of the
-    // individual heuristics". ParallelSteepest evaluates all 903 edges of
-    // a 43-vertex coloring concurrently per step. R(5) ≥ 43 was the open
-    // frontier at SC98; a counter-example will not fall out in seconds,
-    // but the objective should plunge.
-    use ew_ramsey::{ParallelSteepest, SearchState};
+    // individual heuristics". Steepest reads the delta of all 903 edges of
+    // a 43-vertex coloring per step, one table load each: a pick takes a
+    // few µs, less than spreading it over threads would cost, so it runs
+    // on one. R(5) ≥ 43 was the open frontier at SC98; a counter-example
+    // will not fall out in seconds, but the objective should plunge.
+    use ew_ramsey::{SearchState, Steepest};
     use ew_sim::Xoshiro256;
-    println!("=== parallel steepest descent on the R(5) 43-vertex frontier ===");
+    println!("=== steepest descent on the R(5) 43-vertex frontier ===");
     let mut rng = Xoshiro256::seed_from_u64(1998);
     let mut state = SearchState::random(43, 5, &mut rng);
     let start_count = state.count();
-    let mut h = ParallelSteepest::default();
+    let mut h = Steepest::default();
     let t0 = std::time::Instant::now();
     let rep = ew_ramsey::run_search(&mut state, &mut h, &mut rng, 400);
     println!(
@@ -94,7 +95,7 @@ fn main() {
     prove(3, 5, 2_000, 16);
     // R(4) = 18: a 17-vertex witness (Paley(17) is one) takes real search.
     prove(4, 17, 30_000, 64);
-    parallel_r5_taste();
+    steepest_r5_taste();
     println!(
         "(For scale: the SC98 application searched 43-vertex colorings for R(5),\n\
          a 2^903-point space, across seven Grid infrastructures.)"

@@ -67,6 +67,22 @@ if grep -rnE 'migration_queue|struct Outstanding|pub issued_|results_received' c
     exit 1
 fi
 
+# Concurrency is std only: the farm runs on std::thread::scope and the TCP
+# transport on std::sync::mpsc (414 lines of thread-library stand-ins served
+# one heuristic no world ran, one farm loop and one channel). Only *.rs and
+# Cargo.toml are searched, so this comment does not match itself.
+echo "== concurrency is std only: no rayon or crossbeam, two compat stand-ins"
+if grep -rnwE 'rayon|crossbeam' --include='*.rs' --include=Cargo.toml \
+    Cargo.toml benchmark/Cargo.toml crates tests examples; then
+    echo "error: use std::thread::scope / std::sync::mpsc; the workspace" >&2
+    echo "       vendors no thread library" >&2
+    exit 1
+fi
+if ls crates/compat | grep -vxE 'README\.md|proptest|serde_json'; then
+    echo "error: crates/compat holds only the proptest and serde_json stand-ins" >&2
+    exit 1
+fi
+
 # Nothing ships without a caller: a pub item or a source file whose only
 # reader is its own unit tests fails (framework.rs sat unused for twenty
 # PRs, the Globus service model for twenty-one). Also part of `cargo test`.

@@ -73,22 +73,29 @@ pub trait Process: Any {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event);
 }
 
+/// One queue entry: what happens when it surfaces.
 #[derive(Debug)]
-enum Target {
-    Proc(ProcessId),
+enum Entry {
+    /// Hand an event to a process, behind the alive/host-up gate.
+    Deliver(ProcessId, Event),
+    /// A host comes up (`true`) or goes down.
     HostTransition(HostId, bool),
     /// The earliest drain deadline among the in-flight flow-mode transfers
-    /// when it was armed (see [`Shared::arm_flow_wake`]); a wake that finds
+    /// when it was armed (see [`Sim::arm_flow_wake`]); a wake that finds
     /// no flow due is swallowed at dispatch. Never appears in packet-mode
     /// runs, so packet golden hashes are untouched by construction.
     FlowWake,
 }
 
-struct ProcMeta {
+/// One row of the process table. A process's id is its index, and ids are
+/// never reused. The handler is out of its slot only while it handles an
+/// event; a process that dies loses it for good.
+struct Slot {
     name: String,
     host: HostId,
     alive: bool,
     rng: Xoshiro256,
+    handler: Option<Box<dyn Process>>,
 }
 
 /// Metrics collected during a run; the raw material for every figure in
@@ -231,40 +238,42 @@ fn order_hash_fold(h: u64, word: u64) -> u64 {
         .rotate_left(23)
 }
 
-/// Fold one dispatched entry — `(time, seq, target, event-variant)` — into
-/// the running order hash.
+/// Fold one dispatched entry — `(time, seq, target, event-variant)`, with
+/// `u64::MAX` for an entry that carries no event — into the running order
+/// hash.
 #[inline]
-fn fold_entry(h: u64, t_us: u64, seq: u64, target: &Target, ev: &Option<Event>) -> u64 {
+fn fold_entry(h: u64, t_us: u64, seq: u64, entry: &Entry) -> u64 {
+    let (target, tag) = match entry {
+        Entry::Deliver(pid, ev) => ((pid.0 as u64) << 3 | 0b001, event_tag(ev)),
+        Entry::HostTransition(hid, up) => {
+            ((hid.0 as u64) << 3 | (*up as u64) << 1 | 0b100, u64::MAX)
+        }
+        Entry::FlowWake => (0b010, u64::MAX),
+    };
     let mut h = order_hash_fold(h, t_us);
     h = order_hash_fold(h, seq);
-    h = order_hash_fold(
-        h,
-        match target {
-            Target::Proc(pid) => (pid.0 as u64) << 3 | 0b001,
-            Target::HostTransition(hid, up) => (hid.0 as u64) << 3 | (*up as u64) << 1 | 0b100,
-            Target::FlowWake => 0b010,
-        },
-    );
-    order_hash_fold(h, ev.as_ref().map_or(u64::MAX, event_tag))
+    h = order_hash_fold(h, target);
+    order_hash_fold(h, tag)
 }
 
-struct Shared {
+/// The simulator: owns the network, hosts, processes, queue, and metrics.
+pub struct Sim {
     now: SimTime,
     seq: u64,
-    /// Pending events, totally ordered by `(time, seq)`; the golden
+    /// Pending entries, totally ordered by `(time, seq)`; the golden
     /// event-order-hash tests pin the order.
-    queue: EventQueue<(Target, Option<Event>)>,
+    queue: EventQueue<Entry>,
     net: NetModel,
     hosts: HostTable,
     host_up: Vec<bool>,
-    meta: Vec<ProcMeta>,
+    /// The process table, indexed by [`ProcessId`].
+    procs: Vec<Slot>,
     watchers: FxHashMap<HostId, Vec<ProcessId>>,
     seeder: StreamSeeder,
     net_rng: Xoshiro256,
     metrics: Metrics,
     tele: KernelTele,
-    pending_spawns: Vec<(ProcessId, Box<dyn Process>)>,
-    pending_exits: Vec<ProcessId>,
+    transitions_scheduled: bool,
     events_dispatched: u64,
     order_hash: u64,
     /// Lazy timer cancellation: `(pid, tag)` → sequence-number watermark.
@@ -276,7 +285,7 @@ struct Shared {
     /// In-flight flow-mode transfers (empty forever in packet mode).
     flows: FlowTable,
     /// Reusable scratch for deadlines coming out of a fair-share
-    /// recompute, filed by [`Shared::flush_flow_resched`].
+    /// recompute, filed by [`Sim::flush_flow_resched`].
     flow_resched: Vec<FlowDeadline>,
     /// Current drain deadline of each in-flight flow, by flow id:
     /// `(generation, deadline µs)`, `u64::MAX` for a free id. A recompute
@@ -288,7 +297,7 @@ struct Shared {
     flow_wake: u64,
     /// Reusable dispatch scratch: one same-tick run at a time, emptied
     /// before being handed back to the queue.
-    dispatch_buf: Vec<(u64, u64, (Target, Option<Event>))>,
+    dispatch_buf: Vec<(u64, u64, Entry)>,
     /// Largest same-tick run dispatched so far (gauge `kernel.batch_len_max`).
     batch_len_max: u64,
     /// Whether the payload pool has been reset for this simulation (done
@@ -300,11 +309,11 @@ struct Shared {
     pool_seen: crate::payload::PoolStats,
 }
 
-impl Shared {
-    fn push(&mut self, time: SimTime, target: Target, ev: Option<Event>) {
+impl Sim {
+    fn push(&mut self, time: SimTime, entry: Entry) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.insert(time.as_micros(), seq, (target, ev));
+        self.queue.insert(time.as_micros(), seq, entry);
     }
 
     /// Begin one flow-mode transfer: register it and mark the links it
@@ -385,7 +394,7 @@ impl Shared {
         if let Some((_, _, at)) = self.next_flow_due() {
             if at < self.flow_wake {
                 self.flow_wake = at;
-                self.push(SimTime::from_micros(at), Target::FlowWake, None);
+                self.push(SimTime::from_micros(at), Entry::FlowWake);
             }
         }
     }
@@ -396,16 +405,9 @@ impl Shared {
     /// dirtied a link — the one recompute site — so deadlines always exist
     /// before simulated time advances.
     fn flush_dirty_flows(&mut self) {
-        let now = self.now;
-        let n = {
-            let Shared {
-                flows,
-                net,
-                flow_resched,
-                ..
-            } = self;
-            flows.recompute_dirty(now, net, flow_resched)
-        };
+        let n = self
+            .flows
+            .recompute_dirty(self.now, &self.net, &mut self.flow_resched);
         if n > 0 {
             let id = self.tele.flow_dirty_links;
             self.metrics.reg.add(id, n as f64);
@@ -413,29 +415,61 @@ impl Shared {
         self.flush_flow_resched();
     }
 
-    fn reserve_pid(&mut self, name: &str, host: HostId) -> ProcessId {
-        let pid = ProcessId(self.meta.len() as u32);
-        let rng = self.seeder.stream(0x5eed_0000_0000_0000 ^ pid.0 as u64);
-        self.meta.push(ProcMeta {
-            name: name.to_string(),
-            host,
-            alive: true,
-            rng,
-        });
-        pid
+    /// Serve a `FlowWake` entry at `t_us`: complete and deliver the flow
+    /// that is due, if any, and keep a wake armed.
+    fn serve_flow_wake(&mut self, t_us: u64) {
+        if t_us == self.flow_wake {
+            self.flow_wake = u64::MAX;
+        }
+        match self.next_flow_due() {
+            Some((flow, generation, at)) if at <= t_us => {
+                self.flow_due[flow as usize].1 = u64::MAX;
+                let cf = self
+                    .flows
+                    .complete(flow, generation)
+                    .expect("flow_due holds live generations");
+                let done = self.tele.flows_completed;
+                self.metrics.reg.inc(done);
+                let active = self.tele.flows_active;
+                let n = self.flows.active() as f64;
+                self.metrics.reg.set_gauge(active, n);
+                // Capacity freed up: the flush after the entry re-shares
+                // it among the survivors on this flow's links.
+                self.flows.mark_dirty(&cf.links[..cf.nlinks]);
+                self.deliver(
+                    ProcessId(cf.to),
+                    Event::Message {
+                        from: ProcessId(cf.from),
+                        mtype: cf.mtype,
+                        payload: cf.payload,
+                    },
+                );
+            }
+            _ => {
+                // The deadline this wake was armed for moved (a recompute
+                // superseded it) or a duplicate wake already served it.
+                let id = self.tele.flows_stale;
+                self.metrics.reg.inc(id);
+            }
+        }
+        // A completion dirties its links and the flush after the entry
+        // re-arms; a wake that found nothing due re-arms here.
+        if !self.flows.has_dirty() {
+            self.arm_flow_wake();
+        }
     }
 }
 
 /// The per-event capability handle passed to [`Process::on_event`].
 pub struct Ctx<'a> {
-    shared: &'a mut Shared,
+    sim: &'a mut Sim,
     me: ProcessId,
 }
 
 impl<'a> Ctx<'a> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shared.now
+        self.sim.now
     }
 
     /// This process's id.
@@ -445,17 +479,17 @@ impl<'a> Ctx<'a> {
 
     /// This process's host.
     pub fn host(&self) -> HostId {
-        self.shared.meta[self.me.0 as usize].host
+        self.sim.procs[self.me.0 as usize].host
     }
 
     /// This process's registered name.
     pub fn name(&self) -> &str {
-        &self.shared.meta[self.me.0 as usize].name
+        &self.sim.procs[self.me.0 as usize].name
     }
 
     /// This process's deterministic random stream.
     pub fn rng(&mut self) -> &mut Xoshiro256 {
-        &mut self.shared.meta[self.me.0 as usize].rng
+        &mut self.sim.procs[self.me.0 as usize].rng
     }
 
     /// Deliver `Event::Timer { tag }` to this process after `after`.
@@ -464,9 +498,9 @@ impl<'a> Ctx<'a> {
     /// [`Ctx::cancel_timer`]; processes that prefer the classic pattern can
     /// still carry a generation number in the tag and ignore stale firings.
     pub fn set_timer(&mut self, after: SimDuration, tag: u64) {
-        let at = self.shared.now + after;
-        self.shared
-            .push(at, Target::Proc(self.me), Some(Event::Timer { tag }));
+        let at = self.sim.now + after;
+        self.sim
+            .push(at, Entry::Deliver(self.me, Event::Timer { tag }));
     }
 
     /// Cancel every `Event::Timer { tag }` this process armed *before* this
@@ -475,8 +509,8 @@ impl<'a> Ctx<'a> {
     /// Timers armed with the same tag *after* this call fire normally, so
     /// cancel-then-rearm implements deadline adjustment.
     pub fn cancel_timer(&mut self, tag: u64) {
-        let watermark = self.shared.seq;
-        self.shared.cancelled.insert((self.me.0, tag), watermark);
+        let watermark = self.sim.seq;
+        self.sim.cancelled.insert((self.me.0, tag), watermark);
     }
 
     /// Send a message to another process through the network model.
@@ -492,164 +526,125 @@ impl<'a> Ctx<'a> {
     /// all in-flight copies.
     pub fn send(&mut self, to: ProcessId, mtype: u32, payload: impl Into<Payload>) {
         let payload = payload.into();
-        let from_host = self.shared.meta[self.me.0 as usize].host;
-        let Some(to_meta) = self.shared.meta.get(to.0 as usize) else {
-            let id = self.shared.tele.send_to_unknown;
-            self.shared.metrics.reg.inc(id);
+        let sim = &mut *self.sim;
+        let from_host = sim.procs[self.me.0 as usize].host;
+        let Some(to_slot) = sim.procs.get(to.0 as usize) else {
+            sim.metrics.reg.inc(sim.tele.send_to_unknown);
             return;
         };
-        let to_host = to_meta.host;
-        let from_site = self.shared.hosts.get(from_host).site;
-        let to_site = self.shared.hosts.get(to_host).site;
+        let from_site = sim.hosts.get(from_host).site;
+        let to_site = sim.hosts.get(to_slot.host).site;
         let bytes = payload.len() + 32; // packet header overhead
-        let now = self.shared.now;
+        let now = sim.now;
         // Impairment sampling is gated behind `has_impairments` so worlds
         // without lossy-link windows draw nothing from the net rng here
         // and stay bit-identical to pre-impairment kernels.
-        let (imp_drop, imp_dup) = if self.shared.net.has_impairments() {
-            self.shared
-                .net
-                .impair(from_site, to_site, now, &mut self.shared.net_rng)
+        let (imp_drop, imp_dup) = if sim.net.has_impairments() {
+            sim.net.impair(from_site, to_site, now, &mut sim.net_rng)
         } else {
             (false, false)
         };
         if imp_drop {
-            let id = self.shared.tele.dropped_impaired;
-            self.shared.metrics.reg.inc(id);
+            sim.metrics.reg.inc(sim.tele.dropped_impaired);
             return;
         }
-        if self.shared.net.model() == NetworkModel::Flow && bytes as u64 > FLOW_MTU_BYTES {
-            // Flow mode, bulk transfer: the transfer drains through shared
-            // links at a max-min fair rate instead of taking a one-shot
-            // sampled delay. One flow costs O(sharing-set) deadline work
-            // total, however many MTUs it spans. Messages that fit one MTU
-            // (the RPC traffic fair-sharing models poorly and recomputes
-            // made expensive) fall through to the sampled-delay path below,
-            // which works identically in either network mode.
-            let Some(latency) = self.shared.net.flow_latency(from_site, to_site, now) else {
-                let id = self.shared.tele.dropped_partition;
-                self.shared.metrics.reg.inc(id);
-                return;
-            };
-            let (m, b) = (self.shared.tele.messages, self.shared.tele.bytes);
-            self.shared.metrics.reg.inc(m);
-            self.shared.metrics.reg.add(b, bytes as f64);
-            if payload.is_shared() {
-                let saved = self.shared.tele.bytes_copy_saved;
-                self.shared.metrics.reg.add(saved, payload.len() as f64);
-            }
+        // Flow mode, bulk transfer: the transfer drains through shared
+        // links at a max-min fair rate instead of taking a one-shot sampled
+        // delay. One flow costs O(sharing-set) deadline work total, however
+        // many MTUs it spans. Messages that fit one MTU (the RPC traffic
+        // fair-sharing models poorly and recomputes made expensive) take a
+        // sampled delay, which works identically in either network mode.
+        let flow = sim.net.model() == NetworkModel::Flow && bytes as u64 > FLOW_MTU_BYTES;
+        let route = if flow {
+            sim.net.flow_latency(from_site, to_site, now)
+        } else {
+            sim.net
+                .delay(from_site, to_site, bytes, now, &mut sim.net_rng)
+        };
+        let Some(d) = route else {
+            sim.metrics.reg.inc(sim.tele.dropped_partition);
+            return;
+        };
+        sim.metrics.reg.inc(sim.tele.messages);
+        sim.metrics.reg.add(sim.tele.bytes, bytes as f64);
+        if payload.is_shared() {
+            // Another live reference to this buffer exists (fan-out master
+            // copy or a sibling in-flight message): a Vec-payload kernel
+            // would have deep-copied here.
+            let saved = payload.len() as f64;
+            sim.metrics.reg.add(sim.tele.bytes_copy_saved, saved);
+        }
+        let me = self.me;
+        if flow {
             if imp_dup {
                 // The duplicate is its own flow: it contends for the same
                 // links, so both copies slow each other down — closer to a
                 // real retransmission than an independent delay sample.
-                let id = self.shared.tele.duplicated;
-                self.shared.metrics.reg.inc(id);
+                sim.metrics.reg.inc(sim.tele.duplicated);
                 let dup = payload.clone();
-                self.shared
-                    .start_flow(from_site, to_site, bytes, latency, self.me, to, mtype, dup);
+                sim.start_flow(from_site, to_site, bytes, d, me, to, mtype, dup);
             }
-            self.shared.start_flow(
-                from_site, to_site, bytes, latency, self.me, to, mtype, payload,
-            );
+            sim.start_flow(from_site, to_site, bytes, d, me, to, mtype, payload);
             return;
         }
-        match self
-            .shared
-            .net
-            .delay(from_site, to_site, bytes, now, &mut self.shared.net_rng)
-        {
-            None => {
-                let id = self.shared.tele.dropped_partition;
-                self.shared.metrics.reg.inc(id);
-            }
-            Some(d) => {
-                let (m, b) = (self.shared.tele.messages, self.shared.tele.bytes);
-                self.shared.metrics.reg.inc(m);
-                self.shared.metrics.reg.add(b, bytes as f64);
-                if payload.is_shared() {
-                    // Another live reference to this buffer exists (fan-out
-                    // master copy or a sibling in-flight message): a
-                    // Vec-payload kernel would have deep-copied here.
-                    let saved = self.shared.tele.bytes_copy_saved;
-                    self.shared.metrics.reg.add(saved, payload.len() as f64);
-                }
-                if imp_dup {
-                    // The duplicate shares the payload buffer and takes an
-                    // independently sampled flight time.
-                    if let Some(d2) = self.shared.net.delay(
-                        from_site,
-                        to_site,
-                        bytes,
-                        now,
-                        &mut self.shared.net_rng,
-                    ) {
-                        let id = self.shared.tele.duplicated;
-                        self.shared.metrics.reg.inc(id);
-                        self.shared.push(
-                            now + d2,
-                            Target::Proc(to),
-                            Some(Event::Message {
-                                from: self.me,
-                                mtype,
-                                payload: payload.clone(),
-                            }),
-                        );
-                    }
-                }
-                self.shared.push(
-                    now + d,
-                    Target::Proc(to),
-                    Some(Event::Message {
-                        from: self.me,
-                        mtype,
-                        payload,
-                    }),
-                );
+        if imp_dup {
+            // The duplicate shares the payload buffer and takes an
+            // independently sampled flight time.
+            let d2 = sim
+                .net
+                .delay(from_site, to_site, bytes, now, &mut sim.net_rng);
+            if let Some(d2) = d2 {
+                sim.metrics.reg.inc(sim.tele.duplicated);
+                let dup = Event::Message {
+                    from: me,
+                    mtype,
+                    payload: payload.clone(),
+                };
+                sim.push(now + d2, Entry::Deliver(to, dup));
             }
         }
+        let ev = Event::Message {
+            from: me,
+            mtype,
+            payload,
+        };
+        sim.push(now + d, Entry::Deliver(to, ev));
     }
 
     /// Execute `ops` useful operations on this host; `Event::ComputeDone`
     /// arrives when they finish. The host's speed and instantaneous
     /// background load determine the duration.
     pub fn compute(&mut self, ops: u64, tag: u64) {
-        let host = self.shared.meta[self.me.0 as usize].host;
-        let d = self
-            .shared
-            .hosts
-            .get(host)
-            .compute_time(ops, self.shared.now);
-        let at = self.shared.now + d;
-        self.shared.push(
-            at,
-            Target::Proc(self.me),
-            Some(Event::ComputeDone { tag, ops }),
-        );
+        let now = self.sim.now;
+        let at = now + self.sim.hosts.get(self.host()).compute_time(ops, now);
+        let ev = Event::ComputeDone { tag, ops };
+        self.sim.push(at, Entry::Deliver(self.me, ev));
     }
 
-    /// Spawn a new process on `host`. It receives `Event::Started` at the
-    /// current instant (after the current event finishes dispatching). The
-    /// id is valid immediately.
+    /// Spawn a new process on `host` (see [`Sim::spawn`]). It receives
+    /// `Event::Started` at the current instant, after the current run of
+    /// same-tick entries. The id is valid immediately.
     pub fn spawn(&mut self, name: &str, host: HostId, p: Box<dyn Process>) -> ProcessId {
-        let pid = self.shared.reserve_pid(name, host);
-        self.shared.pending_spawns.push((pid, p));
-        self.shared
-            .push(self.shared.now, Target::Proc(pid), Some(Event::Started));
-        pid
+        self.sim.spawn(name, host, p)
     }
 
     /// Subscribe this process to `HostStateChanged` events for `host`.
     pub fn watch_host(&mut self, host: HostId) {
         let me = self.me;
-        let list = self.shared.watchers.entry(host).or_default();
+        let list = self.sim.watchers.entry(host).or_default();
         if !list.contains(&me) {
             list.push(me);
         }
     }
 
-    /// Terminate this process after the current event completes.
+    /// Terminate this process now: the current handler runs to its end,
+    /// and nothing is delivered to the process after it.
     pub fn exit(&mut self) {
-        self.shared.pending_exits.push(self.me);
+        let slot = &mut self.sim.procs[self.me.0 as usize];
+        if slot.alive {
+            slot.alive = false;
+            self.sim.metrics.reg.inc(self.sim.tele.exited);
+        }
     }
 
     /// Whether `pid` is currently alive. Grid components cannot actually
@@ -657,16 +652,12 @@ impl<'a> Ctx<'a> {
     /// supervisor models, which stand in for e.g. the Condor central
     /// manager.
     pub fn is_alive(&self, pid: ProcessId) -> bool {
-        self.shared
-            .meta
-            .get(pid.0 as usize)
-            .map(|m| m.alive)
-            .unwrap_or(false)
+        self.sim.process_alive(pid)
     }
 
     /// Whether `host` is currently up (again: supervisor-only knowledge).
     pub fn host_up(&self, host: HostId) -> bool {
-        self.shared.host_up[host.0 as usize]
+        self.sim.host_up[host.0 as usize]
     }
 
     // ---- telemetry: interned handles ----
@@ -676,85 +667,78 @@ impl<'a> Ctx<'a> {
 
     /// Intern a counter name, returning a copyable handle.
     pub fn counter(&mut self, name: &str) -> CounterId {
-        self.shared.metrics.reg.counter(name)
+        self.sim.metrics.reg.counter(name)
     }
 
     /// Add `v` to an interned counter.
     #[inline]
     pub fn add(&mut self, id: CounterId, v: f64) {
-        self.shared.metrics.reg.add(id, v);
+        self.sim.metrics.reg.add(id, v);
     }
 
     /// Add 1 to an interned counter.
     #[inline]
     pub fn inc(&mut self, id: CounterId) {
-        self.shared.metrics.reg.inc(id);
+        self.sim.metrics.reg.inc(id);
     }
 
     /// Intern a time-series name, returning a copyable handle. What is
     /// recorded on it is kept only if a reader declared the series
     /// ([`Sim::declare_series`]).
     pub fn series(&mut self, name: &str) -> SeriesId {
-        self.shared.metrics.reg.series(name)
+        self.sim.metrics.reg.series(name)
     }
 
     /// Add `v` to the current simulated time's bin of an interned series.
     #[inline]
     pub fn record(&mut self, id: SeriesId, v: f64) {
-        let t_us = self.shared.now.as_micros();
-        self.shared.metrics.reg.record(id, t_us, v);
+        let t_us = self.sim.now.as_micros();
+        self.sim.metrics.reg.record(id, t_us, v);
     }
 
     /// Intern a gauge name, returning a copyable handle.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        self.shared.metrics.reg.gauge(name)
+        self.sim.metrics.reg.gauge(name)
     }
 
     /// Set an interned gauge to `v`.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
-        self.shared.metrics.reg.set_gauge(id, v);
+        self.sim.metrics.reg.set_gauge(id, v);
     }
 
     /// Intern a histogram name, returning a copyable handle.
     pub fn histogram(&mut self, name: &str) -> HistogramId {
-        self.shared.metrics.reg.histogram(name)
+        self.sim.metrics.reg.histogram(name)
     }
 
     /// Record one observation into an interned histogram.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, v: f64) {
-        self.shared.metrics.reg.observe(id, v);
+        self.sim.metrics.reg.observe(id, v);
     }
 
     /// Intern a span name, returning a copyable handle.
     pub fn span(&mut self, name: &str) -> SpanId {
-        self.shared.metrics.reg.span(name)
-    }
-
-    /// Whether span tracing is collecting records. Components may use this
-    /// to skip building expensive tags, never to change behavior.
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.shared.metrics.reg.tracing_enabled()
+        self.sim.metrics.reg.span(name)
     }
 
     /// Record a span entry at the current simulated time (no-op unless
     /// tracing is enabled; the actor is this process).
     #[inline]
     pub fn span_enter(&mut self, span: SpanId, tag: u64) {
-        let t_us = self.shared.now.as_micros();
+        let t_us = self.sim.now.as_micros();
         let actor = self.me.0 as u64;
-        self.shared.metrics.reg.span_enter(t_us, span, actor, tag);
+        self.sim.metrics.reg.span_enter(t_us, span, actor, tag);
     }
 
     /// Record a span exit at the current simulated time (no-op unless
     /// tracing is enabled; the actor is this process).
     #[inline]
     pub fn span_exit(&mut self, span: SpanId, tag: u64) {
-        let t_us = self.shared.now.as_micros();
+        let t_us = self.sim.now.as_micros();
         let actor = self.me.0 as u64;
-        self.shared.metrics.reg.span_exit(t_us, span, actor, tag);
+        self.sim.metrics.reg.span_exit(t_us, span, actor, tag);
     }
 }
 
@@ -767,59 +751,45 @@ pub struct RunStats {
     pub now: SimTime,
 }
 
-/// The simulator: owns the network, hosts, processes, queue, and metrics.
-pub struct Sim {
-    shared: Shared,
-    procs: Vec<Option<Box<dyn Process>>>,
-    transitions_scheduled: bool,
-}
-
 impl Sim {
     /// Build a simulator over the given network and host table, seeding all
     /// randomness from `seed`.
     pub fn new(net: NetModel, hosts: HostTable, seed: u64) -> Self {
         let seeder = StreamSeeder::new(seed);
         let net_rng = seeder.stream_named("kernel.net");
-        let host_up = vec![true; hosts.len()];
         let mut metrics = Metrics::default();
         let tele = KernelTele::intern(metrics.registry_mut());
-        let flows = FlowTable::new(net.site_count());
         Sim {
-            shared: Shared {
-                now: SimTime::ZERO,
-                seq: 0,
-                queue: EventQueue::new(),
-                net,
-                hosts,
-                host_up,
-                meta: Vec::new(),
-                watchers: FxHashMap::default(),
-                seeder,
-                net_rng,
-                metrics,
-                tele,
-                pending_spawns: Vec::new(),
-                pending_exits: Vec::new(),
-                events_dispatched: 0,
-                order_hash: ORDER_HASH_BASIS,
-                cancelled: FxHashMap::default(),
-                flows,
-                flow_resched: Vec::new(),
-                flow_due: Vec::new(),
-                flow_wake: u64::MAX,
-                dispatch_buf: Vec::new(),
-                batch_len_max: 0,
-                pool_primed: false,
-                pool_seen: crate::payload::PoolStats::default(),
-            },
+            now: SimTime::ZERO,
+            seq: 0,
+            queue: EventQueue::new(),
+            flows: FlowTable::new(net.site_count()),
+            net,
+            host_up: vec![true; hosts.len()],
+            hosts,
             procs: Vec::new(),
+            watchers: FxHashMap::default(),
+            seeder,
+            net_rng,
+            metrics,
+            tele,
             transitions_scheduled: false,
+            events_dispatched: 0,
+            order_hash: ORDER_HASH_BASIS,
+            cancelled: FxHashMap::default(),
+            flow_resched: Vec::new(),
+            flow_due: Vec::new(),
+            flow_wake: u64::MAX,
+            dispatch_buf: Vec::new(),
+            batch_len_max: 0,
+            pool_primed: false,
+            pool_seen: crate::payload::PoolStats::default(),
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shared.now
+        self.now
     }
 
     /// Running hash over every dispatched `(time, seq, target,
@@ -827,35 +797,42 @@ impl Sim {
     /// order if and only if their hashes agree — the guard that the event
     /// queue's total order survives implementation changes.
     pub fn event_order_hash(&self) -> u64 {
-        self.shared.order_hash
+        self.order_hash
     }
 
-    /// Spawn a process before or between runs.
+    /// Spawn a process on `host`, before, between or (through
+    /// [`Ctx::spawn`]) during runs. It receives `Event::Started` at the
+    /// current instant, after every entry already queued for that instant.
+    /// The id is valid immediately.
     pub fn spawn(&mut self, name: &str, host: HostId, p: Box<dyn Process>) -> ProcessId {
-        let pid = self.shared.reserve_pid(name, host);
-        self.procs.push(Some(Box::new(Tombstone)));
-        self.procs[pid.0 as usize] = Some(p);
-        self.shared
-            .push(self.shared.now, Target::Proc(pid), Some(Event::Started));
+        let pid = ProcessId(self.procs.len() as u32);
+        self.procs.push(Slot {
+            name: name.to_string(),
+            host,
+            alive: true,
+            rng: self.seeder.stream(0x5eed_0000_0000_0000 ^ pid.0 as u64),
+            handler: Some(p),
+        });
+        self.push(self.now, Entry::Deliver(pid, Event::Started));
         pid
     }
 
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.shared.metrics
+        &self.metrics
     }
 
     /// Consume the simulator, yielding its metrics. Sim-farm cells use
     /// this after the run: outcome numbers are extracted first, then the
     /// whole registry travels back to the caller for the ordered merge.
     pub fn into_metrics(self) -> Metrics {
-        self.shared.metrics
+        self.metrics
     }
 
     /// The telemetry registry behind [`Sim::metrics`] (histograms, gauges,
     /// health reports, span tracing).
     pub fn telemetry(&self) -> &Registry {
-        self.shared.metrics.registry()
+        self.metrics.registry()
     }
 
     /// Keep the series `name`, binned at `width`: from now on each sample
@@ -863,37 +840,30 @@ impl Sim {
     /// no reader declared are discarded. Panics if `name` was already
     /// declared at another width.
     pub fn declare_series(&mut self, name: &str, width: SimDuration) {
-        self.shared
-            .metrics
-            .reg
-            .declare_series(name, width.as_micros());
+        self.metrics.reg.declare_series(name, width.as_micros());
     }
 
     /// Start collecting span trace records into a ring of `capacity`
     /// entries. Tracing is purely observational: a run is bit-identical
     /// with tracing on or off.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.shared.metrics.reg.enable_tracing(capacity);
+        self.metrics.reg.enable_tracing(capacity);
     }
 
     /// Export collected span records as deterministic JSONL (empty string
     /// when tracing was never enabled).
     pub fn export_trace_jsonl(&self) -> String {
-        self.shared.metrics.reg.export_trace_jsonl()
+        self.metrics.reg.export_trace_jsonl()
     }
 
     /// Whether a process is alive.
     pub fn process_alive(&self, pid: ProcessId) -> bool {
-        self.shared
-            .meta
-            .get(pid.0 as usize)
-            .map(|m| m.alive)
-            .unwrap_or(false)
+        self.procs.get(pid.0 as usize).is_some_and(|s| s.alive)
     }
 
     /// Host table (read-only).
     pub fn hosts(&self) -> &HostTable {
-        &self.shared.hosts
+        &self.hosts
     }
 
     /// Inspect a process's concrete state (used by experiment drivers to
@@ -904,7 +874,7 @@ impl Sim {
         pid: ProcessId,
         f: impl FnOnce(&T) -> R,
     ) -> Option<R> {
-        let b = self.procs.get(pid.0 as usize)?.as_ref()?;
+        let b = self.procs.get(pid.0 as usize)?.handler.as_ref()?;
         let any: &dyn Any = b.as_ref();
         any.downcast_ref::<T>().map(f)
     }
@@ -916,208 +886,121 @@ impl Sim {
         self.transitions_scheduled = true;
         // Known before the first event, so filed in the queue's lane, not
         // its heap; each transition still draws its own seq, in host order.
-        let shared = &mut self.shared;
         let mut batch = Vec::new();
-        for (hid, spec) in shared.hosts.iter() {
+        for (hid, spec) in self.hosts.iter() {
             for &(t, up) in &spec.availability.transitions {
                 if t == SimTime::ZERO && !up {
-                    shared.host_up[hid.0 as usize] = false;
+                    self.host_up[hid.0 as usize] = false;
                 } else {
-                    let target = Target::HostTransition(hid, up);
-                    batch.push((t.as_micros(), shared.seq, (target, None)));
-                    shared.seq += 1;
+                    let entry = Entry::HostTransition(hid, up);
+                    batch.push((t.as_micros(), self.seq, entry));
+                    self.seq += 1;
                 }
             }
         }
-        shared.queue.preload(batch);
+        self.queue.preload(batch);
     }
 
     fn apply_host_transition(&mut self, host: HostId, up: bool) {
-        let was = self.shared.host_up[host.0 as usize];
-        if was == up {
+        if self.host_up[host.0 as usize] == up {
             return;
         }
-        self.shared.host_up[host.0 as usize] = up;
+        self.host_up[host.0 as usize] = up;
         let transition = if up {
-            self.shared.tele.came_up
+            self.tele.came_up
         } else {
-            self.shared.tele.went_down
+            self.tele.went_down
         };
-        self.shared.metrics.reg.inc(transition);
+        self.metrics.reg.inc(transition);
         if !up {
             // Kill every process on the host, without warning.
-            let killed = self.shared.tele.killed_by_host_down;
-            for (i, m) in self.shared.meta.iter_mut().enumerate() {
-                if m.alive && m.host == host {
-                    m.alive = false;
-                    self.procs[i] = None;
-                    self.shared.metrics.reg.inc(killed);
+            for slot in &mut self.procs {
+                if slot.alive && slot.host == host {
+                    slot.alive = false;
+                    slot.handler = None;
+                    self.metrics.reg.inc(self.tele.killed_by_host_down);
                 }
             }
         }
         // Notify watchers (infrastructure supervisors).
-        let watchers = self.shared.watchers.get(&host).cloned().unwrap_or_default();
-        let now = self.shared.now;
+        let watchers = self.watchers.get(&host).cloned().unwrap_or_default();
         for w in watchers {
-            if self.shared.meta[w.0 as usize].alive {
-                self.shared.push(
-                    now,
-                    Target::Proc(w),
-                    Some(Event::HostStateChanged { host, up }),
-                );
-            }
-        }
-    }
-
-    fn integrate_pending(&mut self) {
-        let spawns = std::mem::take(&mut self.shared.pending_spawns);
-        for (pid, p) in spawns {
-            while self.procs.len() <= pid.0 as usize {
-                self.procs.push(None);
-            }
-            self.procs[pid.0 as usize] = Some(p);
-        }
-        let exits = std::mem::take(&mut self.shared.pending_exits);
-        let exited = self.shared.tele.exited;
-        for pid in exits {
-            if self.shared.meta[pid.0 as usize].alive {
-                self.shared.meta[pid.0 as usize].alive = false;
-                self.procs[pid.0 as usize] = None;
-                self.shared.metrics.reg.inc(exited);
+            if self.procs[w.0 as usize].alive {
+                let ev = Event::HostStateChanged { host, up };
+                self.push(self.now, Entry::Deliver(w, ev));
             }
         }
     }
 
     /// Deliver one event to a process: alive/host-up gate, dispatch span,
-    /// take-run-restore of the boxed process. Shared between the direct
-    /// `Target::Proc` path and flow completions.
+    /// take-run-restore of its handler. Used by `Entry::Deliver` and by
+    /// flow completions.
     fn deliver(&mut self, pid: ProcessId, ev: Event) {
-        let idx = pid.0 as usize;
-        let deliverable = self.shared.meta[idx].alive
-            && self.shared.host_up[self.shared.meta[idx].host.0 as usize];
-        if deliverable {
-            if let Some(mut p) = self.procs[idx].take() {
-                self.shared.events_dispatched += 1;
-                let tag = event_tag(&ev);
-                let (t_us, span) = (self.shared.now.as_micros(), self.shared.tele.dispatch_span);
-                self.shared
-                    .metrics
-                    .reg
-                    .span_enter(t_us, span, pid.0 as u64, tag);
-                {
-                    let mut ctx = Ctx {
-                        shared: &mut self.shared,
-                        me: pid,
-                    };
-                    p.on_event(&mut ctx, ev);
-                }
-                self.shared
-                    .metrics
-                    .reg
-                    .span_exit(t_us, span, pid.0 as u64, tag);
-                // The process may have exited or been re-slotted;
-                // only put it back if the slot is still empty.
-                if self.procs[idx].is_none() {
-                    self.procs[idx] = Some(p);
-                }
-            }
-        } else {
-            let dropped = self.shared.tele.dropped_dead_dest;
-            self.shared.metrics.reg.inc(dropped);
+        let slot = &mut self.procs[pid.0 as usize];
+        if !(slot.alive && self.host_up[slot.host.0 as usize]) {
+            self.metrics.reg.inc(self.tele.dropped_dead_dest);
+            return;
+        }
+        let mut p = slot
+            .handler
+            .take()
+            .expect("a live process holds its handler");
+        self.events_dispatched += 1;
+        let tag = event_tag(&ev);
+        let (t_us, span) = (self.now.as_micros(), self.tele.dispatch_span);
+        self.metrics.reg.span_enter(t_us, span, pid.0 as u64, tag);
+        p.on_event(&mut Ctx { sim: self, me: pid }, ev);
+        self.metrics.reg.span_exit(t_us, span, pid.0 as u64, tag);
+        // A process that exited while handling the event loses its handler.
+        let slot = &mut self.procs[pid.0 as usize];
+        if slot.alive {
+            slot.handler = Some(p);
         }
     }
 
     /// Dispatch one already-popped, already-hashed queue entry: advance
     /// `now`, swallow lazily-cancelled timers (before the alive/host-up
     /// gate in [`Sim::deliver`], so a cancelled timer for a dead process
-    /// counts as cancelled, not dropped), route by target, flush dirty
-    /// flow links, integrate spawns/exits. The golden order hashes pin
-    /// this per-entry order.
-    fn dispatch_entry(&mut self, t_us: u64, seq: u64, target: Target, ev: Option<Event>) {
+    /// counts as cancelled, not dropped), route the entry, flush dirty
+    /// flow links. The golden order hashes pin this per-entry order.
+    fn dispatch_entry(&mut self, t_us: u64, seq: u64, entry: Entry) {
         let time = SimTime::from_micros(t_us);
-        debug_assert!(time >= self.shared.now, "time went backwards");
-        self.shared.now = time;
-        // Lazily-cancelled timer: armed before a cancel_timer() call on
-        // the same (pid, tag). Swallow it here instead of delivering.
-        if let (Target::Proc(pid), Some(Event::Timer { tag })) = (&target, &ev) {
-            if let Some(&watermark) = self.shared.cancelled.get(&(pid.0, *tag)) {
-                if seq < watermark {
-                    let c = self.shared.tele.timers_cancelled;
-                    self.shared.metrics.reg.inc(c);
-                    return;
-                }
-            }
-        }
-        match target {
-            Target::HostTransition(h, up) => {
-                self.apply_host_transition(h, up);
-            }
-            Target::FlowWake => {
-                if t_us == self.shared.flow_wake {
-                    self.shared.flow_wake = u64::MAX;
-                }
-                match self.shared.next_flow_due() {
-                    Some((flow, generation, at)) if at <= t_us => {
-                        self.shared.flow_due[flow as usize].1 = u64::MAX;
-                        let cf = self
-                            .shared
-                            .flows
-                            .complete(flow, generation)
-                            .expect("flow_due holds live generations");
-                        let done = self.shared.tele.flows_completed;
-                        self.shared.metrics.reg.inc(done);
-                        let active = self.shared.tele.flows_active;
-                        let n = self.shared.flows.active() as f64;
-                        self.shared.metrics.reg.set_gauge(active, n);
-                        // Capacity freed up: the flush below re-shares it
-                        // among the survivors on this flow's links.
-                        self.shared.flows.mark_dirty(&cf.links[..cf.nlinks]);
-                        self.deliver(
-                            ProcessId(cf.to),
-                            Event::Message {
-                                from: ProcessId(cf.from),
-                                mtype: cf.mtype,
-                                payload: cf.payload,
-                            },
-                        );
-                    }
-                    _ => {
-                        // The deadline this wake was armed for moved (a
-                        // recompute superseded it) or a duplicate wake
-                        // already served it.
-                        let id = self.shared.tele.flows_stale;
-                        self.shared.metrics.reg.inc(id);
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        match entry {
+            Entry::Deliver(pid, ev) => {
+                // Lazily-cancelled timer: armed before a cancel_timer()
+                // call on the same (pid, tag). Swallow it here instead of
+                // delivering.
+                if let Event::Timer { tag } = ev {
+                    if self.cancelled.get(&(pid.0, tag)).is_some_and(|&w| seq < w) {
+                        self.metrics.reg.inc(self.tele.timers_cancelled);
+                        return;
                     }
                 }
-                // A completion dirties its links and the flush below
-                // re-arms; a wake that found nothing due re-arms here.
-                if !self.shared.flows.has_dirty() {
-                    self.shared.arm_flow_wake();
-                }
+                self.deliver(pid, ev);
             }
-            Target::Proc(pid) => {
-                self.deliver(pid, ev.expect("process events carry payloads"));
-            }
+            Entry::HostTransition(h, up) => self.apply_host_transition(h, up),
+            Entry::FlowWake => self.serve_flow_wake(t_us),
         }
-        if self.shared.flows.has_dirty() {
-            self.shared.flush_dirty_flows();
+        if self.flows.has_dirty() {
+            self.flush_dirty_flows();
         }
-        self.integrate_pending();
     }
 
     /// Run the event loop until simulated time `t_end` (events at exactly
     /// `t_end` are dispatched). Returns dispatch statistics.
     pub fn run_until(&mut self, t_end: SimTime) -> RunStats {
         self.schedule_host_transitions();
-        if !self.shared.pool_primed {
+        if !self.pool_primed {
             // First drive of this sim, on the thread that actually runs
             // it: start the payload pool cold, so pool telemetry (and
             // buffer reuse) is a deterministic function of the scenario
             // rather than of which farm worker ran the cell before.
             crate::payload::pool_reset();
-            self.shared.pool_primed = true;
+            self.pool_primed = true;
         }
-        let start_events = self.shared.events_dispatched;
+        let start_events = self.events_dispatched;
         let limit = t_end.as_micros();
         let mut batch_runs = 0u64;
         let mut batch_ties = 0u64;
@@ -1126,78 +1009,69 @@ impl Sim {
         // scheduled *during* the run at the same tick carry higher seqs and
         // come out as the next run, so dispatch stays in strict
         // `(time, seq)` order.
-        let mut buf = std::mem::take(&mut self.shared.dispatch_buf);
+        let mut buf = std::mem::take(&mut self.dispatch_buf);
         loop {
             debug_assert!(buf.is_empty());
-            let n = self.shared.queue.pop_run_upto(limit, &mut buf);
+            let n = self.queue.pop_run_upto(limit, &mut buf);
             if n == 0 {
                 break;
             }
             batch_runs += 1;
             batch_ties += (n - 1) as u64;
-            self.shared.batch_len_max = self.shared.batch_len_max.max(n as u64);
-            let mut h = self.shared.order_hash;
-            for (t_us, seq, (target, ev)) in &buf {
-                h = fold_entry(h, *t_us, *seq, target, ev);
+            self.batch_len_max = self.batch_len_max.max(n as u64);
+            let mut h = self.order_hash;
+            for (t_us, seq, entry) in &buf {
+                h = fold_entry(h, *t_us, *seq, entry);
             }
-            self.shared.order_hash = h;
-            for (t_us, seq, (target, ev)) in buf.drain(..) {
-                self.dispatch_entry(t_us, seq, target, ev);
+            self.order_hash = h;
+            for (t_us, seq, entry) in buf.drain(..) {
+                self.dispatch_entry(t_us, seq, entry);
             }
         }
-        self.shared.dispatch_buf = buf;
-        self.shared.now = t_end;
-        let depth = self.shared.tele.queue_depth;
-        let len = self.shared.queue.len() as f64;
-        self.shared.metrics.reg.set_gauge(depth, len);
+        self.dispatch_buf = buf;
+        self.now = t_end;
+        let depth = self.tele.queue_depth;
+        let len = self.queue.len() as f64;
+        self.metrics.reg.set_gauge(depth, len);
         if batch_runs > 0 {
-            let d = self.shared.tele.batch_dispatches;
-            self.shared.metrics.reg.add(d, batch_runs as f64);
+            let d = self.tele.batch_dispatches;
+            self.metrics.reg.add(d, batch_runs as f64);
             if batch_ties > 0 {
-                let t = self.shared.tele.batch_ties;
-                self.shared.metrics.reg.add(t, batch_ties as f64);
+                let t = self.tele.batch_ties;
+                self.metrics.reg.add(t, batch_ties as f64);
             }
-            let g = self.shared.tele.batch_len_max;
-            self.shared
-                .metrics
-                .reg
-                .set_gauge(g, self.shared.batch_len_max as f64);
+            let g = self.tele.batch_len_max;
+            self.metrics.reg.set_gauge(g, self.batch_len_max as f64);
         }
         // Flush payload-pool deltas (this thread's pool was reset when the
         // sim first ran, so the counters are cell-deterministic).
         // Saturating: a foreign `pool_reset` between runs loses counts but
         // never underflows.
         let pool = crate::payload::pool_stats();
-        let seen = self.shared.pool_seen;
+        let seen = self.pool_seen;
         let (dh, dm, dr) = (
             pool.hits.saturating_sub(seen.hits),
             pool.misses.saturating_sub(seen.misses),
             pool.recycled.saturating_sub(seen.recycled),
         );
-        self.shared.pool_seen = pool;
+        self.pool_seen = pool;
         if dh > 0 {
-            let id = self.shared.tele.payload_pool_hits;
-            self.shared.metrics.reg.add(id, dh as f64);
+            let id = self.tele.payload_pool_hits;
+            self.metrics.reg.add(id, dh as f64);
         }
         if dm > 0 {
-            let id = self.shared.tele.payload_pool_misses;
-            self.shared.metrics.reg.add(id, dm as f64);
+            let id = self.tele.payload_pool_misses;
+            self.metrics.reg.add(id, dm as f64);
         }
         if dr > 0 {
-            let id = self.shared.tele.payload_pool_recycled;
-            self.shared.metrics.reg.add(id, dr as f64);
+            let id = self.tele.payload_pool_recycled;
+            self.metrics.reg.add(id, dr as f64);
         }
         RunStats {
-            events: self.shared.events_dispatched - start_events,
-            now: self.shared.now,
+            events: self.events_dispatched - start_events,
+            now: self.now,
         }
     }
-}
-
-/// Placeholder stored while a slot is being initialized.
-struct Tombstone;
-impl Process for Tombstone {
-    fn on_event(&mut self, _ctx: &mut Ctx<'_>, _ev: Event) {}
 }
 
 #[cfg(test)]

@@ -251,6 +251,40 @@ fn child_spawned_mid_run_starts_after_the_run() {
 }
 
 #[test]
+fn exit_takes_effect_at_once_and_a_child_spawned_before_it_still_starts() {
+    let out = run_case(None, |sim, h, log| {
+        let (child_log, own_log) = (log.clone(), log.clone());
+        sim.spawn(
+            "p",
+            h,
+            scripted(log, move |ctx, ev| match ev {
+                Event::Started => (1..=3).for_each(|tag| ctx.set_timer(TICK, tag)),
+                Event::Timer { tag: 1 } => {
+                    let host = ctx.host();
+                    ctx.spawn("child", host, scripted(&child_log, |_, _| {}));
+                    ctx.exit();
+                    ctx.exit();
+                    let alive = ctx.is_alive(ctx.me());
+                    own_log.borrow_mut().push(format!("p alive={alive}"));
+                }
+                _ => {}
+            }),
+        );
+    });
+    assert_eq!(
+        out.log,
+        [
+            "p started @0",
+            "p timer1 @1",
+            "p alive=false",
+            "child started @1",
+        ]
+    );
+    assert_eq!(out.counter("procs.exited"), 1.0);
+    assert_eq!(out.counter("events.dropped_dead_dest"), 2.0);
+}
+
+#[test]
 fn cancelled_timer_for_a_process_on_a_down_host_is_cancelled_not_dropped() {
     let out = run_case(Some(SimTime::from_secs(5)), |sim, h, log| {
         sim.spawn(

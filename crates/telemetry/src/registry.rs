@@ -279,12 +279,6 @@ impl Registry {
         self.trace = Some(TraceBuffer::new(capacity));
     }
 
-    /// Whether span records are being collected.
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Record a span entry (no-op unless tracing is enabled).
     #[inline]
     pub fn span_enter(&mut self, t_us: u64, span: SpanId, actor: u64, tag: u64) {
@@ -469,7 +463,6 @@ mod tests {
         let s = r.span("kernel.dispatch");
         r.span_enter(10, s, 1, 0);
         r.span_exit(20, s, 1, 0);
-        assert!(!r.tracing_enabled());
         assert!(r.trace().is_none());
         assert_eq!(r.export_trace_jsonl(), "");
 

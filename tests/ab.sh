@@ -34,7 +34,9 @@ while (($#)); do
   esac
   shift 2
 done
-git diff --quiet "$rev" -- benchmark BENCHMARK.json ||
+# Every offline build rewrites a stale `benchmark/Cargo.lock`, so the lock
+# file alone does not make the instrument differ.
+git diff --quiet "$rev" -- benchmark BENCHMARK.json ':!benchmark/Cargo.lock' ||
   echo "ab: benchmark/ differs from $rev, so the two sides run different instruments" >&2
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT

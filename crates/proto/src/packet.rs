@@ -205,8 +205,6 @@ impl Packet {
     /// [`Payload`] so a fan-out (build once, send to N peers) serializes
     /// exactly once.
     pub fn to_sim_payload(&self) -> Payload {
-        // Built through the payload pool: in steady state the send path
-        // recycles the same class buffers instead of allocating per hop.
         Payload::build(9 + self.payload.len(), |out| {
             self.flags.encode(out);
             self.corr_id.encode(out);

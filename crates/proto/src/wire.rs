@@ -117,12 +117,11 @@ pub trait WireEncode {
         v
     }
 
-    /// Encode into a pooled [`Payload`](ew_sim::Payload) — the preferred
-    /// body for packets headed into the simulator: the buffer comes from
-    /// the thread's payload pool (zero allocations in steady state) and
-    /// returns to it when the last in-flight reference drops.
+    /// Encode into a shared [`Payload`](ew_sim::Payload) — the preferred
+    /// body for packets headed into the simulator: the encoded `Vec` moves
+    /// into the payload without a copy, and a fan-out shares it.
     fn to_wire_payload(&self) -> ew_sim::Payload {
-        ew_sim::Payload::build(64, |out| self.encode(out))
+        ew_sim::Payload::from(self.to_wire())
     }
 }
 

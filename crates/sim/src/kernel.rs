@@ -161,9 +161,6 @@ struct KernelTele {
     timers_cancelled: CounterId,
     batch_dispatches: CounterId,
     batch_ties: CounterId,
-    payload_pool_hits: CounterId,
-    payload_pool_misses: CounterId,
-    payload_pool_recycled: CounterId,
     flows_started: CounterId,
     flows_completed: CounterId,
     flows_stale: CounterId,
@@ -194,9 +191,6 @@ impl KernelTele {
             timers_cancelled: reg.counter("kernel.timers_cancelled"),
             batch_dispatches: reg.counter("kernel.batch_dispatches"),
             batch_ties: reg.counter("kernel.batch_ties"),
-            payload_pool_hits: reg.counter("net.payload_pool_hits"),
-            payload_pool_misses: reg.counter("net.payload_pool_misses"),
-            payload_pool_recycled: reg.counter("net.payload_pool_recycled"),
             flows_started: reg.counter("net.flows_started"),
             flows_completed: reg.counter("net.flows_completed"),
             flows_stale: reg.counter("net.flows_stale_deadlines"),
@@ -300,13 +294,6 @@ pub struct Sim {
     dispatch_buf: Vec<(u64, u64, Entry)>,
     /// Largest same-tick run dispatched so far (gauge `kernel.batch_len_max`).
     batch_len_max: u64,
-    /// Whether the payload pool has been reset for this simulation (done
-    /// lazily on the first `run_until`, i.e. on the thread that actually
-    /// drives the sim — a farm cell may be built on one thread and run on
-    /// another).
-    pool_primed: bool,
-    /// Payload-pool counters already flushed into telemetry.
-    pool_seen: crate::payload::PoolStats,
 }
 
 impl Sim {
@@ -747,7 +734,8 @@ impl<'a> Ctx<'a> {
 pub struct RunStats {
     /// Events dispatched during this call.
     pub events: u64,
-    /// Simulated time at return.
+    /// Simulated time at return: `max` of the clock before the call and
+    /// its `t_end`.
     pub now: SimTime,
 }
 
@@ -782,8 +770,6 @@ impl Sim {
             flow_wake: u64::MAX,
             dispatch_buf: Vec::new(),
             batch_len_max: 0,
-            pool_primed: false,
-            pool_seen: crate::payload::PoolStats::default(),
         }
     }
 
@@ -989,17 +975,11 @@ impl Sim {
     }
 
     /// Run the event loop until simulated time `t_end` (events at exactly
-    /// `t_end` are dispatched). Returns dispatch statistics.
+    /// `t_end` are dispatched), then leave the clock at `max(now, t_end)`:
+    /// a `t_end` in the past dispatches nothing and never moves the clock
+    /// backwards. Returns dispatch statistics.
     pub fn run_until(&mut self, t_end: SimTime) -> RunStats {
         self.schedule_host_transitions();
-        if !self.pool_primed {
-            // First drive of this sim, on the thread that actually runs
-            // it: start the payload pool cold, so pool telemetry (and
-            // buffer reuse) is a deterministic function of the scenario
-            // rather than of which farm worker ran the cell before.
-            crate::payload::pool_reset();
-            self.pool_primed = true;
-        }
         let start_events = self.events_dispatched;
         let limit = t_end.as_micros();
         let mut batch_runs = 0u64;
@@ -1029,7 +1009,7 @@ impl Sim {
             }
         }
         self.dispatch_buf = buf;
-        self.now = t_end;
+        self.now = self.now.max(t_end);
         let depth = self.tele.queue_depth;
         let len = self.queue.len() as f64;
         self.metrics.reg.set_gauge(depth, len);
@@ -1042,30 +1022,6 @@ impl Sim {
             }
             let g = self.tele.batch_len_max;
             self.metrics.reg.set_gauge(g, self.batch_len_max as f64);
-        }
-        // Flush payload-pool deltas (this thread's pool was reset when the
-        // sim first ran, so the counters are cell-deterministic).
-        // Saturating: a foreign `pool_reset` between runs loses counts but
-        // never underflows.
-        let pool = crate::payload::pool_stats();
-        let seen = self.pool_seen;
-        let (dh, dm, dr) = (
-            pool.hits.saturating_sub(seen.hits),
-            pool.misses.saturating_sub(seen.misses),
-            pool.recycled.saturating_sub(seen.recycled),
-        );
-        self.pool_seen = pool;
-        if dh > 0 {
-            let id = self.tele.payload_pool_hits;
-            self.metrics.reg.add(id, dh as f64);
-        }
-        if dm > 0 {
-            let id = self.tele.payload_pool_misses;
-            self.metrics.reg.add(id, dm as f64);
-        }
-        if dr > 0 {
-            let id = self.tele.payload_pool_recycled;
-            self.metrics.reg.add(id, dr as f64);
         }
         RunStats {
             events: self.events_dispatched - start_events,
@@ -1196,6 +1152,28 @@ mod tests {
             .with_process::<TimerCounter, _>(p, |t| t.fired.clone())
             .unwrap();
         assert_eq!(done, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn run_until_never_moves_the_clock_backwards() {
+        let (mut sim, h0, _) = small_world();
+        sim.run_until(SimTime::from_secs(10));
+        let stats = sim.run_until(SimTime::from_secs(5));
+        assert_eq!(
+            (stats.now, sim.now()),
+            (SimTime::from_secs(10), SimTime::from_secs(10))
+        );
+        // Timers armed now are filed after the time already dispatched:
+        // the 1 s one fires at 11 s.
+        let p = sim.spawn("t", h0, Box::new(TimerCounter { fired: vec![] }));
+        let fired = |sim: &Sim| {
+            sim.with_process::<TimerCounter, _>(p, |t| t.fired.clone())
+                .unwrap()
+        };
+        sim.run_until(SimTime::from_millis(10_999));
+        assert!(fired(&sim).is_empty());
+        sim.run_until(SimTime::from_secs(11));
+        assert_eq!(fired(&sim), vec![1]);
     }
 
     struct Canceller {

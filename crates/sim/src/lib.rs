@@ -44,7 +44,7 @@ pub use hashers::FxHashMap;
 pub use host::{HostId, HostSpec, HostTable};
 pub use kernel::{Ctx, Event, Process, ProcessId, Sim};
 pub use net::{FlowTable, Impairment, NetModel, NetworkModel, Partition, SiteId, SiteSpec};
-pub use payload::{pool_reset, pool_stats, Payload};
+pub use payload::Payload;
 pub use queue::EventQueue;
 pub use rng::{StreamSeeder, Xoshiro256};
 pub use time::{SimDuration, SimTime};

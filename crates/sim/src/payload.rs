@@ -1,33 +1,14 @@
 //! Shared, immutable message payloads.
 //!
-//! Every message hop used to deep-copy its `Vec<u8>` body: once into the
-//! kernel's event queue, once per recipient on fan-out sends (gossip
-//! reconciliation, clique token broadcast, scheduler work distribution),
-//! and once more when the packet layer peeled its header off. [`Payload`]
-//! replaces those copies with one reference-counted buffer: cloning is an
-//! `Arc` bump, and sub-slicing (how `ew-proto` strips the sim-transport
-//! header) shares the same allocation.
+//! A [`Payload`] is one reference-counted buffer: cloning it for a fan-out
+//! send (gossip reconciliation, clique token broadcast, scheduler work
+//! distribution) is an `Arc` bump, and sub-slicing (how `ew-proto` strips
+//! the sim-transport header) shares the same allocation.
 //!
 //! Payloads are immutable by construction — there is no `&mut [u8]`
 //! accessor — so sharing one buffer across many in-flight events cannot
 //! let one recipient observe another's mutation.
-//!
-//! ## Buffer pool
-//!
-//! Even with sharing, every *send* still paid one heap allocation for the
-//! message bytes plus one for the `Arc` holding them. A thread-local,
-//! size-classed free list removes both in steady state: [`Payload::build`]
-//! takes a recycled `Arc<Vec<u8>>` (or allocates on a miss), the caller
-//! encodes directly into it, and a custom `Drop` returns the buffer to the
-//! pool when the last reference dies (`Arc::strong_count == 1`). The pool
-//! is invisible on the wire — bytes, lengths, and sharing semantics are
-//! exactly those of unpooled payloads — and it is observational-only in
-//! telemetry (`net.payload_pool_hits`/`_misses`/`_recycled`, flushed by
-//! the kernel). The kernel resets the pool when a simulation first runs,
-//! so pool counters are a deterministic function of the scenario, not of
-//! which farm worker thread happened to execute it.
 
-use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -47,162 +28,28 @@ pub struct Payload {
     end: usize,
 }
 
-/// One process-wide empty buffer, so empty messages (bare acks are common)
-/// never allocate.
-fn empty_buf() -> Arc<Vec<u8>> {
-    static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
-}
-
-/// Pool size classes (byte capacities). A take for a `size_hint` draws
-/// from the smallest class that covers it; message bodies in this codebase
-/// are overwhelmingly under 4 KiB (gossip syncs, scheduler work units,
-/// state checkpoints), so four classes cover the traffic.
-const POOL_CLASSES: [usize; 4] = [64, 256, 1024, 4096];
-/// Retained buffers per class; beyond this, returning buffers are freed.
-const POOL_PER_CLASS: usize = 64;
-/// Largest buffer capacity accepted back into the pool, so one huge
-/// payload cannot pin megabytes inside a 4 KiB size class.
-const POOL_MAX_RECYCLE: usize = 8192;
-
-/// Payload-pool effectiveness counters for the calling thread (see
-/// [`pool_stats`]). All three are monotonic until [`pool_reset`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// [`Payload::build`] calls served from a recycled buffer.
-    pub hits: u64,
-    /// [`Payload::build`] calls that had to allocate (cold pool, or a
-    /// `size_hint` above the largest class).
-    pub misses: u64,
-    /// Buffers returned to the pool by the refcount-1 reclaim on drop.
-    pub recycled: u64,
-}
-
-struct Pool {
-    classes: [Vec<Arc<Vec<u8>>>; POOL_CLASSES.len()],
-    stats: PoolStats,
-}
-
-thread_local! {
-    static POOL: RefCell<Pool> = RefCell::new(Pool {
-        classes: Default::default(),
-        stats: PoolStats::default(),
-    });
-}
-
-/// Class to draw from for a buffer that should hold `size_hint` bytes.
-fn class_for_take(size_hint: usize) -> Option<usize> {
-    POOL_CLASSES.iter().position(|&c| size_hint <= c)
-}
-
-/// Class a returning buffer of capacity `cap` belongs in: the largest
-/// class whose nominal size it covers, so every pooled buffer satisfies
-/// its class's capacity promise and takes never re-allocate.
-fn class_for_recycle(cap: usize) -> Option<usize> {
-    if cap > POOL_MAX_RECYCLE {
-        return None;
-    }
-    POOL_CLASSES.iter().rposition(|&c| c <= cap)
-}
-
-/// Give a uniquely-owned buffer back to the calling thread's pool (or free
-/// it, if it is unpoolable or its class is full).
-fn recycle_arc(arc: Arc<Vec<u8>>) {
-    let Some(cls) = class_for_recycle(arc.capacity()) else {
-        return;
-    };
-    // `try_with`: payloads dropped during thread teardown (after the TLS
-    // pool is destroyed) are simply freed.
-    let _ = POOL.try_with(|p| {
-        let mut p = p.borrow_mut();
-        if p.classes[cls].len() < POOL_PER_CLASS {
-            p.stats.recycled += 1;
-            p.classes[cls].push(arc);
-        }
-    });
-}
-
-/// This thread's payload-pool counters (zeros if the pool is gone, i.e.
-/// during thread teardown).
-pub fn pool_stats() -> PoolStats {
-    POOL.try_with(|p| p.borrow().stats).unwrap_or_default()
-}
-
-/// Drop every buffer retained by this thread's pool and zero its counters.
-/// The kernel calls this when a simulation first runs, so pooled-buffer
-/// reuse (and its telemetry) starts cold for every cell regardless of
-/// which thread previously ran what.
-pub fn pool_reset() {
-    let _ = POOL.try_with(|p| {
-        let mut p = p.borrow_mut();
-        for c in &mut p.classes {
-            c.clear();
-        }
-        p.stats = PoolStats::default();
-    });
-}
-
 impl Payload {
-    /// An empty payload (a shared process-wide buffer; never allocates).
+    /// An empty payload. All of them share one process-wide buffer, so
+    /// empty messages (bare acks are common) never allocate.
     pub fn empty() -> Self {
+        static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
         Payload {
-            buf: empty_buf(),
+            buf: EMPTY.get_or_init(|| Arc::new(Vec::new())).clone(),
             start: 0,
             end: 0,
         }
     }
 
-    /// Build a payload by encoding directly into a pooled buffer.
-    ///
-    /// Takes a recycled buffer from this thread's size-classed pool (the
-    /// smallest class covering `size_hint`; a miss allocates the class
-    /// size, an oversize hint allocates exactly), hands it to `f` empty,
-    /// and wraps whatever `f` wrote. In steady state — pool warm, hint
-    /// honest — a build performs **zero** heap allocations; the buffer
-    /// returns to the pool when the last `Payload` referencing it drops.
+    /// Build a payload by encoding into a fresh buffer of capacity
+    /// `size_hint`.
     ///
     /// `size_hint` is advisory: `f` may write any amount (the `Vec` grows
-    /// past the hint as usual), and the result is indistinguishable from
-    /// `Payload::from(vec)` with the same bytes.
+    /// past the hint as usual), and the result is `Payload::from(vec)` with
+    /// the same bytes — so writing nothing gives [`Payload::empty`].
     pub fn build(size_hint: usize, f: impl FnOnce(&mut Vec<u8>)) -> Payload {
-        let mut arc = match class_for_take(size_hint) {
-            Some(cls) => POOL
-                .try_with(|p| {
-                    let mut p = p.borrow_mut();
-                    match p.classes[cls].pop() {
-                        Some(a) => {
-                            p.stats.hits += 1;
-                            a
-                        }
-                        None => {
-                            p.stats.misses += 1;
-                            Arc::new(Vec::with_capacity(POOL_CLASSES[cls]))
-                        }
-                    }
-                })
-                .unwrap_or_else(|_| Arc::new(Vec::with_capacity(size_hint))),
-            None => {
-                let _ = POOL.try_with(|p| p.borrow_mut().stats.misses += 1);
-                Arc::new(Vec::with_capacity(size_hint))
-            }
-        };
-        let end = {
-            let buf = Arc::get_mut(&mut arc).expect("pool buffers are uniquely owned");
-            buf.clear();
-            f(buf);
-            buf.len()
-        };
-        if end == 0 {
-            // Nothing written: keep the empty-payload invariant (one
-            // process-wide buffer) and give the taken buffer straight back.
-            recycle_arc(arc);
-            return Payload::empty();
-        }
-        Payload {
-            buf: arc,
-            start: 0,
-            end,
-        }
+        let mut buf = Vec::with_capacity(size_hint);
+        f(&mut buf);
+        Payload::from(buf)
     }
 
     /// Byte length of the viewed range.
@@ -252,20 +99,6 @@ impl Payload {
     }
 }
 
-impl Drop for Payload {
-    /// Refcount-1 reclaim: when the last `Payload` referencing a buffer
-    /// drops, the buffer goes back to this thread's pool instead of the
-    /// allocator. `strong_count == 1` means this handle holds the only
-    /// reference, so stealing the buffer races with nobody; the shared
-    /// empty buffer always has extra references and is never reclaimed.
-    fn drop(&mut self) {
-        if Arc::strong_count(&self.buf) != 1 {
-            return;
-        }
-        recycle_arc(std::mem::replace(&mut self.buf, empty_buf()));
-    }
-}
-
 impl Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -295,10 +128,8 @@ impl From<Vec<u8>> for Payload {
 }
 
 impl From<&[u8]> for Payload {
-    /// Copies into a pooled buffer (the bytes must be copied anyway, so
-    /// the copy might as well land in a recyclable allocation).
     fn from(v: &[u8]) -> Self {
-        Payload::build(v.len(), |out| out.extend_from_slice(v))
+        Payload::from(v.to_vec())
     }
 }
 
@@ -439,51 +270,5 @@ mod tests {
         assert_eq!(big.len(), 500);
         // Writing nothing gives the canonical empty payload.
         assert_eq!(Payload::build(64, |_| {}), Payload::empty());
-    }
-
-    #[test]
-    fn pool_recycles_on_last_drop() {
-        pool_reset();
-        let base = pool_stats();
-        assert_eq!(base, PoolStats::default());
-        let p = Payload::build(100, |out| out.extend_from_slice(&[1u8; 100]));
-        assert_eq!(pool_stats().misses, 1);
-        let q = p.clone();
-        drop(p); // still referenced by q: not reclaimed
-        assert_eq!(pool_stats().recycled, 0);
-        drop(q); // last reference: buffer returns to the pool
-        assert_eq!(pool_stats().recycled, 1);
-        // The next take of the same class is a hit, not an allocation.
-        let r = Payload::build(200, |out| out.extend_from_slice(&[2u8; 200]));
-        let s = pool_stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(r, [2u8; 200].as_slice());
-        pool_reset();
-    }
-
-    #[test]
-    fn pool_ignores_unpoolable_buffers() {
-        pool_reset();
-        // From<Vec> buffers still recycle if their capacity fits a class...
-        drop(Payload::from(vec![0u8; 256]));
-        assert_eq!(pool_stats().recycled, 1);
-        // ...but oversized ones are freed, not pinned in the pool.
-        drop(Payload::from(vec![0u8; POOL_MAX_RECYCLE + 1]));
-        assert_eq!(pool_stats().recycled, 1);
-        // Empty payloads share the process-wide buffer: nothing to pool.
-        drop(Payload::empty());
-        assert_eq!(pool_stats().recycled, 1);
-        pool_reset();
-    }
-
-    #[test]
-    fn pool_reset_forgets_everything() {
-        drop(Payload::build(32, |out| out.push(1)));
-        pool_reset();
-        assert_eq!(pool_stats(), PoolStats::default());
-        // After a reset the first build of each class misses again.
-        let _p = Payload::build(32, |out| out.push(1));
-        assert_eq!(pool_stats().misses, 1);
-        pool_reset();
     }
 }

@@ -67,6 +67,17 @@ if grep -rnE 'migration_queue|struct Outstanding|pub issued_|results_received' c
     exit 1
 fi
 
+# No per-thread state in library code: it makes a farm cell's telemetry
+# depend on which worker ran it before (the payload pool needed a reset on
+# every sim's first run to hide that). farm_determinism.rs's
+# campaign_telemetry_merge_is_thread_invariant is the runtime guard.
+echo "== no thread_local! under crates/*/src"
+if grep -rn 'thread_local!' crates/*/src | grep -v '^crates/compat/'; then
+    echo "error: keep state in the Sim or the process that owns it, not in" >&2
+    echo "       a thread" >&2
+    exit 1
+fi
+
 # Concurrency is std only: the farm runs on std::thread::scope and the TCP
 # transport on std::sync::mpsc (414 lines of thread-library stand-ins served
 # one heuristic no world ran, one farm loop and one channel). Only *.rs and

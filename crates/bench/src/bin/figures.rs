@@ -408,7 +408,7 @@ fn health(rep: &Sc98Report) {
 fn chaos(opts: &Options) {
     let mut cfg = ew_chaos::CampaignConfig::standard(opts.seed, opts.short);
     if let Some(name) = &opts.workload {
-        cfg = cfg.with_workload(WorkloadSpec::by_name(name).expect("parse_args validated it"));
+        cfg.workload = WorkloadSpec::by_name(name).expect("parse_args validated it");
     }
     eprintln!(
         "running the {} chaos campaign ({} plans × {} seed(s), {:.0} s horizon, {} thread(s))...",

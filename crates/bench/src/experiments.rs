@@ -9,7 +9,7 @@
 //! numbers are identical for any thread count (`threads = 1` is the
 //! historical sequential path).
 
-use ew_gossip::{Comparator, GossipClient, GossipConfig, GossipServer, GossipStore, VersionedBlob};
+use ew_gossip::{Comparator, GossipClient, GossipServer, GossipStore, VersionedBlob};
 use ew_infra::java;
 use ew_proto::sim_net::packet_from_event;
 use ew_sim::{
@@ -98,11 +98,7 @@ fn timeout_arm(seed: u64, static_to: Option<SimDuration>, duration: SimDuration)
     let hg = hosts.add(HostSpec::dedicated("gossip", fast, 1e8));
     let hc = hosts.add(HostSpec::dedicated("component", slow, 1e8));
     let mut sim = Sim::new(net, hosts, seed);
-    let cfg = GossipConfig {
-        static_timeouts: static_to,
-        ..GossipConfig::default()
-    };
-    let g = sim.spawn("gossip", hg, Box::new(GossipServer::new(cfg, vec![])));
+    let g = sim.spawn("gossip", hg, Box::new(GossipServer::new(static_to, vec![])));
     sim.spawn("component", hc, Box::new(WriterComponent::new(g)));
     sim.run_until(SimTime::ZERO + duration);
     // The world's one Gossip server is the only process that counts polls.

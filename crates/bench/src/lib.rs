@@ -1,9 +1,8 @@
-//! # ew-bench — figure regeneration and microbenchmarks
+//! # ew-bench — figure regeneration and experiment drivers
 //!
 //! The `figures` binary regenerates every table and figure in the paper's
-//! evaluation (see `EXPERIMENTS.md` at the workspace root); the Criterion
-//! benches cover the hot kernels (packet codec, forecaster battery, clique
-//! counting, gossip reconciliation scaling, simulator event throughput).
+//! evaluation (see `EXPERIMENTS.md` at the workspace root). Host-time
+//! numbers come from the separate `benchmark/` package, not from here.
 
 #![warn(missing_docs)]
 

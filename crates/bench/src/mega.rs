@@ -1,9 +1,10 @@
 //! The `figures -- mega` campaign: the full EveryWare stack at
 //! thousand-host / million-work-unit scale on one core.
 //!
-//! The campaign farms independent [`MegaShard`] worlds over
-//! [`run_farm`]: each shard runs gossip pool, schedulers, persistent
-//! state, log host, and an [`InfraSupervisor`]-managed worker fleet —
+//! The campaign farms independent
+//! [`MegaShard`](ew_infra::mega::MegaShard) worlds over [`run_farm`]:
+//! each shard runs gossip pool, schedulers, persistent state, log host,
+//! and an [`InfraSupervisor`]-managed worker fleet —
 //! the same deployment the chaos campaigns exercise — but sized so the
 //! fleet as a whole crosses 1k hosts and completes over a million Ramsey
 //! work units. `figures -- mega` runs the shards on the flow-level
@@ -135,7 +136,6 @@ fn run_shard(cfg: &MegaConfig, shard_idx: usize) -> ShardOutcome {
             step_budget: STEP_BUDGET,
             ..SchedulerConfig::default()
         },
-        ..DeployConfig::default()
     })
     .gossip_pool(&world.services.gossips)
     .schedulers(&world.services.schedulers)

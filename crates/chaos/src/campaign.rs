@@ -29,7 +29,7 @@ use ew_sim::{
 };
 use ew_workload::WorkloadSpec;
 
-use crate::plan::{CompiledFaults, FaultPlan, HostRole, SiteRole};
+use crate::plan::{CompiledFaults, FaultOp, FaultPlan, HostRole, SiteRole};
 
 /// Pool size of the campaign world.
 pub const N_COMPUTE: usize = 8;
@@ -78,12 +78,6 @@ impl CampaignConfig {
             plans: crate::plan::standard_plans(),
             workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
         }
-    }
-
-    /// Same sweep, different application.
-    pub fn with_workload(mut self, workload: WorkloadSpec) -> Self {
-        self.workload = workload;
-        self
     }
 }
 
@@ -175,20 +169,26 @@ fn site_spec(name: &str, spikes: Vec<SpikeLoad>) -> SiteSpec {
     }
 }
 
+/// The plan's window ops, in plan order (none for a reference world).
+fn network_ops(compiled: Option<&CompiledFaults>) -> &[FaultOp] {
+    compiled.map_or(&[], |c| &c.network)
+}
+
 fn spikes_for(compiled: Option<&CompiledFaults>, role: SiteRole) -> Vec<SpikeLoad> {
-    compiled
-        .map(|c| {
-            c.spikes
-                .iter()
-                .filter(|s| s.site == role)
-                .map(|s| SpikeLoad {
-                    start: s.from,
-                    end: s.until,
-                    level: s.level,
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+    let spike = |op: &FaultOp| match *op {
+        FaultOp::DelaySpike {
+            site,
+            from,
+            until,
+            level,
+        } if site == role => Some(SpikeLoad {
+            start: from,
+            end: until,
+            level,
+        }),
+        _ => None,
+    };
+    network_ops(compiled).iter().filter_map(spike).collect()
 }
 
 /// Build the three-site world, apply `compiled`, run to the horizon, and
@@ -218,23 +218,34 @@ fn run_world(
             SiteRole::Pool => pool_site,
         }
     };
-    if let Some(c) = compiled {
-        for p in &c.partitions {
-            net.add_partition(Partition {
-                a: site_of(p.site),
-                b: p.peer.map(site_of),
-                from: p.from,
-                until: p.until,
-            });
-        }
-        for i in &c.impairments {
-            net.add_impairment(Impairment {
-                site: site_of(i.site),
-                from: i.from,
-                until: i.until,
-                drop: i.drop,
-                duplicate: i.duplicate,
-            });
+    // Spikes are already in the site loads; host ops are in `host_faults`.
+    for op in network_ops(compiled) {
+        match *op {
+            FaultOp::PartitionSite {
+                site,
+                peer,
+                from,
+                until,
+            } => net.add_partition(Partition {
+                a: site_of(site),
+                b: peer.map(site_of),
+                from,
+                until,
+            }),
+            FaultOp::Impair {
+                site,
+                from,
+                until,
+                drop,
+                duplicate,
+            } => net.add_impairment(Impairment {
+                site: site_of(site),
+                from,
+                until,
+                drop,
+                duplicate,
+            }),
+            _ => {}
         }
     }
 
@@ -289,7 +300,6 @@ fn run_world(
             step_budget: 6_000,
             ..SchedulerConfig::default()
         },
-        ..DeployConfig::default()
     })
     .gossip_pool(&[g0, g1])
     .schedulers(&[h_s0, h_s1])
@@ -455,11 +465,12 @@ fn cell_keys(cfg: &CampaignConfig) -> Vec<CellKey> {
     cells
 }
 
-/// Run the whole campaign on `threads` workers. Every cell is an isolated
-/// deterministic simulation, results are merged in canonical input order,
-/// and the reports (and any JSON rendered from them) are byte-identical
-/// for every thread count; `threads == 1` reproduces the historical
-/// sequential sweep exactly.
+/// Run the whole campaign on `threads` workers: for each seed, two no-fault
+/// reference runs, then every plan × {adaptive, static}. Every cell is an
+/// isolated deterministic simulation, results are merged in canonical input
+/// order, and the reports (and any JSON rendered from them) are
+/// byte-identical for every thread count; `threads == 1` reproduces the
+/// historical sequential sweep exactly.
 pub fn run_campaign_threads(cfg: &CampaignConfig, threads: usize) -> CampaignRun {
     let cells = cell_keys(cfg);
     let horizon = cfg.horizon;
@@ -521,14 +532,6 @@ pub fn run_campaign_threads(cfg: &CampaignConfig, threads: usize) -> CampaignRun
         stats,
         telemetry,
     }
-}
-
-/// Run the whole campaign: for each seed, two no-fault reference runs,
-/// then every plan × {adaptive, static}. Deterministic in `cfg`; the
-/// worker count comes from [`ew_sim::resolve_threads`] (available
-/// parallelism) and cannot change the result bytes.
-pub fn run_campaign(cfg: &CampaignConfig) -> Vec<PlanReport> {
-    run_campaign_threads(cfg, ew_sim::resolve_threads(None)).reports
 }
 
 fn arm_json(a: &ArmReport) -> serde_json::Value {

@@ -14,8 +14,8 @@
 //!   [`AvailabilitySchedule`](ew_sim::AvailabilitySchedule),
 //!   [`Partition`](ew_sim::Partition), and
 //!   [`Impairment`](ew_sim::Impairment) primitives;
-//! * [`campaign`] — a **campaign runner** ([`run_campaign`]) sweeping
-//!   plans × seeds over a three-site deployment, A/B-comparing the
+//! * [`campaign`] — a **campaign runner** ([`run_campaign_threads`])
+//!   sweeping plans × seeds over a three-site deployment, A/B-comparing the
 //!   unified adaptive retry/breaker stack against the §2.2 static
 //!   time-out baseline, and emitting work-lost, recovery-time, and
 //!   availability-SLO series as the `results/chaos_*.json` artifacts
@@ -31,7 +31,7 @@ pub mod campaign;
 pub mod plan;
 
 pub use campaign::{
-    campaign_json, run_campaign, run_campaign_threads, scaling_json, summary_json, summary_stem,
-    CampaignConfig, CampaignRun, PlanReport, N_COMPUTE, SCALING_POOLS,
+    campaign_json, run_campaign_threads, scaling_json, summary_json, summary_stem, CampaignConfig,
+    CampaignRun, PlanReport, N_COMPUTE, SCALING_POOLS,
 };
 pub use plan::{standard_plans, FaultPlan, SiteRole};

@@ -232,9 +232,7 @@ impl FaultPlan {
         let mut rng = Xoshiro256::seed_from_u64(seed ^ fnv1a(self.name.as_bytes()));
         let mut out = CompiledFaults {
             host_faults: Vec::new(),
-            partitions: Vec::new(),
-            spikes: Vec::new(),
-            impairments: Vec::new(),
+            network: Vec::new(),
             faults_injected: 0,
             last_fault_end: SimTime::ZERO,
         };
@@ -292,50 +290,10 @@ impl FaultPlan {
                     }
                     out.last_fault_end = horizon_end;
                 }
-                FaultOp::PartitionSite {
-                    site,
-                    peer,
-                    from,
-                    until,
-                } => {
-                    out.partitions.push(CompiledPartition {
-                        site: *site,
-                        peer: *peer,
-                        from: *from,
-                        until: *until,
-                    });
-                    out.faults_injected += 1;
-                    out.last_fault_end = out.last_fault_end.max(*until);
-                }
-                FaultOp::DelaySpike {
-                    site,
-                    from,
-                    until,
-                    level,
-                } => {
-                    out.spikes.push(CompiledSpike {
-                        site: *site,
-                        from: *from,
-                        until: *until,
-                        level: *level,
-                    });
-                    out.faults_injected += 1;
-                    out.last_fault_end = out.last_fault_end.max(*until);
-                }
-                FaultOp::Impair {
-                    site,
-                    from,
-                    until,
-                    drop,
-                    duplicate,
-                } => {
-                    out.impairments.push(CompiledImpairment {
-                        site: *site,
-                        from: *from,
-                        until: *until,
-                        drop: *drop,
-                        duplicate: *duplicate,
-                    });
+                FaultOp::PartitionSite { until, .. }
+                | FaultOp::DelaySpike { until, .. }
+                | FaultOp::Impair { until, .. } => {
+                    out.network.push(op.clone());
                     out.faults_injected += 1;
                     out.last_fault_end = out.last_fault_end.max(*until);
                 }
@@ -346,58 +304,15 @@ impl FaultPlan {
     }
 }
 
-/// A partition window in role space.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompiledPartition {
-    /// Isolated site.
-    pub site: SiteRole,
-    /// Other side, or `None` for total isolation.
-    pub peer: Option<SiteRole>,
-    /// Start (inclusive).
-    pub from: SimTime,
-    /// End (exclusive).
-    pub until: SimTime,
-}
-
-/// A network-load spike window in role space.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompiledSpike {
-    /// Affected site.
-    pub site: SiteRole,
-    /// Onset.
-    pub from: SimTime,
-    /// End.
-    pub until: SimTime,
-    /// Load level inside the window.
-    pub level: f64,
-}
-
-/// A drop/duplication window in role space.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompiledImpairment {
-    /// Affected site.
-    pub site: SiteRole,
-    /// Start.
-    pub from: SimTime,
-    /// End.
-    pub until: SimTime,
-    /// Drop probability.
-    pub drop: f64,
-    /// Duplication probability.
-    pub duplicate: f64,
-}
-
 /// A fault plan lowered onto kernel primitives for one seed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledFaults {
     /// Availability overrides, one per targeted host role.
     pub host_faults: Vec<(HostRole, AvailabilitySchedule)>,
-    /// Partition windows (role space; the world builder maps to site ids).
-    pub partitions: Vec<CompiledPartition>,
-    /// Load-spike windows.
-    pub spikes: Vec<CompiledSpike>,
-    /// Drop/duplication windows.
-    pub impairments: Vec<CompiledImpairment>,
+    /// The plan's window ops — partitions, load spikes, drop/duplication
+    /// windows — in plan order, in role space (the world builder maps
+    /// roles to site ids).
+    pub network: Vec<FaultOp>,
     /// Individual faults this plan injects (the `chaos.faults_injected`
     /// counter value): evicted hosts, down-transitions, windows.
     pub faults_injected: u64,

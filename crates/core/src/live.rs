@@ -30,8 +30,6 @@ pub struct LiveConfig {
     pub step_budget: u64,
     /// Units to issue in total.
     pub units: u64,
-    /// Heuristic mix rotated across units.
-    pub heuristic_mix: Vec<u8>,
     /// Wall-clock cap.
     pub deadline: Duration,
     /// Stop early once a counter-example is verified.
@@ -45,7 +43,6 @@ impl Default for LiveConfig {
             problem: RamseyProblem { k: 4, n: 17 },
             step_budget: 3_000,
             units: 16,
-            heuristic_mix: vec![0, 1, 2],
             deadline: Duration::from_secs(60),
             stop_on_witness: true,
         }
@@ -122,7 +119,7 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
     let mut workload = RamseyWorkload::new(
         RamseyConfig {
             problem: cfg.problem,
-            heuristic_mix: cfg.heuristic_mix.clone(),
+            ..RamseyConfig::default()
         },
         0,
     );
@@ -222,7 +219,6 @@ mod tests {
             units: 6,
             deadline: Duration::from_secs(30),
             stop_on_witness: true,
-            ..LiveConfig::default()
         })
         .expect("bind loopback");
         assert!(out.witnesses.is_empty());

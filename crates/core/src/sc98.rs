@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use ew_forecast::{NwsSensor, NwsServer, SensorConfig};
-use ew_gossip::{GossipConfig, GossipServer};
+use ew_gossip::GossipServer;
 use ew_infra::{build_sc98, InfraSpec, InfraSupervisor, JudgingSpike, Relay};
 use ew_ramsey::RamseyProblem;
 use ew_sched::{ClientConfig, SchedulerConfig, SchedulerServer, UnitCounts};
@@ -29,6 +29,9 @@ pub const JUDGING_END_S: u64 = 41_584;
 /// Full window: 23:36:56 → 11:36:56 PST.
 pub const WINDOW_S: u64 = 12 * 3600;
 
+/// Steps per scheduler-issued work unit.
+const STEP_BUDGET: u64 = 6_000;
+
 /// Averaging window of every rate and host-count series: the paper's
 /// "5-minute averages" (Figures 2–4).
 pub const BIN: SimDuration = SimDuration::from_secs(300);
@@ -42,11 +45,6 @@ pub struct Sc98Config {
     pub duration: SimDuration,
     /// Inject the 11:00 judging contention spike.
     pub judging: bool,
-    /// Steps per scheduler-issued work unit.
-    pub step_budget: u64,
-    /// `Some(t)`: replace dynamic time-out discovery with static `t`
-    /// (§2.2 ablation).
-    pub static_timeouts: Option<SimDuration>,
     /// Place a scheduler inside the Condor pool (§5.4 ablation: the
     /// configuration the paper found prohibitive).
     pub condor_scheduler_inside: bool,
@@ -62,8 +60,6 @@ impl Default for Sc98Config {
             seed: 1998,
             duration: SimDuration::from_secs(WINDOW_S),
             judging: true,
-            step_budget: 6_000,
-            static_timeouts: None,
             condor_scheduler_inside: false,
             trace_capacity: None,
         }
@@ -72,8 +68,6 @@ impl Default for Sc98Config {
 
 /// Everything the figures need.
 pub struct Sc98Report {
-    /// Configuration that produced this report.
-    pub cfg: Sc98Config,
     /// Total sustained rate, binned (Figure 2 / 3c / 4c).
     pub total: Vec<BinnedPoint>,
     /// Per-infrastructure sustained rate (Figure 3a / 4a).
@@ -120,13 +114,9 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     }
 
     let deploy_cfg = DeployConfig {
-        gossip: GossipConfig {
-            static_timeouts: cfg.static_timeouts,
-            ..GossipConfig::default()
-        },
         sched: SchedulerConfig {
             workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
-            step_budget: cfg.step_budget,
+            step_budget: STEP_BUDGET,
             ..SchedulerConfig::default()
         },
     };
@@ -182,7 +172,7 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
             condor_host,
             Box::new(SchedulerServer::new(SchedulerConfig {
                 workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
-                step_budget: cfg.step_budget,
+                step_budget: STEP_BUDGET,
                 seed_salt: 99,
             })),
         )
@@ -196,16 +186,17 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     }
     for build in infra_builds {
         // Legion and NetSolve traffic goes through their relay.
-        let client_scheds: Vec<u64> = match (&build.relay, build.relay_host) {
-            (Some(label), Some(host)) => {
+        let client_scheds: Vec<u64> = match build.relay {
+            Some(host) => {
+                let label = sim.hosts().get(host).name.clone();
                 let relay = sim.spawn(
-                    label,
+                    &label,
                     host,
-                    Box::new(Relay::new(label, sched_addrs.clone())),
+                    Box::new(Relay::new(&label, sched_addrs.clone())),
                 );
                 vec![relay.0 as u64]
             }
-            _ => {
+            None => {
                 if build.name == "condor" {
                     if let Some(inside) = condor_inside_sched {
                         let mut v = vec![inside.0 as u64];
@@ -354,7 +345,6 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
     let event_order_hash = sim.event_order_hash();
 
     Sc98Report {
-        cfg: cfg.clone(),
         total,
         per_infra,
         host_counts,

@@ -6,7 +6,7 @@
 //! application out. Used by the SC98 driver, the integration tests, and
 //! the quickstart example.
 
-use ew_gossip::{GossipConfig, GossipServer};
+use ew_gossip::GossipServer;
 use ew_infra::ServiceHosts;
 use ew_sched::{SchedulerConfig, SchedulerServer};
 use ew_sim::{HostId, ProcessId, Sim};
@@ -65,8 +65,6 @@ const STATE_CAPACITY: usize = 16 << 20;
 /// Options for [`Deployment::builder`].
 #[derive(Default)]
 pub struct DeployConfig {
-    /// Gossip server configuration (shared by the pool).
-    pub gossip: GossipConfig,
     /// Scheduler configuration (each server gets a distinct seed salt).
     pub sched: SchedulerConfig,
 }
@@ -139,14 +137,14 @@ impl DeploymentBuilder {
         let g0 = sim.spawn(
             "gossip-0",
             self.gossip_hosts[0],
-            Box::new(GossipServer::new(cfg.gossip.clone(), vec![])),
+            Box::new(GossipServer::new(None, vec![])),
         );
         gossips.push(g0);
         for (i, &h) in self.gossip_hosts.iter().enumerate().skip(1) {
             gossips.push(sim.spawn(
                 &format!("gossip-{i}"),
                 h,
-                Box::new(GossipServer::new(cfg.gossip.clone(), vec![g0.0 as u64])),
+                Box::new(GossipServer::new(None, vec![g0.0 as u64])),
             ));
         }
 

@@ -7,8 +7,8 @@
 //!
 //! * [`methods`] — the battery of lightweight one-step-ahead predictors over
 //!   one shared per-stream history;
-//! * [`selector`] — MAE/MSE-ranked dynamic selection across the battery,
-//!   computed once per measurement;
+//! * [`selector`] — MAE-ranked dynamic selection across the battery (RMSE
+//!   reported beside it), computed once per measurement;
 //! * [`dynbench`] — *dynamic benchmarking*: tagging and timing arbitrary
 //!   repetitive program events and feeding the timings to forecasters;
 //! * [`timeout`] — dynamic time-out discovery for the lingua franca, the
@@ -24,6 +24,6 @@ pub mod timeout;
 
 pub use dynbench::DynamicBenchmark;
 pub use methods::{standard_battery, Method};
-pub use selector::{ErrorMetric, ForecasterSet};
+pub use selector::ForecasterSet;
 pub use sensor::{NwsSensor, NwsServer, SensorConfig};
 pub use timeout::ForecastTimeout;

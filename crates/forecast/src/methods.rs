@@ -10,14 +10,12 @@
 //! lives in [`crate::selector`].
 //!
 //! A [`Method`] is only its parameters. What every stream of a battery has
-//! in common is a [`Plan`], built once and shared; a stream's own state is
-//! one block of `f64`s, whose tail ([`Windows`]) stores the measurements once
+//! in common is a `Plan`, built once and shared; a stream's own state is
+//! one block of `f64`s, whose tail (`Windows`) stores the measurements once
 //! for every method to read, and what a method carries from one measurement
 //! to the next is one scalar. Summation order is part of the contract (DESIGN
 //! §7.4): forecasts reach the wire through `SimDuration::from_secs_f64`, so
 //! low bits matter, and no method keeps a running window sum.
-
-use crate::selector::ErrorMetric;
 
 /// One forecasting method of a battery.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -157,7 +155,6 @@ impl Method {
 pub(crate) struct Plan {
     /// Each method with the offset of the sorted window it reads (0 if none).
     pub(crate) ops: Vec<(Method, usize)>,
-    pub(crate) metric: ErrorMetric,
     /// The widest window any method reads.
     cap: usize,
     /// `(w, offset)` per distinct width some method takes order statistics
@@ -172,7 +169,7 @@ pub(crate) struct Plan {
 impl Plan {
     /// Lay out a battery. Panics if it is empty or a method's parameters
     /// are out of range.
-    pub(crate) fn new(methods: Vec<Method>, metric: ErrorMetric) -> Self {
+    pub(crate) fn new(methods: Vec<Method>) -> Self {
         let cap = methods.iter().map(Method::width).max();
         let cap = cap.expect("a battery has at least one method");
         let (mut sorted, mut end) = (Vec::<(usize, usize)>::new(), 2 * cap);
@@ -192,7 +189,6 @@ impl Plan {
             block_len: 4 * ops.len() + end,
             lazy: ops[0].0 == Method::Last,
             ops,
-            metric,
             cap,
             sorted,
         }
@@ -292,7 +288,7 @@ mod tests {
 
     /// Run `m` alone over `xs`; its prediction after the last one.
     fn feed(m: Method, xs: &[f64]) -> f64 {
-        let mut set = crate::ForecasterSet::new(vec![m], ErrorMetric::Mae);
+        let mut set = crate::ForecasterSet::new(vec![m]);
         xs.iter().for_each(|&x| set.update(x));
         let (_, pred) = set.predictions().next().expect("one method");
         pred.expect("non-empty series")
@@ -377,7 +373,7 @@ mod tests {
         // One ring of 7 serves a width-3 and a width-7 reader; the sorted
         // width-4 window drops the value four back, not the oldest held.
         let methods = vec![Method::Mean(3), Method::Mean(7), Method::Median(4)];
-        let plan = Plan::new(methods, ErrorMetric::Mae);
+        let plan = Plan::new(methods);
         let sorted_at = plan.ops[2].1;
         let mut tail = vec![0.0; plan.block_len - 4 * plan.ops.len()];
         let mut h = Windows {
@@ -397,7 +393,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_range_parameters_are_refused() {
-        crate::ForecasterSet::new(vec![Method::Trimmed(10, 0.5)], crate::ErrorMetric::Mae);
+        crate::ForecasterSet::new(vec![Method::Trimmed(10, 0.5)]);
     }
 
     #[test]

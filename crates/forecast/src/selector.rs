@@ -13,15 +13,6 @@ use std::sync::{Arc, LazyLock};
 
 use crate::methods::{standard_battery, Method, Plan, Windows};
 
-/// Error metric used to rank methods.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ErrorMetric {
-    /// Mean absolute error — the NWS default; robust to single busts.
-    Mae,
-    /// Mean squared error — punishes large busts harder.
-    Mse,
-}
-
 /// A forecast and its provenance.
 #[derive(Clone, Copy, Debug)]
 pub struct Forecast {
@@ -35,7 +26,8 @@ pub struct Forecast {
     pub rmse: Option<f64>,
 }
 
-/// A battery of forecasters with error-ranked selection for one stream.
+/// A battery of forecasters with MAE-ranked selection for one stream (the
+/// NWS default: robust to single busts; RMSE is reported, not ranked by).
 ///
 /// All forecasting happens in [`ForecasterSet::update`]: each measurement
 /// is stored once, every method predicts once, and the winner is chosen
@@ -69,14 +61,14 @@ impl ForecasterSet {
     /// shares one plan.
     pub fn standard() -> Self {
         static PLAN: LazyLock<Arc<Plan>> =
-            LazyLock::new(|| Arc::new(Plan::new(standard_battery(), ErrorMetric::Mae)));
+            LazyLock::new(|| Arc::new(Plan::new(standard_battery())));
         Self::over(Arc::clone(&PLAN))
     }
 
-    /// A custom battery. Panics if it is empty or a method's parameters are
-    /// out of range.
-    pub fn new(methods: Vec<Method>, metric: ErrorMetric) -> Self {
-        Self::over(Arc::new(Plan::new(methods, metric)))
+    /// A custom battery, ranked by MAE. Panics if it is empty or a method's
+    /// parameters are out of range.
+    pub fn new(methods: Vec<Method>) -> Self {
+        Self::over(Arc::new(Plan::new(methods)))
     }
 
     fn over(plan: Arc<Plan>) -> Self {
@@ -157,17 +149,13 @@ impl ForecasterSet {
         }
     }
 
-    /// Method `i`'s mean error under the battery's metric; `f64::INFINITY`
-    /// until it has been scored once.
+    /// Method `i`'s mean absolute error; `f64::INFINITY` until it has been
+    /// scored once.
     fn score(&self, i: usize) -> f64 {
         if self.seen < 2 {
             return f64::INFINITY;
         }
-        let sums = match self.plan.metric {
-            ErrorMetric::Mae => 1,
-            ErrorMetric::Mse => 2,
-        };
-        self.block[sums * self.plan.ops.len() + i] / (self.seen - 1) as f64
+        self.block[self.plan.ops.len() + i] / (self.seen - 1) as f64
     }
 
     /// Number of measurements absorbed.
@@ -238,7 +226,7 @@ mod tests {
         // Noisy level series: median/mean methods should beat last-value.
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut s = ForecasterSet::standard();
-        let mut last_only = ForecasterSet::new(vec![Method::Last], ErrorMetric::Mae);
+        let mut last_only = ForecasterSet::new(vec![Method::Last]);
         let mut sel_err = 0.0;
         let mut last_err = 0.0;
         let mut count = 0;
@@ -263,10 +251,7 @@ mod tests {
 
     #[test]
     fn selector_switches_method_when_series_character_changes() {
-        let mut s = ForecasterSet::new(
-            vec![Method::Exp(0.05), Method::Median(5), Method::Last],
-            ErrorMetric::Mae,
-        );
+        let mut s = ForecasterSet::new(vec![Method::Exp(0.05), Method::Median(5), Method::Last]);
         // Smooth constant phase: everything is tied near zero error, but
         // after a ramp the responsive methods must win the leaderboard.
         for i in 0..200 {
@@ -278,28 +263,6 @@ mod tests {
             Method::Last,
             "on a steep ramp last-value has the least lag; got {lead:?}"
         );
-    }
-
-    #[test]
-    fn mse_metric_punishes_busts_harder() {
-        // One huge bust for method A, many small errors for method B.
-        let mk = |metric| ForecasterSet::new(vec![Method::Last, Method::Median(51)], metric);
-        let series: Vec<f64> = {
-            let mut v = vec![10.0; 60];
-            v.push(500.0); // one spike: last-value busts once on the spike
-            v.extend(std::iter::repeat_n(10.0, 60)); // ...and once after
-            v
-        };
-        let mut mae_set = mk(ErrorMetric::Mae);
-        let mut mse_set = mk(ErrorMetric::Mse);
-        for &x in &series {
-            mae_set.update(x);
-            mse_set.update(x);
-        }
-        // Under MAE the two big busts of last-value are amortized; under
-        // MSE they dominate. Median ranks strictly better under MSE.
-        let mse_lead = mse_set.leaderboard();
-        assert_eq!(mse_lead[0].0, Method::Median(51));
     }
 
     #[test]

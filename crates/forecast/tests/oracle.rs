@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use ew_forecast::{ErrorMetric, ForecasterSet, Method};
+use ew_forecast::{ForecasterSet, Method};
 
 /// One reference method: private history, prediction recomputed on demand.
 enum Oracle {
@@ -142,14 +142,12 @@ impl Oracle {
 /// The reference selector: score, absorb, and re-rank on every `predict`.
 struct OracleSet {
     entries: Vec<(Oracle, f64, f64, u64)>, // method, abs_err, sq_err, scored
-    metric: ErrorMetric,
 }
 
 impl OracleSet {
-    fn new(methods: Vec<Oracle>, metric: ErrorMetric) -> Self {
+    fn new(methods: Vec<Oracle>) -> Self {
         OracleSet {
             entries: methods.into_iter().map(|m| (m, 0.0, 0.0, 0)).collect(),
-            metric,
         }
     }
 
@@ -165,13 +163,11 @@ impl OracleSet {
         }
     }
 
-    /// Entry `i`'s mean error under the metric; `f64::INFINITY` until scored.
+    /// Entry `i`'s mean absolute error; `f64::INFINITY` until scored.
     fn score(&self, i: usize) -> f64 {
-        let (_, abs_err, sq_err, scored) = &self.entries[i];
-        match (*scored, self.metric) {
-            (0, _) => f64::INFINITY,
-            (n, ErrorMetric::Mae) => abs_err / n as f64,
-            (n, ErrorMetric::Mse) => sq_err / n as f64,
+        match self.entries[i] {
+            (_, _, _, 0) => f64::INFINITY,
+            (_, abs_err, _, n) => abs_err / n as f64,
         }
     }
 
@@ -452,7 +448,7 @@ proptest! {
     fn standard_battery_matches_the_per_method_oracle(xs in series()) {
         assert_lockstep(
             ForecasterSet::standard(),
-            OracleSet::new(standard_oracle(), ErrorMetric::Mae),
+            OracleSet::new(standard_oracle()),
             &xs,
         )?;
     }
@@ -461,8 +457,8 @@ proptest! {
     fn custom_battery_with_shared_and_unique_widths_matches_the_oracle(xs in series()) {
         let (methods, oracle) = custom();
         assert_lockstep(
-            ForecasterSet::new(methods, ErrorMetric::Mse),
-            OracleSet::new(oracle, ErrorMetric::Mse),
+            ForecasterSet::new(methods),
+            OracleSet::new(oracle),
             &xs,
         )?;
     }
@@ -472,8 +468,8 @@ proptest! {
     /// other: per-stream state leaking into the plan would show here only.
     #[test]
     fn two_standard_sets_alive_at_once_do_not_share_state(xs in series(), ys in series()) {
-        let mut a = (ForecasterSet::standard(), OracleSet::new(standard_oracle(), ErrorMetric::Mae));
-        let mut b = (ForecasterSet::standard(), OracleSet::new(standard_oracle(), ErrorMetric::Mae));
+        let mut a = (ForecasterSet::standard(), OracleSet::new(standard_oracle()));
+        let mut b = (ForecasterSet::standard(), OracleSet::new(standard_oracle()));
         let (mut fed_a, mut fed_b) = (0, 0);
         while fed_a < xs.len() || fed_b < ys.len() {
             // Uneven turns: a, b, b, a, a, ... until one series runs out.
@@ -495,17 +491,17 @@ proptest! {
         let methods = vec![Method::Exp(0.05), Method::Median(5), Method::Last];
         let oracle = methods.iter().copied().map(oracle_of).collect();
         assert_lockstep(
-            ForecasterSet::new(methods, ErrorMetric::Mae),
-            OracleSet::new(oracle, ErrorMetric::Mae),
+            ForecasterSet::new(methods),
+            OracleSet::new(oracle),
             &xs,
         )?;
     }
 
     #[test]
     fn degenerate_batteries_match_the_oracle(xs in series()) {
-        for (methods, metric) in degenerate_batteries().into_iter().zip([ErrorMetric::Mae, ErrorMetric::Mse].into_iter().cycle()) {
+        for methods in degenerate_batteries() {
             let oracle = methods.iter().copied().map(oracle_of).collect();
-            assert_lockstep(ForecasterSet::new(methods, metric), OracleSet::new(oracle, metric), &xs)?;
+            assert_lockstep(ForecasterSet::new(methods), OracleSet::new(oracle), &xs)?;
         }
     }
 }

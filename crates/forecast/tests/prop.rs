@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use ew_forecast::{standard_battery, ErrorMetric, ForecastTimeout, ForecasterSet};
+use ew_forecast::{standard_battery, ForecastTimeout, ForecasterSet};
 use ew_proto::{EventTag, TimeoutPolicy};
 use ew_sim::SimDuration;
 
@@ -47,7 +47,7 @@ proptest! {
     ) {
         // The selected forecast always comes from the method with the best
         // score so far, so its cumulative MAE is within the battery's span.
-        let mut set = ForecasterSet::new(standard_battery(), ErrorMetric::Mae);
+        let mut set = ForecasterSet::new(standard_battery());
         let mut chosen_err = 0.0;
         let mut n = 0u32;
         for &x in &xs {

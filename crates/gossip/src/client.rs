@@ -128,7 +128,7 @@ impl GossipClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{GossipConfig, GossipServer};
+    use crate::server::GossipServer;
     use ew_proto::sim_net::packet_from_event;
     use ew_sim::{
         Event, HostId, HostSpec, HostTable, NetModel, Partition, Process, Sim, SimDuration,
@@ -207,11 +207,7 @@ mod tests {
     fn single_gossip_synchronizes_two_components() {
         let (net, hosts, hids) = world(3);
         let mut sim = Sim::new(net, hosts, 42);
-        let g = sim.spawn(
-            "gossip",
-            hids[0],
-            Box::new(GossipServer::new(GossipConfig::default(), vec![])),
-        );
+        let g = sim.spawn("gossip", hids[0], Box::new(GossipServer::new(None, vec![])));
         let writer = sim.spawn(
             "writer",
             hids[1],
@@ -243,22 +239,10 @@ mod tests {
         let (net, hosts, hids) = world(5);
         let mut sim = Sim::new(net, hosts, 7);
         // Three gossips: g0 is well-known; g1 and g2 announce to it.
-        let g0 = sim.spawn(
-            "g0",
-            hids[0],
-            Box::new(GossipServer::new(GossipConfig::default(), vec![])),
-        );
+        let g0 = sim.spawn("g0", hids[0], Box::new(GossipServer::new(None, vec![])));
         let wk = vec![g0.0 as u64];
-        let g1 = sim.spawn(
-            "g1",
-            hids[1],
-            Box::new(GossipServer::new(GossipConfig::default(), wk.clone())),
-        );
-        let g2 = sim.spawn(
-            "g2",
-            hids[2],
-            Box::new(GossipServer::new(GossipConfig::default(), wk)),
-        );
+        let g1 = sim.spawn("g1", hids[1], Box::new(GossipServer::new(None, wk.clone())));
+        let g2 = sim.spawn("g2", hids[2], Box::new(GossipServer::new(None, wk)));
         // Writer registers with g1; reader registers with g2.
         let writer = sim.spawn(
             "writer",
@@ -312,22 +296,10 @@ mod tests {
             until: SimTime::from_secs(900),
         });
         let mut sim = Sim::new(net, hosts, 11);
-        let g0 = sim.spawn(
-            "g0",
-            hids[0],
-            Box::new(GossipServer::new(GossipConfig::default(), vec![])),
-        );
+        let g0 = sim.spawn("g0", hids[0], Box::new(GossipServer::new(None, vec![])));
         let wk = vec![g0.0 as u64];
-        let g1 = sim.spawn(
-            "g1",
-            hids[1],
-            Box::new(GossipServer::new(GossipConfig::default(), wk.clone())),
-        );
-        let g2 = sim.spawn(
-            "g2",
-            hids[2],
-            Box::new(GossipServer::new(GossipConfig::default(), wk)),
-        );
+        let g1 = sim.spawn("g1", hids[1], Box::new(GossipServer::new(None, wk.clone())));
+        let g2 = sim.spawn("g2", hids[2], Box::new(GossipServer::new(None, wk)));
         let full: Vec<u64> = vec![g0.0 as u64, g1.0 as u64, g2.0 as u64];
 
         // Phase 1: clique forms.
@@ -393,11 +365,7 @@ mod tests {
             let hg = hosts.add(HostSpec::dedicated("hg", fast, 1e8));
             let hc = hosts.add(HostSpec::dedicated("hc", slow, 1e8));
             let mut sim = Sim::new(net, hosts, 5);
-            let cfg = GossipConfig {
-                static_timeouts: static_to,
-                ..GossipConfig::default()
-            };
-            let g = sim.spawn("g", hg, Box::new(GossipServer::new(cfg, vec![])));
+            let g = sim.spawn("g", hg, Box::new(GossipServer::new(static_to, vec![])));
             let _c = sim.spawn(
                 "c",
                 hc,

@@ -26,5 +26,5 @@ pub mod store;
 pub use client::GossipClient;
 pub use clique::{CliqueConfig, CliqueState};
 pub use freshness::{Comparator, VersionedBlob};
-pub use server::{GossipConfig, GossipServer};
+pub use server::GossipServer;
 pub use store::GossipStore;

@@ -11,7 +11,7 @@
 //! peers, and participates in the clique protocol to survive partitions.
 //!
 //! Poll time-outs are *discovered dynamically* through the forecast-driven
-//! policy (§2.2); construct with [`GossipConfig::static_timeouts`] set to
+//! policy (§2.2); pass [`GossipServer::new`] a static time-out to
 //! reproduce the paper's inferior static-time-out baseline.
 
 use ew_forecast::ForecastTimeout;
@@ -25,16 +25,6 @@ use crate::messages::{
 };
 use crate::store::{responsible_gossip, GossipStore};
 use ew_proto::WireEncode;
-
-/// Tunables for a Gossip server.
-#[derive(Clone, Debug, Default)]
-pub struct GossipConfig {
-    /// Clique protocol tunables.
-    pub clique: CliqueConfig,
-    /// `Some(t)` replaces dynamic time-out discovery with a fixed time-out
-    /// `t` — the §2.2 ablation baseline.
-    pub static_timeouts: Option<SimDuration>,
-}
 
 /// How often responsible components are polled for fresh state
 /// ("periodically receives a request from a Gossip process", §2.3).
@@ -93,7 +83,8 @@ impl GossipTele {
 
 /// One member of the Gossip pool, as a simulator process.
 pub struct GossipServer {
-    cfg: GossipConfig,
+    /// Whether poll time-outs are forecast (the §2.2 static arm's are not).
+    dynamic_timeouts: bool,
     well_known: Vec<u64>,
     store: GossipStore,
     clique: Option<CliqueState>,
@@ -107,9 +98,11 @@ pub struct GossipServer {
 
 impl GossipServer {
     /// Build a server that will announce itself to `well_known` peer
-    /// addresses (other Gossips' process ids).
-    pub fn new(cfg: GossipConfig, well_known: Vec<u64>) -> Self {
-        let rpc = match cfg.static_timeouts {
+    /// addresses (other Gossips' process ids). `Some(t)` replaces dynamic
+    /// time-out discovery with a fixed poll time-out `t` — the §2.2
+    /// ablation baseline.
+    pub fn new(static_timeouts: Option<SimDuration>, well_known: Vec<u64>) -> Self {
+        let rpc = match static_timeouts {
             Some(t) => RpcClient::new(StaticTimeout(t), None, None),
             None => {
                 // One backoff retry per poll before the periodic round takes
@@ -129,7 +122,7 @@ impl GossipServer {
             }
         };
         GossipServer {
-            cfg,
+            dynamic_timeouts: static_timeouts.is_none(),
             well_known,
             store: GossipStore::new(),
             clique: None,
@@ -170,7 +163,7 @@ impl GossipServer {
         self.clique = Some(CliqueState::new(
             me,
             &self.well_known,
-            self.cfg.clique,
+            CliqueConfig::default(),
             ctx.now(),
         ));
         let announce = Announce {
@@ -194,7 +187,7 @@ impl GossipServer {
         ctx.set_timer(POLL_INTERVAL + jitter, TIMER_POLL);
         ctx.set_timer(SYNC_INTERVAL + jitter, TIMER_SYNC);
         ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
-        if self.cfg.static_timeouts.is_none() {
+        if self.dynamic_timeouts {
             let seed = ctx.rng().next_u64();
             self.rpc.seed_jitter(seed);
         }
@@ -424,7 +417,7 @@ impl GossipServer {
                     let accepted = clique.on_token(&tok, now);
                     if accepted && !self.hold_pending {
                         self.hold_pending = true;
-                        ctx.set_timer(self.cfg.clique.hold_time, TIMER_TOKEN_HOLD);
+                        ctx.set_timer(CliqueConfig::default().hold_time, TIMER_TOKEN_HOLD);
                     }
                     ctx.span_exit(tele.token_span, tok.generation);
                 }

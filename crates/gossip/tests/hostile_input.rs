@@ -11,7 +11,7 @@ use ew_gossip::messages::{
     gm, Announce, Election, MergeProbe, Poll, Register, StateCarrier, SyncBody, Token,
     TypeRegistration,
 };
-use ew_gossip::{GossipConfig, GossipServer, VersionedBlob};
+use ew_gossip::{GossipServer, VersionedBlob};
 use ew_proto::sim_net::send_packet;
 use ew_proto::{Packet, WireEncode};
 use ew_sim::{
@@ -123,17 +123,9 @@ fn announced_address_above_u32_reaches_no_process() {
     let host = hosts.add(HostSpec::dedicated("h", site, 1e8));
     let mut sim = Sim::new(net, hosts, 11);
     let victim = sim.spawn("victim", host, Box::new(Victim { received: 0 }));
-    let g0 = sim.spawn(
-        "g0",
-        host,
-        Box::new(GossipServer::new(GossipConfig::default(), vec![])),
-    );
+    let g0 = sim.spawn("g0", host, Box::new(GossipServer::new(None, vec![])));
     let wk = vec![g0.0 as u64];
-    let g1 = sim.spawn(
-        "g1",
-        host,
-        Box::new(GossipServer::new(GossipConfig::default(), wk)),
-    );
+    let g1 = sim.spawn("g1", host, Box::new(GossipServer::new(None, wk)));
     let attacker = Attacker {
         gossips: vec![g0, g1],
         alias: (1 << 32) | victim.0 as u64,

@@ -52,11 +52,10 @@ pub struct InfraBuild {
     pub stagger: SimDuration,
     /// Per-client compute chunk size (≈ 10 s of host time).
     pub chunk_ops: u64,
-    /// Relay label if this infrastructure speaks through one (Legion
-    /// translator, NetSolve agent).
-    pub relay: Option<String>,
-    /// Host to run the relay on.
-    pub relay_host: Option<HostId>,
+    /// Host of the relay this infrastructure speaks through, if any
+    /// (Legion translator, NetSolve agent); the relay takes the host's
+    /// name as its label.
+    pub relay: Option<HostId>,
 }
 
 /// Where the EveryWare services live.
@@ -201,7 +200,6 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         stagger: SimDuration::from_secs(10),
         chunk_ops: 1_000_000_000, // ~10s at 1e8
         relay: None,
-        relay_host: None,
     });
 
     // ---- NT Superclusters (NCSA 64 + UCSD 32) behind LSF ----------------
@@ -233,7 +231,6 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         stagger: SimDuration::from_secs(3),           // queue drain
         chunk_ops: 75_000_000,
         relay: None,
-        relay_host: None,
     });
 
     // ---- Condor pool (federated workstations, reclaimed on owner return)
@@ -270,7 +267,6 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         stagger: SimDuration::from_secs(2),
         chunk_ops: 35_000_000,
         relay: None,
-        relay_host: None,
     });
 
     // ---- Globus testbed (GRAM + GASS invocation path) -------------------
@@ -301,7 +297,6 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         stagger: SimDuration::from_secs(5),
         chunk_ops: 160_000_000,
         relay: None,
-        relay_host: None,
     });
 
     // ---- Legion (stateless objects behind the translator) ---------------
@@ -313,7 +308,8 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         wan_bandwidth: 1.25e6,
         load: walk(&seeder, "net.legion", horizon, 0.18, 0.06),
     });
-    let legion_relay_host = hosts.add(HostSpec::dedicated("legion-translator", legion_site, 5e7));
+    let legion_translator_host =
+        hosts.add(HostSpec::dedicated("legion-translator", legion_site, 5e7));
     let mut legion_hosts = Vec::new();
     for i in 0..12usize {
         let label = format!("cpu.legion.{i}");
@@ -331,8 +327,7 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         invocation_delay: SimDuration::from_secs(15),
         stagger: SimDuration::from_secs(5),
         chunk_ops: 90_000_000,
-        relay: Some("legion-translator".into()),
-        relay_host: Some(legion_relay_host),
+        relay: Some(legion_translator_host),
     });
 
     // ---- NetSolve (agent-brokered RPC) -----------------------------------
@@ -362,8 +357,7 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         invocation_delay: SimDuration::from_secs(10),
         stagger: SimDuration::from_secs(5),
         chunk_ops: 24_000_000,
-        relay: Some("netsolve-agent".into()),
-        relay_host: Some(netsolve_agent_host),
+        relay: Some(netsolve_agent_host),
     });
 
     // ---- Java (Internet browsers, interpreted applets, §5.6) -------------
@@ -401,7 +395,6 @@ pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) 
         stagger: SimDuration::from_secs(1),
         chunk_ops: 1_000_000, // ~10s at interpreted speed
         relay: None,
-        relay_host: None,
     });
 
     Sc98Pool {
@@ -500,9 +493,7 @@ mod tests {
         let p = pool();
         for build in &p.infra {
             match build.name.as_str() {
-                "legion" | "netsolve" => {
-                    assert!(build.relay.is_some() && build.relay_host.is_some())
-                }
+                "legion" | "netsolve" => assert!(build.relay.is_some()),
                 _ => assert!(build.relay.is_none()),
             }
         }

@@ -50,6 +50,12 @@ pub mod mtype {
 /// CRC-32 (IEEE 802.3 polynomial, reflected), computed over the header
 /// (with the checksum field zeroed) and payload.
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
+}
+
+/// Fold `data` into a running (pre-inverted) CRC-32 register: a checksum
+/// over several slices without joining them first.
+fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
     const fn table() -> [u32; 256] {
         let mut t = [0u32; 256];
         let mut i = 0;
@@ -70,11 +76,10 @@ pub fn crc32(data: &[u8]) -> u32 {
         t
     }
     const TABLE: [u32; 256] = table();
-    let mut c = !0u32;
     for &b in data {
         c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 /// One lingua-franca record.
@@ -236,6 +241,8 @@ impl Packet {
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Bytes of `buf` already framed; dropped on the next `feed`.
+    start: usize,
 }
 
 impl FrameReader {
@@ -244,25 +251,28 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Append newly received bytes.
+    /// Append newly received bytes, first dropping the ones already
+    /// framed (one move of the unread tail per read, not per packet).
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..std::mem::take(&mut self.start));
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet framed.
     #[cfg(test)]
     fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Try to pop one complete packet. `Ok(None)` means more bytes are
     /// needed; errors are unrecoverable for the stream (the connection
     /// should be dropped, as a 1998 TCP peer would).
     pub fn next_packet(&mut self) -> Result<Option<Packet>, PacketError> {
-        if self.buf.len() < HEADER_LEN {
+        let buf = &self.buf[self.start..];
+        if buf.len() < HEADER_LEN {
             return Ok(None);
         }
-        let mut r = WireReader::new(&self.buf);
+        let mut r = WireReader::new(buf);
         let magic = u32::decode(&mut r)?;
         if magic != MAGIC {
             return Err(PacketError::BadMagic(magic));
@@ -280,21 +290,21 @@ impl FrameReader {
         }
         let expected_crc = u32::decode(&mut r)?;
         let total = HEADER_LEN + payload_len as usize;
-        if self.buf.len() < total {
+        if buf.len() < total {
             return Ok(None);
         }
-        // Verify checksum over header-with-zeroed-crc + payload.
-        let mut check = self.buf[..total].to_vec();
-        check[20..24].fill(0);
-        let actual = crc32(&check);
+        // Verify checksum over header-with-zeroed-crc + payload, in place.
+        let actual = crc32_update(!0, &buf[..20]);
+        let actual = crc32_update(actual, &[0; 4]);
+        let actual = !crc32_update(actual, &buf[24..total]);
         if actual != expected_crc {
             return Err(PacketError::BadChecksum {
                 expected: expected_crc,
                 actual,
             });
         }
-        let payload = Payload::from(&self.buf[HEADER_LEN..total]);
-        self.buf.drain(..total);
+        let payload = Payload::from(&buf[HEADER_LEN..total]);
+        self.start += total;
         Ok(Some(Packet {
             mtype,
             flags,

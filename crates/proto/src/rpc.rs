@@ -464,7 +464,7 @@ impl<C> RpcClient<C> {
         due
     }
 
-    /// See [`CircuitBreaker::is_open`](crate::CircuitBreaker::is_open);
+    /// See [`CircuitBreaker::is_open`](crate::retry::CircuitBreaker::is_open);
     /// never open on the static baseline.
     pub fn is_open(&self, peer: u64, now: SimTime) -> bool {
         self.adaptive
@@ -472,7 +472,7 @@ impl<C> RpcClient<C> {
             .is_some_and(|a| a.breaker.is_open(peer, now))
     }
 
-    /// See [`CircuitBreaker::try_acquire`](crate::CircuitBreaker::try_acquire);
+    /// See [`CircuitBreaker::try_acquire`](crate::retry::CircuitBreaker::try_acquire);
     /// always granted on the static baseline.
     pub fn try_acquire(&mut self, peer: u64, now: SimTime) -> bool {
         self.adaptive

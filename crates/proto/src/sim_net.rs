@@ -4,9 +4,11 @@
 //! skip the magic/CRC framing and ride `Event::Message` directly: the
 //! simulator's `mtype` field carries the packet's message type and the
 //! payload carries flags + correlation + body
-//! ([`Packet::to_sim_payload`]). The same service code therefore runs
-//! unchanged on the simulator and on real TCP ([`crate::tcp`]) —
-//! EveryWare's "embarrassing portability", reproduced as a transport seam.
+//! ([`Packet::to_sim_payload`]). The shared seam is the packet layer: the
+//! same [`Packet`] type, message types and wire bodies travel here and on
+//! real TCP ([`crate::tcp`]), where the framed stream form carries them.
+//! The service processes themselves are simulator processes; the live run
+//! (`everyware::live`) drives its own scheduler and worker loops over TCP.
 
 use ew_sim::{Ctx, Event, ProcessId};
 

@@ -56,7 +56,7 @@ pub struct UnitCounts {
     /// Edges refused: RESULTs that found no executing unit (a duplicate,
     /// another scheduler's unit, or the former holder of a migrated unit).
     /// Only a RESULT can be refused, because of how the scheduler calls the
-    /// table, not because of [`EDGES`]: it grants only a new or the queued
+    /// table, not because of `EDGES`: it grants only a new or the queued
     /// unit, and migrates only a unit `report` found executing.
     pub illegal: u64,
 }

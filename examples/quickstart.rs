@@ -68,7 +68,6 @@ fn main() {
             step_budget: 2_000,
             ..SchedulerConfig::default()
         },
-        ..DeployConfig::default()
     })
     .gossip_pool(&service_hosts.gossips)
     .schedulers(&service_hosts.schedulers)

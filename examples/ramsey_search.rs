@@ -42,7 +42,6 @@ fn prove(k: u32, n: u32, step_budget: u64, units: u64) {
         units,
         deadline: Duration::from_secs(120),
         stop_on_witness: true,
-        ..LiveConfig::default()
     })
     .expect("loopback bind");
     println!(

@@ -10,9 +10,13 @@
 //! * the campaign emits byte-identical JSON run to run (the CI
 //!   determinism gate for `figures -- chaos`).
 
-use ew_chaos::{campaign_json, run_campaign, standard_plans, CampaignConfig, FaultPlan, SiteRole};
+use ew_chaos::{
+    campaign_json, run_campaign_threads, standard_plans, CampaignConfig, FaultPlan, SiteRole,
+};
 use ew_ramsey::RamseyProblem;
-use ew_sim::{AvailabilitySchedule, Partition, SimDuration, SimTime, SiteId, Xoshiro256};
+use ew_sim::{
+    resolve_threads, AvailabilitySchedule, Partition, SimDuration, SimTime, SiteId, Xoshiro256,
+};
 use ew_workload::WorkloadSpec;
 
 fn secs(s: u64) -> SimTime {
@@ -92,7 +96,7 @@ fn churn_plus_partition_world_keeps_finishing_work() {
         plans: vec![plan],
         workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
     };
-    let reports = run_campaign(&cfg);
+    let reports = run_campaign_threads(&cfg, resolve_threads(None)).reports;
     assert_eq!(reports.len(), 1);
     let r = &reports[0];
     assert!(
@@ -119,7 +123,7 @@ fn mass_reclamation_ab_meets_the_acceptance_bound() {
         plans: vec![plan],
         workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
     };
-    let r = &run_campaign(&cfg)[0];
+    let r = &run_campaign_threads(&cfg, resolve_threads(None)).reports[0];
     assert!(
         r.adaptive.work_lost_pct < 5.0,
         "adaptive stack lost {:.2}% (must stay < 5%)",
@@ -154,7 +158,7 @@ fn campaign_json_is_byte_identical_run_to_run() {
         workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
     };
     let render = || -> Vec<(String, String)> {
-        let reports = run_campaign(&cfg);
+        let reports = run_campaign_threads(&cfg, resolve_threads(None)).reports;
         campaign_json(&cfg, &reports)
             .into_iter()
             .map(|(name, v)| (name, serde_json::to_string_pretty(&v).unwrap()))

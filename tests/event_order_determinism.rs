@@ -25,12 +25,12 @@ use std::fmt::Write as _;
 
 use everyware::{run_sc98, Sc98Config};
 use ew_bench::mega::{run_mega, MegaConfig};
-use ew_chaos::{campaign_json, run_campaign, standard_plans, CampaignConfig};
+use ew_chaos::{campaign_json, run_campaign_threads, standard_plans, CampaignConfig};
 use ew_infra::MegaSpec;
 use ew_ramsey::RamseyProblem;
 use ew_sim::{
-    AvailabilitySchedule, Ctx, Event, HostSpec, HostTable, NetModel, NetworkModel, Process,
-    ProcessId, Sim, SimDuration, SimTime, SiteSpec,
+    resolve_threads, AvailabilitySchedule, Ctx, Event, HostSpec, HostTable, NetModel, NetworkModel,
+    Process, ProcessId, Sim, SimDuration, SimTime, SiteSpec,
 };
 use ew_workload::WorkloadSpec;
 
@@ -279,7 +279,7 @@ fn chaos_flaky_network_json_matches_per_event_golden() {
             .collect(),
         workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
     };
-    let reports = run_campaign(&cfg);
+    let reports = run_campaign_threads(&cfg, resolve_threads(None)).reports;
     let files = campaign_json(&cfg, &reports);
     assert_eq!(files.len(), 1);
     let mut text = String::new();

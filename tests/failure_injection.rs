@@ -143,12 +143,9 @@ fn compute_continues_through_state_server_outage() {
     });
     let _ = state_host;
     let mut sim = Sim::new(w.net, w.hosts, 33);
-    let dep = Deployment::builder(DeployConfig {
-        sched: sched_cfg(),
-        ..DeployConfig::default()
-    })
-    .service_hosts(&svc)
-    .spawn(&mut sim);
+    let dep = Deployment::builder(DeployConfig { sched: sched_cfg() })
+        .service_hosts(&svc)
+        .spawn(&mut sim);
     let clients: Vec<_> = compute
         .iter()
         .enumerate()
@@ -249,12 +246,9 @@ fn mass_reclamation_and_respawn() {
     let mut sim = Sim::new(w.net, w.hosts, 37);
     // 20 s bins: 320, 600 and 700 s are bin edges (bins 16, 30 and 35).
     sim.declare_series("ops_series.pool", SimDuration::from_secs(20));
-    let dep = Deployment::builder(DeployConfig {
-        sched: sched_cfg(),
-        ..DeployConfig::default()
-    })
-    .service_hosts(&svc)
-    .spawn(&mut sim);
+    let dep = Deployment::builder(DeployConfig { sched: sched_cfg() })
+        .service_hosts(&svc)
+        .spawn(&mut sim);
     let sup = sim.spawn(
         "sup",
         svc.log,
@@ -324,7 +318,6 @@ fn killed_client_resumes_from_checkpoint() {
             step_budget: 10_000_000,
             ..sched_cfg()
         },
-        ..DeployConfig::default()
     })
     .service_hosts(&svc)
     .spawn(&mut sim);

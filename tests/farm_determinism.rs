@@ -62,8 +62,10 @@ fn dag_campaign_is_byte_identical_across_thread_counts() {
     // The exact configuration `figures -- chaos --short --workload dag`
     // runs: every chaos_dag_*.json payload plus chaos_dag_summary.json must
     // not depend on the worker count.
-    let cfg =
-        CampaignConfig::standard(1998, true).with_workload(WorkloadSpec::by_name("dag").unwrap());
+    let cfg = CampaignConfig {
+        workload: WorkloadSpec::by_name("dag").unwrap(),
+        ..CampaignConfig::standard(1998, true)
+    };
     let base = run_campaign_threads(&cfg, 1);
     let reference = campaign_artifacts(&cfg, &base.reports);
     assert!(!reference.is_empty());

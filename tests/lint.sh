@@ -21,6 +21,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo clippy -p ew-workload (warnings are errors)"
 cargo clippy -p ew-workload --all-targets --offline -- -D warnings
 
+# Broken intra-doc links are errors: a link to a deleted or private name
+# reads as a live reference until someone follows it.
+echo "== cargo doc --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # A SipHash map on a simulator-side hot path is a perf bug no compiler
 # warning reports (the Ramsey tabu map was 41 % of real_search for 19 PRs).
 echo "== no SipHash collections under crates/*/src"
@@ -64,6 +69,18 @@ echo "== the scheduler's unit state lives only in its UnitTable"
 if grep -rnE 'migration_queue|struct Outstanding|pub issued_|results_received' crates/sched/src; then
     echo "error: move units through UnitTable (grant, report, migrate, result)" >&2
     echo "       and read UnitCounts through SchedulerServer::units()" >&2
+    exit 1
+fi
+
+# Say each thing once: one ranking metric (MAE; RMSE is reported, never
+# ranked by), a fault window described once, as a FaultOp, and a setting
+# only where two callers set it differently (an MSE arm, three structs
+# restating FaultOp variants, a gossip config nobody changed and a relay
+# label beside its host all outlived their last caller).
+echo "== the deleted configuration shapes stay deleted"
+if grep -rnE 'ErrorMetric|GossipConfig|Compiled(Partition|Spike|Impairment)|relay_host' crates/*/src; then
+    echo "error: rank by MAE, keep window ops as FaultOps, and pass a value" >&2
+    echo "       directly until a second caller needs a different one" >&2
     exit 1
 fi
 

@@ -48,7 +48,6 @@ fn distributed_real_search_stores_verified_witness() {
             step_budget: 5_000,
             ..SchedulerConfig::default()
         },
-        ..DeployConfig::default()
     })
     .service_hosts(&svc)
     .spawn(&mut sim);

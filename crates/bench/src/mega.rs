@@ -4,7 +4,7 @@
 //! The campaign farms independent
 //! [`MegaShard`](ew_infra::mega::MegaShard) worlds over [`run_farm`]:
 //! each shard runs gossip pool, schedulers, persistent state, log host,
-//! and an [`InfraSupervisor`]-managed worker fleet —
+//! and an `InfraSupervisor`-managed worker fleet —
 //! the same deployment the chaos campaigns exercise — but sized so the
 //! fleet as a whole crosses 1k hosts and completes over a million Ramsey
 //! work units. `figures -- mega` runs the shards on the flow-level
@@ -16,13 +16,13 @@
 //! counters (byte-identical at any `--threads`, diffed in CI); wall-clock,
 //! events/sec and peak RSS are `benchmark/`'s `mega_rpc` workload.
 
-use ew_infra::{build_mega_shard, InfraSpec, InfraSupervisor, MegaSpec};
+use ew_infra::{build_mega_shard, InfraSpec, MegaSpec};
 use ew_ramsey::RamseyProblem;
 use ew_sched::{ClientConfig, SchedulerConfig};
 use ew_sim::{run_farm, FarmStats, NetworkModel, Sim, SimDuration, SimTime};
 use ew_workload::WorkloadSpec;
 
-use everyware::{DeployConfig, Deployment};
+use everyware::{DeployConfig, Deployment, Route};
 
 /// One mega campaign: how many shards of which shape, for how long.
 #[derive(Clone, Debug)]
@@ -127,42 +127,30 @@ fn run_shard(cfg: &MegaConfig, shard_idx: usize) -> ShardOutcome {
         .seed
         .wrapping_add((shard_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let world = build_mega_shard(&cfg.spec, shard_idx);
-    let workload = WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 });
     let hosts = world.hosts.len();
     let mut sim = Sim::new(world.net, world.hosts, seed);
-    let dep = Deployment::builder(DeployConfig {
+    let spec = InfraSpec {
+        name: "mega".into(),
+        hosts: world.pool,
+        invocation_delay: SimDuration::from_secs(2),
+        stagger: SimDuration::from_millis(50),
+        client_template: ClientConfig {
+            chunk_ops: STEP_BUDGET * OPS_PER_STEP,
+            ops_per_step: OPS_PER_STEP,
+            ..ClientConfig::default()
+        },
+        sample_interval: SimDuration::from_secs(30),
+    };
+    Deployment::builder(DeployConfig {
         sched: SchedulerConfig {
-            workload: workload.clone(),
+            workload: WorkloadSpec::ramsey(RamseyProblem { k: 4, n: 17 }),
             step_budget: STEP_BUDGET,
             ..SchedulerConfig::default()
         },
     })
-    .gossip_pool(&world.services.gossips)
-    .schedulers(&world.services.schedulers)
-    .state_manager(world.services.state)
-    .log_server(world.services.log)
+    .service_hosts(&world.services)
+    .pool(spec, Route::Direct)
     .spawn(&mut sim);
-
-    sim.spawn(
-        "mega-sup",
-        world.services.log,
-        Box::new(InfraSupervisor::new(InfraSpec {
-            name: "mega".into(),
-            hosts: world.pool,
-            invocation_delay: SimDuration::from_secs(2),
-            stagger: SimDuration::from_millis(50),
-            client_template: ClientConfig {
-                workload,
-                schedulers: dep.scheduler_addrs(),
-                state_server: Some(dep.state_addr()),
-                chunk_ops: STEP_BUDGET * OPS_PER_STEP,
-                ops_per_step: OPS_PER_STEP,
-                checkpoint_every_chunks: None,
-                ..ClientConfig::default()
-            },
-            sample_interval: SimDuration::from_secs(30),
-        })),
-    );
 
     let stats = sim.run_until(SimTime::ZERO + cfg.horizon);
     let m = sim.metrics();

@@ -13,14 +13,14 @@
 //! The world: a **Service** site (scheduler 0, state manager, two gossip
 //! servers, log host), a **Backup** site (scheduler 1), and a **Pool**
 //! site of eight 100 Mop/s compute hosts delivered through an
-//! [`InfraSupervisor`] that respawns clients after reclamation, with
+//! `InfraSupervisor` that respawns clients after reclamation, with
 //! application-level checkpointing to the state manager every 5 s of
 //! work. Every run is seed-deterministic, so campaign JSON is byte-stable
 //! run to run.
 
 use everyware::series::whole_bins;
-use everyware::{DeployConfig, Deployment};
-use ew_infra::{InfraSpec, InfraSupervisor};
+use everyware::{DeployConfig, Deployment, Route};
+use ew_infra::InfraSpec;
 use ew_ramsey::RamseyProblem;
 use ew_sched::{ClientConfig, SchedulerConfig};
 use ew_sim::{
@@ -291,7 +291,21 @@ fn run_world(
     let n_bins = whole_bins(horizon, bin);
     let mut sim = Sim::new(net, hosts, seed);
     sim.declare_series("ops_series.pool", bin);
-    let dep = Deployment::builder(DeployConfig {
+    let spec = InfraSpec {
+        name: "pool".into(),
+        hosts: pool,
+        invocation_delay: SimDuration::from_secs(5),
+        stagger: SimDuration::from_secs(2),
+        client_template: ClientConfig {
+            chunk_ops: 100_000_000,
+            ops_per_step: 1_000_000,
+            checkpoint_every_chunks: Some(5),
+            static_timeouts: static_arm.then_some(STATIC_TIMEOUT),
+            ..ClientConfig::default()
+        },
+        sample_interval: SimDuration::from_secs(30),
+    };
+    Deployment::builder(DeployConfig {
         sched: SchedulerConfig {
             workload: workload.clone(),
             // 6000 steps × 1e6 ops/step = 6e9 ops ≈ 60 s per unit at
@@ -305,36 +319,15 @@ fn run_world(
     .schedulers(&[h_s0, h_s1])
     .state_manager(h_state)
     .log_server(h_log)
-    .spawn(&mut sim);
-
-    sim.spawn(
+    .process(
         "chaos",
         h_log,
         Box::new(ChaosInjector {
             faults: compiled.map_or(0, |c| c.faults_injected),
         }),
-    );
-    sim.spawn(
-        "pool-sup",
-        h_log,
-        Box::new(InfraSupervisor::new(InfraSpec {
-            name: "pool".into(),
-            hosts: pool,
-            invocation_delay: SimDuration::from_secs(5),
-            stagger: SimDuration::from_secs(2),
-            client_template: ClientConfig {
-                workload: workload.clone(),
-                schedulers: dep.scheduler_addrs(),
-                state_server: Some(dep.state_addr()),
-                chunk_ops: 100_000_000,
-                ops_per_step: 1_000_000,
-                checkpoint_every_chunks: Some(5),
-                static_timeouts: static_arm.then_some(STATIC_TIMEOUT),
-                ..ClientConfig::default()
-            },
-            sample_interval: SimDuration::from_secs(30),
-        })),
-    );
+    )
+    .pool(spec, Route::Direct)
+    .spawn(&mut sim);
 
     sim.run_until(SimTime::ZERO + horizon);
 

@@ -25,4 +25,4 @@ pub mod toolkit;
 pub use live::{run_live, LiveConfig};
 pub use sc98::{run_sc98, Sc98Config, Sc98Report, JUDGING_END_S, JUDGING_START_S, WINDOW_S};
 pub use series::{mean, pst_label, BinnedPoint};
-pub use toolkit::{ramsey_validator, DeployConfig, Deployment};
+pub use toolkit::{ramsey_validator, DeployConfig, Deployment, Route};

@@ -10,16 +10,16 @@
 
 use std::collections::BTreeMap;
 
-use ew_forecast::{NwsSensor, NwsServer, SensorConfig};
+use ew_forecast::NwsServer;
 use ew_gossip::GossipServer;
-use ew_infra::{build_sc98, InfraSpec, InfraSupervisor, JudgingSpike, Relay};
+use ew_infra::{build_sc98, InfraSpec, JudgingSpike};
 use ew_ramsey::RamseyProblem;
 use ew_sched::{ClientConfig, SchedulerConfig, SchedulerServer, UnitCounts};
 use ew_sim::{Sim, SimDuration, SimTime, SubsystemHealth};
 use ew_workload::WorkloadSpec;
 
 use crate::series::{bin_mean, bin_rate, coefficient_of_variation, whole_bins, BinnedPoint};
-use crate::toolkit::{DeployConfig, Deployment};
+use crate::toolkit::{DeployConfig, Deployment, Route};
 
 /// Seconds from the window origin (23:36:56 PST) to the 11:00:00 judging
 /// onset.
@@ -106,140 +106,67 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
         level: 0.48,
     });
     let pool = build_sc98(cfg.seed, cfg.duration, spike);
-    let infra_builds = pool.infra;
-    let services = pool.services;
     let mut sim = Sim::new(pool.net, pool.hosts, cfg.seed);
     if let Some(capacity) = cfg.trace_capacity {
         sim.enable_tracing(capacity);
     }
-
-    let deploy_cfg = DeployConfig {
-        sched: SchedulerConfig {
-            workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
-            step_budget: STEP_BUDGET,
-            ..SchedulerConfig::default()
-        },
-    };
-    let dep = Deployment::builder(deploy_cfg)
-        .service_hosts(&services)
-        .spawn(&mut sim);
-    let sched_addrs = dep.scheduler_addrs();
-
-    // The Network Weather Service (Figure 1's "NWS" box): a forecaster
-    // server at SDSC and a sensor at every service host, probing each
-    // other across the wide area and reporting CPU and RTT measurements.
-    let nws_server = sim.spawn("nws-server", services.state, Box::new(NwsServer::new()));
-    {
-        let sensor_hosts: Vec<_> = services
-            .gossips
-            .iter()
-            .chain(services.schedulers.iter())
-            .copied()
-            .collect();
-        // Sensor pids are assigned sequentially after the server's.
-        let first = nws_server.0 + 1;
-        let sensor_pids: Vec<u64> = (0..sensor_hosts.len() as u32)
-            .map(|i| (first + i) as u64)
-            .collect();
-        for (i, &host) in sensor_hosts.iter().enumerate() {
-            let peers: Vec<u64> = sensor_pids
-                .iter()
-                .copied()
-                .filter(|&p| p != sensor_pids[i])
-                .collect();
-            let pid = sim.spawn(
-                &format!("nws-sensor-{i}"),
-                host,
-                Box::new(NwsSensor::new(SensorConfig {
-                    peers,
-                    server: nws_server.0 as u64,
-                })),
-            );
-            debug_assert_eq!(pid.0 as u64, sensor_pids[i]);
-        }
-    }
-
-    // Optional §5.4 ablation: a scheduler on a (reclaimable) Condor host,
-    // tried first by Condor clients.
-    let condor_inside_sched = cfg.condor_scheduler_inside.then(|| {
-        let condor_host = infra_builds
-            .iter()
-            .find(|b| b.name == "condor")
-            .expect("condor build present")
-            .hosts[0];
-        sim.spawn(
-            "sched-inside-condor",
-            condor_host,
-            Box::new(SchedulerServer::new(SchedulerConfig {
-                workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
-                step_budget: STEP_BUDGET,
-                seed_salt: 99,
-            })),
-        )
-    });
-
-    let infra_names: Vec<String> = infra_builds.iter().map(|b| b.name.clone()).collect();
+    let infra_names: Vec<String> = pool.infra.iter().map(|b| b.name.clone()).collect();
     let n_bins = whole_bins(cfg.duration, BIN);
     for name in &infra_names {
         sim.declare_series(&format!("ops_series.{name}"), BIN);
         sim.declare_series(&format!("hosts.{name}"), BIN);
     }
-    for build in infra_builds {
-        // Legion and NetSolve traffic goes through their relay.
-        let client_scheds: Vec<u64> = match build.relay {
-            Some(host) => {
-                let label = sim.hosts().get(host).name.clone();
-                let relay = sim.spawn(
-                    &label,
-                    host,
-                    Box::new(Relay::new(&label, sched_addrs.clone())),
-                );
-                vec![relay.0 as u64]
-            }
-            None => {
-                if build.name == "condor" {
-                    if let Some(inside) = condor_inside_sched {
-                        let mut v = vec![inside.0 as u64];
-                        v.extend(&sched_addrs);
-                        v
-                    } else {
-                        sched_addrs.clone()
-                    }
-                } else {
-                    sched_addrs.clone()
-                }
-            }
-        };
-        let template = ClientConfig {
-            workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
-            schedulers: client_scheds,
-            state_server: Some(dep.state_addr()),
-            report_interval: SimDuration::from_secs(60),
-            chunk_ops: build.chunk_ops,
-            ops_per_step: (build.chunk_ops / 100).max(1),
-            execute_real: false,
-            infra: build.name.clone(),
-            // Condor-style reclamation makes checkpoint/restart valuable;
-            // checkpoint every ~10 chunks (~100 s of compute).
-            checkpoint_every_chunks: Some(10),
-            static_timeouts: None,
-        };
-        sim.spawn(
-            &format!("sup-{}", build.name),
-            services.log, // supervisors are bookkeeping; run at a stable host
-            Box::new(InfraSupervisor::new(InfraSpec {
-                name: build.name.clone(),
-                hosts: build.hosts,
-                invocation_delay: build.invocation_delay,
-                stagger: build.stagger,
-                client_template: template,
-                sample_interval: SimDuration::from_secs(300),
-            })),
-        );
-    }
 
-    let end = SimTime::ZERO + cfg.duration;
-    sim.run_until(end);
+    let sched = SchedulerConfig {
+        workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
+        step_budget: STEP_BUDGET,
+        ..SchedulerConfig::default()
+    };
+    // Figure 1's stack, with the Network Weather Service beside it.
+    let mut world = Deployment::builder(DeployConfig {
+        sched: sched.clone(),
+    })
+    .service_hosts(&pool.services)
+    .nws();
+    // Optional §5.4 ablation: a scheduler on a (reclaimable) Condor host,
+    // tried first by Condor clients.
+    let inside = cfg.condor_scheduler_inside;
+    if inside {
+        let condor = pool.infra.iter().find(|b| b.name == "condor");
+        let host = condor.expect("condor build present").hosts[0];
+        let sched = SchedulerServer::new(SchedulerConfig {
+            seed_salt: 99,
+            ..sched
+        });
+        world = world.process("sched-inside-condor", host, Box::new(sched));
+    }
+    for build in pool.infra {
+        // Legion and NetSolve traffic goes through their relay.
+        let route = match build.relay {
+            Some(host) => Route::Relay(host),
+            None if inside && build.name == "condor" => Route::ProcessFirst(0),
+            None => Route::Direct,
+        };
+        let spec = InfraSpec {
+            name: build.name,
+            hosts: build.hosts,
+            invocation_delay: build.invocation_delay,
+            stagger: build.stagger,
+            client_template: ClientConfig {
+                report_interval: SimDuration::from_secs(60),
+                chunk_ops: build.chunk_ops,
+                ops_per_step: (build.chunk_ops / 100).max(1),
+                // Condor-style reclamation makes checkpoint/restart
+                // valuable; checkpoint every ~10 chunks (~100 s of compute).
+                checkpoint_every_chunks: Some(10),
+                ..ClientConfig::default()
+            },
+            sample_interval: SimDuration::from_secs(300),
+        };
+        world = world.pool(spec, route);
+    }
+    let dep = world.spawn(&mut sim);
+    sim.run_until(SimTime::ZERO + cfg.duration);
 
     // ---- Post-processing -------------------------------------------------
     let m = sim.metrics();
@@ -336,7 +263,8 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
         counters.insert("gossip.final_clique_size".into(), members);
     }
     // NWS coverage.
-    if let Some(n) = sim.with_process::<NwsServer, _>(nws_server, |s| s.resource_count() as f64) {
+    let nws = dep.nws.expect("the SC98 world runs the NWS");
+    if let Some(n) = sim.with_process::<NwsServer, _>(nws, |s| s.resource_count() as f64) {
         counters.insert("nws.resources_tracked".into(), n);
     }
 

@@ -1,19 +1,21 @@
 //! Deployment facade.
 //!
-//! Wires the EveryWare services — Gossip pool, scheduling servers,
-//! persistent state manager (with the Ramsey sanity check installed),
-//! logging server — onto a simulation, exactly as Figure 1 lays the
-//! application out. Used by the SC98 driver, the integration tests, and
-//! the quickstart example.
+//! Wires the EveryWare application onto a simulation, exactly as Figure 1
+//! lays it out: Gossip pool, scheduling servers, persistent state manager
+//! (with the workload's sanity check installed), logging server, the
+//! Network Weather Service where asked, and one supervised client pool per
+//! infrastructure. Used by the SC98 driver, the chaos campaign, the mega
+//! campaign, the integration tests, and the quickstart example.
 
+use ew_forecast::{NwsSensor, NwsServer, SensorConfig};
 use ew_gossip::GossipServer;
-use ew_infra::ServiceHosts;
+use ew_infra::{InfraSpec, InfraSupervisor, Relay, ServiceHosts};
 use ew_sched::{SchedulerConfig, SchedulerServer};
-use ew_sim::{HostId, ProcessId, Sim};
+use ew_sim::{HostId, Process, ProcessId, Sim};
 use ew_state::{LogServer, PersistentStateServer};
 pub use ew_workload::ramsey_validator;
 
-/// Handles to a deployed service stack.
+/// Handles to a deployed world.
 pub struct Deployment {
     /// The Gossip pool.
     pub gossips: Vec<ProcessId>,
@@ -23,28 +25,44 @@ pub struct Deployment {
     pub state: ProcessId,
     /// The logging server.
     pub log: ProcessId,
+    /// The NWS forecaster server, when [`DeploymentBuilder::nws`] was set.
+    pub nws: Option<ProcessId>,
+    /// One infrastructure supervisor per [`DeploymentBuilder::pool`], in
+    /// pool order.
+    pub supervisors: Vec<ProcessId>,
 }
 
 impl Deployment {
-    /// Start describing a deployment. Place each service with the builder
-    /// methods, then [`spawn`](DeploymentBuilder::spawn) it onto a
-    /// simulation:
+    /// Start describing a deployment. Place each service and add each
+    /// client pool with the builder methods, then
+    /// [`spawn`](DeploymentBuilder::spawn) it onto a simulation:
     ///
-    /// ```ignore
+    /// ```no_run
+    /// use everyware::{DeployConfig, Deployment, Route};
+    /// use ew_infra::{build_sc98, InfraSpec};
+    /// use ew_sched::ClientConfig;
+    /// use ew_sim::{Sim, SimDuration};
+    ///
+    /// let world = build_sc98(7, SimDuration::from_secs(600), None);
+    /// let mut sim = Sim::new(world.net, world.hosts, 7);
+    /// let unix = InfraSpec {
+    ///     name: "unix".into(),
+    ///     hosts: world.infra[0].hosts.clone(),
+    ///     invocation_delay: SimDuration::from_secs(1),
+    ///     stagger: SimDuration::ZERO,
+    ///     client_template: ClientConfig::default(),
+    ///     sample_interval: SimDuration::from_secs(300),
+    /// };
     /// let dep = Deployment::builder(DeployConfig::default())
-    ///     .gossip_pool(&gossip_hosts)
-    ///     .schedulers(&sched_hosts)
-    ///     .state_manager(state_host)
-    ///     .log_server(log_host)
+    ///     .service_hosts(&world.services)
+    ///     .pool(unix, Route::Direct)
     ///     .spawn(&mut sim);
+    /// assert_eq!(dep.supervisors.len(), 1);
     /// ```
     pub fn builder(cfg: DeployConfig) -> DeploymentBuilder {
         DeploymentBuilder {
             cfg,
-            gossip_hosts: Vec::new(),
-            scheduler_hosts: Vec::new(),
-            state_host: None,
-            log_host: None,
+            ..DeploymentBuilder::default()
         }
     }
 
@@ -65,22 +83,41 @@ const STATE_CAPACITY: usize = 16 << 20;
 /// Options for [`Deployment::builder`].
 #[derive(Default)]
 pub struct DeployConfig {
-    /// Scheduler configuration (each server gets a distinct seed salt).
+    /// Scheduler configuration (each server gets a distinct seed salt);
+    /// its workload is also every pool's client workload.
     pub sched: SchedulerConfig,
 }
 
-/// Fluent description of a service stack, built by [`Deployment::builder`].
+/// How a pool's clients reach the schedulers.
+#[derive(Clone, Copy, Debug)]
+pub enum Route {
+    /// Straight to the deployment's schedulers, in failover order.
+    Direct,
+    /// Through a relay on this host (Legion's translator, NetSolve's
+    /// agent), which forwards to the deployment's schedulers; the relay
+    /// takes the host's name as its label.
+    Relay(HostId),
+    /// The `i`-th [`process`](DeploymentBuilder::process) first, then the
+    /// deployment's schedulers (the §5.4 scheduler inside the Condor pool).
+    ProcessFirst(usize),
+}
+
+/// Fluent description of a world, built by [`Deployment::builder`].
 ///
 /// The first Gossip host becomes the well-known bootstrap address; every
 /// scheduler synchronizes its best-found state through its nearest Gossip
 /// (round-robin over the pool) and forwards performance records to the
 /// logging server, exactly as Figure 1 lays the application out.
+#[derive(Default)]
 pub struct DeploymentBuilder {
     cfg: DeployConfig,
     gossip_hosts: Vec<HostId>,
     scheduler_hosts: Vec<HostId>,
     state_host: Option<HostId>,
     log_host: Option<HostId>,
+    nws: bool,
+    processes: Vec<(String, HostId, Box<dyn Process>)>,
+    pools: Vec<(InfraSpec, Route)>,
 }
 
 impl DeploymentBuilder {
@@ -118,11 +155,39 @@ impl DeploymentBuilder {
             .log_server(hosts.log)
     }
 
-    /// Spawn the described stack onto `sim`.
+    /// Run the Network Weather Service (Figure 1's "NWS" box): a
+    /// forecaster server on the state host and a sensor on every Gossip
+    /// and scheduler host, probing each other across the wide area.
+    pub fn nws(mut self) -> Self {
+        self.nws = true;
+        self
+    }
+
+    /// Add an extra process, spawned after the services and before the
+    /// pools.
+    pub fn process(mut self, name: &str, host: HostId, p: Box<dyn Process>) -> Self {
+        self.processes.push((name.to_string(), host, p));
+        self
+    }
+
+    /// Add a client pool. `spawn` fills its client template's workload
+    /// (from [`DeployConfig::sched`]), scheduler list (by `route`) and
+    /// state server; every other client setting is the template's own.
+    pub fn pool(mut self, spec: InfraSpec, route: Route) -> Self {
+        self.pools.push((spec, route));
+        self
+    }
+
+    /// Spawn the described world onto `sim`, in this order (it fixes every
+    /// process id, and so every rng stream): the Gossip pool, the state
+    /// manager, the logging server, the schedulers, the NWS server and its
+    /// sensors, the extra processes, then per pool its relay (if routed
+    /// through one) and its `sup-<name>` supervisor on the log host.
     ///
     /// # Panics
     ///
-    /// If no gossip host, no state host, or no log host was given.
+    /// If no gossip host, no state host, or no log host was given, or a
+    /// [`Route::ProcessFirst`] names no [`process`](Self::process).
     pub fn spawn(self, sim: &mut Sim) -> Deployment {
         assert!(
             !self.gossip_hosts.is_empty(),
@@ -132,20 +197,12 @@ impl DeploymentBuilder {
         let log_host = self.log_host.expect("log_server host not set");
         let cfg = &self.cfg;
 
-        let mut gossips = Vec::new();
         // Bootstrap gossip first; the rest announce to it.
-        let g0 = sim.spawn(
-            "gossip-0",
-            self.gossip_hosts[0],
-            Box::new(GossipServer::new(None, vec![])),
-        );
-        gossips.push(g0);
-        for (i, &h) in self.gossip_hosts.iter().enumerate().skip(1) {
-            gossips.push(sim.spawn(
-                &format!("gossip-{i}"),
-                h,
-                Box::new(GossipServer::new(None, vec![g0.0 as u64])),
-            ));
+        let mut gossips: Vec<ProcessId> = Vec::new();
+        for (i, &h) in self.gossip_hosts.iter().enumerate() {
+            let well_known = gossips.first().map(|g| vec![g.0 as u64]);
+            let gossip = Box::new(GossipServer::new(None, well_known.unwrap_or_default()));
+            gossips.push(sim.spawn(&format!("gossip-{i}"), h, gossip));
         }
 
         let mut pss = PersistentStateServer::new("sdsc-trusted", STATE_CAPACITY);
@@ -162,26 +219,67 @@ impl DeploymentBuilder {
                 ..cfg.sched.clone()
             };
             let gossip_addr = gossips[i % gossips.len()].0 as u64;
-            schedulers.push(
-                sim.spawn(
-                    &format!("sched-{i}"),
-                    h,
-                    Box::new(
-                        SchedulerServer::new(sched_cfg)
-                            .with_gossip(gossip_addr)
-                            .with_log_server(log.0 as u64),
-                    ),
-                ),
-            );
+            let sched = SchedulerServer::new(sched_cfg)
+                .with_gossip(gossip_addr)
+                .with_log_server(log.0 as u64);
+            schedulers.push(sim.spawn(&format!("sched-{i}"), h, Box::new(sched)));
         }
 
-        Deployment {
+        let sensor_hosts = [&self.gossip_hosts[..], &self.scheduler_hosts[..]].concat();
+        let nws = self.nws.then(|| spawn_nws(sim, state_host, &sensor_hosts));
+        let processes: Vec<ProcessId> = self
+            .processes
+            .into_iter()
+            .map(|(name, host, p)| sim.spawn(&name, host, p))
+            .collect();
+
+        let mut dep = Deployment {
             gossips,
             schedulers,
             state,
             log,
+            nws,
+            supervisors: Vec::new(),
+        };
+        let addrs = dep.scheduler_addrs();
+        for (mut spec, route) in self.pools {
+            let client = &mut spec.client_template;
+            client.workload = cfg.sched.workload.clone();
+            client.state_server = Some(dep.state_addr());
+            client.schedulers = match route {
+                Route::Direct => addrs.clone(),
+                Route::Relay(host) => {
+                    let label = sim.hosts().get(host).name.clone();
+                    let relay = Box::new(Relay::new(&label, addrs.clone()));
+                    vec![sim.spawn(&label, host, relay).0 as u64]
+                }
+                Route::ProcessFirst(i) => [vec![processes[i].0 as u64], addrs.clone()].concat(),
+            };
+            let name = format!("sup-{}", spec.name);
+            // Supervisors are bookkeeping; they run at a stable host.
+            let sup = Box::new(InfraSupervisor::new(spec));
+            dep.supervisors.push(sim.spawn(&name, log_host, sup));
         }
+        dep
     }
+}
+
+/// Spawn the NWS forecaster server on `server_host` and one sensor per
+/// `sensor_hosts` entry, each probing every other sensor and reporting to
+/// the server.
+fn spawn_nws(sim: &mut Sim, server_host: HostId, sensor_hosts: &[HostId]) -> ProcessId {
+    let server = sim.spawn("nws-server", server_host, Box::new(NwsServer::new()));
+    // Sensor pids are assigned sequentially after the server's.
+    let first = server.0 as u64 + 1;
+    let sensors: Vec<u64> = (first..first + sensor_hosts.len() as u64).collect();
+    for (i, (&host, &me)) in sensor_hosts.iter().zip(&sensors).enumerate() {
+        let peers = sensors.iter().copied().filter(|&p| p != me).collect();
+        let server = server.0 as u64;
+        let sensor = Box::new(NwsSensor::new(SensorConfig { peers, server }));
+        let pid = sim.spawn(&format!("nws-sensor-{i}"), host, sensor);
+        assert_eq!(pid.0 as u64, me, "a sensor's peers are the other sensors");
+    }
+    server
 }
 
 #[cfg(test)]

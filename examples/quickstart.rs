@@ -9,8 +9,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use everyware::{DeployConfig, Deployment};
-use ew_infra::{InfraSpec, InfraSupervisor};
+use everyware::{DeployConfig, Deployment, Route};
+use ew_infra::InfraSpec;
 use ew_ramsey::RamseyProblem;
 use ew_sched::{ClientConfig, SchedulerConfig, SchedulerServer};
 use ew_sim::{HostSpec, HostTable, NetModel, Sim, SimDuration, SimTime, SiteSpec};
@@ -62,6 +62,18 @@ fn main() {
 
     // 3. Deploy the EveryWare stack and one infrastructure.
     let mut sim = Sim::new(net, hosts, 7);
+    let spec = InfraSpec {
+        name: "quickstart".into(),
+        hosts: compute,
+        invocation_delay: SimDuration::from_secs(2),
+        stagger: SimDuration::from_secs(1),
+        client_template: ClientConfig {
+            chunk_ops: 100_000_000,
+            ops_per_step: 1_000_000,
+            ..ClientConfig::default()
+        },
+        sample_interval: SimDuration::from_secs(60),
+    };
     let dep = Deployment::builder(DeployConfig {
         sched: SchedulerConfig {
             workload: WorkloadSpec::ramsey(RamseyProblem { k: 5, n: 43 }),
@@ -69,30 +81,9 @@ fn main() {
             ..SchedulerConfig::default()
         },
     })
-    .gossip_pool(&service_hosts.gossips)
-    .schedulers(&service_hosts.schedulers)
-    .state_manager(service_hosts.state)
-    .log_server(service_hosts.log)
+    .service_hosts(&service_hosts)
+    .pool(spec, Route::Direct)
     .spawn(&mut sim);
-    sim.spawn(
-        "supervisor",
-        service_hosts.log,
-        Box::new(InfraSupervisor::new(InfraSpec {
-            name: "quickstart".into(),
-            hosts: compute,
-            invocation_delay: SimDuration::from_secs(2),
-            stagger: SimDuration::from_secs(1),
-            client_template: ClientConfig {
-                schedulers: dep.scheduler_addrs(),
-                state_server: Some(dep.state_addr()),
-                report_interval: SimDuration::from_secs(30),
-                chunk_ops: 100_000_000,
-                ops_per_step: 1_000_000,
-                ..ClientConfig::default()
-            },
-            sample_interval: SimDuration::from_secs(60),
-        })),
-    );
 
     // 4. Draw power for ten minutes.
     let stats = sim.run_until(SimTime::from_secs(600));

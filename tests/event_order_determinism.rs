@@ -45,6 +45,10 @@ use ew_workload::WorkloadSpec;
 /// left the dispatch stream (fewer entries, different seqs). The figure
 /// bytes below did not move with it.
 const SC98_ORDER_HASH: u64 = 0x837f_4555_641c_26a5;
+/// Golden kernel event-order hash for the same run with the §5.4 ablation
+/// on (a scheduler inside the Condor pool, tried first by Condor
+/// clients), captured at the parent of the one-world-builder change.
+const SC98_CONDOR_INSIDE_ORDER_HASH: u64 = 0x76fa_a86f_ad36_db1b;
 /// Golden FNV-1a hash of the serialized SC98 figure series, captured on
 /// the binary-heap event queue.
 const SC98_FIGURES_HASH: u64 = 0x6747_3862_19c9_a681;
@@ -118,6 +122,19 @@ fn sc98_event_order_hash_matches_heap_golden() {
         rep.event_order_hash, SC98_ORDER_HASH,
         "SC98 dispatch order diverged from the golden heap-era order \
          (got {:#018x})",
+        rep.event_order_hash
+    );
+}
+
+#[test]
+fn sc98_condor_inside_event_order_hash_matches_golden() {
+    let rep = run_sc98(&Sc98Config {
+        condor_scheduler_inside: true,
+        ..sc98_short()
+    });
+    assert_eq!(
+        rep.event_order_hash, SC98_CONDOR_INSIDE_ORDER_HASH,
+        "§5.4 SC98 dispatch order diverged from its golden (got {:#018x})",
         rep.event_order_hash
     );
 }

@@ -3,7 +3,7 @@
 //! requirement of §2, verified component by component against the kernel's
 //! kill-without-warning semantics.
 
-use everyware::{DeployConfig, Deployment};
+use everyware::{DeployConfig, Deployment, Route};
 use ew_gossip::GossipServer;
 use ew_infra::{InfraSpec, InfraSupervisor, ServiceHosts};
 use ew_ramsey::RamseyProblem;
@@ -246,26 +246,23 @@ fn mass_reclamation_and_respawn() {
     let mut sim = Sim::new(w.net, w.hosts, 37);
     // 20 s bins: 320, 600 and 700 s are bin edges (bins 16, 30 and 35).
     sim.declare_series("ops_series.pool", SimDuration::from_secs(20));
+    let spec = InfraSpec {
+        name: "pool".into(),
+        hosts: compute,
+        invocation_delay: SimDuration::from_secs(10),
+        stagger: SimDuration::from_secs(1),
+        client_template: ClientConfig {
+            chunk_ops: 100_000_000,
+            ops_per_step: 1_000_000,
+            ..ClientConfig::default()
+        },
+        sample_interval: SimDuration::from_secs(60),
+    };
     let dep = Deployment::builder(DeployConfig { sched: sched_cfg() })
         .service_hosts(&svc)
+        .pool(spec, Route::Direct)
         .spawn(&mut sim);
-    let sup = sim.spawn(
-        "sup",
-        svc.log,
-        Box::new(InfraSupervisor::new(InfraSpec {
-            name: "pool".into(),
-            hosts: compute,
-            invocation_delay: SimDuration::from_secs(10),
-            stagger: SimDuration::from_secs(1),
-            client_template: ClientConfig {
-                schedulers: dep.scheduler_addrs(),
-                chunk_ops: 100_000_000,
-                ops_per_step: 1_000_000,
-                ..ClientConfig::default()
-            },
-            sample_interval: SimDuration::from_secs(60),
-        })),
-    );
+    let sup = dep.supervisors[0];
     sim.run_until(SimTime::from_secs(1200));
     let spawned = sim
         .with_process::<InfraSupervisor, _>(sup, |s| s.spawned)
@@ -311,6 +308,19 @@ fn killed_client_resumes_from_checkpoint() {
         w.hosts.add(h)
     };
     let mut sim = Sim::new(w.net, w.hosts, 71);
+    let spec = InfraSpec {
+        name: "ckpt".into(),
+        hosts: vec![victim],
+        invocation_delay: SimDuration::from_secs(2),
+        stagger: SimDuration::ZERO,
+        client_template: ClientConfig {
+            chunk_ops: 10_000_000, // 1 s per chunk at 1e7 ops/s
+            ops_per_step: 10_000,
+            checkpoint_every_chunks: Some(10),
+            ..ClientConfig::default()
+        },
+        sample_interval: SimDuration::from_secs(300),
+    };
     let dep = Deployment::builder(DeployConfig {
         sched: SchedulerConfig {
             // One enormous unit: it cannot finish before the kill, so
@@ -320,27 +330,9 @@ fn killed_client_resumes_from_checkpoint() {
         },
     })
     .service_hosts(&svc)
+    .pool(spec, Route::Direct)
     .spawn(&mut sim);
-    let template = ClientConfig {
-        schedulers: dep.scheduler_addrs(),
-        state_server: Some(dep.state_addr()),
-        chunk_ops: 10_000_000, // 1 s per chunk at 1e7 ops/s
-        ops_per_step: 10_000,
-        checkpoint_every_chunks: Some(10),
-        ..ClientConfig::default()
-    };
-    let sup = sim.spawn(
-        "sup",
-        svc.log,
-        Box::new(InfraSupervisor::new(InfraSpec {
-            name: "ckpt".into(),
-            hosts: vec![victim],
-            invocation_delay: SimDuration::from_secs(2),
-            stagger: SimDuration::ZERO,
-            client_template: template,
-            sample_interval: SimDuration::from_secs(300),
-        })),
-    );
+    let sup = dep.supervisors[0];
     sim.run_until(SimTime::from_secs(600));
     let spawned = sim
         .with_process::<InfraSupervisor, _>(sup, |s| s.spawned)

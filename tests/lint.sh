@@ -84,6 +84,19 @@ if grep -rnE 'ErrorMetric|GossipConfig|Compiled(Partition|Spike|Impairment)|rela
     exit 1
 fi
 
+# One place spawns the world: Deployment::builder spawns every pool's
+# supervisor, so the spawn order (and with it every process id, rng stream
+# and order hash) is written once (run_sc98, the chaos cell, the mega shard
+# and the quickstart each hand-wired it). supervisor.rs's own unit tests
+# drive a supervisor directly. Only *.rs is searched, so this comment does
+# not match itself; benchmark/ keeps its own copy of the mega shard.
+echo "== only Deployment::builder spawns infrastructure supervisors"
+if grep -rn 'InfraSupervisor::new(' --include='*.rs' crates/*/src tests examples \
+    | grep -vE '^crates/(core/src/toolkit|infra/src/supervisor)\.rs:'; then
+    echo "error: add the pool with DeploymentBuilder::pool(spec, route)" >&2
+    exit 1
+fi
+
 # No per-thread state in library code: it makes a farm cell's telemetry
 # depend on which worker ran it before (the payload pool needed a reset on
 # every sim's first run to hide that). farm_determinism.rs's

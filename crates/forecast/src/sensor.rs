@@ -14,7 +14,7 @@
 
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::wire_struct;
-use ew_proto::{mtype, DeadlineTimer, EventTag, Packet, RpcTracker, WireEncode};
+use ew_proto::{mtype, DeadlineTimer, EventTag, Packet, RpcClient, WireEncode};
 use ew_sim::{CounterId, Ctx, Event, Process, ProcessId, SimDuration, SimTime, SpanId};
 
 use crate::dynbench::DynamicBenchmark;
@@ -119,8 +119,7 @@ impl SensorTele {
 /// The per-host NWS sensor process.
 pub struct NwsSensor {
     cfg: SensorConfig,
-    rpc: RpcTracker<u64>, // context = peer addr
-    policy: ForecastTimeout,
+    rpc: RpcClient<u64>, // context = peer addr
     expiry: DeadlineTimer,
     cpu_probe_started: Option<SimTime>,
     tele: Option<SensorTele>,
@@ -135,8 +134,7 @@ impl NwsSensor {
     pub fn new(cfg: SensorConfig) -> Self {
         NwsSensor {
             cfg,
-            rpc: RpcTracker::new(),
-            policy: ForecastTimeout::wan_default(),
+            rpc: RpcClient::new(ForecastTimeout::wan_default(), None, None),
             expiry: DeadlineTimer::new(TIMER_EXPIRE),
             cpu_probe_started: None,
             tele: None,
@@ -160,7 +158,7 @@ impl NwsSensor {
                 peer,
                 mtype: nm::PROBE,
             };
-            let corr = self.rpc.begin(tag, ctx.now(), &mut self.policy, peer);
+            let corr = self.rpc.begin(tag, ctx.now(), peer);
             send_packet(
                 ctx,
                 ProcessId(peer as u32),
@@ -194,10 +192,9 @@ impl Process for NwsSensor {
                     self.expiry.note_fired();
                     let tele = self.tele.as_ref().expect("started");
                     let (probes_lost, timeout_span) = (tele.probes_lost, tele.timeout_span);
-                    for pending in self.rpc.expire_traced(ctx, timeout_span, &mut self.policy) {
+                    for _ in self.rpc.take_expired(ctx, timeout_span) {
                         self.probes_lost += 1;
                         ctx.inc(probes_lost);
-                        let _ = pending;
                     }
                     self.expiry.update(ctx, self.rpc.next_deadline());
                 }
@@ -221,13 +218,10 @@ impl Process for NwsSensor {
                         // Echo the payload back.
                         send_packet(ctx, from, &Packet::response_to(&pkt, pkt.payload.clone()));
                     } else if pkt.is_response() {
-                        if let Some((pending, rtt)) =
-                            self.rpc.complete(pkt.corr_id, ctx.now(), &mut self.policy)
-                        {
+                        if let Some((_, peer, rtt)) = self.rpc.complete(pkt.corr_id, ctx.now()) {
                             self.probes_ok += 1;
                             let tele = self.tele.as_ref().expect("started");
                             let me = ctx.me().0;
-                            let peer = pending.context;
                             let secs = rtt.as_secs_f64();
                             ctx.inc(tele.probes_ok);
                             self.report(ctx, format!("rtt.{me}.{peer}"), secs);

@@ -312,13 +312,12 @@ impl GossipServer {
             );
         } else if clique.election_deadline().is_some_and(|d| d <= now) {
             if let Some((to, tok)) = clique.finish_election(now) {
-                ctx.span_enter(tele.token_span, to);
+                ctx.mark(tele.token_span, to);
                 send_packet(
                     ctx,
                     Self::pid(to),
                     &Packet::oneway(gm::TOKEN, tok.to_wire_payload()),
                 );
-                ctx.span_exit(tele.token_span, to);
             }
             ctx.inc(tele.elections_closed);
         }
@@ -358,7 +357,7 @@ impl GossipServer {
             (gm::SYNC, false) => {
                 if let Ok(sync) = pkt.body::<SyncBody>() {
                     // Pairwise reconciliation of state tables (§2.3).
-                    ctx.span_enter(tele.reconcile_span, sync.from_addr);
+                    ctx.mark(tele.reconcile_span, sync.from_addr);
                     let clique = self.clique.as_mut().expect("started");
                     clique.add_known_peer(sync.from_addr);
                     for peer in &sync.peers {
@@ -368,7 +367,6 @@ impl GossipServer {
                         self.store.register(reg.addr, &reg.types);
                     }
                     let mut freshened = Vec::new();
-                    let from_addr = sync.from_addr;
                     for carrier in sync.states {
                         if self.store.absorb(carrier.stype, carrier.blob) {
                             freshened.push(carrier.stype);
@@ -377,7 +375,6 @@ impl GossipServer {
                     for stype in freshened {
                         self.push_stale(ctx, stype);
                     }
-                    ctx.span_exit(tele.reconcile_span, from_addr);
                 }
             }
             (gm::ANNOUNCE, false) => {
@@ -412,14 +409,13 @@ impl GossipServer {
             }
             (gm::TOKEN, false) => {
                 if let Ok(tok) = pkt.body::<Token>() {
-                    ctx.span_enter(tele.token_span, tok.generation);
+                    ctx.mark(tele.token_span, tok.generation);
                     let clique = self.clique.as_mut().expect("started");
                     let accepted = clique.on_token(&tok, now);
                     if accepted && !self.hold_pending {
                         self.hold_pending = true;
                         ctx.set_timer(CliqueConfig::default().hold_time, TIMER_TOKEN_HOLD);
                     }
-                    ctx.span_exit(tele.token_span, tok.generation);
                 }
             }
             (gm::ELECTION, false) => {
@@ -476,13 +472,12 @@ impl Process for GossipServer {
                     let tele = self.tele.expect("started");
                     if let Some(clique) = self.clique.as_mut() {
                         if let Some((to, tok)) = clique.forward_token() {
-                            ctx.span_enter(tele.token_span, to);
+                            ctx.mark(tele.token_span, to);
                             send_packet(
                                 ctx,
                                 Self::pid(to),
                                 &Packet::oneway(gm::TOKEN, tok.to_wire_payload()),
                             );
-                            ctx.span_exit(tele.token_span, to);
                         }
                     }
                 }

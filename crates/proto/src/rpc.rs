@@ -176,24 +176,6 @@ impl<M> RpcTracker<M> {
             .collect()
     }
 
-    /// [`expire`](Self::expire), plus an enter/exit pair on `span` for
-    /// each expired request (tagged with its correlation id) so time-outs
-    /// show up in the kernel trace alongside the dispatches that caused
-    /// them. A no-op on the tracing side when tracing is disabled.
-    pub fn expire_traced(
-        &mut self,
-        ctx: &mut ew_sim::Ctx<'_>,
-        span: ew_sim::SpanId,
-        policy: &mut dyn TimeoutPolicy,
-    ) -> Vec<Pending<M>> {
-        let expired = self.expire(ctx.now(), policy);
-        for p in &expired {
-            ctx.span_enter(span, p.corr_id);
-            ctx.span_exit(span, p.corr_id);
-        }
-        expired
-    }
-
     /// The earliest outstanding deadline, if any — when the owner should
     /// next arm a wake-up timer.
     pub fn next_deadline(&self) -> Option<SimTime> {
@@ -395,22 +377,27 @@ impl<C> RpcClient<C> {
         Some((p.tag, p.context.0, rtt))
     }
 
-    /// [`RpcTracker::expire_traced`] at `ctx.now()`: every request past its
+    /// [`RpcTracker::expire`] at `ctx.now()`: every request past its
     /// deadline, in correlation-id order, the policy hearing each distinct
-    /// tag once.
+    /// tag once. Each expiry leaves one mark on `span` (tagged with its
+    /// correlation id), so time-outs show up in the kernel trace after the
+    /// dispatch that found them.
     pub fn take_expired(
         &mut self,
         ctx: &mut ew_sim::Ctx<'_>,
         span: ew_sim::SpanId,
     ) -> Vec<Expired<C>> {
         self.tracker
-            .expire_traced(ctx, span, self.policy.as_mut())
+            .expire(ctx.now(), self.policy.as_mut())
             .into_iter()
-            .map(|p| Expired {
-                corr_id: p.corr_id,
-                tag: p.tag,
-                context: p.context.0,
-                attempts: p.context.1,
+            .map(|p| {
+                ctx.mark(span, p.corr_id);
+                Expired {
+                    corr_id: p.corr_id,
+                    tag: p.tag,
+                    context: p.context.0,
+                    attempts: p.context.1,
+                }
             })
             .collect()
     }
@@ -483,6 +470,11 @@ impl<C> RpcClient<C> {
     /// The armed deadline of an in-flight request.
     pub fn deadline(&self, corr_id: u64) -> Option<SimTime> {
         self.tracker.outstanding.get(&corr_id).map(|p| p.deadline)
+    }
+
+    /// The earliest in-flight deadline, for an owner's [`DeadlineTimer`].
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.tracker.next_deadline()
     }
 
     /// Requests in flight.

@@ -496,14 +496,13 @@ impl ComputeClient {
                 // The unit migrates; invalidate in-flight compute and the
                 // host checkpoint.
                 let unit_id = self.unit.as_ref().map(|up| up.unit.id).unwrap_or(0);
-                ctx.span_enter(tele.migrate_span, unit_id);
+                ctx.mark(tele.migrate_span, unit_id);
                 self.unit = None;
                 self.compute_gen += 1;
                 self.chunks_since_checkpoint = 0;
                 self.clear_checkpoint(ctx);
                 ctx.inc(tele.abandons);
                 self.request_work(ctx);
-                ctx.span_exit(tele.migrate_span, unit_id);
             }
         }
     }

@@ -440,10 +440,8 @@ impl Process for SchedulerServer {
                             &Packet::oneway(sm::LOG, rec.to_wire_payload()),
                         );
                     }
-                    let unit_id = report.unit_id;
-                    ctx.span_enter(tele.decide_span, unit_id);
+                    ctx.mark(tele.decide_span, report.unit_id);
                     let directive = self.handle_report(ctx.now(), report);
-                    ctx.span_exit(tele.decide_span, unit_id);
                     send_packet(
                         ctx,
                         from,

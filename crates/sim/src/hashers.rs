@@ -14,7 +14,7 @@
 //! event-order hashes in `tests/event_order_determinism.rs` pin that.
 //!
 //! The same alias backs the maps the toolkit touches on every simulated
-//! RPC — `RpcTracker::outstanding`, `CircuitBreaker::peers`, the
+//! RPC — `RpcClient`'s in-flight table, `CircuitBreaker::peers`, the
 //! scheduler's per-client tables, `DynamicBenchmark`'s streams — all keyed
 //! by ids this program generated (correlation ids, process ids). Where one
 //! of them is iterated, the result is a `min`, a sorted list or a set of

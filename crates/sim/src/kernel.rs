@@ -710,22 +710,13 @@ impl<'a> Ctx<'a> {
         self.sim.metrics.reg.span(name)
     }
 
-    /// Record a span entry at the current simulated time (no-op unless
+    /// Record a span mark at the current simulated time (no-op unless
     /// tracing is enabled; the actor is this process).
     #[inline]
-    pub fn span_enter(&mut self, span: SpanId, tag: u64) {
+    pub fn mark(&mut self, span: SpanId, tag: u64) {
         let t_us = self.sim.now.as_micros();
         let actor = self.me.0 as u64;
-        self.sim.metrics.reg.span_enter(t_us, span, actor, tag);
-    }
-
-    /// Record a span exit at the current simulated time (no-op unless
-    /// tracing is enabled; the actor is this process).
-    #[inline]
-    pub fn span_exit(&mut self, span: SpanId, tag: u64) {
-        let t_us = self.sim.now.as_micros();
-        let actor = self.me.0 as u64;
-        self.sim.metrics.reg.span_exit(t_us, span, actor, tag);
+        self.sim.metrics.reg.mark(t_us, span, actor, tag);
     }
 }
 
@@ -918,9 +909,10 @@ impl Sim {
         }
     }
 
-    /// Deliver one event to a process: alive/host-up gate, dispatch span,
-    /// take-run-restore of its handler. Used by `Entry::Deliver` and by
-    /// flow completions.
+    /// Deliver one event to a process: alive/host-up gate, one
+    /// `kernel.dispatch` mark before the handler runs (so every mark the
+    /// handler makes follows it), take-run-restore of its handler. Used by
+    /// `Entry::Deliver` and by flow completions.
     fn deliver(&mut self, pid: ProcessId, ev: Event) {
         let slot = &mut self.procs[pid.0 as usize];
         if !(slot.alive && self.host_up[slot.host.0 as usize]) {
@@ -934,9 +926,8 @@ impl Sim {
         self.events_dispatched += 1;
         let tag = event_tag(&ev);
         let (t_us, span) = (self.now.as_micros(), self.tele.dispatch_span);
-        self.metrics.reg.span_enter(t_us, span, pid.0 as u64, tag);
+        self.metrics.reg.mark(t_us, span, pid.0 as u64, tag);
         p.on_event(&mut Ctx { sim: self, me: pid }, ev);
-        self.metrics.reg.span_exit(t_us, span, pid.0 as u64, tag);
         // A process that exited while handling the event loses its handler.
         let slot = &mut self.procs[pid.0 as usize];
         if slot.alive {
@@ -944,12 +935,13 @@ impl Sim {
         }
     }
 
-    /// Dispatch one already-popped, already-hashed queue entry: advance
-    /// `now`, swallow lazily-cancelled timers (before the alive/host-up
-    /// gate in [`Sim::deliver`], so a cancelled timer for a dead process
-    /// counts as cancelled, not dropped), route the entry, flush dirty
-    /// flow links. The golden order hashes pin this per-entry order.
+    /// Dispatch one popped queue entry: fold it into the order hash, advance
+    /// `now`, swallow lazily-cancelled timers (before the alive/host-up gate
+    /// in [`Sim::deliver`], so a cancelled timer for a dead process counts
+    /// as cancelled, not dropped), route the entry, flush dirty flow links.
+    /// The golden order hashes pin this per-entry order.
     fn dispatch_entry(&mut self, t_us: u64, seq: u64, entry: Entry) {
+        self.order_hash = fold_entry(self.order_hash, t_us, seq, &entry);
         let time = SimTime::from_micros(t_us);
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
@@ -984,11 +976,10 @@ impl Sim {
         let limit = t_end.as_micros();
         let mut batch_runs = 0u64;
         let mut batch_ties = 0u64;
-        // Drain each same-timestamp run in one pass and fold the order hash
-        // over it with one load/store of `order_hash` per run. Entries
-        // scheduled *during* the run at the same tick carry higher seqs and
-        // come out as the next run, so dispatch stays in strict
-        // `(time, seq)` order.
+        // Drain each same-timestamp run in one pass. Entries scheduled
+        // *during* the run at the same tick carry higher seqs and come out
+        // as the next run, so dispatch (and the order-hash fold at its
+        // head) stays in strict `(time, seq)` order.
         let mut buf = std::mem::take(&mut self.dispatch_buf);
         loop {
             debug_assert!(buf.is_empty());
@@ -999,11 +990,6 @@ impl Sim {
             batch_runs += 1;
             batch_ties += (n - 1) as u64;
             self.batch_len_max = self.batch_len_max.max(n as u64);
-            let mut h = self.order_hash;
-            for (t_us, seq, entry) in &buf {
-                h = fold_entry(h, *t_us, *seq, entry);
-            }
-            self.order_hash = h;
             for (t_us, seq, entry) in buf.drain(..) {
                 self.dispatch_entry(t_us, seq, entry);
             }

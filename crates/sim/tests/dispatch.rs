@@ -3,7 +3,9 @@
 //! What a process may rely on when several events reach it at one tick.
 //! Each case runs twice — tracing off, and `enable_tracing(1 << 12)` — and
 //! must produce the same delivery log, the same event-order hash and the
-//! same counters and gauges: observing a run never changes it.
+//! same counters and gauges: observing a run never changes it. The traced
+//! run's trace is its dispatch log: one `kernel.dispatch` mark per
+//! delivered event, in time order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -88,10 +90,21 @@ fn run_case(down_at: Option<SimTime>, setup: impl Fn(&mut Sim, HostId, &Log)) ->
         }
         let log = Log::default();
         setup(&mut sim, h, &log);
-        sim.run_until(SimTime::from_secs(20));
+        let stats = sim.run_until(SimTime::from_secs(20));
         let reg = sim.telemetry();
         let named = |all: Vec<(&str, f64)>| all.iter().map(|&(n, v)| (n.to_string(), v)).collect();
-        assert_eq!(trace, !sim.export_trace_jsonl().is_empty());
+        let jsonl = sim.export_trace_jsonl();
+        assert_eq!(trace, !jsonl.is_empty());
+        if trace {
+            let dispatch = "\"span\":\"kernel.dispatch\"";
+            let dispatches = jsonl.lines().filter(|l| l.contains(dispatch)).count();
+            assert_eq!(dispatches as u64, stats.events, "one mark per delivery");
+            let times: Vec<u64> = jsonl.lines().map(|l| field(l, "t_us")).collect();
+            assert!(
+                times.windows(2).all(|w| w[0] <= w[1]),
+                "trace time went back"
+            );
+        }
         let log = log.borrow().clone();
         Outcome {
             log,
@@ -103,6 +116,14 @@ fn run_case(down_at: Option<SimTime>, setup: impl Fn(&mut Sim, HostId, &Log)) ->
     let plain = run(false);
     assert_eq!(plain, run(true), "tracing changed the run");
     plain
+}
+
+/// The integer after `"key":` in one JSONL trace line.
+fn field(line: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat).expect("key present") + pat.len()..];
+    let end = rest.find([',', '}']).expect("field ends");
+    rest[..end].parse().expect("integer field")
 }
 
 const TICK: SimDuration = SimDuration::from_micros(1);

@@ -12,11 +12,13 @@
 //!   not with how often it is recorded.
 //! - A span tracer: [`SpanId`]s name phases of work (kernel dispatch,
 //!   gossip reconciliation, clique token passing, scheduler migration,
-//!   request/response timeouts); enter/exit records land in a bounded
-//!   ring (`TraceBuffer`) and export as deterministic JSONL.
+//!   request/response timeouts); each record is one point
+//!   `{t_us, span, actor, tag}` in a bounded ring (`TraceBuffer`; the
+//!   3.02 M-record 12-hour SC98 trace fits `figures --trace`'s 4.19 M)
+//!   and exports as deterministic JSONL.
 //!
-//! Tracing is **off by default** and free when off: `span_enter`/
-//! `span_exit` reduce to one branch on an `Option` discriminant, and the
+//! Tracing is **off by default** and free when off: `Registry::mark`
+//! reduces to one branch on an `Option` discriminant, and the
 //! tracer is observational only — nothing in it feeds back into caller
 //! behavior, so a simulation run is bit-identical with tracing on or off.
 //!

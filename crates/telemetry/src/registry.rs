@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use crate::histogram::{Histogram, HistogramSummary};
 use crate::series::BinnedSeries;
-use crate::trace::{SpanPhase, TraceBuffer, TraceRecord};
+use crate::trace::{TraceBuffer, TraceRecord};
 
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident) => {
@@ -279,37 +279,17 @@ impl Registry {
         self.trace = Some(TraceBuffer::new(capacity));
     }
 
-    /// Record a span entry (no-op unless tracing is enabled).
+    /// Record one span mark (no-op unless tracing is enabled).
     #[inline]
-    pub fn span_enter(&mut self, t_us: u64, span: SpanId, actor: u64, tag: u64) {
+    pub fn mark(&mut self, t_us: u64, span: SpanId, actor: u64, tag: u64) {
         if let Some(tb) = &mut self.trace {
             tb.push(TraceRecord {
                 t_us,
                 span,
-                phase: SpanPhase::Enter,
                 actor,
                 tag,
             });
         }
-    }
-
-    /// Record a span exit (no-op unless tracing is enabled).
-    #[inline]
-    pub fn span_exit(&mut self, t_us: u64, span: SpanId, actor: u64, tag: u64) {
-        if let Some(tb) = &mut self.trace {
-            tb.push(TraceRecord {
-                t_us,
-                span,
-                phase: SpanPhase::Exit,
-                actor,
-                tag,
-            });
-        }
-    }
-
-    /// The trace ring, when tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
     }
 
     /// Export held trace records as JSONL (empty string when disabled).
@@ -461,14 +441,12 @@ mod tests {
     fn tracing_disabled_records_nothing() {
         let mut r = Registry::new();
         let s = r.span("kernel.dispatch");
-        r.span_enter(10, s, 1, 0);
-        r.span_exit(20, s, 1, 0);
-        assert!(r.trace().is_none());
+        r.mark(10, s, 1, 0);
         assert_eq!(r.export_trace_jsonl(), "");
 
         r.enable_tracing(16);
-        r.span_enter(30, s, 1, 9);
-        r.span_exit(35, s, 1, 9);
+        r.mark(30, s, 1, 9);
+        r.mark(35, s, 1, 9);
         let jsonl = r.export_trace_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         assert!(jsonl.contains("\"span\":\"kernel.dispatch\""));

@@ -1,30 +1,13 @@
 //! Span-based event tracing.
 //!
-//! Enter/exit records accumulate in a bounded ring buffer; when full, the
-//! oldest records are evicted (the tail of a run is usually the part under
-//! investigation). Export is deterministic JSONL: records in arrival
-//! order, fields in a fixed order, integers only — two identical
-//! simulations produce byte-identical traces.
+//! Each record is one point (simulated time does not advance inside a
+//! handler, so a span has no duration). Records accumulate in a bounded
+//! ring; when full, the oldest are evicted (the tail of a run is usually
+//! the part under investigation). Export is deterministic JSONL: records
+//! in arrival order, fields in a fixed order, integers only — two
+//! identical simulations produce byte-identical traces.
 
 use crate::registry::SpanId;
-
-/// Whether a record marks the start or end of a span.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// Work began.
-    Enter,
-    /// Work finished.
-    Exit,
-}
-
-impl SpanPhase {
-    fn as_str(self) -> &'static str {
-        match self {
-            SpanPhase::Enter => "enter",
-            SpanPhase::Exit => "exit",
-        }
-    }
-}
 
 /// One trace record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,8 +16,6 @@ pub struct TraceRecord {
     pub t_us: u64,
     /// Which span (interned name).
     pub span: SpanId,
-    /// Enter or exit.
-    pub phase: SpanPhase,
     /// Acting entity (process id, host id, ...; caller-defined).
     pub actor: u64,
     /// Free-form detail (event kind, peer id, byte count, ...).
@@ -48,7 +29,6 @@ pub struct TraceBuffer {
     /// Index of the oldest record once the ring has wrapped.
     head: usize,
     capacity: usize,
-    dropped: u64,
 }
 
 impl TraceBuffer {
@@ -59,7 +39,6 @@ impl TraceBuffer {
             records: Vec::with_capacity(capacity.min(4096)),
             head: 0,
             capacity,
-            dropped: 0,
         }
     }
 
@@ -70,7 +49,6 @@ impl TraceBuffer {
         } else {
             self.records[self.head] = rec;
             self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
         }
     }
 
@@ -80,33 +58,17 @@ impl TraceBuffer {
         recent.iter().chain(wrapped.iter())
     }
 
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records are held.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Serialize to JSONL, resolving span ids through `span_name`.
     ///
     /// One record per line, keys in fixed order; output depends only on
     /// the records and names, so identical runs export identical bytes.
     pub fn to_jsonl(&self, span_name: impl Fn(SpanId) -> String) -> String {
-        let mut out = String::with_capacity(self.len() * 96);
+        let mut out = String::with_capacity(self.records.len() * 96);
         for r in self.iter() {
             out.push_str(&format!(
-                "{{\"t_us\":{},\"span\":\"{}\",\"phase\":\"{}\",\"actor\":{},\"tag\":{}}}\n",
+                "{{\"t_us\":{},\"span\":\"{}\",\"actor\":{},\"tag\":{}}}\n",
                 r.t_us,
                 escape(&span_name(r.span)),
-                r.phase.as_str(),
                 r.actor,
                 r.tag
             ));
@@ -134,11 +96,10 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
 
-    fn rec(t: u64, span: SpanId, phase: SpanPhase) -> TraceRecord {
+    fn rec(t: u64, span: SpanId) -> TraceRecord {
         TraceRecord {
             t_us: t,
             span,
-            phase,
             actor: 7,
             tag: 0,
         }
@@ -150,11 +111,10 @@ mod tests {
         let s = reg.span("kernel.dispatch");
         let mut tb = TraceBuffer::new(3);
         for t in 0..5 {
-            tb.push(rec(t, s, SpanPhase::Enter));
+            tb.push(rec(t, s));
         }
         let times: Vec<u64> = tb.iter().map(|r| r.t_us).collect();
         assert_eq!(times, vec![2, 3, 4]);
-        assert_eq!(tb.dropped(), 2);
     }
 
     #[test]
@@ -162,16 +122,16 @@ mod tests {
         let mut reg = Registry::new();
         let s = reg.span("gossip.reconcile");
         let mut tb = TraceBuffer::new(8);
-        tb.push(rec(10, s, SpanPhase::Enter));
-        tb.push(rec(15, s, SpanPhase::Exit));
+        tb.push(rec(10, s));
+        tb.push(rec(15, s));
         let name = |id| reg.span_name(id).unwrap_or_default().to_string();
         let a = tb.to_jsonl(name);
         let b = tb.to_jsonl(|id| reg.span_name(id).unwrap_or_default().to_string());
         assert_eq!(a, b);
         assert_eq!(
             a,
-            "{\"t_us\":10,\"span\":\"gossip.reconcile\",\"phase\":\"enter\",\"actor\":7,\"tag\":0}\n\
-             {\"t_us\":15,\"span\":\"gossip.reconcile\",\"phase\":\"exit\",\"actor\":7,\"tag\":0}\n"
+            "{\"t_us\":10,\"span\":\"gossip.reconcile\",\"actor\":7,\"tag\":0}\n\
+             {\"t_us\":15,\"span\":\"gossip.reconcile\",\"actor\":7,\"tag\":0}\n"
         );
     }
 }

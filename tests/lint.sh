@@ -45,9 +45,9 @@ fi
 # parts (two private copies of tracker + policy + retry layer + deferred
 # queue lived beside the "unified" layer from PR 3 to PR 20).
 echo "== the retry layer is embedded only through RpcClient"
-if grep -rnE 'AdaptiveRetry|begin_capped' crates/*/src | grep -v '^crates/proto/src/'; then
-    echo "error: use ew_proto::RpcClient; it owns time-out, retry budget," >&2
-    echo "       breaker and deferred resends" >&2
+if grep -rnE 'AdaptiveRetry|begin_capped|RpcTracker' crates/*/src | grep -v '^crates/proto/src/'; then
+    echo "error: use ew_proto::RpcClient; it owns correlation, time-out," >&2
+    echo "       retry budget, breaker and deferred resends" >&2
     exit 1
 fi
 
@@ -76,11 +76,18 @@ fi
 # ranked by), a fault window described once, as a FaultOp, and a setting
 # only where two callers set it differently (an MSE arm, three structs
 # restating FaultOp variants, a gossip config nobody changed and a relay
-# label beside its host all outlived their last caller).
+# label beside its host all outlived their last caller). A trace record is
+# one point: an exit half at the enter's instant doubled the 12-hour SC98
+# trace past its ring, and a `trace()` accessor let callers ask whether
+# tracing is on.
 echo "== the deleted configuration shapes stay deleted"
 if grep -rnE 'ErrorMetric|GossipConfig|Compiled(Partition|Spike|Impairment)|relay_host' crates/*/src; then
     echo "error: rank by MAE, keep window ops as FaultOps, and pass a value" >&2
     echo "       directly until a second caller needs a different one" >&2
+    exit 1
+fi
+if grep -rnE 'span_enter|span_exit|SpanPhase|expire_traced|fn trace\(' crates/*/src; then
+    echo "error: a trace record is one point: Ctx::mark / Registry::mark" >&2
     exit 1
 fi
 

@@ -34,18 +34,35 @@ fn same_seed_runs_emit_byte_identical_traces() {
     // Spot-check the record shape and that the instrumented subsystems
     // actually show up.
     let first = ta.lines().next().unwrap();
-    for key in [
-        "\"t_us\":",
-        "\"span\":",
-        "\"phase\":",
-        "\"actor\":",
-        "\"tag\":",
-    ] {
+    for key in ["\"t_us\":", "\"span\":", "\"actor\":", "\"tag\":"] {
         assert!(first.contains(key), "{key} missing from {first}");
     }
     for span in ["kernel.dispatch", "gossip.reconcile", "sched.decide"] {
         assert!(ta.contains(span), "span {span} absent from the trace");
     }
+    // A process mark is made inside a handler, so it follows the
+    // `kernel.dispatch` mark of that delivery: same time, same actor.
+    let mut last_dispatch = None;
+    for line in ta.lines() {
+        let at = (field(line, "t_us"), field(line, "actor"));
+        if line.contains("\"span\":\"kernel.dispatch\"") {
+            last_dispatch = Some(at);
+        } else {
+            assert_eq!(
+                last_dispatch,
+                Some(at),
+                "{line} follows no dispatch of its own"
+            );
+        }
+    }
+}
+
+/// The integer after `"key":` in one JSONL trace line.
+fn field(line: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat).expect("key present") + pat.len()..];
+    let end = rest.find([',', '}']).expect("field ends");
+    rest[..end].parse().expect("integer field")
 }
 
 /// Every counter and gauge of the run's registry, by name.

@@ -19,8 +19,8 @@
 //! `workload-scaling` sweeps the campaign world over pool sizes for the
 //! DAG and faas applications (or just the one named with `--workload`),
 //! writing `results/fig_<name>_scaling.json`. `mega` runs the full stack
-//! on a generated 1k+ host fleet through 1M+ work units on the flow-level
-//! network model (`--short` is the 64-host/50k-unit CI variant), writing
+//! on a generated 1k+ host fleet through 1M+ work units in packet mode
+//! (`--short` is the 64-host/50k-unit CI variant), writing
 //! `results/mega_campaign.json` (deterministic, CI-diffed). This binary
 //! writes no host-time number (wall, events/sec, RSS) to `results/`:
 //! speed is measured by `benchmark/run.sh` and gated by
@@ -576,21 +576,20 @@ fn render_all(opts: &Options, outs: Vec<BatteryOut>) {
 }
 
 /// The `mega` campaign (PR 7): the full stack at 1k+ hosts / 1M+ work
-/// units, farmed shard-per-cell, on the flow-level network model. Writes
+/// units, farmed shard-per-cell, in packet mode. Writes
 /// the deterministic per-shard table to `results/mega_campaign.json` (CI
 /// diffs it across thread counts); the host-dependent throughput numbers
 /// go to stdout only (`benchmark/`'s `mega_rpc` workload is their ledger).
 fn mega(opts: &Options) {
     use ew_bench::mega::{peak_rss_bytes, run_mega, MegaConfig};
-    use ew_sim::NetworkModel;
 
     let cfg = if opts.short {
-        MegaConfig::short(opts.seed, NetworkModel::Flow)
+        MegaConfig::short(opts.seed)
     } else {
-        MegaConfig::full(opts.seed, NetworkModel::Flow)
+        MegaConfig::full(opts.seed)
     };
     eprintln!(
-        "mega: {} shards x {} hosts ({} total), {:.0} s horizon, Flow mode, {} thread(s)...",
+        "mega: {} shards x {} hosts ({} total), {:.0} s horizon, {} thread(s)...",
         cfg.shards,
         cfg.spec.hosts_per_shard(),
         cfg.total_hosts(),
@@ -602,11 +601,6 @@ fn mega(opts: &Options) {
     let units = out.total(|s| s.units);
     let events = out.total(|s| s.events);
     let messages = out.total(|s| s.messages);
-    let flows_started = out.total(|s| s.flows_started);
-    let flows_completed = out.total(|s| s.flows_completed);
-    let flows_stale = out.total(|s| s.flows_stale);
-    let flows_resched = out.total(|s| s.flows_reschedules);
-    let packets_avoided = out.total(|s| s.packets_avoided);
     let hosts = out.total(|s| s.hosts as u64);
     let wall_s = out.stats.wall_ms / 1e3;
     let events_per_sec = if wall_s > 0.0 {
@@ -628,11 +622,6 @@ fn mega(opts: &Options) {
                 "order_hash": format!("{:#018x}", s.order_hash),
                 "messages": s.messages,
                 "bytes": s.bytes,
-                "flows_started": s.flows_started,
-                "flows_completed": s.flows_completed,
-                "flows_stale_deadlines": s.flows_stale,
-                "flows_reschedules": s.flows_reschedules,
-                "packets_avoided": s.packets_avoided,
             })
         })
         .collect();
@@ -640,7 +629,6 @@ fn mega(opts: &Options) {
         "mega_campaign",
         &serde_json::json!({
             "campaign": "mega: full stack at generated scale (PR 7)",
-            "net_model": "flow",
             "short": opts.short,
             "seed": opts.seed,
             "shards": cfg.shards,
@@ -650,11 +638,6 @@ fn mega(opts: &Options) {
                 "units": units,
                 "events": events,
                 "messages": messages,
-                "flows_started": flows_started,
-                "flows_completed": flows_completed,
-                "flows_stale_deadlines": flows_stale,
-                "flows_reschedules": flows_resched,
-                "packets_avoided": packets_avoided,
             },
             "per_shard": rows,
         }),
@@ -674,9 +657,6 @@ fn mega(opts: &Options) {
             b as f64 / (1 << 20) as f64
         ))
     );
-    println!("| flows started / completed | {flows_started} / {flows_completed} |");
-    println!("| deadline migrations (stale) | {flows_resched} ({flows_stale}) |");
-    println!("| per-MTU packet events avoided | {packets_avoided} |");
 
     let (unit_floor, host_floor) = if opts.short {
         (50_000, 64)

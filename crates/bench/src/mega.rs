@@ -7,10 +7,9 @@
 //! and an `InfraSupervisor`-managed worker fleet —
 //! the same deployment the chaos campaigns exercise — but sized so the
 //! fleet as a whole crosses 1k hosts and completes over a million Ramsey
-//! work units. `figures -- mega` runs the shards on the flow-level
-//! network model ([`NetworkModel::Flow`]); [`NetworkModel::Packet`] gives
-//! bit-identical shards on this all-RPC traffic (pinned by the tests
-//! below and `tests/event_order_determinism.rs`).
+//! work units. The traffic is all sub-MTU RPCs, so `figures -- mega` runs
+//! the shards in [`NetworkModel::Packet`] mode; the flow model would give
+//! bit-identical shards (pinned by `tests/event_order_determinism.rs`).
 //!
 //! `results/mega_campaign.json` holds only seed-deterministic per-shard
 //! counters (byte-identical at any `--threads`, diffed in CI); wall-clock,
@@ -40,22 +39,22 @@ pub struct MegaConfig {
 impl MegaConfig {
     /// The headline campaign: 8 × 134-host shards (1072 hosts) for 150
     /// simulated seconds — comfortably past a million work units.
-    pub fn full(seed: u64, model: NetworkModel) -> Self {
+    pub fn full(seed: u64) -> Self {
         MegaConfig {
             seed,
             shards: 8,
-            spec: MegaSpec::full(model),
+            spec: MegaSpec::full(NetworkModel::Packet),
             horizon: SimDuration::from_secs(150),
         }
     }
 
     /// The CI variant: 2 × 32-host shards (64 hosts) for 100 simulated
     /// seconds — past fifty thousand units, done in seconds of wall time.
-    pub fn short(seed: u64, model: NetworkModel) -> Self {
+    pub fn short(seed: u64) -> Self {
         MegaConfig {
             seed,
             shards: 2,
-            spec: MegaSpec::short(model),
+            spec: MegaSpec::short(NetworkModel::Packet),
             horizon: SimDuration::from_secs(100),
         }
     }
@@ -86,16 +85,6 @@ pub struct ShardOutcome {
     pub messages: u64,
     /// Bytes carried (`net.bytes`).
     pub bytes: u64,
-    /// Flow-mode transfers started (0 in packet mode).
-    pub flows_started: u64,
-    /// Flow-mode transfers delivered.
-    pub flows_completed: u64,
-    /// Deadline events swallowed as superseded.
-    pub flows_stale: u64,
-    /// Deadlines (re)scheduled by fair-share recomputes.
-    pub flows_reschedules: u64,
-    /// MTU-sized packet events a per-packet simulator would have needed.
-    pub packets_avoided: u64,
 }
 
 /// The whole campaign's outcome.
@@ -164,11 +153,6 @@ fn run_shard(cfg: &MegaConfig, shard_idx: usize) -> ShardOutcome {
         order_hash: sim.event_order_hash(),
         messages: c("net.messages"),
         bytes: c("net.bytes"),
-        flows_started: c("net.flows_started"),
-        flows_completed: c("net.flows_completed"),
-        flows_stale: c("net.flows_stale_deadlines"),
-        flows_reschedules: c("net.flows_reschedules"),
-        packets_avoided: c("net.flows_packets_avoided"),
     }
 }
 
@@ -188,60 +172,4 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tiny_mega_flow_mode_is_bit_identical_to_packet_for_rpc_traffic() {
-        // The whole mega protocol is sub-MTU RPCs, so hybrid routing sends
-        // every message down the sampled-delay path in either network
-        // mode: the flow-mode run must be bit-identical to the packet
-        // run (same rng stream, same delays, same order hash), with the
-        // flow table never touched. Bulk (> MTU) transfers still take
-        // the fair-share path — the flow_net tests pin that side.
-        let spec = |model| MegaSpec {
-            sites: 2,
-            workers_per_site: 3,
-            worker_ops: 1e8,
-            load: 0.05,
-            model,
-        };
-        let cfg = |model| MegaConfig {
-            seed: 7,
-            shards: 1,
-            spec: spec(model),
-            horizon: SimDuration::from_secs(30),
-        };
-        let flow = run_mega(&cfg(NetworkModel::Flow), 1);
-        let packet = run_mega(&cfg(NetworkModel::Packet), 1);
-        let f = &flow.shards[0];
-        assert!(f.units > 100, "only {} units", f.units);
-        assert_eq!(f.flows_started, 0, "sub-MTU RPCs must not become flows");
-        assert_eq!(f.flows_reschedules, 0);
-        assert_eq!(f, &packet.shards[0]);
-    }
-
-    #[test]
-    fn packet_mode_starts_no_flows() {
-        let cfg = MegaConfig {
-            seed: 7,
-            shards: 1,
-            spec: MegaSpec {
-                sites: 2,
-                workers_per_site: 3,
-                worker_ops: 1e8,
-                load: 0.05,
-                model: NetworkModel::Packet,
-            },
-            horizon: SimDuration::from_secs(30),
-        };
-        let out = run_mega(&cfg, 1);
-        let s = &out.shards[0];
-        assert!(s.units > 100, "only {} units", s.units);
-        assert_eq!(s.flows_started, 0);
-        assert_eq!(s.flows_reschedules, 0);
-    }
 }

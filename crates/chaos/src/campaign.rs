@@ -344,7 +344,7 @@ fn run_world(
         breaker_opens: m.counter("rpc.breaker_open") as u64,
         faults_injected: m.counter("chaos.faults_injected") as u64,
     };
-    (outcome, sim.into_metrics().into_registry())
+    (outcome, sim.into_registry())
 }
 
 fn post_warmup_mean(bins: &[f64]) -> f64 {

@@ -10,7 +10,7 @@
 //!
 //! The generator is deliberately plain: constant background load, no
 //! availability churn, no impairments. The mega campaign measures kernel
-//! and network-model throughput at scale; chaos campaigns already cover
+//! and protocol throughput at scale; chaos campaigns already cover
 //! adversity.
 
 use ew_sim::{HostId, HostSpec, HostTable, NetModel, NetworkModel, SimDuration, SiteSpec};
@@ -135,19 +135,19 @@ mod tests {
 
     #[test]
     fn full_shard_fleet_crosses_a_thousand_hosts() {
-        let spec = MegaSpec::full(NetworkModel::Flow);
+        let spec = MegaSpec::full(NetworkModel::Packet);
         assert_eq!(spec.hosts_per_shard(), 134);
         assert!(spec.hosts_per_shard() * 8 >= 1000);
         let shard = build_mega_shard(&spec, 3);
         assert_eq!(shard.hosts.len(), 134);
         assert_eq!(shard.pool.len(), 128);
         assert_eq!(shard.net.site_count(), 4);
-        assert_eq!(shard.net.model(), NetworkModel::Flow);
+        assert_eq!(shard.net.model(), NetworkModel::Packet);
     }
 
     #[test]
     fn short_shard_is_the_64_host_variant() {
-        let spec = MegaSpec::short(NetworkModel::Flow);
+        let spec = MegaSpec::short(NetworkModel::Packet);
         assert_eq!(spec.hosts_per_shard() * 2, 64);
         let shard = build_mega_shard(&spec, 0);
         assert_eq!(shard.hosts.len(), 32);

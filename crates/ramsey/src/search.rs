@@ -50,7 +50,7 @@ impl SearchState {
     /// for the objective and one per-edge counting pass for the table,
     /// after which every `delta` is an O(1) lookup, maintained exactly
     /// across flips.
-    pub fn new_incremental(graph: ColoredGraph, k: usize) -> Self {
+    pub fn new(graph: ColoredGraph, k: usize) -> Self {
         let mut ops = OpsCounter::new();
         let mut ws = Workspace::new();
         let mono_count = count_total_ws(&graph, k, &mut ops, &mut ws);
@@ -65,6 +65,12 @@ impl SearchState {
         }
     }
 
+    // `benchmark/src/probes.rs` names this until ROADMAP item 1a.
+    #[doc(hidden)]
+    pub fn new_incremental(graph: ColoredGraph, k: usize) -> Self {
+        Self::new(graph, k)
+    }
+
     /// The delta table.
     pub fn table(&self) -> &DeltaTable {
         &self.table
@@ -72,7 +78,7 @@ impl SearchState {
 
     /// A random starting state.
     pub fn random(n: usize, k: usize, rng: &mut Xoshiro256) -> Self {
-        Self::new_incremental(ColoredGraph::random(n, rng), k)
+        Self::new(ColoredGraph::random(n, rng), k)
     }
 
     /// Current number of monochromatic `k`-cliques (the objective).
@@ -567,7 +573,7 @@ mod tests {
 
     #[test]
     fn solved_state_reports_solved() {
-        let st = SearchState::new_incremental(ColoredGraph::paley(5), 3);
+        let st = SearchState::new(ColoredGraph::paley(5), 3);
         assert!(st.is_counter_example());
         let mut g = GreedyLocal::default();
         let mut st = st;
@@ -741,7 +747,7 @@ mod tests {
     #[test]
     fn tabu_exclusion_is_respected_and_aspiration_overrides() {
         let g = ColoredGraph::paley(5);
-        let mut state = SearchState::new_incremental(g, 3);
+        let mut state = SearchState::new(g, 3);
         state.apply_flip(0, 1); // break the pentagon: count > 0
         assert!(state.count() > 0);
         // Exclude everything, no aspiration: stuck.
@@ -767,7 +773,7 @@ mod tests {
 
     #[test]
     fn paley_17_is_global_optimum_for_k4() {
-        let st = SearchState::new_incremental(ColoredGraph::paley(17), 4);
+        let st = SearchState::new(ColoredGraph::paley(17), 4);
         assert_eq!(st.count(), 0);
         assert!(st.is_counter_example());
         // And a single flip breaks it.

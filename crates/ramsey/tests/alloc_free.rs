@@ -128,7 +128,7 @@ fn table_maintenance_is_allocation_free_after_warmup() {
 #[test]
 fn greedy_steps_on_table_state_are_allocation_free_after_warmup() {
     let mut rng = Xoshiro256::seed_from_u64(10);
-    let mut state = SearchState::new_incremental(ColoredGraph::random(40, &mut rng), 5);
+    let mut state = SearchState::new(ColoredGraph::random(40, &mut rng), 5);
     let mut greedy = GreedyLocal::default();
     for _ in 0..5 {
         greedy.step(&mut state, &mut rng); // warm the workspace + scratch
@@ -147,7 +147,7 @@ fn greedy_steps_on_table_state_are_allocation_free_after_warmup() {
 #[test]
 fn tabu_step_is_allocation_free_after_the_first_step() {
     let mut rng = Xoshiro256::seed_from_u64(11);
-    let mut state = SearchState::new_incremental(ColoredGraph::random(40, &mut rng), 5);
+    let mut state = SearchState::new(ColoredGraph::random(40, &mut rng), 5);
     let mut tabu = TabuSearch::default();
     tabu.step(&mut state, &mut rng); // allocates the tenure table
     let before = allocs();
@@ -164,7 +164,7 @@ fn tabu_step_is_allocation_free_after_the_first_step() {
 #[test]
 fn steepest_step_is_allocation_free_after_the_first_step() {
     let mut rng = Xoshiro256::seed_from_u64(12);
-    let mut state = SearchState::new_incremental(ColoredGraph::random(40, &mut rng), 5);
+    let mut state = SearchState::new(ColoredGraph::random(40, &mut rng), 5);
     let mut steepest = Steepest::default();
     steepest.step(&mut state, &mut rng); // allocates the tenure table
     let before = allocs();

@@ -55,7 +55,7 @@ proptest! {
         flips in proptest::collection::vec((0usize..14, 0usize..14), 1..25),
     ) {
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let mut st = SearchState::new_incremental(ColoredGraph::random(14, &mut rng), 4);
+        let mut st = SearchState::new(ColoredGraph::random(14, &mut rng), 4);
         for (u, v) in flips {
             if u == v {
                 continue;

@@ -285,7 +285,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// tabu run on the incremental state.
 fn trajectory(n: usize, k: usize, seed: u64, steps: u64) -> (u64, u64, u64, u64) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    let mut state = SearchState::new_incremental(ColoredGraph::random(n, &mut rng), k);
+    let mut state = SearchState::new(ColoredGraph::random(n, &mut rng), k);
     let rep = run_search(&mut state, &mut TabuSearch::default(), &mut rng, steps);
     (
         rep.steps,

@@ -871,8 +871,7 @@ mod tests {
         assert!(sim.metrics().counter("ramsey.table_lookups") > 0.0);
         assert!(sim.metrics().counter("ramsey.table_flips") > 0.0);
         let gauge = |name: &str| {
-            sim.metrics()
-                .registry()
+            sim.telemetry()
                 .gauges()
                 .iter()
                 .find(|(n, _)| *n == name)

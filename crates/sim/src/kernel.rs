@@ -125,22 +125,6 @@ impl Metrics {
             .series_lookup(name)
             .map(|id| self.reg.series_get(id))
     }
-
-    /// The backing registry (histograms, gauges, health reports, tracing).
-    pub fn registry(&self) -> &Registry {
-        &self.reg
-    }
-
-    /// Mutable access to the backing registry.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.reg
-    }
-
-    /// Consume the metrics, yielding the backing registry — how a sim-farm
-    /// cell hands its telemetry to the canonical [`Registry::merge`] fold.
-    pub fn into_registry(self) -> Registry {
-        self.reg
-    }
 }
 
 /// Kernel-owned metric handles, interned once at [`Sim::new`] so the
@@ -737,7 +721,7 @@ impl Sim {
         let seeder = StreamSeeder::new(seed);
         let net_rng = seeder.stream_named("kernel.net");
         let mut metrics = Metrics::default();
-        let tele = KernelTele::intern(metrics.registry_mut());
+        let tele = KernelTele::intern(&mut metrics.reg);
         Sim {
             now: SimTime::ZERO,
             seq: 0,
@@ -799,17 +783,18 @@ impl Sim {
         &self.metrics
     }
 
-    /// Consume the simulator, yielding its metrics. Sim-farm cells use
-    /// this after the run: outcome numbers are extracted first, then the
-    /// whole registry travels back to the caller for the ordered merge.
-    pub fn into_metrics(self) -> Metrics {
-        self.metrics
-    }
-
     /// The telemetry registry behind [`Sim::metrics`] (histograms, gauges,
     /// health reports, span tracing).
     pub fn telemetry(&self) -> &Registry {
-        self.metrics.registry()
+        &self.metrics.reg
+    }
+
+    /// Consume the simulator, yielding its registry. Sim-farm cells use
+    /// this after the run: outcome numbers are extracted first, then the
+    /// whole registry travels back to the caller for the canonical
+    /// [`Registry::merge`] fold.
+    pub fn into_registry(self) -> Registry {
+        self.metrics.reg
     }
 
     /// Keep the series `name`, binned at `width`: from now on each sample

@@ -149,7 +149,7 @@ pub fn execute_unit(unit: &WorkUnit) -> (WorkResult, KernelStats) {
         .unwrap_or_else(|| ColoredGraph::random(n, &mut rng));
     // No clique is larger than the graph: every `k > n` is the same
     // (already solved) problem as `k = n + 1`, whose workspace is bounded.
-    let mut state = SearchState::new_incremental(start, k.min(n + 1));
+    let mut state = SearchState::new(start, k.min(n + 1));
     let mut heuristic = heuristic_by_kind(unit.variant);
     let report = run_search(&mut state, heuristic.as_mut(), &mut rng, unit.step_budget);
     let result = WorkResult {

@@ -262,7 +262,11 @@ fn kernel_scenario_hash_matches_heap_golden() {
 
 #[test]
 fn tiny_mega_shards_match_per_event_golden_in_both_net_modes() {
-    for model in [NetworkModel::Flow, NetworkModel::Packet] {
+    // The shards' traffic is all sub-MTU RPCs, so the flow model must route
+    // every message down the sampled-delay path: both modes give the same
+    // outcome rows, and a started flow would fold `FlowWake` entries into
+    // the shared golden hash.
+    let outcomes = [NetworkModel::Flow, NetworkModel::Packet].map(|model| {
         let cfg = MegaConfig {
             seed: 0x5EED,
             shards: 3,
@@ -282,7 +286,9 @@ fn tiny_mega_shards_match_per_event_golden_in_both_net_modes() {
             "{model:?}: mega shard dispatch order diverged (got {hashes:#018x?})"
         );
         assert!(out.shards.iter().all(|s| s.units == 2188), "shards work");
-    }
+        out.shards
+    });
+    assert_eq!(outcomes[0], outcomes[1], "flow and packet shards differ");
 }
 
 #[test]

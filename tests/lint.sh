@@ -104,6 +104,26 @@ if grep -rn 'InfraSupervisor::new(' --include='*.rs' crates/*/src tests examples
     exit 1
 fi
 
+# No shipped world runs the flow model: the mega campaign's RPC traffic
+# started no flow, yet it selected the model by name. The model
+# stays for the kernel, its two equivalence tests and the golden that
+# pins both modes equal, until benchmark/ stops naming it. Only *.rs is
+# searched, so this comment does not match itself.
+echo "== no world outside the kernel's own tests selects the flow model"
+if grep -rn 'NetworkModel::Flow' --include='*.rs' crates/*/src crates/*/tests tests examples \
+    | grep -vE '^(crates/sim/src/|tests/(flow_net|flow_recompute_equivalence|event_order_determinism)\.rs:)'; then
+    echo "error: build the world with NetworkModel::Packet" >&2
+    exit 1
+fi
+# SearchState has one constructor since the naive arm went; the old name
+# survives only as a wrapper for benchmark/src.
+echo "== SearchState is built with SearchState::new"
+if grep -rn 'new_incremental' --include='*.rs' crates/*/src crates/*/tests tests examples \
+    | grep -v '^crates/ramsey/src/search\.rs:'; then
+    echo "error: call SearchState::new" >&2
+    exit 1
+fi
+
 # No per-thread state in library code: it makes a farm cell's telemetry
 # depend on which worker ran it before (the payload pool needed a reset on
 # every sim's first run to hide that). farm_determinism.rs's

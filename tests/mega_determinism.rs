@@ -1,11 +1,11 @@
-//! Flow-mode mega campaign determinism: the deterministic artifact rows
-//! must be identical regardless of farm thread count (PR 7).
+//! Mega campaign determinism: the deterministic artifact rows must be
+//! identical regardless of farm thread count.
 
 use ew_bench::mega::{run_mega, MegaConfig};
 use ew_infra::MegaSpec;
 use ew_sim::{NetworkModel, SimDuration};
 
-fn tiny(model: NetworkModel) -> MegaConfig {
+fn tiny() -> MegaConfig {
     MegaConfig {
         seed: 0x5EED,
         shards: 3,
@@ -14,15 +14,15 @@ fn tiny(model: NetworkModel) -> MegaConfig {
             workers_per_site: 2,
             worker_ops: 1e8,
             load: 0.05,
-            model,
+            model: NetworkModel::Packet,
         },
         horizon: SimDuration::from_secs(20),
     }
 }
 
 #[test]
-fn flow_mode_shard_outcomes_are_thread_count_invariant() {
-    let cfg = tiny(NetworkModel::Flow);
+fn packet_mode_shard_outcomes_are_thread_count_invariant() {
+    let cfg = tiny();
     let one = run_mega(&cfg, 1);
     let four = run_mega(&cfg, 4);
     assert_eq!(
@@ -30,28 +30,11 @@ fn flow_mode_shard_outcomes_are_thread_count_invariant() {
         "shard outcomes must be byte-identical at 1 vs 4 threads"
     );
     assert!(one.shards.iter().all(|s| s.units > 0), "shards must work");
-    // Hybrid routing: the mega protocol is all sub-MTU RPCs, so flow
-    // mode routes every message down the sampled-delay path and the
-    // flow table stays untouched (bulk transfers are pinned by the
-    // flow_net tests instead).
-    assert!(
-        one.shards.iter().all(|s| s.flows_started == 0),
-        "sub-MTU RPCs must not become flows"
-    );
-}
-
-#[test]
-fn packet_mode_shard_outcomes_are_thread_count_invariant() {
-    let cfg = tiny(NetworkModel::Packet);
-    let one = run_mega(&cfg, 1);
-    let four = run_mega(&cfg, 4);
-    assert_eq!(one.shards, four.shards);
-    assert!(one.shards.iter().all(|s| s.flows_started == 0));
 }
 
 #[test]
 fn shard_seeds_are_decorrelated_but_reproducible() {
-    let cfg = tiny(NetworkModel::Flow);
+    let cfg = tiny();
     let out = run_mega(&cfg, 2);
     let seeds: Vec<u64> = out.shards.iter().map(|s| s.seed).collect();
     assert_eq!(seeds.len(), 3);

@@ -15,11 +15,10 @@ use ew_proto::{Packet, WireEncode};
 use ew_ramsey::{ColoredGraph, RamseyProblem};
 use ew_sched::{scm, WorkGrant};
 use ew_sim::SimTime;
-use ew_workload::{
-    execute_unit, ramsey_validator, RamseyConfig, RamseyWorkload, WorkResult, Workload,
-};
+use ew_workload::{execute_unit, ramsey_validator, RamseyWorkload, WorkResult, Workload};
 
-/// Live-run configuration.
+/// Live-run configuration. A run stops at the first verified
+/// counter-example.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// Worker processes (threads, each with its own TCP endpoint).
@@ -32,21 +31,6 @@ pub struct LiveConfig {
     pub units: u64,
     /// Wall-clock cap.
     pub deadline: Duration,
-    /// Stop early once a counter-example is verified.
-    pub stop_on_witness: bool,
-}
-
-impl Default for LiveConfig {
-    fn default() -> Self {
-        LiveConfig {
-            workers: 4,
-            problem: RamseyProblem { k: 4, n: 17 },
-            step_budget: 3_000,
-            units: 16,
-            deadline: Duration::from_secs(60),
-            stop_on_witness: true,
-        }
-    }
 }
 
 /// Outcome of a live run.
@@ -116,13 +100,7 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
     // Scheduler loop: issue units, collect results, verify witnesses —
     // with the simulated scheduler's unit generator and the persistent
     // state server's validator.
-    let mut workload = RamseyWorkload::new(
-        RamseyConfig {
-            problem: cfg.problem,
-            ..RamseyConfig::default()
-        },
-        0,
-    );
+    let mut workload = RamseyWorkload::new(cfg.problem, 0);
     let validate = ramsey_validator();
     let witness_key = format!("ramsey/best/{}", cfg.problem.k);
     let mut next_unit = 0u64;
@@ -140,8 +118,7 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
         };
         match inc.packet.mtype {
             scm::GET_WORK => {
-                let granted =
-                    next_unit < cfg.units && (!cfg.stop_on_witness || witnesses.is_empty());
+                let granted = next_unit < cfg.units && witnesses.is_empty();
                 let unit = workload
                     .generate(next_unit, SimTime::ZERO, 0, cfg.step_budget)
                     .expect("the Ramsey supply is infinite");
@@ -159,11 +136,7 @@ pub fn run_live(cfg: &LiveConfig) -> std::io::Result<LiveOutcome> {
                     }
                     results.push(result);
                     let _ = inc.reply(&Packet::response_to(&inc.packet, vec![]));
-                    if results.len() as u64 >= cfg.units
-                        || (cfg.stop_on_witness && !witnesses.is_empty())
-                    {
-                        done = true;
-                    }
+                    done = results.len() as u64 >= cfg.units || !witnesses.is_empty();
                 }
             }
             _ => {}
@@ -194,7 +167,6 @@ mod tests {
             step_budget: 1_000,
             units: 12,
             deadline: Duration::from_secs(30),
-            ..LiveConfig::default()
         })
         .expect("bind loopback");
         assert!(
@@ -218,7 +190,6 @@ mod tests {
             step_budget: 300,
             units: 6,
             deadline: Duration::from_secs(30),
-            stop_on_witness: true,
         })
         .expect("bind loopback");
         assert!(out.witnesses.is_empty());

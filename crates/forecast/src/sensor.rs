@@ -247,8 +247,6 @@ pub struct NwsServer {
     /// longer than `MAX_RESOURCE_NAME`, or it would have opened a stream
     /// beyond `MAX_RESOURCES`.
     pub reports_bad: u64,
-    /// Queries answered.
-    pub queries: u64,
 }
 
 impl Default for NwsServer {
@@ -265,7 +263,6 @@ impl NwsServer {
             reports_id: None,
             reports: 0,
             reports_bad: 0,
-            queries: 0,
         }
     }
 
@@ -323,7 +320,6 @@ impl Process for NwsServer {
             }
             (nm::QUERY, true) => {
                 if let Ok(q) = pkt.body::<NwsQuery>() {
-                    self.queries += 1;
                     let reply = match self.streams.forecast(q.resource.as_str()) {
                         Some(f) => NwsForecastReply {
                             found: true,

@@ -16,7 +16,7 @@
 
 use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{broadcast_packet, packet_from_event, send_packet};
-use ew_proto::{BreakerConfig, EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout};
+use ew_proto::{EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout};
 use ew_sim::{CounterId, Ctx, Event, HistogramId, Process, ProcessId, SimDuration, SpanId};
 
 use crate::clique::{CliqueConfig, CliqueState};
@@ -83,8 +83,6 @@ impl GossipTele {
 
 /// One member of the Gossip pool, as a simulator process.
 pub struct GossipServer {
-    /// Whether poll time-outs are forecast (the §2.2 static arm's are not).
-    dynamic_timeouts: bool,
     well_known: Vec<u64>,
     store: GossipStore,
     clique: Option<CliqueState>,
@@ -114,15 +112,10 @@ impl GossipServer {
                     budget: 2,
                     jitter: 0.3,
                 };
-                RpcClient::new(
-                    ForecastTimeout::wan_default(),
-                    Some((retry, BreakerConfig::default())),
-                    None,
-                )
+                RpcClient::new(ForecastTimeout::wan_default(), Some(retry), None)
             }
         };
         GossipServer {
-            dynamic_timeouts: static_timeouts.is_none(),
             well_known,
             store: GossipStore::new(),
             clique: None,
@@ -187,10 +180,7 @@ impl GossipServer {
         ctx.set_timer(POLL_INTERVAL + jitter, TIMER_POLL);
         ctx.set_timer(SYNC_INTERVAL + jitter, TIMER_SYNC);
         ctx.set_timer(TICK_INTERVAL, TIMER_TICK);
-        if self.dynamic_timeouts {
-            let seed = ctx.rng().next_u64();
-            self.rpc.seed_jitter(seed);
-        }
+        self.rpc.seed_jitter(ctx.rng());
     }
 
     fn send_poll(&mut self, ctx: &mut Ctx<'_>, comp: u64, stype: u16) {

@@ -28,7 +28,7 @@ pub mod wire;
 
 pub use ew_sim::Payload;
 pub use packet::{mtype, FrameReader, Packet};
-pub use retry::{AdaptiveRetry, BreakerConfig, RetryConfig, RetryDecision, RetryTele};
+pub use retry::{AdaptiveRetry, RetryConfig, RetryDecision, RetryTele};
 pub use rpc::{
     DeadlineTimer, EventTag, Expired, Pending, Resend, RpcClient, RpcTracker, StaticTimeout,
     TimeoutPolicy, Verdict,

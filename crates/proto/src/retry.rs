@@ -99,24 +99,11 @@ impl RetryPolicy {
     }
 }
 
-/// Tunables for [`CircuitBreaker`].
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive time-outs that open a peer's circuit.
-    pub threshold: u32,
-    /// How long an open circuit rejects traffic before allowing one
-    /// half-open probe.
-    pub cooldown: SimDuration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 3,
-            cooldown: SimDuration::from_secs(30),
-        }
-    }
-}
+/// Consecutive time-outs that open a peer's circuit.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long an open circuit rejects traffic before allowing one half-open
+/// probe.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(30);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BreakerState {
@@ -131,22 +118,15 @@ struct PeerCircuit {
     state: BreakerState,
 }
 
-/// Per-peer circuit breaker: open after N consecutive time-outs, single
-/// half-open probe after a cool-down.
+/// Per-peer circuit breaker: open after `BREAKER_THRESHOLD` (3)
+/// consecutive time-outs, single half-open probe after a
+/// `BREAKER_COOLDOWN` (30 s). The default is all closed.
+#[derive(Default)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     peers: FxHashMap<u64, PeerCircuit>,
 }
 
 impl CircuitBreaker {
-    /// An all-closed breaker.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        CircuitBreaker {
-            cfg,
-            peers: FxHashMap::default(),
-        }
-    }
-
     fn peer(&mut self, peer: u64) -> &mut PeerCircuit {
         self.peers.entry(peer).or_insert(PeerCircuit {
             consecutive: 0,
@@ -187,20 +167,19 @@ impl CircuitBreaker {
     /// *opened* (or re-opened) the circuit — the caller's cue to count a
     /// `rpc.breaker_open` event.
     pub fn on_timeout(&mut self, peer: u64, now: SimTime) -> bool {
-        let cfg = self.cfg;
         let p = self.peer(peer);
         p.consecutive += 1;
         match p.state {
             BreakerState::HalfOpen => {
                 // The probe failed: re-open for another cool-down.
                 p.state = BreakerState::Open {
-                    until: now + cfg.cooldown,
+                    until: now + BREAKER_COOLDOWN,
                 };
                 true
             }
-            BreakerState::Closed if p.consecutive >= cfg.threshold => {
+            BreakerState::Closed if p.consecutive >= BREAKER_THRESHOLD => {
                 p.state = BreakerState::Open {
-                    until: now + cfg.cooldown,
+                    until: now + BREAKER_COOLDOWN,
                 };
                 true
             }
@@ -242,17 +221,18 @@ pub struct AdaptiveRetry {
 }
 
 impl AdaptiveRetry {
-    /// Compose a retry policy and breaker; `seed` feeds the jitter stream.
-    pub fn new(retry: RetryConfig, breaker: BreakerConfig, seed: u64) -> Self {
+    /// Compose a retry policy and an all-closed breaker; `seed` feeds the
+    /// jitter stream.
+    pub fn new(retry: RetryConfig, seed: u64) -> Self {
         AdaptiveRetry {
             retry: RetryPolicy::new(retry, seed),
-            breaker: CircuitBreaker::new(breaker),
+            breaker: CircuitBreaker::default(),
         }
     }
 
-    /// Defaults for both halves.
+    /// The default retry policy.
     pub fn with_defaults(seed: u64) -> Self {
-        Self::new(RetryConfig::default(), BreakerConfig::default(), seed)
+        Self::new(RetryConfig::default(), seed)
     }
 
     /// React to a time-out of a request to `peer` that has been sent
@@ -366,10 +346,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_consecutive_timeouts() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 3,
-            cooldown: SimDuration::from_secs(30),
-        });
+        let mut b = CircuitBreaker::default();
         assert!(!b.on_timeout(9, t(0)));
         assert!(!b.on_timeout(9, t(1)));
         assert!(b.on_timeout(9, t(2)), "third consecutive opens");
@@ -379,46 +356,43 @@ mod tests {
 
     #[test]
     fn success_resets_consecutive_count() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 2,
-            cooldown: SimDuration::from_secs(30),
-        });
+        let mut b = CircuitBreaker::default();
         b.on_timeout(5, t(0));
+        b.on_timeout(5, t(1));
         b.on_success(5);
-        assert!(!b.on_timeout(5, t(1)), "count restarted after success");
-        assert!(b.on_timeout(5, t(2)));
+        assert!(!b.on_timeout(5, t(2)), "count restarted after success");
+        assert!(!b.on_timeout(5, t(3)));
+        assert!(b.on_timeout(5, t(4)));
     }
 
     #[test]
     fn half_open_probe_cycle() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 1,
-            cooldown: SimDuration::from_secs(10),
-        });
-        assert!(b.on_timeout(3, t(0)), "opens immediately at threshold 1");
-        assert!(!b.try_acquire(3, t(5)), "still cooling down");
-        assert!(b.try_acquire(3, t(10)), "cool-down elapsed: probe allowed");
-        assert!(!b.try_acquire(3, t(10)), "only one probe in flight");
+        let mut b = CircuitBreaker::default();
+        b.on_timeout(3, t(0));
+        b.on_timeout(3, t(0));
+        assert!(b.on_timeout(3, t(0)), "opens at the threshold");
+        assert!(!b.try_acquire(3, t(29)), "still cooling down");
+        assert!(b.try_acquire(3, t(30)), "cool-down elapsed: probe allowed");
+        assert!(!b.try_acquire(3, t(30)), "only one probe in flight");
         // Probe fails: re-open for another cool-down.
-        assert!(b.on_timeout(3, t(11)));
-        assert!(!b.try_acquire(3, t(15)));
-        assert!(b.try_acquire(3, t(21)), "second probe after re-cool-down");
+        assert!(b.on_timeout(3, t(31)));
+        assert!(!b.try_acquire(3, t(60)));
+        assert!(b.try_acquire(3, t(61)), "second probe after re-cool-down");
         // Probe succeeds: closed again.
         b.on_success(3);
-        assert!(b.try_acquire(3, t(22)));
-        assert!(b.try_acquire(3, t(22)), "closed circuit has no probe limit");
+        assert!(b.try_acquire(3, t(62)));
+        assert!(b.try_acquire(3, t(62)), "closed circuit has no probe limit");
     }
 
     #[test]
     fn breakers_are_per_peer() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            threshold: 1,
-            cooldown: SimDuration::from_secs(10),
-        });
-        b.on_timeout(1, t(0));
-        assert!(b.is_open(1, t(1)));
-        assert!(!b.is_open(2, t(1)));
-        assert!(b.try_acquire(2, t(1)));
+        let mut b = CircuitBreaker::default();
+        for s in 0..3 {
+            b.on_timeout(1, t(s));
+        }
+        assert!(b.is_open(1, t(3)));
+        assert!(!b.is_open(2, t(3)));
+        assert!(b.try_acquire(2, t(3)));
     }
 
     #[test]
@@ -428,10 +402,6 @@ mod tests {
                 budget: 5,
                 jitter: 0.0,
                 ..RetryConfig::default()
-            },
-            BreakerConfig {
-                threshold: 2,
-                cooldown: SimDuration::from_secs(60),
             },
             1,
         );
@@ -443,14 +413,21 @@ mod tests {
             }
         );
         assert!(!opened1);
-        // Second consecutive time-out opens the circuit → give up even
+        let (d2, _) = a.on_timeout(7, 2, t(1));
+        assert_eq!(
+            d2,
+            RetryDecision::Resend {
+                after: SimDuration::from_secs(2)
+            }
+        );
+        // The third consecutive time-out opens the circuit → give up even
         // though the retry budget has room.
-        let (d2, opened2) = a.on_timeout(7, 2, t(1));
-        assert_eq!(d2, RetryDecision::GiveUp);
-        assert!(opened2);
+        let (d3, opened3) = a.on_timeout(7, 3, t(3));
+        assert_eq!(d3, RetryDecision::GiveUp);
+        assert!(opened3);
         // A different peer is unaffected.
-        let (d3, _) = a.on_timeout(8, 1, t(1));
-        assert!(matches!(d3, RetryDecision::Resend { .. }));
+        let (d4, _) = a.on_timeout(8, 1, t(3));
+        assert!(matches!(d4, RetryDecision::Resend { .. }));
     }
 
     #[test]
@@ -460,16 +437,16 @@ mod tests {
                 budget: 2,
                 ..RetryConfig::default()
             },
-            BreakerConfig {
-                threshold: 100,
-                cooldown: SimDuration::from_secs(60),
-            },
             1,
         );
         assert!(matches!(
             a.on_timeout(7, 1, t(0)).0,
             RetryDecision::Resend { .. }
         ));
-        assert_eq!(a.on_timeout(7, 2, t(1)).0, RetryDecision::GiveUp);
+        // Two time-outs leave the circuit closed: the budget gave up.
+        let (d, opened) = a.on_timeout(7, 2, t(1));
+        assert_eq!(d, RetryDecision::GiveUp);
+        assert!(!opened);
+        assert!(!a.breaker.is_open(7, t(1)));
     }
 }

@@ -11,9 +11,9 @@
 //! implementation and a static one exists here for the §2.2 ablation.
 
 use ew_sim::hashers::FxHashMap;
-use ew_sim::{SimDuration, SimTime};
+use ew_sim::{SimDuration, SimTime, Xoshiro256};
 
-use crate::retry::{AdaptiveRetry, BreakerConfig, RetryConfig, RetryDecision, RetryTele};
+use crate::retry::{AdaptiveRetry, RetryConfig, RetryDecision, RetryTele};
 
 /// A `(peer, message-type)` event class — the paper's dynamic-benchmark tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -318,34 +318,36 @@ pub struct RpcClient<C> {
 
 impl<C> RpcClient<C> {
     /// A client arming time-outs from `policy`. `retry` composes the
-    /// adaptive layer on top (`None` = the static baseline: no backoff, no
-    /// breaker). `cap` bounds every armed time-out: adaptive time-outs
-    /// inflate on every expiry so that slow links stop producing needless
-    /// retries, but during a *partition* the same inflation delays failure
-    /// detection arbitrarily (a request in flight when the cut heals can
-    /// sit a full inflated time-out before its retry goes out). A caller
-    /// that must never be blind for longer than one backoff passes the
-    /// retry layer's ceiling here; time-outs stay adaptive below it.
+    /// adaptive layer on top, with a per-peer circuit breaker (`None` = the
+    /// static baseline: no backoff, no breaker). `cap` bounds every armed
+    /// time-out: adaptive time-outs inflate on every expiry so that slow
+    /// links stop producing needless retries, but during a *partition* the
+    /// same inflation delays failure detection arbitrarily (a request in
+    /// flight when the cut heals can sit a full inflated time-out before
+    /// its retry goes out). A caller that must never be blind for longer
+    /// than one backoff passes the retry layer's ceiling here; time-outs
+    /// stay adaptive below it.
     pub fn new(
         policy: impl TimeoutPolicy + Send + 'static,
-        retry: Option<(RetryConfig, BreakerConfig)>,
+        retry: Option<RetryConfig>,
         cap: Option<SimDuration>,
     ) -> Self {
         RpcClient {
             tracker: RpcTracker::new(),
             policy: Box::new(policy),
-            adaptive: retry.map(|(retry, breaker)| AdaptiveRetry::new(retry, breaker, 0)),
+            adaptive: retry.map(|retry| AdaptiveRetry::new(retry, 0)),
             cap,
             deferred: Vec::new(),
         }
     }
 
-    /// Seed the backoff jitter stream (owners draw `seed` from their
-    /// process rng at `Started`, so whole campaigns replay bit-identically).
-    /// The static baseline has no jitter; its owners draw nothing.
-    pub fn seed_jitter(&mut self, seed: u64) {
+    /// Seed the backoff jitter stream with one draw from `rng` (owners pass
+    /// their process rng at `Started`, so whole campaigns replay
+    /// bit-identically). The static baseline has no jitter and leaves `rng`
+    /// untouched.
+    pub fn seed_jitter(&mut self, rng: &mut Xoshiro256) {
         if let Some(a) = self.adaptive.as_mut() {
-            a.retry.reseed(seed);
+            a.retry.reseed(rng.next_u64());
         }
     }
 
@@ -540,6 +542,20 @@ mod tests {
         let id = rc.begin(tag(1), t(0), ());
         // …while values below the cap pass through untouched.
         assert_eq!(rc.deadline(id), Some(t(5)));
+    }
+
+    #[test]
+    fn only_the_adaptive_arm_draws_its_jitter_seed() {
+        let fixed = || StaticTimeout(SimDuration::from_secs(5));
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let mut untouched = rng.clone();
+        RpcClient::<()>::new(fixed(), None, None).seed_jitter(&mut rng);
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "static arm drew");
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let mut one_on = rng.clone();
+        one_on.next_u64();
+        RpcClient::<()>::new(fixed(), Some(RetryConfig::default()), None).seed_jitter(&mut rng);
+        assert_eq!(rng.next_u64(), one_on.next_u64(), "adaptive arm: one draw");
     }
 
     #[test]

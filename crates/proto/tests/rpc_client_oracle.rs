@@ -20,11 +20,12 @@ use std::collections::BTreeSet;
 
 use ew_forecast::ForecastTimeout;
 use ew_proto::{
-    AdaptiveRetry, BreakerConfig, EventTag, Pending, RetryConfig, RetryDecision, RetryTele,
-    RpcClient, RpcTracker, StaticTimeout, TimeoutPolicy, Verdict,
+    AdaptiveRetry, EventTag, Pending, RetryConfig, RetryDecision, RetryTele, RpcClient, RpcTracker,
+    StaticTimeout, TimeoutPolicy, Verdict,
 };
 use ew_sim::{
-    Ctx, Event, HostSpec, HostTable, NetModel, Process, Sim, SimDuration, SimTime, SiteSpec, SpanId,
+    Ctx, Event, HostSpec, HostTable, NetModel, Process, Sim, SimDuration, SimTime, SiteSpec,
+    SpanId, Xoshiro256,
 };
 use proptest::prelude::*;
 
@@ -61,10 +62,11 @@ enum Op {
 #[derive(Clone, Copy, Debug)]
 struct Arm {
     /// `None`: the §2.2 static baseline.
-    retry: Option<(RetryConfig, BreakerConfig)>,
+    retry: Option<RetryConfig>,
     cap: Option<SimDuration>,
     /// Forecast-driven time-outs, or a fixed 10 s.
     forecast: bool,
+    /// Seed of the owner's process rng, whose first draw seeds the jitter.
     jitter_seed: u64,
 }
 
@@ -172,9 +174,10 @@ impl ParentGlue {
             } else {
                 Box::new(FIXED_TIMEOUT)
             },
-            adaptive: arm
-                .retry
-                .map(|(retry, breaker)| AdaptiveRetry::new(retry, breaker, arm.jitter_seed)),
+            // The owner's rng gives the jitter stream its first draw.
+            adaptive: arm.retry.map(|retry| {
+                AdaptiveRetry::new(retry, Xoshiro256::seed_from_u64(arm.jitter_seed).next_u64())
+            }),
             cap: arm.cap,
             deferred: Vec::new(),
             rotation: 0,
@@ -377,9 +380,7 @@ impl NewGlue {
         } else {
             RpcClient::new(FIXED_TIMEOUT, arm.retry, arm.cap)
         };
-        if arm.retry.is_some() {
-            rpc.seed_jitter(arm.jitter_seed);
-        }
+        rpc.seed_jitter(&mut Xoshiro256::seed_from_u64(arm.jitter_seed));
         NewGlue {
             rpc,
             arm,
@@ -450,7 +451,7 @@ impl NewGlue {
 
     fn sweep(&mut self, ctx: &mut Ctx<'_>, span: SpanId, tele: RetryTele) {
         let now = ctx.now();
-        let budget = self.arm.retry.map(|(retry, _)| retry.budget);
+        let budget = self.arm.retry.map(|retry| retry.budget);
         for e in self.rpc.take_expired(ctx, span) {
             self.in_flight.retain(|&(c, _)| c != e.corr_id);
             let (id, kind, peer) = (e.context, e.tag.mtype, e.tag.peer);
@@ -464,7 +465,7 @@ impl NewGlue {
             });
             let was_open = self.rpc.is_open(peer, now);
             let verdict = self.rpc.verdict(ctx, tele, e, kind != PERIODIC);
-            // The breaker's cool-down is never zero here, so a circuit this
+            // The breaker's cool-down is not zero, so a circuit this
             // time-out opened reads open now and did not before.
             let opened = !was_open && self.rpc.is_open(peer, now);
             match verdict {
@@ -688,19 +689,11 @@ fn script() -> impl Strategy<Value = Vec<(u64, Op)>> {
     collection::vec((gap_ms(), op()), 1..120)
 }
 
-fn retry() -> impl Strategy<Value = (RetryConfig, BreakerConfig)> {
-    (1u32..5, 1u32..5, 1u64..40, 0u64..2).prop_map(|(budget, threshold, cooldown_s, jitter)| {
-        (
-            RetryConfig {
-                budget,
-                jitter: 0.3 * jitter as f64,
-                ..RetryConfig::default()
-            },
-            BreakerConfig {
-                threshold,
-                cooldown: SimDuration::from_secs(cooldown_s),
-            },
-        )
+fn retry() -> impl Strategy<Value = RetryConfig> {
+    (1u32..5, 0u64..2).prop_map(|(budget, jitter)| RetryConfig {
+        budget,
+        jitter: 0.3 * jitter as f64,
+        ..RetryConfig::default()
     })
 }
 
@@ -773,21 +766,18 @@ fn shipped_configurations_match_through_an_outage() {
         }))
         .collect();
     let client = Arm {
-        retry: Some((RetryConfig::default(), BreakerConfig::default())),
+        retry: Some(RetryConfig::default()),
         cap: Some(RetryConfig::default().cap),
         forecast: true,
         jitter_seed: 0x5EED,
     };
     let gossip = Arm {
-        retry: Some((
-            RetryConfig {
-                base: SimDuration::from_secs(2),
-                cap: SimDuration::from_secs(10),
-                budget: 2,
-                jitter: 0.3,
-            },
-            BreakerConfig::default(),
-        )),
+        retry: Some(RetryConfig {
+            base: SimDuration::from_secs(2),
+            cap: SimDuration::from_secs(10),
+            budget: 2,
+            jitter: 0.3,
+        }),
         cap: None,
         forecast: true,
         jitter_seed: 0x5EED,
@@ -802,13 +792,10 @@ fn shipped_configurations_match_through_an_outage() {
 #[test]
 fn deadline_and_backoff_boundaries_are_inclusive() {
     let arm = Arm {
-        retry: Some((
-            RetryConfig {
-                jitter: 0.0,
-                ..RetryConfig::default()
-            },
-            BreakerConfig::default(),
-        )),
+        retry: Some(RetryConfig {
+            jitter: 0.0,
+            ..RetryConfig::default()
+        }),
         cap: None,
         forecast: false,
         jitter_seed: 0,

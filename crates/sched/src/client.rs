@@ -13,8 +13,8 @@
 use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::{
-    BreakerConfig, EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout, Verdict,
-    WireDecode, WireEncode,
+    EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout, Verdict, WireDecode,
+    WireEncode,
 };
 use ew_sim::{
     CounterId, Ctx, Event, GaugeId, Process, ProcessId, SeriesId, SimDuration, SimTime, SpanId,
@@ -239,11 +239,7 @@ impl ComputeClient {
                 // during an outage, but a healed fault must never leave the
                 // client blind for longer than one cap.
                 let retry = RetryConfig::default();
-                RpcClient::new(
-                    ForecastTimeout::wan_default(),
-                    Some((retry, BreakerConfig::default())),
-                    Some(retry.cap),
-                )
+                RpcClient::new(ForecastTimeout::wan_default(), Some(retry), Some(retry.cap))
             }
         };
         let workload = cfg.workload.build(0);
@@ -579,12 +575,7 @@ impl Process for ComputeClient {
             Event::Started => {
                 self.started_at = ctx.now();
                 self.tele = Some(ClientTele::intern(ctx, &self.cfg.infra));
-                if self.cfg.static_timeouts.is_none() {
-                    // Jitter stream seeded from the process rng so whole
-                    // campaigns replay bit-identically.
-                    let seed = ctx.rng().next_u64();
-                    self.rpc.seed_jitter(seed);
-                }
+                self.rpc.seed_jitter(ctx.rng());
                 // Restart path first: a checkpoint from a predecessor on
                 // this host resumes its unit instead of asking for new
                 // work ("application-level checkpointing", §2.3).

@@ -467,7 +467,6 @@ impl Process for SchedulerServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ew_workload::{DagConfig, FaasConfig};
     use proptest::prelude::*;
 
     fn report(client: u64, unit_id: u64, best: u64, rate: f64) -> ProgressReport {
@@ -664,46 +663,42 @@ mod tests {
     #[test]
     fn dag_workload_gates_grants_on_dependencies() {
         let mut s = SchedulerServer::new(SchedulerConfig {
-            workload: WorkloadSpec::Dag(DagConfig {
-                tasks: 6,
-                layers: 2,
-                fan_in: 2,
-                min_steps: 100,
-                max_steps: 100,
-                seed: 1,
-                reissue_after: SimDuration::from_secs(600),
-            }),
+            workload: WorkloadSpec::Dag,
             ..SchedulerConfig::default()
         });
-        // Layer 0 has three tasks; once they are outstanding the server
+        // Layer 0 has 30 tasks; once they are outstanding the server
         // answers "no work" instead of inventing units.
         let mut granted = Vec::new();
         while let Some(u) = s.grant_work(t(0), 1) {
             granted.push(u);
         }
-        assert_eq!(granted.len(), 3, "only the root layer is ready");
+        assert_eq!(granted.len(), 30, "only the root layer is ready");
         // Budgets come from the task cost model, not rate scaling.
-        assert!(granted.iter().all(|u| u.step_budget == 100));
-        // Completing a root task unlocks nothing until all preds done;
-        // completing all three unlocks layer 1.
+        assert!(granted
+            .iter()
+            .all(|u| (1_500..=6_000).contains(&u.step_budget)));
+        assert!(granted
+            .iter()
+            .any(|u| u.step_budget != granted[0].step_budget));
+        // Completing the whole root layer unlocks layer 1.
         for u in &granted {
             s.handle_result(WorkResult {
                 unit_id: u.id,
-                steps: 100,
+                steps: u.step_budget,
                 ops: 1000,
                 progress: 1,
                 artifact: vec![],
                 carry: vec![],
             });
         }
-        assert_eq!(s.workload_progress(), Some(0.5));
+        assert_eq!(s.workload_progress(), Some(0.05));
         assert!(s.grant_work(t(1), 2).is_some(), "layer 1 unlocked");
     }
 
     #[test]
     fn faas_workload_answers_idle_until_arrivals() {
         let mut s = SchedulerServer::new(SchedulerConfig {
-            workload: WorkloadSpec::Faas(FaasConfig::default()),
+            workload: WorkloadSpec::Faas,
             ..SchedulerConfig::default()
         });
         assert!(

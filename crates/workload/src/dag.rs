@@ -1,19 +1,21 @@
 //! A DAG/workflow workload: tasks with dependency edges, issued in
 //! critical-path order, completion gated on predecessors.
 //!
-//! The task graph is generated deterministically from a seed: `tasks`
-//! nodes spread over `layers` layers, each non-root task depending on up
-//! to `fan_in` tasks from the previous layer. A task becomes *ready* only
-//! once every predecessor has completed; among ready tasks the scheduler
-//! always issues the one with the longest remaining critical path (the
-//! classic HEFT-style upward rank — see dslab-dag for the idiom). Lost
-//! units (client died, result never arrived) are reissued after
-//! `reissue_after`, so chaos campaigns can kill hosts without wedging the
-//! workflow.
+//! The task graph is generated deterministically from a seed: `TASKS`
+//! (600) nodes spread evenly over `LAYERS` (20) layers, each non-root task
+//! depending on up to `FAN_IN` (3) tasks from the previous layer. A task
+//! becomes *ready* only once every predecessor has completed; among ready
+//! tasks the scheduler always issues the one with the longest remaining
+//! critical path (the classic HEFT-style upward rank — see dslab-dag for
+//! the idiom). Lost units (client died, result never arrived) are
+//! reissued after `REISSUE_AFTER` (180 s), so chaos campaigns can kill
+//! hosts without wedging the workflow.
 //!
-//! Determinism obligations: the graph depends only on `(seed, salt)`;
+//! Determinism obligations: the graph depends only on `(SEED, salt)`;
 //! `generate` scans plain `Vec`s (never a hash map) so unit issue order
 //! is a pure function of the call sequence.
+
+use std::ops::RangeInclusive;
 
 use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime, Xoshiro256};
@@ -21,38 +23,21 @@ use ew_sim::{SimDuration, SimTime, Xoshiro256};
 use crate::unit::{WorkResult, WorkUnit};
 use crate::Workload;
 
-/// Configuration for the DAG workflow workload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DagConfig {
-    /// Total number of tasks in the workflow.
-    pub tasks: usize,
-    /// Number of dependency layers the tasks are spread over.
-    pub layers: usize,
-    /// Maximum predecessors per task (drawn from the previous layer).
-    pub fan_in: usize,
-    /// Smallest per-task step cost.
-    pub min_steps: u64,
-    /// Largest per-task step cost.
-    pub max_steps: u64,
-    /// Seed for the graph shape and task costs.
-    pub seed: u64,
-    /// Reissue a granted-but-unanswered task after this long.
-    pub reissue_after: SimDuration,
-}
-
-impl Default for DagConfig {
-    fn default() -> Self {
-        DagConfig {
-            tasks: 600,
-            layers: 20,
-            fan_in: 3,
-            min_steps: 1_500,
-            max_steps: 6_000,
-            seed: 1998,
-            reissue_after: SimDuration::from_secs(180),
-        }
-    }
-}
+/// Total number of tasks in the workflow.
+const TASKS: usize = 600;
+/// Number of dependency layers the tasks are spread over.
+const LAYERS: usize = 20;
+/// Tasks per layer; every layer is the same width.
+const WIDTH: usize = TASKS / LAYERS;
+const _: () = assert!(TASKS.is_multiple_of(LAYERS));
+/// Maximum predecessors per task (drawn from the previous layer).
+const FAN_IN: usize = 3;
+/// Per-task step cost, drawn uniformly.
+const STEPS: RangeInclusive<u64> = 1_500..=6_000;
+/// Seed for the graph shape and task costs.
+const SEED: u64 = 1998;
+/// Reissue a granted-but-unanswered task after this long.
+const REISSUE_AFTER: SimDuration = SimDuration::from_secs(180);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskState {
@@ -72,7 +57,6 @@ struct Task {
 
 /// A deterministic workflow instance; see the module docs.
 pub struct DagWorkload {
-    cfg: DagConfig,
     salt: u64,
     tasks: Vec<Task>,
     /// Unit id → task index, for completing tasks on result arrival.
@@ -81,51 +65,39 @@ pub struct DagWorkload {
 }
 
 impl DagWorkload {
-    /// Build the task graph from `(cfg.seed, salt)`.
-    pub fn new(cfg: DagConfig, salt: u64) -> Self {
-        let mut rng =
-            Xoshiro256::seed_from_u64(cfg.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let n = cfg.tasks.max(1);
-        let layers = cfg.layers.clamp(1, n);
-        let mut tasks: Vec<Task> = Vec::with_capacity(n);
+    /// Build the task graph from `(SEED, salt)`.
+    pub fn new(salt: u64) -> Self {
+        let mut rng = Xoshiro256::seed_from_u64(SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         // Layer of task i: monotone in i, so predecessors always have a
         // smaller index — the critical-path pass below exploits this.
-        let layer_of = |i: usize| i * layers / n;
-        let mut layer_start = vec![0usize; layers + 1];
-        for i in 0..n {
-            layer_start[layer_of(i) + 1] = i + 1;
-        }
-        for l in 1..=layers {
-            layer_start[l] = layer_start[l].max(layer_start[l - 1]);
-        }
-        for i in 0..n {
-            let layer = layer_of(i);
-            let steps = rng.range_inclusive(cfg.min_steps.min(cfg.max_steps), cfg.max_steps);
-            let mut preds = Vec::new();
-            if layer > 0 {
-                let (lo, hi) = (layer_start[layer - 1], layer_start[layer]);
-                let prev_len = hi - lo;
-                let want = cfg.fan_in.clamp(1, prev_len);
-                for _ in 0..want {
-                    let p = lo + rng.next_below(prev_len as u64) as usize;
-                    if !preds.contains(&p) {
-                        preds.push(p);
+        let mut tasks: Vec<Task> = (0..TASKS)
+            .map(|i| {
+                let layer = i / WIDTH;
+                let steps = rng.range_inclusive(*STEPS.start(), *STEPS.end());
+                let mut preds = Vec::new();
+                if layer > 0 {
+                    let lo = (layer - 1) * WIDTH;
+                    for _ in 0..FAN_IN {
+                        let p = lo + rng.next_below(WIDTH as u64) as usize;
+                        if !preds.contains(&p) {
+                            preds.push(p);
+                        }
                     }
+                    preds.sort_unstable();
                 }
-                preds.sort_unstable();
-            }
-            tasks.push(Task {
-                layer,
-                steps,
-                preds,
-                critical_path: 0,
-                state: TaskState::Pending,
-            });
-        }
+                Task {
+                    layer,
+                    steps,
+                    preds,
+                    critical_path: 0,
+                    state: TaskState::Pending,
+                }
+            })
+            .collect();
         // Upward rank: cp(i) = steps(i) + max over successors cp(s).
         // Predecessor indices are strictly smaller, so one reverse pass
         // suffices: push each task's rank up into its predecessors.
-        for i in (0..n).rev() {
+        for i in (0..TASKS).rev() {
             let cp = tasks[i].critical_path + tasks[i].steps;
             tasks[i].critical_path = cp;
             for p in tasks[i].preds.clone() {
@@ -133,7 +105,6 @@ impl DagWorkload {
             }
         }
         DagWorkload {
-            cfg,
             salt,
             tasks,
             issued_units: FxHashMap::default(),
@@ -160,7 +131,7 @@ impl DagWorkload {
             arg0: task as u32,
             arg1: t.layer as u32,
             variant: 0,
-            seed: (self.cfg.seed ^ self.salt)
+            seed: (SEED ^ self.salt)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(id),
             step_budget: t.steps,
@@ -211,7 +182,7 @@ impl Workload for DagWorkload {
         let mut stale: Option<(SimTime, usize)> = None;
         for (i, t) in self.tasks.iter().enumerate() {
             if let TaskState::Issued { at } = t.state {
-                if now.since(at) >= self.cfg.reissue_after {
+                if now.since(at) >= REISSUE_AFTER {
                     let older = match stale {
                         None => true,
                         Some((t0, _)) => at < t0,
@@ -250,25 +221,13 @@ impl Workload for DagWorkload {
     }
 
     fn progress(&self) -> Option<f64> {
-        Some(self.done as f64 / self.tasks.len().max(1) as f64)
+        Some(self.done as f64 / TASKS as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small() -> DagConfig {
-        DagConfig {
-            tasks: 30,
-            layers: 5,
-            fan_in: 2,
-            min_steps: 100,
-            max_steps: 200,
-            seed: 7,
-            reissue_after: SimDuration::from_secs(60),
-        }
-    }
 
     fn drain(w: &mut DagWorkload) -> Vec<WorkUnit> {
         let mut id = 0;
@@ -291,21 +250,32 @@ mod tests {
 
     #[test]
     fn graph_is_layered_and_deterministic() {
-        let a = DagWorkload::new(small(), 0);
-        let b = DagWorkload::new(small(), 0);
+        let a = DagWorkload::new(0);
+        let b = DagWorkload::new(0);
         for (x, y) in a.tasks.iter().zip(&b.tasks) {
             assert_eq!(x.preds, y.preds);
             assert_eq!(x.steps, y.steps);
             assert_eq!(x.critical_path, y.critical_path);
         }
-        // Every predecessor sits exactly one layer up.
+        // The shipped shape: 600 tasks in 20 layers of 30.
+        assert_eq!(a.total(), 600);
+        for layer in 0..20 {
+            assert_eq!(a.tasks.iter().filter(|t| t.layer == layer).count(), 30);
+        }
         for t in &a.tasks {
+            assert!(STEPS.contains(&t.steps));
+            if t.layer == 0 {
+                assert!(t.preds.is_empty(), "a root task has no predecessors");
+                continue;
+            }
+            // Every non-root task has 1–3 predecessors, all one layer up.
+            assert!((1..=3).contains(&t.preds.len()), "{:?}", t.preds);
             for &p in &t.preds {
                 assert_eq!(a.tasks[p].layer + 1, t.layer);
             }
         }
         // A different salt reshapes the instance.
-        let c = DagWorkload::new(small(), 1);
+        let c = DagWorkload::new(1);
         assert!(a
             .tasks
             .iter()
@@ -315,14 +285,14 @@ mod tests {
 
     #[test]
     fn completion_is_gated_on_predecessors() {
-        let mut w = DagWorkload::new(small(), 0);
+        let mut w = DagWorkload::new(0);
         let units = drain(&mut w);
-        assert_eq!(units.len(), 30, "every task ran exactly once");
-        assert_eq!(w.completed(), 30);
+        assert_eq!(units.len(), TASKS, "every task ran exactly once");
+        assert_eq!(w.completed(), TASKS);
         assert_eq!(w.progress(), Some(1.0));
         // Completing in issue order must never issue a task before all of
         // its predecessors: check issue positions.
-        let mut pos = vec![0usize; 30];
+        let mut pos = vec![0usize; TASKS];
         for (i, u) in units.iter().enumerate() {
             pos[u.arg0 as usize] = i;
         }
@@ -335,7 +305,7 @@ mod tests {
 
     #[test]
     fn ready_tasks_come_out_in_critical_path_order() {
-        let mut w = DagWorkload::new(small(), 0);
+        let mut w = DagWorkload::new(0);
         // All of layer 0 is ready up front; issue (without completing)
         // and watch the critical path decrease monotonically.
         let mut last = u64::MAX;
@@ -347,12 +317,13 @@ mod tests {
             id += 1;
         }
         // Only layer 0 could be issued — nothing completed.
+        assert_eq!(id, WIDTH as u64);
         assert!(w.issued_units.values().all(|&t| w.tasks[t].layer == 0));
     }
 
     #[test]
     fn lost_units_are_reissued_after_the_window() {
-        let mut w = DagWorkload::new(small(), 0);
+        let mut w = DagWorkload::new(0);
         let first = w.generate(0, SimTime::ZERO, 1, 0).unwrap();
         // Too early: the unit is outstanding, other roots still pending.
         // Drain the remaining ready tasks without completing any.
@@ -360,9 +331,11 @@ mod tests {
         while w.generate(id, SimTime::from_secs(1), 1, 0).is_some() {
             id += 1;
         }
-        assert!(w.generate(id, SimTime::from_secs(30), 1, 0).is_none());
+        let early = SimTime::ZERO + REISSUE_AFTER / 2;
+        assert!(w.generate(id, early, 1, 0).is_none());
         // Past the reissue window the oldest grant comes back out.
-        let re = w.generate(id, SimTime::from_secs(61), 1, 0).unwrap();
+        let late = SimTime::ZERO + REISSUE_AFTER + SimDuration::from_secs(1);
+        let re = w.generate(id, late, 1, 0).unwrap();
         assert_eq!(re.arg0, first.arg0);
         assert_ne!(re.id, first.id);
         // Either grant's result completes the task exactly once.

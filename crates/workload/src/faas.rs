@@ -11,10 +11,10 @@
 //! with an empty queue.
 //!
 //! Cold starts: the first invocation granted to a client, or the first
-//! after more than `idle_timeout` of that client not being granted work,
-//! pays `cold_start_steps` on top of `exec_steps` (the platform reclaimed
-//! the idle container). The unit's `arg1` records whether it was cold, so
-//! results can be attributed in figures.
+//! after more than `IDLE_TIMEOUT` (120 s) of that client not being granted
+//! work, pays `COLD_START_STEPS` (2 000) on top of `EXEC_STEPS` (3 000)
+//! (the platform reclaimed the idle container). The unit's `arg1` records
+//! whether it was cold, so results can be attributed in figures.
 
 use ew_sim::hashers::FxHashMap;
 use ew_sim::{SimDuration, SimTime, Xoshiro256};
@@ -22,42 +22,23 @@ use ew_sim::{SimDuration, SimTime, Xoshiro256};
 use crate::unit::{WorkResult, WorkUnit};
 use crate::Workload;
 
-/// Configuration for the bursty serverless workload.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaasConfig {
-    /// Mean seconds between bursts (exponential).
-    pub mean_interarrival_secs: f64,
-    /// Mean invocations per burst (Poisson, at least one).
-    pub burst_mean: f64,
-    /// Arrivals are generated up to this horizon (seconds).
-    pub horizon_secs: u64,
-    /// Steps a warm invocation costs.
-    pub exec_steps: u64,
-    /// Extra steps a cold start costs.
-    pub cold_start_steps: u64,
-    /// A client idle longer than this is reclaimed and restarts cold.
-    pub idle_timeout: SimDuration,
-    /// Seed for the arrival schedule.
-    pub seed: u64,
-}
-
-impl Default for FaasConfig {
-    fn default() -> Self {
-        FaasConfig {
-            mean_interarrival_secs: 30.0,
-            burst_mean: 6.0,
-            horizon_secs: 1_800,
-            exec_steps: 3_000,
-            cold_start_steps: 2_000,
-            idle_timeout: SimDuration::from_secs(120),
-            seed: 1998,
-        }
-    }
-}
+/// Mean seconds between bursts (exponential).
+const MEAN_INTERARRIVAL_SECS: f64 = 30.0;
+/// Mean invocations per burst (Poisson, at least one).
+const BURST_MEAN: f64 = 6.0;
+/// Arrivals are generated up to this horizon (seconds).
+const HORIZON_SECS: f64 = 1_800.0;
+/// Steps a warm invocation costs.
+const EXEC_STEPS: u64 = 3_000;
+/// Extra steps a cold start costs.
+const COLD_START_STEPS: u64 = 2_000;
+/// A client idle longer than this is reclaimed and restarts cold.
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(120);
+/// Seed for the arrival schedule.
+const SEED: u64 = 1998;
 
 /// A deterministic serverless invocation stream; see the module docs.
 pub struct FaasWorkload {
-    cfg: FaasConfig,
     salt: u64,
     /// Precomputed invocation arrival instants, non-decreasing.
     arrivals: Vec<SimTime>,
@@ -71,20 +52,18 @@ pub struct FaasWorkload {
 }
 
 impl FaasWorkload {
-    /// Precompute the arrival schedule from `(cfg.seed, salt)`.
-    pub fn new(cfg: FaasConfig, salt: u64) -> Self {
-        let mut rng =
-            Xoshiro256::seed_from_u64(cfg.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    /// Precompute the arrival schedule from `(SEED, salt)`.
+    pub fn new(salt: u64) -> Self {
+        let mut rng = Xoshiro256::seed_from_u64(SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut arrivals = Vec::new();
         let mut t = 0.0_f64;
-        let horizon = cfg.horizon_secs as f64;
         loop {
-            t += rng.exponential(cfg.mean_interarrival_secs.max(1e-6));
-            if t >= horizon {
+            t += rng.exponential(MEAN_INTERARRIVAL_SECS);
+            if t >= HORIZON_SECS {
                 break;
             }
             // Poisson burst size by Knuth's product-of-uniforms, min 1.
-            let l = (-cfg.burst_mean.max(0.0)).exp();
+            let l = (-BURST_MEAN).exp();
             let mut k = 0u64;
             let mut p = 1.0;
             loop {
@@ -99,7 +78,6 @@ impl FaasWorkload {
             }
         }
         FaasWorkload {
-            cfg,
             salt,
             arrivals,
             next: 0,
@@ -137,7 +115,7 @@ impl Workload for FaasWorkload {
         }
         let cold = match self.warm.get(&client) {
             None => true,
-            Some(&last) => now.since(last) > self.cfg.idle_timeout,
+            Some(&last) => now.since(last) > IDLE_TIMEOUT,
         };
         self.warm.insert(client, now);
         let invocation = self.next;
@@ -150,10 +128,10 @@ impl Workload for FaasWorkload {
             arg0: invocation as u32,
             arg1: cold as u32,
             variant: 0,
-            seed: (self.cfg.seed ^ self.salt)
+            seed: (SEED ^ self.salt)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(id),
-            step_budget: self.cfg.exec_steps + if cold { self.cfg.cold_start_steps } else { 0 },
+            step_budget: EXEC_STEPS + if cold { COLD_START_STEPS } else { 0 },
             payload: Vec::new(),
         })
     }
@@ -171,39 +149,31 @@ impl Workload for FaasWorkload {
 mod tests {
     use super::*;
 
-    fn cfg() -> FaasConfig {
-        FaasConfig {
-            mean_interarrival_secs: 20.0,
-            burst_mean: 4.0,
-            horizon_secs: 600,
-            exec_steps: 1_000,
-            cold_start_steps: 500,
-            idle_timeout: SimDuration::from_secs(60),
-            seed: 3,
-        }
-    }
+    /// The end of the arrival horizon: every invocation has arrived.
+    const END: SimTime = SimTime::from_secs(1_800);
 
     #[test]
     fn schedule_is_deterministic_and_bursty() {
-        let a = FaasWorkload::new(cfg(), 0);
-        let b = FaasWorkload::new(cfg(), 0);
+        let a = FaasWorkload::new(0);
+        let b = FaasWorkload::new(0);
         assert_eq!(a.arrivals, b.arrivals);
-        assert!(a.total() > 10, "600 s at ~20 s mean gaps: {}", a.total());
+        assert!(a.total() > 10, "1 800 s at ~30 s mean gaps: {}", a.total());
         // Bursts: at least one arrival instant repeats.
         assert!(
             a.arrivals.windows(2).any(|w| w[0] == w[1]),
             "no burst of size > 1 in the whole schedule"
         );
-        // Arrivals are ordered.
+        // Arrivals are ordered and inside the horizon.
         assert!(a.arrivals.windows(2).all(|w| w[0] <= w[1]));
+        assert!(a.arrivals.iter().all(|&t| t < END));
         // A different salt shifts the schedule.
-        let c = FaasWorkload::new(cfg(), 9);
+        let c = FaasWorkload::new(9);
         assert_ne!(a.arrivals, c.arrivals);
     }
 
     #[test]
     fn invocations_release_only_after_arrival() {
-        let mut w = FaasWorkload::new(cfg(), 0);
+        let mut w = FaasWorkload::new(0);
         assert!(
             w.generate(0, SimTime::ZERO, 1, 0).is_none(),
             "nothing has arrived at t=0"
@@ -212,34 +182,35 @@ mod tests {
         let u = w.generate(0, first, 1, 0).expect("first arrival released");
         assert_eq!(u.arg0, 0);
         assert_eq!(u.arg1, 1, "first grant to a client is cold");
-        assert_eq!(u.step_budget, 1_000 + 500);
+        assert_eq!(u.step_budget, EXEC_STEPS + COLD_START_STEPS);
     }
 
     #[test]
     fn cold_starts_follow_warmth_and_idle_reclamation() {
-        let mut w = FaasWorkload::new(cfg(), 0);
-        let end = SimTime::from_secs(600);
-        let a = w.generate(0, end, 7, 0).unwrap();
+        let mut w = FaasWorkload::new(0);
+        let a = w.generate(0, END, 7, 0).unwrap();
         assert_eq!(a.arg1, 1, "first unit on a host is cold");
-        let b = w.generate(1, end, 7, 0).unwrap();
+        let b = w.generate(1, END, 7, 0).unwrap();
         assert_eq!(b.arg1, 0, "immediately warm");
-        assert_eq!(b.step_budget, 1_000);
-        let c = w.generate(2, end, 8, 0).unwrap();
+        assert_eq!(b.step_budget, EXEC_STEPS);
+        let c = w.generate(2, END, 8, 0).unwrap();
         assert_eq!(c.arg1, 1, "a different host starts cold");
-        // Beyond the idle timeout the container was reclaimed.
-        let later = end + SimDuration::from_secs(61);
-        let d = w.generate(3, later, 7, 0).unwrap();
+        // Exactly at the idle timeout the container is still warm…
+        let e = w.generate(3, END + IDLE_TIMEOUT, 8, 0).unwrap();
+        assert_eq!(e.arg1, 0, "not yet reclaimed");
+        // …and beyond it the container was reclaimed.
+        let later = END + IDLE_TIMEOUT + SimDuration::from_secs(1);
+        let d = w.generate(4, later, 7, 0).unwrap();
         assert_eq!(d.arg1, 1, "idle container reclaimed");
         assert_eq!(w.cold_grants(), 3);
     }
 
     #[test]
     fn stream_drains_exactly_once() {
-        let mut w = FaasWorkload::new(cfg(), 0);
+        let mut w = FaasWorkload::new(0);
         let total = w.total();
-        let end = SimTime::from_secs(600);
         let mut granted = 0u64;
-        while let Some(u) = w.generate(granted, end, 1, 0) {
+        while let Some(u) = w.generate(granted, END, 1, 0) {
             w.on_result(&WorkResult {
                 unit_id: u.id,
                 ..WorkResult::default()

@@ -22,9 +22,10 @@
 //!
 //! Everything the simulator touches must be a pure function of the
 //! constructor inputs and the call sequence. Concretely: derive all
-//! randomness from the `(config seed, salt)` pair via [`Xoshiro256`];
-//! never iterate a `HashMap`/`HashSet` (lookups are fine); and keep
-//! `generate`/`on_result` free of wall-clock, I/O, and global state.
+//! randomness from the salt (and a constant seed of the module) via
+//! [`Xoshiro256`]; never iterate a `HashMap`/`HashSet` (lookups are
+//! fine); and keep `generate`/`on_result` free of wall-clock, I/O, and
+//! global state.
 //! DESIGN.md §11 spells out the full contract.
 //!
 //! [`Xoshiro256`]: ew_sim::Xoshiro256
@@ -36,12 +37,13 @@ pub mod faas;
 pub mod ramsey;
 pub mod unit;
 
+use ew_ramsey::RamseyProblem;
 use ew_sim::SimTime;
 use ew_state::Validator;
 
-pub use dag::{DagConfig, DagWorkload};
-pub use faas::{FaasConfig, FaasWorkload};
-pub use ramsey::{execute_unit, ramsey_validator, RamseyConfig, RamseyWorkload};
+pub use dag::DagWorkload;
+pub use faas::FaasWorkload;
+pub use ramsey::{execute_unit, ramsey_validator, RamseyWorkload};
 pub use unit::{ExecStats, WorkResult, WorkUnit};
 
 /// An application the EveryWare scheduling plane can run.
@@ -146,50 +148,49 @@ pub trait Workload: Send {
 }
 
 /// A buildable workload description — the configuration-side selector
-/// that travels inside `SchedulerConfig`/`ClientConfig`. Workload kind is
-/// deployment configuration, not wire state: units stay opaque envelopes.
+/// that travels inside `SchedulerConfig`/`ClientConfig`, not on the wire.
+/// It only names the application (and Ramsey's problem): each model's
+/// parameters are constants of its module.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadSpec {
-    /// The Ramsey counter-example search.
-    Ramsey(RamseyConfig),
+    /// The Ramsey counter-example search on one problem.
+    Ramsey(RamseyProblem),
     /// The DAG workflow.
-    Dag(DagConfig),
+    Dag,
     /// The bursty serverless stream.
-    Faas(FaasConfig),
+    Faas,
 }
 
 impl Default for WorkloadSpec {
+    /// The SC98 target: R(5) on 43 vertices.
     fn default() -> Self {
-        WorkloadSpec::Ramsey(RamseyConfig::default())
+        WorkloadSpec::Ramsey(RamseyProblem { k: 5, n: 43 })
     }
 }
 
 impl WorkloadSpec {
-    /// Ramsey with the default heuristic mix on a specific problem — the
-    /// shape every pre-trait `SchedulerConfig { problem, .. }` literal
-    /// maps onto.
-    pub fn ramsey(problem: ew_ramsey::RamseyProblem) -> Self {
-        WorkloadSpec::Ramsey(RamseyConfig {
-            problem,
-            ..RamseyConfig::default()
-        })
+    /// Ramsey on a specific problem — the shape every pre-trait
+    /// `SchedulerConfig { problem, .. }` literal maps onto.
+    pub fn ramsey(problem: RamseyProblem) -> Self {
+        WorkloadSpec::Ramsey(problem)
     }
 
     /// The workload's short stable name.
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadSpec::Ramsey(_) => "ramsey",
-            WorkloadSpec::Dag(_) => "dag",
-            WorkloadSpec::Faas(_) => "faas",
+            WorkloadSpec::Dag => "dag",
+            WorkloadSpec::Faas => "faas",
         }
     }
 
-    /// Default-configured spec by name (the `--workload` CLI selector).
+    /// The spec by name (the `--workload` CLI selector); `ramsey` is the
+    /// default problem.
     pub fn by_name(name: &str) -> Option<WorkloadSpec> {
         match name {
-            "ramsey" => Some(WorkloadSpec::Ramsey(RamseyConfig::default())),
-            "dag" => Some(WorkloadSpec::Dag(DagConfig::default())),
-            "faas" => Some(WorkloadSpec::Faas(FaasConfig::default())),
+            "ramsey" => Some(WorkloadSpec::default()),
+            "dag" => Some(WorkloadSpec::Dag),
+            "faas" => Some(WorkloadSpec::Faas),
             _ => None,
         }
     }
@@ -197,9 +198,9 @@ impl WorkloadSpec {
     /// Instantiate the workload. `salt` diversifies scheduler replicas.
     pub fn build(&self, salt: u64) -> Box<dyn Workload> {
         match self {
-            WorkloadSpec::Ramsey(cfg) => Box::new(RamseyWorkload::new(cfg.clone(), salt)),
-            WorkloadSpec::Dag(cfg) => Box::new(DagWorkload::new(cfg.clone(), salt)),
-            WorkloadSpec::Faas(cfg) => Box::new(FaasWorkload::new(cfg.clone(), salt)),
+            WorkloadSpec::Ramsey(problem) => Box::new(RamseyWorkload::new(*problem, salt)),
+            WorkloadSpec::Dag => Box::new(DagWorkload::new(salt)),
+            WorkloadSpec::Faas => Box::new(FaasWorkload::new(salt)),
         }
     }
 
@@ -229,13 +230,10 @@ mod tests {
 
     #[test]
     fn default_spec_matches_the_legacy_scheduler_default() {
-        match WorkloadSpec::default() {
-            WorkloadSpec::Ramsey(cfg) => {
-                assert_eq!(cfg.problem, ew_ramsey::RamseyProblem { k: 5, n: 43 });
-                assert_eq!(cfg.heuristic_mix, vec![0, 1, 2]);
-            }
-            other => panic!("default must be Ramsey, got {other:?}"),
-        }
+        assert_eq!(
+            WorkloadSpec::default(),
+            WorkloadSpec::Ramsey(RamseyProblem { k: 5, n: 43 })
+        );
     }
 
     #[test]

@@ -16,39 +16,24 @@ use ew_state::Validator;
 use crate::unit::{ExecStats, WorkResult, WorkUnit};
 use crate::Workload;
 
-/// Configuration for the Ramsey search workload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RamseyConfig {
-    /// Problem instance: find a counter-example for `R(k, k) > n`.
-    pub problem: RamseyProblem,
-    /// Heuristic kinds to rotate through when issuing fresh units (and
-    /// to switch stalled clients between).
-    pub heuristic_mix: Vec<u8>,
-}
-
-impl Default for RamseyConfig {
-    fn default() -> Self {
-        RamseyConfig {
-            // The SC98 target: R(5) on 43 vertices.
-            problem: RamseyProblem { k: 5, n: 43 },
-            heuristic_mix: vec![0, 1, 2],
-        }
-    }
-}
+/// Heuristic kinds to rotate through when issuing fresh units, and to
+/// switch stalled clients between (§3.1.1's "switch heuristic"
+/// directive): greedy, tabu, annealing.
+const HEURISTICS: [u8; 3] = [0, 1, 2];
 
 /// The Ramsey search: an infinite supply of seeded random restarts over
-/// the configured problem, rotating heuristics per unit id.
+/// one problem, rotating heuristics per unit id.
 #[derive(Debug)]
 pub struct RamseyWorkload {
-    cfg: RamseyConfig,
+    problem: RamseyProblem,
     salt: u64,
 }
 
 impl RamseyWorkload {
-    /// Build a workload instance; `salt` diversifies unit seeds between
-    /// scheduler replicas exactly as the old `seed_salt` did.
-    pub fn new(cfg: RamseyConfig, salt: u64) -> Self {
-        RamseyWorkload { cfg, salt }
+    /// Build a workload instance for `problem`; `salt` diversifies unit
+    /// seeds between scheduler replicas exactly as the old `seed_salt` did.
+    pub fn new(problem: RamseyProblem, salt: u64) -> Self {
+        RamseyWorkload { problem, salt }
     }
 }
 
@@ -64,16 +49,11 @@ impl Workload for RamseyWorkload {
         _client: u64,
         step_budget: u64,
     ) -> Option<WorkUnit> {
-        let mix = &self.cfg.heuristic_mix;
-        let variant = mix
-            .get((id as usize) % mix.len().max(1))
-            .copied()
-            .unwrap_or(0);
         Some(WorkUnit {
             id,
-            arg0: self.cfg.problem.k,
-            arg1: self.cfg.problem.n,
-            variant,
+            arg0: self.problem.k,
+            arg1: self.problem.n,
+            variant: HEURISTICS[id as usize % HEURISTICS.len()],
             seed: self
                 .salt
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -88,12 +68,8 @@ impl Workload for RamseyWorkload {
     }
 
     fn next_variant(&self, current: u8) -> Option<u8> {
-        let mix = &self.cfg.heuristic_mix;
-        if mix.is_empty() {
-            return None;
-        }
-        let pos = mix.iter().position(|&h| h == current).unwrap_or(0);
-        Some(mix[(pos + 1) % mix.len()])
+        let pos = HEURISTICS.iter().position(|&h| h == current).unwrap_or(0);
+        Some(HEURISTICS[(pos + 1) % HEURISTICS.len()])
     }
 
     fn execute(&self, unit: &WorkUnit) -> (WorkResult, ExecStats) {
@@ -284,11 +260,11 @@ mod tests {
 
     #[test]
     fn generation_matches_the_legacy_scheduler_formulas() {
-        let mut w = RamseyWorkload::new(RamseyConfig::default(), 3);
+        let mut w = RamseyWorkload::new(RamseyProblem { k: 5, n: 43 }, 3);
         let u = w.generate(10, SimTime::ZERO, 1, 2000).unwrap();
         assert_eq!(u.arg0, 5);
         assert_eq!(u.arg1, 43);
-        // mix[(10) % 3] = mix[1] = 1.
+        // HEURISTICS[10 % 3] = HEURISTICS[1] = 1.
         assert_eq!(u.variant, 1);
         assert_eq!(
             u.seed,
@@ -296,7 +272,7 @@ mod tests {
         );
         assert_eq!(u.step_budget, 2000);
         assert!(u.payload.is_empty());
-        // Heuristic rotation steps through the mix in order.
+        // Heuristic rotation steps through HEURISTICS in order.
         assert_eq!(w.next_variant(0), Some(1));
         assert_eq!(w.next_variant(1), Some(2));
         assert_eq!(w.next_variant(2), Some(0));

@@ -41,7 +41,6 @@ fn prove(k: u32, n: u32, step_budget: u64, units: u64) {
         step_budget,
         units,
         deadline: Duration::from_secs(120),
-        stop_on_witness: true,
     })
     .expect("loopback bind");
     println!(

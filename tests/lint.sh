@@ -86,6 +86,11 @@ if grep -rnE 'ErrorMetric|GossipConfig|Compiled(Partition|Spike|Impairment)|rela
     echo "       directly until a second caller needs a different one" >&2
     exit 1
 fi
+if grep -rnE 'DagConfig|FaasConfig|RamseyConfig|BreakerConfig|heuristic_mix|stop_on_witness|dynamic_timeouts' crates/*/src; then
+    echo "error: a setting no world varies is a private constant of the module" >&2
+    echo "       that reads it; WorkloadSpec only names the application" >&2
+    exit 1
+fi
 if grep -rnE 'span_enter|span_exit|SpanPhase|expire_traced|fn trace\(' crates/*/src; then
     echo "error: a trace record is one point: Ctx::mark / Registry::mark" >&2
     exit 1

@@ -116,7 +116,7 @@ impl Method {
             }
             Method::Trimmed(w, trim) => {
                 let v = past.sorted(sorted_at, w);
-                let k = (v.len() as f64 * trim).floor() as usize;
+                let k = (v.len() as f64 * trim) as usize; // `as` truncates: floor for trim ≥ 0
                 let kept = &v[k..v.len() - k];
                 if kept.is_empty() {
                     return v[v.len() / 2];

@@ -10,6 +10,8 @@
 //! persistent state, and **fails over to another scheduler** when one stops
 //! answering — the behaviour §5.4 relied on when Condor killed schedulers.
 
+use std::sync::Arc;
+
 use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::{
@@ -17,10 +19,11 @@ use ew_proto::{
     WireEncode,
 };
 use ew_sim::{
-    CounterId, Ctx, Event, GaugeId, Process, ProcessId, SeriesId, SimDuration, SimTime, SpanId,
+    spawn_pure, CounterId, Ctx, Event, GaugeId, Pending, Process, ProcessId, SeriesId, SimDuration,
+    SimTime, SpanId,
 };
 use ew_state::messages::{sm, FetchReply, FetchRequest, StoreRequest};
-use ew_workload::{WorkResult, WorkUnit, Workload, WorkloadSpec};
+use ew_workload::{ExecStats, WorkResult, WorkUnit, Workload, WorkloadSpec};
 
 use crate::messages::{scm, Directive, DirectiveKind, ProgressReport, WorkGrant};
 
@@ -39,9 +42,11 @@ pub struct ClientConfig {
     pub chunk_ops: u64,
     /// Ops that constitute one heuristic step (for budget accounting).
     pub ops_per_step: u64,
-    /// Run the search for real at unit completion (small problems only;
-    /// the SC98-scale experiments use synthetic results and real ops
-    /// accounting).
+    /// Run the search for real (small problems only; the SC98-scale
+    /// experiments use synthetic results and real ops accounting). A unit
+    /// starts computing on a pure-job pool worker when it becomes current
+    /// and its result is taken at the simulated instant the unit completes,
+    /// so the world runs exactly as if it were computed there.
     pub execute_real: bool,
     /// Infrastructure label for metrics attribution ("unix", "java", …).
     pub infra: String,
@@ -204,12 +209,16 @@ struct UnitProgress {
     ops_done: u64,
     report_mark_ops: u64,
     report_mark_at: SimTime,
+    /// The real execution of `unit` as it stands now (`execute_real`
+    /// only). Dropping the unit drops the job, which cancels it if no
+    /// worker has started it.
+    result: Option<Pending<(WorkResult, ExecStats)>>,
 }
 
 /// The client process.
 pub struct ComputeClient {
     cfg: ClientConfig,
-    workload: Box<dyn Workload>,
+    workload: Arc<dyn Workload>,
     sched_idx: usize,
     unit: Option<UnitProgress>,
     rpc: RpcClient<Req>,
@@ -242,7 +251,7 @@ impl ComputeClient {
                 RpcClient::new(ForecastTimeout::wan_default(), Some(retry), Some(retry.cap))
             }
         };
-        let workload = cfg.workload.build(0);
+        let workload = cfg.workload.build(0).into();
         ComputeClient {
             cfg,
             workload,
@@ -388,14 +397,33 @@ impl ComputeClient {
         ctx.compute(self.cfg.chunk_ops, self.compute_gen);
     }
 
+    /// Make `unit` current, `steps_done`/`ops_done` into it, start its
+    /// real execution and its first chunk.
+    fn begin_unit(&mut self, ctx: &mut Ctx<'_>, unit: WorkUnit, steps_done: u64, ops_done: u64) {
+        let result = self
+            .cfg
+            .execute_real
+            .then(|| execute(&self.workload, &unit));
+        self.unit = Some(UnitProgress {
+            unit,
+            steps_done,
+            ops_done,
+            report_mark_ops: ops_done,
+            report_mark_at: ctx.now(),
+            result,
+        });
+        self.start_chunk(ctx);
+    }
+
     fn finish_unit(&mut self, ctx: &mut Ctx<'_>) {
         let Some(up) = self.unit.take() else { return };
         self.compute_gen += 1;
         self.chunks_since_checkpoint = 0;
         self.clear_checkpoint(ctx);
         let tele = self.tele.expect("started");
-        let result = if self.cfg.execute_real {
-            let (result, stats) = self.workload.execute(&up.unit);
+        let result = if let Some(pending) = up.result {
+            let (result, stats) = pending.join();
+            debug_assert_eq!(result.unit_id, up.unit.id, "a stale job was joined");
             ctx.add(tele.ramsey_lookups, stats.cache_lookups as f64);
             ctx.add(tele.ramsey_refreshed, stats.cache_refreshed as f64);
             ctx.add(tele.ramsey_flips, stats.cache_mutations as f64);
@@ -468,14 +496,7 @@ impl ComputeClient {
             ctx.set_timer(SimDuration::from_secs(10), TIMER_RETRY);
             return;
         }
-        self.unit = Some(UnitProgress {
-            unit: grant.unit,
-            steps_done: 0,
-            ops_done: 0,
-            report_mark_ops: 0,
-            report_mark_at: ctx.now(),
-        });
-        self.start_chunk(ctx);
+        self.begin_unit(ctx, grant.unit, 0, 0);
     }
 
     fn on_directive(&mut self, ctx: &mut Ctx<'_>, d: Directive) {
@@ -485,6 +506,12 @@ impl ComputeClient {
             DirectiveKind::SwitchHeuristic => {
                 if let Some(up) = self.unit.as_mut() {
                     up.unit.variant = d.variant;
+                    // The switched unit is a new job; the stale one is
+                    // dropped with its handle.
+                    up.result = self
+                        .cfg
+                        .execute_real
+                        .then(|| execute(&self.workload, &up.unit));
                     ctx.inc(tele.switches);
                 }
             }
@@ -569,6 +596,13 @@ impl ComputeClient {
     }
 }
 
+/// Start `unit`'s real execution on the pure-job pool. Its result is a
+/// function of the unit alone, taken when the unit completes.
+fn execute(workload: &Arc<dyn Workload>, unit: &WorkUnit) -> Pending<(WorkResult, ExecStats)> {
+    let (workload, unit) = (Arc::clone(workload), unit.clone());
+    spawn_pure(move || workload.execute(&unit))
+}
+
 impl Process for ComputeClient {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match &ev {
@@ -649,14 +683,12 @@ impl Process for ComputeClient {
                                         Ok(ck) if ck.steps_done < ck.unit.step_budget => {
                                             let tele = self.tele.expect("started");
                                             ctx.inc(tele.resumes);
-                                            self.unit = Some(UnitProgress {
-                                                unit: ck.unit,
-                                                steps_done: ck.steps_done,
-                                                ops_done: ck.ops_done,
-                                                report_mark_ops: ck.ops_done,
-                                                report_mark_at: ctx.now(),
-                                            });
-                                            self.start_chunk(ctx);
+                                            self.begin_unit(
+                                                ctx,
+                                                ck.unit,
+                                                ck.steps_done,
+                                                ck.ops_done,
+                                            );
                                             true
                                         }
                                         _ => false,
@@ -871,6 +903,102 @@ mod tests {
         };
         assert!(gauge("ramsey.workspace_bytes") > 0.0);
         assert!(gauge("ramsey.table_bytes") > 0.0);
+    }
+
+    /// A scheduler stand-in: grants `unit` once, answers the first report
+    /// with a switch to `variant`, and keeps the RESULT it receives.
+    struct SwitchingScheduler {
+        unit: Option<WorkUnit>,
+        variant: u8,
+        switched: bool,
+        result: Option<WorkResult>,
+    }
+
+    impl Process for SwitchingScheduler {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            let Some(Ok((from, pkt))) = packet_from_event(&ev) else {
+                return;
+            };
+            let reply = match pkt.mtype {
+                scm::GET_WORK => {
+                    let unit = self.unit.take();
+                    WorkGrant {
+                        granted: unit.is_some(),
+                        unit: unit.unwrap_or_default(),
+                    }
+                    .to_wire()
+                }
+                scm::REPORT => {
+                    let kind = if self.switched {
+                        DirectiveKind::Continue
+                    } else {
+                        DirectiveKind::SwitchHeuristic
+                    };
+                    self.switched = true;
+                    Directive {
+                        kind: kind.wire_id(),
+                        variant: self.variant,
+                    }
+                    .to_wire()
+                }
+                scm::RESULT => {
+                    self.result = pkt.body::<WorkResult>().ok();
+                    Vec::new()
+                }
+                _ => return,
+            };
+            send_packet(ctx, from, &Packet::response_to(&pkt, reply));
+        }
+    }
+
+    #[test]
+    fn a_switch_mid_unit_sends_the_result_of_the_switched_unit() {
+        let (mut sim, hids) = world(2, 1e8);
+        let unit = WorkUnit {
+            id: 7,
+            arg0: 4,
+            arg1: 17,
+            variant: 0,
+            seed: 1998,
+            // 50 chunks of 0.01 s: reports at 0.05 s land mid-unit.
+            step_budget: 5_000,
+            payload: Vec::new(),
+        };
+        let s = sim.spawn(
+            "sched",
+            hids[0],
+            Box::new(SwitchingScheduler {
+                unit: Some(unit.clone()),
+                variant: 1,
+                switched: false,
+                result: None,
+            }),
+        );
+        sim.spawn(
+            "client",
+            hids[1],
+            Box::new(ComputeClient::new(ClientConfig {
+                execute_real: true,
+                report_interval: SimDuration::from_millis(50),
+                chunk_ops: 1_000_000,
+                ops_per_step: 10_000,
+                ..client_cfg(s.0 as u64)
+            })),
+        );
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(sim.metrics().counter("client.switches"), 1.0);
+        let sent = sim
+            .with_process::<SwitchingScheduler, _>(s, |s| s.result.clone())
+            .unwrap()
+            .expect("the unit's RESULT arrived");
+        let switched = WorkUnit {
+            variant: 1,
+            ..unit.clone()
+        };
+        let (expected, _) = ew_workload::execute_unit(&switched);
+        let (unswitched, _) = ew_workload::execute_unit(&unit);
+        assert_ne!(expected, unswitched, "the two variants are told apart");
+        assert_eq!(sent, expected);
     }
 
     #[test]

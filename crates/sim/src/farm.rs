@@ -17,16 +17,33 @@
 //!   completion order;
 //! * per-cell registries are folded back with the deterministic
 //!   [`Registry::merge`] path, again in input-index order;
-//! * nothing a cell computes may read wall-clock time or shared mutable
-//!   state — the only nondeterministic outputs are the farm's own
-//!   wall-clock stats ([`FarmStats`]), which are kept out of the
+//! * nothing a cell computes may read wall-clock time, and the only
+//!   state cells share is the pure-job pool below, whose jobs cannot
+//!   observe each other — the only nondeterministic outputs are the farm's
+//!   own wall-clock stats ([`FarmStats`]), which are kept out of the
 //!   deterministic artifacts and only surface in bench reports.
 //!
 //! `threads == 1` short-circuits to a plain sequential loop on the calling
 //! thread — exactly the pre-farm behavior, no worker spawn. A cell that
 //! panics ends the run with its own panic payload, at any thread count.
+//!
+//! Inside one world, the event loop stays on one thread; only **pure
+//! jobs** leave it. [`spawn_pure`] hands a closure whose result is a
+//! function of its captures alone (a real work unit, which seeds its own
+//! rng) to a process-wide pool of `available_threads() − 1` workers,
+//! started on the first submit, and [`Pending::join`] takes the result at
+//! the simulated instant the caller would have computed it inline. So
+//! neither the worker count nor which thread ran a job can show in what
+//! the world does (DESIGN §7.2). `join` runs its own job if no worker has
+//! claimed it, and runs other queued jobs while a worker finishes its own,
+//! so the calling thread never idles while work is queued. On a 1-CPU
+//! host there are no workers and every job runs at its join.
 
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::thread::JoinHandle;
 
 use ew_telemetry::Registry;
 
@@ -120,6 +137,202 @@ where
     (results, stats)
 }
 
+/// Lock `m`; a job's panic is caught outside every lock, so no guard is
+/// ever poisoned by one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+enum JobState<R> {
+    Queued(Box<dyn FnOnce() -> R + Send>),
+    Running,
+    Done(std::thread::Result<R>),
+}
+
+struct Job<R> {
+    state: Mutex<JobState<R>>,
+    done: Condvar,
+}
+
+/// A queued job of any result type.
+trait Runnable: Send + Sync {
+    /// Run the job unless a thread has claimed it; a panic is kept for
+    /// its `join`.
+    fn run_if_queued(&self);
+}
+
+impl<R: Send> Runnable for Job<R> {
+    fn run_if_queued(&self) {
+        let f = {
+            let mut state = lock(&self.state);
+            match std::mem::replace(&mut *state, JobState::Running) {
+                JobState::Queued(f) => f,
+                claimed => {
+                    *state = claimed;
+                    return;
+                }
+            }
+        };
+        let out = catch_unwind(AssertUnwindSafe(f));
+        *lock(&self.state) = JobState::Done(out);
+        self.done.notify_all();
+    }
+}
+
+/// The pool's FIFO. It holds weak handles: a job whose [`Pending`] was
+/// dropped before a thread claimed it is gone when its turn comes.
+#[derive(Default)]
+struct Queue {
+    inbox: Mutex<Inbox>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Inbox {
+    jobs: VecDeque<Weak<dyn Runnable>>,
+    closed: bool,
+}
+
+impl Queue {
+    /// A worker's loop: run jobs in submission order until the pool is
+    /// closed and its queue empty.
+    fn serve(&self) {
+        loop {
+            let job = {
+                let mut inbox = lock(&self.inbox);
+                loop {
+                    if let Some(job) = inbox.jobs.pop_front() {
+                        break job;
+                    }
+                    if inbox.closed {
+                        return;
+                    }
+                    inbox = self
+                        .ready
+                        .wait(inbox)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            if let Some(job) = job.upgrade() {
+                job.run_if_queued();
+            }
+        }
+    }
+}
+
+/// A bounded pool of workers for pure jobs. [`spawn_pure`] submits to the
+/// process-wide one; tests build their own.
+pub(crate) struct Pool {
+    queue: Arc<Queue>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    pub(crate) fn new(workers: usize) -> Pool {
+        let queue = Arc::new(Queue::default());
+        let workers = (0..workers)
+            .filter_map(|i| {
+                let queue = Arc::clone(&queue);
+                std::thread::Builder::new()
+                    .name(format!("ew-pure-{i}"))
+                    .spawn(move || queue.serve())
+                    .ok()
+            })
+            .collect();
+        Pool { queue, workers }
+    }
+
+    pub(crate) fn submit<R, F>(&self, f: F) -> Pending<R>
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
+        let job = Arc::new(Job {
+            state: Mutex::new(JobState::Queued(Box::new(f))),
+            done: Condvar::new(),
+        });
+        if !self.workers.is_empty() {
+            let handle: Weak<dyn Runnable> = Arc::downgrade(&job) as Weak<Job<R>>;
+            lock(&self.queue.inbox).jobs.push_back(handle);
+            self.queue.ready.notify_one();
+        }
+        Pending {
+            job,
+            queue: Arc::clone(&self.queue),
+        }
+    }
+}
+
+impl Drop for Pool {
+    /// Stop the workers once they have emptied the queue.
+    fn drop(&mut self) {
+        lock(&self.queue.inbox).closed = true;
+        self.queue.ready.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// The result of a job handed to [`spawn_pure`]. Dropping it before a
+/// worker has started the job cancels the job.
+pub struct Pending<R> {
+    job: Arc<Job<R>>,
+    queue: Arc<Queue>,
+}
+
+impl<R> Pending<R> {
+    /// The job's result: run here if no worker has claimed the job, else
+    /// run other queued jobs until the queue is empty, then wait. A job
+    /// that panicked re-raises its own payload here.
+    pub fn join(self) -> R {
+        loop {
+            let claimed = std::mem::replace(&mut *lock(&self.job.state), JobState::Running);
+            match claimed {
+                JobState::Queued(f) => return f(),
+                JobState::Done(out) => return out.unwrap_or_else(|p| resume_unwind(p)),
+                JobState::Running => {
+                    // A statement of its own, so the queue is unlocked while
+                    // the popped job runs.
+                    let next = lock(&self.queue.inbox).jobs.pop_front();
+                    match next {
+                        Some(other) => {
+                            if let Some(other) = other.upgrade() {
+                                other.run_if_queued();
+                            }
+                        }
+                        None => {
+                            let state = lock(&self.job.state);
+                            drop(
+                                self.job
+                                    .done
+                                    .wait_while(state, |s| matches!(s, JobState::Running))
+                                    .unwrap_or_else(PoisonError::into_inner),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Run `f` on the process-wide pure-job pool and return its pending
+/// result. `f` must be a pure function of what it captures: its result is
+/// taken at [`Pending::join`], and which thread computed it, or when,
+/// must not matter. The pool starts `available_threads() − 1` workers on
+/// the first call, and never more; they live as long as the process and
+/// cannot panic (a job's panic is caught for its join).
+pub fn spawn_pure<R, F>(f: F) -> Pending<R>
+where
+    R: Send + 'static,
+    F: FnOnce() -> R + Send + 'static,
+{
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(available_threads() - 1))
+        .submit(f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +384,76 @@ mod tests {
                 Some("cell 11 failed"),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// Enough arithmetic that a worker is still busy when the next join
+    /// comes.
+    fn busy(i: u64) -> u64 {
+        (0..20_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x ^ i))
+    }
+
+    #[test]
+    fn pure_jobs_joined_in_reverse_return_their_own_results() {
+        for workers in [0, 1, 3] {
+            let pool = Pool::new(workers);
+            let pending: Vec<_> = (0..24u64).map(|i| pool.submit(move || busy(i))).collect();
+            for (i, p) in pending.into_iter().enumerate().rev() {
+                assert_eq!(p.join(), busy(i as u64), "workers={workers} job {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pure_job_dropped_before_it_starts_never_runs() {
+        for workers in [0, 1, 3] {
+            let pool = Pool::new(workers);
+            // One blocker per worker, queued first, holds every worker until
+            // the gate opens, so no worker can reach the job behind them.
+            let gate = Arc::new(std::sync::RwLock::new(()));
+            let closed = gate.write().unwrap();
+            let blockers: Vec<_> = (0..workers)
+                .map(|_| {
+                    let gate = Arc::clone(&gate);
+                    pool.submit(move || drop(gate.read().unwrap()))
+                })
+                .collect();
+            let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let flag = Arc::clone(&ran);
+            drop(pool.submit(move || flag.store(true, Ordering::SeqCst)));
+            drop(closed);
+            for b in blockers {
+                b.join();
+            }
+            assert_eq!(pool.submit(|| 7).join(), 7);
+            drop(pool);
+            assert!(!ran.load(Ordering::SeqCst), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_pure_job_surfaces_its_own_message_at_join() {
+        for workers in [0, 1, 3] {
+            let pool = Pool::new(workers);
+            let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let flag = Arc::clone(&started);
+            let failing = pool.submit(move || {
+                flag.store(true, Ordering::SeqCst);
+                panic!("job on {workers} workers failed");
+            });
+            let behind = pool.submit(|| busy(9));
+            // With workers, one of them runs the job and keeps its panic for
+            // the join; without, the join runs it.
+            while workers > 0 && !started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let panic = std::panic::catch_unwind(AssertUnwindSafe(|| failing.join()))
+                .expect_err("the job panicked");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(format!("job on {workers} workers failed").as_str())
+            );
+            assert_eq!(behind.join(), busy(9), "workers={workers}");
         }
     }
 

@@ -39,7 +39,7 @@ pub mod trace;
 pub use ew_telemetry::{
     BinnedSeries, CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId, SubsystemHealth,
 };
-pub use farm::{resolve_threads, run_farm, FarmStats};
+pub use farm::{resolve_threads, run_farm, spawn_pure, FarmStats, Pending};
 pub use hashers::FxHashMap;
 pub use host::{HostId, HostSpec, HostTable};
 pub use kernel::{Ctx, Event, Process, ProcessId, Sim};

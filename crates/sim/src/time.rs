@@ -86,7 +86,11 @@ impl SimDuration {
         if us >= u64::MAX as f64 {
             SimDuration(u64::MAX)
         } else {
-            SimDuration(us.round() as u64)
+            // `us.round()`, half away from zero, without the software libm
+            // call it lowers to on baseline x86-64: `0 < us < 2^64`, so the
+            // cast truncates and the fraction `us - i` is exact.
+            let i = us as u64;
+            SimDuration(i + (us - i as f64 >= 0.5) as u64)
         }
     }
 
@@ -220,6 +224,64 @@ mod tests {
             SimDuration::from_secs_f64(1.5),
             SimDuration::from_micros(1_500_000)
         );
+    }
+
+    /// `from_secs_f64` as it was written with `f64::round`.
+    fn round_oracle(s: f64) -> u64 {
+        let us = s * 1e6;
+        if s.is_nan() || s <= 0.0 {
+            0
+        } else if us >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            us.round() as u64
+        }
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round_at_the_edges() {
+        let below_half = 0.5f64.next_down();
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let p64 = u64::MAX as f64;
+        for us in [
+            below_half,
+            0.5,
+            1.5,
+            2.5,
+            1.0 + below_half,
+            p52 - 0.5,
+            p52 + 0.5,
+            p52 + 1.0,
+            p53 - 1.0,
+            p53,
+            p53 + 2.0,
+            p64.next_down(),
+            p64,
+        ] {
+            let s = us / 1e6;
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_micros(),
+                round_oracle(s),
+                "{us} us"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_secs_f64_matches_f64_round(
+            bits in proptest::prelude::any::<u64>(),
+            whole in 0u64..1 << 53,
+            half in 0u64..2,
+        ) {
+            // A random bit pattern (any sign, exponent, NaN or infinity),
+            // and a whole or x.5 microsecond count.
+            let edge = (whole as f64 + 0.5 * half as f64) / 1e6;
+            for s in [f64::from_bits(bits), edge] {
+                proptest::prop_assert_eq!(SimDuration::from_secs_f64(s).as_micros(), round_oracle(s));
+            }
+        }
     }
 
     #[test]

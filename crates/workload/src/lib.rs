@@ -50,9 +50,10 @@ pub use unit::{ExecStats, WorkResult, WorkUnit};
 ///
 /// Each scheduler replica owns an independent instance (diversified by a
 /// seed salt); the compute client owns one for executing units and
-/// synthesizing reports. All methods are deterministic given the
+/// synthesizing reports, and shares it with the pure-job pool that runs
+/// them (hence `Sync`). All methods are deterministic given the
 /// construction inputs and call sequence — see the crate docs.
-pub trait Workload: Send {
+pub trait Workload: Send + Sync {
     /// Short stable name; used in artifact keys, figure stems, and CLI
     /// selection.
     fn name(&self) -> &'static str;
@@ -104,9 +105,12 @@ pub trait Workload: Send {
         }
     }
 
-    /// Really execute a unit on the calling thread (live mode and
-    /// `execute_real` clients). The default is the synthetic model:
-    /// the budget is consumed and progress follows [`synth_progress`].
+    /// Really execute a unit (`execute_real` clients). The result must be
+    /// a function of `unit` alone: the client runs it on a pure-job pool
+    /// worker (`ew_sim::spawn_pure`) while the simulation advances, and
+    /// takes it when the unit completes. The default is the synthetic
+    /// model: the budget is consumed and progress follows
+    /// [`synth_progress`].
     ///
     /// [`synth_progress`]: Workload::synth_progress
     fn execute(&self, unit: &WorkUnit) -> (WorkResult, ExecStats) {

@@ -156,6 +156,19 @@ if ls crates/compat | grep -vxE 'README\.md|proptest|serde_json'; then
     exit 1
 fi
 
+# One owner for simulator-side threads: the farm module owns the sim farm's
+# scoped workers and the pure-job pool, so the pool's bound (at most
+# `available_threads() - 1` workers) is the whole story of a world's
+# threads. The TCP transport and the live run sit on real sockets and own
+# their own. Only *.rs is searched, so this comment does not match itself.
+echo "== threads are started only by the farm, the TCP transport and the live run"
+if grep -rnE 'thread::(spawn|scope|Builder)' --include='*.rs' crates/*/src \
+    | grep -vE '^crates/(sim/src/farm|proto/src/tcp|core/src/live)\.rs:'; then
+    echo "error: hand a pure job to ew_sim::spawn_pure, or a cell to" >&2
+    echo "       ew_sim::run_farm; both bound their workers" >&2
+    exit 1
+fi
+
 # Nothing ships without a caller: a pub item or a source file whose only
 # reader is its own unit tests fails (framework.rs sat unused for twenty
 # PRs, the Globus service model for twenty-one). Also part of `cargo test`.

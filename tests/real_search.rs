@@ -10,8 +10,25 @@ use ew_sim::{HostSpec, HostTable, NetModel, Sim, SimDuration, SimTime, SiteSpec}
 use ew_state::PersistentStateServer;
 use ew_workload::WorkloadSpec;
 
-#[test]
-fn distributed_real_search_stores_verified_witness() {
+/// Golden values of the world below at seed 41 and a 600-second horizon,
+/// captured at the parent of the pure-job pool, when every real unit ran
+/// inline in `ComputeClient::finish_unit`. A unit that computes on a pool
+/// worker is consumed at the same simulated instant, so none may move:
+/// the kernel's event-order hash, `client.units_completed`, the three
+/// delta-table counters, and the witness persistent state holds.
+const REAL_ORDER_HASH: u64 = 0x7b89_cbc6_d704_c9f1;
+const REAL_UNITS_COMPLETED: f64 = 236.0;
+const REAL_TABLE_LOOKUPS: f64 = 54_942_073.0;
+const REAL_TABLE_FLIPS: f64 = 826_593.0;
+const REAL_TABLE_REFRESHED: f64 = 24_219_204.0;
+const REAL_WITNESS: [u8; 21] = [
+    0, 0, 0, 17, 29, 57, 181, 22, 114, 174, 61, 164, 28, 44, 58, 115, 228, 237, 102, 116, 130,
+];
+
+/// Two gossips, two schedulers, state and log on a service site, and four
+/// clients executing real R(4) n=17 units on a work site, run for 600
+/// simulated seconds.
+fn real_search_world() -> (Sim, Deployment) {
     let mut net = NetModel::new(0.05);
     let svc_site = net.add_site(SiteSpec::simple(
         "svc",
@@ -69,6 +86,43 @@ fn distributed_real_search_stores_verified_witness() {
         );
     }
     sim.run_until(SimTime::from_secs(600));
+    (sim, dep)
+}
+
+fn stored_witness(sim: &Sim, dep: &Deployment) -> Option<Vec<u8>> {
+    sim.with_process::<PersistentStateServer, _>(dep.state, |s| s.get("ramsey/best/4").cloned())
+        .unwrap()
+}
+
+#[test]
+fn real_search_world_matches_golden() {
+    let (sim, dep) = real_search_world();
+    let m = sim.metrics();
+    let got = (
+        sim.event_order_hash(),
+        m.counter("client.units_completed"),
+        m.counter("ramsey.table_lookups"),
+        m.counter("ramsey.table_flips"),
+        m.counter("ramsey.table_entries_refreshed"),
+    );
+    assert_eq!(
+        got,
+        (
+            REAL_ORDER_HASH,
+            REAL_UNITS_COMPLETED,
+            REAL_TABLE_LOOKUPS,
+            REAL_TABLE_FLIPS,
+            REAL_TABLE_REFRESHED
+        ),
+        "real-execution world diverged from its golden (order hash {:#018x})",
+        got.0
+    );
+    assert_eq!(stored_witness(&sim, &dep), Some(REAL_WITNESS.to_vec()));
+}
+
+#[test]
+fn distributed_real_search_stores_verified_witness() {
+    let (sim, dep) = real_search_world();
 
     // A verified 17-vertex R(4) witness reached persistent state, passing
     // the real clique-counting validator on the way in.

@@ -50,6 +50,22 @@
 //! unchanged (first case above), but which is `current` and which is
 //! `other` has swapped.
 //!
+//! Within one color the incident scan walks three masks per word, one per
+//! adjacency class of `x`: in both rows (`x ∈ N_c(a) ∩ N_c(b)`, both
+//! `(a, x)` and `(b, x)` move), in `a`'s row only (only `(b, x)` moves)
+//! and in `b`'s row only (only `(a, x)` moves). Inside a class the sign of
+//! each adjustment is fixed, so no membership bit is tested per `x`.
+//!
+//! # Layout
+//!
+//! The entries live in one `n × n` array indexed `u · n + v` for `u < v`
+//! (`edge_index`); the cells at or below the diagonal are never read or
+//! written. That costs `8 · n²` bytes instead of `8 · n(n-1)/2` (2 312 B
+//! at `n = 17`, 14 792 B at `n = 43`) and turns every index into one
+//! multiply-add, with no division. The tabu tenures in
+//! [`crate::search`] share the layout, so a sampled candidate is one index
+//! and two loads.
+//!
 //! Every adjustment is word-wide integer arithmetic on the existing rows,
 //! charged to the [`OpsCounter`] under the paper's counting discipline
 //! (one `add` per loop where the trip count is known up front, the same
@@ -74,22 +90,23 @@ pub struct TableStats {
     pub entries_built: u64,
 }
 
-/// One signed gain per edge — `n(n-1)/2` entries, each the objective
-/// change its edge's flip would cause — kept exact across flips.
+/// One signed gain per edge — the objective change its edge's flip would
+/// cause — kept exact across flips, in an `n × n` array of which the
+/// `n(n-1)/2` cells above the diagonal are used (module docs, "Layout").
 #[derive(Clone, Debug)]
 pub struct DeltaTable {
     n: usize,
     k: usize,
-    /// `E(other, u, v) − E(current, u, v)` for `u < v`, triangular layout.
+    /// `E(other, u, v) − E(current, u, v)` at `edge_index(n, u, v)`.
     gain: Vec<i64>,
     stats: TableStats,
 }
 
-/// Position of edge `(u, v)`, `u < v`, in the triangular layout.
+/// Position of edge `(u, v)`, `u < v`, in the square layout.
 #[inline]
 pub(crate) fn edge_index(n: usize, u: usize, v: usize) -> usize {
     debug_assert!(u < v && v < n);
-    u * (2 * n - u - 1) / 2 + (v - u - 1)
+    u * n + v
 }
 
 #[inline]
@@ -115,7 +132,7 @@ impl DeltaTable {
         let mut table = DeltaTable {
             n,
             k,
-            gain: vec![0; edges],
+            gain: vec![0; n * n],
             stats: TableStats::default(),
         };
         for u in 0..n {
@@ -138,6 +155,13 @@ impl DeltaTable {
     #[inline]
     pub fn delta(&self, u: usize, v: usize) -> i64 {
         self.gain[edge_index(self.n, u.min(v), u.max(v))]
+    }
+
+    /// Every entry, at [`edge_index`]: what the candidate scans read
+    /// directly, charging their lookups to the state in one batch.
+    #[inline]
+    pub(crate) fn gains(&self) -> &[i64] {
+        &self.gain
     }
 
     /// Note `count` table lookups (the `ramsey.table_lookups` counter).
@@ -192,37 +216,46 @@ impl DeltaTable {
             for j in 0..w {
                 common[j] = ra[j] & rb[j];
             }
-            // One AND per word, one membership test per other vertex.
+            // One AND per word, one membership test per other vertex: the
+            // paper's count still owes the tests the class masks replace.
             ops.add(w as u64 + n as u64 - 2);
-            // Incident entries: every x adjacent to a or b in this color.
+            // Incident entries, by adjacency class of x: in both rows both
+            // (a, x) and (b, x) move, and each by `signed(true, c3)`; in one
+            // row only the other endpoint's entry moves, by
+            // `signed(false, c3)`.
+            let (both, one) = (-sign, sign);
             for j in 0..w {
-                let mut m = (ra[j] | rb[j]) & !(bit_in_word(j, a) | bit_in_word(j, b));
-                while m != 0 {
-                    let x = j * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let in_a = bit(ra, x);
-                    let in_b = bit(rb, x);
-                    // (k-3)-cliques of `color` in N_c(a) ∩ N_c(b) ∩ N_c(x).
-                    let c3 = if k == 3 {
-                        1
-                    } else {
-                        let rx = g.row(color, x);
-                        for i in 0..w {
-                            inter[i] = common[i] & rx[i];
+                let keep = !(bit_in_word(j, a) | bit_in_word(j, b));
+                for (mut m, moves_a, moves_b) in [
+                    (ra[j] & rb[j] & keep, both, both),
+                    (ra[j] & !rb[j] & keep, 0, one),
+                    (rb[j] & !ra[j] & keep, one, 0),
+                ] {
+                    while m != 0 {
+                        let x = j * 64 + m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        // (k-3)-cliques of `color` in N_c(a) ∩ N_c(b) ∩ N_c(x).
+                        let c3 = if k == 3 {
+                            1
+                        } else {
+                            let rx = g.row(color, x);
+                            for i in 0..w {
+                                inter[i] = common[i] & rx[i];
+                            }
+                            ops.add(w as u64);
+                            count_in_set(g, color, &inter[..w], k - 3, ops, scratch)
+                        };
+                        if c3 != 0 {
+                            if moves_a != 0 {
+                                gain[edge_index(n, a.min(x), a.max(x))] += moves_a * c3 as i64;
+                                refreshed += 1;
+                            }
+                            if moves_b != 0 {
+                                gain[edge_index(n, b.min(x), b.max(x))] += moves_b * c3 as i64;
+                                refreshed += 1;
+                            }
+                            ops.add(2);
                         }
-                        ops.add(w as u64);
-                        count_in_set(g, color, &inter[..w], k - 3, ops, scratch)
-                    };
-                    if c3 != 0 {
-                        if in_b {
-                            gain[edge_index(n, a.min(x), a.max(x))] += signed(in_a, c3);
-                            refreshed += 1;
-                        }
-                        if in_a {
-                            gain[edge_index(n, b.min(x), b.max(x))] += signed(in_b, c3);
-                            refreshed += 1;
-                        }
-                        ops.add(2);
                     }
                 }
             }
@@ -301,9 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn edge_index_is_dense_triangular() {
+    fn edge_index_is_the_upper_triangle_of_a_square() {
         let n = 9;
-        let mut seen = vec![false; n * (n - 1) / 2];
+        let mut seen = vec![false; n * n];
         for u in 0..n {
             for v in (u + 1)..n {
                 let e = edge_index(n, u, v);
@@ -311,7 +344,10 @@ mod tests {
                 seen[e] = true;
             }
         }
-        assert!(seen.iter().all(|&s| s));
+        // Exactly the cells above the diagonal, so none is left unused there.
+        for (e, &s) in seen.iter().enumerate() {
+            assert_eq!(s, e % n > e / n, "cell ({}, {})", e / n, e % n);
+        }
     }
 
     #[test]

@@ -146,14 +146,16 @@ impl SearchState {
     }
 
     /// Credit operations performed outside this state's own counter (the
-    /// steepest scan reads the table directly and deposits here).
+    /// candidate scans read the table directly and deposit here).
     pub fn add_external_ops(&mut self, ops: u64) {
         self.ops.add(ops);
     }
 
-    /// Note `count` delta queries served from the table by an external
-    /// scan (the steepest scan reads the table directly).
-    pub(crate) fn note_table_lookups(&mut self, count: u64) {
+    /// Charge `count` delta queries that a scan read straight from the
+    /// table: per query one lookup and one op, what [`Self::delta`]
+    /// charges.
+    fn charge_scan(&mut self, count: u64) {
+        self.add_external_ops(count);
         self.table.note_lookups(count);
     }
 
@@ -238,11 +240,12 @@ impl Heuristic for GreedyLocal {
             return StepOutcome::Solved;
         }
         let n = state.graph().n();
+        let gains = state.table().gains();
         let mut best: Option<((usize, usize), i64)> = None;
         let mut ties = 0u64;
         for _ in 0..self.sample {
             let (u, v) = random_edge(n, rng);
-            let d = state.delta(u, v);
+            let d = gains[edge_index(n, u, v)];
             match &mut best {
                 None => {
                     best = Some(((u, v), d));
@@ -266,6 +269,7 @@ impl Heuristic for GreedyLocal {
                 }
             }
         }
+        state.charge_scan(self.sample as u64);
         let ((u, v), d) = best.expect("sample >= 1");
         if d >= 0 && !self.restless {
             return StepOutcome::Stuck;
@@ -276,10 +280,11 @@ impl Heuristic for GreedyLocal {
 }
 
 /// The tabu tenures and their step clock, shared by [`TabuSearch`] (which
-/// documents layout and invariant) and [`Steepest`].
+/// documents layout and invariant) and [`Steepest`]. Edges are named by
+/// their [`edge_index`], the delta table's, so a scan computes one index
+/// for both loads.
 #[derive(Default)]
 pub(crate) struct TenureTable {
-    n: usize,
     step_no: u64,
     until: Vec<u64>,
 }
@@ -289,31 +294,30 @@ impl TenureTable {
     /// on the first step; a later change of `n` starts it over, nothing tabu.
     pub(crate) fn begin_step(&mut self, n: usize) {
         self.step_no += 1;
-        if self.n != n {
-            self.n = n;
-            self.until = vec![0; n * (n - 1) / 2];
+        if self.until.len() != n * n {
+            self.until = vec![0; n * n];
         }
     }
 
-    /// Whether `(u, v)`, `u < v`, is tabu in the current step.
+    /// Whether edge `e` is tabu in the current step.
     #[inline]
-    pub(crate) fn is_tabu(&self, u: usize, v: usize) -> bool {
-        self.until[edge_index(self.n, u, v)] > self.step_no
+    pub(crate) fn is_tabu(&self, e: usize) -> bool {
+        self.until[e] > self.step_no
     }
 
-    /// Forbid `(u, v)`, `u < v`, for the next `tenure` steps.
+    /// Forbid edge `e` for the next `tenure` steps.
     #[inline]
-    pub(crate) fn forbid(&mut self, u: usize, v: usize, tenure: u64) {
-        self.until[edge_index(self.n, u, v)] = self.step_no + tenure;
+    pub(crate) fn forbid(&mut self, e: usize, tenure: u64) {
+        self.until[e] = self.step_no + tenure;
     }
 }
 
 /// Tabu search: recently flipped edges are forbidden for `tenure` steps
 /// unless flipping one would beat the best objective seen (aspiration).
 ///
-/// The tenures are a dense table, `until[edge]`: one `u64` per edge in
-/// [`DeltaTable`]'s triangular order, `8 · n(n-1)/2` bytes (1 088 at
-/// `n = 17`, 7 224 at `n = 43`), allocated on the first step. Invariant:
+/// The tenures are a dense table, `until[edge]`: one `u64` per cell of
+/// [`DeltaTable`]'s square layout, `8 · n²` bytes (2 312 at `n = 17`,
+/// 14 792 at `n = 43`), allocated on the first step. Invariant:
 /// entry ≤ `step_no` ⇔ not tabu; 0 = never flipped (steps count from 1).
 pub struct TabuSearch {
     /// Candidate flips evaluated per step.
@@ -354,26 +358,29 @@ impl Heuristic for TabuSearch {
         self.best_seen = self.best_seen.min(state.count());
         let n = state.graph().n();
         self.tabu.begin_step(n);
-        let mut best: Option<((usize, usize), i64)> = None;
+        let count = state.count() as i64;
+        let best_seen = self.best_seen as i64;
+        let gains = state.table().gains();
+        let mut best: Option<(usize, usize, i64)> = None;
         for _ in 0..self.sample {
             let (u, v) = random_edge(n, rng);
-            let d = state.delta(u, v);
-            let is_tabu = self.tabu.is_tabu(u, v);
+            let e = edge_index(n, u, v);
+            let d = gains[e];
             // Aspiration: a move that reaches a new global best is always
             // allowed.
-            let aspires = (state.count() as i64 + d) < self.best_seen as i64;
-            if is_tabu && !aspires {
+            if self.tabu.is_tabu(e) && count + d >= best_seen {
                 continue;
             }
-            if best.is_none() || d < best.unwrap().1 {
-                best = Some(((u, v), d));
+            if best.is_none_or(|(_, _, bd)| d < bd) {
+                best = Some((u, v, d));
             }
         }
-        let Some(((u, v), d)) = best else {
+        state.charge_scan(self.sample as u64);
+        let Some((u, v, d)) = best else {
             return StepOutcome::Stuck;
         };
         state.apply_flip(u, v);
-        self.tabu.forbid(u, v, self.tenure);
+        self.tabu.forbid(edge_index(n, u, v), self.tenure);
         StepOutcome::Moved { delta: d }
     }
 }
@@ -410,21 +417,22 @@ impl Default for Steepest {
 }
 
 /// The best flip of `state`: the smallest `(delta, u, v)` over the edges
-/// that are not `excluded` or whose delta passes `aspiration`, and the
-/// operations spent — one per candidate, the subtraction each table entry
-/// stores.
+/// that are not `excluded` (asked by [`edge_index`]) or whose delta passes
+/// `aspiration`, and the operations spent — one per candidate, the
+/// subtraction each table entry stores.
 fn best_flip(
     state: &SearchState,
-    excluded: impl Fn(usize, usize) -> bool,
+    excluded: impl Fn(usize) -> bool,
     aspiration: impl Fn(i64) -> bool,
 ) -> (Option<(usize, usize, i64)>, u64) {
     let n = state.graph().n();
-    let table = state.table();
+    let gains = state.table().gains();
     let mut best: Option<(usize, usize, i64)> = None;
     for u in 0..n {
         for v in (u + 1)..n {
-            let d = table.delta(u, v);
-            if excluded(u, v) && !aspiration(d) {
+            let e = edge_index(n, u, v);
+            let d = gains[e];
+            if excluded(e) && !aspiration(d) {
                 continue;
             }
             // Edges come in lexicographic order, so a later one wins only
@@ -452,14 +460,13 @@ impl Heuristic for Steepest {
         let tabu = &self.tabu;
         let count = state.count() as i64;
         let best_seen = self.best_seen as i64;
-        let (best, ops) = best_flip(state, |u, v| tabu.is_tabu(u, v), |d| count + d < best_seen);
-        state.add_external_ops(ops);
-        state.note_table_lookups(ops);
+        let (best, ops) = best_flip(state, |e| tabu.is_tabu(e), |d| count + d < best_seen);
+        state.charge_scan(ops);
         let Some((u, v, d)) = best else {
             return StepOutcome::Stuck;
         };
         state.apply_flip_with_delta(u, v, d);
-        self.tabu.forbid(u, v, self.tenure);
+        self.tabu.forbid(edge_index(n, u, v), self.tenure);
         StepOutcome::Moved { delta: d }
     }
 }
@@ -702,7 +709,7 @@ mod tests {
     fn best_flip_matches_sequential_scan() {
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut state = SearchState::random(20, 4, &mut rng);
-        let (best, ops) = best_flip(&state, |_, _| false, |_| false);
+        let (best, ops) = best_flip(&state, |_| false, |_| false);
         // Reference scan through the state's charged look-up.
         let n = state.graph().n();
         let mut seq_best: Option<(usize, usize, i64)> = None;
@@ -751,11 +758,11 @@ mod tests {
         state.apply_flip(0, 1); // break the pentagon: count > 0
         assert!(state.count() > 0);
         // Exclude everything, no aspiration: stuck.
-        let (none, _) = best_flip(&state, |_, _| true, |_| false);
+        let (none, _) = best_flip(&state, |_| true, |_| false);
         assert!(none.is_none());
         // Exclude everything, aspiration for improving moves: the repair
         // flip qualifies (it returns to count 0 < best seen).
-        let (some, _) = best_flip(&state, |_, _| true, |d| d < 0);
+        let (some, _) = best_flip(&state, |_| true, |d| d < 0);
         let (u, v, d) = some.expect("aspirating flip found");
         assert_eq!((u, v), (0, 1), "the broken edge is the best repair");
         assert!(d < 0);

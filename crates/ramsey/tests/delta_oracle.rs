@@ -11,11 +11,15 @@ use proptest::prelude::*;
 
 use ew_ramsey::cliques::count_through_edge_ws;
 use ew_ramsey::delta::TableStats;
-use ew_ramsey::{Color, ColoredGraph, DeltaTable, OpsCounter, Workspace};
+use ew_ramsey::{
+    heuristic_by_kind, run_search, Color, ColoredGraph, DeltaTable, Heuristic, OpsCounter,
+    SearchState, Steepest, Workspace,
+};
 use ew_sim::Xoshiro256;
 use ew_workload::{execute_unit, WorkUnit};
 
-/// `delta.rs`'s private triangular index, transcribed.
+/// The triangular index `delta.rs` used before its square layout, kept as
+/// the oracle's own layout.
 fn edge_index(n: usize, u: usize, v: usize) -> usize {
     u * (2 * n - u - 1) / 2 + (v - u - 1)
 }
@@ -319,4 +323,64 @@ const GOLDEN_R5_N43: [UnitTrace; 3] = [
     (200, 296_787, 296, 0xb7664575fbb78a44, 13_000, 28_596),
     (200, 305_875, 280, 0x7eeedd7a7c7aafd1, 19_400, 28_965),
     (200, 148_154, 889, 0x1656e7e7305db0a6, 300, 15_447),
+];
+
+/// `(ops, table_lookups, table_flips, entries_refreshed, next rng draw)`
+/// after one search run: what a change to how a scan charges its lookups
+/// must leave exactly where it was.
+type KernelCounters = (u64, u64, u64, u64, u64);
+
+fn kernel_counters(
+    k: usize,
+    n: usize,
+    heuristic: &mut dyn Heuristic,
+    steps: u64,
+) -> KernelCounters {
+    let mut rng = Xoshiro256::seed_from_u64(1998);
+    let mut state = SearchState::random(n, k, &mut rng);
+    run_search(&mut state, heuristic, &mut rng, steps);
+    let s = state.kernel_stats();
+    (
+        state.ops(),
+        s.table_lookups,
+        s.table_flips,
+        s.entries_refreshed,
+        rng.next_u64(),
+    )
+}
+
+/// Captured at the parent of the square-index change (`54aa0a6`, the
+/// triangular index, per-candidate `SearchState::delta` charges and the
+/// two-bit incident scan). Greedy, tabu and anneal in `heuristic_by_kind`
+/// order, then `Steepest`.
+#[test]
+fn golden_kernel_counters() {
+    for (i, (k, n, steps)) in [(4, 17, 1_500), (5, 43, 200)].into_iter().enumerate() {
+        let golden = [GOLDEN_COUNTERS_R4_N17, GOLDEN_COUNTERS_R5_N43][i];
+        for kind in 0..3u8 {
+            assert_eq!(
+                kernel_counters(k, n, heuristic_by_kind(kind).as_mut(), steps),
+                golden[kind as usize],
+                "R({k}) n={n} kind {kind}"
+            );
+        }
+        assert_eq!(
+            kernel_counters(k, n, &mut Steepest::default(), steps),
+            golden[3],
+            "R({k}) n={n} steepest"
+        );
+    }
+}
+
+const GOLDEN_COUNTERS_R4_N17: [KernelCounters; 4] = [
+    (287_222, 97_500, 1_500, 39_483, 0x3c8d_a913_4ad9_9c21),
+    (337_368, 145_500, 1_500, 43_779, 0xd70f_e3aa_56a5_db22),
+    (131_126, 2_487, 987, 33_548, 0xc37d_d2a2_6330_a571),
+    (395_494, 204_000, 1_500, 43_362, 0x8786_e23c_9f74_681b),
+];
+const GOLDEN_COUNTERS_R5_N43: [KernelCounters; 4] = [
+    (514_374, 13_000, 200, 28_596, 0xd88e_6a78_dd39_2c6f),
+    (523_462, 19_400, 200, 28_965, 0xefe0_625a_23bf_433a),
+    (365_741, 300, 100, 15_447, 0x6245_94ff_b6c7_26ca),
+    (680_254, 180_600, 200, 28_059, 0xc55a_31c5_8ccb_cdb1),
 ];

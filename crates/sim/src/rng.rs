@@ -68,9 +68,6 @@ impl Xoshiro256 {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(n as u128);
             let low = m as u64;
-            if low >= n && low < n.wrapping_neg() {
-                // fast accept path not taken only near the boundary
-            }
             if low < n {
                 let threshold = n.wrapping_neg() % n;
                 if low < threshold {

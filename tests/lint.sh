@@ -178,10 +178,11 @@ cargo test -q --offline -p ew-bench --test public_surface
 # The profiler is run, not only parsed: `bash -n` passed a script that
 # exited 141 (pipefail + `sort | head`) twice in a dozen runs. ~2 min, most
 # of it the debug-info build of `benchmark/`; without `cc` or `addr2line`
-# the script says so and exits 0, and so does this step.
-echo "== tests/profile.sh bulk_flow --seconds 1 exits 0 and prints both tables"
+# the script says so and exits 0, and so does this step. The same run
+# checks `--focus`: the frame's share line and its caller and callee tables.
+echo "== tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until exits 0 and prints all tables"
 bash -n tests/profile.sh
-profile="$(tests/profile.sh bulk_flow --seconds 1)" || {
+profile="$(tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until)" || {
     echo "error: tests/profile.sh exited $?" >&2
     exit 1
 }
@@ -189,6 +190,11 @@ if grep -q '^profile: no .* on this box' <<<"$profile"; then
     echo "$profile"
 elif ! grep -q '^== top inclusive' <<<"$profile" || ! grep -q '^== top self' <<<"$profile"; then
     echo "error: tests/profile.sh printed no inclusive or no self table:" >&2
+    echo "$profile" >&2
+    exit 1
+elif ! grep -q '^== focus Sim::run_until: [1-9][0-9]* samples' <<<"$profile" \
+    || ! grep -q '^== focus callers' <<<"$profile" || ! grep -q '^== focus callees' <<<"$profile"; then
+    echo "error: tests/profile.sh --focus printed no share line or no caller/callee table:" >&2
     echo "$profile" >&2
     exit 1
 fi

@@ -14,16 +14,25 @@
 # functions (samples, samples per repetition, share) by inclusive
 # share (below the workload's entry point) and by self share, inlined frames
 # resolved.
+#
+#   ./tests/profile.sh <workload> ... --focus FRAME
+#
+# also prints FRAME's inclusive share and how its samples split among its
+# nearest named callers and among its callees ("(self)" when FRAME itself
+# was running). FRAME names a function by a `::`-separated suffix of its
+# path, e.g. `Sim::run_until` (a trait method `<T as Trait>::f` answers to
+# `T::f`); every function with that suffix counts.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload="${1:?usage: tests/profile.sh <workload> [--seed N] [--seconds S]}"
+workload="${1:?usage: tests/profile.sh <workload> [--seed N] [--seconds S] [--focus FRAME]}"
 shift
-seed=1998 seconds=10
+seed=1998 seconds=10 focus=
 while (($#)); do
   case "$1" in
     --seed) seed="${2:?--seed needs a value}" ;;
     --seconds) seconds="${2:?--seconds needs a value}" ;;
+    --focus) focus="${2:?--focus needs a frame}" ;;
     *) echo "profile: unknown option $1" >&2; exit 2 ;;
   esac
   shift 2
@@ -48,7 +57,18 @@ reps="$(sed -E 's/.*"reps":([0-9]+).*/\1/' <<<"$info")"
 # innermost inlined frame first, the enclosing function last.
 tr ' ' '\n' <"$work/stacks" | grep . | sort -u >"$work/addrs"
 addr2line -a -i -f -C -e "$bin" <"$work/addrs" >"$work/symbols"
-awk -v reps="$reps" '
+awk -v reps="$reps" -v focus="$focus" '
+  # A function path ending in `focus` at a `::` boundary (or equal to it).
+  function ends_in_focus(n) {
+    return n == focus || substr(n, length(n) - length(focus) - 1) == "::" focus
+  }
+  # A trait method `<T as Trait>::f` also answers to `T::f`.
+  function is_focus(n,    plain) {
+    plain = n
+    if (match(n, /^<[^ <>]+ as [^<>]+>::/))
+      plain = substr(n, 2, index(n, " as ") - 2) "::" substr(n, RLENGTH + 1)
+    return ends_in_focus(n) || ends_in_focus(plain)
+  }
   pass == 1 { addr[++known] = $0; next }
   pass == 2 && /^0x[0-9a-f]+$/ { at = addr[++seen_addrs]; odd = 0; next }
   pass == 2 { if (odd = !odd) { sub(/::h[0-9a-f]+$/, ""); names[at] = names[at] $0 "\n" } next }
@@ -66,10 +86,34 @@ awk -v reps="$reps" '
       for (j = 1; j <= inlined; j++)
         if (name[j] != "??" && !(name[j] in counted)) { counted[name[j]]; incl[name[j]]++ }
     }
+    if (focus == "") next
+    # The stack as one name per (inlined) frame, innermost first. The
+    # focus must sit below the workload entry point, like an inclusive
+    # share; its caller may be the entry point itself.
+    depth = inner = outer = 0
+    for (f = 1; f <= NF; f++) {
+      inlined = split(names[$f], name, "\n") - 1
+      for (j = 1; j <= inlined; j++) {
+        seq[++depth] = name[j]
+        if (f <= below && is_focus(name[j])) { if (!inner) inner = depth; outer = depth }
+      }
+    }
+    if (!inner) next
+    focused++
+    # Callee: the frame just inside the innermost occurrence (recursion
+    # counts once). Caller: the first named frame outside the outermost.
+    callees[inner > 1 ? seq[inner - 1] : "(self)"]++
+    caller = "(none)"
+    for (d = outer + 1; d <= depth; d++) if (seq[d] != "??" && !is_focus(seq[d])) { caller = seq[d]; break }
+    callers[caller]++
   }
   END {
     for (n in incl) printf "inclusive\t%d\t%.1f\t%.1f %%\t%s\n", incl[n], incl[n] / reps, 100 * incl[n] / samples, n
     for (n in self) printf "self\t%d\t%.1f\t%.1f %%\t%s\n", self[n], self[n] / reps, 100 * self[n] / samples, n
+    if (focus == "") exit
+    printf "focus\t%d\t%.1f\t%.1f %%\n", focused, focused / reps, 100 * focused / samples
+    for (n in callers) printf "callers\t%d\t%.1f\t%.1f %%\t%s\n", callers[n], callers[n] / reps, 100 * callers[n] / focused, n
+    for (n in callees) printf "callees\t%d\t%.1f\t%.1f %%\t%s\n", callees[n], callees[n] / reps, 100 * callees[n] / focused, n
   }
 ' pass=1 "$work/addrs" pass=2 "$work/symbols" pass=3 "$work/stacks" >"$work/shares"
 samples="$(grep -c . "$work/stacks")"
@@ -79,4 +123,12 @@ echo "$samples samples over $reps repetitions ($((samples / reps)) per repetitio
 for kind in inclusive self; do
   echo "== top $kind shares: samples, per repetition, share, function"
   grep "^$kind" "$work/shares" | sort -t "$(printf '\t')" -k2,2nr | awk 'NR <= 40' | cut -f2-
+done
+[[ -n $focus ]] || exit 0
+IFS=$'\t' read -r _ held per share < <(grep '^focus' "$work/shares")
+echo "== focus $focus: $held samples, $per per repetition, $share inclusive"
+for side in callers callees; do
+  echo "== focus $side: samples, per repetition, share of the focus, function"
+  # `|| true`: a frame no sample holds has no rows, and grep exits 1.
+  { grep "^$side" "$work/shares" || true; } | sort -t "$(printf '\t')" -k2,2nr | awk 'NR <= 20' | cut -f2-
 done

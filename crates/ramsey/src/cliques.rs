@@ -130,8 +130,7 @@ fn count_rec(
 ) -> u64 {
     let w = cand.len();
     if k == 1 {
-        ops.add(w as u64);
-        return cand.iter().map(|x| x.count_ones() as u64).sum();
+        return count_vertices(cand, ops);
     }
     if k == 2 {
         return count_pairs(g, color, cand, ops);
@@ -177,9 +176,19 @@ fn fill_full_candidates(g: &ColoredGraph, cand: &mut [u64]) {
     }
 }
 
+/// The `1`-cliques in `cand`: one popcount per word.
+#[inline]
+fn count_vertices(cand: &[u64], ops: &mut OpsCounter) -> u64 {
+    ops.add(cand.len() as u64);
+    cand.iter().map(|x| x.count_ones() as u64).sum()
+}
+
 /// Count `j`-cliques of `color` within the vertex set `cand`. `j == 0` is
 /// the empty clique (always exactly one); `j == 1` is a popcount. Used by
-/// the whole-graph counters and the delta-table maintenance.
+/// the delta-table maintenance, whose `k = 4` incident scan asks `j = 1`
+/// once per vertex: those two arms are inlined into the caller's loop,
+/// and only the recursive `j >= 2` counting is a call.
+#[inline]
 pub(crate) fn count_in_set(
     g: &ColoredGraph,
     color: Color,
@@ -190,11 +199,7 @@ pub(crate) fn count_in_set(
 ) -> u64 {
     match j {
         0 => 1,
-        1 => {
-            ops.add(cand.len() as u64);
-            cand.iter().map(|x| x.count_ones() as u64).sum()
-        }
-        2 => count_pairs(g, color, cand, ops),
+        1 => count_vertices(cand, ops),
         _ => count_rec(g, color, cand, j, ops, scratch),
     }
 }

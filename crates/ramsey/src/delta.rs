@@ -56,6 +56,13 @@
 //! and in `b`'s row only (only `(a, x)` moves). Inside a class the sign of
 //! each adjustment is fixed, so no membership bit is tested per `x`.
 //!
+//! Nor does the upkeep branch on a count. An entry whose count is 0 is
+//! adjusted by `0`, and `entries_refreshed` and the op charge grow by
+//! `(count != 0)`, so they read what testing the count would have left.
+//! A detached pair's sign is taken from `v`'s bit in `u`'s row by
+//! arithmetic. Whether a count is 0, or a pair shares a color, depends on
+//! the coloring, and a branch on either mispredicts at random.
+//!
 //! # Layout
 //!
 //! The entries live in one `n × n` array indexed `u · n + v` for `u < v`
@@ -109,9 +116,11 @@ pub(crate) fn edge_index(n: usize, u: usize, v: usize) -> usize {
     u * n + v
 }
 
+/// `-1` if vertex `x` is in `row`, `+1` if not: the sign rule's factor,
+/// computed from the bit rather than branched on.
 #[inline]
-fn bit(row: &[u64], x: usize) -> bool {
-    row[x / 64] >> (x % 64) & 1 == 1
+fn bit_sign(row: &[u64], x: usize) -> i64 {
+    1 - 2 * (row[x / 64] >> (x % 64) & 1) as i64
 }
 
 /// Vertex `x`'s bit if it lies in word `j` of a row, else nothing.
@@ -208,7 +217,6 @@ impl DeltaTable {
         for (color, sign) in [(old, -1i64), (new, 1i64)] {
             // `E(color, p, q)` moves by `sign * c`; the entry moves the
             // same way unless `(p, q)` has `color` itself (sign rule).
-            let signed = |has: bool, c: u64| (if has { -sign } else { sign }) * c as i64;
             let ra = g.row(color, a);
             let rb = g.row(color, b);
             // S_c = N_c(a) ∩ N_c(b); identical pre/post flip (see module
@@ -245,17 +253,19 @@ impl DeltaTable {
                             ops.add(w as u64);
                             count_in_set(g, color, &inter[..w], k - 3, ops, scratch)
                         };
-                        if c3 != 0 {
-                            if moves_a != 0 {
-                                gain[edge_index(n, a.min(x), a.max(x))] += moves_a * c3 as i64;
-                                refreshed += 1;
-                            }
-                            if moves_b != 0 {
-                                gain[edge_index(n, b.min(x), b.max(x))] += moves_b * c3 as i64;
-                                refreshed += 1;
-                            }
-                            ops.add(2);
+                        // An entry moves only when `c3 != 0`, but adding
+                        // `0` is a no-op: the count is arithmetic, not a
+                        // branch on how the cliques fall.
+                        let nz = (c3 != 0) as u64;
+                        if moves_a != 0 {
+                            gain[edge_index(n, a.min(x), a.max(x))] += moves_a * c3 as i64;
+                            refreshed += nz;
                         }
+                        if moves_b != 0 {
+                            gain[edge_index(n, b.min(x), b.max(x))] += moves_b * c3 as i64;
+                            refreshed += nz;
+                        }
+                        ops.add(2 * nz);
                     }
                 }
             }
@@ -286,11 +296,10 @@ impl DeltaTable {
                             ops.add(2 * w as u64);
                             count_in_set(g, color, &inter[..w], k - 4, ops, scratch)
                         };
-                        if c4 != 0 {
-                            gain[edge_index(n, u, v)] += signed(bit(ru, v), c4);
-                            refreshed += 1;
-                            ops.add(1);
-                        }
+                        let nz = (c4 != 0) as u64;
+                        gain[edge_index(n, u, v)] += sign * bit_sign(ru, v) * c4 as i64;
+                        refreshed += nz;
+                        ops.add(nz);
                     }
                 }
             }

@@ -10,6 +10,8 @@
 //! "execution profile ... depends largely on the point in the search space
 //! where it is searching" (§4).
 
+use std::hint::select_unpredictable;
+
 use ew_sim::Xoshiro256;
 
 use crate::cliques::{count_total_ws, flip_delta_ws, OpsCounter, Workspace};
@@ -241,41 +243,68 @@ impl Heuristic for GreedyLocal {
         }
         let n = state.graph().n();
         let gains = state.table().gains();
-        let mut best: Option<((usize, usize), i64)> = None;
+        let mut best = Pick::NONE;
         let mut ties = 0u64;
         for _ in 0..self.sample {
             let (u, v) = random_edge(n, rng);
-            let d = gains[edge_index(n, u, v)];
-            match &mut best {
-                None => {
-                    best = Some(((u, v), d));
-                    // The incumbent counts as the first tied candidate, so
-                    // a second equal-scoring draw replaces it with
-                    // probability 1/2, not 1.
-                    ties = 1;
-                }
-                Some((edge, bd)) => {
-                    if d < *bd {
-                        *edge = (u, v);
-                        *bd = d;
-                        ties = 1;
-                    } else if d == *bd {
-                        // Reservoir-style random tie-break.
-                        ties += 1;
-                        if rng.next_below(ties) == 0 {
-                            *edge = (u, v);
-                        }
-                    }
+            let e = edge_index(n, u, v);
+            let d = gains[e];
+            // The one branch left in the scan: only a tie draws.
+            if d == best.gain {
+                // Reservoir-style random tie-break.
+                ties += 1;
+                if rng.next_below(ties) == 0 {
+                    best.edge = e;
                 }
             }
+            // A strict improvement (the first draw always is one) becomes
+            // the incumbent and counts as the first tied candidate, so a
+            // second equal-scoring draw replaces it with probability 1/2,
+            // not 1.
+            ties = select_unpredictable(d < best.gain, 1, ties);
+            best = best.offer(e, d, true);
         }
         state.charge_scan(self.sample as u64);
-        let ((u, v), d) = best.expect("sample >= 1");
+        let (u, v, d) = best.flip(n).expect("sample >= 1");
         if d >= 0 && !self.restless {
             return StepOutcome::Stuck;
         }
         state.apply_flip(u, v);
         StepOutcome::Moved { delta: d }
+    }
+}
+
+/// The running choice of a candidate scan: an edge, by [`edge_index`],
+/// and its gain. The rule every heuristic shares is the first strict
+/// minimum among admissible candidates; [`Pick::NONE`] holds a gain of
+/// `i64::MAX`, which no entry can reach, so it loses to every admissible
+/// candidate and still marks "nothing admissible" after the scan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Pick {
+    edge: usize,
+    gain: i64,
+}
+
+impl Pick {
+    /// Nothing picked yet.
+    pub(crate) const NONE: Pick = Pick {
+        edge: 0,
+        gain: i64::MAX,
+    };
+
+    /// `self`, or candidate `(edge, gain)` when it is admissible and
+    /// strictly better. Whether a random candidate wins is a coin toss no
+    /// branch predictor learns, so this is a select, not a branch.
+    #[inline]
+    pub(crate) fn offer(self, edge: usize, gain: i64, admissible: bool) -> Pick {
+        debug_assert_ne!(gain, i64::MAX, "no gain equals the sentinel");
+        select_unpredictable(admissible & (gain < self.gain), Pick { edge, gain }, self)
+    }
+
+    /// The picked flip as `(u, v, gain)` on an `n`-vertex graph, or none
+    /// when no candidate was admissible.
+    pub(crate) fn flip(self, n: usize) -> Option<(usize, usize, i64)> {
+        (self.gain != i64::MAX).then_some((self.edge / n, self.edge % n, self.gain))
     }
 }
 
@@ -303,6 +332,15 @@ impl TenureTable {
     #[inline]
     pub(crate) fn is_tabu(&self, e: usize) -> bool {
         self.until[e] > self.step_no
+    }
+
+    /// Offer edge `e`, whose flip gains `d`, to `pick` under the tabu rule:
+    /// admissible when `e` is not tabu or when `d < aspire_below` (the
+    /// flip would beat the best objective seen). Both tests are evaluated
+    /// and combined without short-circuit, so a candidate costs no branch.
+    #[inline]
+    pub(crate) fn offer(&self, pick: Pick, e: usize, d: i64, aspire_below: i64) -> Pick {
+        pick.offer(e, d, !self.is_tabu(e) | (d < aspire_below))
     }
 
     /// Forbid edge `e` for the next `tenure` steps.
@@ -358,29 +396,22 @@ impl Heuristic for TabuSearch {
         self.best_seen = self.best_seen.min(state.count());
         let n = state.graph().n();
         self.tabu.begin_step(n);
-        let count = state.count() as i64;
-        let best_seen = self.best_seen as i64;
+        // Aspiration: a move that reaches a new global best is always
+        // allowed.
+        let aspire_below = self.best_seen as i64 - state.count() as i64;
         let gains = state.table().gains();
-        let mut best: Option<(usize, usize, i64)> = None;
+        let mut best = Pick::NONE;
         for _ in 0..self.sample {
             let (u, v) = random_edge(n, rng);
             let e = edge_index(n, u, v);
-            let d = gains[e];
-            // Aspiration: a move that reaches a new global best is always
-            // allowed.
-            if self.tabu.is_tabu(e) && count + d >= best_seen {
-                continue;
-            }
-            if best.is_none_or(|(_, _, bd)| d < bd) {
-                best = Some((u, v, d));
-            }
+            best = self.tabu.offer(best, e, gains[e], aspire_below);
         }
         state.charge_scan(self.sample as u64);
-        let Some((u, v, d)) = best else {
+        let Some((u, v, d)) = best.flip(n) else {
             return StepOutcome::Stuck;
         };
         state.apply_flip(u, v);
-        self.tabu.forbid(edge_index(n, u, v), self.tenure);
+        self.tabu.forbid(best.edge, self.tenure);
         StepOutcome::Moved { delta: d }
     }
 }
@@ -416,30 +447,21 @@ impl Default for Steepest {
     }
 }
 
-/// The best flip of `state`: the smallest `(delta, u, v)` over the edges
-/// that are not `excluded` (asked by [`edge_index`]) or whose delta passes
-/// `aspiration`, and the operations spent — one per candidate, the
-/// subtraction each table entry stores.
-fn best_flip(
-    state: &SearchState,
-    excluded: impl Fn(usize) -> bool,
-    aspiration: impl Fn(i64) -> bool,
-) -> (Option<(usize, usize, i64)>, u64) {
+/// The best flip of `state` under `tabu`'s rule (see
+/// [`TenureTable::offer`]): the smallest `(delta, u, v)` over the edges
+/// that are not tabu or whose delta is below `aspire_below`, as a [`Pick`]
+/// that is [`Pick::NONE`] when every edge is excluded, and the operations
+/// spent — one per candidate, the subtraction each table entry stores.
+/// Edges come in lexicographic order, so the first strict minimum is the
+/// smallest `(delta, u, v)`; no candidate branches on its delta.
+fn best_flip(state: &SearchState, tabu: &TenureTable, aspire_below: i64) -> (Pick, u64) {
     let n = state.graph().n();
     let gains = state.table().gains();
-    let mut best: Option<(usize, usize, i64)> = None;
+    let mut best = Pick::NONE;
     for u in 0..n {
         for v in (u + 1)..n {
             let e = edge_index(n, u, v);
-            let d = gains[e];
-            if excluded(e) && !aspiration(d) {
-                continue;
-            }
-            // Edges come in lexicographic order, so a later one wins only
-            // on a strictly smaller delta.
-            if best.is_none_or(|(_, _, bd)| d < bd) {
-                best = Some((u, v, d));
-            }
+            best = tabu.offer(best, e, gains[e], aspire_below);
         }
     }
     (best, (n * n.saturating_sub(1) / 2) as u64)
@@ -457,16 +479,14 @@ impl Heuristic for Steepest {
         self.best_seen = self.best_seen.min(state.count());
         let n = state.graph().n();
         self.tabu.begin_step(n);
-        let tabu = &self.tabu;
-        let count = state.count() as i64;
-        let best_seen = self.best_seen as i64;
-        let (best, ops) = best_flip(state, |e| tabu.is_tabu(e), |d| count + d < best_seen);
+        let aspire_below = self.best_seen as i64 - state.count() as i64;
+        let (best, ops) = best_flip(state, &self.tabu, aspire_below);
         state.charge_scan(ops);
-        let Some((u, v, d)) = best else {
+        let Some((u, v, d)) = best.flip(n) else {
             return StepOutcome::Stuck;
         };
         state.apply_flip_with_delta(u, v, d);
-        self.tabu.forbid(edge_index(n, u, v), self.tenure);
+        self.tabu.forbid(best.edge, self.tenure);
         StepOutcome::Moved { delta: d }
     }
 }
@@ -709,9 +729,12 @@ mod tests {
     fn best_flip_matches_sequential_scan() {
         let mut rng = Xoshiro256::seed_from_u64(3);
         let mut state = SearchState::random(20, 4, &mut rng);
-        let (best, ops) = best_flip(&state, |_| false, |_| false);
-        // Reference scan through the state's charged look-up.
         let n = state.graph().n();
+        // Nothing is tabu, so no candidate needs aspiration.
+        let mut tabu = TenureTable::default();
+        tabu.begin_step(n);
+        let (best, ops) = best_flip(&state, &tabu, i64::MIN);
+        // Reference scan through the state's charged look-up.
         let mut seq_best: Option<(usize, usize, i64)> = None;
         for u in 0..n {
             for v in (u + 1)..n {
@@ -725,7 +748,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(best, seq_best);
+        assert_eq!(best.flip(n), seq_best);
         assert_eq!(ops, (n * (n - 1) / 2) as u64);
     }
 
@@ -757,13 +780,21 @@ mod tests {
         let mut state = SearchState::new(g, 3);
         state.apply_flip(0, 1); // break the pentagon: count > 0
         assert!(state.count() > 0);
+        let mut tabu = TenureTable::default();
+        tabu.begin_step(5);
+        for u in 0..5 {
+            for v in (u + 1)..5 {
+                tabu.forbid(edge_index(5, u, v), 10);
+            }
+        }
         // Exclude everything, no aspiration: stuck.
-        let (none, _) = best_flip(&state, |_| true, |_| false);
-        assert!(none.is_none());
+        let (none, _) = best_flip(&state, &tabu, i64::MIN);
+        assert_eq!(none, Pick::NONE);
+        assert!(none.flip(5).is_none());
         // Exclude everything, aspiration for improving moves: the repair
         // flip qualifies (it returns to count 0 < best seen).
-        let (some, _) = best_flip(&state, |_| true, |d| d < 0);
-        let (u, v, d) = some.expect("aspirating flip found");
+        let (some, _) = best_flip(&state, &tabu, 0);
+        let (u, v, d) = some.flip(5).expect("aspirating flip found");
         assert_eq!((u, v), (0, 1), "the broken edge is the best repair");
         assert!(d < 0);
     }

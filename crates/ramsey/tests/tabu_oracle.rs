@@ -1,17 +1,19 @@
-//! Oracle test for the dense tenure table: the `HashMap` + occasional
-//! `retain` tabu bookkeeping this crate shipped before is kept here as the
-//! reference, and the production `TabuSearch` / `Steepest` must
-//! agree with it move for move — same `StepOutcome`s, same final graph,
-//! same `ops()`, same RNG position. "Close" is not good enough: the move
-//! sequence feeds `WorkResult`s, and those feed every simulated
-//! fingerprint.
+//! Oracle tests for the candidate scans: the `HashMap` + occasional
+//! `retain` tabu bookkeeping this crate shipped before, and the
+//! `Option`-incumbent scans that branched on every candidate, are kept
+//! here as the reference, and the production `TabuSearch` / `Steepest` /
+//! `GreedyLocal` must agree with them move for move — same
+//! `StepOutcome`s, same final graph, same `ops()`, same RNG position.
+//! "Close" is not good enough: the move sequence feeds `WorkResult`s, and
+//! those feed every simulated fingerprint.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use ew_ramsey::{
-    run_search, ColoredGraph, Heuristic, SearchState, Steepest, StepOutcome, TabuSearch,
+    run_search, ColoredGraph, GreedyLocal, Heuristic, SearchState, Steepest, StepOutcome,
+    TabuSearch,
 };
 use ew_sim::Xoshiro256;
 
@@ -84,6 +86,59 @@ impl Heuristic for MapTabu {
             let now = self.step_no;
             self.tabu.retain(|_, &mut until| until > now);
         }
+        StepOutcome::Moved { delta: d }
+    }
+}
+
+/// `GreedyLocal` as it was before its scan selected without branching: an
+/// `Option` incumbent, a match per candidate, and the reservoir tie-break
+/// drawing on every tie.
+struct OptionGreedy {
+    sample: usize,
+    restless: bool,
+}
+
+impl Heuristic for OptionGreedy {
+    fn name(&self) -> &str {
+        "greedy-oracle"
+    }
+
+    fn step(&mut self, state: &mut SearchState, rng: &mut Xoshiro256) -> StepOutcome {
+        if state.is_counter_example() {
+            return StepOutcome::Solved;
+        }
+        let n = state.graph().n();
+        let mut best: Option<((usize, usize), i64)> = None;
+        let mut ties = 0u64;
+        for _ in 0..self.sample {
+            let (u, v) = random_edge(n, rng);
+            // One lookup and one op per candidate, what the production
+            // scan charges in one batch.
+            let d = state.delta(u, v);
+            match &mut best {
+                None => {
+                    best = Some(((u, v), d));
+                    ties = 1;
+                }
+                Some((edge, bd)) => {
+                    if d < *bd {
+                        *edge = (u, v);
+                        *bd = d;
+                        ties = 1;
+                    } else if d == *bd {
+                        ties += 1;
+                        if rng.next_below(ties) == 0 {
+                            *edge = (u, v);
+                        }
+                    }
+                }
+            }
+        }
+        let ((u, v), d) = best.expect("sample >= 1");
+        if d >= 0 && !self.restless {
+            return StepOutcome::Stuck;
+        }
+        state.apply_flip(u, v);
         StepOutcome::Moved { delta: d }
     }
 }
@@ -224,6 +279,23 @@ proptest! {
         assert_lockstep(
             &mut TabuSearch::new(sample, tenure),
             &mut MapTabu::new(sample, tenure),
+            start(n, k, seed),
+            seed,
+            steps,
+        )?;
+    }
+
+    #[test]
+    fn greedy_matches_the_option_oracle(
+        shape in (5usize..25, 3usize..5, 1usize..129),
+        restless in any::<bool>(),
+        steps in 1usize..401,
+        seed in any::<u64>(),
+    ) {
+        let (n, k, sample) = shape;
+        assert_lockstep(
+            &mut GreedyLocal { sample, restless },
+            &mut OptionGreedy { sample, restless },
             start(n, k, seed),
             seed,
             steps,

@@ -179,8 +179,10 @@ cargo test -q --offline -p ew-bench --test public_surface
 # exited 141 (pipefail + `sort | head`) twice in a dozen runs. ~2 min, most
 # of it the debug-info build of `benchmark/`; without `cc` or `addr2line`
 # the script says so and exits 0, and so does this step. The same run
-# checks `--focus`: the frame's share line and its caller and callee tables.
-echo "== tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until exits 0 and prints all tables"
+# checks `--focus`: the frame's share line and its caller and callee tables,
+# and that every self row is named: a frame outside the executable reads as
+# its symbol or object (`malloc`, `libc.so.6`), not as one `??` row.
+echo "== tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until exits 0 and prints all tables, no ?? self row"
 bash -n tests/profile.sh
 profile="$(tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until)" || {
     echo "error: tests/profile.sh exited $?" >&2
@@ -195,6 +197,10 @@ elif ! grep -q '^== top inclusive' <<<"$profile" || ! grep -q '^== top self' <<<
 elif ! grep -q '^== focus Sim::run_until: [1-9][0-9]* samples' <<<"$profile" \
     || ! grep -q '^== focus callers' <<<"$profile" || ! grep -q '^== focus callees' <<<"$profile"; then
     echo "error: tests/profile.sh --focus printed no share line or no caller/callee table:" >&2
+    echo "$profile" >&2
+    exit 1
+elif awk '/^== top self/ { self = 1; next } /^== / { self = 0 } self' <<<"$profile" | grep -q $'\t??$'; then
+    echo "error: tests/profile.sh left a self row unnamed (??):" >&2
     echo "$profile" >&2
     exit 1
 fi

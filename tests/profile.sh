@@ -8,7 +8,9 @@
 #   ./tests/profile.sh <workload> [--seed N] [--seconds S]
 #
 # Builds tests/support/sigprof.c (SIGPROF every 1 ms of CPU time,
-# backtrace() per sample) and `benchmark/` with debug info into a scratch
+# backtrace() per sample, frames outside the executable named by dladdr:
+# an exported symbol such as `malloc`, else the object such as
+# `libc.so.6`) and `benchmark/` with debug info into a scratch
 # directory (set TMPDIR to choose where), runs one `--trace 0` run under the
 # shim, and prints the sample and repetition counts and the top 40
 # functions (samples, samples per repetition, share) by inclusive
@@ -42,7 +44,7 @@ for tool in cc addr2line; do
 done
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-cc -O2 -shared -fPIC -o "$work/sigprof.so" tests/support/sigprof.c
+cc -O2 -shared -fPIC -o "$work/sigprof.so" tests/support/sigprof.c -ldl
 CARGO_PROFILE_RELEASE_DEBUG=true CARGO_TARGET_DIR="$work/target" cargo build --release \
   --offline --quiet --manifest-path benchmark/Cargo.toml
 bin="$work/target/release/benchmark"
@@ -54,8 +56,9 @@ echo "$info"
 reps="$(sed -E 's/.*"reps":([0-9]+).*/\1/' <<<"$info")"
 
 # addr2line -a prints each address, then (function, file:line) pairs:
-# innermost inlined frame first, the enclosing function last.
-tr ' ' '\n' <"$work/stacks" | grep . | sort -u >"$work/addrs"
+# innermost inlined frame first, the enclosing function last. Only the
+# executable's offsets go through it; an `@name` frame is named already.
+tr ' ' '\n' <"$work/stacks" | { grep -E '^[0-9a-f]+$' || true; } | sort -u >"$work/addrs"
 addr2line -a -i -f -C -e "$bin" <"$work/addrs" >"$work/symbols"
 awk -v reps="$reps" -v focus="$focus" '
   # A function path ending in `focus` at a `::` boundary (or equal to it).
@@ -74,6 +77,7 @@ awk -v reps="$reps" -v focus="$focus" '
   pass == 2 { if (odd = !odd) { sub(/::h[0-9a-f]+$/, ""); names[at] = names[at] $0 "\n" } next }
   NF {
     samples++
+    for (f = 1; f <= NF; f++) if (!($f in names) && substr($f, 1, 1) == "@") names[$f] = substr($f, 2) "\n"
     split("", counted)
     # Inclusive shares are taken below the workload entry point: the frames
     # from `benchmark::workloads::*` outward (`_start`, `lang_start`,
@@ -117,7 +121,7 @@ awk -v reps="$reps" -v focus="$focus" '
   }
 ' pass=1 "$work/addrs" pass=2 "$work/symbols" pass=3 "$work/stacks" >"$work/shares"
 samples="$(grep -c . "$work/stacks")"
-echo "$samples samples over $reps repetitions ($((samples / reps)) per repetition), $workload seed $seed (?? = outside the executable)"
+echo "$samples samples over $reps repetitions ($((samples / reps)) per repetition), $workload seed $seed (?? = unresolved)"
 # `awk 'NR <= 40'` reads its whole input; `head -n 40` closes the pipe early
 # and, under pipefail, a `sort` still writing dies of SIGPIPE (exit 141).
 for kind in inclusive self; do

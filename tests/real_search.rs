@@ -25,6 +25,12 @@ const REAL_WITNESS: [u8; 21] = [
     0, 0, 0, 17, 29, 57, 181, 22, 114, 174, 61, 164, 28, 44, 58, 115, 228, 237, 102, 116, 130,
 ];
 
+/// The kernel's byte gauges in the same world. The delta table is an
+/// `n × n` array of `i64`, `8 · 17²` bytes; the workspace value was
+/// captured at the parent of the branch-free candidate scans.
+const REAL_TABLE_BYTES: f64 = (8 * 17 * 17) as f64;
+const REAL_WORKSPACE_BYTES: f64 = 640.0;
+
 /// Two gossips, two schedulers, state and log on a service site, and four
 /// clients executing real R(4) n=17 units on a work site, run for 600
 /// simulated seconds.
@@ -118,6 +124,15 @@ fn real_search_world_matches_golden() {
         got.0
     );
     assert_eq!(stored_witness(&sim, &dep), Some(REAL_WITNESS.to_vec()));
+}
+
+#[test]
+fn real_execution_gauges_hold_the_kernel_sizes() {
+    let (sim, _dep) = real_search_world();
+    let gauges = sim.telemetry().gauges();
+    let gauge = |name: &str| gauges.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+    assert_eq!(gauge("ramsey.table_bytes"), Some(REAL_TABLE_BYTES));
+    assert_eq!(gauge("ramsey.workspace_bytes"), Some(REAL_WORKSPACE_BYTES));
 }
 
 #[test]

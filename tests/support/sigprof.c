@@ -2,15 +2,20 @@
 // 1 ms of CPU time, backtrace() per sample, and at exit one line per sample
 // in $SIGPROF_OUT holding the stack as file offsets into the executable,
 // innermost frame first. Return addresses are written minus 1 so addr2line
-// lands on the call, not on the line after it; a frame outside the
-// executable (libc, this shim) is written as 0.
+// lands on the call, not on the line after it. A frame outside the
+// executable (libc, this shim) is written as `@` and a name: dladdr's
+// exported symbol that holds the pc (`@malloc`), else the basename of the
+// object it lies in (`@libc.so.6`); profile.sh passes these through
+// without addr2line. A pc that no loaded object holds is written as 0.
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <execinfo.h>
 #include <link.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 #include <sys/time.h>
 
 #define MAX_SAMPLES 65536
@@ -42,6 +47,19 @@ static int executable_range(struct dl_phdr_info *info, size_t size, void *data) 
     return 1;
 }
 
+// A frame outside the executable, by name (see the top of this file).
+static void write_foreign(FILE *out, uintptr_t pc) {
+    Dl_info info;
+    if (!dladdr((void *)pc, &info) || !info.dli_fname) {
+        fputs("0 ", out);
+    } else if (info.dli_sname) {
+        fprintf(out, "@%s ", info.dli_sname);
+    } else {
+        const char *base = strrchr(info.dli_fname, '/');
+        fprintf(out, "@%s ", base ? base + 1 : info.dli_fname);
+    }
+}
+
 __attribute__((constructor)) static void start(void) {
     void *warm[4];
     backtrace(warm, 4);  // loads the unwinder now, not inside the handler
@@ -62,7 +80,10 @@ __attribute__((destructor)) static void dump(void) {
     for (int s = 0; s < n; s++) {
         for (int f = SKIP; f < depths[s]; f++) {
             uintptr_t pc = (uintptr_t)stacks[s][f] - (f > SKIP);
-            fprintf(out, "%lx ", pc >= lo && pc < hi ? (unsigned long)(pc - lo) : 0UL);
+            if (pc >= lo && pc < hi)
+                fprintf(out, "%lx ", (unsigned long)(pc - lo));
+            else
+                write_foreign(out, pc);
         }
         fputc('\n', out);
     }

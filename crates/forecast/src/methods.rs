@@ -102,8 +102,9 @@ impl Method {
                 *acc / past.seen as f64
             }
             Method::Mean(w) => {
-                let v = past.recent(w);
-                v.iter().sum::<f64>() / v.len() as f64
+                let (older, newer) = past.recent(w);
+                let sum = older.iter().chain(newer).sum::<f64>();
+                sum / (older.len() + newer.len()) as f64
             }
             Method::Median(w) => {
                 let v = past.sorted(sorted_at, w);
@@ -142,15 +143,16 @@ impl Method {
                         }
                     }
                 }
-                let v = past.recent(*acc as usize);
-                v.iter().rev().sum::<f64>() / v.len() as f64
+                let (older, newer) = past.recent(*acc as usize);
+                let sum = newer.iter().rev().chain(older.iter().rev()).sum::<f64>();
+                sum / (older.len() + newer.len()) as f64
             }
         }
     }
 }
 
 /// What every stream of one battery shares: the methods and the layout of a
-/// stream's block, `[pred n | abs_err n | sq_err n | acc n | ring 2·cap |
+/// stream's block, `[pred n | abs_err n | sq_err n | acc n | ring cap |
 /// sorted windows]`. Offsets count from the start of the ring.
 pub(crate) struct Plan {
     /// Each method with the offset of the sorted window it reads (0 if none).
@@ -172,7 +174,7 @@ impl Plan {
     pub(crate) fn new(methods: Vec<Method>) -> Self {
         let cap = methods.iter().map(Method::width).max();
         let cap = cap.expect("a battery has at least one method");
-        let (mut sorted, mut end) = (Vec::<(usize, usize)>::new(), 2 * cap);
+        let (mut sorted, mut end) = (Vec::<(usize, usize)>::new(), cap);
         let place = |m| {
             let (Method::Median(w) | Method::Trimmed(w, _)) = m else {
                 return (m, 0);
@@ -199,11 +201,12 @@ impl Plan {
 /// in the tail of its block.
 pub(crate) struct Windows<'a> {
     pub(crate) plan: &'a Plan,
-    /// `[ring 2·cap | sorted windows]`. Every value is written to the ring
-    /// at `seen % cap` and `cap` above it, so the last `k` values are always
-    /// one contiguous slice; a sorted window of width `w` holds the last
-    /// `min(w, seen)` values ascending by `f64::total_cmp` — a total order,
-    /// so the outgoing element is always found by binary search.
+    /// `[ring cap | sorted windows]`. Every value is written once, to the
+    /// ring at `seen % cap`, so the last `k` values are at most two slices
+    /// (the older one ending at the ring's end); a sorted window of width
+    /// `w` holds the last `min(w, seen)` values ascending by
+    /// `f64::total_cmp` — a total order, so the outgoing element is always
+    /// found by binary search.
     pub(crate) tail: &'a mut [f64],
     /// Measurements absorbed so far.
     pub(crate) seen: usize,
@@ -223,7 +226,7 @@ impl Windows<'_> {
             let gap = if len < w {
                 len
             } else {
-                let old = self.tail[pos + cap - w];
+                let old = self.tail[(pos + cap - w) % cap];
                 s.partition_point(|x| x.total_cmp(&old).is_lt())
             };
             let s = &mut self.tail[at..at + w];
@@ -236,14 +239,18 @@ impl Windows<'_> {
             }
         }
         self.tail[pos] = v;
-        self.tail[pos + cap] = v;
         self.seen += 1;
     }
 
-    /// The last `min(w, seen)` measurements, oldest first; `w` ≤ `cap`.
-    pub(crate) fn recent(&self, w: usize) -> &[f64] {
-        let end = self.seen % self.plan.cap + self.plan.cap;
-        &self.tail[end - w.min(self.seen)..end]
+    /// The last `min(w, seen)` measurements, oldest first, as two slices:
+    /// the older part up to the ring's end, then the newer from its start
+    /// (either may be empty); `w` ≤ `cap`.
+    pub(crate) fn recent(&self, w: usize) -> (&[f64], &[f64]) {
+        let (cap, n) = (self.plan.cap, w.min(self.seen));
+        let (newer, older) = self.tail[..cap].split_at(self.seen % cap);
+        let from_newer = n.min(newer.len());
+        let older = &older[older.len() - (n - from_newer)..];
+        (older, &newer[newer.len() - from_newer..])
     }
 
     /// The last `min(w, seen)` measurements ascending: the window of width
@@ -381,13 +388,25 @@ mod tests {
             tail: &mut tail,
             seen: 0,
         };
-        assert!(h.recent(7).is_empty() && h.sorted(sorted_at, 4).is_empty());
+        let recent = |h: &Windows<'_>, w| {
+            let (older, newer) = h.recent(w);
+            [older, newer].concat()
+        };
+        assert!(recent(&h, 7).is_empty() && h.sorted(sorted_at, 4).is_empty());
         for i in 1..=17 {
             h.push(i as f64 * if i % 2 == 0 { 1.0 } else { -1.0 });
         }
-        assert_eq!(h.recent(3), [-15.0, 16.0, -17.0]);
-        assert_eq!(h.recent(7), [-11.0, 12.0, -13.0, 14.0, -15.0, 16.0, -17.0]);
+        assert_eq!(recent(&h, 3), [-15.0, 16.0, -17.0]);
+        assert_eq!(
+            recent(&h, 7),
+            [-11.0, 12.0, -13.0, 14.0, -15.0, 16.0, -17.0]
+        );
         assert_eq!(h.sorted(sorted_at, 4), [-17.0, -15.0, 14.0, 16.0]);
+        // 17 values in a ring of 7: the newest three sit at its start, so
+        // the width-7 read is four values up to the ring's end, then three.
+        let (older, newer) = h.recent(7);
+        assert_eq!((older.len(), newer.len()), (4, 3));
+        assert!(h.recent(3).0.is_empty());
     }
 
     #[test]

@@ -123,8 +123,9 @@ fn with_spike(base: Box<dyn LoadTrace>, spike: Option<JudgingSpike>) -> Box<dyn 
     }
 }
 
-/// Build the SC98 pool. `horizon` bounds precomputed traces; `spike`
-/// optionally injects the judging contention window on shared sites.
+/// Build the SC98 pool. `horizon` bounds the load walks and availability
+/// calendars; `spike` optionally injects the judging contention window on
+/// shared sites.
 pub fn build_sc98(seed: u64, horizon: SimDuration, spike: Option<JudgingSpike>) -> Sc98Pool {
     let seeder = StreamSeeder::new(seed ^ 0x5C98);
     let mut net = NetModel::new(0.2);

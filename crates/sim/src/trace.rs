@@ -9,6 +9,8 @@
 //! availability is precomputed as explicit up/down transitions so runs are
 //! deterministic.
 
+use std::cell::RefCell;
+
 use crate::rng::Xoshiro256;
 use crate::time::{SimDuration, SimTime};
 
@@ -55,20 +57,44 @@ impl LoadTrace for SpikeLoad {
     }
 }
 
-/// A mean-reverting random walk (AR(1)), precomputed at a fixed step so the
-/// same trace is returned no matter how it is sampled. Models the "ambient
-/// load conditions" that the NWS forecasters track.
+/// A mean-reverting random walk (AR(1)) at a fixed step, advanced as the
+/// clock reaches it, so the same trace is returned no matter how it is
+/// sampled. Models the "ambient load conditions" that the NWS forecasters
+/// track.
+///
+/// The walk holds only where it stands — its step index, its level and its
+/// generator — not a sample per step: the simulator asks it for the load at
+/// `now`, which never goes back, so each step is drawn once. A query for an
+/// earlier step starts over from step 0 and gets the same value.
 #[derive(Clone, Debug)]
 pub struct RandomWalkLoad {
     step: SimDuration,
-    samples: Vec<f64>,
+    /// The last step with its own value: later queries read this one.
+    last: u64,
+    mean: f64,
+    volatility: f64,
+    persistence: f64,
+    /// Step 0, where a query for an earlier step than `at` starts over.
+    start: WalkAt,
+    at: RefCell<WalkAt>,
+}
+
+/// Where a [`RandomWalkLoad`] stands: step `index`, its unclamped level `x`,
+/// and the generator after that step's draws.
+#[derive(Clone, Debug)]
+struct WalkAt {
+    index: u64,
+    x: f64,
+    rng: Xoshiro256,
 }
 
 impl RandomWalkLoad {
-    /// Precompute a walk of `horizon / step` samples.
+    /// A walk of `horizon / step + 2` steps; a query past the last reads
+    /// the last.
     ///
     /// `mean` is the level the walk reverts to, `volatility` the per-step
     /// innovation scale, and `persistence` in `[0,1)` the AR(1) coefficient.
+    /// The walk draws from its own copy of `rng`, which is left where it was.
     pub fn new(
         rng: &mut Xoshiro256,
         horizon: SimDuration,
@@ -77,21 +103,36 @@ impl RandomWalkLoad {
         volatility: f64,
         persistence: f64,
     ) -> Self {
-        let n = (horizon.as_micros() / step.as_micros().max(1)) as usize + 2;
-        let mut samples = Vec::with_capacity(n);
-        let mut x = mean;
-        for _ in 0..n {
-            samples.push(x.clamp(0.0, 0.999));
-            x = mean + persistence * (x - mean) + volatility * rng.normal();
+        let start = WalkAt {
+            index: 0,
+            x: mean,
+            rng: rng.clone(),
+        };
+        RandomWalkLoad {
+            step,
+            last: horizon.as_micros() / step.as_micros().max(1) + 1,
+            mean,
+            volatility,
+            persistence,
+            at: RefCell::new(start.clone()),
+            start,
         }
-        RandomWalkLoad { step, samples }
     }
 }
 
 impl LoadTrace for RandomWalkLoad {
     fn load(&self, t: SimTime) -> f64 {
-        let i = (t.as_micros() / self.step.as_micros().max(1)) as usize;
-        self.samples[i.min(self.samples.len() - 1)]
+        let i = (t.as_micros() / self.step.as_micros().max(1)).min(self.last);
+        let mut at = self.at.borrow_mut();
+        if i < at.index {
+            *at = self.start.clone();
+        }
+        while at.index < i {
+            let innovation = self.volatility * at.rng.normal();
+            at.x = self.mean + self.persistence * (at.x - self.mean) + innovation;
+            at.index += 1;
+        }
+        at.x.clamp(0.0, 0.999)
     }
 }
 

@@ -3,37 +3,47 @@
 # rule as a script.
 #
 #   ./tests/ab.sh <workload> <parent-rev> [--pairs N] [--seconds S] [--seed-base B]
+#                 [--metric wall_s|setup_s|peak_rss_mib]
 #
 # Unpacks <parent-rev> with `git archive` and builds its `benchmark/` and the
 # working tree's, each into its own target directory under a scratch
 # directory (set TMPDIR to choose where). Then runs N pairs of `--workload W
 # --seed B+i --seconds S --trace 0` (defaults: 10 pairs, 8 s, seeds from
 # 1001), one seed per pair, the side that runs first alternating, and prints
-# each pair's two `wall_s` and their ratio. Exits 1 if the fingerprint,
+# each pair's two readings of the judged metric (`--metric`, default
+# `wall_s`) and their ratio. Exits 1 if the fingerprint,
 # `sim_work_units` or `finished_pct` differ at a seed, or a run failed a check.
 # Ends with each side's medians and quartiles of `wall_s`, `setup_s` and
-# `peak_rss_mib`, how often the change read lower, and the verdict on
-# `wall_s`: "claim met" when the change is faster in at least 90 % of the
-# pairs and the medians differ by more than the parent's inter-quartile
+# `peak_rss_mib`, how often the change read lower, and the verdict on the
+# judged metric: "claim met" when the change reads lower in at least 90 % of
+# the pairs and the medians differ by more than the parent's inter-quartile
 # distance, otherwise "unresolved". The builds take minutes, so
 # `tests/lint.sh` only parses this script.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-usage='usage: tests/ab.sh <workload> <parent-rev> [--pairs N] [--seconds S] [--seed-base B]'
+usage='usage: tests/ab.sh <workload> <parent-rev> [--pairs N] [--seconds S] [--seed-base B] [--metric wall_s|setup_s|peak_rss_mib]'
 workload="${1:?$usage}"
 rev="${2:?$usage}"
 shift 2
-pairs=10 seconds=8 seed_base=1001
+pairs=10 seconds=8 seed_base=1001 metric=wall_s
 while (($#)); do
   case "$1" in
     --pairs) pairs="${2:?--pairs needs a value}" ;;
     --seconds) seconds="${2:?--seconds needs a value}" ;;
     --seed-base) seed_base="${2:?--seed-base needs a value}" ;;
+    --metric) metric="${2:?--metric needs a value}" ;;
     *) echo "ab: unknown option $1" >&2; echo "$usage" >&2; exit 2 ;;
   esac
   shift 2
 done
+# The column of the judged metric among the three that are compared.
+case "$metric" in
+  wall_s) judged=0 ;;
+  setup_s) judged=1 ;;
+  peak_rss_mib) judged=2 ;;
+  *) echo "ab: --metric must be wall_s, setup_s or peak_rss_mib, not $metric" >&2; exit 2 ;;
+esac
 # Every offline build rewrites a stale `benchmark/Cargo.lock`, so the lock
 # file alone does not make the instrument differ.
 git diff --quiet "$rev" -- benchmark BENCHMARK.json ':!benchmark/Cargo.lock' ||
@@ -64,6 +74,7 @@ run() { # side seed
 }
 
 status=0
+echo "judged: $metric"
 printf '%-8s %10s %10s %9s\n' seed parent change ratio
 for ((i = 0; i < pairs; i++)); do
   seed=$((seed_base + i))
@@ -74,8 +85,9 @@ for ((i = 0; i < pairs; i++)); do
   fi
   IFS=$'\t' read -r p_wall p_setup p_rss p_same <<<"$p"
   IFS=$'\t' read -r c_wall c_setup c_rss c_same <<<"$c"
-  echo "$p_wall $c_wall $p_setup $c_setup $p_rss $c_rss" >>"$work/pairs"
-  awk -v s="$seed" -v a="$p_wall" -v b="$c_wall" \
+  vals=("$p_wall" "$c_wall" "$p_setup" "$c_setup" "$p_rss" "$c_rss")
+  echo "${vals[*]}" >>"$work/pairs"
+  awk -v s="$seed" -v a="${vals[2 * judged]}" -v b="${vals[2 * judged + 1]}" \
     'BEGIN { printf "%-8s %10.4f %10.4f %+8.1f %%\n", s, a, b, 100 * (b / a - 1) }'
   if [[ "$p_same" != "$c_same" ]]; then
     printf 'ab: seed %s differs (fingerprint, work, finished %%, failed):\n  parent %s\n  change %s\n' \
@@ -86,7 +98,7 @@ for ((i = 0; i < pairs; i++)); do
     status=1
   fi
 done
-awk '
+awk -v judged="$judged" '
   function sort(a, n,   i, j, t) {
     for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
   }
@@ -103,9 +115,9 @@ awk '
       printf "%-12s parent %.5g (q1 %.5g, q3 %.5g), change %.5g (q1 %.5g, q3 %.5g): %+.1f %% on the medians, change lower in %d/%d\n",
         name[m + 1], q(a, n, 0.5), q(a, n, 0.25), q(a, n, 0.75), q(b, n, 0.5), q(b, n, 0.25), q(b, n, 0.75),
         100 * (q(b, n, 0.5) / q(a, n, 0.5) - 1), lower[m], n
-      if (m == 0) { gap = q(a, n, 0.5) - q(b, n, 0.5); iqr = q(a, n, 0.75) - q(a, n, 0.25) }
+      if (m == judged) { gap = q(a, n, 0.5) - q(b, n, 0.5); iqr = q(a, n, 0.75) - q(a, n, 0.25) }
     }
-    printf "wall_s median gap %.4f s, parent quartile distance %.4f s\n", gap, iqr
-    print "verdict: " (lower[0] >= 0.9 * n && gap > iqr ? "claim met" : "unresolved")
+    printf "%s median gap %.4g, parent quartile distance %.4g\n", name[judged + 1], gap, iqr
+    print "verdict on " name[judged + 1] ": " (lower[judged] >= 0.9 * n && gap > iqr ? "claim met" : "unresolved")
   }' "$work/pairs"
 exit "$status"

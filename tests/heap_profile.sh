@@ -3,8 +3,8 @@
 # per-holder instrument behind `peak_rss_mib` (DESIGN "Telemetry memory"),
 # beside tests/profile.sh and built the same way. Needs `cc` and
 # `addr2line`; with either missing it says so and exits 0. `tests/lint.sh`
-# runs it on `bulk_flow` for one second and checks the exit status and both
-# tables.
+# runs it on `bulk_flow` for one second and checks the exit status and all
+# three tables.
 #
 #   ./tests/heap_profile.sh <workload> [--seed N] [--seconds S]
 #
@@ -12,8 +12,10 @@
 # realloc and free that sizes blocks with malloc_usable_size) and
 # `benchmark/` with debug info into a scratch directory (set TMPDIR to
 # choose where), runs one `--trace 0` run under the shim, and prints the
-# peak live heap, the live bytes by block size at the peak, and the call
-# sites of blocks of 1 MiB or more, inlined frames resolved.
+# peak live heap, the live bytes by block size at the peak, and for blocks
+# of 4 KiB or more the 20 call sites (the innermost frame outside the
+# allocator, so every stack through one function is one row) and the 40
+# stacks that held most at the peak, inlined frames resolved.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,17 +63,21 @@ awk '
   $1 == "table" { table = $2; next }
   $1 == "class" { classes[++n_classes] = $0; next }
   $1 == "site" {
-    # The call site: the first few frames outside the allocator plumbing.
+    # The call site: the first few frames outside the allocator plumbing
+    # (`hashbrown` is the table inside a std `HashMap`).
     site = ""; shown = 0
     for (f = 5; f <= NF && shown < 4; f++) {
       k = $f; sub(/^0*/, "", k)
       inlined = split(names[k], name, "\n") - 1
       for (j = 1; j <= inlined && shown < 4; j++) {
-        if (name[j] ~ /^(<?(alloc|core|std)::|__rust|__rdl|__rg_|\?\?)/) continue
+        if (name[j] ~ /^(<?(alloc|core|std|hashbrown)::|__rust|__rdl|__rg_|\?\?)/) continue
         site = site (shown++ ? " < " : "") name[j]
       }
     }
-    sites[++n_sites] = sprintf("%d\t%d\t%d\t%s\t%s\t%s", $4, $3, $2, size($3), size($4), site == "" ? "??" : site)
+    if (site == "") site = "??"
+    sites[++n_sites] = sprintf("%d\t%d\t%d\t%s\t%s\t%s", $4, $3, $2, size($3), size($4), site)
+    caller = site; sub(/ < .*/, "", caller)
+    caller_live[caller] += $4; caller_stacks[caller]++
   }
   END {
     printf "peak live heap %s (%d B); tables taken at %s, within 64 KiB of it\n", size(peak), peak, size(table)
@@ -80,11 +86,20 @@ awk '
       split(classes[i], c, " ")
       printf "[%s, %s)\t%d\t%d\t%.1f %%\n", size(2 ^ c[2]), size(2 ^ (c[2] + 1)), c[3], c[4], 100 * c[4] / table
     }
-    print "== allocation sites of 1 MiB or more: allocations, largest, live at the peak, call site"
+    # `awk NR <= k` reads all its input; `head` would close the pipe early
+    # and a `sort` still writing would die of SIGPIPE.
+    print "== live bytes at the peak by call site (blocks of 4 KiB or more): live, share, stacks, call site"
+    if (!n_sites) print "(none)"
+    fflush()
+    by_live = "sort -t \"\t\" -k1,1nr | awk \"NR <= 20\" | cut -f2-"
+    for (who in caller_live)
+      printf "%d\t%s\t%.1f %%\t%d\t%s\n", caller_live[who], size(caller_live[who]), 100 * caller_live[who] / table, caller_stacks[who], who | by_live
+    close(by_live)
+    print "== allocation stacks of 4 KiB or more: allocations, largest, live at the peak, call site"
     if (!n_sites) print "(none)"
     # Largest holders at the peak first, then the largest blocks.
     fflush()
-    by_live = "sort -t \"\t\" -k1,1nr -k2,2nr | cut -f3-"
+    by_live = "sort -t \"\t\" -k1,1nr -k2,2nr | awk \"NR <= 40\" | cut -f3-"
     for (i = 1; i <= n_sites; i++) print sites[i] | by_live
     close(by_live)
   }

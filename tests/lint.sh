@@ -179,12 +179,14 @@ cargo test -q --offline -p ew-bench --test public_surface
 # exited 141 (pipefail + `sort | head`) twice in a dozen runs. ~2 min, most
 # of it the debug-info build of `benchmark/`; without `cc` or `addr2line`
 # the script says so and exits 0, and so does this step. The same run
-# checks `--focus`: the frame's share line and its caller and callee tables,
-# and that every self row is named: a frame outside the executable reads as
-# its symbol or object (`malloc`, `libc.so.6`), not as one `??` row.
-echo "== tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until exits 0 and prints all tables, no ?? self row"
+# checks `--focus` on a generic frame named without its generic arguments
+# (`core::option::Option<T>::map_or`, ~13 % of `bulk_flow`): the frame's
+# share line and its caller and callee tables, and that every self row is
+# named: a frame outside the executable reads as its symbol or object
+# (`malloc`, `libc.so.6`), not as one `??` row.
+echo "== tests/profile.sh bulk_flow --seconds 1 --focus Option::map_or exits 0 and prints all tables, no ?? self row"
 bash -n tests/profile.sh
-profile="$(tests/profile.sh bulk_flow --seconds 1 --focus Sim::run_until)" || {
+profile="$(tests/profile.sh bulk_flow --seconds 1 --focus Option::map_or)" || {
     echo "error: tests/profile.sh exited $?" >&2
     exit 1
 }
@@ -194,7 +196,7 @@ elif ! grep -q '^== top inclusive' <<<"$profile" || ! grep -q '^== top self' <<<
     echo "error: tests/profile.sh printed no inclusive or no self table:" >&2
     echo "$profile" >&2
     exit 1
-elif ! grep -q '^== focus Sim::run_until: [1-9][0-9]* samples' <<<"$profile" \
+elif ! grep -q '^== focus Option::map_or: [1-9][0-9]* samples' <<<"$profile" \
     || ! grep -q '^== focus callers' <<<"$profile" || ! grep -q '^== focus callees' <<<"$profile"; then
     echo "error: tests/profile.sh --focus printed no share line or no caller/callee table:" >&2
     echo "$profile" >&2
@@ -206,7 +208,7 @@ elif awk '/^== top self/ { self = 1; next } /^== / { self = 0 } self' <<<"$profi
 fi
 
 # The heap profiler likewise: ~2 min more for its own debug-info build.
-echo "== tests/heap_profile.sh bulk_flow --seconds 1 exits 0 and prints both tables"
+echo "== tests/heap_profile.sh bulk_flow --seconds 1 exits 0 and prints all three tables"
 bash -n tests/heap_profile.sh
 heap="$(tests/heap_profile.sh bulk_flow --seconds 1)" || {
     echo "error: tests/heap_profile.sh exited $?" >&2
@@ -215,8 +217,9 @@ heap="$(tests/heap_profile.sh bulk_flow --seconds 1)" || {
 if grep -q '^heap_profile: no .* on this box' <<<"$heap"; then
     echo "$heap"
 elif ! grep -q '^== live bytes by block size' <<<"$heap" \
-    || ! grep -q '^== allocation sites of 1 MiB or more' <<<"$heap"; then
-    echo "error: tests/heap_profile.sh printed no size table or no site table:" >&2
+    || ! grep -q '^== live bytes at the peak by call site' <<<"$heap" \
+    || ! grep -q '^== allocation stacks of 4 KiB or more' <<<"$heap"; then
+    echo "error: tests/heap_profile.sh printed no size, call-site or stack table:" >&2
     echo "$heap" >&2
     exit 1
 fi

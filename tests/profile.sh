@@ -22,8 +22,10 @@
 # also prints FRAME's inclusive share and how its samples split among its
 # nearest named callers and among its callees ("(self)" when FRAME itself
 # was running). FRAME names a function by a `::`-separated suffix of its
-# path, e.g. `Sim::run_until` (a trait method `<T as Trait>::f` answers to
-# `T::f`); every function with that suffix counts.
+# path, e.g. `Sim::run_until`; generic arguments are dropped before the
+# test (`EventQueue<T>::pop_run_upto` answers to `EventQueue::pop_run_upto`)
+# and a trait method `<T as Trait>::f` answers to `T::f`; every function
+# with that suffix counts.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -65,12 +67,25 @@ awk -v reps="$reps" -v focus="$focus" '
   function ends_in_focus(n) {
     return n == focus || substr(n, length(n) - length(focus) - 1) == "::" focus
   }
-  # A trait method `<T as Trait>::f` also answers to `T::f`.
-  function is_focus(n,    plain) {
-    plain = n
-    if (match(n, /^<[^ <>]+ as [^<>]+>::/))
-      plain = substr(n, 2, index(n, " as ") - 2) "::" substr(n, RLENGTH + 1)
-    return ends_in_focus(n) || ends_in_focus(plain)
+  # The path without generic arguments: innermost `<...>` groups go until
+  # none is left, except a `<T as Trait>` group, which is kept.
+  function strip_generics(n,    g) {
+    while (match(n, /<[^<>]*>/)) {
+      g = substr(n, RSTART, RLENGTH)
+      g = index(g, " as ") ? "\001" substr(g, 2, RLENGTH - 2) "\002" : ""
+      n = substr(n, 1, RSTART - 1) g substr(n, RSTART + RLENGTH)
+    }
+    gsub(/\001/, "<", n); gsub(/\002/, ">", n)
+    return n
+  }
+  # A generic `T<A>::f` also answers to `T::f`, and a trait method
+  # `<T as Trait>::f` to `T::f`. Memoised: it runs for every frame.
+  function is_focus(n,    bare, plain) {
+    if (n in focus_memo) return focus_memo[n]
+    bare = plain = strip_generics(n)
+    if (match(bare, /^<[^ <>]+ as [^<>]+>::/))
+      plain = substr(bare, 2, index(bare, " as ") - 2) "::" substr(bare, RLENGTH + 1)
+    return focus_memo[n] = ends_in_focus(n) || ends_in_focus(bare) || ends_in_focus(plain)
   }
   pass == 1 { addr[++known] = $0; next }
   pass == 2 && /^0x[0-9a-f]+$/ { at = addr[++seen_addrs]; odd = 0; next }

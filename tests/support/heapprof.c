@@ -3,13 +3,13 @@
 // aligned allocators, so that every block freed was counted when it was
 // allocated), sizes each block with malloc_usable_size, and keeps the live
 // total, live blocks and bytes per power-of-two size class, and, for every
-// block of 1 MiB or more, the call stack that allocated it. At exit it
+// block of 4 KiB or more, the call stack that allocated it. At exit it
 // writes $HEAPPROF_OUT:
 //   peak <bytes>                    highest live total seen
 //   table <bytes>                   live total when the tables below were taken
 //   class <k> <blocks> <bytes>      live blocks of usable size [2^k, 2^(k+1))
 //   site <allocs> <largest> <live> <offsets...>
-//                                   one call stack of >= 1 MiB blocks: how
+//                                   one call stack of >= 4 KiB blocks: how
 //                                   many, the largest, bytes live at the table
 // Stacks are written as in sigprof.c: file offsets into the executable,
 // innermost frame first, return addresses minus 1, 0 for a frame outside
@@ -30,9 +30,9 @@ extern void *__libc_realloc(void *, size_t);
 extern void __libc_free(void *);
 extern void *__libc_memalign(size_t, size_t);
 
-#define BIG (1u << 20)
+#define BIG (4u << 10)
 #define CLASSES 64
-#define SITES 256
+#define SITES 1024
 #define LIVE_BIG 4096
 #define DEPTH 40
 // The tables are re-taken once the peak has grown this much past the last

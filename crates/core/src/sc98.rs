@@ -88,6 +88,9 @@ pub struct Sc98Report {
     pub cov_per_infra: BTreeMap<String, f64>,
     /// Selected raw counters (poll time-outs, failovers, migrations, …).
     pub counters: BTreeMap<String, f64>,
+    /// Each pool scheduler's unit tallies at the horizon, in deployment
+    /// order (the `sched.*` counters sum them).
+    pub units: Vec<UnitCounts>,
     /// Every metric, grouped by subsystem (`figures -- health`).
     pub health: Vec<SubsystemHealth>,
     /// Span-trace JSONL, when [`Sc98Config::trace_capacity`] was set.
@@ -283,6 +286,7 @@ pub fn run_sc98(cfg: &Sc98Config) -> Sc98Report {
         cov_total,
         cov_per_infra,
         counters,
+        units,
         health,
         trace_jsonl,
         event_order_hash,

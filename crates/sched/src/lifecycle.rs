@@ -9,17 +9,53 @@ use ew_workload::{WorkResult, WorkUnit, Workload};
 /// Reports with no objective improvement before a switch directive.
 const STALL_REPORTS: u32 = 3;
 
-/// A held unit's state.
-enum UnitState {
-    /// A client holds it: `last_best` is the lowest objective reported,
-    /// `stalls` the reports since it last fell.
-    Executing { last_best: u64, stalls: u32 },
-    /// Its slow holder was told to abandon it; the entry holds the remade
-    /// unit until a grant hands it out again.
-    Migrating,
+/// A held unit: the identity fields `report` hands back (the payload is
+/// not kept: a report carries the holder's resume state, and a remade unit
+/// takes that carry), the stall state of an executing unit, and its phase,
+/// `Executing` or `Migrating`. A migrating unit itself, payload included,
+/// waits in the queue.
+struct Held {
+    seed: u64,
+    step_budget: u64,
+    /// The lowest objective reported while executing.
+    last_best: u64,
+    arg0: u32,
+    arg1: u32,
+    /// Reports since `last_best` last fell.
+    stalls: u32,
+    variant: u8,
+    phase: Phase,
 }
 
-/// Where a unit id stands: a held state, or one of the two ends no entry
+impl Held {
+    fn new(unit: &WorkUnit, phase: Phase) -> Self {
+        Held {
+            seed: unit.seed,
+            step_budget: unit.step_budget,
+            last_best: u64::MAX,
+            arg0: unit.arg0,
+            arg1: unit.arg1,
+            stalls: 0,
+            variant: unit.variant,
+            phase,
+        }
+    }
+
+    /// The unit with id `id`, without a payload.
+    fn unit(&self, id: u64) -> WorkUnit {
+        WorkUnit {
+            id,
+            arg0: self.arg0,
+            arg1: self.arg1,
+            variant: self.variant,
+            seed: self.seed,
+            step_budget: self.step_budget,
+            payload: Vec::new(),
+        }
+    }
+}
+
+/// Where a unit id stands: a held phase, or one of the two ends no entry
 /// stands for. Ids count from 1, so an id at or below `issued` without an
 /// entry is `Gone`, and any other is `Absent`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +73,15 @@ const EDGES: [(Phase, Phase); 4] = [
     (Phase::Executing, Phase::Migrating),
     (Phase::Executing, Phase::Gone),
 ];
+
+/// Where `step` moves a unit.
+enum To {
+    /// Granted: a held entry for it.
+    Executing(Held),
+    /// Migrated: the remade unit waits in the queue.
+    Migrating(WorkUnit),
+    Gone,
+}
 
 /// A scheduler's unit tallies.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,14 +104,18 @@ pub struct UnitCounts {
     /// table, not because of `EDGES`: it grants only a new or the queued
     /// unit, and migrates only a unit `report` found executing.
     pub illegal: u64,
+    /// Units held now, executing or migrating. A unit issued here is
+    /// completed or held, and an unmatched RESULT completes nothing, so
+    /// `issued + illegal == results + held` always.
+    pub held: u64,
 }
 
 /// Every unit a scheduler has issued and not yet seen finish.
 #[derive(Default)]
 pub(crate) struct UnitTable {
-    held: FxHashMap<u64, (WorkUnit, UnitState)>,
-    /// Migrating ids, most recent last: the next grant takes the last.
-    queue: Vec<u64>,
+    held: FxHashMap<u64, Held>,
+    /// Migrated units, most recent last: the next grant takes the last.
+    queue: Vec<WorkUnit>,
     counts: UnitCounts,
 }
 
@@ -82,22 +131,19 @@ impl UnitTable {
 
     /// The unit the next grant hands out again: the last one migrated.
     pub(crate) fn queued(&self) -> Option<&WorkUnit> {
-        self.queue.last().map(|id| &self.held[id].0)
+        self.queue.last()
     }
 
     /// GET_WORK: `unit` executes — issued if new, regranted if queued.
-    pub(crate) fn grant(&mut self, unit: WorkUnit) {
-        let fresh = UnitState::Executing {
-            last_best: u64::MAX,
-            stalls: 0,
-        };
-        self.step(unit.id, Some((unit, fresh)));
+    pub(crate) fn grant(&mut self, unit: &WorkUnit) {
+        self.step(unit.id, To::Executing(Held::new(unit, Phase::Executing)));
     }
 
-    /// REPORT: the unit if it executes here, else `None` (an unknown report).
-    pub(crate) fn report(&mut self, id: u64) -> Option<&WorkUnit> {
+    /// REPORT: the unit, without its payload, if it executes here, else
+    /// `None` (an unknown report).
+    pub(crate) fn report(&mut self, id: u64) -> Option<WorkUnit> {
         let unit = match self.held.get(&id) {
-            Some((unit, UnitState::Executing { .. })) => Some(unit),
+            Some(held) if held.phase == Phase::Executing => Some(held.unit(id)),
             _ => None,
         };
         self.counts.unknown_reports += u64::from(unit.is_none());
@@ -109,56 +155,54 @@ impl UnitTable {
     /// in a row switches the unit to the workload's next variant, if it has
     /// one. Returns the variant and whether it changed.
     pub(crate) fn stall(&mut self, id: u64, best: u64, workload: &dyn Workload) -> (u8, bool) {
-        let Some((unit, UnitState::Executing { last_best, stalls })) = self.held.get_mut(&id)
-        else {
-            unreachable!("unit {id} was reported executing");
+        let held = match self.held.get_mut(&id) {
+            Some(held) if held.phase == Phase::Executing => held,
+            _ => unreachable!("unit {id} was reported executing"),
         };
-        if best < *last_best {
-            (*last_best, *stalls) = (best, 0);
-        } else if *stalls + 1 < STALL_REPORTS {
-            *stalls += 1;
-        } else if let Some(variant) = workload.next_variant(unit.variant) {
-            (unit.variant, *stalls) = (variant, 0);
+        if best < held.last_best {
+            (held.last_best, held.stalls) = (best, 0);
+        } else if held.stalls + 1 < STALL_REPORTS {
+            held.stalls += 1;
+        } else if let Some(variant) = workload.next_variant(held.variant) {
+            (held.variant, held.stalls) = (variant, 0);
             self.counts.switches += 1;
             return (variant, true);
         } else {
-            *stalls = 0;
+            held.stalls = 0;
         }
-        (unit.variant, false)
+        (held.variant, false)
     }
 
     /// Migration: `remade` waits for the next grant.
     pub(crate) fn migrate(&mut self, remade: WorkUnit) {
-        self.step(remade.id, Some((remade, UnitState::Migrating)));
+        self.step(remade.id, To::Migrating(remade));
     }
 
     /// RESULT: completes the unit if it executes here, and says so.
     pub(crate) fn result(&mut self, result: &WorkResult) -> bool {
         self.counts.results += 1;
         self.counts.artifacts += u64::from(!result.artifact.is_empty());
-        self.step(result.unit_id, None)
+        self.step(result.unit_id, To::Gone)
     }
 
     fn phase(&self, id: u64) -> Phase {
         match self.held.get(&id) {
-            Some((_, UnitState::Executing { .. })) => Phase::Executing,
-            Some((_, UnitState::Migrating)) => Phase::Migrating,
+            Some(held) => held.phase,
             None if id <= self.counts.issued => Phase::Gone,
             None => Phase::Absent,
         }
     }
 
-    /// The one writer of unit state: moves unit `id` to `to` (`None` is
-    /// gone) and counts the edge if it is legal; otherwise counts it in
-    /// `illegal` and changes nothing. The callers make grant and migrate
-    /// legal by construction, so in a running scheduler the check refuses
-    /// only RESULTs.
-    fn step(&mut self, id: u64, to: Option<(WorkUnit, UnitState)>) -> bool {
+    /// The one writer of unit state: moves unit `id` to `to` and counts the
+    /// edge if it is legal; otherwise counts it in `illegal` and changes
+    /// nothing. The callers make grant and migrate legal by construction,
+    /// so in a running scheduler the check refuses only RESULTs.
+    fn step(&mut self, id: u64, to: To) -> bool {
         let from = self.phase(id);
         let target = match &to {
-            None => Phase::Gone,
-            Some((_, UnitState::Executing { .. })) => Phase::Executing,
-            Some((_, UnitState::Migrating)) => Phase::Migrating,
+            To::Executing(_) => Phase::Executing,
+            To::Migrating(_) => Phase::Migrating,
+            To::Gone => Phase::Gone,
         };
         if !EDGES.contains(&(from, target)) {
             self.counts.illegal += 1;
@@ -169,22 +213,22 @@ impl UnitTable {
             (Phase::Migrating, _) => {
                 // A regrant always hands out `queued()`, the last migrated.
                 let popped = self.queue.pop();
-                debug_assert_eq!(popped, Some(id));
+                debug_assert_eq!(popped.map(|u| u.id), Some(id));
             }
-            (_, Phase::Migrating) => {
-                self.counts.migrations += 1;
-                self.queue.push(id);
-            }
+            (_, Phase::Migrating) => self.counts.migrations += 1,
             _ => {}
         }
         match to {
-            Some(entry) => drop(self.held.insert(id, entry)),
-            None => drop(self.held.remove(&id)),
+            To::Executing(held) => drop(self.held.insert(id, held)),
+            To::Migrating(unit) => {
+                self.held.insert(id, Held::new(&unit, Phase::Migrating));
+                self.queue.push(unit);
+            }
+            To::Gone => drop(self.held.remove(&id)),
         }
-        // issued == (results - illegal) + executing + migrating: a unit issued
-        // here is completed or held, and an unmatched RESULT completes nothing.
+        self.counts.held = self.held.len() as u64;
         let c = &self.counts;
-        debug_assert_eq!(c.issued + c.illegal, c.results + self.held.len() as u64);
+        debug_assert_eq!(c.issued + c.illegal, c.results + c.held);
         true
     }
 
@@ -214,7 +258,7 @@ mod tests {
     fn move_to(t: &mut UnitTable, to: Phase) {
         match to {
             Phase::Absent => {}
-            Phase::Executing => t.grant(unit(1)),
+            Phase::Executing => t.grant(&unit(1)),
             Phase::Migrating => t.migrate(unit(1)),
             Phase::Gone => drop(t.result(&WorkResult {
                 unit_id: 1,
@@ -254,16 +298,50 @@ mod tests {
     #[test]
     fn migrated_units_are_regranted_last_in_first_out() {
         let mut t = UnitTable::default();
-        (1..=3).for_each(|id| t.grant(unit(id)));
-        t.migrate(unit(1));
-        t.migrate(unit(3));
+        (1..=3).for_each(|id| t.grant(&unit(id)));
+        for id in [1, 3] {
+            let remade = t.report(id).expect("executing");
+            t.migrate(WorkUnit {
+                payload: vec![id as u8; 4],
+                ..remade
+            });
+        }
         assert_eq!((t.executing(), t.migrating()), (1, 2));
         for id in [3, 1] {
             let next = t.queued().cloned().expect("a queued unit");
-            assert_eq!(next.id, id);
-            t.grant(next);
+            assert_eq!((next.id, &next.payload), (id, &vec![id as u8; 4]));
+            t.grant(&next);
         }
         assert_eq!((t.counts.issued, t.counts.migrations), (3, 2));
         assert_eq!((t.executing(), t.migrating()), (3, 0));
+    }
+
+    #[test]
+    fn a_held_entry_is_flat_and_keeps_no_payload() {
+        // One hash-map bucket is the key and the entry, and an entry with
+        // no drop glue owns no heap bytes.
+        assert!(std::mem::size_of::<(u64, Held)>() <= 56);
+        assert!(!std::mem::needs_drop::<Held>());
+        let mut t = UnitTable::default();
+        let unit = WorkUnit {
+            id: 1,
+            arg0: 4,
+            arg1: 17,
+            variant: 1,
+            seed: 9,
+            step_budget: 5_000,
+            payload: vec![7; 1024],
+        };
+        t.grant(&unit);
+        let reported = t.report(1).expect("executing");
+        assert_eq!(reported.payload, Vec::<u8>::new());
+        assert_eq!(
+            WorkUnit {
+                payload: unit.payload.clone(),
+                ..reported
+            },
+            unit
+        );
+        assert_eq!(t.counts().held, 1);
     }
 }

@@ -240,7 +240,7 @@ impl SchedulerServer {
         if self.workload.rate_scaled_budgets() {
             unit.step_budget = budget;
         }
-        self.units.grant(unit.clone());
+        self.units.grant(&unit);
         Some(unit)
     }
 
@@ -320,7 +320,7 @@ impl SchedulerServer {
         if migrate {
             let remade =
                 self.workload
-                    .remake(unit, unit.variant, report.carry, self.cfg.step_budget);
+                    .remake(&unit, unit.variant, report.carry, self.cfg.step_budget);
             self.units.migrate(remade);
             return Directive {
                 kind: DirectiveKind::Abandon.wire_id(),

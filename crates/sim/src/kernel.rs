@@ -88,12 +88,19 @@ enum Entry {
 }
 
 /// One row of the process table. A process's id is its index, and ids are
-/// never reused. The handler is out of its slot only while it handles an
-/// event; a process that dies loses it for good.
+/// never reused. A process that dies keeps only its host and its flag: the
+/// death (host down, `Ctx::exit`, or a host that is down when `Started`
+/// comes due) drops its `live` state for good.
 struct Slot {
-    name: String,
     host: HostId,
     alive: bool,
+    live: Option<Box<Live>>,
+}
+
+/// What only a live process reads. The handler is out of it only while it
+/// handles an event.
+struct Live {
+    name: String,
     rng: Xoshiro256,
     handler: Option<Box<dyn Process>>,
 }
@@ -455,12 +462,18 @@ impl<'a> Ctx<'a> {
 
     /// This process's registered name.
     pub fn name(&self) -> &str {
-        &self.sim.procs[self.me.0 as usize].name
+        &self.live().name
     }
 
     /// This process's deterministic random stream.
     pub fn rng(&mut self) -> &mut Xoshiro256 {
-        &mut self.sim.procs[self.me.0 as usize].rng
+        let live = self.sim.procs[self.me.0 as usize].live.as_deref_mut();
+        &mut live.expect("a handling process is live").rng
+    }
+
+    fn live(&self) -> &Live {
+        let live = self.sim.procs[self.me.0 as usize].live.as_deref();
+        live.expect("a handling process is live")
     }
 
     /// Deliver `Event::Timer { tag }` to this process after `after`.
@@ -608,8 +621,9 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Terminate this process now: the current handler runs to its end,
-    /// and nothing is delivered to the process after it.
+    /// Terminate this process now: the current handler runs to its end
+    /// (its name and rng still readable), the process's state is dropped
+    /// when it returns, and nothing is delivered to the process after it.
     pub fn exit(&mut self) {
         let slot = &mut self.sim.procs[self.me.0 as usize];
         if slot.alive {
@@ -768,11 +782,13 @@ impl Sim {
     pub fn spawn(&mut self, name: &str, host: HostId, p: Box<dyn Process>) -> ProcessId {
         let pid = ProcessId(self.procs.len() as u32);
         self.procs.push(Slot {
-            name: name.to_string(),
             host,
             alive: true,
-            rng: self.seeder.stream(0x5eed_0000_0000_0000 ^ pid.0 as u64),
-            handler: Some(p),
+            live: Some(Box::new(Live {
+                name: name.to_string(),
+                rng: self.seeder.stream(0x5eed_0000_0000_0000 ^ pid.0 as u64),
+                handler: Some(p),
+            })),
         });
         self.push(self.now, Entry::Deliver(pid, Event::Started));
         pid
@@ -836,7 +852,8 @@ impl Sim {
         pid: ProcessId,
         f: impl FnOnce(&T) -> R,
     ) -> Option<R> {
-        let b = self.procs.get(pid.0 as usize)?.handler.as_ref()?;
+        let live = self.procs.get(pid.0 as usize)?.live.as_deref()?;
+        let b = live.handler.as_ref()?;
         let any: &dyn Any = b.as_ref();
         any.downcast_ref::<T>().map(f)
     }
@@ -879,7 +896,7 @@ impl Sim {
             for slot in &mut self.procs {
                 if slot.alive && slot.host == host {
                     slot.alive = false;
-                    slot.handler = None;
+                    slot.live = None;
                     self.metrics.reg.inc(self.tele.killed_by_host_down);
                 }
             }
@@ -898,13 +915,20 @@ impl Sim {
     /// `kernel.dispatch` mark before the handler runs (so every mark the
     /// handler makes follows it), take-run-restore of its handler. Used by
     /// `Entry::Deliver` and by flow completions.
+    ///
+    /// A live process on a down host was spawned there (a host going down
+    /// kills its processes), and its `Started` is the first event it can
+    /// be due: such a process never runs, so the gate kills it.
     fn deliver(&mut self, pid: ProcessId, ev: Event) {
         let slot = &mut self.procs[pid.0 as usize];
         if !(slot.alive && self.host_up[slot.host.0 as usize]) {
+            slot.alive = false;
+            slot.live = None;
             self.metrics.reg.inc(self.tele.dropped_dead_dest);
             return;
         }
-        let mut p = slot
+        let live = slot.live.as_mut().expect("an alive process is live");
+        let mut p = live
             .handler
             .take()
             .expect("a live process holds its handler");
@@ -913,10 +937,11 @@ impl Sim {
         let (t_us, span) = (self.now.as_micros(), self.tele.dispatch_span);
         self.metrics.reg.mark(t_us, span, pid.0 as u64, tag);
         p.on_event(&mut Ctx { sim: self, me: pid }, ev);
-        // A process that exited while handling the event loses its handler.
+        // A process that exited while handling the event loses its state.
         let slot = &mut self.procs[pid.0 as usize];
-        if slot.alive {
-            slot.handler = Some(p);
+        match &mut slot.live {
+            Some(live) if slot.alive => live.handler = Some(p),
+            live => *live = None,
         }
     }
 
@@ -1370,6 +1395,61 @@ mod tests {
             "message sent at t=6 to host down since t=5 is lost"
         );
         assert!(sim.metrics().counter("events.dropped_dead_dest") >= 1.0);
+    }
+
+    struct NeverRuns;
+    impl Process for NeverRuns {
+        fn on_event(&mut self, _: &mut Ctx<'_>, ev: Event) {
+            panic!("a process spawned on a down host got {ev:?}");
+        }
+    }
+
+    struct PingAt {
+        peer: ProcessId,
+        at: SimDuration,
+    }
+    impl Process for PingAt {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            match ev {
+                Event::Started => ctx.set_timer(self.at, 0),
+                Event::Timer { .. } => ctx.send(self.peer, 10, b"up now".to_vec()),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_process_on_a_host_that_starts_down_never_runs() {
+        let mut net = NetModel::new(0.0);
+        let s = net.add_site(SiteSpec::simple(
+            "s",
+            SimDuration::from_millis(10),
+            1.25e6,
+            0.0,
+        ));
+        let mut hosts = HostTable::new();
+        let stable = hosts.add(HostSpec::dedicated("stable", s, 1e6));
+        let mut late = HostSpec::dedicated("late", s, 1e6);
+        late.availability = AvailabilitySchedule {
+            transitions: vec![(SimTime::ZERO, false), (SimTime::from_secs(2), true)],
+        };
+        let late = hosts.add(late);
+        let mut sim = Sim::new(net, hosts, 7);
+        let ghost = sim.spawn("ghost", late, Box::new(NeverRuns));
+        let at = SimDuration::from_secs(5);
+        sim.spawn("pinger", stable, Box::new(PingAt { peer: ghost, at }));
+        sim.run_until(SimTime::from_secs(10));
+        assert!(sim.host_up[late.0 as usize], "the host came back at t=2");
+        assert!(!sim.process_alive(ghost));
+        assert!(sim.with_process::<NeverRuns, _>(ghost, |_| ()).is_none());
+        // The stopped `Started` and the ping; no kill is counted.
+        assert_eq!(sim.metrics().counter("events.dropped_dead_dest"), 2.0);
+        assert_eq!(sim.metrics().counter("procs.killed_by_host_down"), 0.0);
+    }
+
+    #[test]
+    fn a_process_table_slot_is_two_words() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
 
     #[test]

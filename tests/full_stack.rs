@@ -136,6 +136,41 @@ fn judging_spike_produces_figure_2_shape() {
 }
 
 #[test]
+fn every_scheduler_conserves_its_units() {
+    // A unit issued by a scheduler is completed or still held (executing
+    // or migrating), and an unmatched RESULT completes nothing. Release
+    // builds skip the table's debug assertion; this checks the tallies.
+    let rep = run_sc98(&short_cfg(15));
+    assert_eq!(rep.units.len(), 3, "one tally per pool scheduler");
+    for (i, u) in rep.units.iter().enumerate() {
+        assert!(u.issued > 0 && u.held > 0, "scheduler {i}: {u:?}");
+        assert_eq!(
+            u.issued + u.illegal,
+            u.results + u.held,
+            "scheduler {i}: {u:?}"
+        );
+    }
+}
+
+#[test]
+fn a_scheduler_inside_condor_on_a_down_host_never_starts() {
+    // At seed 2 the §5.4 scheduler's Condor host is down when its
+    // `Started` comes due; requests that reach it after the host returns
+    // must find a dead process, not an unstarted handler.
+    let rep = run_sc98(&Sc98Config {
+        seed: 2,
+        duration: SimDuration::from_secs(7200),
+        judging: false,
+        condor_scheduler_inside: true,
+        ..Sc98Config::default()
+    });
+    assert!(rep.counters["sched.completed_units"] > 0.0);
+    for u in &rep.units {
+        assert_eq!(u.issued + u.illegal, u.results + u.held, "{u:?}");
+    }
+}
+
+#[test]
 fn deterministic_end_to_end() {
     let a = run_sc98(&short_cfg(99));
     let b = run_sc98(&short_cfg(99));

@@ -175,6 +175,27 @@ fi
 echo "== every pub item and source file under crates/*/src has a caller"
 cargo test -q --offline -p ew-bench --test public_surface
 
+# Every seed runs: `figures condor` panicked at seeds 2 and 3
+# (a scheduler spawned on a Condor host that was down at its `Started`)
+# while every test ran seed 1998 or a fixed small seed. ~10 s; each run
+# writes its `results/` in a temporary directory, so the tracked artifacts
+# stay untouched.
+echo "== figures all --short exits 0 at seeds 1-16"
+cargo build --release --offline -q -p ew-bench --bin figures
+target="${CARGO_TARGET_DIR:-target}"
+[[ "$target" = /* ]] || target="$PWD/$target"
+figures="$target/release/figures"
+seeds="$(mktemp -d)"
+for seed in $(seq 1 16); do
+    (cd "$seeds" && "$figures" all --short --seed "$seed" >/dev/null 2>"$seeds/stderr") || {
+        echo "error: figures all --short --seed $seed exited $?:" >&2
+        tail -5 "$seeds/stderr" >&2
+        rm -rf "$seeds"
+        exit 1
+    }
+done
+rm -rf "$seeds"
+
 # The profiler is run, not only parsed: `bash -n` passed a script that
 # exited 141 (pipefail + `sort | head`) twice in a dozen runs. ~2 min, most
 # of it the debug-info build of `benchmark/`; without `cc` or `addr2line`

@@ -12,10 +12,11 @@
 //! A [`Method`] is only its parameters. What every stream of a battery has
 //! in common is a `Plan`, built once and shared; a stream's own state is
 //! one block of `f64`s, whose tail (`Windows`) stores the measurements once
-//! for every method to read, and what a method carries from one measurement
-//! to the next is one scalar. Summation order is part of the contract (DESIGN
-//! §7.4): forecasts reach the wire through `SimDuration::from_secs_f64`, so
-//! low bits matter, and no method keeps a running window sum.
+//! for every method to read, plus the sorted windows as ring positions. What
+//! a method carries from one measurement to the next is at most one scalar.
+//! Summation order is part of the contract (DESIGN §7.4): forecasts reach
+//! the wire through `SimDuration::from_secs_f64`, so low bits matter, and no
+//! method keeps a running window sum.
 
 /// One forecasting method of a battery.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -69,7 +70,8 @@ impl std::fmt::Display for Method {
 
 impl Method {
     /// How far back [`Method::step`] reads (1 for a method that reads no
-    /// window). Panics on out-of-range parameters.
+    /// window). Panics on out-of-range parameters, a window wider than 256
+    /// among them: a sorted window holds ring positions as `u8`s.
     fn width(&self) -> usize {
         let (w, in_range) = match *self {
             Method::Last | Method::RunningMean => (1, true),
@@ -78,19 +80,24 @@ impl Method {
             Method::Exp(gain) => (1, gain > 0.0 && gain <= 1.0),
             Method::Adaptive { min_w, max_w, .. } => (max_w, min_w >= 1 && max_w >= min_w),
         };
-        assert!(in_range && w >= 1, "{self:?} is out of range");
+        assert!(
+            in_range && (1..=256).contains(&w),
+            "{self:?} is out of range"
+        );
         w
     }
 
     /// Predict the measurement after `value`, which `past` has already
     /// absorbed. `prev` is this method's prediction *of* `value` (`None` on
-    /// the first measurement of the stream), `acc` the scalar it carries: the
-    /// sum of all history (`RunningMean`), the smoothed estimate (`Exp`) or
-    /// the current window (`Adaptive`: a small integer, exact in an `f64`).
+    /// the first measurement of the stream). `slot` is what the plan gave
+    /// this method: its sorted window's offset (`Median`, `Trimmed`), or the
+    /// index in `carried` of the scalar it carries: the sum of all history
+    /// (`RunningMean`), the smoothed estimate (`Exp`) or the current window
+    /// (`Adaptive`: a small integer, exact in an `f64`).
     pub(crate) fn step(
         &self,
-        sorted_at: usize,
-        acc: &mut f64,
+        slot: usize,
+        carried: &mut [f64],
         prev: Option<f64>,
         value: f64,
         past: &Windows<'_>,
@@ -98,6 +105,7 @@ impl Method {
         match *self {
             Method::Last => value,
             Method::RunningMean => {
+                let acc = &mut carried[slot];
                 *acc += value;
                 *acc / past.seen as f64
             }
@@ -107,24 +115,25 @@ impl Method {
                 sum / (older.len() + newer.len()) as f64
             }
             Method::Median(w) => {
-                let v = past.sorted(sorted_at, w);
+                let v = past.sorted(slot, w);
                 let n = v.len();
                 if n % 2 == 1 {
-                    v[n / 2]
+                    past.at(v[n / 2])
                 } else {
-                    (v[n / 2 - 1] + v[n / 2]) / 2.0
+                    (past.at(v[n / 2 - 1]) + past.at(v[n / 2])) / 2.0
                 }
             }
             Method::Trimmed(w, trim) => {
-                let v = past.sorted(sorted_at, w);
+                let v = past.sorted(slot, w);
                 let k = (v.len() as f64 * trim) as usize; // `as` truncates: floor for trim ≥ 0
                 let kept = &v[k..v.len() - k];
                 if kept.is_empty() {
-                    return v[v.len() / 2];
+                    return past.at(v[v.len() / 2]);
                 }
-                kept.iter().sum::<f64>() / kept.len() as f64
+                kept.iter().map(|&p| past.at(p)).sum::<f64>() / kept.len() as f64
             }
             Method::Exp(gain) => {
+                let acc = &mut carried[slot];
                 *acc = match prev {
                     None => value,
                     Some(_) => (1.0 - gain) * *acc + gain * value,
@@ -132,6 +141,7 @@ impl Method {
                 *acc
             }
             Method::Adaptive { min_w, max_w, bust } => {
+                let acc = &mut carried[slot];
                 match prev {
                     None => *acc = min_w as f64,
                     Some(pred) => {
@@ -152,18 +162,25 @@ impl Method {
 }
 
 /// What every stream of one battery shares: the methods and the layout of a
-/// stream's block, `[pred n | abs_err n | sq_err n | acc n | ring cap |
-/// sorted windows]`. Offsets count from the start of the ring.
+/// stream's state, a block of `f64`s `[pred n | abs_err n | sq_err n |
+/// carried m | ring cap]` (`m` methods carry a scalar) and the sorted
+/// windows, `u8` ring positions.
 pub(crate) struct Plan {
-    /// Each method with the offset of the sorted window it reads (0 if none).
+    /// Each method with its slot: the offset of its sorted window
+    /// (`Median`, `Trimmed`), the index of its carried scalar
+    /// (`RunningMean`, `Exp`, `Adaptive`), 0 for the rest.
     pub(crate) ops: Vec<(Method, usize)>,
     /// The widest window any method reads.
     cap: usize,
     /// `(w, offset)` per distinct width some method takes order statistics
     /// over; methods of one width share one window.
     sorted: Vec<(usize, usize)>,
+    /// Methods that carry a scalar.
+    pub(crate) carried: usize,
     /// `f64`s in one stream's block.
     pub(crate) block_len: usize,
+    /// Ring positions in one stream's sorted windows.
+    pub(crate) order_len: usize,
     /// Starts with `Last`: a constant stream needs no block (DESIGN §7.4).
     pub(crate) lazy: bool,
 }
@@ -174,40 +191,53 @@ impl Plan {
     pub(crate) fn new(methods: Vec<Method>) -> Self {
         let cap = methods.iter().map(Method::width).max();
         let cap = cap.expect("a battery has at least one method");
-        let (mut sorted, mut end) = (Vec::<(usize, usize)>::new(), cap);
-        let place = |m| {
-            let (Method::Median(w) | Method::Trimmed(w, _)) = m else {
-                return (m, 0);
+        let (mut sorted, mut order_len, mut carried) = (Vec::<(usize, usize)>::new(), 0, 0);
+        let mut ops = Vec::with_capacity(methods.len());
+        for m in methods {
+            let slot = match m {
+                Method::Last | Method::Mean(_) => 0,
+                Method::RunningMean | Method::Exp(_) | Method::Adaptive { .. } => {
+                    carried += 1;
+                    carried - 1
+                }
+                Method::Median(w) | Method::Trimmed(w, _) => {
+                    match sorted.iter().find(|&&(sw, _)| sw == w) {
+                        Some(&(_, at)) => at,
+                        None => {
+                            sorted.push((w, order_len));
+                            order_len += w;
+                            order_len - w
+                        }
+                    }
+                }
             };
-            if let Some(&(_, at)) = sorted.iter().find(|&&(sw, _)| sw == w) {
-                return (m, at);
-            }
-            sorted.push((w, end));
-            end += w;
-            (m, end - w)
-        };
-        let ops: Vec<(Method, usize)> = methods.into_iter().map(place).collect();
+            ops.push((m, slot));
+        }
         Plan {
-            block_len: 4 * ops.len() + end,
+            block_len: 3 * ops.len() + carried + cap,
             lazy: ops[0].0 == Method::Last,
             ops,
             cap,
             sorted,
+            carried,
+            order_len,
         }
     }
 }
 
-/// The recent measurements of one stream, stored once for the whole battery
-/// in the tail of its block.
+/// The recent measurements of one stream, stored once for the whole battery:
+/// a ring of values in the tail of its block, and sorted windows that point
+/// into it.
 pub(crate) struct Windows<'a> {
     pub(crate) plan: &'a Plan,
-    /// `[ring cap | sorted windows]`. Every value is written once, to the
-    /// ring at `seen % cap`, so the last `k` values are at most two slices
-    /// (the older one ending at the ring's end); a sorted window of width
-    /// `w` holds the last `min(w, seen)` values ascending by
-    /// `f64::total_cmp` — a total order, so the outgoing element is always
-    /// found by binary search.
-    pub(crate) tail: &'a mut [f64],
+    /// Every value is written once, at `seen % cap`, so the last `k` values
+    /// are at most two slices (the older one ending at the ring's end).
+    pub(crate) ring: &'a mut [f64],
+    /// Per distinct sorted width `w`, the ring positions of the last
+    /// `min(w, seen)` values, ascending by `f64::total_cmp` on the value and
+    /// oldest first among equals. The value leaving a window is the oldest in
+    /// it, so it is the first of its equals, found by binary search.
+    pub(crate) order: &'a mut [u8],
     /// Measurements absorbed so far.
     pub(crate) seen: usize,
 }
@@ -216,29 +246,32 @@ impl Windows<'_> {
     /// Absorb one measurement.
     pub(crate) fn push(&mut self, v: f64) {
         let (cap, pos) = (self.plan.cap, self.seen % self.plan.cap);
+        let ring = &*self.ring;
         for &(w, at) in &self.plan.sorted {
             let len = w.min(self.seen);
-            let s = &self.tail[at..at + w];
-            let to = s[..len].partition_point(|x| x.total_cmp(&v).is_lt());
+            let s = &mut self.order[at..at + w];
+            // After its equals, which are all older.
+            let to = s[..len].partition_point(|&p| ring[p as usize].total_cmp(&v).is_le());
             // Filling: the gap is the free slot past the end. Full: the
-            // value `w` back leaves. Close the gap and open one for `v` in
-            // a single shift of the elements between the two.
+            // value `w` back leaves, the first of its equals. Close the gap
+            // and open one for `v` in a single shift of the elements between
+            // the two.
             let gap = if len < w {
                 len
             } else {
-                let old = self.tail[(pos + cap - w) % cap];
-                s.partition_point(|x| x.total_cmp(&old).is_lt())
+                let old = ring[(pos + cap - w) % cap];
+                s.partition_point(|&p| ring[p as usize].total_cmp(&old).is_lt())
             };
-            let s = &mut self.tail[at..at + w];
+            // `pos < cap ≤ 256`: `Method::width` refuses wider windows.
             if to > gap {
                 s.copy_within(gap + 1..to, gap);
-                s[to - 1] = v;
+                s[to - 1] = pos as u8;
             } else {
                 s.copy_within(to..gap, to + 1);
-                s[to] = v;
+                s[to] = pos as u8;
             }
         }
-        self.tail[pos] = v;
+        self.ring[pos] = v;
         self.seen += 1;
     }
 
@@ -247,16 +280,21 @@ impl Windows<'_> {
     /// (either may be empty); `w` ≤ `cap`.
     pub(crate) fn recent(&self, w: usize) -> (&[f64], &[f64]) {
         let (cap, n) = (self.plan.cap, w.min(self.seen));
-        let (newer, older) = self.tail[..cap].split_at(self.seen % cap);
+        let (newer, older) = self.ring.split_at(self.seen % cap);
         let from_newer = n.min(newer.len());
         let older = &older[older.len() - (n - from_newer)..];
         (older, &newer[newer.len() - from_newer..])
     }
 
-    /// The last `min(w, seen)` measurements ascending: the window of width
-    /// `w` the plan put at `at`.
-    pub(crate) fn sorted(&self, at: usize, w: usize) -> &[f64] {
-        &self.tail[at..at + w.min(self.seen)]
+    /// The ring positions of the last `min(w, seen)` measurements, ascending
+    /// by value: the window of width `w` the plan put at `at`.
+    pub(crate) fn sorted(&self, at: usize, w: usize) -> &[u8] {
+        &self.order[at..at + w.min(self.seen)]
+    }
+
+    /// The measurement at ring position `p`.
+    pub(crate) fn at(&self, p: u8) -> f64 {
+        self.ring[p as usize]
     }
 }
 
@@ -375,6 +413,16 @@ mod tests {
         );
     }
 
+    /// A stream's ring and sorted windows under `plan`, empty.
+    fn windows(plan: &Plan) -> (Vec<f64>, Vec<u8>) {
+        (vec![0.0; plan.cap], vec![0; plan.order_len])
+    }
+
+    /// The window at `at` of width `w`, read through its ring positions.
+    fn sorted_values(h: &Windows<'_>, at: usize, w: usize) -> Vec<f64> {
+        h.sorted(at, w).iter().map(|&p| h.at(p)).collect()
+    }
+
     #[test]
     fn history_windows_cross_the_ring_seam() {
         // One ring of 7 serves a width-3 and a width-7 reader; the sorted
@@ -382,10 +430,11 @@ mod tests {
         let methods = vec![Method::Mean(3), Method::Mean(7), Method::Median(4)];
         let plan = Plan::new(methods);
         let sorted_at = plan.ops[2].1;
-        let mut tail = vec![0.0; plan.block_len - 4 * plan.ops.len()];
+        let (mut ring, mut order) = windows(&plan);
         let mut h = Windows {
             plan: &plan,
-            tail: &mut tail,
+            ring: &mut ring,
+            order: &mut order,
             seen: 0,
         };
         let recent = |h: &Windows<'_>, w| {
@@ -401,7 +450,7 @@ mod tests {
             recent(&h, 7),
             [-11.0, 12.0, -13.0, 14.0, -15.0, 16.0, -17.0]
         );
-        assert_eq!(h.sorted(sorted_at, 4), [-17.0, -15.0, 14.0, 16.0]);
+        assert_eq!(sorted_values(&h, sorted_at, 4), [-17.0, -15.0, 14.0, 16.0]);
         // 17 values in a ring of 7: the newest three sit at its start, so
         // the width-7 read is four values up to the ring's end, then three.
         let (older, newer) = h.recent(7);
@@ -410,8 +459,77 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    fn equal_values_keep_their_age_order_in_a_sorted_window() {
+        // Runs of equal values, both signed zeros among them, through a
+        // width-4 window over a ring of 6: a new value goes after its equals
+        // and the leaving one is the first of them, so each run stays oldest
+        // first and the window is always the last four values ascending.
+        let plan = Plan::new(vec![Method::Median(4), Method::Mean(6)]);
+        let (at, cap) = (plan.ops[0].1, plan.cap);
+        let (mut ring, mut order) = windows(&plan);
+        let mut h = Windows {
+            plan: &plan,
+            ring: &mut ring,
+            order: &mut order,
+            seen: 0,
+        };
+        let xs = [
+            0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 1.0, 1.0,
+            -0.0, 1.0, 1.0, 1.0, 1.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0,
+        ];
+        for (i, &x) in xs.iter().enumerate() {
+            h.push(x);
+            let seen = i + 1;
+            // The measurement index a ring position holds: the last one
+            // written there.
+            let age = |p: u8| seen - 1 - (seen - 1 + cap - p as usize) % cap;
+            let window = h.sorted(at, 4);
+            for pair in window.windows(2) {
+                let (a, b) = (h.at(pair[0]), h.at(pair[1]));
+                if a.to_bits() == b.to_bits() {
+                    assert!(age(pair[0]) < age(pair[1]), "after {seen}: {window:?}");
+                }
+            }
+            let mut last = xs[seen.saturating_sub(4)..seen].to_vec();
+            last.sort_by(f64::total_cmp);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sorted_values(&h, at, 4)), bits(&last), "after {seen}");
+        }
+    }
+
+    #[test]
+    fn the_standard_block_is_107_f64s_and_85_ring_positions() {
+        // pred, abs_err and sq_err for 17 methods, 6 carried scalars
+        // (running_mean, four exp, adaptive), a ring of 50; sorted windows
+        // of 5, 10, 20 and 50.
+        let plan = Plan::new(standard_battery());
+        assert_eq!((plan.carried, plan.cap), (6, 50));
+        assert_eq!((plan.block_len, plan.order_len), (107, 85));
+    }
+
+    #[test]
+    fn the_widest_window_a_ring_position_indexes_is_256() {
+        let xs: Vec<f64> = (0..300).map(f64::from).collect();
+        assert_eq!(feed(Method::Median(256), &xs), 171.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
     fn out_of_range_parameters_are_refused() {
+        let refused = [
+            Method::Median(257),
+            Method::Mean(0),
+            Method::Exp(0.0),
+            Method::Adaptive {
+                min_w: 3,
+                max_w: 2,
+                bust: 0.5,
+            },
+        ];
+        for m in refused {
+            let built = std::panic::catch_unwind(|| crate::ForecasterSet::new(vec![m]));
+            assert!(built.is_err(), "{m:?} was accepted");
+        }
         crate::ForecasterSet::new(vec![Method::Trimmed(10, 0.5)]);
     }
 

@@ -37,11 +37,13 @@ pub struct Forecast {
 pub struct ForecasterSet {
     /// The battery's methods and block layout, shared by all its streams.
     plan: Arc<Plan>,
-    /// Everything that is this stream's own, in one allocation made when
-    /// first needed: each method's outstanding prediction, error sums and
-    /// carried scalar, then the measurements ([`Windows`]). Every method
-    /// predicts on every measurement, so each was scored `seen − 1` times.
-    block: Vec<f64>,
+    /// This stream's own numbers, allocated when first needed: each method's
+    /// outstanding prediction and error sums, the scalars the carriers carry,
+    /// then the ring of measurements ([`Windows`]). Every method predicts on
+    /// every measurement, so each was scored `seen − 1` times.
+    block: Box<[f64]>,
+    /// The sorted windows, as ring positions; allocated with `block`.
+    order: Box<[u8]>,
     /// Every measurement so far while `block` is empty; NaN before the first.
     level: f64,
     /// Measurements absorbed.
@@ -74,7 +76,8 @@ impl ForecasterSet {
     fn over(plan: Arc<Plan>) -> Self {
         ForecasterSet {
             plan,
-            block: Vec::new(),
+            block: Box::default(),
+            order: Box::default(),
             level: f64::NAN,
             seen: 0,
             best: 0,
@@ -106,7 +109,8 @@ impl ForecasterSet {
         let mut set = Cow::Borrowed(self);
         if self.block.is_empty() {
             let set = set.to_mut();
-            set.block = vec![0.0; self.plan.block_len];
+            set.block = vec![0.0; self.plan.block_len].into();
+            set.order = vec![0; self.plan.order_len].into();
             for _ in 0..std::mem::take(&mut set.seen) {
                 set.absorb(self.level);
             }
@@ -118,10 +122,10 @@ impl ForecasterSet {
     fn absorb(&mut self, value: f64) {
         let plan = &*self.plan;
         let n = plan.ops.len();
-        let (scores, tail) = self.block.split_at_mut(4 * n);
+        let (scores, tail) = self.block.split_at_mut(3 * n);
         let (pred, scores) = scores.split_at_mut(n);
-        let (abs_err, scores) = scores.split_at_mut(n);
-        let (sq_err, acc) = scores.split_at_mut(n);
+        let (abs_err, sq_err) = scores.split_at_mut(n);
+        let (carried, ring) = tail.split_at_mut(plan.carried);
         let seen = self.seen;
         if seen > 0 {
             for ((pred, abs_err), sq_err) in pred.iter().zip(abs_err).zip(sq_err) {
@@ -130,11 +134,16 @@ impl ForecasterSet {
                 *sq_err += err * err;
             }
         }
-        let mut past = Windows { plan, tail, seen };
+        let mut past = Windows {
+            plan,
+            ring,
+            order: &mut self.order,
+            seen,
+        };
         past.push(value);
-        for ((&(method, sorted_at), pred), acc) in plan.ops.iter().zip(pred).zip(acc) {
+        for (&(method, slot), pred) in plan.ops.iter().zip(pred) {
             let prev = (seen > 0).then_some(*pred);
-            *pred = method.step(sorted_at, acc, prev, value, &past);
+            *pred = method.step(slot, carried, prev, value, &past);
         }
         self.seen += 1;
         // Strict `<` on the scores, not on the raw sums (two sums can round

@@ -4,7 +4,8 @@
 //! time-out from the winner — runs on every RPC, so neither half of it may
 //! touch the heap beyond a stream's one block: construction allocates
 //! nothing, a stream whose measurements never vary never allocates, and the
-//! first differing measurement allocates the block once. Most streams never
+//! first differing measurement allocates the block and its sorted windows
+//! once. Most streams never
 //! fill their windows (64 % of SC98's absorb fewer than 20 samples), so
 //! "after warm-up" starts there. A counting global allocator wraps the
 //! system allocator.
@@ -107,12 +108,15 @@ fn update_and_predict_are_allocation_free_after_warmup() {
     for i in 0..2 {
         update_and_predict(&mut set, rtt_ms(i) as f64);
     }
-    // One block of the standard battery: 4 × 17 scores, a ring of 50 and
-    // the sorted windows of 5, 10, 20 and 50, 203 `f64`s.
+    // The standard battery's two blocks: 3 × 17 scores, 6 carried scalars
+    // and a ring of 50, 107 `f64`s; and the sorted windows of 5, 10, 20 and
+    // 50 as `u8` ring positions, 85 bytes. (One block of 203 `f64`s, with
+    // every method a scalar slot and the windows copies of the values, was
+    // `(1, 1_624)`.)
     let (made, bytes) = (allocations() - before, allocated() - bytes_before);
     assert_eq!(
         (made, bytes),
-        (1, 1_624),
+        (2, 941),
         "the first differing sample's allocations and bytes"
     );
     let before = allocated();

@@ -13,7 +13,8 @@
 # `benchmark/` with debug info into a scratch directory (set TMPDIR to
 # choose where), runs one `--trace 0` run under the shim, and prints the
 # peak live heap, the live bytes by block size at the peak, and for blocks
-# of 4 KiB or more the 20 call sites (the innermost frame outside the
+# of 512 B or more (usable size, as malloc rounds it; low enough to reach
+# the forecaster blocks) the 20 call sites (the innermost frame outside the
 # allocator, so every stack through one function is one row) and the 40
 # stacks that held most at the peak, inlined frames resolved.
 
@@ -61,16 +62,19 @@ awk '
   pass == 1 { if (odd = !odd) { sub(/::h[0-9a-f]+$/, ""); names[at] = names[at] $0 "\n" } next }
   $1 == "peak" { peak = $2; next }
   $1 == "table" { table = $2; next }
+  $1 == "untracked" { untracked = $2; next }
   $1 == "class" { classes[++n_classes] = $0; next }
   $1 == "site" {
     # The call site: the first few frames outside the allocator plumbing
-    # (`hashbrown` is the table inside a std `HashMap`).
+    # (`hashbrown` is the table inside a std `HashMap`; `<T as
+    # alloc::...>::f` is a std trait impl, such as the `from_elem` behind
+    # `vec!`).
     site = ""; shown = 0
     for (f = 5; f <= NF && shown < 4; f++) {
       k = $f; sub(/^0*/, "", k)
       inlined = split(names[k], name, "\n") - 1
       for (j = 1; j <= inlined && shown < 4; j++) {
-        if (name[j] ~ /^(<?(alloc|core|std|hashbrown)::|__rust|__rdl|__rg_|\?\?)/) continue
+        if (name[j] ~ /^(<?(alloc|core|std|hashbrown)::|<[^ ]+ as (alloc|core|std)::|__rust|__rdl|__rg_|\?\?)/) continue
         site = site (shown++ ? " < " : "") name[j]
       }
     }
@@ -81,6 +85,7 @@ awk '
   }
   END {
     printf "peak live heap %s (%d B); tables taken at %s, within 64 KiB of it\n", size(peak), peak, size(table)
+    if (untracked) printf "warning: %d blocks of 512 B or more found the shim'"'"'s tables full; the call-site tables undercount\n", untracked
     print "== live bytes by block size at the peak: size, blocks, bytes, share"
     for (i = 1; i <= n_classes; i++) {
       split(classes[i], c, " ")
@@ -88,14 +93,14 @@ awk '
     }
     # `awk NR <= k` reads all its input; `head` would close the pipe early
     # and a `sort` still writing would die of SIGPIPE.
-    print "== live bytes at the peak by call site (blocks of 4 KiB or more): live, share, stacks, call site"
+    print "== live bytes at the peak by call site (blocks of 512 B or more): live, share, stacks, call site"
     if (!n_sites) print "(none)"
     fflush()
     by_live = "sort -t \"\t\" -k1,1nr | awk \"NR <= 20\" | cut -f2-"
     for (who in caller_live)
       printf "%d\t%s\t%.1f %%\t%d\t%s\n", caller_live[who], size(caller_live[who]), 100 * caller_live[who] / table, caller_stacks[who], who | by_live
     close(by_live)
-    print "== allocation stacks of 4 KiB or more: allocations, largest, live at the peak, call site"
+    print "== allocation stacks of 512 B or more: allocations, largest, live at the peak, call site"
     if (!n_sites) print "(none)"
     # Largest holders at the peak first, then the largest blocks.
     fflush()

@@ -169,6 +169,16 @@ if grep -rnE 'thread::(spawn|scope|Builder)' --include='*.rs' crates/*/src \
     exit 1
 fi
 
+# No `unsafe` in library code: every layout under crates/*/src is safe
+# Rust, and the counting allocators that need `unsafe impl GlobalAlloc`
+# live in tests. Only *.rs is searched, so this comment does not match
+# itself.
+echo "== no unsafe under crates/*/src"
+if grep -rnw 'unsafe' --include='*.rs' crates/*/src; then
+    echo "error: find a safe layout (two boxes, an index, a copy) instead" >&2
+    exit 1
+fi
+
 # Nothing ships without a caller: a pub item or a source file whose only
 # reader is its own unit tests fails (framework.rs sat unused for twenty
 # PRs, the Globus service model for twenty-one). Also part of `cargo test`.
@@ -239,7 +249,7 @@ if grep -q '^heap_profile: no .* on this box' <<<"$heap"; then
     echo "$heap"
 elif ! grep -q '^== live bytes by block size' <<<"$heap" \
     || ! grep -q '^== live bytes at the peak by call site' <<<"$heap" \
-    || ! grep -q '^== allocation stacks of 4 KiB or more' <<<"$heap"; then
+    || ! grep -q '^== allocation stacks of 512 B or more' <<<"$heap"; then
     echo "error: tests/heap_profile.sh printed no size, call-site or stack table:" >&2
     echo "$heap" >&2
     exit 1

@@ -3,13 +3,15 @@
 // aligned allocators, so that every block freed was counted when it was
 // allocated), sizes each block with malloc_usable_size, and keeps the live
 // total, live blocks and bytes per power-of-two size class, and, for every
-// block of 4 KiB or more, the call stack that allocated it. At exit it
-// writes $HEAPPROF_OUT:
+// block of 512 B or more (usable size; the forecaster blocks are 856 B), the
+// call stack that allocated it. At exit it writes $HEAPPROF_OUT:
 //   peak <bytes>                    highest live total seen
 //   table <bytes>                   live total when the tables below were taken
 //   class <k> <blocks> <bytes>      live blocks of usable size [2^k, 2^(k+1))
+//   untracked <blocks>              blocks of 512 B or more that found no room
+//                                   in the tables (0: every one is counted)
 //   site <allocs> <largest> <live> <offsets...>
-//                                   one call stack of >= 4 KiB blocks: how
+//                                   one call stack of >= 512 B blocks: how
 //                                   many, the largest, bytes live at the table
 // Stacks are written as in sigprof.c: file offsets into the executable,
 // innermost frame first, return addresses minus 1, 0 for a frame outside
@@ -30,10 +32,13 @@ extern void *__libc_realloc(void *, size_t);
 extern void __libc_free(void *);
 extern void *__libc_memalign(size_t, size_t);
 
-#define BIG (4u << 10)
+#define BIG 512
 #define CLASSES 64
-#define SITES 1024
-#define LIVE_BIG 4096
+// Both tables are open-addressed with linear probing and kept at most half
+// full, so a lookup stays a few probes with tens of thousands of live
+// blocks over BIG.
+#define SITES 8192
+#define LIVE_BIG (1 << 17)
 #define DEPTH 40
 // The tables are re-taken once the peak has grown this much past the last
 // take: taking them at every new peak would copy them on nearly every
@@ -55,10 +60,14 @@ struct big {
 // Signed: a block from an allocator this shim does not wrap (valloc, ...)
 // freed through free() would otherwise wrap the totals around. The first
 // allocation takes the tables.
-static int64_t live, peak, table_live = -RETAKE;
+static int64_t live, peak, table_live = -RETAKE, untracked;
 static int64_t blocks[CLASSES], bytes[CLASSES], table_blocks[CLASSES], table_bytes[CLASSES];
 static struct site sites[SITES];
 static int n_sites;
+// Open-addressed by stack hash: 1 + an index into `sites`, 0 for an empty
+// slot (zero-initialised, so usable before the constructor runs).
+static int site_slot[2 * SITES];
+// Open-addressed by block address; a null `ptr` is an empty slot.
 static struct big live_big[LIVE_BIG];
 static int n_big;
 static int lock;
@@ -86,33 +95,65 @@ static void take_tables(void) {
     for (int s = 0; s < n_sites; s++) sites[s].live_at_table = sites[s].live;
 }
 
+static uint64_t mix(uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    return x ^ (x >> 33);
+}
+
+static uint64_t big_home(void *p) { return mix((uintptr_t)p) & (LIVE_BIG - 1); }
+
 static void note_big(void *p, int64_t n, void **stack, int depth) {
-    int s = 0;
-    while (s < n_sites && !(sites[s].depth == depth &&
-                            !memcmp(sites[s].stack, stack, depth * sizeof *stack)))
-        s++;
-    if (s == n_sites) {
-        if (n_sites == SITES) return;
+    uint64_t h = depth;
+    for (int f = 0; f < depth; f++) h = mix(h ^ (uintptr_t)stack[f]);
+    uint64_t at = h & (2 * SITES - 1);
+    int s;
+    while ((s = site_slot[at] - 1) >= 0 &&
+           !(sites[s].depth == depth && !memcmp(sites[s].stack, stack, depth * sizeof *stack)))
+        at = (at + 1) & (2 * SITES - 1);
+    if (s < 0) {
+        if (n_sites == SITES) {
+            untracked++;
+            return;
+        }
+        s = n_sites++;
+        site_slot[at] = s + 1;
         sites[s].depth = depth;
         memcpy(sites[s].stack, stack, depth * sizeof *stack);
-        n_sites++;
     }
     sites[s].allocs++;
     if (n > sites[s].largest) sites[s].largest = n;
-    if (n_big < LIVE_BIG) {
-        sites[s].live += n;
-        live_big[n_big++] = (struct big){p, n, s};
+    if (n_big == LIVE_BIG / 2) {
+        untracked++;
+        return;
     }
+    sites[s].live += n;
+    at = big_home(p);
+    while (live_big[at].ptr) at = (at + 1) & (LIVE_BIG - 1);
+    live_big[at] = (struct big){p, n, s};
+    n_big++;
 }
 
+// Linear-probing delete: pull each later entry of the run back into the
+// hole if its home slot does not lie cyclically after the hole, so no
+// tombstones are needed.
 static void forget_big(void *p) {
-    for (int i = 0; i < n_big; i++) {
-        if (live_big[i].ptr == p) {
-            sites[live_big[i].site].live -= live_big[i].size;
-            live_big[i] = live_big[--n_big];
-            return;
+    uint64_t at = big_home(p);
+    while (live_big[at].ptr != p) {
+        if (!live_big[at].ptr) return;  // not tracked: the table was full
+        at = (at + 1) & (LIVE_BIG - 1);
+    }
+    sites[live_big[at].site].live -= live_big[at].size;
+    n_big--;
+    for (uint64_t next = (at + 1) & (LIVE_BIG - 1); live_big[next].ptr;
+         next = (next + 1) & (LIVE_BIG - 1)) {
+        uint64_t home = big_home(live_big[next].ptr);
+        if (((next - home) & (LIVE_BIG - 1)) >= ((next - at) & (LIVE_BIG - 1))) {
+            live_big[at] = live_big[next];
+            at = next;
         }
     }
+    live_big[at].ptr = NULL;
 }
 
 static void counted(void *p) {
@@ -228,7 +269,8 @@ __attribute__((destructor)) static void dump(void) {
     FILE *out = path ? fopen(path, "w") : NULL;
     if (!out) return;
     dl_iterate_phdr(executable_range, NULL);
-    fprintf(out, "peak %lld\ntable %lld\n", (long long)peak, (long long)table_live);
+    fprintf(out, "peak %lld\ntable %lld\nuntracked %lld\n", (long long)peak,
+            (long long)table_live, (long long)untracked);
     for (int k = 0; k < CLASSES; k++)
         if (table_bytes[k] > 0)
             fprintf(out, "class %d %lld %lld\n", k, (long long)table_blocks[k],

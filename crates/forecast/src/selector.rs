@@ -37,19 +37,29 @@ pub struct Forecast {
 pub struct ForecasterSet {
     /// The battery's methods and block layout, shared by all its streams.
     plan: Arc<Plan>,
-    /// This stream's own numbers, allocated when first needed: each method's
-    /// outstanding prediction and error sums, the scalars the carriers carry,
-    /// then the ring of measurements ([`Windows`]). Every method predicts on
-    /// every measurement, so each was scored `seen − 1` times.
-    block: Box<[f64]>,
-    /// The sorted windows, as ring positions; allocated with `block`.
-    order: Box<[u8]>,
-    /// Every measurement so far while `block` is empty; NaN before the first.
-    level: f64,
+    /// A constant level until a measurement differs, then the block.
+    state: State,
     /// Measurements absorbed.
     seen: usize,
     /// Index of the method that makes the next forecast.
     best: usize,
+}
+
+/// What a stream stores beside its counts.
+#[derive(Clone)]
+enum State {
+    /// Every measurement so far; NaN before the first.
+    Level(f64),
+    /// This stream's own numbers, allocated when first needed.
+    Block {
+        /// Each method's outstanding prediction and error sums, the
+        /// scalars the carriers carry, then the ring of measurements
+        /// ([`Windows`]). Every method predicts on every measurement, so
+        /// each was scored `seen − 1` times.
+        block: Box<[f64]>,
+        /// The sorted windows, as ring positions.
+        order: Box<[u8]>,
+    },
 }
 
 impl Default for ForecasterSet {
@@ -76,9 +86,7 @@ impl ForecasterSet {
     fn over(plan: Arc<Plan>) -> Self {
         ForecasterSet {
             plan,
-            block: Box::default(),
-            order: Box::default(),
-            level: f64::NAN,
+            state: State::Level(f64::NAN),
             seen: 0,
             best: 0,
         }
@@ -93,10 +101,10 @@ impl ForecasterSet {
         if !value.is_finite() {
             return;
         }
-        if self.block.is_empty() {
+        if let State::Level(level) = self.state {
             // Bits, not `==`: `-0.0` after `+0.0` ends the constant phase.
-            if value.to_bits() == self.level.to_bits() || (self.seen == 0 && self.plan.lazy) {
-                (self.level, self.seen) = (value, self.seen + 1);
+            if value.to_bits() == level.to_bits() || (self.seen == 0 && self.plan.lazy) {
+                (self.state, self.seen) = (State::Level(value), self.seen + 1);
                 return;
             }
             *self = self.with_block().into_owned();
@@ -107,22 +115,35 @@ impl ForecasterSet {
     /// This stream with its block, replaying a constant run into a new one.
     fn with_block(&self) -> Cow<'_, Self> {
         let mut set = Cow::Borrowed(self);
-        if self.block.is_empty() {
+        if let State::Level(level) = self.state {
             let set = set.to_mut();
-            set.block = vec![0.0; self.plan.block_len].into();
-            set.order = vec![0; self.plan.order_len].into();
+            set.state = State::Block {
+                block: vec![0.0; self.plan.block_len].into(),
+                order: vec![0; self.plan.order_len].into(),
+            };
             for _ in 0..std::mem::take(&mut set.seen) {
-                set.absorb(self.level);
+                set.absorb(level);
             }
         }
         set
     }
 
+    /// This stream's block; empty while it holds a constant level.
+    fn block(&self) -> &[f64] {
+        match &self.state {
+            State::Level(_) => &[],
+            State::Block { block, .. } => block,
+        }
+    }
+
     /// [`Self::update`] on the block.
     fn absorb(&mut self, value: f64) {
+        let State::Block { block, order } = &mut self.state else {
+            unreachable!("a stream absorbs into its block");
+        };
         let plan = &*self.plan;
         let n = plan.ops.len();
-        let (scores, tail) = self.block.split_at_mut(3 * n);
+        let (scores, tail) = block.split_at_mut(3 * n);
         let (pred, scores) = scores.split_at_mut(n);
         let (abs_err, sq_err) = scores.split_at_mut(n);
         let (carried, ring) = tail.split_at_mut(plan.carried);
@@ -137,7 +158,7 @@ impl ForecasterSet {
         let mut past = Windows {
             plan,
             ring,
-            order: &mut self.order,
+            order,
             seen,
         };
         past.push(value);
@@ -164,7 +185,7 @@ impl ForecasterSet {
         if self.seen < 2 {
             return f64::INFINITY;
         }
-        self.block[self.plan.ops.len() + i] / (self.seen - 1) as f64
+        self.block()[self.plan.ops.len() + i] / (self.seen - 1) as f64
     }
 
     /// Number of measurements absorbed.
@@ -178,10 +199,14 @@ impl ForecasterSet {
     pub fn predict(&self) -> Option<Forecast> {
         let (n, i) = (self.plan.ops.len(), self.best);
         // Without a block `best` is 0, `Last`: it predicts the level, exactly.
-        let read = |at: usize, constant: f64| self.block.get(at).copied().unwrap_or(constant);
+        let (block, level) = match &self.state {
+            State::Level(level) => (&[][..], *level),
+            State::Block { block, .. } => (&block[..], f64::NAN),
+        };
+        let read = |at: usize, constant: f64| block.get(at).copied().unwrap_or(constant);
         let scored = (self.seen > 1).then(|| (self.seen - 1) as f64);
         (self.seen > 0).then(|| Forecast {
-            value: read(i, self.level),
+            value: read(i, level),
             method: self.plan.ops[i].0,
             mae: scored.map(|k| read(n + i, 0.0) / k),
             rmse: scored.map(|k| (read(2 * n + i, 0.0) / k).sqrt()),
@@ -191,7 +216,7 @@ impl ForecasterSet {
     /// Every method's outstanding prediction, in battery order.
     pub fn predictions(&self) -> impl Iterator<Item = (Method, Option<f64>)> + '_ {
         let set = self.with_block();
-        let preds = set.plan.ops.iter().zip(&set.block);
+        let preds = set.plan.ops.iter().zip(set.block());
         let preds = preds.map(|(&(method, _), &pred)| (method, (set.seen > 0).then_some(pred)));
         preds.collect::<Vec<_>>().into_iter()
     }
@@ -211,6 +236,11 @@ impl ForecasterSet {
 mod tests {
     use super::*;
     use ew_sim::Xoshiro256;
+
+    #[test]
+    fn a_set_is_seven_words() {
+        assert!(std::mem::size_of::<ForecasterSet>() <= 56);
+    }
 
     #[test]
     fn empty_set_predicts_none() {

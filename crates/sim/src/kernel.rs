@@ -13,6 +13,8 @@
 //! Two runs with the same seed produce identical event orders and metrics.
 
 use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use ew_telemetry::{BinnedSeries, CounterId, GaugeId, HistogramId, Registry, SeriesId, SpanId};
 
@@ -78,8 +80,8 @@ pub trait Process: Any {
 enum Entry {
     /// Hand an event to a process, behind the alive/host-up gate.
     Deliver(ProcessId, Event),
-    /// A host comes up (`true`) or goes down.
-    HostTransition(HostId, bool),
+    /// Transition `.1` of a host's availability calendar.
+    HostTransition(HostId, usize),
     /// The earliest drain deadline among the in-flight flow-mode transfers
     /// when it was armed (see [`Sim::arm_flow_wake`]); a wake that finds
     /// no flow due is swallowed at dispatch. Never appears in packet-mode
@@ -225,13 +227,14 @@ fn order_hash_fold(h: u64, word: u64) -> u64 {
 
 /// Fold one dispatched entry — `(time, seq, target, event-variant)`, with
 /// `u64::MAX` for an entry that carries no event — into the running order
-/// hash.
+/// hash. A host transition's target folds its host and direction.
 #[inline]
-fn fold_entry(h: u64, t_us: u64, seq: u64, entry: &Entry) -> u64 {
-    let (target, tag) = match entry {
-        Entry::Deliver(pid, ev) => ((pid.0 as u64) << 3 | 0b001, event_tag(ev)),
-        Entry::HostTransition(hid, up) => {
-            ((hid.0 as u64) << 3 | (*up as u64) << 1 | 0b100, u64::MAX)
+fn fold_entry(h: u64, t_us: u64, seq: u64, entry: &Entry, hosts: &HostTable) -> u64 {
+    let (target, tag) = match *entry {
+        Entry::Deliver(pid, ref ev) => ((pid.0 as u64) << 3 | 0b001, event_tag(ev)),
+        Entry::HostTransition(hid, i) => {
+            let up = hosts.get(hid).availability.transitions[i].1;
+            ((hid.0 as u64) << 3 | (up as u64) << 1 | 0b100, u64::MAX)
         }
         Entry::FlowWake => (0b010, u64::MAX),
     };
@@ -240,6 +243,10 @@ fn fold_entry(h: u64, t_us: u64, seq: u64, entry: &Entry) -> u64 {
     h = order_hash_fold(h, target);
     order_hash_fold(h, tag)
 }
+
+/// A calendar transition the kernel applies before the first event: it is
+/// never filed in the queue and draws no seq.
+const DOWN_AT_START: (SimTime, bool) = (SimTime::ZERO, false);
 
 /// The simulator: owns the network, hosts, processes, queue, and metrics.
 pub struct Sim {
@@ -259,6 +266,14 @@ pub struct Sim {
     metrics: Metrics,
     tele: KernelTele,
     transitions_scheduled: bool,
+    /// Each host's next availability instant not filed yet, earliest
+    /// first: `(time, the seq reserved for its first transition, host,
+    /// index in the calendar)`.
+    calendar: BinaryHeap<Reverse<(SimTime, u64, u32, usize)>>,
+    /// Calendar transitions filed in the queue and not yet dispatched.
+    calendar_filed: u64,
+    /// Calendar transitions reserved but not yet filed in the queue.
+    calendar_unfiled: u64,
     events_dispatched: u64,
     order_hash: u64,
     /// Lazy timer cancellation: `(pid, tag)` → sequence-number watermark.
@@ -731,7 +746,15 @@ pub struct RunStats {
 impl Sim {
     /// Build a simulator over the given network and host table, seeding all
     /// randomness from `seed`.
+    ///
+    /// Panics, naming the host, if an availability calendar's instants
+    /// ever decrease: the kernel files the calendars in order, one tick at
+    /// a time.
     pub fn new(net: NetModel, hosts: HostTable, seed: u64) -> Self {
+        for (_, spec) in hosts.iter() {
+            let sorted = spec.availability.transitions.is_sorted_by_key(|tr| tr.0);
+            assert!(sorted, "host {}: calendar out of order", spec.name);
+        }
         let seeder = StreamSeeder::new(seed);
         let net_rng = seeder.stream_named("kernel.net");
         let mut metrics = Metrics::default();
@@ -751,6 +774,9 @@ impl Sim {
             metrics,
             tele,
             transitions_scheduled: false,
+            calendar: BinaryHeap::new(),
+            calendar_filed: 0,
+            calendar_unfiled: 0,
             events_dispatched: 0,
             order_hash: ORDER_HASH_BASIS,
             cancelled: FxHashMap::default(),
@@ -858,26 +884,54 @@ impl Sim {
         any.downcast_ref::<T>().map(f)
     }
 
+    /// Reserve a seq for every availability transition, host by host in
+    /// table order (a `(ZERO, false)` draws none: it is applied at once),
+    /// and file the earliest calendar tick. Each later tick is filed with
+    /// its reserved seqs when the last transition of the one before it is
+    /// dispatched, before its own run is taken: every transition keeps the
+    /// `(time, seq)` and the same-tick run that filing all of them up front
+    /// gave it.
     fn schedule_host_transitions(&mut self) {
         if self.transitions_scheduled {
             return;
         }
         self.transitions_scheduled = true;
-        // Known before the first event, so filed in the queue's lane, not
-        // its heap; each transition still draws its own seq, in host order.
-        let mut batch = Vec::new();
         for (hid, spec) in self.hosts.iter() {
-            for &(t, up) in &spec.availability.transitions {
-                if t == SimTime::ZERO && !up {
-                    self.host_up[hid.0 as usize] = false;
-                } else {
-                    let entry = Entry::HostTransition(hid, up);
-                    batch.push((t.as_micros(), self.seq, entry));
-                    self.seq += 1;
+            let cal = &spec.availability.transitions;
+            let filed = cal.iter().filter(|&&tr| tr != DOWN_AT_START).count() as u64;
+            self.host_up[hid.0 as usize] = filed == cal.len() as u64;
+            if let Some(&(at, _)) = cal.first() {
+                self.calendar.push(Reverse((at, self.seq, hid.0, 0)));
+            }
+            self.seq += filed;
+            self.calendar_unfiled += filed;
+        }
+        self.file_calendar_tick();
+    }
+
+    /// While no calendar transition is filed, file every host's instant at
+    /// the earliest calendar tick not filed yet, each transition with its
+    /// reserved seq, and note each of those hosts' next instant.
+    fn file_calendar_tick(&mut self) {
+        while let (0, Some(&Reverse((at, ..)))) = (self.calendar_filed, self.calendar.peek()) {
+            while self.calendar.peek().is_some_and(|n| n.0 .0 == at) {
+                let Reverse((_, mut seq, h, mut i)) = self.calendar.pop().expect("peeked");
+                let cal = &self.hosts.get(HostId(h)).availability.transitions;
+                while cal.get(i).is_some_and(|tr| tr.0 == at) {
+                    if cal[i] != DOWN_AT_START {
+                        let entry = Entry::HostTransition(HostId(h), i);
+                        self.queue.insert(at.as_micros(), seq, entry);
+                        seq += 1;
+                        self.calendar_filed += 1;
+                        self.calendar_unfiled -= 1;
+                    }
+                    i += 1;
+                }
+                if let Some(&(next, _)) = cal.get(i) {
+                    self.calendar.push(Reverse((next, seq, h, i)));
                 }
             }
         }
-        self.queue.preload(batch);
     }
 
     fn apply_host_transition(&mut self, host: HostId, up: bool) {
@@ -951,7 +1005,7 @@ impl Sim {
     /// as cancelled, not dropped), route the entry, flush dirty flow links.
     /// The golden order hashes pin this per-entry order.
     fn dispatch_entry(&mut self, t_us: u64, seq: u64, entry: Entry) {
-        self.order_hash = fold_entry(self.order_hash, t_us, seq, &entry);
+        self.order_hash = fold_entry(self.order_hash, t_us, seq, &entry, &self.hosts);
         let time = SimTime::from_micros(t_us);
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
@@ -968,7 +1022,12 @@ impl Sim {
                 }
                 self.deliver(pid, ev);
             }
-            Entry::HostTransition(h, up) => self.apply_host_transition(h, up),
+            Entry::HostTransition(h, i) => {
+                self.calendar_filed -= 1;
+                self.file_calendar_tick();
+                let up = self.hosts.get(h).availability.transitions[i].1;
+                self.apply_host_transition(h, up);
+            }
             Entry::FlowWake => self.serve_flow_wake(t_us),
         }
         if self.flows.has_dirty() {
@@ -1007,8 +1066,8 @@ impl Sim {
         self.dispatch_buf = buf;
         self.now = self.now.max(t_end);
         let depth = self.tele.queue_depth;
-        let len = self.queue.len() as f64;
-        self.metrics.reg.set_gauge(depth, len);
+        let len = self.queue.len() as u64 + self.calendar_unfiled;
+        self.metrics.reg.set_gauge(depth, len as f64);
         if batch_runs > 0 {
             let d = self.tele.batch_dispatches;
             self.metrics.reg.add(d, batch_runs as f64);
@@ -1031,20 +1090,28 @@ mod tests {
     use super::*;
     use crate::host::HostSpec;
     use crate::net::SiteSpec;
-    use crate::trace::AvailabilitySchedule;
+
+    /// A host's name, speed and availability calendar.
+    type HostDef<'a> = (&'a str, f64, &'a [(SimTime, bool)]);
+
+    /// A simulator over one site (10 ms, 1.25 MB/s, `jitter`) and one
+    /// dedicated host per [`HostDef`], with ids in order.
+    fn world(jitter: f64, seed: u64, hosts: &[HostDef]) -> Sim {
+        let mut net = NetModel::new(jitter);
+        let ms10 = SimDuration::from_millis(10);
+        let s = net.add_site(SiteSpec::simple("s", ms10, 1.25e6, 0.0));
+        let mut table = HostTable::new();
+        for &(name, speed, calendar) in hosts {
+            let mut spec = HostSpec::dedicated(name, s, speed);
+            spec.availability.transitions = calendar.to_vec();
+            table.add(spec);
+        }
+        Sim::new(net, table, seed)
+    }
 
     fn small_world() -> (Sim, HostId, HostId) {
-        let mut net = NetModel::new(0.0);
-        let s = net.add_site(SiteSpec::simple(
-            "s",
-            SimDuration::from_millis(10),
-            1.25e6,
-            0.0,
-        ));
-        let mut hosts = HostTable::new();
-        let h0 = hosts.add(HostSpec::dedicated("h0", s, 1e6));
-        let h1 = hosts.add(HostSpec::dedicated("h1", s, 2e6));
-        (Sim::new(net, hosts, 42), h0, h1)
+        let sim = world(0.0, 42, &[("h0", 1e6, &[]), ("h1", 2e6, &[])]);
+        (sim, HostId(0), HostId(1))
     }
 
     struct Echo {
@@ -1295,24 +1362,12 @@ mod tests {
     }
 
     fn world_with_flaky_host() -> (Sim, HostId, HostId) {
-        let mut net = NetModel::new(0.0);
-        let s = net.add_site(SiteSpec::simple(
-            "s",
-            SimDuration::from_millis(10),
-            1.25e6,
-            0.0,
-        ));
-        let mut hosts = HostTable::new();
-        let stable = hosts.add(HostSpec::dedicated("stable", s, 1e6));
-        let mut flaky = HostSpec::dedicated("flaky", s, 1e6);
-        flaky.availability = AvailabilitySchedule {
-            transitions: vec![
-                (SimTime::from_secs(5), false),
-                (SimTime::from_secs(8), true),
-            ],
-        };
-        let flaky = hosts.add(flaky);
-        (Sim::new(net, hosts, 7), stable, flaky)
+        let flaky = [
+            (SimTime::from_secs(5), false),
+            (SimTime::from_secs(8), true),
+        ];
+        let sim = world(0.0, 7, &[("stable", 1e6, &[]), ("flaky", 1e6, &flaky)]);
+        (sim, HostId(0), HostId(1))
     }
 
     struct Watcher {
@@ -1420,21 +1475,9 @@ mod tests {
 
     #[test]
     fn a_process_on_a_host_that_starts_down_never_runs() {
-        let mut net = NetModel::new(0.0);
-        let s = net.add_site(SiteSpec::simple(
-            "s",
-            SimDuration::from_millis(10),
-            1.25e6,
-            0.0,
-        ));
-        let mut hosts = HostTable::new();
-        let stable = hosts.add(HostSpec::dedicated("stable", s, 1e6));
-        let mut late = HostSpec::dedicated("late", s, 1e6);
-        late.availability = AvailabilitySchedule {
-            transitions: vec![(SimTime::ZERO, false), (SimTime::from_secs(2), true)],
-        };
-        let late = hosts.add(late);
-        let mut sim = Sim::new(net, hosts, 7);
+        let late = [(SimTime::ZERO, false), (SimTime::from_secs(2), true)];
+        let mut sim = world(0.0, 7, &[("stable", 1e6, &[]), ("late", 1e6, &late)]);
+        let (stable, late) = (HostId(0), HostId(1));
         let ghost = sim.spawn("ghost", late, Box::new(NeverRuns));
         let at = SimDuration::from_secs(5);
         sim.spawn("pinger", stable, Box::new(PingAt { peer: ghost, at }));
@@ -1448,6 +1491,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "host flaky: calendar out of order")]
+    fn an_unsorted_calendar_is_refused() {
+        let flaky = [
+            (SimTime::from_secs(8), true),
+            (SimTime::from_secs(5), false),
+        ];
+        world(0.0, 7, &[("stable", 1e6, &[]), ("flaky", 1e6, &flaky)]);
+    }
+
+    #[test]
     fn a_process_table_slot_is_two_words() {
         assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
@@ -1455,17 +1508,8 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_metrics() {
         let run = |seed: u64| {
-            let mut net = NetModel::new(0.3);
-            let s = net.add_site(SiteSpec::simple(
-                "s",
-                SimDuration::from_millis(10),
-                1.25e6,
-                0.0,
-            ));
-            let mut hosts = HostTable::new();
-            let h0 = hosts.add(HostSpec::dedicated("h0", s, 1e6));
-            let h1 = hosts.add(HostSpec::dedicated("h1", s, 1e6));
-            let mut sim = Sim::new(net, hosts, seed);
+            let mut sim = world(0.3, seed, &[("h0", 1e6, &[]), ("h1", 1e6, &[])]);
+            let (h0, h1) = (HostId(0), HostId(1));
             struct Chatter {
                 peer: Option<ProcessId>,
                 count: u32,

@@ -151,12 +151,15 @@ impl LoadTrace for CompositeLoad {
 
 /// Availability expressed as a sorted list of `(time, up)` transitions.
 ///
-/// Transitions are generated ahead of the run (seeded), so the kernel simply
-/// schedules `HostUp`/`HostDown` events at the recorded instants.
+/// Transitions are generated ahead of the run (seeded); the kernel reads
+/// them in place for the whole run and files the transitions due at each
+/// calendar tick in its event queue while the tick before it is dispatched.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AvailabilitySchedule {
-    /// Sorted `(instant, is_up)` transitions. The host is up from time zero
-    /// unless the first transition is `(ZERO, false)`.
+    /// `(instant, is_up)` transitions, sorted by instant: `Sim::new`
+    /// panics if an instant ever decreases. Transitions that share an
+    /// instant apply in list order. The host is up from time zero unless
+    /// the first transition is `(ZERO, false)`.
     pub transitions: Vec<(SimTime, bool)>,
 }
 
@@ -192,39 +195,28 @@ impl AvailabilitySchedule {
             up = !up;
             transitions.push((t, up));
         }
+        // The kernel holds the calendar for the whole run.
+        transitions.shrink_to_fit();
         AvailabilitySchedule { transitions }
     }
 
     /// Whether the host is up at `t`.
     pub fn is_up_at(&self, t: SimTime) -> bool {
-        // Hosts default to up from time zero; replay transitions up to t.
-        let mut up = true;
-        for &(tt, u) in &self.transitions {
-            if tt <= t {
-                up = u;
-            } else {
-                break;
-            }
-        }
-        up
+        // Up from time zero until a transition at or before `t` says not.
+        let n = self.transitions.partition_point(|tr| tr.0 <= t);
+        n == 0 || self.transitions[n - 1].1
     }
 
     /// Total up-time within `[0, horizon)`.
     pub fn uptime(&self, horizon: SimDuration) -> SimDuration {
         let end = SimTime::ZERO + horizon;
-        let mut up = true;
-        let mut last = SimTime::ZERO;
-        let mut total = SimDuration::ZERO;
+        let (mut up, mut last, mut total) = (true, SimTime::ZERO, SimDuration::ZERO);
         for &(t, u) in &self.transitions {
             let t = t.min(end);
             if up {
                 total += t - last;
             }
-            last = t;
-            up = u;
-            if t >= end {
-                return total;
-            }
+            (last, up) = (t, u);
         }
         if up {
             total += end - last;

@@ -1,8 +1,9 @@
 //! The event queue's contract, stated against a sorted-`Vec` oracle:
-//! entries come out in strict `(time, seq)` order whether they were
-//! inserted or preloaded, bounded calls never pass their limit and park
-//! there, a run is exactly the entries at the minimum tick, and `len()` is
-//! exact. Nothing here knows how the queue stores its entries.
+//! entries come out in strict `(time, seq)` order whether their seqs were
+//! drawn as they were inserted or reserved ahead and inserted later,
+//! bounded calls never pass their limit and park there, a run is exactly
+//! the entries at the minimum tick, and `len()` is exact. Nothing here
+//! knows how the queue stores its entries.
 
 use ew_sim::EventQueue;
 use proptest::collection::vec as prop_vec;
@@ -265,31 +266,35 @@ fn run_drain_same_tick_inserts_form_next_run() {
 }
 
 #[test]
-fn preloaded_and_inserted_entries_on_one_tick_form_one_run_in_seq_order() {
-    // Once with the lower seq preloaded (a calendar filed before the run),
-    // once with it inserted: a queue that picks between the two sources on
-    // the tick alone gets one of the two wrong.
-    for (pre, ins) in [(0, 1), (1, 0)] {
-        let mut q = EventQueue::new();
-        q.preload([(5, pre, "preloaded"), (9, 2, "later")]);
-        q.insert(5, ins, "inserted");
-        q.insert(9, 3, "later");
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_run_upto(u64::MAX, &mut buf), 2);
-        let mut want = vec![(5, pre, "preloaded"), (5, ins, "inserted")];
-        want.sort();
-        assert_eq!(buf, want);
-        buf.clear();
-        assert_eq!(q.pop_run_upto(u64::MAX, &mut buf), 2);
-        assert_eq!(buf, [(9, 2, "later"), (9, 3, "later")]);
-        assert!(q.is_empty());
-    }
+fn reserved_seqs_inserted_later_join_their_tick_in_seq_order() {
+    // Seqs 0 and 1 are reserved before anything is inserted (as the kernel
+    // reserves the availability calendars') and filed only once the queue
+    // has moved on, each at a tick above its position: on a tick shared
+    // with entries whose seqs were drawn since, the run is in seq order.
+    let mut q = EventQueue::new();
+    q.insert(5, 2, "drawn");
+    q.insert(3, 3, "drawn");
+    let mut buf = Vec::new();
+    assert_eq!(q.pop_run_upto(u64::MAX, &mut buf), 1);
+    assert_eq!(buf, [(3, 3, "drawn")]);
+    buf.clear();
+    q.insert(9, 4, "drawn");
+    q.insert(9, 1, "reserved");
+    q.insert(5, 0, "reserved");
+    assert_eq!(q.len(), 4);
+    assert_eq!(q.pop_run_upto(u64::MAX, &mut buf), 2);
+    assert_eq!(buf, [(5, 0, "reserved"), (5, 2, "drawn")]);
+    buf.clear();
+    assert_eq!(q.pop_run_upto(u64::MAX, &mut buf), 2);
+    assert_eq!(buf, [(9, 1, "reserved"), (9, 4, "drawn")]);
+    assert!(q.is_empty());
 }
 
 proptest! {
     /// Random interleavings of every operation the kernel uses, against
     /// the oracle. `low` is the largest limit handed out so far — the
-    /// simulator's `now` — and every insert or preload lands at or after it.
+    /// simulator's `now` — and every insert lands at or after it; a
+    /// reserved seq lands strictly after it.
     #[test]
     fn random_interleavings_match_sorted_oracle(
         words in prop_vec(any::<u64>(), 1..160),
@@ -301,12 +306,12 @@ proptest! {
         let mut seq = 0u64;
         let mut low = 0u64;
         let mut last_t = 0u64;
-        // Seqs that were preloaded rather than inserted, ascending.
-        let mut preloaded: Vec<u64> = Vec::new();
+        // Seqs drawn ahead and not inserted yet.
+        let mut reserved: Vec<u64> = Vec::new();
         for w in words {
             let arg = w >> 4;
             match w % 9 {
-                // Inserts, biased 4:4 against the reads (8 preloads) so the
+                // Inserts, biased 4:4 against the reads (8 reserves) so the
                 // queue fills and empties; offsets span same-tick, near, far, a
                 // duplicate of the previous insert's tick, and u64::MAX.
                 0..=3 => {
@@ -323,36 +328,28 @@ proptest! {
                     last_t = t;
                     seq += 1;
                 }
-                // A preloaded batch of 0-8 fresh seqs in no tick order, as
-                // the kernel files the availability calendars; ticks at
-                // `low`, near, on a pending inserted entry's tick, far, and
-                // u64::MAX.
+                // Reserved seqs, as the kernel files the availability
+                // calendars: an odd `arg` (or none reserved) draws a block
+                // of 0-8 fresh seqs, an even one inserts a reserved seq at a
+                // tick above `low` (near, on a pending entry's tick, far, or
+                // u64::MAX).
+                8 if arg % 2 == 1 || reserved.is_empty() => {
+                    let n = arg / 2 % 9;
+                    reserved.extend(seq..seq + n);
+                    seq += n;
+                }
                 8 => {
-                    let inserted: Vec<u64> = want
-                        .0
-                        .iter()
-                        .filter(|e| preloaded.binary_search(&e.1).is_err() && e.0 >= low)
-                        .map(|e| e.0)
-                        .collect();
-                    let mut r = arg | 1;
-                    let mut batch = Vec::new();
-                    for _ in 0..arg % 9 {
-                        r ^= r << 13;
-                        r ^= r >> 7;
-                        r ^= r << 17;
-                        let t = match r % 5 {
-                            0 => low,
-                            1 => low + r % 64,
-                            2 => inserted.get(r as usize % inserted.len().max(1)).copied().unwrap_or(low),
-                            3 => low.saturating_add((1 << 40) + r % (1 << 41)),
-                            _ => u64::MAX,
-                        };
-                        batch.push((t, seq, seq));
-                        want.insert(t, seq, seq);
-                        preloaded.push(seq);
-                        seq += 1;
-                    }
-                    q.preload(batch);
+                    let s = reserved.swap_remove((arg / 2) as usize % reserved.len());
+                    let later: Vec<u64> = want.0.iter().map(|e| e.0).filter(|&t| t > low).collect();
+                    let r = arg / 8;
+                    let t = match arg / 2 % 4 {
+                        0 => low + 1 + r % 64,
+                        1 => later.get(r as usize % later.len().max(1)).copied().unwrap_or(low + 1),
+                        2 => low.saturating_add((1 << 40) + r % (1 << 41)),
+                        _ => u64::MAX,
+                    };
+                    q.insert(t, s, s);
+                    want.insert(t, s, s);
                 }
                 4 => {
                     low += arg % 6000;
@@ -390,6 +387,10 @@ proptest! {
                 }
             }
             prop_assert_eq!(q.len(), want.0.len());
+        }
+        for s in reserved {
+            q.insert(low + 1, s, s);
+            want.insert(low + 1, s, s);
         }
         // Bounded calls park no later than their limit: an insert at
         // exactly `low` is due at `low`, not clamped past it.

@@ -256,6 +256,145 @@ fn kernel_scenario_hash_matches_heap_golden() {
 }
 
 // ---------------------------------------------------------------------
+// Availability calendars: the shapes where filing a host's calendar into
+// the queue could reorder a run — two transitions at one instant, two
+// hosts at one tick, a `(ZERO, true)` before a `(ZERO, false)`, a host
+// whose first instant files nothing, a timer due at a transition's tick,
+// and `run_until` boundaries between one host's instants.
+// ---------------------------------------------------------------------
+
+/// Golden kernel event-order hash of the calendar scenario below, captured
+/// at the parent of the change that files the calendars one tick at a
+/// time (the calendars then sat presorted beside the heap).
+const CALENDAR_SCENARIO_ORDER_HASH: u64 = 0x1d2c_fe35_b8e9_371a;
+/// `kernel.batch_dispatches` and `kernel.batch_ties` after the calendar
+/// scenario, captured with its order hash.
+const CALENDAR_SCENARIO_BATCHES: (f64, f64) = (87.0, 272.0);
+/// `kernel.queue_depth` after the scenario's first `run_until`, captured
+/// with its order hash: pending entries, filed or not.
+const CALENDAR_SCENARIO_FIRST_DEPTH: f64 = 19.0;
+
+/// Watches every calendar host, spawns a responder on each host that comes
+/// up, pings every responder each 500 ms, and arms a timer for the tick two
+/// hosts change state at.
+struct CalendarProbe {
+    hosts: Vec<ew_sim::HostId>,
+    peers: Vec<ProcessId>,
+    rounds: u32,
+}
+
+impl Process for CalendarProbe {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        match ev {
+            Event::Started => {
+                for &h in &self.hosts {
+                    ctx.watch_host(h);
+                }
+                ctx.set_timer(SimDuration::from_secs(3), 1);
+                ctx.set_timer(SimDuration::from_millis(500), 2);
+            }
+            Event::Timer { tag } => {
+                self.rounds += 1;
+                for &p in &self.peers {
+                    ctx.send(p, 0x20 + tag as u32, Vec::new());
+                }
+                if tag == 2 && self.rounds < 30 {
+                    ctx.set_timer(SimDuration::from_millis(500), 2);
+                }
+            }
+            Event::HostStateChanged { host, up: true } => {
+                let pid = ctx.spawn("responder", host, Box::new(Responder));
+                self.peers.push(pid);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Acks every message at once: with zero LAN latency the ack lands on the
+/// tick it was sent, beside whatever else is due there.
+struct Responder;
+
+impl Process for Responder {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        if let Event::Message { from, mtype, .. } = ev {
+            ctx.send(from, mtype | 0x100, Vec::new());
+        }
+    }
+}
+
+/// The calendar scenario's order hash, batch counters, and queue depth
+/// after its first `run_until`.
+fn calendar_scenario() -> (u64, (f64, f64), f64) {
+    let mut net = NetModel::new(0.0);
+    let site = net.add_site(SiteSpec::simple("lan", SimDuration::ZERO, 1.25e9, 0.0));
+    let s = SimTime::from_secs;
+    let calendars = [
+        // Down and back up at one instant, then a later pair of instants
+        // on either side of a `run_until` boundary.
+        vec![(s(2), false), (s(2), true), (s(6), false), (s(9), true)],
+        // Two hosts change state at 3 s, where the probe's timer is due.
+        vec![(s(3), false), (s(7), true)],
+        vec![(s(1), false), (s(3), true)],
+        // Up at zero through the queue, down at zero at once.
+        vec![(SimTime::ZERO, true), (SimTime::ZERO, false), (s(5), true)],
+        // A first instant that files nothing.
+        vec![
+            (SimTime::ZERO, false),
+            (s(4), true),
+            (s(4), false),
+            (s(8), true),
+        ],
+    ];
+    let mut hosts = HostTable::new();
+    let probe_host = hosts.add(HostSpec::dedicated("probe", site, 1e8));
+    let mut cal_hosts = Vec::new();
+    for (i, transitions) in calendars.into_iter().enumerate() {
+        let mut spec = HostSpec::dedicated(&format!("cal{i}"), site, 1e8);
+        spec.availability = AvailabilitySchedule { transitions };
+        cal_hosts.push(hosts.add(spec));
+    }
+    let mut sim = Sim::new(net, hosts, 0xCA1E);
+    let peers: Vec<ProcessId> = cal_hosts
+        .iter()
+        .map(|&h| sim.spawn("responder", h, Box::new(Responder)))
+        .collect();
+    let probe = CalendarProbe {
+        hosts: cal_hosts,
+        peers,
+        rounds: 0,
+    };
+    sim.spawn("probe", probe_host, Box::new(probe));
+    let gauge = |sim: &Sim, name: &str| {
+        let gauges = sim.telemetry().gauges();
+        gauges.iter().find(|g| g.0 == name).map_or(0.0, |g| g.1)
+    };
+    sim.run_until(SimTime::from_millis(1500));
+    let first_depth = gauge(&sim, "kernel.queue_depth");
+    for t in [4, 6, 12] {
+        sim.run_until(s(t));
+    }
+    let m = sim.metrics();
+    let batches = (
+        m.counter("kernel.batch_dispatches"),
+        m.counter("kernel.batch_ties"),
+    );
+    (sim.event_order_hash(), batches, first_depth)
+}
+
+#[test]
+fn calendar_scenario_matches_lane_golden() {
+    let (h, batches, first_depth) = calendar_scenario();
+    assert_eq!(
+        h, CALENDAR_SCENARIO_ORDER_HASH,
+        "calendar scenario dispatch order diverged (got {h:#018x})"
+    );
+    assert_eq!(batches, CALENDAR_SCENARIO_BATCHES, "same-tick runs moved");
+    assert_eq!(first_depth, CALENDAR_SCENARIO_FIRST_DEPTH, "queue depth");
+    assert_eq!((h, batches, first_depth), calendar_scenario());
+}
+
+// ---------------------------------------------------------------------
 // Campaign worlds whose Sims are built inside the mega and chaos drivers:
 // many short cells, the farm's merge, faults and retries.
 // ---------------------------------------------------------------------

@@ -96,6 +96,17 @@ if grep -rnE 'span_enter|span_exit|SpanPhase|expire_traced|fn trace\(' crates/*/
     exit 1
 fi
 
+# One event queue: the kernel files the availability calendars into the
+# queue's heap one calendar tick at a time, with seqs reserved before the run
+# (a lane presorting every transition sat beside the heap, merged on every
+# take, and held 256 KiB of the 12-hour SC98 peak heap).
+echo "== the event queue is one heap"
+if grep -rnwE 'preload|lane' crates/sim/src; then
+    echo "error: file calendar ticks into the heap as Sim::file_calendar_tick does;" >&2
+    echo "       reserve seqs up front instead of presorting a second source" >&2
+    exit 1
+fi
+
 # One place spawns the world: Deployment::builder spawns every pool's
 # supervisor, so the spawn order (and with it every process id, rng stream
 # and order hash) is written once (run_sc98, the chaos cell, the mega shard

@@ -243,9 +243,9 @@ pub struct NwsServer {
     reports_id: Option<CounterId>,
     /// Reports absorbed.
     pub reports: u64,
-    /// Reports refused: the wire value was NaN or infinite, the name was
-    /// longer than `MAX_RESOURCE_NAME`, or it would have opened a stream
-    /// beyond `MAX_RESOURCES`.
+    /// Reports refused: the body did not decode (a NaN or ±∞ value is a
+    /// wire error), the name was longer than `MAX_RESOURCE_NAME`, or it
+    /// would have opened a stream beyond `MAX_RESOURCES`.
     pub reports_bad: u64,
 }
 
@@ -284,39 +284,37 @@ impl Process for NwsServer {
         };
         match (pkt.mtype, pkt.is_request()) {
             (nm::REPORT, false) => {
-                if let Ok(rep) = pkt.body::<NwsReport>() {
-                    // The report is straight off the wire: one NaN absorbed
-                    // would end method selection for that resource for good,
-                    // and every new name opens a battery. (First come, first
-                    // served: a flood that fills the table before an honest
-                    // sensor's first report locks that sensor out; its streams
-                    // already open keep absorbing.) The counter is interned
-                    // here, not up front, so a clean run's counter list
-                    // (`results/health.json`) carries no row for it.
-                    let opens = self.streams.samples(&rep.resource) == 0;
-                    if !rep.value.is_finite()
-                        || rep.resource.len() > MAX_RESOURCE_NAME
-                        || (opens && self.streams.stream_count() >= MAX_RESOURCES)
-                    {
-                        self.reports_bad += 1;
-                        let id = ctx.counter("nws.reports_bad");
-                        ctx.inc(id);
-                        return;
-                    }
-                    self.streams.observe(rep.resource, rep.value);
-                    self.reports += 1;
-                    // The server gets no Started event before the first
-                    // report can arrive, so intern on first use.
-                    let id = match self.reports_id {
-                        Some(id) => id,
-                        None => {
-                            let id = ctx.counter("nws.reports");
-                            self.reports_id = Some(id);
-                            id
-                        }
-                    };
+                // Straight off the wire, whose decode refuses a NaN or ±∞.
+                // Every new name opens a battery. (First come, first served:
+                // a flood that fills the table before an honest sensor's
+                // first report locks that sensor out; its streams already
+                // open keep absorbing.) Interned here, not up front, so a
+                // clean run's counter list (`results/health.json`) carries
+                // no row for it.
+                let rep = pkt.body::<NwsReport>().ok().filter(|rep| {
+                    rep.resource.len() <= MAX_RESOURCE_NAME
+                        && (self.streams.samples(&rep.resource) > 0
+                            || self.streams.stream_count() < MAX_RESOURCES)
+                });
+                let Some(rep) = rep else {
+                    self.reports_bad += 1;
+                    let id = ctx.counter("nws.reports_bad");
                     ctx.inc(id);
-                }
+                    return;
+                };
+                self.streams.observe(rep.resource, rep.value);
+                self.reports += 1;
+                // The server gets no Started event before the first
+                // report can arrive, so intern on first use.
+                let id = match self.reports_id {
+                    Some(id) => id,
+                    None => {
+                        let id = ctx.counter("nws.reports");
+                        self.reports_id = Some(id);
+                        id
+                    }
+                };
+                ctx.inc(id);
             }
             (nm::QUERY, true) => {
                 if let Ok(q) = pkt.body::<NwsQuery>() {

@@ -4,10 +4,10 @@
 //! would not be readily available in all environments" (§2.1) and instead
 //! used its own rudimentary, maximally-vanilla encoding. This module is
 //! that encoding, made explicit: all integers are big-endian, floats travel
-//! as IEEE-754 bit patterns, strings and vectors are length-prefixed with
-//! `u32`. No host byte order, padding, or alignment leaks onto the wire, so
-//! any two components agree regardless of platform — the property that let
-//! EveryWare span Unix, NT, Java, and the Tera MTA simultaneously.
+//! as finite IEEE-754 bit patterns, strings and vectors are length-prefixed
+//! with `u32`. No host byte order, padding, or alignment leaks onto the wire,
+//! so any two components agree regardless of platform — the property that
+//! let EveryWare span Unix, NT, Java, and the Tera MTA simultaneously.
 
 use std::fmt;
 
@@ -29,6 +29,8 @@ pub enum WireError {
     BadDiscriminant(u8),
     /// Decoding finished with unconsumed bytes when none were expected.
     TrailingBytes(usize),
+    /// An `f64` held these NaN or ±∞ bits: no wire number is one.
+    NonFinite(u64),
 }
 
 impl fmt::Display for WireError {
@@ -41,6 +43,7 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string was not valid UTF-8"),
             WireError::BadDiscriminant(d) => write!(f, "unknown discriminant {d}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
+            WireError::NonFinite(bits) => write!(f, "non-finite float {bits:#018x}"),
         }
     }
 }
@@ -214,7 +217,9 @@ impl WireEncode for f64 {
 
 impl WireDecode for f64 {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::decode(r)?))
+        let bits = u64::decode(r)?;
+        let x = f64::from_bits(bits);
+        x.is_finite().then_some(x).ok_or(WireError::NonFinite(bits))
     }
 }
 
@@ -363,7 +368,46 @@ mod tests {
         round_trip(true);
         round_trip(false);
         round_trip(std::f64::consts::PI);
-        round_trip(f64::NEG_INFINITY);
+        assert_eq!(
+            f64::from_wire(&f64::NEG_INFINITY.to_wire()),
+            Err(WireError::NonFinite(f64::NEG_INFINITY.to_bits()))
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_are_a_wire_error() {
+        let quiet_nan = f64::NAN.to_bits();
+        let patterns = [
+            quiet_nan,
+            quiet_nan | 0xdead_beef, // quiet, with a payload
+            0x7ff0_0000_0000_0001,   // signalling, smallest payload
+            0x7ff4_0000_0000_0000,   // signalling, high payload bit
+            0xfff8_0000_0000_0000,   // negative quiet NaN
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+        ];
+        for bits in patterns {
+            assert_eq!(
+                f64::from_wire(&bits.to_wire()),
+                Err(WireError::NonFinite(bits)),
+                "{bits:#018x}"
+            );
+        }
+    }
+
+    #[test]
+    fn finite_edge_floats_keep_their_bits() {
+        let smallest_subnormal = f64::from_bits(1);
+        for x in [
+            -0.0,
+            smallest_subnormal,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            let back = f64::from_wire(&x.to_wire()).expect("finite decodes");
+            assert_eq!(back.to_bits(), x.to_bits(), "{x:e}");
+        }
     }
 
     #[test]
@@ -485,11 +529,24 @@ mod tests {
             round_trip(v);
         }
 
+        /// `Ok` exactly when the value is finite, and then with its bits
+        /// preserved. Half the draws force the all-ones exponent, which a
+        /// uniform `u64` hits one time in 2048.
         #[test]
-        fn prop_f64_bits_preserved(bits: u64) {
+        fn prop_f64_bits_preserved(
+            bits in prop_oneof![any::<u64>(), any::<u64>().prop_map(|b| b | 0x7ff0_0000_0000_0000)],
+        ) {
             let x = f64::from_bits(bits);
-            let back = f64::from_wire(&x.to_wire()).unwrap();
-            prop_assert_eq!(back.to_bits(), bits);
+            match f64::from_wire(&x.to_wire()) {
+                Ok(back) => {
+                    prop_assert!(x.is_finite());
+                    prop_assert_eq!(back.to_bits(), bits);
+                }
+                Err(e) => {
+                    prop_assert!(!x.is_finite());
+                    prop_assert_eq!(e, WireError::NonFinite(bits));
+                }
+            }
         }
 
         #[test]

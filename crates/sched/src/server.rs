@@ -65,7 +65,7 @@ const MIGRATION_FACTOR: f64 = 0.45;
 struct SchedTele {
     grants: CounterId,
     reports: CounterId,
-    /// Reports dropped because their rate was non-finite or negative.
+    /// Reports refused: the body did not decode, or its rate was negative.
     reports_bad_rate: CounterId,
     results: CounterId,
     /// Per-report control decision (continue / switch / abandon-migrate);
@@ -123,13 +123,6 @@ impl RateTable {
     fn median(&self) -> Option<f64> {
         self.sorted.get(self.sorted.len() / 2).copied()
     }
-}
-
-/// `ProgressReport::rate` comes off the wire. A NaN, infinite or negative
-/// rate would poison the forecast battery, the baselines and the pool
-/// median, so such a report is answered `Continue` and feeds no table.
-fn rate_is_sane(rate: f64) -> bool {
-    rate.is_finite() && rate.is_sign_positive()
 }
 
 /// The scheduling server process.
@@ -269,7 +262,7 @@ impl SchedulerServer {
         });
     }
 
-    /// `report.rate` must already have passed [`rate_is_sane`].
+    /// `report.rate` must be finite and not negative.
     fn handle_report(&mut self, now: SimTime, report: ProgressReport) -> Directive {
         let rec = self
             .clients
@@ -412,42 +405,42 @@ impl Process for SchedulerServer {
                 );
             }
             scm::REPORT => {
-                if let Ok(report) = pkt.body::<ProgressReport>() {
-                    ctx.inc(tele.reports);
-                    if !rate_is_sane(report.rate) {
+                ctx.inc(tele.reports);
+                // A body that does not decode (a NaN or ±∞ rate included) or
+                // a negative rate would poison the forecast battery, the
+                // baselines and the pool median: answer `Continue`, feed no
+                // table.
+                let directive = match pkt.body::<ProgressReport>() {
+                    Ok(report) if report.rate.is_sign_positive() => {
+                        if let Some(log) = self.log_server {
+                            let rec = LogRecord {
+                                source: report.client,
+                                category: format!("rate.{}", report.infra),
+                                text: format!("unit {} best {}", report.unit_id, report.progress),
+                                value: report.rate,
+                            };
+                            send_packet(
+                                ctx,
+                                ProcessId(log as u32),
+                                &Packet::oneway(sm::LOG, rec.to_wire_payload()),
+                            );
+                        }
+                        ctx.mark(tele.decide_span, report.unit_id);
+                        self.handle_report(ctx.now(), report)
+                    }
+                    _ => {
                         ctx.inc(tele.reports_bad_rate);
-                        let keep_going = Directive {
+                        Directive {
                             kind: DirectiveKind::Continue.wire_id(),
                             variant: 0,
-                        };
-                        send_packet(
-                            ctx,
-                            from,
-                            &Packet::response_to(&pkt, keep_going.to_wire_payload()),
-                        );
-                        return;
+                        }
                     }
-                    if let Some(log) = self.log_server {
-                        let rec = LogRecord {
-                            source: report.client,
-                            category: format!("rate.{}", report.infra),
-                            text: format!("unit {} best {}", report.unit_id, report.progress),
-                            value: report.rate,
-                        };
-                        send_packet(
-                            ctx,
-                            ProcessId(log as u32),
-                            &Packet::oneway(sm::LOG, rec.to_wire_payload()),
-                        );
-                    }
-                    ctx.mark(tele.decide_span, report.unit_id);
-                    let directive = self.handle_report(ctx.now(), report);
-                    send_packet(
-                        ctx,
-                        from,
-                        &Packet::response_to(&pkt, directive.to_wire_payload()),
-                    );
-                }
+                };
+                send_packet(
+                    ctx,
+                    from,
+                    &Packet::response_to(&pkt, directive.to_wire_payload()),
+                );
             }
             scm::RESULT => {
                 if let Ok(result) = pkt.body::<WorkResult>() {
@@ -864,6 +857,71 @@ mod tests {
         sim.with_process::<SchedulerServer, _>(sched, |s| {
             assert_eq!(s.pool_median_rate(), Some(1e6));
             assert_eq!(s.rate_estimate(ok.0 as u64), Some(1e6));
+        })
+        .unwrap();
+    }
+
+    /// Sends one `REPORT` request whose body is cut one byte short, and
+    /// keeps the directive it gets back.
+    struct TruncatedReporter {
+        sched: ProcessId,
+        reply: Option<Directive>,
+    }
+
+    impl Process for TruncatedReporter {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            match &ev {
+                Event::Started => {
+                    let mut body = report(ctx.me().0 as u64, 999, 5, 1e6).to_wire();
+                    body.pop();
+                    send_packet(ctx, self.sched, &Packet::request(scm::REPORT, 0, body));
+                }
+                Event::Message { .. } => {
+                    if let Some(Ok((_, pkt))) = packet_from_event(&ev) {
+                        self.reply = Some(pkt.body::<Directive>().expect("a directive"));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_truncated_report_is_answered_continue_and_counted() {
+        use ew_sim::{HostSpec, HostTable, NetModel, Sim, SiteSpec};
+        let mut net = NetModel::new(0.0);
+        let mut hosts = HostTable::new();
+        let site = net.add_site(SiteSpec::simple(
+            "s",
+            SimDuration::from_millis(5),
+            1.25e6,
+            0.0,
+        ));
+        let h = hosts.add(HostSpec::dedicated("h", site, 1e8));
+        let mut sim = Sim::new(net, hosts, 1);
+        let sched = sim.spawn(
+            "sched",
+            h,
+            Box::new(SchedulerServer::new(SchedulerConfig::default())),
+        );
+        let sender = sim.spawn(
+            "truncated",
+            h,
+            Box::new(TruncatedReporter { sched, reply: None }),
+        );
+        sim.run_until(t(10));
+        let reply = sim
+            .with_process::<TruncatedReporter, _>(sender, |p| p.reply.clone())
+            .unwrap()
+            .expect("the request is answered");
+        assert_eq!(
+            DirectiveKind::from_wire_id(reply.kind),
+            DirectiveKind::Continue
+        );
+        assert_eq!(sim.metrics().counter("sched.reports"), 1.0);
+        assert_eq!(sim.metrics().counter("sched.reports_bad_rate"), 1.0);
+        sim.with_process::<SchedulerServer, _>(sched, |s| {
+            assert!(s.clients.is_empty() && s.estimates.sorted.is_empty());
         })
         .unwrap();
     }

@@ -29,18 +29,15 @@ impl Process for LogServer {
         }
         if let Some(Ok((_from, pkt))) = packet_from_event(&ev) {
             if pkt.mtype == sm::LOG {
-                if let Ok(rec) = pkt.body::<LogRecord>() {
-                    // Straight off the wire: a NaN or ±∞ is no measurement.
-                    // Interned on first refusal, so a clean run's counter
-                    // list (`results/health.json`) carries no row for it.
-                    if !rec.value.is_finite() {
-                        let id = ctx.counter("log.records_bad");
-                        ctx.inc(id);
-                        return;
-                    }
-                    let id = self.records_id.expect("started");
-                    ctx.inc(id);
-                }
+                let id = match pkt.body::<LogRecord>() {
+                    Ok(_) => self.records_id.expect("started"),
+                    // A record that does not decode, a NaN or ±∞ value
+                    // included, is no measurement. Interned on first
+                    // refusal, so a clean run's counter list
+                    // (`results/health.json`) carries no row for it.
+                    Err(_) => ctx.counter("log.records_bad"),
+                };
+                ctx.inc(id);
             }
         }
     }

@@ -10,9 +10,10 @@
 # directory (set TMPDIR to choose where). Then runs N pairs of `--workload W
 # --seed B+i --seconds S --trace 0` (defaults: 10 pairs, 8 s, seeds from
 # 1001), one seed per pair, the side that runs first alternating, and prints
-# each pair's two readings of the judged metric (`--metric`, default
-# `wall_s`) and their ratio. Exits 1 if the fingerprint,
-# `sim_work_units` or `finished_pct` differ at a seed, or a run failed a check.
+# each pair's two readings of `wall_s`, `setup_s` and `peak_rss_mib` with
+# their ratios, the judged metric (`--metric`, default `wall_s`) marked `*`.
+# Exits 1 if the fingerprint, `sim_work_units` or `finished_pct` differ at a
+# seed, or a run failed a check.
 # Ends with each side's medians and quartiles of `wall_s`, `setup_s` and
 # `peak_rss_mib`, how often the change read lower, and the verdict on the
 # judged metric: "claim met" when the change reads lower in at least 90 % of
@@ -74,8 +75,10 @@ run() { # side seed
 }
 
 status=0
-echo "judged: $metric"
-printf '%-8s %10s %10s %9s\n' seed parent change ratio
+echo "judged: $metric (marked *)"
+printf '%-6s' seed
+for _ in 1 2 3; do printf '  %-13s %9s %9s %9s' metric parent change ratio; done
+echo
 for ((i = 0; i < pairs; i++)); do
   seed=$((seed_base + i))
   if ((i % 2 == 0)); then
@@ -87,8 +90,14 @@ for ((i = 0; i < pairs; i++)); do
   IFS=$'\t' read -r c_wall c_setup c_rss c_same <<<"$c"
   vals=("$p_wall" "$c_wall" "$p_setup" "$c_setup" "$p_rss" "$c_rss")
   echo "${vals[*]}" >>"$work/pairs"
-  awk -v s="$seed" -v a="${vals[2 * judged]}" -v b="${vals[2 * judged + 1]}" \
-    'BEGIN { printf "%-8s %10.4f %10.4f %+8.1f %%\n", s, a, b, 100 * (b / a - 1) }'
+  awk -v s="$seed" -v judged="$judged" -v vals="${vals[*]}" 'BEGIN {
+    split(vals, v, " "); split("wall_s setup_s peak_rss_mib", name, " ")
+    printf "%-6s", s
+    for (m = 0; m < 3; m++)
+      printf "  %-13s %9.4f %9.4f %+7.1f %%", name[m + 1] (m == judged ? "*" : ""),
+        v[2 * m + 1], v[2 * m + 2], 100 * (v[2 * m + 2] / v[2 * m + 1] - 1)
+    printf "\n"
+  }'
   if [[ "$p_same" != "$c_same" ]]; then
     printf 'ab: seed %s differs (fingerprint, work, finished %%, failed):\n  parent %s\n  change %s\n' \
       "$seed" "$p_same" "$c_same" >&2

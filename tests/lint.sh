@@ -107,6 +107,19 @@ if grep -rnwE 'preload|lane' crates/sim/src; then
     exit 1
 fi
 
+# A wire number is finite: `f64::decode` answers a NaN or ±∞ with
+# `WireError::NonFinite`, so a consumer counts a body that does not decode
+# as a refusal (the NWS server, the scheduler's `rate_is_sane` and the log
+# server each repeated the test under its own counter). `ForecasterSet::update`
+# keeps its own check, because local measurements reach it too.
+echo "== a wire number's finiteness is checked once, at decode"
+if grep -nw 'is_finite' crates/forecast/src/sensor.rs crates/state/src/logging.rs \
+    crates/sched/src/server.rs || grep -rnw 'rate_is_sane' crates; then
+    echo "error: count an Err from pkt.body() as the refusal; ew_proto::wire" >&2
+    echo "       already refuses a non-finite f64" >&2
+    exit 1
+fi
+
 # One place spawns the world: Deployment::builder spawns every pool's
 # supervisor, so the spawn order (and with it every process id, rng stream
 # and order hash) is written once (run_sc98, the chaos cell, the mega shard

@@ -14,7 +14,7 @@
 
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::wire_struct;
-use ew_proto::{mtype, DeadlineTimer, EventTag, Packet, RpcClient, WireEncode};
+use ew_proto::{mtype, EventTag, Packet, RpcClient, WireEncode, RPC_WAKE};
 use ew_sim::{CounterId, Ctx, Event, Process, ProcessId, SimDuration, SimTime, SpanId};
 
 use crate::dynbench::DynamicBenchmark;
@@ -94,9 +94,6 @@ const MAX_RESOURCES: usize = 4096;
 const MAX_RESOURCE_NAME: usize = 64;
 
 const TIMER_PROBE: u64 = 1;
-/// Deadline-exact expiry wake-up (see [`DeadlineTimer`]); historically a
-/// fixed 2 s poll tick.
-const TIMER_EXPIRE: u64 = 2;
 const CPU_PROBE_TAG: u64 = 0xC0;
 
 /// Telemetry handles interned by a sensor on `Event::Started`.
@@ -120,7 +117,6 @@ impl SensorTele {
 pub struct NwsSensor {
     cfg: SensorConfig,
     rpc: RpcClient<u64>, // context = peer addr
-    expiry: DeadlineTimer,
     cpu_probe_started: Option<SimTime>,
     tele: Option<SensorTele>,
     /// Network probes answered.
@@ -135,7 +131,6 @@ impl NwsSensor {
         NwsSensor {
             cfg,
             rpc: RpcClient::new(ForecastTimeout::wan_default(), None, None),
-            expiry: DeadlineTimer::new(TIMER_EXPIRE),
             cpu_probe_started: None,
             tele: None,
             probes_ok: 0,
@@ -158,7 +153,7 @@ impl NwsSensor {
                 peer,
                 mtype: nm::PROBE,
             };
-            let corr = self.rpc.begin(tag, ctx.now(), peer);
+            let corr = self.rpc.begin(ctx, tag, peer);
             send_packet(
                 ctx,
                 ProcessId(peer as u32),
@@ -172,7 +167,6 @@ impl NwsSensor {
             ctx.compute(CPU_PROBE_OPS, CPU_PROBE_TAG);
         }
         ctx.set_timer(PROBE_INTERVAL, TIMER_PROBE);
-        self.expiry.update(ctx, self.rpc.next_deadline());
     }
 }
 
@@ -181,22 +175,23 @@ impl Process for NwsSensor {
         match &ev {
             Event::Started => {
                 self.tele = Some(SensorTele::intern(ctx));
-                // Spread sensors out within the first interval. The expiry
-                // timer is armed on demand by probe_round.
+                // Spread sensors out within the first interval.
                 let jitter = SimDuration::from_millis(ctx.rng().next_below(5_000));
                 ctx.set_timer(jitter, TIMER_PROBE);
             }
             Event::Timer { tag } => match *tag {
                 TIMER_PROBE => self.probe_round(ctx),
-                TIMER_EXPIRE => {
-                    self.expiry.note_fired();
+                RPC_WAKE => {
+                    // A lost probe is only counted: with no retry layer
+                    // every verdict would be `GaveUp`, and nothing is ever
+                    // deferred, so `take_due` only re-arms the wake.
                     let tele = self.tele.as_ref().expect("started");
                     let (probes_lost, timeout_span) = (tele.probes_lost, tele.timeout_span);
                     for _ in self.rpc.take_expired(ctx, timeout_span) {
                         self.probes_lost += 1;
                         ctx.inc(probes_lost);
                     }
-                    self.expiry.update(ctx, self.rpc.next_deadline());
+                    self.rpc.take_due(ctx);
                 }
                 _ => {}
             },
@@ -225,9 +220,6 @@ impl Process for NwsSensor {
                             let secs = rtt.as_secs_f64();
                             ctx.inc(tele.probes_ok);
                             self.report(ctx, format!("rtt.{me}.{peer}"), secs);
-                            // The completed request may have carried the
-                            // earliest deadline; re-arm (or disarm) exactly.
-                            self.expiry.update(ctx, self.rpc.next_deadline());
                         }
                     }
                 }

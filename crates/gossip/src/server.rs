@@ -16,7 +16,7 @@
 
 use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{broadcast_packet, packet_from_event, send_packet};
-use ew_proto::{EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout};
+use ew_proto::{EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout, RPC_WAKE};
 use ew_sim::{CounterId, Ctx, Event, HistogramId, Process, ProcessId, SimDuration, SpanId};
 
 use crate::clique::{CliqueConfig, CliqueState};
@@ -31,7 +31,9 @@ use ew_proto::WireEncode;
 const POLL_INTERVAL: SimDuration = SimDuration::from_secs(10);
 /// How often the state table is synced to pool peers.
 const SYNC_INTERVAL: SimDuration = SimDuration::from_secs(15);
-/// Bookkeeping granularity (RPC expiry, election deadlines, probing).
+/// Clique bookkeeping granularity (token loss, election deadlines, merge
+/// probing). Poll expiry is not on it: the poll [`RpcClient`] wakes at each
+/// deadline itself.
 const TICK_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 const TIMER_POLL: u64 = 1;
@@ -188,7 +190,7 @@ impl GossipServer {
             peer: comp,
             mtype: gm::POLL,
         };
-        let corr = self.rpc.begin(tag, ctx.now(), stype);
+        let corr = self.rpc.begin(ctx, tag, stype);
         self.transmit_poll(ctx, comp, stype, corr);
     }
 
@@ -273,23 +275,27 @@ impl GossipServer {
         }
     }
 
-    fn tick(&mut self, ctx: &mut Ctx<'_>) {
+    /// The poll [`RpcClient`]'s wake, at a poll's deadline or the end of
+    /// its backoff. An expiry is the §2.2 "misjudged the availability"
+    /// counter. Within the budget an expired poll is re-sent once after a
+    /// backoff; past it the next periodic round (or the breaker's half-open
+    /// probe) takes over, so a `GaveUp` verdict needs no handling here.
+    fn wake(&mut self, ctx: &mut Ctx<'_>) {
         let tele = self.tele.expect("started");
-        let now = ctx.now();
-        // RPC expiry: the §2.2 "misjudged the availability" counter. Within
-        // the budget an expired poll is re-sent once after a backoff; past
-        // it the next periodic round (or the breaker's half-open probe)
-        // takes over, so a `GaveUp` verdict needs no handling here.
         for expired in self.rpc.take_expired(ctx, tele.timeout_span) {
             ctx.inc(tele.poll_timeouts);
             self.rpc.verdict(ctx, tele.retry, expired, true);
         }
-        for resend in self.rpc.take_due(now) {
+        for resend in self.rpc.take_due(ctx) {
             let (comp, stype) = (resend.tag.peer, resend.context);
-            let corr = self.rpc.resend(now, resend);
+            let corr = self.rpc.resend(ctx, resend);
             self.transmit_poll(ctx, comp, stype, corr);
         }
-        // Clique bookkeeping.
+    }
+
+    fn tick(&mut self, ctx: &mut Ctx<'_>) {
+        let tele = self.tele.expect("started");
+        let now = ctx.now();
         let clique = self.clique.as_mut().expect("started");
         if clique.token_lost(now) {
             let (call, targets) = clique.start_election(now);
@@ -457,6 +463,7 @@ impl Process for GossipServer {
                 TIMER_POLL => self.poll_round(ctx),
                 TIMER_SYNC => self.sync_round(ctx),
                 TIMER_TICK => self.tick(ctx),
+                RPC_WAKE => self.wake(ctx),
                 TIMER_TOKEN_HOLD => {
                     self.hold_pending = false;
                     let tele = self.tele.expect("started");
@@ -480,5 +487,87 @@ impl Process for GossipServer {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::GossipClient;
+    use crate::freshness::Comparator;
+    use ew_sim::{HostSpec, HostTable, NetModel, Sim, SimTime, SiteSpec};
+
+    /// A component that registers two state types and never answers a poll.
+    struct Mute(ProcessId);
+
+    impl Process for Mute {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            if let Event::Started = ev {
+                let types = vec![
+                    (1, Comparator::VersionCounter),
+                    (2, Comparator::VersionCounter),
+                ];
+                GossipClient::new(types).register(ctx, self.0);
+            }
+        }
+    }
+
+    /// A [`GossipServer`] under watch: before every event no poll deadline
+    /// or resend may lie in the past. `noticed` holds each instant a wake
+    /// found something due; `late` holds `(now, due)` for every breach.
+    struct Watched {
+        server: GossipServer,
+        noticed: Vec<SimTime>,
+        late: Vec<(SimTime, SimTime)>,
+    }
+
+    impl Process for Watched {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            let now = ctx.now();
+            let due = self.server.rpc.next_due();
+            self.late
+                .extend(due.filter(|&at| at < now).map(|at| (now, at)));
+            if matches!(ev, Event::Timer { tag: RPC_WAKE }) && due.is_some_and(|at| at <= now) {
+                self.noticed.push(now);
+            }
+            self.server.on_event(ctx, ev);
+        }
+    }
+
+    #[test]
+    fn a_lost_poll_is_noticed_at_its_deadline_not_at_the_next_tick() {
+        let mut net = NetModel::new(0.0);
+        let site = net.add_site(SiteSpec::simple(
+            "s",
+            SimDuration::from_millis(20),
+            1.25e6,
+            0.0,
+        ));
+        let mut hosts = HostTable::new();
+        let hg = hosts.add(HostSpec::dedicated("g", site, 1e8));
+        let hc = hosts.add(HostSpec::dedicated("c", site, 1e8));
+        let mut sim = Sim::new(net, hosts, 3);
+        let watched = Watched {
+            server: GossipServer::new(None, vec![]),
+            noticed: Vec::new(),
+            late: Vec::new(),
+        };
+        let g = sim.spawn("gossip", hg, Box::new(watched));
+        sim.spawn("mute", hc, Box::new(Mute(g)));
+        sim.run_until(SimTime::from_secs(120));
+        let (noticed, late) = sim
+            .with_process::<Watched, _>(g, |w| (w.noticed.clone(), w.late.clone()))
+            .expect("alive");
+        assert_eq!(late, vec![], "something due waited for a later event");
+        // Both state types of each round expire together; the retries
+        // within the budget expire too.
+        assert!(sim.metrics().counter("gossip.poll_timeouts") >= 4.0);
+        // The 1 s clique tick runs on whole seconds from the start; the
+        // deadlines do not, and that is when the losses are noticed.
+        let off_tick = noticed
+            .iter()
+            .filter(|at| at.since(SimTime::ZERO).as_micros() % 1_000_000 != 0)
+            .count();
+        assert!(off_tick >= 2, "noticed at {noticed:?}");
     }
 }

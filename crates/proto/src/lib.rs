@@ -30,7 +30,7 @@ pub use ew_sim::Payload;
 pub use packet::{mtype, FrameReader, Packet};
 pub use retry::{AdaptiveRetry, RetryConfig, RetryDecision, RetryTele};
 pub use rpc::{
-    DeadlineTimer, EventTag, Expired, Pending, Resend, RpcClient, RpcTracker, StaticTimeout,
-    TimeoutPolicy, Verdict,
+    EventTag, Expired, Pending, Resend, RpcClient, RpcTracker, StaticTimeout, TimeoutPolicy,
+    Verdict, RPC_WAKE,
 };
 pub use wire::{WireDecode, WireEncode, WireError, WireReader};

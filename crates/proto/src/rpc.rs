@@ -139,16 +139,13 @@ impl<M> RpcTracker<M> {
     /// correlation id for determinism.
     ///
     /// The policy hears about each distinct [`EventTag`] **once per
-    /// batch**, not once per entry. Callers fall into two camps: exact
-    /// ones ([`DeadlineTimer`]-driven, e.g. the NWS sensor) expire a
-    /// single entry at its deadline instant, while tick-based ones (the
-    /// compute client and Gossip server scan on a 1–2 s cadence) can
-    /// collect several same-tag entries that all died of *one* underlying
-    /// outage. Reporting per entry made one outage inflate an adaptive
-    /// policy's back-off several times over for the batched callers but
-    /// only once for the exact ones — the same signal, counted
-    /// differently depending on the caller's timer style. One distinct
-    /// tag per batch restores "one outage, one signal" for both camps.
+    /// batch**, not once per entry. Even when every expiry is noticed at
+    /// its own deadline, same-tag entries can die in one batch: a Gossip
+    /// poll round polls each state type of one component at the same
+    /// instant, all under the tag (component, POLL), so they share one
+    /// deadline and one lost component expires them together. That is one
+    /// outage; reporting it per entry would inflate an adaptive policy's
+    /// time-out once per state type instead of once.
     pub fn expire(&mut self, now: SimTime, policy: &mut dyn TimeoutPolicy) -> Vec<Pending<M>> {
         // Determinism note: this is the map's only iteration that could
         // show its order, and the ids it collects are sorted before use
@@ -188,52 +185,36 @@ impl<M> RpcTracker<M> {
     }
 }
 
-/// Arms one kernel timer at a tracker's earliest outstanding deadline,
-/// replacing the fixed-period "poll every few seconds and scan" pattern:
-/// expiries are detected at the deadline instant (not up to a period
-/// late), and an idle tracker costs no events at all.
-///
-/// Owners call [`DeadlineTimer::update`] after every tracker mutation
-/// (begin, complete, expire). Re-arming cancels the previous timer through
-/// the kernel's lazy [`cancel_timer`](ew_sim::Ctx::cancel_timer), so no
-/// generation numbers or stale-fire checks are needed — a `Timer` event
-/// with this tag always means "the earliest armed deadline is due".
-pub struct DeadlineTimer {
-    tag: u64,
+/// The kernel timer tag every [`RpcClient`] owner reserves for the client's
+/// wake. An `Event::Timer` with this tag means "something may be due": the
+/// owner answers it with the three calls of a wake (see [`RpcClient`]).
+pub const RPC_WAKE: u64 = u64::MAX;
+
+/// The one [`RPC_WAKE`] timer of an [`RpcClient`], armed at the earliest
+/// instant something is due. It only ever moves earlier: a reply does not
+/// cancel it (a `cancel_timer` per reply writes the kernel's cancellation
+/// map on the hottest path), so a wake may find nothing due. A timer left
+/// behind by a move earlier fires as such an idle wake.
+struct DeadlineTimer {
     armed: Option<SimTime>,
 }
 
 impl DeadlineTimer {
-    /// A disarmed deadline timer using `tag` for its kernel timer events.
-    pub fn new(tag: u64) -> Self {
-        DeadlineTimer { tag, armed: None }
-    }
-
-    /// The kernel timer tag this helper owns.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Record that the armed timer just delivered. Call first in the
-    /// `Event::Timer` handler, so the following `update` re-arms even if
-    /// the next deadline happens to equal the one that fired.
-    pub fn note_fired(&mut self) {
-        self.armed = None;
-    }
-
-    /// Arm at `deadline`, cancelling any previously armed timer; `None`
-    /// disarms. A no-op when already armed at exactly `deadline`.
-    pub fn update(&mut self, ctx: &mut ew_sim::Ctx<'_>, deadline: Option<SimTime>) {
-        if self.armed == deadline {
+    /// Make sure a wake comes at or before `at`.
+    fn wake_by(&mut self, ctx: &mut ew_sim::Ctx<'_>, at: SimTime) {
+        if self.armed.is_some_and(|armed| armed <= at) {
             return;
         }
-        if self.armed.is_some() {
-            ctx.cancel_timer(self.tag);
+        ctx.set_timer(at.since(ctx.now()), RPC_WAKE);
+        self.armed = Some(at);
+    }
+
+    /// A wake is being handled at `now`: once the armed instant has come,
+    /// nothing is armed any more.
+    fn fired(&mut self, now: SimTime) {
+        if self.armed.is_some_and(|armed| armed <= now) {
+            self.armed = None;
         }
-        if let Some(d) = deadline {
-            ctx.set_timer(d.since(ctx.now()), self.tag);
-        }
-        self.armed = deadline;
     }
 }
 
@@ -241,7 +222,7 @@ impl DeadlineTimer {
 #[derive(Debug, PartialEq, Eq)]
 pub enum Verdict<C> {
     /// A resend to the same peer is queued inside the client; it comes out
-    /// of [`RpcClient::take_due`] at the first sweep at or after its backoff.
+    /// of [`RpcClient::take_due`] at the wake at the end of its backoff.
     Deferred,
     /// Retry budget exhausted, circuit open, request not resendable, or the
     /// static baseline: the context is the caller's again, to fail over,
@@ -291,16 +272,19 @@ impl<C> Resend<C> {
 /// expiry ([`RpcTracker`]), time-out discovery ([`TimeoutPolicy`]), the
 /// adaptive retry layer ([`AdaptiveRetry`]: budget, backoff, per-peer
 /// breaker), each request's attempt count, and the queue of resends
-/// waiting out a backoff. The compute client and the Gossip server each
-/// embed one; what they keep for themselves is *when* to sweep (their
-/// timer discipline) and what a [`Verdict::GaveUp`] means for each kind of
-/// request.
+/// waiting out a backoff. The compute client, the Gossip server and the NWS
+/// sensor each embed one; what they keep for themselves is what a
+/// [`Verdict::GaveUp`] means for each kind of request.
 ///
-/// A sweep is three calls, in this order: [`take_expired`], then one
-/// [`verdict`] per expiry with the caller's give-up handling run *between*
-/// verdicts, then [`take_due`] + [`resend`]. Verdicts are lazy because a
-/// give-up handler reads breaker state ([`is_open`]) that the next verdict
-/// mutates, and begins new requests.
+/// The client also owns *when* an expiry is noticed: one kernel timer
+/// tagged [`RPC_WAKE`], armed at the earliest in-flight deadline or
+/// deferred resend, so every time-out and every resend takes effect at its
+/// own instant. The owner answers that timer with a wake, three calls in
+/// this order: [`take_expired`], then one [`verdict`] per expiry with the
+/// caller's give-up handling run *between* verdicts, then [`take_due`] +
+/// [`resend`]. Verdicts are lazy because a give-up handler reads breaker
+/// state ([`is_open`]) that the next verdict mutates, and begins new
+/// requests.
 ///
 /// [`take_expired`]: Self::take_expired
 /// [`verdict`]: Self::verdict
@@ -314,6 +298,7 @@ pub struct RpcClient<C> {
     adaptive: Option<AdaptiveRetry>,
     cap: Option<SimDuration>,
     deferred: Vec<Resend<C>>,
+    wake: DeadlineTimer,
 }
 
 impl<C> RpcClient<C> {
@@ -338,6 +323,7 @@ impl<C> RpcClient<C> {
             adaptive: retry.map(|retry| AdaptiveRetry::new(retry, 0)),
             cap,
             deferred: Vec::new(),
+            wake: DeadlineTimer { armed: None },
         }
     }
 
@@ -351,21 +337,23 @@ impl<C> RpcClient<C> {
         }
     }
 
-    /// Register a first send; returns the correlation id to stamp on the
-    /// packet.
-    pub fn begin(&mut self, tag: EventTag, now: SimTime, context: C) -> u64 {
-        self.arm(tag, now, context, 1)
+    /// Register a first send at `ctx.now()`; returns the correlation id to
+    /// stamp on the packet.
+    pub fn begin(&mut self, ctx: &mut ew_sim::Ctx<'_>, tag: EventTag, context: C) -> u64 {
+        self.arm(ctx, tag, context, 1)
     }
 
     /// Register the resend of a request that came out of
     /// [`take_due`](Self::take_due); its attempt count carries over.
-    pub fn resend(&mut self, now: SimTime, due: Resend<C>) -> u64 {
-        self.arm(due.tag, now, due.context, due.attempts)
+    pub fn resend(&mut self, ctx: &mut ew_sim::Ctx<'_>, due: Resend<C>) -> u64 {
+        self.arm(ctx, due.tag, due.context, due.attempts)
     }
 
-    fn arm(&mut self, tag: EventTag, now: SimTime, context: C, attempts: u32) -> u64 {
+    fn arm(&mut self, ctx: &mut ew_sim::Ctx<'_>, tag: EventTag, context: C, attempts: u32) -> u64 {
         let timeout = self.policy.timeout_for(tag);
         let timeout = self.cap.map_or(timeout, |cap| timeout.min(cap));
+        let now = ctx.now();
+        self.wake.wake_by(ctx, now + timeout);
         self.tracker.arm(tag, now, timeout, (context, attempts))
     }
 
@@ -379,16 +367,17 @@ impl<C> RpcClient<C> {
         Some((p.tag, p.context.0, rtt))
     }
 
-    /// [`RpcTracker::expire`] at `ctx.now()`: every request past its
-    /// deadline, in correlation-id order, the policy hearing each distinct
-    /// tag once. Each expiry leaves one mark on `span` (tagged with its
-    /// correlation id), so time-outs show up in the kernel trace after the
-    /// dispatch that found them.
+    /// A wake's first call: [`RpcTracker::expire`] at `ctx.now()`, every
+    /// request past its deadline, in correlation-id order, the policy
+    /// hearing each distinct tag once. Each expiry leaves one mark on `span`
+    /// (tagged with its correlation id), so time-outs show up in the kernel
+    /// trace after the dispatch that found them.
     pub fn take_expired(
         &mut self,
         ctx: &mut ew_sim::Ctx<'_>,
         span: ew_sim::SpanId,
     ) -> Vec<Expired<C>> {
+        self.wake.fired(ctx.now());
         self.tracker
             .expire(ctx.now(), self.policy.as_mut())
             .into_iter()
@@ -443,13 +432,18 @@ impl<C> RpcClient<C> {
         }
     }
 
-    /// Remove and return the deferred resends whose backoff has elapsed,
-    /// oldest first.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<Resend<C>> {
+    /// A wake's last call: remove and return the deferred resends whose
+    /// backoff has elapsed, oldest first. What is left is due later, and
+    /// the wake is armed for it.
+    pub fn take_due(&mut self, ctx: &mut ew_sim::Ctx<'_>) -> Vec<Resend<C>> {
+        let now = ctx.now();
         let (due, later) = std::mem::take(&mut self.deferred)
             .into_iter()
             .partition(|d| d.due <= now);
         self.deferred = later;
+        if let Some(at) = self.next_due() {
+            self.wake.wake_by(ctx, at);
+        }
         due
     }
 
@@ -474,9 +468,15 @@ impl<C> RpcClient<C> {
         self.tracker.outstanding.get(&corr_id).map(|p| p.deadline)
     }
 
-    /// The earliest in-flight deadline, for an owner's [`DeadlineTimer`].
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.tracker.next_deadline()
+    /// The earliest instant something is due: an in-flight deadline or the
+    /// end of a deferred resend's backoff.
+    pub fn next_due(&self) -> Option<SimTime> {
+        let resends = self.deferred.iter().map(|d| d.due);
+        self.tracker
+            .next_deadline()
+            .into_iter()
+            .chain(resends)
+            .min()
     }
 
     /// Requests in flight.
@@ -487,11 +487,6 @@ impl<C> RpcClient<C> {
     /// Resends waiting out a backoff.
     pub fn deferred(&self) -> usize {
         self.deferred.len()
-    }
-
-    /// Nothing in flight and nothing deferred: a sweep would find nothing.
-    pub fn idle(&self) -> bool {
-        self.in_flight() == 0 && self.deferred.is_empty()
     }
 }
 
@@ -532,16 +527,15 @@ mod tests {
     #[test]
     fn capped_client_bounds_the_policy_timeout() {
         let cap = Some(SimDuration::from_secs(30));
-        let slow = StaticTimeout(SimDuration::from_secs(100));
-        let mut rc: RpcClient<()> = RpcClient::new(slow, None, cap);
-        let id = rc.begin(tag(1), t(0), ());
         // The inflated 100 s policy value is clamped to the 30 s cap…
-        assert_eq!(rc.deadline(id), Some(t(30)));
-        let fast = StaticTimeout(SimDuration::from_secs(5));
-        let mut rc: RpcClient<()> = RpcClient::new(fast, None, cap);
-        let id = rc.begin(tag(1), t(0), ());
+        let got = wakes(
+            RpcClient::new(ByType, None, cap),
+            vec![(0, Step::Begin(100))],
+        );
+        assert_eq!(got, vec![(t(30), 1, 0, None)]);
         // …while values below the cap pass through untouched.
-        assert_eq!(rc.deadline(id), Some(t(5)));
+        let got = wakes(RpcClient::new(ByType, None, cap), vec![(0, Step::Begin(5))]);
+        assert_eq!(got, vec![(t(5), 1, 0, None)]);
     }
 
     #[test]
@@ -615,14 +609,19 @@ mod tests {
         }
         let mut pol = TagCounter(Vec::new());
         let mut rt: RpcTracker<u32> = RpcTracker::new();
-        // Three same-tag requests plus one to a different peer, all
-        // expiring inside one tick-based scan: one outage per tag, so one
-        // observe_timeout per tag, even though four entries are returned.
+        // A poll round: three state types of component 1 polled at one
+        // instant under one tag, plus one poll of component 9. They share
+        // the 1 s deadline, so a wake exactly at it finds all four: one
+        // outage per tag, so one observe_timeout per tag, even though four
+        // entries are returned.
         rt.begin(tag(1), t(0), &mut pol, 1);
         rt.begin(tag(1), t(0), &mut pol, 2);
         rt.begin(tag(1), t(0), &mut pol, 3);
         rt.begin(tag(9), t(0), &mut pol, 4);
-        let exp = rt.expire(t(10), &mut pol);
+        assert!(rt
+            .expire(t(0) + SimDuration::from_micros(999_999), &mut pol)
+            .is_empty());
+        let exp = rt.expire(t(1), &mut pol);
         assert_eq!(exp.len(), 4, "all expired entries are still returned");
         assert_eq!(pol.0, vec![tag(1), tag(9)], "but each tag reports once");
     }
@@ -647,5 +646,156 @@ mod tests {
         let exp = rt.expire(t(10), &mut pol);
         let got: Vec<u64> = exp.iter().map(|p| p.corr_id).collect();
         assert_eq!(got, ids, "expired in corr-id order");
+    }
+
+    /// Time-outs in whole seconds, read off the message type.
+    struct ByType;
+
+    impl TimeoutPolicy for ByType {
+        fn timeout_for(&mut self, tag: EventTag) -> SimDuration {
+            SimDuration::from_secs(u64::from(tag.mtype))
+        }
+        fn observe_rtt(&mut self, _t: EventTag, _r: SimDuration) {}
+        fn observe_timeout(&mut self, _t: EventTag) {}
+    }
+
+    enum Step {
+        Begin(u16),
+        Complete(u64),
+    }
+
+    /// What one wake found: when, how many expiries, how many resends, and
+    /// the next due instant it left behind.
+    type Wake = (SimTime, usize, usize, Option<SimTime>);
+
+    /// An owner that runs `script` (one timer tagged 0 per step, at whole
+    /// seconds) and answers every [`RPC_WAKE`] with a full wake.
+    struct Owner {
+        rpc: RpcClient<()>,
+        script: Vec<(u64, Step)>,
+        next: usize,
+        wakes: Vec<Wake>,
+        tele: Option<(ew_sim::SpanId, RetryTele)>,
+    }
+
+    impl ew_sim::Process for Owner {
+        fn on_event(&mut self, ctx: &mut ew_sim::Ctx<'_>, ev: ew_sim::Event) {
+            match ev {
+                ew_sim::Event::Started => {
+                    self.tele = Some((ctx.span("proto.timeout"), RetryTele::intern(ctx)));
+                    for &(at, _) in &self.script {
+                        ctx.set_timer(SimDuration::from_secs(at), 0);
+                    }
+                }
+                ew_sim::Event::Timer { tag: RPC_WAKE } => {
+                    let (span, tele) = self.tele.expect("started");
+                    let expired = self.rpc.take_expired(ctx, span);
+                    let n = expired.len();
+                    for e in expired {
+                        self.rpc.verdict(ctx, tele, e, true);
+                    }
+                    let due = self.rpc.take_due(ctx);
+                    let resent = due.len();
+                    for r in due {
+                        self.rpc.resend(ctx, r);
+                    }
+                    self.wakes.push((ctx.now(), n, resent, self.rpc.next_due()));
+                }
+                ew_sim::Event::Timer { tag: 0 } => {
+                    let peer = self.next as u64;
+                    match self.script[self.next].1 {
+                        Step::Begin(mtype) => {
+                            self.rpc.begin(ctx, EventTag { peer, mtype }, ());
+                        }
+                        Step::Complete(corr) => {
+                            self.rpc.complete(corr, ctx.now()).expect("in flight");
+                        }
+                    }
+                    self.next += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Run `rpc` through `script` for 100 s; every wake it saw.
+    fn wakes(rpc: RpcClient<()>, script: Vec<(u64, Step)>) -> Vec<Wake> {
+        let mut net = ew_sim::NetModel::new(0.0);
+        let site = net.add_site(ew_sim::SiteSpec::simple(
+            "s",
+            SimDuration::from_millis(5),
+            1e6,
+            0.0,
+        ));
+        let mut hosts = ew_sim::HostTable::new();
+        let host = hosts.add(ew_sim::HostSpec::dedicated("h", site, 1e8));
+        let mut sim = ew_sim::Sim::new(net, hosts, 1);
+        let owner = Owner {
+            rpc,
+            script,
+            next: 0,
+            wakes: Vec::new(),
+            tele: None,
+        };
+        let pid = sim.spawn("owner", host, Box::new(owner));
+        sim.run_until(t(100));
+        sim.with_process::<Owner, _>(pid, |o| o.wakes.clone())
+            .expect("alive")
+    }
+
+    #[test]
+    fn the_wake_moves_only_earlier_and_an_idle_wake_does_not_rearm() {
+        let script = vec![
+            (0, Step::Begin(10)), // corr 1, due at 10: the wake is armed at 10
+            (1, Step::Begin(20)), // corr 2, due at 21: the wake stays at 10
+            (2, Step::Begin(3)),  // corr 3, due at 5: the wake moves to 5
+            (3, Step::Complete(3)),
+            (12, Step::Complete(2)),
+        ];
+        let got = wakes(RpcClient::new(ByType, None, None), script);
+        assert_eq!(
+            got,
+            vec![
+                // The reply at 3 did not cancel the wake: it finds nothing
+                // and re-arms at corr 1's deadline.
+                (t(5), 0, 0, Some(t(10))),
+                // corr 1 expires at its own deadline, and the wake moves on
+                // to corr 2's.
+                (t(10), 1, 0, Some(t(21))),
+                // The timer the move to 5 left behind: an idle wake.
+                (t(10), 0, 0, Some(t(21))),
+                // corr 2 was answered at 12: idle, and with nothing in
+                // flight the wake stays off (nothing after 21).
+                (t(21), 0, 0, None),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_deferred_resend_wakes_at_its_own_instant() {
+        let retry = RetryConfig {
+            base: SimDuration::from_secs(2),
+            cap: SimDuration::from_secs(10),
+            budget: 2,
+            jitter: 0.3,
+        };
+        let mut rpc = RpcClient::new(ByType, Some(retry), None);
+        rpc.seed_jitter(&mut Xoshiro256::seed_from_u64(7));
+        // One request, due at 4 and never answered.
+        let got = wakes(rpc, vec![(0, Step::Begin(4))]);
+        assert_eq!(got.len(), 3, "{got:?}");
+        // At 4 it expires and is deferred; only the resend is left due.
+        let (at, expired, resent, due) = got[0];
+        assert_eq!((at, expired, resent), (t(4), 1, 0));
+        let due = due.expect("a resend is due");
+        assert!(
+            due > t(4) && due.since(t(4)) != SimDuration::from_secs(2),
+            "jittered backoff"
+        );
+        // The next wake is at that instant exactly, and sends it.
+        assert_eq!(got[1], (due, 0, 1, Some(due + SimDuration::from_secs(4))));
+        // The resend expires at its own deadline: past the budget, so it
+        // is given up and nothing is left to wake for.
+        assert_eq!(got[2], (due + SimDuration::from_secs(4), 1, 0, None));
     }
 }

@@ -425,11 +425,12 @@ impl NewGlue {
         deadline
     }
 
-    fn begin(&mut self, now: SimTime, peer: u64, kind: u16) {
+    fn begin(&mut self, ctx: &mut Ctx<'_>, peer: u64, kind: u16) {
+        let now = ctx.now();
         let id = self.next_id;
         self.next_id += 1;
         self.begun += 1;
-        let corr = self.rpc.begin(EventTag { peer, mtype: kind }, now, id);
+        let corr = self.rpc.begin(ctx, EventTag { peer, mtype: kind }, id);
         let deadline = self.armed(now, corr, id);
         self.log.push(Obs::Begun { id, corr, deadline });
     }
@@ -480,7 +481,7 @@ impl NewGlue {
                         FAILOVER => {
                             self.rotation += 1;
                             let to = self.pick_peer(now);
-                            self.begin(now, to, FAILOVER);
+                            self.begin(ctx, to, FAILOVER);
                         }
                         PERIODIC if self.arm.retry.is_none() => self.rotation += 1,
                         _ => {}
@@ -488,7 +489,7 @@ impl NewGlue {
                 }
             }
         }
-        for resend in self.rpc.take_due(now) {
+        for resend in self.rpc.take_due(ctx) {
             let (id, attempts) = (resend.context, resend.attempts());
             if let Some(budget) = budget {
                 assert!(
@@ -500,7 +501,7 @@ impl NewGlue {
                 self.deferred_ids.remove(&id),
                 "{id} resent but never deferred"
             );
-            let corr = self.rpc.resend(now, resend);
+            let corr = self.rpc.resend(ctx, resend);
             let deadline = self.armed(now, corr, id);
             self.log.push(Obs::Resent {
                 id,
@@ -515,7 +516,7 @@ impl NewGlue {
         assert_eq!(self.rpc.in_flight(), self.in_flight.len());
         assert_eq!(self.rpc.deferred(), self.deferred_ids.len());
         assert_eq!(
-            self.rpc.idle(),
+            self.rpc.next_due().is_none(),
             self.in_flight.is_empty() && self.deferred_ids.is_empty()
         );
         assert_eq!(
@@ -560,7 +561,7 @@ impl Lockstep {
         match op {
             Op::Begin { peer, kind } => {
                 self.parent.begin(now, peer, kind);
-                self.new.begin(now, peer, kind);
+                self.new.begin(ctx, peer, kind);
             }
             Op::Complete { nth } => {
                 let ids = &self.parent.in_flight;
@@ -609,7 +610,9 @@ impl Process for Lockstep {
                 self.tele = Some((ctx.span("proto.timeout"), RetryTele::intern(ctx)));
                 self.arm_next(ctx);
             }
-            Event::Timer { .. } if self.diverged.is_none() => {
+            // The script's `Sweep` ops stand in for the client's own
+            // `RPC_WAKE`, so that timer is ignored here.
+            Event::Timer { tag: 0 } if self.diverged.is_none() => {
                 let (_, op) = self.script[self.next];
                 self.next += 1;
                 self.step(ctx, op);

@@ -16,7 +16,7 @@ use ew_forecast::ForecastTimeout;
 use ew_proto::sim_net::{packet_from_event, send_packet};
 use ew_proto::{
     EventTag, Packet, RetryConfig, RetryTele, RpcClient, StaticTimeout, Verdict, WireDecode,
-    WireEncode,
+    WireEncode, RPC_WAKE,
 };
 use ew_sim::{
     spawn_pure, CounterId, Ctx, Event, GaugeId, Pending, Process, ProcessId, SeriesId, SimDuration,
@@ -97,11 +97,7 @@ ew_proto::wire_struct!(Checkpoint {
 });
 
 const TIMER_REPORT: u64 = 1;
-const TIMER_TICK: u64 = 2;
 const TIMER_RETRY: u64 = 3;
-
-/// Spacing of the expiry / deferred-resend sweep grid (`Started + k·2 s`).
-const SWEEP_PERIOD: SimDuration = SimDuration::from_secs(2);
 
 /// What an outstanding request was for — the [`RpcClient`] context.
 enum Req {
@@ -145,12 +141,6 @@ struct ClientTele {
     switches: CounterId,
     abandons: CounterId,
     failovers: CounterId,
-    /// Sweeps fired.
-    sweeps: CounterId,
-    /// Sweeps that expired nothing and flushed nothing. Every request arms
-    /// one, so some are expected; a count near `run length / 2 s` per client
-    /// means something re-arms unconditionally again.
-    sweeps_idle: CounterId,
     store_timeouts: CounterId,
     resumes: CounterId,
     stores_accepted: CounterId,
@@ -181,8 +171,6 @@ impl ClientTele {
             switches: ctx.counter("client.switches"),
             abandons: ctx.counter("client.abandons"),
             failovers: ctx.counter("client.failovers"),
-            sweeps: ctx.counter("client.sweeps"),
-            sweeps_idle: ctx.counter("client.sweeps_idle"),
             store_timeouts: ctx.counter("client.store_timeouts"),
             resumes: ctx.counter("client.resumes"),
             stores_accepted: ctx.counter("client.stores_accepted"),
@@ -222,10 +210,6 @@ pub struct ComputeClient {
     sched_idx: usize,
     unit: Option<UnitProgress>,
     rpc: RpcClient<Req>,
-    /// Origin of the sweep grid: when this process started.
-    started_at: SimTime,
-    /// A `TIMER_TICK` is pending (at the next grid point).
-    sweep_armed: bool,
     compute_gen: u64,
     waiting_for_work: bool,
     chunks_since_checkpoint: u64,
@@ -258,8 +242,6 @@ impl ComputeClient {
             sched_idx: 0,
             unit: None,
             rpc,
-            started_at: SimTime::ZERO,
-            sweep_armed: false,
             compute_gen: 0,
             waiting_for_work: false,
             chunks_since_checkpoint: 0,
@@ -346,42 +328,20 @@ impl ComputeClient {
             .unwrap_or_else(|| self.scheduler())
     }
 
-    /// Rotate to the next scheduler.
-    fn fail_over(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele) {
-        self.sched_idx += 1;
+    /// Move the rotation to the scheduler after `failed`, the one a request
+    /// gave up on. Two give-ups on one dead scheduler therefore both move
+    /// the client away from it, never back onto it.
+    fn fail_over(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele, failed: u64) {
+        if let Some(i) = self.cfg.schedulers.iter().position(|&s| s == failed) {
+            self.sched_idx = i + 1;
+        }
         self.failovers += 1;
         ctx.inc(tele.failovers);
     }
 
     fn send_request(&mut self, ctx: &mut Ctx<'_>, to: u64, mtype: u16, body: Vec<u8>, req: Req) {
-        let corr = self.rpc.begin(EventTag { peer: to, mtype }, ctx.now(), req);
-        self.transmit(ctx, to, mtype, corr, body);
-    }
-
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, to: u64, mtype: u16, corr: u64, body: Vec<u8>) {
-        send_packet(
-            ctx,
-            ProcessId(to as u32),
-            &Packet::request(mtype, corr, body),
-        );
-        self.arm_sweep(ctx);
-    }
-
-    /// Arm the expiry / deferred-resend sweep while there is something for
-    /// it to find, and leave it off otherwise: a client computing a long
-    /// unit with nothing in flight costs the kernel no events. The sweep
-    /// always lands on the grid `started_at + k·SWEEP_PERIOD`, strictly
-    /// after `now` — the instants an always-on 2 s poll would fire at — so
-    /// arming on demand moves no expiry, retry, failover or resend in
-    /// simulated time (a deadline-exact timer would move them earlier).
-    fn arm_sweep(&mut self, ctx: &mut Ctx<'_>) {
-        if self.sweep_armed || self.rpc.idle() {
-            return;
-        }
-        let period = SWEEP_PERIOD.as_micros();
-        let into_period = ctx.now().since(self.started_at).as_micros() % period;
-        ctx.set_timer(SimDuration::from_micros(period - into_period), TIMER_TICK);
-        self.sweep_armed = true;
+        let corr = self.rpc.begin(ctx, EventTag { peer: to, mtype }, req);
+        transmit(ctx, to, mtype, corr, body);
     }
 
     fn request_work(&mut self, ctx: &mut Ctx<'_>) {
@@ -530,44 +490,35 @@ impl ComputeClient {
         }
     }
 
-    fn sweep(&mut self, ctx: &mut Ctx<'_>) {
-        self.sweep_armed = false;
+    /// The [`RpcClient`]'s wake: every expiry gets its verdict at its own
+    /// deadline, and every deferred resend goes out at its own instant.
+    fn wake(&mut self, ctx: &mut Ctx<'_>) {
         let tele = self.tele.expect("started");
-        ctx.inc(tele.sweeps);
-        let expired = self.rpc.take_expired(ctx, tele.timeout_span);
-        let mut idle = expired.is_empty();
-        for e in expired {
+        for e in self.rpc.take_expired(ctx, tele.timeout_span) {
             // One verdict at a time: `on_gave_up` reads breaker state the
             // next verdict mutates, and begins new requests.
-            let resendable = e.context.resendable();
+            let (resendable, peer) = (e.context.resendable(), e.tag.peer);
             if let Verdict::GaveUp(req) = self.rpc.verdict(ctx, tele.retry, e, resendable) {
-                self.on_gave_up(ctx, tele, req);
+                self.on_gave_up(ctx, tele, req, peer);
             }
         }
-        let now = ctx.now();
-        let due = self.rpc.take_due(now);
-        idle &= due.is_empty();
-        for resend in due {
+        for resend in self.rpc.take_due(ctx) {
             let (to, mtype) = (resend.tag.peer, resend.tag.mtype);
             let body = resend.context.resend_body(ctx);
-            let corr = self.rpc.resend(now, resend);
-            self.transmit(ctx, to, mtype, corr, body);
+            let corr = self.rpc.resend(ctx, resend);
+            transmit(ctx, to, mtype, corr, body);
         }
-        if idle {
-            ctx.inc(tele.sweeps_idle);
-        }
-        self.arm_sweep(ctx);
     }
 
     /// Per-kind recovery for a request the retry layer will not resend:
     /// past the budget or behind an open circuit on the adaptive arm, every
     /// expiry on the static arm (`static_timeouts = Some`: no backoff, no
-    /// breaker, immediate failover).
-    fn on_gave_up(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele, req: Req) {
+    /// breaker, immediate failover). `peer` is the one it gave up on.
+    fn on_gave_up(&mut self, ctx: &mut Ctx<'_>, tele: ClientTele, req: Req, peer: u64) {
         match req {
             Req::GetWork => {
                 // Scheduler unreachable: fail over and re-request.
-                self.fail_over(ctx, tele);
+                self.fail_over(ctx, tele, peer);
                 self.waiting_for_work = false;
                 self.request_work(ctx);
             }
@@ -577,12 +528,12 @@ impl ComputeClient {
                 // the rotation stays; the breaker heard the time-out, and
                 // `pick_scheduler` skips a scheduler whose circuit it opens.
                 if self.cfg.static_timeouts.is_some() {
-                    self.fail_over(ctx, tele);
+                    self.fail_over(ctx, tele, peer);
                 }
             }
             Req::Result(result) => {
                 // Results matter: fail over and resend with a fresh budget.
-                self.fail_over(ctx, tele);
+                self.fail_over(ctx, tele, peer);
                 self.send_result(ctx, result);
             }
             Req::Store(_) | Req::Checkpoint(_) => {
@@ -596,6 +547,14 @@ impl ComputeClient {
     }
 }
 
+fn transmit(ctx: &mut Ctx<'_>, to: u64, mtype: u16, corr: u64, body: Vec<u8>) {
+    send_packet(
+        ctx,
+        ProcessId(to as u32),
+        &Packet::request(mtype, corr, body),
+    );
+}
+
 /// Start `unit`'s real execution on the pure-job pool. Its result is a
 /// function of the unit alone, taken when the unit completes.
 fn execute(workload: &Arc<dyn Workload>, unit: &WorkUnit) -> Pending<(WorkResult, ExecStats)> {
@@ -607,7 +566,6 @@ impl Process for ComputeClient {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match &ev {
             Event::Started => {
-                self.started_at = ctx.now();
                 self.tele = Some(ClientTele::intern(ctx, &self.cfg.infra));
                 self.rpc.seed_jitter(ctx.rng());
                 // Restart path first: a checkpoint from a predecessor on
@@ -623,7 +581,7 @@ impl Process for ComputeClient {
                     self.send_report(ctx);
                     ctx.set_timer(self.cfg.report_interval, TIMER_REPORT);
                 }
-                TIMER_TICK => self.sweep(ctx),
+                RPC_WAKE => self.wake(ctx),
                 TIMER_RETRY => self.request_work(ctx),
                 _ => {}
             },
@@ -787,8 +745,9 @@ mod tests {
         assert!(sim.metrics().counter("ops.unix") as u64 == ops);
     }
 
-    #[test]
-    fn client_fails_over_when_scheduler_host_dies() {
+    /// Two schedulers and a client host; the first scheduler's host dies
+    /// at 100 s. Returns the sim, both schedulers and the client host.
+    fn first_scheduler_dies() -> (Sim, ProcessId, ProcessId, ew_sim::HostId) {
         let mut net = NetModel::new(0.05);
         let mut hosts = HostTable::new();
         let site = net.add_site(SiteSpec::simple(
@@ -809,6 +768,12 @@ mod tests {
         let mut sim = Sim::new(net, hosts, 9);
         let s1 = sim.spawn("s1", h_sched1, Box::new(SchedulerServer::new(sched_cfg())));
         let s2 = sim.spawn("s2", h_sched2, Box::new(SchedulerServer::new(sched_cfg())));
+        (sim, s1, s2, h_client)
+    }
+
+    #[test]
+    fn client_fails_over_when_scheduler_host_dies() {
+        let (mut sim, s1, s2, h_client) = first_scheduler_dies();
         let c = sim.spawn(
             "client",
             h_client,
@@ -1058,100 +1023,162 @@ mod tests {
         assert!(sim.metrics().counter("client.abandons") >= 1.0);
     }
 
+    /// A [`ComputeClient`] under watch. Before every event nothing the
+    /// client waits on may lie in the past, and after every wake nothing
+    /// may be due any more: each expiry, failover and resend happens at its
+    /// own instant. `late` collects `(now, due)` for every breach.
+    struct Watched {
+        client: ComputeClient,
+        wakes: u64,
+        /// Wakes that came with nothing due.
+        idle_wakes: u64,
+        /// Responses received: one per answered request.
+        replies: u64,
+        late: Vec<(SimTime, SimTime)>,
+    }
+
+    impl Watched {
+        fn spawn(sim: &mut Sim, host: ew_sim::HostId, cfg: ClientConfig) -> ProcessId {
+            let watched = Watched {
+                client: ComputeClient::new(cfg),
+                wakes: 0,
+                idle_wakes: 0,
+                replies: 0,
+                late: Vec::new(),
+            };
+            sim.spawn("client", host, Box::new(watched))
+        }
+    }
+
+    impl Process for Watched {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            let now = ctx.now();
+            let due = self.client.rpc.next_due();
+            self.late
+                .extend(due.filter(|&at| at < now).map(|at| (now, at)));
+            let wake = matches!(ev, Event::Timer { tag: RPC_WAKE });
+            self.wakes += u64::from(wake);
+            self.idle_wakes += u64::from(wake && due.is_none_or(|at| at > now));
+            self.replies += u64::from(matches!(ev, Event::Message { .. }));
+            self.client.on_event(ctx, ev);
+            let left = self.client.rpc.next_due().filter(|&at| wake && at <= now);
+            self.late.extend(left.map(|at| (now, at)));
+        }
+    }
+
+    fn watched<T>(sim: &Sim, c: ProcessId, f: impl FnOnce(&Watched) -> T) -> T {
+        sim.with_process::<Watched, _>(c, f).expect("client alive")
+    }
+
     #[test]
-    fn client_computing_with_nothing_in_flight_gets_no_sweeps() {
+    fn client_gets_at_most_one_idle_wake_per_request() {
+        let sched = SchedulerConfig {
+            step_budget: 10_000_000, // ~2.8 sim-hours at 1e8 ops/s
+            ..sched_cfg()
+        };
         let (mut sim, hids) = world(2, 1e8);
         let s = sim.spawn(
             "sched",
             hids[0],
-            Box::new(SchedulerServer::new(SchedulerConfig {
-                step_budget: 10_000_000, // ~2.8 sim-hours at 1e8 ops/s
-                ..sched_cfg()
-            })),
+            Box::new(SchedulerServer::new(sched.clone())),
         );
-        sim.spawn(
-            "client",
+        let c = Watched::spawn(
+            &mut sim,
             hids[1],
-            Box::new(ComputeClient::new(ClientConfig {
+            ClientConfig {
                 report_interval: SimDuration::from_secs(3600),
                 ..client_cfg(s.0 as u64)
-            })),
+            },
         );
-        // The work request arms one sweep; its reply lands long before the
-        // sweep fires, so that one finds nothing.
+        // The work request arms the wake at its deadline; its reply lands
+        // long before, so that one wake finds nothing.
         sim.run_until(SimTime::from_secs(60));
-        assert_eq!(sim.metrics().counter("client.sweeps"), 1.0);
-        assert_eq!(sim.metrics().counter("client.sweeps_idle"), 1.0);
+        assert_eq!(
+            watched(&sim, c, |w| (w.replies, w.wakes, w.idle_wakes)),
+            (1, 1, 1)
+        );
         let ops_before = sim.metrics().counter("ops.total") as u64;
         let ten_minutes = sim.run_until(SimTime::from_secs(660));
         let ops_after = sim.metrics().counter("ops.total") as u64;
         assert!(ops_after > ops_before + 5e10 as u64, "still computing");
         assert_eq!(
-            sim.metrics().counter("client.sweeps"),
-            1.0,
-            "no TIMER_TICK in 10 sim-minutes with nothing in flight"
+            watched(&sim, c, |w| w.wakes),
+            1,
+            "no wake with nothing in flight"
         );
         // Every event of those ten minutes is a compute chunk finishing.
         let chunks = (ops_after - ops_before) / 10_000_000;
         assert_eq!(ten_minutes.events, chunks);
+
+        // Reporting every 30 s: one request after another, each answered,
+        // and no more wakes than requests.
+        let (mut sim, hids) = world(2, 1e8);
+        let s = sim.spawn("sched", hids[0], Box::new(SchedulerServer::new(sched)));
+        let c = Watched::spawn(&mut sim, hids[1], client_cfg(s.0 as u64));
+        sim.run_until(SimTime::from_secs(600));
+        let (replies, wakes, idle) = watched(&sim, c, |w| (w.replies, w.wakes, w.idle_wakes));
+        assert!(replies > 15, "{replies} replies");
+        assert_eq!(wakes, idle, "nothing expires in a healthy world");
+        assert!(wakes <= replies, "{wakes} wakes for {replies} requests");
+        assert!(watched(&sim, c, |w| w.late.is_empty()));
     }
 
     #[test]
-    fn expiry_and_failover_land_on_the_started_grid() {
-        let mut net = NetModel::new(0.05);
-        let mut hosts = HostTable::new();
-        let site = net.add_site(SiteSpec::simple(
-            "s",
-            SimDuration::from_millis(20),
-            1.25e6,
-            0.0,
-        ));
-        let h_dead = {
-            let mut h = HostSpec::dedicated("dead", site, 1e8);
-            h.availability = AvailabilitySchedule {
-                transitions: vec![(SimTime::from_millis(500), false)],
-            };
-            hosts.add(h)
-        };
-        let h_sched2 = hosts.add(HostSpec::dedicated("sched2", site, 1e8));
-        let h_client = hosts.add(HostSpec::dedicated("client", site, 1e8));
-        let mut sim = Sim::new(net, hosts, 9);
-        let s1 = sim.spawn("s1", h_dead, Box::new(SchedulerServer::new(sched_cfg())));
-        let s2 = sim.spawn("s2", h_sched2, Box::new(SchedulerServer::new(sched_cfg())));
-        // Start the client off the whole-second lattice, after s1's host died.
-        let started = SimTime::from_micros(700_123);
-        sim.run_until(started);
-        let c = sim.spawn(
-            "client",
+    fn expiry_failover_and_resend_land_at_their_own_instants() {
+        let (mut sim, s1, s2, h_client) = first_scheduler_dies();
+        // Start the client off the whole-second lattice. By the time s1's
+        // host dies its time-outs are forecast from ~40 ms RTTs, so its
+        // requests to s1 expire a fraction of a second after they are
+        // sent, are resent after a jittered backoff, expire again and fail
+        // over to s2.
+        sim.run_until(SimTime::from_micros(700_123));
+        let c = Watched::spawn(
+            &mut sim,
             h_client,
-            Box::new(ComputeClient::new(ClientConfig {
+            ClientConfig {
                 schedulers: vec![s1.0 as u64, s2.0 as u64],
                 ..client_cfg(s1.0 as u64)
-            })),
+            },
         );
-        // Step grid point by grid point, stopping 1 us short of each: the
-        // sweep count and the failover count may only move in that last
-        // microsecond, i.e. at an instant = Started (mod 2 s).
-        let watch = |sim: &Sim| {
-            (
-                sim.metrics().counter("client.sweeps"),
-                sim.metrics().counter("client.failovers"),
-                sim.metrics().counter("rpc.retries"),
-            )
-        };
-        let mut at_grid = watch(&sim);
-        for k in 1..=150u64 {
-            let grid = started + SWEEP_PERIOD * k;
-            sim.run_until(SimTime::from_micros(grid.as_micros() - 1));
-            assert_eq!(watch(&sim), at_grid, "moved between grid points (k={k})");
-            sim.run_until(grid);
-            at_grid = watch(&sim);
-        }
-        assert!(at_grid.1 >= 1.0, "the dead scheduler is abandoned");
-        assert!(at_grid.2 >= 1.0, "resends were deferred and flushed first");
-        let units = sim
-            .with_process::<ComputeClient, _>(c, |c| c.units_completed)
-            .unwrap();
+        sim.run_until(SimTime::from_secs(400));
+        assert_eq!(watched(&sim, c, |w| w.late.clone()), vec![]);
+        assert!(
+            sim.metrics().counter("rpc.retries") >= 1.0,
+            "a resend was deferred"
+        );
+        assert!(
+            sim.metrics().counter("client.failovers") >= 1.0,
+            "s1 is abandoned"
+        );
+        let units = watched(&sim, c, |w| w.client.units_completed);
+        assert!(
+            units > 50,
+            "work continues on the backup scheduler: {units}"
+        );
+    }
+
+    #[test]
+    fn give_ups_on_a_dead_scheduler_never_rotate_back_onto_it() {
+        // Static time-outs: every expiry is a give-up, and no reports. After
+        // s1's host dies, the RESULT and the GET_WORK that a finished unit
+        // sends together both give up on s1 at one wake. Each give-up moves
+        // the client away from s1; if the second moved it back, the
+        // re-sent GET_WORK would go to s1 and give up a third time.
+        let (mut sim, s1, s2, h_client) = first_scheduler_dies();
+        let c = Watched::spawn(
+            &mut sim,
+            h_client,
+            ClientConfig {
+                schedulers: vec![s1.0 as u64, s2.0 as u64],
+                static_timeouts: Some(SimDuration::from_secs(2)),
+                report_interval: SimDuration::from_secs(3600),
+                ..client_cfg(s1.0 as u64)
+            },
+        );
+        sim.run_until(SimTime::from_secs(400));
+        let (failovers, units) =
+            watched(&sim, c, |w| (w.client.failovers, w.client.units_completed));
+        assert_eq!(failovers, 2, "one give-up per request sent to s1");
         assert!(
             units > 50,
             "work continues on the backup scheduler: {units}"

@@ -13,7 +13,11 @@
 # each pair's two readings of `wall_s`, `setup_s` and `peak_rss_mib` with
 # their ratios, the judged metric (`--metric`, default `wall_s`) marked `*`.
 # Exits 1 if the fingerprint, `sim_work_units` or `finished_pct` differ at a
-# seed, or a run failed a check.
+# seed, or a run failed a check. When `tests/moved.tsv` (a golden move's
+# declaration, see tests/moved.sh) is keyed to <parent-rev>, a seed it declares
+# is judged against it instead: the change must print exactly the declared
+# values. A file keyed to another commit is ignored, as tests/perf_gate.sh
+# ignores it.
 # Ends with each side's medians and quartiles of `wall_s`, `setup_s` and
 # `peak_rss_mib`, how often the change read lower, and the verdict on the
 # judged metric: "claim met" when the change reads lower in at least 90 % of
@@ -45,6 +49,9 @@ case "$metric" in
   peak_rss_mib) judged=2 ;;
   *) echo "ab: --metric must be wall_s, setup_s or peak_rss_mib, not $metric" >&2; exit 2 ;;
 esac
+source tests/moved.sh
+moved=tests/moved.tsv
+sha="$(git rev-parse "$rev^{commit}")"
 # Every offline build rewrites a stale `benchmark/Cargo.lock`, so the lock
 # file alone does not make the instrument differ.
 git diff --quiet "$rev" -- benchmark BENCHMARK.json ':!benchmark/Cargo.lock' ||
@@ -98,7 +105,15 @@ for ((i = 0; i < pairs; i++)); do
         v[2 * m + 1], v[2 * m + 2], 100 * (v[2 * m + 2] / v[2 * m + 1] - 1)
     printf "\n"
   }'
-  if [[ "$p_same" != "$c_same" ]]; then
+  verdict=undeclared
+  [[ -f "$moved" ]] && verdict="$(moved_verdict "$moved" "$sha" "$workload" "$seed" "${c_same%$'\t'*}")"
+  if [[ "$verdict" != undeclared ]]; then
+    if [[ "$verdict" != declared || "${c_same##*$'\t'}" != 0 ]]; then
+      printf 'ab: seed %s is not what %s declares (fingerprint, work, finished %%, failed):\n  change %s\n' \
+        "$seed" "$moved" "$c_same" >&2
+      status=1
+    fi
+  elif [[ "$p_same" != "$c_same" ]]; then
     printf 'ab: seed %s differs (fingerprint, work, finished %%, failed):\n  parent %s\n  change %s\n' \
       "$seed" "$p_same" "$c_same" >&2
     status=1

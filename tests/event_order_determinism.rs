@@ -43,12 +43,18 @@ use ew_workload::WorkloadSpec;
 /// change: `ComputeClient` arms its 2 s expiry sweep only while a request
 /// or deferred resend is outstanding, so the no-op `TIMER_TICK` entries
 /// left the dispatch stream (fewer entries, different seqs). The figure
-/// bytes below did not move with it.
-const SC98_ORDER_HASH: u64 = 0x837f_4555_641c_26a5;
+/// bytes below did not move with it. Re-captured once more (from
+/// `0x837f_4555_641c_26a5`) for one expiry discipline: every `RpcClient`
+/// wakes at its own next deadline or due resend, so the 2 s sweep grid,
+/// the Gossip tick's expiry half and the NWS sensor's own timer left the
+/// stream and every time-out takes effect at its own instant. The figure
+/// bytes did not move with that either.
+const SC98_ORDER_HASH: u64 = 0x9c04_ee25_5334_2bda;
 /// Golden kernel event-order hash for the same run with the §5.4 ablation
 /// on (a scheduler inside the Condor pool, tried first by Condor
-/// clients), captured at the parent of the one-world-builder change.
-const SC98_CONDOR_INSIDE_ORDER_HASH: u64 = 0x76fa_a86f_ad36_db1b;
+/// clients), captured at the parent of the one-world-builder change, and
+/// re-captured (from `0x76fa_a86f_ad36_db1b`) for one expiry discipline.
+const SC98_CONDOR_INSIDE_ORDER_HASH: u64 = 0x5f95_9e98_977e_dbe6;
 /// Golden FNV-1a hash of the serialized SC98 figure series, captured on
 /// the binary-heap event queue.
 const SC98_FIGURES_HASH: u64 = 0x6747_3862_19c9_a681;
@@ -58,16 +64,21 @@ const KERNEL_SCENARIO_ORDER_HASH: u64 = 0xdf1a_056d_e862_931b;
 /// Per-shard event-order hashes of the tiny mega campaign below, captured
 /// at the parent of PR 17 with per-event dispatch and eager flow recompute
 /// forced. The protocol is all sub-MTU RPCs, so flow and packet mode share
-/// them.
+/// them. Re-captured for one expiry discipline (from `0x5660_1335_32dd_b4f6`,
+/// `0x43c2_95fa_9427_67da`, `0xad30_38e5_52a6_77e8`): each client's wakes
+/// replace its sweep grid; the 2 188 units per shard did not move.
 const MEGA_TINY_ORDER_HASHES: [u64; 3] = [
-    0x5660_1335_32dd_b4f6,
-    0x43c2_95fa_9427_67da,
-    0xad30_38e5_52a6_77e8,
+    0x8194_bb81_9aae_7137,
+    0x006b_1477_1351_6efa,
+    0x237c_a17c_c7e2_c63d,
 ];
 /// FNV-1a of the `flaky-network` chaos campaign JSON below (artifact name,
 /// newline, pretty-printed body, newline), captured at the parent of PR 17
-/// with per-event dispatch and eager flow recompute forced.
-const CHAOS_FLAKY_JSON_HASH: u64 = 0xc147_880a_d1d2_55d6;
+/// with per-event dispatch and eager flow recompute forced, and re-captured
+/// (from `0xc147_880a_d1d2_55d6`) for one expiry discipline: under loss,
+/// time-outs noticed at their own deadlines change the cells' outcomes, and
+/// a client that gives up on a scheduler fails over away from that one.
+const CHAOS_FLAKY_JSON_HASH: u64 = 0x3c4b_2a8c_c0e3_3f51;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

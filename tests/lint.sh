@@ -120,6 +120,18 @@ if grep -nw 'is_finite' crates/forecast/src/sensor.rs crates/state/src/logging.r
     exit 1
 fi
 
+# One expiry discipline: every RpcClient owns one RPC_WAKE timer, armed at
+# its next deadline or due resend, and its owner answers that tag (the
+# compute client swept on a 2 s grid, the Gossip server on its 1 s tick, and
+# only the NWS sensor kept a deadline-exact timer of its own).
+echo "== every RpcClient wakes at its own next deadline"
+if grep -rnE 'SWEEP_PERIOD|arm_sweep|sweep_armed|client\.sweeps' crates \
+    || grep -rnw 'DeadlineTimer' crates | grep -v '^crates/proto/src/rpc\.rs:'; then
+    echo "error: answer ew_proto::RPC_WAKE with take_expired, verdicts and take_due;" >&2
+    echo "       the RpcClient arms its own wake" >&2
+    exit 1
+fi
+
 # One place spawns the world: Deployment::builder spawns every pool's
 # supervisor, so the spawn order (and with it every process id, rng stream
 # and order hash) is written once (run_sc98, the chaos cell, the mega shard
@@ -279,8 +291,11 @@ elif ! grep -q '^== live bytes by block size' <<<"$heap" \
     exit 1
 fi
 
-# The A/B script builds two trees (minutes), so it is parsed, not run.
-echo "== tests/ab.sh parses"
+# The A/B script and the perf gate build two trees (minutes), so they are
+# parsed, not run; the exact judge they share for a declared move is tested.
+echo "== tests/ab.sh and tests/perf_gate.sh parse; the declared-move judge holds"
 bash -n tests/ab.sh
+bash -n tests/perf_gate.sh
+./tests/moved_test.sh
 
 echo "lint gate: OK"
